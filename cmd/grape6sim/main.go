@@ -287,20 +287,7 @@ func runCosim(o cosimOpts) {
 			machine.BoardsPerHost*machine.HW.ChipsPerBoard, machine.PeakFlops()/1e12)
 	}
 
-	var res *parallel.Result
-	var err error
-	switch o.algo {
-	case "copy":
-		res, err = parallel.RunCopy(sys, o.tEnd, cfg)
-	case "ring":
-		res, err = parallel.RunRing(sys, o.tEnd, cfg)
-	case "grid":
-		res, err = parallel.RunGrid(sys, o.tEnd, cfg)
-	case "hybrid":
-		res, err = parallel.RunHybrid(sys, o.tEnd, o.clusters, cfg)
-	default:
-		fatal("unknown algorithm %q", o.algo)
-	}
+	res, err := parallel.Run(o.algo, sys, o.tEnd, o.clusters, cfg)
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -32,55 +32,32 @@ func RunCosim(o *Options) (Experiment, error) {
 	}
 	eps := units.Softening(units.SoftConstant, n)
 
-	mk := func(hosts int, nic simnet.NIC) parallel.Config {
-		return parallel.Config{
-			Hosts:   hosts,
-			NIC:     nic,
-			Machine: perfmodel.SingleNode(nic, perfmodel.Athlon),
-			Params:  hermite.DefaultParams(eps),
+	type shape struct{ hosts, clusters int }
+	for _, c := range []struct {
+		label, algo string
+		sweep       []shape
+	}{
+		{"copy algorithm", "copy", []shape{{1, 0}, {2, 0}, {4, 0}}},
+		{"ring algorithm", "ring", []shape{{1, 0}, {2, 0}, {4, 0}}},
+		{"2D grid algorithm", "grid", []shape{{1, 0}, {4, 0}}},
+		// The production structure: copy across clusters × grid within.
+		{"hybrid (clusters x 2D grid)", "hybrid", []shape{{4, 1}, {8, 2}}},
+	} {
+		series := Series{Label: c.label, YUnits: "steps/s (virtual)"}
+		for _, sh := range c.sweep {
+			res, err := parallel.Run(c.algo, model.Plummer(n, xrand.New(o.Seed)), until, sh.clusters, parallel.Config{
+				Hosts:   sh.hosts,
+				NIC:     simnet.NS83820,
+				Machine: perfmodel.SingleNode(simnet.NS83820, perfmodel.Athlon),
+				Params:  hermite.DefaultParams(eps),
+			})
+			if err != nil {
+				return e, err
+			}
+			series.Points = append(series.Points, Point{N: sh.hosts, Value: res.StepsPerSecond()})
 		}
+		e.Series = append(e.Series, series)
 	}
-
-	copySeries := Series{Label: "copy algorithm", YUnits: "steps/s (virtual)"}
-	for _, hosts := range []int{1, 2, 4} {
-		res, err := parallel.RunCopy(model.Plummer(n, xrand.New(o.Seed)), until, mk(hosts, simnet.NS83820))
-		if err != nil {
-			return e, err
-		}
-		copySeries.Points = append(copySeries.Points, Point{N: hosts, Value: res.StepsPerSecond()})
-	}
-	e.Series = append(e.Series, copySeries)
-
-	ringSeries := Series{Label: "ring algorithm", YUnits: "steps/s (virtual)"}
-	for _, hosts := range []int{1, 2, 4} {
-		res, err := parallel.RunRing(model.Plummer(n, xrand.New(o.Seed)), until, mk(hosts, simnet.NS83820))
-		if err != nil {
-			return e, err
-		}
-		ringSeries.Points = append(ringSeries.Points, Point{N: hosts, Value: res.StepsPerSecond()})
-	}
-	e.Series = append(e.Series, ringSeries)
-
-	gridSeries := Series{Label: "2D grid algorithm", YUnits: "steps/s (virtual)"}
-	for _, hosts := range []int{1, 4} {
-		res, err := parallel.RunGrid(model.Plummer(n, xrand.New(o.Seed)), until, mk(hosts, simnet.NS83820))
-		if err != nil {
-			return e, err
-		}
-		gridSeries.Points = append(gridSeries.Points, Point{N: hosts, Value: res.StepsPerSecond()})
-	}
-	e.Series = append(e.Series, gridSeries)
-
-	// The production structure: copy across clusters × grid within.
-	hybridSeries := Series{Label: "hybrid (clusters x 2D grid)", YUnits: "steps/s (virtual)"}
-	for _, cl := range []struct{ clusters, hosts int }{{1, 4}, {2, 8}} {
-		res, err := parallel.RunHybrid(model.Plummer(n, xrand.New(o.Seed)), until, cl.clusters, mk(cl.hosts, simnet.NS83820))
-		if err != nil {
-			return e, err
-		}
-		hybridSeries.Points = append(hybridSeries.Points, Point{N: cl.hosts, Value: res.StepsPerSecond()})
-	}
-	e.Series = append(e.Series, hybridSeries)
 
 	e.Notes = append(e.Notes,
 		fmt.Sprintf("N=%d, %s, NS83820 network; x = host count", n, units.SoftConstant),

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"grape6/internal/chip"
+	"grape6/internal/nbody"
 	"grape6/internal/perfmodel"
 )
 
@@ -70,70 +71,6 @@ func (c Config) PeakFlops() float64 {
 	return float64(c.TotalChips()) * c.Chip.PeakFlops()
 }
 
-// idIndex maps particle ids to load positions: a dense []int32 table
-// when the id space is compact (the common 0..N-1 case, one O(1) array
-// read per lookup on the hot update path), a map fallback otherwise.
-type idIndex struct {
-	dense []int32 // id → position, -1 for absent; empty when using the map
-	m     map[int]int
-}
-
-// rebuild re-indexes the load positions of ps.
-func (x *idIndex) rebuild(ps []chip.JParticle) {
-	maxID := -1
-	compact := true
-	for i := range ps {
-		id := ps[i].ID
-		if id < 0 {
-			compact = false
-			break
-		}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if compact && maxID < 2*len(ps)+64 {
-		if cap(x.dense) < maxID+1 {
-			x.dense = make([]int32, maxID+1)
-		}
-		x.dense = x.dense[:maxID+1]
-		for k := range x.dense {
-			x.dense[k] = -1
-		}
-		for i := range ps {
-			x.dense[ps[i].ID] = int32(i)
-		}
-		x.m = nil
-		return
-	}
-	x.dense = x.dense[:0]
-	if x.m == nil {
-		x.m = make(map[int]int, len(ps))
-	} else {
-		clear(x.m)
-	}
-	for i := range ps {
-		x.m[ps[i].ID] = i
-	}
-}
-
-// get returns the load position of id.
-//
-//grape:noalloc
-func (x *idIndex) get(id int) (int, bool) {
-	if d := x.dense; len(d) > 0 {
-		if id < 0 || id >= len(d) {
-			return 0, false
-		}
-		if v := d[id]; v >= 0 {
-			return int(v), true
-		}
-		return 0, false
-	}
-	v, ok := x.m[id]
-	return v, ok
-}
-
 // Array is the emulated multi-board attachment of one host.
 //
 // Force evaluation above a small-workload threshold runs on a persistent
@@ -166,7 +103,8 @@ func (x *idIndex) get(id int) (int, bool) {
 type Array struct {
 	cfg   Config
 	chips []*chip.Chip
-	loc   idIndex // particle id → load position
+	loc   nbody.IDIndex // particle id → load position
+	ids   []int         // loc's rebuild input, reused across loads
 	nj    int
 
 	// Paged j-memory (j-sets exceeding the chips' combined capacity):
@@ -308,9 +246,18 @@ func (a *Array) LoadJ(ps []chip.JParticle) error {
 			return fmt.Errorf("board: chip %d: %w", c, err)
 		}
 	}
-	a.loc.rebuild(ps)
+	a.indexLoad(ps)
 	a.nj = len(ps)
 	return nil
+}
+
+// indexLoad points loc at the load positions of ps.
+func (a *Array) indexLoad(ps []chip.JParticle) {
+	a.ids = a.ids[:0]
+	for i := range ps {
+		a.ids = append(a.ids, ps[i].ID)
+	}
+	a.loc.Rebuild(a.ids)
 }
 
 // loadPaged keeps the whole j-set in host memory (the frontend's RAM,
@@ -319,7 +266,7 @@ func (a *Array) LoadJ(ps []chip.JParticle) error {
 func (a *Array) loadPaged(ps []chip.JParticle) error {
 	a.paged = true
 	a.jhost = append(a.jhost[:0], ps...)
-	a.loc.rebuild(ps)
+	a.indexLoad(ps)
 	a.nj = len(ps)
 	for c, ch := range a.chips {
 		if err := ch.TruncateJ(0); err != nil {
@@ -337,7 +284,7 @@ func (a *Array) loadPaged(ps []chip.JParticle) error {
 // update is a single host-side slot write — the next force pass streams
 // the new state with everything else.
 func (a *Array) UpdateJ(p chip.JParticle) error {
-	pos, ok := a.loc.get(p.ID)
+	pos, ok := a.loc.Slot(p.ID)
 	if !ok {
 		return fmt.Errorf("board: particle %d not loaded", p.ID)
 	}

@@ -76,11 +76,7 @@ type Backend struct {
 	expJ []int
 	expP []int
 
-	// id → js index. idIdx is the dense fast path used when ids are
-	// compact (the 0..N-1 common case: one array read per i-particle on
-	// the hot Forces/Update paths); byID is the sparse fallback.
-	idIdx []int32
-	byID  map[int]int
+	slots nbody.IDIndex // id → js index
 
 	// Counters for performance accounting and diagnostics.
 	HWCycles    int64 // hardware busy cycles
@@ -101,7 +97,7 @@ type Backend struct {
 // New returns a Backend that owns the given hardware attachment: Close
 // shuts the array's worker pool down with the backend.
 func New(arr *board.Array) *Backend {
-	return &Backend{arr: arr, owned: true, f: arr.Config().Chip.Format, byID: make(map[int]int)}
+	return &Backend{arr: arr, owned: true, f: arr.Config().Chip.Format}
 }
 
 // NewBorrowed returns a Backend over hardware it does not own — a
@@ -109,7 +105,7 @@ func New(arr *board.Array) *Backend {
 // else manages. Close detaches without closing the array, so other
 // tenants of a shared fleet are unaffected.
 func NewBorrowed(arr Array) *Backend {
-	return &Backend{arr: arr, owned: false, f: arr.Config().Chip.Format, byID: make(map[int]int)}
+	return &Backend{arr: arr, owned: false, f: arr.Config().Chip.Format}
 }
 
 // Array exposes the underlying hardware (for inspection in tests and the
@@ -128,7 +124,7 @@ func (b *Backend) Load(sys *nbody.System) {
 	b.expA = growSlice(b.expA, sys.N)[:sys.N]
 	b.expJ = growSlice(b.expJ, sys.N)[:sys.N]
 	b.expP = growSlice(b.expP, sys.N)[:sys.N]
-	b.rebuildIDIndex(sys)
+	b.slots.Rebuild(sys.ID[:sys.N])
 	for i := 0; i < sys.N; i++ {
 		b.js[i] = b.makeJ(sys, i)
 		b.expA[i], b.expJ[i], b.expP[i] = b.guessExponents(sys, i)
@@ -139,63 +135,11 @@ func (b *Backend) Load(sys *nbody.System) {
 	}
 }
 
-// rebuildIDIndex installs the dense id table when the id space is
-// compact, the map otherwise.
-func (b *Backend) rebuildIDIndex(sys *nbody.System) {
-	maxID := -1
-	compact := true
-	for i := 0; i < sys.N; i++ {
-		id := sys.ID[i]
-		if id < 0 {
-			compact = false
-			break
-		}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	clear(b.byID)
-	if !compact || maxID >= 2*sys.N+64 {
-		b.idIdx = b.idIdx[:0]
-		for i := 0; i < sys.N; i++ {
-			b.byID[sys.ID[i]] = i
-		}
-		return
-	}
-	if cap(b.idIdx) < maxID+1 {
-		b.idIdx = make([]int32, maxID+1)
-	}
-	b.idIdx = b.idIdx[:maxID+1]
-	for k := range b.idIdx {
-		b.idIdx[k] = -1
-	}
-	for i := 0; i < sys.N; i++ {
-		b.idIdx[sys.ID[i]] = int32(i)
-	}
-}
-
-// slotOf returns the js index of id.
-//
-//grape:noalloc
-func (b *Backend) slotOf(id int) (int, bool) {
-	if d := b.idIdx; len(d) > 0 {
-		if id < 0 || id >= len(d) {
-			return 0, false
-		}
-		if v := d[id]; v >= 0 {
-			return int(v), true
-		}
-		return 0, false
-	}
-	v, ok := b.byID[id]
-	return v, ok
-}
-
 // Update implements hermite.Backend.
 func (b *Backend) Update(sys *nbody.System, idx []int) {
 	for _, i := range idx {
 		j := b.makeJ(sys, i)
-		k, ok := b.slotOf(sys.ID[i])
+		k, ok := b.slots.Slot(sys.ID[i])
 		if !ok {
 			panic(fmt.Sprintf("gbackend: update of unknown particle id %d", sys.ID[i]))
 		}
@@ -303,7 +247,7 @@ func (b *Backend) ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []
 	b.ksBuf = growSlice(b.ksBuf, n)
 	is, ks := b.isBuf, b.ksBuf
 	for q, id := range ids {
-		k, ok := b.slotOf(id)
+		k, ok := b.slots.Slot(id)
 		if !ok {
 			panic(fmt.Sprintf("gbackend: unknown particle id %d", id))
 		}

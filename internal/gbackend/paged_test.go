@@ -80,10 +80,10 @@ func TestSparseIDsUseMapFallback(t *testing.T) {
 	}
 	dense, db := force(false)
 	sparse, sb := force(true)
-	if len(db.idIdx) == 0 {
+	if !db.slots.Dense() {
 		t.Fatal("dense ids should use the array index")
 	}
-	if len(sb.idIdx) != 0 {
+	if sb.slots.Dense() {
 		t.Fatal("sparse ids should fall back to the map index")
 	}
 	for i := range dense {

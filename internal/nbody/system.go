@@ -84,19 +84,25 @@ func (s *System) Clone() *System {
 func (s *System) Subset(idx []int) *System {
 	c := New(len(idx))
 	for k, i := range idx {
-		c.Mass[k] = s.Mass[i]
-		c.Pos[k] = s.Pos[i]
-		c.Vel[k] = s.Vel[i]
-		c.Acc[k] = s.Acc[i]
-		c.Jerk[k] = s.Jerk[i]
-		c.Snap[k] = s.Snap[i]
-		c.Crack[k] = s.Crack[i]
-		c.Pot[k] = s.Pot[i]
-		c.Time[k] = s.Time[i]
-		c.Step[k] = s.Step[i]
-		c.ID[k] = s.ID[i]
+		c.CopyParticle(k, s, i)
 	}
 	return c
+}
+
+// CopyParticle overwrites slot k of s with particle i of src: the full
+// Hermite state, mass and id.
+func (s *System) CopyParticle(k int, src *System, i int) {
+	s.Mass[k] = src.Mass[i]
+	s.Pos[k] = src.Pos[i]
+	s.Vel[k] = src.Vel[i]
+	s.Acc[k] = src.Acc[i]
+	s.Jerk[k] = src.Jerk[i]
+	s.Snap[k] = src.Snap[i]
+	s.Crack[k] = src.Crack[i]
+	s.Pot[k] = src.Pot[i]
+	s.Time[k] = src.Time[i]
+	s.Step[k] = src.Step[i]
+	s.ID[k] = src.ID[i]
 }
 
 // TotalMass returns the sum of particle masses.

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"grape6/internal/des"
-	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/nbody"
-	"grape6/internal/simnet"
-	"grape6/internal/vec"
 	"grape6/internal/vtrace"
 )
 
@@ -22,93 +19,58 @@ import (
 // The host count must be a power of two (the machine's configurations are
 // 1..16).
 func RunCopy(sys *nbody.System, until float64, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if !isPow2(cfg.Hosts) {
-		return nil, fmt.Errorf("parallel: copy algorithm needs a power-of-two host count, got %d", cfg.Hosts)
-	}
-	if err := initForces(sys, cfg); err != nil {
-		return nil, err
-	}
-
-	eng := des.New()
-	net := simnet.New(eng, cfg.NIC, cfg.Hosts)
-	res := &Result{}
-	set := newTraceSet(cfg, net)
-
-	// Per-host replicas and backends.
-	replicas := make([]*nbody.System, cfg.Hosts)
-	backends := make([]hermite.Backend, cfg.Hosts)
-	indices := make([]idIndex, cfg.Hosts)
-	for h := 0; h < cfg.Hosts; h++ {
-		replicas[h] = sys.Clone()
-		backends[h] = cfg.backendFor(h)
-		backends[h].Load(replicas[h])
-		indices[h] = indexByID(replicas[h])
-	}
-
-	for h := 0; h < cfg.Hosts; h++ {
-		h := h
-		eng.Spawn(fmt.Sprintf("host%d", h), func(p *des.Proc) {
-			rec := attachRecorder(p, set, h)
-			copyHost(p, h, cfg, net, replicas[h], backends[h], indices[h], until, res, rec)
-		})
-	}
-	eng.RunAll()
-	if eng.Live() != 0 {
-		return nil, fmt.Errorf("parallel: %d hosts deadlocked", eng.Live())
-	}
-
-	res.Sys = replicas[0]
-	res.VirtualTime = eng.Now()
-	res.Messages = net.MessagesSent
-	res.Bytes = net.BytesSent
-	if err := finishTrace(set, res, eng.Now()); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return run(sys, until, cfg, exchange{
+		check: func(n int) error {
+			if !isPow2(cfg.Hosts) {
+				return fmt.Errorf("parallel: copy algorithm needs a power-of-two host count, got %d", cfg.Hosts)
+			}
+			return nil
+		},
+		build: buildCopy,
+	})
 }
 
-func copyHost(p *des.Proc, h int, cfg Config, net *simnet.Network,
-	S *nbody.System, backend hermite.Backend, idx idIndex,
-	until float64, res *Result, rec *vtrace.Recorder) {
+// copyState is one copy host's storage: a full replica.
+type copyState struct {
+	sys     *nbody.System
+	idx     nbody.IDIndex
+	backend hermite.Backend // loaded with the replica
+}
 
-	m := cfg.Machine
-	round := 0
-	var fbuf []direct.Force
-	// Per-round scratch reused across the run. ups is reusable too: only
-	// private copies of it travel through the network (gatherUpdates ships
-	// a fresh copy per exchange round).
-	var block, mine, ids, changed []int
-	var xp, vp []vec.V3
+func buildCopy(w *world, sys *nbody.System) (hostFunc, []*nbody.System) {
+	states := make([]copyState, w.cfg.Hosts)
+	for h := range states {
+		st := &states[h]
+		st.sys = sys.Clone()
+		st.idx.Rebuild(st.sys.ID)
+		st.backend = w.cfg.backendFor(h)
+		st.backend.Load(st.sys)
+	}
+	host := func(p *des.Proc, rank int, _ *vtrace.Recorder) error {
+		return copyHost(p, rank, w, &states[rank])
+	}
+	return host, []*nbody.System{states[0].sys}
+}
+
+func copyHost(p *des.Proc, h int, w *world, st *copyState) error {
+	cfg, m, S := w.cfg, w.cfg.Machine, st.sys
+	var sc scratch
+	// ups is reusable although it is a payload: only private copies of it
+	// travel through the network (gatherUpdates ships a fresh copy per
+	// exchange round).
 	var ups []update
-	for {
+	for round := 0; ; round++ {
 		t := S.MinTime()
-		if t > until {
-			break
+		if t > w.until {
+			return nil
 		}
-		block = blockAppend(block[:0], S, t)
-
-		// This host's share of the block.
-		mine = mine[:0]
-		for _, i := range block {
-			if S.ID[i]%cfg.Hosts == h {
-				mine = append(mine, i)
-			}
-		}
+		sc.selectBlock(S, t, cfg.Hosts, h)
+		mine := sc.mine
 
 		ups = ups[:0]
 		if len(mine) > 0 {
-			ids, xp, vp = ids[:0], xp[:0], vp[:0]
-			for _, i := range mine {
-				ids = append(ids, S.ID[i])
-				dt := t - S.Time[i]
-				x1, v1 := hermite.Predict(S.Pos[i], S.Vel[i], S.Acc[i], S.Jerk[i], S.Snap[i], dt)
-				xp = append(xp, x1)
-				vp = append(vp, v1)
-			}
-			fs := evalForces(&fbuf, backend, t, ids, xp, vp, cfg.Params.Eps)
+			sc.predict(S, mine, t)
+			fs := sc.forces(st.backend, t, cfg.Params.Eps)
 
 			// Charge the modelled compute time, attributed per phase:
 			// frontend work, GRAPE pipelines over the full stored system,
@@ -123,27 +85,11 @@ func copyHost(p *des.Proc, h int, cfg Config, net *simnet.Network,
 		}
 
 		// Exchange updated particles: recursive-doubling allgather, the
-		// "butterfly message exchange" of Section 4.4.
-		all := gatherUpdates(p, net, h, cfg.Hosts, round*4096, ups)
-		sortByID(all)
-		for _, u := range all {
-			if u.id%cfg.Hosts != h { // own particles already applied
-				applyUpdate(S, idx, u)
-			}
-		}
-		// Refresh the backend for every updated particle.
-		changed = changed[:0]
-		for _, u := range all {
-			ci, _ := idx.slot(u.id)
-			changed = append(changed, ci)
-		}
-		backend.Update(S, changed)
-
-		if h == 0 {
-			res.Blocks++
-			res.Steps += int64(len(block))
-			res.noteBlock(round, len(block))
-		}
-		round++
+		// "butterfly message exchange" of Section 4.4. The host's own
+		// updates come back in the list; absorbing them rewrites what
+		// correctParticle stored and refreshes the backend with the rest.
+		all := gatherUpdates(p, w.net, h, cfg.Hosts, round*tagStride, ups)
+		sc.absorb(S, &st.idx, all, st.backend)
+		w.count(h, round, len(mine))
 	}
 }

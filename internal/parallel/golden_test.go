@@ -25,7 +25,7 @@ import (
 // rework; any drift here means event ordering changed.
 type goldenRun struct {
 	name     string
-	algo     string // ring | hybrid | copy
+	algo     string // as Run takes it
 	hosts    int
 	clusters int // hybrid only
 	vtBits   uint64
@@ -48,6 +48,10 @@ var goldenRuns = []goldenRun{
 	{"copy/4", "copy", 4, 0, 0x3fa7e983dececb27, 0xecc4114b1d5aa2e0, 3212, 164, 1312, 1695936},
 	{"copy/8", "copy", 8, 0, 0x3fb05f293f1872b0, 0x5dda423aae90fc68, 3212, 164, 3936, 3957184},
 	{"copy/16", "copy", 16, 0, 0x3fb4aa76d57a6dc3, 0x87f533f340d857c3, 3212, 164, 10496, 8479680},
+	// The grid is the one-cluster hybrid: grid/4 repeats hybrid/1/4.
+	{"grid/1", "grid", 1, 0, 0x3f8cf986b745c536, 0x647f94bda1228c21, 3212, 164, 0, 0},
+	{"grid/4", "grid", 4, 0, 0x3fb678ca4596185a, 0x8548ed034b4b7ad2, 3212, 164, 2304, 1321056},
+	{"grid/16", "grid", 16, 0, 0x3fc04bbc1fa6a68a, 0xb346392f7ef1088a, 3212, 164, 16464, 4015968},
 }
 
 func goldenConfig(hosts int) Config {
@@ -63,19 +67,7 @@ func goldenConfig(hosts int) Config {
 
 func runGolden(t *testing.T, g goldenRun) *Result {
 	t.Helper()
-	sys := model.Plummer(128, xrand.New(1))
-	var (
-		res *Result
-		err error
-	)
-	switch g.algo {
-	case "ring":
-		res, err = RunRing(sys, 0.03125, goldenConfig(g.hosts))
-	case "hybrid":
-		res, err = RunHybrid(sys, 0.03125, g.clusters, goldenConfig(g.hosts))
-	default:
-		res, err = RunCopy(sys, 0.03125, goldenConfig(g.hosts))
-	}
+	res, err := Run(g.algo, model.Plummer(128, xrand.New(1)), 0.03125, g.clusters, goldenConfig(g.hosts))
 	if err != nil {
 		t.Fatalf("%s: %v", g.name, err)
 	}

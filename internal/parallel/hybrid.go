@@ -8,9 +8,43 @@ import (
 	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/nbody"
-	"grape6/internal/simnet"
+	"grape6/internal/vec"
 	"grape6/internal/vtrace"
 )
+
+// pforce is a partial force aligned with the row's block order.
+type pforce struct {
+	acc, jerk vec.V3
+	pot       float64
+}
+
+// pforceBytes is the wire size of a partial force entry.
+const pforceBytes = 56
+
+// Hybrid message tags (per round).
+const (
+	tagPartial = 100 // + sender column j: partial forces to the diagonal
+	tagRowUpd  = 400 // + source cluster: updates broadcast along rows
+	tagColUpd  = 500 // + source cluster: updates broadcast along columns
+)
+
+// RunGrid executes the two-dimensional algorithm of Makino (2002)
+// (Section 3.2): r² hosts form an r×r grid; host (i,j) holds copies of
+// particle subsets i and j. Each block step, row i predicts the block
+// members of subset i, every host (i,j) computes their partial forces from
+// subset j, the partials are summed on the diagonal host (i,i), which
+// corrects the particles and broadcasts the updates along its row and
+// column. Communication per host is O(N/r) — the square-root scaling that
+// motivated both the host grid and the GRAPE hardware network. It is the
+// hybrid with a single cluster.
+//
+// cfg.Hosts must be a perfect square r² with power-of-two r².
+func RunGrid(sys *nbody.System, until float64, cfg Config) (*Result, error) {
+	if _, ok := gridSide(cfg.Hosts); !ok {
+		return nil, fmt.Errorf("parallel: grid needs a power-of-two square host count, got %d", cfg.Hosts)
+	}
+	return RunHybrid(sys, until, 1, cfg)
+}
 
 // RunHybrid executes the production machine's actual parallel structure
 // (Section 4.3): the "copy" algorithm ACROSS clusters — each cluster holds
@@ -25,148 +59,102 @@ import (
 // cfg.Hosts must equal Clusters × r² with both Clusters and r² powers of
 // two; pass the total host count and the cluster count.
 func RunHybrid(sys *nbody.System, until float64, clusters int, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if clusters <= 0 || !isPow2(clusters) {
-		return nil, fmt.Errorf("parallel: hybrid cluster count %d not a positive power of two", clusters)
-	}
-	if cfg.Hosts%clusters != 0 {
-		return nil, fmt.Errorf("parallel: %d hosts not divisible by %d clusters", cfg.Hosts, clusters)
-	}
-	perCl := cfg.Hosts / clusters
-	r := int(math.Round(math.Sqrt(float64(perCl))))
-	if r*r != perCl || !isPow2(perCl) {
-		return nil, fmt.Errorf("parallel: hybrid needs r² hosts per cluster, got %d", perCl)
-	}
-	if sys.N < r {
-		return nil, fmt.Errorf("parallel: %d particles cannot be split over %d subsets", sys.N, r)
-	}
-	if err := initForces(sys, cfg); err != nil {
-		return nil, err
-	}
-
-	subsetIdx := func(s int) []int {
-		lo := s * sys.N / r
-		hi := (s + 1) * sys.N / r
-		out := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			out = append(out, i)
-		}
-		return out
-	}
-
-	eng := des.New()
-	net := simnet.New(eng, cfg.NIC, cfg.Hosts)
-	res := &Result{}
-	set := newTraceSet(cfg, net)
-
-	states := make([]*gridState, cfg.Hosts)
-	for k := 0; k < clusters; k++ {
-		for i := 0; i < r; i++ {
-			for j := 0; j < r; j++ {
-				st := &gridState{}
-				st.row = sys.Subset(subsetIdx(i))
-				if i == j {
-					st.col = st.row
-				} else {
-					st.col = sys.Subset(subsetIdx(j))
-				}
-				st.rowIdx = indexByID(st.row)
-				st.colIdx = indexByID(st.col)
-				st.backend = cfg.backendFor(k*perCl + i*r + j)
-				st.backend.Load(st.col)
-				states[k*perCl+i*r+j] = st
+	return run(sys, until, cfg, exchange{
+		check: func(n int) error {
+			if clusters <= 0 || !isPow2(clusters) {
+				return fmt.Errorf("parallel: hybrid cluster count %d not a positive power of two", clusters)
 			}
-		}
-	}
-
-	for rank := 0; rank < cfg.Hosts; rank++ {
-		rank := rank
-		eng.Spawn(fmt.Sprintf("hyb%d", rank), func(p *des.Proc) {
-			rec := attachRecorder(p, set, rank)
-			hybridHost(p, rank, clusters, r, cfg, net, states[rank], until, res, rec)
-		})
-	}
-	eng.RunAll()
-	if eng.Live() != 0 {
-		return nil, fmt.Errorf("parallel: %d hybrid hosts deadlocked", eng.Live())
-	}
-
-	// Cluster 0's diagonals hold... every cluster's copy is complete; use
-	// cluster 0's row copies (subsets 0..r-1 from its diagonal rows).
-	out := nbody.New(sys.N)
-	for i := 0; i < r; i++ {
-		part := states[i*r+i].row
-		for q := 0; q < part.N; q++ {
-			id := part.ID[q]
-			out.ID[id] = id
-			out.Mass[id] = part.Mass[q]
-			out.Pos[id] = part.Pos[q]
-			out.Vel[id] = part.Vel[q]
-			out.Acc[id] = part.Acc[q]
-			out.Jerk[id] = part.Jerk[q]
-			out.Snap[id] = part.Snap[q]
-			out.Crack[id] = part.Crack[q]
-			out.Pot[id] = part.Pot[q]
-			out.Time[id] = part.Time[q]
-			out.Step[id] = part.Step[q]
-		}
-	}
-	res.Sys = out
-	res.VirtualTime = eng.Now()
-	res.Messages = net.MessagesSent
-	res.Bytes = net.BytesSent
-	if err := finishTrace(set, res, eng.Now()); err != nil {
-		return nil, err
-	}
-	return res, nil
+			if cfg.Hosts%clusters != 0 {
+				return fmt.Errorf("parallel: %d hosts not divisible by %d clusters", cfg.Hosts, clusters)
+			}
+			r, ok := gridSide(cfg.Hosts / clusters)
+			if !ok {
+				return fmt.Errorf("parallel: hybrid needs r² hosts per cluster, got %d", cfg.Hosts/clusters)
+			}
+			if n < r {
+				return fmt.Errorf("parallel: %d particles cannot be split over %d subsets", n, r)
+			}
+			return nil
+		},
+		build: func(w *world, sys *nbody.System) (hostFunc, []*nbody.System) {
+			r, _ := gridSide(cfg.Hosts / clusters) // check has passed
+			return buildHybrid(w, sys, clusters, r)
+		},
+	})
 }
 
-// Hybrid message tags (per round, on top of the grid tags).
-const (
-	tagHybRowUpd = 400 // + source cluster
-	tagHybColUpd = 500 // + source cluster
-)
+// gridSide returns r when hosts is r² and a power of two.
+func gridSide(hosts int) (r int, ok bool) {
+	r = int(math.Round(math.Sqrt(float64(hosts))))
+	return r, r*r == hosts && isPow2(hosts)
+}
 
-func hybridHost(p *des.Proc, rank, clusters, r int, cfg Config, net *simnet.Network,
-	st *gridState, until float64, res *Result, rec *vtrace.Recorder) {
+// gridState is one grid host's storage.
+type gridState struct {
+	row     *nbody.System // copy of subset i
+	col     *nbody.System // copy of subset j (same object on the diagonal)
+	rowIdx  nbody.IDIndex
+	colIdx  nbody.IDIndex
+	backend hermite.Backend // loaded with the column subset
+	scratch
+	parts [][]pforce     // diagonal: the row's partials, by column
+	total []direct.Force // diagonal: their sum
+}
 
-	m := cfg.Machine
+// buildHybrid lays the hosts out as clusters × r × r; subset s is the
+// contiguous slots [s·N/r, (s+1)·N/r). Every cluster's copy is complete,
+// so the final particles are read off cluster 0's diagonal.
+func buildHybrid(w *world, sys *nbody.System, clusters, r int) (hostFunc, []*nbody.System) {
+	slots := identity(sys.N)
+	subset := func(s int) *nbody.System {
+		return sys.Subset(slots[s*sys.N/r : (s+1)*sys.N/r])
+	}
+	states := make([]gridState, w.cfg.Hosts)
+	for rank := range states {
+		st := &states[rank]
+		i, j := rank%(r*r)/r, rank%r
+		st.row = subset(i)
+		st.col = st.row
+		if i != j {
+			st.col = subset(j)
+		}
+		st.rowIdx.Rebuild(st.row.ID)
+		st.colIdx.Rebuild(st.col.ID)
+		st.backend = w.cfg.backendFor(rank)
+		st.backend.Load(st.col)
+	}
+	final := make([]*nbody.System, r)
+	for i := range final {
+		final[i] = states[i*r+i].row
+	}
+	host := func(p *des.Proc, rank int, rec *vtrace.Recorder) error {
+		return hybridHost(p, rank, clusters, r, w, &states[rank], rec)
+	}
+	return host, final
+}
+
+func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec *vtrace.Recorder) error {
+	cfg, m, net := w.cfg, w.cfg.Machine, w.net
 	perCl := r * r
 	k := rank / perCl
-	local := rank % perCl
-	i, j := local/r, local%r
+	i, j := rank%perCl/r, rank%r
 	diagRank := k*perCl + i*r + i
-	round := 0
-	for {
-		t := allreduceMin(p, net, rank, cfg.Hosts, round*tagStride+tagMin, st.row.MinTime(), rec)
-		if t > until {
-			break
+	for round := 0; ; round++ {
+		tag := round * tagStride
+		t := allreduceMin(p, net, rank, cfg.Hosts, tag+tagMin, st.row.MinTime(), rec)
+		if t > w.until {
+			return nil
 		}
-		// Full block members of subset i, then this cluster's share.
-		st.block = blockAppend(st.block[:0], st.row, t)
-		st.mine = st.mine[:0]
-		for _, ix := range st.block {
-			if st.row.ID[ix]%clusters == k {
-				st.mine = append(st.mine, ix)
-			}
-		}
+		// The block members of subset i (identical across row i of every
+		// cluster), then this cluster's share of them.
+		st.selectBlock(st.row, t, clusters, k)
 		block := st.mine
 
 		// Partial forces from subset j for the cluster's share.
 		partial := make([]pforce, len(block))
 		if len(block) > 0 {
-			st.ids, st.xs, st.vs = st.ids[:0], st.xs[:0], st.vs[:0]
-			for _, ix := range block {
-				st.ids = append(st.ids, st.row.ID[ix])
-				dt := t - st.row.Time[ix]
-				xp, vp := hermite.Predict(st.row.Pos[ix], st.row.Vel[ix],
-					st.row.Acc[ix], st.row.Jerk[ix], st.row.Snap[ix], dt)
-				st.xs = append(st.xs, xp)
-				st.vs = append(st.vs, vp)
-			}
-			fs := evalForces(&st.fbuf, st.backend, t, st.ids, st.xs, st.vs, cfg.Params.Eps)
+			st.predict(st.row, block, t)
+			fs := st.forces(st.backend, t, cfg.Params.Eps)
 			for q := range block {
 				partial[q] = pforce{acc: fs[q].Acc, jerk: fs[q].Jerk, pot: fs[q].Pot}
 			}
@@ -174,115 +162,96 @@ func hybridHost(p *des.Proc, rank, clusters, r int, cfg Config, net *simnet.Netw
 			p.SleepAs(int(vtrace.CommSend), m.LinkTime(len(block)))
 		}
 
-		if rank == diagRank {
-			// Sum partials across the cluster's row.
-			if st.parts == nil {
-				st.parts = make([][]pforce, r)
-			}
-			parts := st.parts
-			parts[j] = partial
-			for jj := 0; jj < r; jj++ {
-				if jj == j {
-					continue
-				}
-				msg := net.Recv(p, rank, round*tagStride+tagPartial+jj)
-				parts[jj] = msg.Payload.([]pforce)
-			}
-			ups := make([]update, 0, len(block))
-			for q, ix := range block {
-				var f direct.Force
-				f.NN = -1
-				for jj := 0; jj < r; jj++ {
-					if len(parts[jj]) != len(block) {
-						panic("parallel: hybrid partial length mismatch")
-					}
-					f.Acc = f.Acc.Add(parts[jj][q].acc)
-					f.Jerk = f.Jerk.Add(parts[jj][q].jerk)
-					f.Pot += parts[jj][q].pot
-				}
-				ups = append(ups, correctParticle(st.row, ix, f, t, cfg.Params))
-			}
-			if len(block) > 0 {
-				p.SleepAs(int(vtrace.HostWork), m.HostWork(len(block), st.row.N*r))
-				st.backend.Update(st.col, block)
-			}
-
-			// Broadcast to row i and column i of EVERY cluster (including
-			// the other clusters' diagonals), tagging by source cluster.
-			for kk := 0; kk < clusters; kk++ {
-				for x := 0; x < r; x++ {
-					rowPeer := kk*perCl + i*r + x
-					colPeer := kk*perCl + x*r + i
-					if rowPeer != rank {
-						net.Send(rank, rowPeer, round*tagStride+tagHybRowUpd+k, len(ups)*updateBytes, ups)
-					}
-					if colPeer != rank && colPeer != rowPeer {
-						net.Send(rank, colPeer, round*tagStride+tagHybColUpd+k, len(ups)*updateBytes, ups)
-					}
-				}
-			}
-
-			// Receive the other clusters' updates for subset i (this host
-			// is both row-i and column-i; the senders skip duplicate
-			// row/col targets, so exactly one message per other diagonal).
-			for kk := 0; kk < clusters; kk++ {
-				if kk == k {
-					continue
-				}
-				msg := net.Recv(p, rank, round*tagStride+tagHybRowUpd+kk)
-				for _, u := range msg.Payload.([]update) {
-					applyUpdate(st.row, st.rowIdx, u)
-				}
-				changed := st.changed[:0]
-				for _, u := range msg.Payload.([]update) {
-					ri, _ := st.rowIdx.slot(u.id)
-					changed = append(changed, ri)
-				}
-				st.changed = changed
-				if len(changed) > 0 {
-					st.backend.Update(st.col, changed)
-				}
-			}
-			for jj := range parts {
-				parts[jj] = nil // unpin the received partials until next round
-			}
-			res.Steps += int64(len(block))
-			// Every cluster's diagonal hosts correct disjoint shares of
-			// disjoint subsets: the global block is their sum.
-			res.noteBlock(round, len(block))
-			if rank == 0 {
-				res.Blocks++
-			}
-		} else {
+		if rank != diagRank {
 			// Ship partials to the cluster's diagonal.
-			net.Send(rank, diagRank, round*tagStride+tagPartial+j, len(partial)*pforceBytes, partial)
+			net.Send(rank, diagRank, tag+tagPartial+j, len(partial)*pforceBytes, partial)
 
 			// Row updates for subset i from every cluster's diagonal i.
 			for kk := 0; kk < clusters; kk++ {
-				msg := net.Recv(p, rank, round*tagStride+tagHybRowUpd+kk)
-				for _, u := range msg.Payload.([]update) {
-					applyUpdate(st.row, st.rowIdx, u)
-				}
+				msg := net.Recv(p, rank, tag+tagRowUpd+kk)
+				st.absorb(st.row, &st.rowIdx, msg.Payload.([]update), nil)
 			}
-			// Column updates for subset j from every cluster's diagonal j.
+			// Column updates for subset j from every cluster's diagonal j,
+			// applied to the column copy feeding the force backend.
 			for kk := 0; kk < clusters; kk++ {
-				msg := net.Recv(p, rank, round*tagStride+tagHybColUpd+kk)
-				colUps := msg.Payload.([]update)
-				changed := st.changed[:0]
-				for _, u := range colUps {
-					applyUpdate(st.col, st.colIdx, u)
-					ci, _ := st.colIdx.slot(u.id)
-					changed = append(changed, ci)
-				}
-				st.changed = changed
-				if len(changed) > 0 {
-					st.backend.Update(st.col, changed)
-				}
+				msg := net.Recv(p, rank, tag+tagColUpd+kk)
+				st.absorb(st.col, &st.colIdx, msg.Payload.([]update), st.backend)
 			}
-			if rank == 0 {
-				res.Blocks++
+			continue
+		}
+
+		// Gather partials from the cluster's row (including our own) and
+		// correct on the diagonal host.
+		if st.parts == nil {
+			st.parts = make([][]pforce, r)
+		}
+		st.parts[j] = partial
+		for jj := 0; jj < r; jj++ {
+			if jj != j {
+				st.parts[jj] = net.Recv(p, rank, tag+tagPartial+jj).Payload.([]pforce)
 			}
 		}
-		round++
+		var err error
+		if st.total, err = sumPartials(st.total[:0], st.parts, len(block)); err != nil {
+			return err
+		}
+		for jj := range st.parts {
+			st.parts[jj] = nil // unpin the received partials until next round
+		}
+		ups := make([]update, 0, len(block))
+		for q, ix := range block {
+			ups = append(ups, correctParticle(st.row, ix, st.total[q], t, cfg.Params))
+		}
+		if len(block) > 0 {
+			p.SleepAs(int(vtrace.HostWork), m.HostWork(len(block), st.row.N*r))
+			st.backend.Update(st.col, block) // col == row on the diagonal
+		}
+
+		// Broadcast to row i and column i of EVERY cluster (including the
+		// other clusters' diagonals), tagging by source cluster.
+		for kk := 0; kk < clusters; kk++ {
+			for x := 0; x < r; x++ {
+				rowPeer := kk*perCl + i*r + x
+				colPeer := kk*perCl + x*r + i
+				if rowPeer != rank {
+					net.Send(rank, rowPeer, tag+tagRowUpd+k, len(ups)*updateBytes, ups)
+				}
+				if colPeer != rank && colPeer != rowPeer {
+					net.Send(rank, colPeer, tag+tagColUpd+k, len(ups)*updateBytes, ups)
+				}
+			}
+		}
+
+		// Receive the other clusters' updates for subset i (this host is
+		// both row-i and column-i; the senders skip duplicate row/col
+		// targets, so exactly one message per other diagonal).
+		for kk := 0; kk < clusters; kk++ {
+			if kk != k {
+				msg := net.Recv(p, rank, tag+tagRowUpd+kk)
+				st.absorb(st.row, &st.rowIdx, msg.Payload.([]update), st.backend)
+			}
+		}
+		w.count(rank, round, len(block))
 	}
+}
+
+// sumPartials appends to dst the n total forces Σ_j parts[j][q], summed in
+// fixed column order for determinism. Every column must have sent exactly
+// n partials.
+func sumPartials(dst []direct.Force, parts [][]pforce, n int) ([]direct.Force, error) {
+	for jj, part := range parts {
+		if len(part) != n {
+			return dst, fmt.Errorf("column %d sent %d partial forces for a block of %d", jj, len(part), n)
+		}
+	}
+	for q := 0; q < n; q++ {
+		f := direct.Force{NN: -1}
+		for _, part := range parts {
+			f.Acc = f.Acc.Add(part[q].acc)
+			f.Jerk = f.Jerk.Add(part[q].jerk)
+			f.Pot += part[q].pot
+		}
+		dst = append(dst, f)
+	}
+	return dst, nil
 }

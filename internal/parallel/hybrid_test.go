@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"grape6/internal/simnet"
@@ -39,6 +41,15 @@ func TestHybridSingleClusterMatchesGrid(t *testing.T) {
 	}
 	if g.Steps != h.Steps {
 		t.Errorf("steps differ: %d vs %d", g.Steps, h.Steps)
+	}
+	if math.Float64bits(g.VirtualTime) != math.Float64bits(h.VirtualTime) {
+		t.Errorf("virtual times differ: %v vs %v", g.VirtualTime, h.VirtualTime)
+	}
+	if g.Messages != h.Messages || g.Bytes != h.Bytes {
+		t.Errorf("traffic differs: %d msgs/%d bytes vs %d/%d", g.Messages, g.Bytes, h.Messages, h.Bytes)
+	}
+	if !reflect.DeepEqual(g.BlockSizes, h.BlockSizes) {
+		t.Error("block-size histories differ")
 	}
 }
 

@@ -1,31 +1,39 @@
-// Package parallel implements the three particle-distribution strategies
-// the paper discusses for parallel individual-timestep N-body integration
-// (Sections 3.2 and 4.2-4.3):
+// Package parallel co-simulates the paper's parallel individual-timestep
+// integration (Sections 3.2 and 4.2-4.3) at message level: simulated hosts
+// execute the REAL Hermite arithmetic (so final particle states are
+// testable against the single-host integrator) while sleeping in virtual
+// time for their modelled compute costs, and all host-host traffic goes
+// through the simulated network. The virtual clock at completion is the
+// predicted wall-clock of the run.
 //
-//   - the "copy" algorithm, where every host holds the complete system and
-//     integrates a subset of each block, exchanging updated particles
-//     afterwards — the paper's multi-cluster strategy;
-//   - the "ring" algorithm, where each host owns a disjoint subset and the
-//     current block's particles circulate around a ring accumulating
-//     partial forces — the simple distributed-memory baseline;
-//   - the two-dimensional grid algorithm of Makino (2002), where an r×r
-//     host grid holds row/column copies so that communication per host
-//     scales as O(N/r) — the paper's intra-cluster strategy.
+// Every run is the same block-step loop — agree on the next block time,
+// predict the block, evaluate forces, correct, make the corrected
+// particles known where they are stored — inside the same skeleton (run:
+// validation, common initial forces, engine/network/trace set-up, one
+// process per host, error and deadlock reporting, reassembly of the final
+// system). What differs is how particles move between hosts, and there
+// are three such exchanges:
 //
-// All three run as message-level co-simulations: simulated hosts execute
-// the REAL integration arithmetic (so final particle states are testable
-// against the single-host integrator) while sleeping in virtual time for
-// their modelled compute costs, and all host-host traffic goes through the
-// simulated network. The virtual clock at completion is the predicted
-// wall-clock of the run.
+//   - copy (RunCopy): every host holds the complete system and integrates
+//     the block particles whose id hashes to it; the corrected particles
+//     are allgathered afterwards — the paper's multi-cluster strategy;
+//   - ring (RunRing): each host owns a disjoint subset and the block's
+//     predicted particles circulate around a ring accumulating partial
+//     forces — the simple distributed-memory baseline;
+//   - hybrid (RunHybrid): copy across clusters, and within each cluster the
+//     two-dimensional algorithm of Makino (2002), where an r×r host grid
+//     holds row/column copies, partial forces are summed on the diagonal
+//     and communication per host scales as O(N/r) — the production
+//     machine's structure.
+//
+// The 2D grid algorithm on its own (RunGrid) is the hybrid with one
+// cluster.
 package parallel
 
 import (
 	"fmt"
-	"sort"
 
 	"grape6/internal/des"
-	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/nbody"
 	"grape6/internal/perfmodel"
@@ -60,7 +68,7 @@ type Config struct {
 	// Record enables per-phase virtual-time accounting (internal/vtrace):
 	// the run fills Result.Breakdown and Result.Trace, and the span-tiling
 	// invariant is checked before the result is returned. When false the
-	// drivers take the nil-recorder fast path — no accounting overhead.
+	// hosts take the nil-recorder fast path — no accounting overhead.
 	Record bool
 }
 
@@ -108,16 +116,6 @@ type Result struct {
 	Trace     *vtrace.Set
 }
 
-// noteBlock accumulates n into the global size of block round `round`.
-// Simulated processes execute one at a time under the DES discipline, so
-// concurrent-looking calls from different host procs never actually race.
-func (r *Result) noteBlock(round, n int) {
-	for len(r.BlockSizes) <= round {
-		r.BlockSizes = append(r.BlockSizes, 0)
-	}
-	r.BlockSizes[round] += n
-}
-
 // StepsPerSecond returns the individual-step rate in virtual time.
 func (r *Result) StepsPerSecond() float64 {
 	if r.VirtualTime <= 0 {
@@ -126,80 +124,137 @@ func (r *Result) StepsPerSecond() float64 {
 	return float64(r.Steps) / r.VirtualTime
 }
 
-// update carries one particle's corrected state between hosts.
-type update struct {
-	id                               int
-	pos, vel, acc, jerk, snap, crack vec.V3
-	pot, time, step                  float64
+// entryPoints is the one table of algorithm names.
+var entryPoints = map[string]func(sys *nbody.System, until float64, clusters int, cfg Config) (*Result, error){
+	"copy":   func(s *nbody.System, u float64, _ int, c Config) (*Result, error) { return RunCopy(s, u, c) },
+	"ring":   func(s *nbody.System, u float64, _ int, c Config) (*Result, error) { return RunRing(s, u, c) },
+	"grid":   func(s *nbody.System, u float64, _ int, c Config) (*Result, error) { return RunGrid(s, u, c) },
+	"hybrid": RunHybrid,
 }
 
-// updateBytes is the wire size of one update: 18 coordinates + 3 scalars
-// + id ≈ 176 bytes.
-const updateBytes = 176
+// Known reports whether Run accepts algo.
+func Known(algo string) bool { return entryPoints[algo] != nil }
 
-// makeUpdate snapshots particle i of sys.
-func makeUpdate(sys *nbody.System, i int) update {
-	return update{
-		id:  sys.ID[i],
-		pos: sys.Pos[i], vel: sys.Vel[i], acc: sys.Acc[i], jerk: sys.Jerk[i],
-		snap: sys.Snap[i], crack: sys.Crack[i],
-		pot: sys.Pot[i], time: sys.Time[i], step: sys.Step[i],
+// Run executes the algorithm named algo: "copy", "ring", "grid" or
+// "hybrid". clusters is read by the hybrid only.
+func Run(algo string, sys *nbody.System, until float64, clusters int, cfg Config) (*Result, error) {
+	f := entryPoints[algo]
+	if f == nil {
+		return nil, fmt.Errorf("parallel: unknown algorithm %q", algo)
 	}
+	return f(sys, until, clusters, cfg)
 }
 
-// applyUpdate overwrites particle state; idx maps particle id → slot.
-func applyUpdate(sys *nbody.System, idx idIndex, u update) {
-	i, ok := idx.slot(u.id)
-	if !ok {
-		return // this host does not store the particle
+// exchange is what one way of moving particles between hosts supplies to
+// the run skeleton.
+type exchange struct {
+	// check rejects host counts and system sizes the exchange cannot lay
+	// out.
+	check func(n int) error
+	// build carves every rank's storage out of the force-initialised
+	// system. It returns the body of rank's process and the systems that
+	// between them hold every particle's final state when the run ends.
+	build func(w *world, sys *nbody.System) (host hostFunc, final []*nbody.System)
+}
+
+// hostFunc is one simulated host: it runs block steps until the next
+// block time passes the end of the run. An error makes the host stop
+// taking part, and fails the run.
+type hostFunc func(p *des.Proc, rank int, rec *vtrace.Recorder) error
+
+// world is what the host processes of one run share. Simulated processes
+// execute one at a time under the DES discipline, so their writes to res
+// never actually race.
+type world struct {
+	cfg   Config
+	net   *simnet.Network
+	until float64
+	res   *Result
+}
+
+// count books n particle steps taken by rank in block round `round`. The
+// ranks that correct particles hold disjoint shares of the block, so their
+// counts sum to its global size.
+func (w *world) count(rank, round, n int) {
+	res := w.res
+	if rank == 0 {
+		res.Blocks++
 	}
-	sys.Pos[i], sys.Vel[i] = u.pos, u.vel
-	sys.Acc[i], sys.Jerk[i] = u.acc, u.jerk
-	sys.Snap[i], sys.Crack[i] = u.snap, u.crack
-	sys.Pot[i], sys.Time[i], sys.Step[i] = u.pot, u.time, u.step
+	res.Steps += int64(n)
+	for len(res.BlockSizes) <= round {
+		res.BlockSizes = append(res.BlockSizes, 0)
+	}
+	res.BlockSizes[round] += n
 }
 
-// idIndex maps particle id → local slot. Every driver carves its subsets
-// from contiguous id ranges (and the copy algorithm's replicas have
-// id == slot), so the common case is a bounds check plus a subtraction —
-// the map lookups used to be a top cost of applying updates at hundreds
-// of ranks. A map fallback keeps arbitrary id layouts working.
-type idIndex struct {
-	lo, hi int // contiguous id range [lo, hi) mapping to slots 0..hi-lo
-	m      map[int]int
-}
+// run is everything outside the host loop.
+func run(sys *nbody.System, until float64, cfg Config, ex exchange) (*Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ex.check(sys.N); err != nil {
+		return nil, err
+	}
+	home, err := initForces(sys, cfg)
+	if err != nil {
+		return nil, err
+	}
 
-// slot returns the local slot of id; unknown ids return (0, false).
-//
-//grape:noalloc
-func (ix idIndex) slot(id int) (int, bool) {
-	if ix.m == nil {
-		if id < ix.lo || id >= ix.hi {
-			return 0, false
+	eng := des.New()
+	w := &world{cfg: cfg, net: simnet.New(eng, cfg.NIC, cfg.Hosts), until: until, res: &Result{}}
+	var set *vtrace.Set
+	if cfg.Record {
+		set = vtrace.NewSet(cfg.Hosts)
+		w.net.Observe(set)
+	}
+	host, final := ex.build(w, sys)
+
+	errs := make([]error, cfg.Hosts)
+	for rank := 0; rank < cfg.Hosts; rank++ {
+		rank := rank
+		eng.Spawn(fmt.Sprintf("host%d", rank), func(p *des.Proc) {
+			rec := set.Recorder(rank)
+			if rec != nil {
+				p.Observe(rec) // SleepAs spans land on the rank's recorder
+			}
+			errs[rank] = host(p, rank, rec)
+		})
+	}
+	eng.RunAll()
+	// A host that bailed out with an error stops participating, which
+	// deadlocks its peers — report the root cause, not the symptom.
+	for rank, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("parallel: host %d: %w", rank, err)
 		}
-		return id - ix.lo, true
 	}
-	i, ok := ix.m[id]
-	return i, ok
-}
+	if eng.Live() != 0 {
+		return nil, fmt.Errorf("parallel: %d hosts deadlocked", eng.Live())
+	}
 
-// indexByID builds the id → slot index of a system.
-func indexByID(sys *nbody.System) idIndex {
-	contiguous := sys.N > 0
-	for i := 0; i < sys.N; i++ {
-		if sys.ID[i] != sys.ID[0]+i {
-			contiguous = false
-			break
+	// Gather the final states into the input's particle order.
+	res := w.res
+	res.Sys = nbody.New(sys.N)
+	for _, part := range final {
+		for i := 0; i < part.N; i++ {
+			slot, _ := home.Slot(part.ID[i])
+			res.Sys.CopyParticle(slot, part, i)
 		}
 	}
-	if contiguous {
-		return idIndex{lo: sys.ID[0], hi: sys.ID[0] + sys.N}
+	res.VirtualTime = eng.Now()
+	res.Messages = w.net.MessagesSent
+	res.Bytes = w.net.BytesSent
+	if set != nil {
+		// Close the accounting at the engine end time and enforce the
+		// span-tiling invariant on every rank before publishing.
+		set.Close(res.VirtualTime)
+		if err := set.Check(res.VirtualTime); err != nil {
+			return nil, err
+		}
+		res.Trace = set
+		res.Breakdown = set.Breakdown()
 	}
-	m := make(map[int]int, sys.N)
-	for i := 0; i < sys.N; i++ {
-		m[sys.ID[i]] = i
-	}
-	return idIndex{m: m}
+	return res, nil
 }
 
 // initForces performs the shared initialisation: forces, potentials and
@@ -207,33 +262,31 @@ func indexByID(sys *nbody.System) idIndex {
 // exactly as hermite.New does — INCLUDING going through the configured
 // backend type, so that a run on emulated hardware starts from
 // hardware-rounded initial forces and stays bit-comparable with a
-// single-host run on the same hardware. Every parallel algorithm starts
-// from this common state.
-func initForces(sys *nbody.System, cfg Config) error {
+// single-host run on the same hardware. Every exchange starts from this
+// common state. It returns the id → slot index of sys; ids may be any
+// unique integers.
+func initForces(sys *nbody.System, cfg Config) (*nbody.IDIndex, error) {
 	p := cfg.Params
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	if err := sys.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if sys.N == 0 {
-		return fmt.Errorf("parallel: empty system")
+		return nil, fmt.Errorf("parallel: empty system")
+	}
+	home := new(nbody.IDIndex)
+	if !home.Rebuild(sys.ID) {
+		return nil, fmt.Errorf("parallel: duplicate particle ids")
 	}
 	t0 := sys.Time[0]
 	for _, t := range sys.Time {
 		if t != t0 {
-			return fmt.Errorf("parallel: unsynchronised initial times")
+			return nil, fmt.Errorf("parallel: unsynchronised initial times")
 		}
 	}
 	b := cfg.backendFor(-1)
 	b.Load(sys)
-	ids := make([]int, sys.N)
-	for i := range ids {
-		ids[i] = sys.ID[i]
-	}
-	var fbuf []direct.Force
-	fs := evalForces(&fbuf, b, t0, ids, sys.Pos, sys.Vel, p.Eps)
+	whole := scratch{ids: sys.ID, xs: sys.Pos, vs: sys.Vel} // one block, already at t0
+	fs := whole.forces(b, t0, p.Eps)
 	for i := 0; i < sys.N; i++ {
 		sys.Acc[i] = fs[i].Acc
 		sys.Jerk[i] = fs[i].Jerk
@@ -246,137 +299,17 @@ func initForces(sys *nbody.System, cfg Config) error {
 		sys.Step[i] = hermite.QuantizeInitial(
 			hermite.InitialStep(fs[i].Acc, fs[i].Jerk, p.EtaS), p.MinStep, p.MaxStep)
 	}
-	return nil
+	return home, nil
 }
 
-// evalForces evaluates block forces through b, preferring the
-// allocation-free ForcesInto path when the backend provides it. The result
-// aliases *buf, which is grown on demand and reused across calls — callers
-// must consume it before the next evalForces call on the same buffer.
-func evalForces(buf *[]direct.Force, b hermite.Backend, t float64, ids []int, xs, vs []vec.V3, eps float64) []direct.Force {
-	fb, ok := b.(hermite.ForcesIntoBackend)
-	if !ok {
-		return b.Forces(t, ids, xs, vs, eps)
+// identity returns the slots 0..n-1; its subslices are the contiguous
+// slot ranges nbody.System.Subset is asked for.
+func identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
 	}
-	if cap(*buf) < len(ids) {
-		*buf = make([]direct.Force, len(ids))
-	}
-	return fb.ForcesInto((*buf)[:len(ids)], t, ids, xs, vs, eps)
-}
-
-// blockAppend appends the indices of particles whose next time equals t
-// to dst — the buffer-reusing form the drivers call once per block round
-// (pass buf[:0] to recycle).
-func blockAppend(dst []int, sys *nbody.System, t float64) []int {
-	for i := 0; i < sys.N; i++ {
-		if sys.Time[i]+sys.Step[i] == t {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// blockAt returns the indices of particles whose next time equals t.
-func blockAt(sys *nbody.System, t float64) []int {
-	return blockAppend(nil, sys, t)
-}
-
-// correctParticle applies the Hermite corrector and timestep update to
-// particle i using the freshly evaluated force f at time t, and returns
-// the update record. eps handles the self-potential fix.
-func correctParticle(sys *nbody.System, i int, f direct.Force, t float64, p hermite.Params) update {
-	dt := t - sys.Time[i]
-	x1, v1, snap1, crackle := hermite.Correct(sys.Pos[i], sys.Vel[i], sys.Acc[i], sys.Jerk[i], f.Acc, f.Jerk, dt)
-	sys.Pos[i], sys.Vel[i] = x1, v1
-	sys.Acc[i], sys.Jerk[i] = f.Acc, f.Jerk
-	sys.Snap[i], sys.Crack[i] = snap1, crackle
-	sys.Pot[i] = f.Pot
-	if p.Eps > 0 {
-		sys.Pot[i] += sys.Mass[i] / p.Eps
-	}
-	sys.Time[i] = t
-	desired := hermite.AarsethStep(f.Acc, f.Jerk, snap1, crackle, p.Eta)
-	sys.Step[i] = hermite.NextStep(sys.Step[i], desired, t, p.MinStep, p.MaxStep)
-	return makeUpdate(sys, i)
-}
-
-// gatherUpdates performs a recursive-doubling allgather of update lists
-// among `size` hosts (power of two): after log2(size) rounds every host
-// holds the concatenation of all lists. Tag space: tagBase must be unique
-// per call site and block round.
-func gatherUpdates(p *des.Proc, net *simnet.Network, rank, size, tagBase int, local []update) []update {
-	for bit := 1; bit < size; bit <<= 1 {
-		peer := rank ^ bit
-		// Ship a private copy: simnet delivers the payload at a LATER
-		// virtual time, and the caller keeps appending to (and finally
-		// sorts) its own list — sending the live slice would let those
-		// mutations corrupt the in-flight message.
-		out := make([]update, len(local))
-		copy(out, local)
-		net.Send(rank, peer, tagBase+bit, len(out)*updateBytes, out)
-		msg := net.Recv(p, rank, tagBase+bit)
-		local = append(local, msg.Payload.([]update)...)
-	}
-	return local
-}
-
-// allreduceMin returns the minimum of each host's local value via a
-// butterfly exchange. Blocked-receive time inside the butterfly is the
-// block-time agreement barrier, so it is attributed to the Sync phase on
-// rec (nil rec: no accounting).
-func allreduceMin(p *des.Proc, net *simnet.Network, rank, size, tagBase int, local float64, rec *vtrace.Recorder) float64 {
-	old := rec.SetWait(vtrace.Sync)
-	v := net.Butterfly(p, rank, size, tagBase, 8, local, func(a, b interface{}) interface{} {
-		if b.(float64) < a.(float64) {
-			return b
-		}
-		return a
-	})
-	rec.SetWait(old)
-	return v.(float64)
-}
-
-// newTraceSet builds the accounting set for a run, attaching it to the
-// network — or returns nil (and attaches nothing) when recording is off.
-func newTraceSet(cfg Config, net *simnet.Network) *vtrace.Set {
-	if !cfg.Record {
-		return nil
-	}
-	set := vtrace.NewSet(cfg.Hosts)
-	net.Observe(set)
-	return set
-}
-
-// attachRecorder wires rank h's recorder (if any) into the process so
-// SleepAs spans land on it, and returns it for the driver's own calls.
-func attachRecorder(p *des.Proc, set *vtrace.Set, h int) *vtrace.Recorder {
-	rec := set.Recorder(h)
-	if rec != nil {
-		p.Observe(rec)
-	}
-	return rec
-}
-
-// finishTrace closes the accounting at the engine end time, enforces the
-// span-tiling invariant on every rank, and publishes the breakdown.
-func finishTrace(set *vtrace.Set, res *Result, end float64) error {
-	if set == nil {
-		return nil
-	}
-	set.Close(end)
-	if err := set.Check(end); err != nil {
-		return err
-	}
-	res.Trace = set
-	res.Breakdown = set.Breakdown()
-	return nil
-}
-
-// sortByID orders updates deterministically (hosts may receive them in
-// topology-dependent order; applying is overwrite-idempotent, but sorted
-// order keeps debugging output stable).
-func sortByID(us []update) {
-	sort.Slice(us, func(i, j int) bool { return us[i].id < us[j].id })
+	return out
 }
 
 // isPow2 reports whether n is a positive power of two.

@@ -2,13 +2,11 @@ package parallel
 
 import (
 	"fmt"
-	"math"
 
 	"grape6/internal/des"
 	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/nbody"
-	"grape6/internal/simnet"
 	"grape6/internal/vec"
 	"grape6/internal/vtrace"
 )
@@ -38,87 +36,34 @@ const ipacketBytes = 120
 // The host count must be a power of two (the butterfly min-reduction that
 // finds the global block time requires it).
 func RunRing(sys *nbody.System, until float64, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if !isPow2(cfg.Hosts) {
-		return nil, fmt.Errorf("parallel: ring algorithm needs a power-of-two host count, got %d", cfg.Hosts)
-	}
-	if sys.N < cfg.Hosts {
-		return nil, fmt.Errorf("parallel: %d particles cannot be split over %d hosts", sys.N, cfg.Hosts)
-	}
-	if err := initForces(sys, cfg); err != nil {
-		return nil, err
-	}
+	return run(sys, until, cfg, exchange{
+		check: func(n int) error {
+			if !isPow2(cfg.Hosts) {
+				return fmt.Errorf("parallel: ring algorithm needs a power-of-two host count, got %d", cfg.Hosts)
+			}
+			if n < cfg.Hosts {
+				return fmt.Errorf("parallel: %d particles cannot be split over %d hosts", n, cfg.Hosts)
+			}
+			return nil
+		},
+		build: buildRing,
+	})
+}
 
-	eng := des.New()
-	net := simnet.New(eng, cfg.NIC, cfg.Hosts)
-	res := &Result{}
-	set := newTraceSet(cfg, net)
-
-	// Disjoint contiguous ownership.
-	parts := make([]*nbody.System, cfg.Hosts)
-	backends := make([]hermite.Backend, cfg.Hosts)
-	for h := 0; h < cfg.Hosts; h++ {
-		lo := h * sys.N / cfg.Hosts
-		hi := (h + 1) * sys.N / cfg.Hosts
-		idxs := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			idxs = append(idxs, i)
-		}
-		parts[h] = sys.Subset(idxs)
-		backends[h] = cfg.backendFor(h)
+// buildRing gives host h the contiguous slots [h·N/p, (h+1)·N/p).
+func buildRing(w *world, sys *nbody.System) (hostFunc, []*nbody.System) {
+	hosts, slots := w.cfg.Hosts, identity(sys.N)
+	parts := make([]*nbody.System, hosts)
+	backends := make([]hermite.Backend, hosts)
+	for h := range parts {
+		parts[h] = sys.Subset(slots[h*sys.N/hosts : (h+1)*sys.N/hosts])
+		backends[h] = w.cfg.backendFor(h)
 		backends[h].Load(parts[h])
 	}
-
-	errs := make([]error, cfg.Hosts)
-	done := make([]*nbody.System, cfg.Hosts)
-	for h := 0; h < cfg.Hosts; h++ {
-		h := h
-		eng.Spawn(fmt.Sprintf("ring%d", h), func(p *des.Proc) {
-			rec := attachRecorder(p, set, h)
-			errs[h] = ringHost(p, h, cfg, net, parts[h], backends[h], until, res, rec)
-			done[h] = parts[h]
-		})
+	host := func(p *des.Proc, rank int, rec *vtrace.Recorder) error {
+		return ringHost(p, rank, w, parts[rank], backends[rank], rec)
 	}
-	eng.RunAll()
-	// A host that bailed out with an error stops participating, which
-	// deadlocks its neighbours — report the root cause, not the symptom.
-	for h, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("parallel: ring host %d: %w", h, err)
-		}
-	}
-	if eng.Live() != 0 {
-		return nil, fmt.Errorf("parallel: %d ring hosts deadlocked", eng.Live())
-	}
-
-	// Reassemble the global system in id order.
-	out := nbody.New(sys.N)
-	for _, part := range done {
-		for i := 0; i < part.N; i++ {
-			id := part.ID[i]
-			out.ID[id] = id
-			out.Mass[id] = part.Mass[i]
-			out.Pos[id] = part.Pos[i]
-			out.Vel[id] = part.Vel[i]
-			out.Acc[id] = part.Acc[i]
-			out.Jerk[id] = part.Jerk[i]
-			out.Snap[id] = part.Snap[i]
-			out.Crack[id] = part.Crack[i]
-			out.Pot[id] = part.Pot[i]
-			out.Time[id] = part.Time[i]
-			out.Step[id] = part.Step[i]
-		}
-	}
-	res.Sys = out
-	res.VirtualTime = eng.Now()
-	res.Messages = net.MessagesSent
-	res.Bytes = net.BytesSent
-	if err := finishTrace(set, res, eng.Now()); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return host, parts
 }
 
 // checkRingReturn verifies that the circulated packet list came home
@@ -142,49 +87,37 @@ func checkRingReturn(S *nbody.System, sent, returned []ipacket) error {
 	return nil
 }
 
-func ringHost(p *des.Proc, h int, cfg Config, net *simnet.Network,
-	S *nbody.System, backend hermite.Backend, until float64, res *Result,
-	rec *vtrace.Recorder) error {
-
-	m := cfg.Machine
+func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Backend, rec *vtrace.Recorder) error {
+	cfg, m, net := w.cfg, w.cfg.Machine, w.net
 	next := (h + 1) % cfg.Hosts
-	round := 0
-	var fbuf []direct.Force
-	// Per-stage scratch reused across the whole run; packet lists are
-	// message payloads and stay freshly allocated.
-	var mine, ids, idxs []int
-	var xs, vs []vec.V3
-	for {
-		local := math.Inf(1)
-		if S.N > 0 {
-			local = S.MinTime()
-		}
-		t := allreduceMin(p, net, h, cfg.Hosts, round*4096+2048, local, rec)
-		if t > until {
+	var sc scratch
+	for round := 0; ; round++ {
+		t := allreduceMin(p, net, h, cfg.Hosts, round*tagStride+tagMin, S.MinTime(), rec)
+		if t > w.until {
 			return nil
 		}
 
-		// Build this host's packets.
-		mine = blockAppend(mine[:0], S, t)
-		packets := make([]ipacket, 0, len(mine))
-		for _, i := range mine {
-			dt := t - S.Time[i]
-			xp, vp := hermite.Predict(S.Pos[i], S.Vel[i], S.Acc[i], S.Jerk[i], S.Snap[i], dt)
-			packets = append(packets, ipacket{id: S.ID[i], x: xp, v: vp, ownerIx: i})
+		// Build this host's packets. Packet lists are message payloads and
+		// stay freshly allocated.
+		sc.selectBlock(S, t, 1, 0)
+		sc.predict(S, sc.block, t)
+		packets := make([]ipacket, len(sc.block))
+		for k, i := range sc.block {
+			packets[k] = ipacket{id: sc.ids[k], x: sc.xs[k], v: sc.vs[k], ownerIx: i}
 		}
 
 		// p stages: compute partial forces on the held packet list from
 		// the local subset, then pass it along the ring.
 		held := packets
 		for stage := 0; stage < cfg.Hosts; stage++ {
-			if len(held) > 0 && S.N > 0 {
-				ids, xs, vs = ids[:0], xs[:0], vs[:0]
+			if len(held) > 0 {
+				sc.ids, sc.xs, sc.vs = sc.ids[:0], sc.xs[:0], sc.vs[:0]
 				for _, pk := range held {
-					ids = append(ids, pk.id)
-					xs = append(xs, pk.x)
-					vs = append(vs, pk.v)
+					sc.ids = append(sc.ids, pk.id)
+					sc.xs = append(sc.xs, pk.x)
+					sc.vs = append(sc.vs, pk.v)
 				}
-				fs := evalForces(&fbuf, backend, t, ids, xs, vs, cfg.Params.Eps)
+				fs := sc.forces(backend, t, cfg.Params.Eps)
 				for k := range held {
 					held[k].acc = held[k].acc.Add(fs[k].Acc)
 					held[k].jerk = held[k].jerk.Add(fs[k].Jerk)
@@ -193,8 +126,8 @@ func ringHost(p *des.Proc, h int, cfg Config, net *simnet.Network,
 				p.SleepAs(int(vtrace.Grape), m.GrapeTimeHost(len(held), S.N))
 				p.SleepAs(int(vtrace.CommSend), m.LinkTime(len(held)))
 			}
-			net.Send(h, next, round*4096+stage, len(held)*ipacketBytes, held)
-			msg := net.Recv(p, h, round*4096+stage)
+			net.Send(h, next, round*tagStride+stage, len(held)*ipacketBytes, held)
+			msg := net.Recv(p, h, round*tagStride+stage)
 			held = msg.Payload.([]ipacket)
 		}
 
@@ -209,18 +142,12 @@ func ringHost(p *des.Proc, h int, cfg Config, net *simnet.Network,
 		}
 		if len(held) > 0 {
 			p.SleepAs(int(vtrace.HostWork), m.HostWork(len(held), S.N*cfg.Hosts))
-			idxs = idxs[:0]
+			sc.changed = sc.changed[:0]
 			for _, pk := range held {
-				idxs = append(idxs, pk.ownerIx)
+				sc.changed = append(sc.changed, pk.ownerIx)
 			}
-			backend.Update(S, idxs)
+			backend.Update(S, sc.changed)
 		}
-
-		if h == 0 {
-			res.Blocks++
-		}
-		res.Steps += int64(len(held)) // each host counts its own
-		res.noteBlock(round, len(held))
-		round++
+		w.count(h, round, len(held))
 	}
 }

@@ -1,0 +1,172 @@
+package parallel
+
+import (
+	"sort"
+
+	"grape6/internal/des"
+	"grape6/internal/direct"
+	"grape6/internal/hermite"
+	"grape6/internal/nbody"
+	"grape6/internal/simnet"
+	"grape6/internal/vec"
+	"grape6/internal/vtrace"
+)
+
+// The steps of a block round that every exchange takes the same way.
+
+// update carries one particle's corrected state between hosts.
+type update struct {
+	id                               int
+	pos, vel, acc, jerk, snap, crack vec.V3
+	pot, time, step                  float64
+}
+
+// updateBytes is the wire size of one update: 18 coordinates + 3 scalars
+// + id ≈ 176 bytes.
+const updateBytes = 176
+
+// Per-round message tags: a round's tags are round*tagStride + one of the
+// offsets the exchanges define below tagMin.
+const (
+	tagStride = 4096
+	tagMin    = 2048 // allreduce of the next block time
+)
+
+// scratch is one host's per-round working storage, reused across the run.
+// Only buffers that are NEVER shipped as message payloads live here —
+// payload slices must stay freshly allocated, since simnet delivers them
+// by reference at a later virtual time.
+type scratch struct {
+	block   []int // slots due at the block time
+	mine    []int // the share of block this host's group integrates
+	changed []int
+	ids     []int
+	xs, vs  []vec.V3
+	fbuf    []direct.Force
+}
+
+// selectBlock fills sc.block with the slots of sys whose next time equals
+// t, and sc.mine with those among them whose id is congruent to share
+// modulo groups — the copy algorithm's split of a block between the
+// holders of a full replica. groups is a power of two, so masking is the
+// non-negative residue for negative ids too.
+func (sc *scratch) selectBlock(sys *nbody.System, t float64, groups, share int) {
+	sc.block, sc.mine = sc.block[:0], sc.mine[:0]
+	for i := 0; i < sys.N; i++ {
+		if sys.Time[i]+sys.Step[i] == t {
+			sc.block = append(sc.block, i)
+			if sys.ID[i]&(groups-1) == share {
+				sc.mine = append(sc.mine, i)
+			}
+		}
+	}
+}
+
+// predict stages the i-particles at the given slots of sys, predicted to
+// time t, into sc.ids/xs/vs.
+func (sc *scratch) predict(sys *nbody.System, slots []int, t float64) {
+	sc.ids, sc.xs, sc.vs = sc.ids[:0], sc.xs[:0], sc.vs[:0]
+	for _, i := range slots {
+		x, v := hermite.Predict(sys.Pos[i], sys.Vel[i], sys.Acc[i], sys.Jerk[i], sys.Snap[i], t-sys.Time[i])
+		sc.ids = append(sc.ids, sys.ID[i])
+		sc.xs = append(sc.xs, x)
+		sc.vs = append(sc.vs, v)
+	}
+}
+
+// forces evaluates the staged i-particles against b's j-set, preferring the
+// allocation-free ForcesInto path when the backend provides it. The result
+// may alias sc.fbuf: consume it before the next call.
+func (sc *scratch) forces(b hermite.Backend, t, eps float64) []direct.Force {
+	fb, ok := b.(hermite.ForcesIntoBackend)
+	if !ok {
+		return b.Forces(t, sc.ids, sc.xs, sc.vs, eps)
+	}
+	if cap(sc.fbuf) < len(sc.ids) {
+		sc.fbuf = make([]direct.Force, len(sc.ids))
+	}
+	return fb.ForcesInto(sc.fbuf[:len(sc.ids)], t, sc.ids, sc.xs, sc.vs, eps)
+}
+
+// absorb overwrites the particles of sys named by ups with their corrected
+// state — ids sys does not store are skipped — and, when b is non-nil,
+// refreshes b's image of the slots that changed.
+func (sc *scratch) absorb(sys *nbody.System, idx *nbody.IDIndex, ups []update, b hermite.Backend) {
+	sc.changed = sc.changed[:0]
+	for _, u := range ups {
+		i, ok := idx.Slot(u.id)
+		if !ok {
+			continue
+		}
+		sys.Pos[i], sys.Vel[i] = u.pos, u.vel
+		sys.Acc[i], sys.Jerk[i] = u.acc, u.jerk
+		sys.Snap[i], sys.Crack[i] = u.snap, u.crack
+		sys.Pot[i], sys.Time[i], sys.Step[i] = u.pot, u.time, u.step
+		sc.changed = append(sc.changed, i)
+	}
+	if b != nil && len(sc.changed) > 0 {
+		b.Update(sys, sc.changed)
+	}
+}
+
+// correctParticle applies the Hermite corrector and timestep update to
+// particle i using the freshly evaluated force f at time t, and returns
+// the update record.
+func correctParticle(sys *nbody.System, i int, f direct.Force, t float64, p hermite.Params) update {
+	dt := t - sys.Time[i]
+	x1, v1, snap1, crackle := hermite.Correct(sys.Pos[i], sys.Vel[i], sys.Acc[i], sys.Jerk[i], f.Acc, f.Jerk, dt)
+	sys.Pos[i], sys.Vel[i] = x1, v1
+	sys.Acc[i], sys.Jerk[i] = f.Acc, f.Jerk
+	sys.Snap[i], sys.Crack[i] = snap1, crackle
+	sys.Pot[i] = f.Pot
+	if p.Eps > 0 {
+		sys.Pot[i] += sys.Mass[i] / p.Eps // the self-potential fix
+	}
+	sys.Time[i] = t
+	desired := hermite.AarsethStep(f.Acc, f.Jerk, snap1, crackle, p.Eta)
+	sys.Step[i] = hermite.NextStep(sys.Step[i], desired, t, p.MinStep, p.MaxStep)
+	return update{
+		id:  sys.ID[i],
+		pos: sys.Pos[i], vel: sys.Vel[i], acc: sys.Acc[i], jerk: sys.Jerk[i],
+		snap: sys.Snap[i], crack: sys.Crack[i],
+		pot: sys.Pot[i], time: sys.Time[i], step: sys.Step[i],
+	}
+}
+
+// gatherUpdates performs a recursive-doubling allgather of update lists
+// among `size` hosts (power of two): after log2(size) rounds every host
+// holds the concatenation of all lists, which it returns sorted by id
+// (hosts receive them in topology-dependent order). Tag space: tagBase
+// must be unique per call site and block round.
+func gatherUpdates(p *des.Proc, net *simnet.Network, rank, size, tagBase int, local []update) []update {
+	for bit := 1; bit < size; bit <<= 1 {
+		peer := rank ^ bit
+		// Ship a private copy: simnet delivers the payload at a LATER
+		// virtual time, and the caller keeps appending to (and finally
+		// sorts) its own list — sending the live slice would let those
+		// mutations corrupt the in-flight message.
+		out := make([]update, len(local))
+		copy(out, local)
+		net.Send(rank, peer, tagBase+bit, len(out)*updateBytes, out)
+		msg := net.Recv(p, rank, tagBase+bit)
+		local = append(local, msg.Payload.([]update)...)
+	}
+	sort.Slice(local, func(i, j int) bool { return local[i].id < local[j].id })
+	return local
+}
+
+// allreduceMin returns the minimum of each host's local value via a
+// butterfly exchange. Blocked-receive time inside the butterfly is the
+// block-time agreement barrier, so it is attributed to the Sync phase on
+// rec (nil rec: no accounting).
+func allreduceMin(p *des.Proc, net *simnet.Network, rank, size, tagBase int, local float64, rec *vtrace.Recorder) float64 {
+	old := rec.SetWait(vtrace.Sync)
+	v := net.Butterfly(p, rank, size, tagBase, 8, local, func(a, b interface{}) interface{} {
+		if b.(float64) < a.(float64) {
+			return b
+		}
+		return a
+	})
+	rec.SetWait(old)
+	return v.(float64)
+}

@@ -19,24 +19,10 @@ func recordConfig(hosts int) Config {
 }
 
 // runAlgo dispatches by name so the invariant tests sweep all four
-// drivers.
+// algorithms.
 func runAlgo(t *testing.T, algo string, n int, seed uint64, until float64, clusters int, cfg Config) *Result {
 	t.Helper()
-	sys := plummer(n, seed)
-	var res *Result
-	var err error
-	switch algo {
-	case "copy":
-		res, err = RunCopy(sys, until, cfg)
-	case "ring":
-		res, err = RunRing(sys, until, cfg)
-	case "grid":
-		res, err = RunGrid(sys, until, cfg)
-	case "hybrid":
-		res, err = RunHybrid(sys, until, clusters, cfg)
-	default:
-		t.Fatalf("unknown algo %q", algo)
-	}
+	res, err := Run(algo, plummer(n, seed), until, clusters, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,24 +221,20 @@ func TestCheckRingReturn(t *testing.T) {
 func TestRingHostSurfacesCirculationError(t *testing.T) {
 	cfg := testConfig(2)
 	sys := plummer(4, 9)
-	if err := initForces(sys, cfg); err != nil {
+	if _, err := initForces(sys, cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Rank 0 runs the real ring host on its half of the system.
-	half := make([]int, 0, 2)
-	for i := 0; i < 2; i++ {
-		half = append(half, i)
-	}
-	part := sys.Subset(half)
+	part := sys.Subset(identity(2))
 	backend := cfg.backendFor(0)
 	backend.Load(part)
 
 	eng := des.New()
 	net := simnet.New(eng, cfg.NIC, 2)
-	res := &Result{}
+	w := &world{cfg: cfg, net: net, until: 1.0, res: &Result{}}
 	var hostErr error
 	eng.Spawn("ring0", func(p *des.Proc) {
-		hostErr = ringHost(p, 0, cfg, net, part, backend, 1.0, res, nil)
+		hostErr = ringHost(p, 0, w, part, backend, nil)
 	})
 	// Rank 1 is a rogue: it joins the block-time agreement, then for each
 	// circulation stage swallows the incoming packet list and forwards it

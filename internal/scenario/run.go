@@ -161,19 +161,7 @@ func runCosimCell(s *Spec, o *bench.Options, c Cell) (FigSeries, error) {
 			Machine: perfmodel.SingleNode(c.NIC, c.Host),
 			Params:  params,
 		}
-		var res *parallel.Result
-		switch c.Algo {
-		case "copy":
-			res, err = parallel.RunCopy(sys, tEnd, cfg)
-		case "ring":
-			res, err = parallel.RunRing(sys, tEnd, cfg)
-		case "grid":
-			res, err = parallel.RunGrid(sys, tEnd, cfg)
-		case "hybrid":
-			res, err = parallel.RunHybrid(sys, tEnd, sw.Clusters, cfg)
-		default:
-			return FigSeries{}, fmt.Errorf("unknown algorithm %q", c.Algo)
-		}
+		res, err := parallel.Run(c.Algo, sys, tEnd, sw.Clusters, cfg)
 		if err != nil {
 			return FigSeries{}, err
 		}

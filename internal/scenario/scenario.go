@@ -23,6 +23,7 @@ import (
 
 	"grape6/internal/model"
 	"grape6/internal/nbody"
+	"grape6/internal/parallel"
 	"grape6/internal/perfmodel"
 	"grape6/internal/simnet"
 	"grape6/internal/units"
@@ -238,9 +239,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: machine %d: unknown host %q", s.ID, i, m.Host)
 		}
 		if s.Kind == "cosim" {
-			switch m.Algo {
-			case "copy", "ring", "grid", "hybrid":
-			default:
+			if !parallel.Known(m.Algo) {
 				return fmt.Errorf("scenario %s: machine %d: unknown algorithm %q", s.ID, i, m.Algo)
 			}
 			if len(m.Sweep) == 0 {

@@ -2,10 +2,13 @@
 # verify.sh — the repo's verification gauntlet, in tiers.
 #
 # Tier 1 (fast, required for every change):
-#   build + full test suite
+#   build + full test suite, then the benchmark module's tests
+#   (benchmark/ is a module of its own that binds to this one's API —
+#   parallel.RunHybrid/Config/Result, the method sets it embeds — and
+#   ./... does not reach it)
 # Tier 2 (static + concurrency, required for changes touching hot paths
 #   or anything concurrent):
-#   go vet + race detector across the whole module
+#   go vet (both modules) + race detector across the whole module
 # Tier 3 (repo-native static analysis, required for every change):
 #   grapelint — the intraprocedural suite (noalloc/deterministic/
 #   nodeprecated/gfixedboundary/goroutinejoin) plus the interprocedural
@@ -28,11 +31,13 @@ if [ "$tier" = 1 ] || [ "$tier" = all ]; then
 	echo "== tier 1: build + tests =="
 	go build ./...
 	go test ./...
+	go test -C benchmark ./...
 fi
 
 if [ "$tier" = 2 ] || [ "$tier" = all ]; then
 	echo "== tier 2: vet + race =="
 	go vet ./...
+	go vet -C benchmark ./...
 	go test -race ./...
 fi
 
