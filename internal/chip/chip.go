@@ -374,48 +374,94 @@ func PredictParticle(f gfixed.Format, j *JParticle, t float64) (x [3]gfixed.Fixe
 // predictParticle is PredictParticle with the mantissa rounder hoisted by
 // the caller — the predictor's pipeline stages are all mantissa roundings,
 // so batch callers (PredictRange) pay the mask setup once per stripe
-// instead of once per operation. Rounder.Round is bit-identical to
-// Format.Round (gfixed's differential tests), so results are unchanged.
+// instead of once per operation.
+//
+// Like forceTile it runs on gfixed's inlined RoundTame behind one guard per
+// particle: the raw time difference and the twelve stored coefficients
+// must be tame (gfixed.TameExp), else predictExact evaluates the particle.
+// With |dt| and every coefficient zero or in [2^-128, 2^128), a Horner
+// stage is dt/k times a partial sum plus a coefficient: four nested stages
+// reach at most 2^(4·128+128+4) and, by the ulp argument (a sum of two
+// floats is zero or at least an ulp of the smaller), at least
+// 2^-(4·128+128+166) — normal and finite throughout.
 //
 //grape:noalloc
 func predictParticle(f gfixed.Format, r gfixed.Rounder, j *JParticle, t float64) (x [3]gfixed.Fixed64, v [3]float64) {
-	dt := r.Round(t - j.T0)
+	dt := t - j.T0
+	wild := gfixed.Untame(dt)
+	for c := 0; c < 3; c++ {
+		wild |= gfixed.Untame(j.V[c]) | gfixed.Untame(j.A[c]) | gfixed.Untame(j.J[c]) | gfixed.Untame(j.S[c])
+	}
+	if wild != 0 {
+		return predictExact(f, r, j, t)
+	}
+	dt = r.RoundTame(dt)
 	if dt == 0 {
 		// A particle updated at exactly time t predicts to its stored
 		// state: every polynomial term carries a factor dt. The stored
 		// velocity is re-rounded for callers that bypassed MakeJParticle
 		// (rounding is idempotent, so this matches the polynomial path).
 		for c := 0; c < 3; c++ {
-			v[c] = r.Round(j.V[c])
+			v[c] = r.RoundTame(j.V[c])
 		}
 		return j.X, v
 	}
 	for c := 0; c < 3; c++ {
 		// Horner evaluation of the displacement polynomial
 		// dt·(v + dt/2·(a + dt/3·(j + dt/4·s))), rounded per stage.
+		poly := r.RoundTame(j.J[c] + r.RoundTame(dt/4*j.S[c]))
+		poly = r.RoundTame(j.A[c] + r.RoundTame(dt/3*poly))
+		poly = r.RoundTame(j.V[c] + r.RoundTame(dt/2*poly))
+		x[c] = j.X[c] + displace(f, r.RoundTame(dt*poly))
+
+		// Velocity predictor, eq. (7) truncated at snap.
+		vp := r.RoundTame(j.S[c]*dt/3 + j.J[c])
+		vp = r.RoundTame(j.A[c] + r.RoundTame(dt/2*vp))
+		v[c] = r.RoundTame(j.V[c] + r.RoundTame(dt*vp))
+	}
+	return x, v
+}
+
+// predictExact is the predictor pipeline on gfixed's exact Round, defined
+// for every float64: the specification predictParticle restricts.
+//
+//grape:noalloc
+func predictExact(f gfixed.Format, r gfixed.Rounder, j *JParticle, t float64) (x [3]gfixed.Fixed64, v [3]float64) {
+	dt := r.Round(t - j.T0)
+	if dt == 0 {
+		for c := 0; c < 3; c++ {
+			v[c] = r.Round(j.V[c])
+		}
+		return j.X, v
+	}
+	for c := 0; c < 3; c++ {
 		poly := r.Round(j.J[c] + r.Round(dt/4*j.S[c]))
 		poly = r.Round(j.A[c] + r.Round(dt/3*poly))
 		poly = r.Round(j.V[c] + r.Round(dt/2*poly))
-		disp := r.Round(dt * poly)
-		dq, err := f.ToFixed(disp)
-		if err != nil {
-			// Out-of-range prediction: clamp to the format's edge; the
-			// force result will be garbage for this pair, as on the real
-			// chip when a particle escapes the coordinate range.
-			if disp > 0 {
-				dq = Fixed64Max
-			} else {
-				dq = -Fixed64Max
-			}
-		}
-		x[c] = j.X[c] + dq
+		x[c] = j.X[c] + displace(f, r.Round(dt*poly))
 
-		// Velocity predictor, eq. (7) truncated at snap.
 		vp := r.Round(j.S[c]*dt/3 + j.J[c])
 		vp = r.Round(j.A[c] + r.Round(dt/2*vp))
 		v[c] = r.Round(j.V[c] + r.Round(dt*vp))
 	}
 	return x, v
+}
+
+// displace converts a predicted displacement to fixed point. An
+// out-of-range one clamps to the format's edge; the force result will be
+// garbage for this pair, as on the real chip when a particle escapes the
+// coordinate range.
+//
+//grape:noalloc
+func displace(f gfixed.Format, disp float64) gfixed.Fixed64 {
+	dq, err := f.ToFixed(disp)
+	if err != nil {
+		if disp > 0 {
+			return Fixed64Max
+		}
+		return -Fixed64Max
+	}
+	return dq
 }
 
 // PredictRange runs the predictor pipeline over the memory slots [lo, hi)
@@ -575,10 +621,35 @@ func slabPanic(got, want int) {
 
 // forceTile streams the j-tile [lo, hi) against one i-particle. r and
 // invPos are the caller-hoisted mantissa rounder and fixed-point scale
-// (invariant across the whole batch; recomputing them per pair would
-// dominate the pipeline arithmetic). Only the SoA hot-set planes are
+// (invariant across the whole batch). Only the SoA hot-set planes are
 // read — HotJBytes per slot, never the full JParticle record — so the
 // tile's working set is what Config.TileLen sized against the cache.
+//
+// The pair loop makes no function call. It proceeds in runs: a run holds
+// the seven sums and the nearest neighbour in locals and evaluates every
+// pipeline stage with gfixed's inlined RoundTame / AddTame. Those are exact
+// only on tame values (gfixed.TameExp) and on plain in-range adds, so:
+//
+//   - a tile runs this way only if the softening e2 (a rounded square, so
+//     never negative) is tame and each group of three shares one scale;
+//   - one guard per pair checks that the pair's free inputs — the mass and
+//     the three raw velocity differences — are tame, a second that all
+//     seven AddTame steps hit (a sum near or past saturation, as Merge can
+//     leave one, misses every time); either ends the run before that pair
+//     has changed anything. Coordinate differences need no check: an int64
+//     difference scaled by 2^-PosFrac is zero or in [2^-62, 2^63].
+//
+// Given those, every rounding's argument is zero or normal and finite.
+// With r2 in [2^-128, 2^130] (tame e2 plus at most three squares in
+// [2^-124, 2^126]): rinv in [2^-65, 2^64], rinv2 in [2^-130, 2^128], and
+// each later stage multiplies at most one tame mass, one tame velocity and
+// bounded geometry, so magnitudes stay inside 2^±830; a sum or difference
+// of such terms is zero or at least an ulp of the smaller term, still
+// hundreds of binades above the subnormals. No Inf arises, hence no NaN.
+//
+// The pair that ended a run goes through forcePair — which is also where Overflow gets set: a run never
+// sees a contribution that leaves the block format — and the next run
+// starts after it.
 //
 //grape:noalloc
 func (ch *Chip) forceTile(ip *IParticle, p *Partial, e2 float64, r gfixed.Rounder, invPos float64, lo, hi int) {
@@ -591,46 +662,121 @@ func (ch *Chip) forceTile(ip *IParticle, p *Partial, e2 float64, r gfixed.Rounde
 	mass, id := ch.mass[lo:][:n], ch.id[lo:][:n]
 	ix, iy, iz := ip.X[0], ip.X[1], ip.X[2]
 	ivx, ivy, ivz := ip.V[0], ip.V[1], ip.V[2]
-	for k := range px0 {
-		// Stage 1: coordinate difference, exact in fixed point, then
-		// converted to the pipeline float format.
-		dx := r.Round(float64(px0[k]-ix) * invPos)
-		dy := r.Round(float64(px1[k]-iy) * invPos)
-		dz := r.Round(float64(px2[k]-iz) * invPos)
-		dvx := r.Round(pv0[k] - ivx)
-		dvy := r.Round(pv1[k] - ivy)
-		dvz := r.Round(pv2[k] - ivz)
+	scaleA, scaleJ, scaleP := p.Acc[0].Scale(), p.Jerk[0].Scale(), p.Pot.Scale()
+	// Partial.Init gives each group of three one exponent; a partial built
+	// any other way is not worth four more live scales.
+	tame := gfixed.Untame(e2) == 0 &&
+		p.Acc[1].Scale() == scaleA && p.Acc[2].Scale() == scaleA &&
+		p.Jerk[1].Scale() == scaleJ && p.Jerk[2].Scale() == scaleJ
 
-		// Stage 2: squared distance with softening.
-		r2 := r.Round(dx*dx + dy*dy + dz*dz + e2)
-		if r2 <= 0 {
-			// Self-pair with zero softening: masked, contributes nothing.
+	for k := 0; k < n; k++ {
+		if !tame {
+			ch.forcePair(ip, p, e2, r, invPos, lo+k)
 			continue
 		}
+		a0, a1, a2 := p.Acc[0].Sum, p.Acc[1].Sum, p.Acc[2].Sum
+		j0, j1, j2 := p.Jerk[0].Sum, p.Jerk[1].Sum, p.Jerk[2].Sum
+		pot := p.Pot.Sum
+		nn, nnd2 := p.NN, p.NND2
+		for ; k < n; k++ {
+			// Stage 1: coordinate difference, exact in fixed point, then
+			// converted to the pipeline float format.
+			dx := r.RoundTame(float64(px0[k]-ix) * invPos)
+			dy := r.RoundTame(float64(px1[k]-iy) * invPos)
+			dz := r.RoundTame(float64(px2[k]-iz) * invPos)
 
-		// Stage 3: inverse square root and force factor.
-		rinv := r.Round(1 / math.Sqrt(r2))
-		rinv2 := r.Round(rinv * rinv)
-		mrinv := r.Round(mass[k] * rinv)
-		mrinv3 := r.Round(mrinv * rinv2)
+			// Stage 2: squared distance with softening.
+			r2 := r.RoundTame(dx*dx + dy*dy + dz*dz + e2)
+			if r2 <= 0 {
+				// Self-pair with zero softening: masked, contributes nothing.
+				continue
+			}
 
-		// Stage 4: (v·r)/(r²+ε²).
-		rv := r.Round((dx*dvx + dy*dvy + dz*dvz) * rinv2)
-		rv3 := r.Round(3 * rv)
+			m := mass[k]
+			dvx, dvy, dvz := pv0[k]-ivx, pv1[k]-ivy, pv2[k]-ivz
+			if gfixed.Untame(m)|gfixed.Untame(dvx)|gfixed.Untame(dvy)|gfixed.Untame(dvz) != 0 {
+				break
+			}
+			dvx, dvy, dvz = r.RoundTame(dvx), r.RoundTame(dvy), r.RoundTame(dvz)
 
-		// Stage 5: accumulate in block floating point.
-		p.Acc[0].Add(r.Round(mrinv3 * dx))
-		p.Acc[1].Add(r.Round(mrinv3 * dy))
-		p.Acc[2].Add(r.Round(mrinv3 * dz))
-		p.Jerk[0].Add(r.Round(mrinv3 * r.Round(dvx-rv3*dx)))
-		p.Jerk[1].Add(r.Round(mrinv3 * r.Round(dvy-rv3*dy)))
-		p.Jerk[2].Add(r.Round(mrinv3 * r.Round(dvz-rv3*dz)))
-		p.Pot.Add(-mrinv)
+			// Stage 3: inverse square root and force factor.
+			rinv := r.RoundTame(1 / math.Sqrt(r2))
+			rinv2 := r.RoundTame(rinv * rinv)
+			mrinv := r.RoundTame(m * rinv)
+			mrinv3 := r.RoundTame(mrinv * rinv2)
 
-		// Nearest-neighbour unit, excluding the self-pair by id.
-		if id[k] != ip.SelfID && (r2 < p.NND2 || (r2 == p.NND2 && (p.NN < 0 || id[k] < p.NN))) {
-			p.NND2 = r2
-			p.NN = id[k]
+			// Stage 4: (v·r)/(r²+ε²).
+			rv := r.RoundTame((dx*dvx + dy*dvy + dz*dvz) * rinv2)
+			rv3 := r.RoundTame(3 * rv)
+
+			// Stage 5: accumulate in block floating point. The sums commit
+			// together, so a pair that ends the run has changed nothing.
+			na0, m0 := gfixed.AddTame(a0, r.RoundTame(mrinv3*dx), scaleA)
+			na1, m1 := gfixed.AddTame(a1, r.RoundTame(mrinv3*dy), scaleA)
+			na2, m2 := gfixed.AddTame(a2, r.RoundTame(mrinv3*dz), scaleA)
+			nj0, m3 := gfixed.AddTame(j0, r.RoundTame(mrinv3*r.RoundTame(dvx-rv3*dx)), scaleJ)
+			nj1, m4 := gfixed.AddTame(j1, r.RoundTame(mrinv3*r.RoundTame(dvy-rv3*dy)), scaleJ)
+			nj2, m5 := gfixed.AddTame(j2, r.RoundTame(mrinv3*r.RoundTame(dvz-rv3*dz)), scaleJ)
+			npot, m6 := gfixed.AddTame(pot, -mrinv, scaleP)
+			if m0|m1|m2|m3|m4|m5|m6 != 0 {
+				break
+			}
+			a0, a1, a2, j0, j1, j2, pot = na0, na1, na2, nj0, nj1, nj2, npot
+
+			// Nearest-neighbour unit, excluding the self-pair by id.
+			if id[k] != ip.SelfID && (r2 < nnd2 || (r2 == nnd2 && (nn < 0 || id[k] < nn))) {
+				nnd2 = r2
+				nn = id[k]
+			}
 		}
+		p.Acc[0].Sum, p.Acc[1].Sum, p.Acc[2].Sum = a0, a1, a2
+		p.Jerk[0].Sum, p.Jerk[1].Sum, p.Jerk[2].Sum = j0, j1, j2
+		p.Pot.Sum = pot
+		p.NN, p.NND2 = nn, nnd2
+		if k < n {
+			ch.forcePair(ip, p, e2, r, invPos, lo+k)
+		}
+	}
+}
+
+// forcePair evaluates the single pair (ip, slot k) with gfixed's exact
+// Round and Add, which are defined on every float64 and every accumulator
+// state. It is the pipeline's specification, one call per stage; forceTile
+// is the same arithmetic restricted to where the inlinable forms are
+// exact, and hands over here for the pairs outside it.
+//
+//grape:noalloc
+func (ch *Chip) forcePair(ip *IParticle, p *Partial, e2 float64, r gfixed.Rounder, invPos float64, k int) {
+	dx := r.Round(float64(ch.px[0][k]-ip.X[0]) * invPos)
+	dy := r.Round(float64(ch.px[1][k]-ip.X[1]) * invPos)
+	dz := r.Round(float64(ch.px[2][k]-ip.X[2]) * invPos)
+	dvx := r.Round(ch.pv[0][k] - ip.V[0])
+	dvy := r.Round(ch.pv[1][k] - ip.V[1])
+	dvz := r.Round(ch.pv[2][k] - ip.V[2])
+
+	r2 := r.Round(dx*dx + dy*dy + dz*dz + e2)
+	if r2 <= 0 {
+		return
+	}
+
+	rinv := r.Round(1 / math.Sqrt(r2))
+	rinv2 := r.Round(rinv * rinv)
+	mrinv := r.Round(ch.mass[k] * rinv)
+	mrinv3 := r.Round(mrinv * rinv2)
+
+	rv := r.Round((dx*dvx + dy*dvy + dz*dvz) * rinv2)
+	rv3 := r.Round(3 * rv)
+
+	p.Acc[0].Add(r.Round(mrinv3 * dx))
+	p.Acc[1].Add(r.Round(mrinv3 * dy))
+	p.Acc[2].Add(r.Round(mrinv3 * dz))
+	p.Jerk[0].Add(r.Round(mrinv3 * r.Round(dvx-rv3*dx)))
+	p.Jerk[1].Add(r.Round(mrinv3 * r.Round(dvy-rv3*dy)))
+	p.Jerk[2].Add(r.Round(mrinv3 * r.Round(dvz-rv3*dz)))
+	p.Pot.Add(-mrinv)
+
+	if id := ch.id[k]; id != ip.SelfID && (r2 < p.NND2 || (r2 == p.NND2 && (p.NN < 0 || id < p.NN))) {
+		p.NND2 = r2
+		p.NN = id
 	}
 }

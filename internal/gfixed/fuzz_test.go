@@ -8,10 +8,14 @@ import (
 // The fuzz targets are differential: the optimized hot-path entry points
 // (Rounder.Round's branch-free carry, Accum.Add's 2^52 magic-constant
 // trick) must stay bit-identical to their straightforward references for
-// EVERY input, not just the corpus the unit tests enumerate. Seeds come
-// from interestingFloats(), which pins the known cliffs: the 2^52
-// integrality boundary, the 2^62 saturation boundary, subnormals, ties,
-// infinities and NaN. verify.sh runs each target with -fuzztime=10s.
+// EVERY input, not just the corpus the unit tests enumerate. The inlinable
+// primitives (RoundTame, Untame, AddTame) are partial: each must
+// agree with its exact counterpart wherever its own guard says it may be
+// used, and the guard must fire on every input where it would not — the
+// "caller must fall back" class. Seeds come from interestingFloats(), which
+// pins the known cliffs: the 2^51/2^52 integrality boundaries, the
+// 2^61/2^62 saturation boundaries, the tame class's edges, subnormals,
+// ties, infinities and NaN. verify.sh runs each target with -fuzztime=10s.
 
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
@@ -49,6 +53,22 @@ func FuzzRound(f *testing.F) {
 		if math.Signbit(want) != math.Signbit(x) && !math.IsNaN(x) {
 			t.Fatalf("bits=%d x=%#x: sign flipped to %#x", bits, xb, math.Float64bits(want))
 		}
+
+		// RoundTame is exact on ±0, normals and ±Inf; subnormals and NaN
+		// are the fall-back class, and Untame must flag every one of them.
+		mag := math.Abs(x)
+		fallBack := math.IsNaN(x) || (mag != 0 && mag < math.Ldexp(1, -1022))
+		if got := fm.Rounder().RoundTame(x); !fallBack && !sameBits(got, want) {
+			t.Fatalf("bits=%d x=%#x: RoundTame %#x != Round %#x outside the fall-back class",
+				bits, xb, math.Float64bits(got), math.Float64bits(want))
+		}
+		tame := mag == 0 || (mag >= math.Ldexp(1, -TameExp) && mag < math.Ldexp(1, TameExp))
+		if (Untame(x) == 0) != tame {
+			t.Fatalf("x=%#x: Untame %#x, want tame=%v", xb, Untame(x), tame)
+		}
+		if fallBack && tame {
+			t.Fatalf("x=%#x: in RoundTame's fall-back class yet tame", xb)
+		}
 	})
 }
 
@@ -74,6 +94,7 @@ func FuzzAccumAdd(f *testing.F) {
 		a := Grape6.MakeAccum(exp)
 		r := Grape6.MakeAccum(exp)
 		for i, v := range vs {
+			checkAddTame(t, a, v)
 			a.Add(v)
 			refAdd(&r, v)
 			if a.Sum != r.Sum || a.Overflow != r.Overflow {
@@ -92,5 +113,44 @@ func FuzzAccumAdd(f *testing.F) {
 			t.Fatalf("exp=%d vs=%#x,%#x,%#x: partition variance: merged %d != sequential %d",
 				exp, b1, b2, b3, p1.Sum, a.Sum)
 		}
+	})
+}
+
+// checkAddTame runs AddTame for one contribution next to the exact Add,
+// from whatever sum the accumulator holds, and checks both directions of
+// the contract: a hit is exactly what Add does, and an ordinary step — a
+// sum, a quantised contribution and a result well inside the working
+// range — is never sent to the fall-back.
+func checkAddTame(t *testing.T, a Accum, v float64) {
+	t.Helper()
+	s, miss := AddTame(a.Sum, v, a.Scale())
+	want := a
+	want.Add(v)
+	if miss == 0 && (want.Overflow != a.Overflow || want.Sum != s) {
+		t.Fatalf("sum=%d v=%#x scale=%g: AddTame hit with %d, Add gives sum=%d ovf=%v",
+			a.Sum, math.Float64bits(v), a.Scale(), s, want.Sum, want.Overflow)
+	}
+	within := func(x int64) bool { return x > -(1<<60) && x < 1<<60 }
+	if ordinary := math.Abs(v*a.Scale()) < 1<<50 && within(a.Sum) && within(want.Sum); ordinary && miss != 0 {
+		t.Fatalf("sum=%d v=%#x scale=%g: AddTame missed (%#x) on an ordinary step",
+			a.Sum, math.Float64bits(v), a.Scale(), miss)
+	}
+}
+
+// FuzzAddTame drives AddTame from an arbitrary starting sum and scale —
+// FuzzAccumAdd only reaches the sums three contributions from zero can
+// build — including accumulators at and past the saturation bound, as
+// Merge can leave them.
+func FuzzAddTame(f *testing.F) {
+	for _, sum := range []int64{0, 1, -1, 1<<61 - 1, 1 << 61, -(1 << 61), -(1 << 61) - 1, 1 << 62, -(1 << 62), math.MaxInt64, math.MinInt64} {
+		for _, v := range []float64{0, 1, -1, 0.5, 1.5, -2.5, math.Ldexp(1, 51), -math.Ldexp(1, 51), math.Ldexp(1, 61), math.Inf(1), math.NaN()} {
+			f.Add(sum, math.Float64bits(v), 40)
+			f.Add(sum, math.Float64bits(v), -1500)
+		}
+	}
+	f.Fuzz(func(t *testing.T, sum int64, vb uint64, exp int) {
+		a := Grape6.MakeAccum(exp % 2000)
+		a.Sum = sum
+		checkAddTame(t, a, math.Float64frombits(vb))
 	})
 }

@@ -163,8 +163,10 @@ func RoundMantissa(x float64, bits uint) float64 {
 	return math.Float64frombits(b)
 }
 
-// roundSubnormal is the slow exact path for subnormal inputs, kept out of
-// line so the normal-number fast path stays within the inlining budget.
+// roundSubnormal is the slow exact path for subnormal inputs. It is far
+// over the inlining budget, and so are its callers RoundMantissa and
+// Rounder.Round: a kernel that must not make a call per rounding uses
+// Rounder.RoundTame behind an Untame guard instead.
 //
 //grape:noalloc
 func roundSubnormal(x float64, bits uint) float64 {
@@ -179,33 +181,36 @@ func roundSubnormal(x float64, bits uint) float64 {
 // Rounder.Round is bit-identical to Format.Round but avoids recomputing
 // the masks and the two-deep call chain on every pipeline stage.
 type Rounder struct {
-	bits  uint   // mantissa width; ≥53 (or shift==0) means identity
-	shift uint64 // 53 - bits
-	half  uint64 // 1 << (shift-1)
-	mask  uint64 // 1<<shift - 1
+	// Four words and no more: the compiler keeps a struct of up to four
+	// fields in registers, and copies a larger one through the stack at
+	// every inlined use.
+	shift uint64 // 53 - mantissa width: position of the kept lsb; 0 is identity
+	bias  uint64 // 1<<(shift-1) - 1: half a kept ulp, less one
+	one   uint64 // selects the kept lsb after the shift: 1
+	mask  uint64 // 1<<shift - 1: the dropped bits
 }
 
 // Rounder returns the precomputed rounder for the format's mantissa width.
 func (f Format) Rounder() Rounder {
 	if f.MantBits >= 53 {
-		// Identity sentinel: shift 64 makes b>>shift zero, half 1 and mask 0
-		// turn the branch-free carry formula into b+1-1+0 — a no-op — so
-		// identity widths need no extra test on the fast path.
-		return Rounder{bits: f.MantBits, shift: 64, half: 1, mask: 0}
+		// Identity: with every constant zero the carry formula is
+		// (b + 0 + (b&0)) &^ 0, so identity widths need no test of their own.
+		return Rounder{}
 	}
 	shift := uint64(53 - f.MantBits)
 	return Rounder{
-		bits:  f.MantBits,
 		shift: shift,
-		half:  uint64(1) << (shift - 1),
+		bias:  uint64(1)<<(shift-1) - 1,
+		one:   1,
 		mask:  uint64(1)<<shift - 1,
 	}
 }
 
 // Round rounds x to the rounder's mantissa width, round-to-nearest-even.
-// Bit-identical to RoundMantissa(x, bits). The round-up carry is computed
-// branch-free: adding half-1+lsb carries into the kept bits exactly when
-// the dropped fraction exceeds half, or equals half with an odd kept lsb.
+// Bit-identical to RoundMantissa(x, bits) for every input. With its
+// special-value test it costs more than the compiler's inlining budget
+// (go build -gcflags=-m: cost 111 against 80), so every use is a real
+// call; RoundTame is the inlinable part.
 //
 //grape:noalloc
 func (r Rounder) Round(x float64) float64 {
@@ -214,21 +219,71 @@ func (r Rounder) Round(x float64) float64 {
 		// Zero, subnormal, Inf or NaN: off the fast path.
 		return r.roundSpecial(x)
 	}
-	b = (b + r.half - 1 + ((b >> r.shift) & 1)) &^ r.mask
-	return math.Float64frombits(b)
+	return r.RoundTame(x)
+}
+
+// RoundTame is Round without the special-value test, small enough to be
+// inlined into a kernel's pair loop. The round-up carry is computed
+// branch-free: adding bias+lsb (half a kept ulp, less one, plus the kept
+// lsb) carries into the kept bits exactly when the dropped fraction
+// exceeds half, or equals half with an odd kept lsb; a mantissa carry
+// propagates into the exponent, which is the correct IEEE behaviour up to
+// and including overflow to ±Inf.
+//
+// It is bit-identical to Round for ±0, every normal number and ±Inf. It is
+// WRONG for subnormals (Round keeps bits significant bits below the
+// leading one, this keeps a fixed bit position) and for NaN (Round passes
+// the payload through, this may carry it into ±0 or ±Inf). A caller must
+// therefore know its argument is neither — which is what Untame on the
+// inputs of a pipeline, plus the interval argument written next to it,
+// establishes — or call Round.
+//
+//grape:noalloc
+func (r Rounder) RoundTame(x float64) float64 {
+	b := math.Float64bits(x)
+	// shift&63 tells the compiler the count is in range (it is: shift ≤ 51),
+	// which drops the oversized-shift fix-up from every rounding.
+	return math.Float64frombits((b + r.bias + ((b >> (r.shift & 63)) & r.one)) &^ r.mask)
+}
+
+// TameExp bounds the tame class: a float64 is tame when it is ±0 or its
+// magnitude lies in [2^-TameExp, 2^TameExp). The width is what the chip's
+// pipelines need for their interval arguments (no product of a few tame
+// values and bounded geometry factors can reach the subnormal range or
+// overflow to Inf, where 0·Inf and Inf-Inf would breed NaN) and is a power
+// of two in exponent count so that Untame is one subtract and one shift.
+const TameExp = 128
+
+const (
+	tameLo    = uint64(1023-TameExp) << 53 // sign-stripped bits of 2^-TameExp
+	tameShift = 53 + 8                     // log2 of the class width in sign-stripped bits: 2·TameExp = 2^8 exponents
+)
+
+// Untame returns zero when x is tame (see TameExp) and a nonzero word
+// otherwise: subnormals, anything tiny or huge, ±Inf and NaN of every
+// payload. The words of several values OR together, so a kernel guards a
+// whole pair with one branch: Untame(a)|Untame(b)|Untame(c) != 0.
+//
+//grape:noalloc
+func Untame(x float64) uint64 {
+	u := math.Float64bits(x) << 1 // drop the sign
+	if u == 0 {
+		return 0
+	}
+	return (u - tameLo) >> tameShift
 }
 
 // roundSpecial handles the rare inputs excluded from Round's fast path.
 //
 //grape:noalloc
 func (r Rounder) roundSpecial(x float64) float64 {
-	if r.bits >= 53 || x == 0 {
+	if r.shift == 0 || x == 0 {
 		return x
 	}
 	if (math.Float64bits(x)>>52)&0x7ff == 0x7ff {
 		return x // Inf or NaN
 	}
-	return roundSubnormal(x, r.bits)
+	return roundSubnormal(x, uint(53-r.shift))
 }
 
 // Accum is a block-floating-point accumulator: Sum counts units of
@@ -279,16 +334,16 @@ func (a *Accum) Init(f Format, exp int) {
 // The integer rounding uses the 2^52 magic-constant trick instead of
 // math.RoundToEven: for |q| < 2^52 the addition rounds q to an integer in
 // one IEEE round-to-nearest-even operation, and anything ≥ 2^52 is already
-// integral. Bit-identical results, but the whole of Add stays within the
-// compiler's inlining budget for the kernel's accumulation stage.
+// integral. Bit-identical results without a call to math.RoundToEven — but
+// Add itself is still over the inlining budget (cost 111 against 80), so
+// every use is a real call. A kernel that accumulates in a loop holds Sum
+// in a local and uses AddTame on it.
 //
 //grape:noalloc
 func (a *Accum) Add(v float64) {
 	if v == 0 {
 		return
 	}
-	const two52 = 4.503599627370496e15 // 2^52
-	const two62 = 4.611686018427388e18 // 2^62
 	q := v * a.scale
 	if q < two52 && q > -two52 {
 		if q >= 0 {
@@ -312,6 +367,49 @@ func (a *Accum) Add(v float64) {
 		return
 	}
 	a.Sum = s
+}
+
+const (
+	two52 = 4.503599627370496e15 // 2^52
+	two62 = 4.611686018427388e18 // 2^62
+)
+
+// Scale returns the quantisation factor 2^(AccumFrac-Exp) that AddTame
+// takes: a contribution v is stored as round(v · Scale()).
+//
+//grape:noalloc
+func (a *Accum) Scale() float64 { return a.scale }
+
+// AddTame is the inlinable part of Add, for a caller that keeps Sum in a
+// register across a loop and stores it back afterwards: it returns the sum
+// with v quantised and added. miss is nonzero whenever the step is not a
+// plain in-range add — a quantised magnitude of 2^51 or more (which
+// includes every contribution that overflows the block format, ±Inf, NaN,
+// and 0·Inf from a zero v under an infinite scale) or a result outside
+// ±2^61, which every step from a sum at or past saturation (as Merge can
+// leave one) produces — and the returned sum is then meaningless: the
+// caller must redo the step from the sum it passed in with Add, which
+// decides between a large legitimate contribution and Overflow. AddTame
+// never sets the flag itself. The miss words of several steps OR together,
+// so a kernel tests a whole pair with one branch.
+//
+// Inside that range Add's other tests are dead, and the rest is a few
+// integer operations: one magic constant 1.5·2^52 rounds either sign to
+// the nearest-even integer with no branch on the sign, because for
+// |q| < 2^51 the float64 q+magic lies in [2^52, 2^53), where the spacing is
+// 1 (and magic is even, so ties keep q's parity); the rounded integer is
+// then the difference of the two bit patterns, and "q was below 2^51" is
+// "the sum kept magic's exponent". A hit from a sum inside ±2^61 cannot
+// have wrapped, and a zero v adds a zero q; a sum outside it cannot come
+// back inside with |q| < 2^51 unless the exact addition does too.
+//
+//grape:noalloc
+func AddTame(sum int64, v, scale float64) (s int64, miss uint64) {
+	const magic = 1.5 * two52
+	const magicBits = 0x433<<52 | 1<<51
+	t := math.Float64bits(v*scale + magic)
+	s = sum + int64(t-magicBits)
+	return s, (t>>52 ^ 0x433) | uint64(s+1<<61)>>62
 }
 
 // Merge adds another accumulator's partial sum exactly. Both must share

@@ -47,6 +47,18 @@ func interestingFloats() []float64 {
 		ulp := math.Ldexp(1, -int(bits))
 		vs = append(vs, 1+ulp, 1+3*ulp, 1+ulp/2, 1+3*ulp/2, -(1 + 3*ulp/2))
 	}
+	// Appended after the original set so existing fuzz seed numbers keep
+	// their inputs: NaNs whose payload RoundTame would carry into the
+	// exponent or the sign, the tame class's edges, and AddTame's 2^51 and
+	// 2^61 boundaries.
+	vs = append(vs,
+		math.Float64frombits(0x7fffffffffffffff), math.Float64frombits(0xffffffffffffffff),
+		math.Float64frombits(0x7ff0000000000001),
+		math.Ldexp(1, -TameExp), math.Nextafter(math.Ldexp(1, -TameExp), 0),
+		math.Ldexp(1, TameExp), math.Nextafter(math.Ldexp(1, TameExp), 0),
+		math.Ldexp(1, 51), math.Nextafter(math.Ldexp(1, 51), 0), -math.Ldexp(1, 51),
+		math.Ldexp(1, 61), -math.Ldexp(1, 61),
+	)
 	return vs
 }
 

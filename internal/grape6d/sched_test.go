@@ -341,9 +341,15 @@ func TestSessionEndToEndVsSolo(t *testing.T) {
 }
 
 // TestOverlapThroughput checks that two tenants on a two-array fleet
-// actually overlap: aggregate wall time for the pair must beat running
-// the same work serialized through one session. Meaningless on a single
-// CPU, where the emulated silicon and the host share one core.
+// actually overlap: while both run, the two arrays must be busy at the
+// same time. The evidence is the scheduler's own accounting — each slot's
+// Stats busy time is the wall clock its crew spent operating the array, so
+// if the scheduler serialized the tenants the two busy times could not sum
+// to more than the window, and full overlap sums to twice it. The
+// wall-clock ratio against one session doing the same work is logged but
+// not asserted: it measures how many cores the host has free (1.03x–1.6x
+// on the 2-core CI host depending on what else `go test ./...` is
+// running), not whether the scheduler overlaps.
 func TestOverlapThroughput(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("overlap needs ≥ 2 CPUs: emulated boards burn host CPU, so one core serializes everything")
@@ -399,17 +405,28 @@ func TestOverlapThroughput(t *testing.T) {
 	go func() { defer wg.Done(); work(a, da, 1) }()
 	go func() { defer wg.Done(); work(b, db, 1) }()
 	wg.Wait() // warm both slots
+	busyBefore := d.Stats().Arrays
 	start = time.Now()
 	wg.Add(2)
 	go func() { defer wg.Done(); work(a, da, evals) }()
 	go func() { defer wg.Done(); work(b, db, evals) }()
 	wg.Wait()
 	overlapped := time.Since(start)
+	busyAfter := d.Stats().Arrays
 
-	speedup := float64(serial) / float64(overlapped)
-	t.Logf("serialized %v, overlapped %v: %.2fx", serial, overlapped, speedup)
-	if speedup < 1.2 {
-		t.Errorf("two tenants on two arrays ran %.2fx the serialized rate, want ≥ 1.2x overlap", speedup)
+	var busy time.Duration
+	for k := range busyAfter {
+		delta := busyAfter[k].Busy - busyBefore[k].Busy
+		if delta <= 0 {
+			t.Errorf("array %d served nothing while two tenants ran", k)
+		}
+		busy += delta
+	}
+	ratio := float64(busy) / float64(overlapped)
+	t.Logf("serialized %v, overlapped %v: %.2fx wall clock; arrays busy %v in that window: %.2fx",
+		serial, overlapped, float64(serial)/float64(overlapped), busy, ratio)
+	if ratio < 1.2 {
+		t.Errorf("two arrays were busy %.2fx the window two tenants ran in, want ≥ 1.2x (1x is no overlap at all)", ratio)
 	}
 }
 

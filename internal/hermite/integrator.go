@@ -88,7 +88,8 @@ type Integrator struct {
 	// O(active block) instead of the O(N) MinTime scan.
 	sched *nbody.BlockSched
 
-	// scratch buffers
+	// scratch buffers, sized at New for the largest block there can be
+	// (all N), so no block step grows them
 	block []int
 	ids   []int
 	xp    []vec.V3
@@ -167,6 +168,8 @@ func New(sys *nbody.System, b Backend, p Params) (*Integrator, error) {
 	it.Interactions += int64(sys.N) * int64(b.NJ())
 	b.Update(sys, ids)
 	it.sched = nbody.NewBlockSched(sys)
+	it.block, it.ids = make([]int, 0, sys.N), ids[:0]
+	it.xp, it.vp = make([]vec.V3, sys.N), make([]vec.V3, sys.N)
 	it.prefetchPredict()
 	return it, nil
 }
@@ -198,10 +201,6 @@ func (it *Integrator) Step() BlockStat {
 
 	nb := len(it.block)
 	it.ids = it.ids[:0]
-	if cap(it.xp) < nb {
-		it.xp = make([]vec.V3, nb)
-		it.vp = make([]vec.V3, nb)
-	}
 	xp := it.xp[:nb]
 	vp := it.vp[:nb]
 	for k, i := range it.block {

@@ -14,10 +14,14 @@
 #   nodeprecated/gfixedboundary/goroutinejoin) plus the interprocedural
 #   closures over the module call graph (noallocdeep/hotblock/
 #   puritydeep) and the stale-suppression audit (DESIGN.md §7).
-#   Findings fail the gauntlet.
+#   Findings fail the gauntlet. Then the inlining contract of the force
+#   kernel, which no analyzer sees because it is the compiler's decision:
+#   gfixed's tame primitives must report "can inline", and the compiled
+#   chip.forceTile must contain no CALL into gfixed (DESIGN.md §6).
 # Tier 4 (fuzz, full gauntlet only):
-#   the gfixed differential fuzz targets, 10s each — the rounding and
-#   accumulation hot paths against their references.
+#   the differential fuzz targets, 10s each — gfixed's rounding and
+#   accumulation against their references, the chip's call-free pair loop
+#   and predictor against the exact per-stage forms.
 #
 # Usage: scripts/verify.sh [tier]
 #   scripts/verify.sh       # run all tiers (the default gauntlet)
@@ -44,12 +48,34 @@ fi
 if [ "$tier" = 3 ] || [ "$tier" = all ]; then
 	echo "== tier 3: grapelint =="
 	go run ./cmd/grapelint ./...
+
+	echo "== tier 3: kernel inlining contract =="
+	inl="$(go build -gcflags=-m ./internal/gfixed 2>&1)"
+	for fn in 'Rounder.RoundTame' 'Untame' 'AddTame' '(*Accum).Scale'; do
+		echo "$inl" | grep -qF "can inline $fn" || {
+			echo "gfixed.$fn is no longer inlinable: every use in chip.forceTile is now a call"
+			echo "$inl" | grep -F "$fn" || true
+			exit 1
+		}
+	done
+	tmp="$(mktemp -d)"
+	trap 'rm -rf "$tmp"' EXIT
+	go test -c -o "$tmp/chip.test" ./internal/chip
+	go tool objdump -s 'chip\.\(\*Chip\)\.forceTile$' "$tmp/chip.test" >"$tmp/forceTile.s"
+	grep -q 'forceTile(SB)' "$tmp/forceTile.s" || { echo "no disassembly for chip.(*Chip).forceTile: renamed?"; exit 1; }
+	if grep 'CALL' "$tmp/forceTile.s" | grep 'internal/gfixed'; then
+		echo "chip.forceTile calls into gfixed: its pair loop must be call-free"
+		exit 1
+	fi
 fi
 
 if [ "$tier" = 4 ] || [ "$tier" = all ]; then
 	echo "== tier 4: fuzz (10s per target) =="
 	go test -run '^$' -fuzz '^FuzzRound$' -fuzztime=10s ./internal/gfixed/
 	go test -run '^$' -fuzz '^FuzzAccumAdd$' -fuzztime=10s ./internal/gfixed/
+	go test -run '^$' -fuzz '^FuzzAddTame$' -fuzztime=10s ./internal/gfixed/
+	go test -run '^$' -fuzz '^FuzzForceTile$' -fuzztime=10s ./internal/chip/
+	go test -run '^$' -fuzz '^FuzzPredictParticle$' -fuzztime=10s ./internal/chip/
 fi
 
 echo "verify: OK ($tier)"
