@@ -1,11 +1,19 @@
+//go:build go1.23
+
 // Package des is a deterministic discrete-event simulation kernel with
-// goroutine-based processes. It provides the virtual time base on which
-// the network simulator (internal/simnet) and the parallel N-body
-// algorithms (internal/parallel) run: simulated hosts are ordinary Go
-// functions that Sleep in virtual time and exchange messages, while the
-// kernel guarantees that exactly one process executes at a time and that
-// events fire in (time, creation-order) sequence — so every simulation is
-// reproducible bit for bit.
+// coroutine processes. It provides the virtual time base on which the
+// network simulator (internal/simnet) and the parallel N-body algorithms
+// (internal/parallel) run: simulated hosts are ordinary Go functions that
+// Sleep in virtual time and exchange messages, and events fire in (time,
+// creation-order) sequence — so every simulation is reproducible bit for
+// bit.
+//
+// A process is an iter.Pull coroutine: the scheduler resumes it with a
+// direct runtime switch and regains control when it suspends, finishes or
+// panics. Only the scheduler (Run/RunAll) resumes a process and only the
+// process suspends itself, so exactly one body runs at a time whatever
+// GOMAXPROCS is, and nothing here needs a lock. (The module's language
+// level is go 1.22, iter is go 1.23: hence the build line above.)
 //
 // The kernel is built for scale (full-machine co-simulations run hundreds
 // of ranks and tens of millions of events): events are plain pointer-free
@@ -17,6 +25,7 @@ package des
 
 import (
 	"fmt"
+	"iter"
 	"math"
 )
 
@@ -294,22 +303,19 @@ type SpanObserver interface {
 	Span(tag int, from, to float64)
 }
 
-// Proc is a simulated process: a goroutine that runs only when the engine
+// Proc is a simulated process: a coroutine that runs only when the engine
 // hands it the virtual CPU.
 type Proc struct {
 	eng  *Engine
 	name string
 	idx  int32
-	done bool
 	obs  SpanObserver
 
-	// ch is the single bidirectional handoff channel: the scheduler sends
-	// one token to resume the process and then blocks receiving on the
-	// same channel; the process sends the token back when it yields.
-	// Strict alternation (exactly one process runs at a time) makes the
-	// single unbuffered channel safe, and halves the channels of the old
-	// resume+sched pair.
-	ch chan struct{}
+	// The two ends of the process's iter.Pull coroutine: the scheduler
+	// calls resume (Pull's next) to run the body until it calls suspend
+	// (Pull's yield), returns or panics. No value travels, only control.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
 }
 
 // Observe attaches a span observer to the process (nil detaches). With no
@@ -326,36 +332,33 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() float64 { return p.eng.now }
 
 // Spawn creates a process executing fn, scheduled to start at the current
-// virtual time. fn runs in its own goroutine but never concurrently with
-// other processes or the scheduler.
+// virtual time. fn runs on its own stack but never concurrently with other
+// processes or the scheduler. A process that is still suspended when the
+// engine is dropped keeps that stack (a parked goroutine, ~8 KB) for the
+// life of the program: the pull's stop is never called on a live process,
+// because stopping makes suspend return and the body would run on.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, idx: int32(len(e.procs)), ch: make(chan struct{})}
+	p := &Proc{eng: e, name: name, idx: int32(len(e.procs))}
 	e.procs = append(e.procs, p)
 	e.nproc++
-	e.After(0, func() {
-		go func() {
-			<-p.ch // wait for the scheduler to hand over
-			fn(p)
-			p.done = true
-			e.nproc--
-			e.active = nil
-			p.ch <- struct{}{} // return control
-		}()
-		e.handoff(p)
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.suspend = yield
+		fn(p)
+		e.nproc--
+		e.active = nil
 	})
+	e.schedule(e.now, evResume, 0, uint64(p.idx))
 	return p
 }
 
-// handoff transfers the virtual CPU to p and waits for it to yield. Must
-// be called from scheduler context.
+// handoff gives the virtual CPU to p until it suspends, finishes or panics
+// (see exitRun). Must be called from scheduler context.
 //
 //grape:noalloc
 func (e *Engine) handoff(p *Proc) {
 	e.active = p
-	//grapelint:ignore hotblock coroutine transfer IS the scheduler: exactly one send+receive pair per process activation, with the peer always parked on the other end
-	p.ch <- struct{}{}
-	//grapelint:ignore hotblock coroutine transfer IS the scheduler: exactly one send+receive pair per process activation, with the peer always parked on the other end
-	<-p.ch
+	//grapelint:ignore noallocdeep iter.Pull's next: a runtime coroutine switch, pinned at 0 allocs/op by BenchmarkSleepProcCycle
+	p.resume()
 }
 
 // yield returns control from the active process to the scheduler and
@@ -364,10 +367,8 @@ func (e *Engine) handoff(p *Proc) {
 //grape:noalloc
 func (p *Proc) yield() {
 	p.eng.active = nil
-	//grapelint:ignore hotblock coroutine transfer IS the scheduler: exactly one send+receive pair per process suspension, with the scheduler always parked on the other end
-	p.ch <- struct{}{}
-	//grapelint:ignore hotblock coroutine transfer IS the scheduler: exactly one send+receive pair per process suspension, with the scheduler always parked on the other end
-	<-p.ch
+	//grapelint:ignore noallocdeep iter.Pull's yield: a runtime coroutine switch, pinned at 0 allocs/op by BenchmarkSleepProcCycle
+	p.suspend(struct{}{})
 }
 
 // Sleep suspends the process for a finite virtual duration d ≥ 0. The
@@ -436,51 +437,50 @@ func (w *Waiter) Wake(t float64) {
 	e.schedule(t, evResume, 0, uint64(w.p.idx))
 }
 
-// enterRun guards Run/RunAll against re-entrant calls: invoking the
-// scheduler from process context (or from an event callback) would block
-// on the handoff channel of the very process that is waiting for the
-// scheduler — a guaranteed deadlock with the old engine, now a
-// descriptive panic.
-func (e *Engine) enterRun(what string) {
+// run is Run/RunAll: it guards against re-entrant calls — invoking the
+// scheduler from process context or from an event callback would resume a
+// coroutine from inside itself — and fires events in order up to until.
+func (e *Engine) run(what string, until float64) float64 {
 	if e.active != nil {
-		panic(fmt.Sprintf("des: Engine.%s called from process %q: the scheduler is already running (re-entrant run would deadlock)", what, e.active.name))
+		panic(fmt.Sprintf("des: Engine.%s called from process %q: the scheduler is already running", what, e.active.name))
 	}
 	if e.running {
 		panic(fmt.Sprintf("des: Engine.%s called re-entrantly from an event callback", what))
 	}
 	e.running = true
+	defer e.exitRun()
+	for {
+		ev, ok := e.next(until)
+		if !ok {
+			return e.now
+		}
+		e.now = ev.at
+		e.dispatch(ev)
+	}
+}
+
+// exitRun leaves the engine reusable however run ended. A panic (or a
+// Goexit, such as t.Fatal) in a process body comes out of its resume with
+// the process still active: that process is over, no longer live, and a
+// panic goes on to the caller of Run/RunAll with the process name and the
+// virtual time prepended. One from an event callback passes through as is.
+func (e *Engine) exitRun() {
+	e.running = false
+	if p := e.active; p != nil {
+		e.active = nil
+		e.nproc--
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("des: process %q panicked at t=%v: %v", p.name, e.now, r))
+		}
+	}
 }
 
 // Run processes events until the queue is empty or the virtual clock
 // exceeds until. It returns the final virtual time.
-func (e *Engine) Run(until float64) float64 {
-	e.enterRun("Run")
-	defer func() { e.running = false }()
-	for {
-		ev, ok := e.next(until)
-		if !ok {
-			break
-		}
-		e.now = ev.at
-		e.dispatch(ev)
-	}
-	return e.now
-}
+func (e *Engine) Run(until float64) float64 { return e.run("Run", until) }
 
 // RunAll processes events until the queue is empty.
-func (e *Engine) RunAll() float64 {
-	e.enterRun("RunAll")
-	defer func() { e.running = false }()
-	for {
-		ev, ok := e.next(math.Inf(1))
-		if !ok {
-			break
-		}
-		e.now = ev.at
-		e.dispatch(ev)
-	}
-	return e.now
-}
+func (e *Engine) RunAll() float64 { return e.run("RunAll", math.Inf(1)) }
 
 // Pending returns the number of scheduled events.
 func (e *Engine) Pending() int { return len(e.heap) + len(e.ready) - e.rhead }

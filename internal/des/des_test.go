@@ -1,6 +1,9 @@
 package des
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -195,6 +198,10 @@ func TestWakeUnparkedIsNoop(t *testing.T) {
 	}
 }
 
+// A process parked for good is counted, not cleaned up: its coroutine stays
+// suspended behind the dropped engine. There is deliberately no stop() for
+// it — stopping an iter.Pull makes the pending suspend return, which would
+// resume the body as if it had been woken.
 func TestDeadlockDetectable(t *testing.T) {
 	e := New()
 	e.Spawn("stuck", func(p *Proc) {
@@ -265,6 +272,120 @@ func TestSpawnFromProcess(t *testing.T) {
 	e.RunAll()
 	if child != 1.5 {
 		t.Errorf("child finished at %v, want 1.5", child)
+	}
+}
+
+// A process spawned from an event callback (scheduler context, mid-run)
+// starts at the callback's virtual time, after the events already due then.
+func TestSpawnFromCallback(t *testing.T) {
+	e := New()
+	var trace []string
+	e.At(2, func() {
+		e.Spawn("late", func(p *Proc) {
+			trace = append(trace, fmt.Sprint("start@", p.Now()))
+			p.Sleep(1)
+			trace = append(trace, fmt.Sprint("end@", p.Now()))
+		})
+	})
+	e.At(2, func() { trace = append(trace, "sibling@2") })
+	e.RunAll()
+	if got, want := strings.Join(trace, " "), "sibling@2 start@2 end@3"; got != want {
+		t.Errorf("trace %q, want %q", got, want)
+	}
+	if e.Live() != 0 {
+		t.Errorf("live = %d", e.Live())
+	}
+}
+
+// A panic in a process body reaches the caller of RunAll — it does not die
+// on a goroutine nobody can recover from — carrying the process name and
+// the virtual time, and leaves the engine consistent: the process is no
+// longer live and the engine can run on.
+func TestProcessPanicSurfaces(t *testing.T) {
+	e := New()
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(5) })
+	e.Spawn("faulty", func(p *Proc) {
+		p.Sleep(1.5)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			for _, want := range []string{`"faulty"`, "t=1.5", "boom"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("panic %q does not mention %s", msg, want)
+				}
+			}
+		}()
+		e.RunAll()
+		t.Error("RunAll returned normally")
+	}()
+	if e.Live() != 1 {
+		t.Errorf("live = %d after the panic, want 1 (the bystander)", e.Live())
+	}
+	if end := e.RunAll(); end != 5 || e.Live() != 0 {
+		t.Errorf("engine did not run on: end %v, live %d", end, e.Live())
+	}
+}
+
+// The same script — 64 processes sleeping, parking and waking one another —
+// fires the same events in the same order whatever GOMAXPROCS is: a process
+// switch is a coroutine switch the scheduler makes, not a wake-up the Go
+// scheduler orders.
+func TestDeterminismAcrossProcs(t *testing.T) {
+	type rec struct {
+		at   float64
+		seq  uint64
+		proc int
+	}
+	script := func() []rec {
+		const n = 64
+		e := New()
+		var trace []rec
+		waiters := make([]*Waiter, n)
+		for i := 0; i < n; i++ {
+			e.Spawn(fmt.Sprint("p", i), func(p *Proc) {
+				mark := func() { trace = append(trace, rec{e.now, e.seq, i}) }
+				waiters[i] = p.NewWaiter()
+				mark()
+				for k := 1; k <= 8; k++ {
+					p.Sleep(float64((i*7+k*3)%5) * 0.25) // ties and zero sleeps included
+					mark()
+					waiters[(i+k)%n].Wake(p.Now() + float64(k%3)*0.125) // no-op unless parked
+					if (i+k)%4 == 0 {
+						e.After(0.5, func() { waiters[i].Wake(0) })
+						waiters[i].Park()
+						mark()
+					}
+				}
+			})
+		}
+		e.RunAll()
+		if e.Live() != 0 {
+			t.Fatalf("%d processes deadlocked", e.Live())
+		}
+		return trace
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []rec
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := script()
+		if want == nil {
+			want = got
+			continue
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d trace records, want %d", procs, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("GOMAXPROCS=%d: record %d is %+v, want %+v", procs, k, got[k], want[k])
+			}
+		}
+	}
+	if len(want) < 64*9 {
+		t.Fatalf("script too short: %d records", len(want))
 	}
 }
 

@@ -261,7 +261,9 @@ func BenchmarkEngineEventsPerSec(b *testing.B) {
 }
 
 // BenchmarkSleepProcCycle measures the full process path: Sleep → value
-// event → single-channel handoff and back.
+// event → coroutine switch to the scheduler and back. The switch is a call
+// through a func value the linter cannot follow, so the 0 allocs/op the CI
+// gate reads here is what holds the noalloc contract of handoff and yield.
 func BenchmarkSleepProcCycle(b *testing.B) {
 	eng := New()
 	n := b.N

@@ -150,9 +150,13 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 		st.selectBlock(st.row, t, clusters, k)
 		block := st.mine
 
-		// Partial forces from subset j for the cluster's share.
-		partial := make([]pforce, len(block))
+		// Partial forces from subset j for the cluster's share. An empty
+		// share (most hosts, most rounds) stays a nil slice, here and for
+		// ups below: nil boxes into a message payload without allocating,
+		// a zero-length make does not.
+		var partial []pforce
 		if len(block) > 0 {
+			partial = make([]pforce, len(block))
 			st.predict(st.row, block, t)
 			fs := st.forces(st.backend, t, cfg.Params.Eps)
 			for q := range block {
@@ -198,26 +202,30 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 		for jj := range st.parts {
 			st.parts[jj] = nil // unpin the received partials until next round
 		}
-		ups := make([]update, 0, len(block))
-		for q, ix := range block {
-			ups = append(ups, correctParticle(st.row, ix, st.total[q], t, cfg.Params))
-		}
+		var ups []update
 		if len(block) > 0 {
+			ups = make([]update, 0, len(block))
+			for q, ix := range block {
+				ups = append(ups, correctParticle(st.row, ix, st.total[q], t, cfg.Params))
+			}
 			p.SleepAs(int(vtrace.HostWork), m.HostWork(len(block), st.row.N*r))
 			st.backend.Update(st.col, block) // col == row on the diagonal
 		}
 
 		// Broadcast to row i and column i of EVERY cluster (including the
-		// other clusters' diagonals), tagging by source cluster.
+		// other clusters' diagonals), tagging by source cluster. The slice
+		// is boxed once here, not once per destination inside Send's
+		// argument list: every receiver reads the same payload anyway.
+		var payload interface{} = ups
 		for kk := 0; kk < clusters; kk++ {
 			for x := 0; x < r; x++ {
 				rowPeer := kk*perCl + i*r + x
 				colPeer := kk*perCl + x*r + i
 				if rowPeer != rank {
-					net.Send(rank, rowPeer, tag+tagRowUpd+k, len(ups)*updateBytes, ups)
+					net.Send(rank, rowPeer, tag+tagRowUpd+k, len(ups)*updateBytes, payload)
 				}
 				if colPeer != rank && colPeer != rowPeer {
-					net.Send(rank, colPeer, tag+tagColUpd+k, len(ups)*updateBytes, ups)
+					net.Send(rank, colPeer, tag+tagColUpd+k, len(ups)*updateBytes, payload)
 				}
 			}
 		}

@@ -95,7 +95,9 @@ func TestArbitraryIDs(t *testing.T) {
 // with its own error — not panic inside its process, and not be reported
 // as the deadlock its silence causes. Rank 1 of a 2×2 grid, host (0,1), is
 // the rogue: it agrees on the block time and then ships one partial too
-// few to its diagonal, rank 0.
+// few to its diagonal, rank 0. The peers the failure strands stay parked:
+// run reads them off Engine.Live and leaves their coroutines suspended for
+// good (des never stops a live process — that would resume its body).
 func TestHybridHostSurfacesShortPartial(t *testing.T) {
 	_, err := run(plummer(16, 9), 1.0, testConfig(4), exchange{
 		check: func(int) error { return nil },
