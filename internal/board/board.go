@@ -438,7 +438,7 @@ func (w *forceWorker) doFused(pc *predictCall, fc *forceCall) {
 		}
 		pc.barrier.Done()
 	} else {
-		//grapelint:ignore hotblock fused-stage barrier: parks only until the last predicting worker marks the caches; measured faster than spinning on oversubscribed hosts (BENCH_pr8.json)
+		//grapelint:ignore hotblock fused-stage barrier: parks only until the last predicting worker marks the caches; faster than spinning whenever the pool is oversubscribed
 		pc.barrier.Wait()
 	}
 	w.doForce(fc)
@@ -642,10 +642,10 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 
 	// Predict stage: if the prefetch did not already run (or ran for a
 	// different time), the spans ride the force broadcast as a fused job —
-	// the workers predict, meet at an internal spin barrier, and roll
-	// straight into the force spans, so the synchronous path pays one
-	// channel handoff per worker per evaluation instead of two plus a
-	// WaitGroup join (ROADMAP item 3, measured in BENCH_pr8.json).
+	// the workers predict, meet at an internal barrier (parked, not
+	// spinning: see doFused), and roll straight into the force spans, so
+	// the synchronous path pays one channel handoff per worker per
+	// evaluation instead of two plus a WaitGroup join.
 	pc := &a.pc
 	pc.units = pc.units[:0]
 	// Tile-aligned spans: each claim is a whole number of j-tiles, so the
@@ -682,12 +682,12 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 		pc.left.Store(int32(len(workers)))
 		pc.barrier.Add(1)
 		for _, w := range workers {
-			//grapelint:ignore hotblock one parking handoff per worker per evaluation: the fused job replaces the former predict broadcast + join + force broadcast (BENCH_pr8.json)
+			//grapelint:ignore hotblock one parking handoff per worker per evaluation: the fused job carries the predict broadcast, its join and the force broadcast
 			w.jobs <- poolJob{kind: jobFused, predict: pc, force: fc}
 		}
 	} else {
 		for _, w := range workers {
-			//grapelint:ignore hotblock one parking handoff per worker per evaluation: prediction was prefetched, only the force stage dispatches (BENCH_pr8.json)
+			//grapelint:ignore hotblock one parking handoff per worker per evaluation: prediction was prefetched, only the force stage dispatches
 			w.jobs <- poolJob{kind: jobForce, force: fc}
 		}
 	}

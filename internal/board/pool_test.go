@@ -142,3 +142,37 @@ func BenchmarkArrayForces64k(b *testing.B) {
 		a.ForcesInto(dst, 0, is[:48], 1.0/64)
 	}
 }
+
+// TestForcesIntoFewParticlesAcrossProcs holds the smallest blocks — one
+// i-particle (both lanes of the chip kernel, over the halves of each
+// j-tile), a pair, a pair and a lone one — to the same partials however the
+// evaluation is striped: on the caller's goroutine, across a pool of two,
+// and across a pool of four, which on a two-processor host leaves workers
+// that find no span left to claim.
+func TestForcesIntoFewParticlesAcrossProcs(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	const nj = 4801 // uneven chip loads, odd tiles; 1 × nj is above serialWorkMax
+	var want [][]*chip.Partial
+	for _, tc := range []struct {
+		procs int
+		path  string
+	}{{1, "serial"}, {2, "pool"}, {4, "pool with idle workers"}} {
+		runtime.GOMAXPROCS(tc.procs)
+		a := New(smallConfig())
+		_, is := loadPlummer(t, a, nj, 11)
+		for ni := 1; ni <= 3; ni++ {
+			got, _ := forces(a, 0x1p-6, is[100:100+ni], 1.0/64)
+			if tc.procs == 1 {
+				want = append(want, got)
+				continue
+			}
+			for q := range got {
+				if *got[q] != *want[ni-1][q] {
+					t.Errorf("%s (GOMAXPROCS %d), %d i-particles: partial %d differs from the serial path", tc.path, tc.procs, ni, q)
+				}
+			}
+		}
+		a.Close()
+	}
+}

@@ -385,6 +385,12 @@ func PredictParticle(f gfixed.Format, j *JParticle, t float64) (x [3]gfixed.Fixe
 // floats is zero or at least an ulp of the smaller), at least
 // 2^-(4·128+128+166) — normal and finite throughout.
 //
+// The three components are written abreast — six independent Horner chains
+// per particle, a stage of all six before the next — and the quotients
+// dt/2, dt/3, dt/4 they share are taken once. Every operation, operand and
+// order within a component is predictExact's: dt/4*s there is (dt/4)·s
+// here, and s*dt/3 is (s·dt)/3, which keeps its own division.
+//
 //grape:noalloc
 func predictParticle(f gfixed.Format, r gfixed.Rounder, j *JParticle, t float64) (x [3]gfixed.Fixed64, v [3]float64) {
 	dt := t - j.T0
@@ -406,19 +412,39 @@ func predictParticle(f gfixed.Format, r gfixed.Rounder, j *JParticle, t float64)
 		}
 		return j.X, v
 	}
-	for c := 0; c < 3; c++ {
-		// Horner evaluation of the displacement polynomial
-		// dt·(v + dt/2·(a + dt/3·(j + dt/4·s))), rounded per stage.
-		poly := r.RoundTame(j.J[c] + r.RoundTame(dt/4*j.S[c]))
-		poly = r.RoundTame(j.A[c] + r.RoundTame(dt/3*poly))
-		poly = r.RoundTame(j.V[c] + r.RoundTame(dt/2*poly))
-		x[c] = j.X[c] + displace(f, r.RoundTame(dt*poly))
+	dt2, dt3, dt4 := dt/2, dt/3, dt/4
+	v0, v1, v2 := j.V[0], j.V[1], j.V[2]
+	a0, a1, a2 := j.A[0], j.A[1], j.A[2]
+	j0, j1, j2 := j.J[0], j.J[1], j.J[2]
+	s0, s1, s2 := j.S[0], j.S[1], j.S[2]
 
-		// Velocity predictor, eq. (7) truncated at snap.
-		vp := r.RoundTame(j.S[c]*dt/3 + j.J[c])
-		vp = r.RoundTame(j.A[c] + r.RoundTame(dt/2*vp))
-		v[c] = r.RoundTame(j.V[c] + r.RoundTame(dt*vp))
-	}
+	// Horner evaluation of the displacement polynomial
+	// dt·(v + dt/2·(a + dt/3·(j + dt/4·s))), rounded per stage, beside the
+	// velocity predictor, eq. (7) truncated at snap.
+	p0 := r.RoundTame(j0 + r.RoundTame(dt4*s0))
+	p1 := r.RoundTame(j1 + r.RoundTame(dt4*s1))
+	p2 := r.RoundTame(j2 + r.RoundTame(dt4*s2))
+	q0 := r.RoundTame(s0*dt/3 + j0)
+	q1 := r.RoundTame(s1*dt/3 + j1)
+	q2 := r.RoundTame(s2*dt/3 + j2)
+
+	p0 = r.RoundTame(a0 + r.RoundTame(dt3*p0))
+	p1 = r.RoundTame(a1 + r.RoundTame(dt3*p1))
+	p2 = r.RoundTame(a2 + r.RoundTame(dt3*p2))
+	q0 = r.RoundTame(a0 + r.RoundTame(dt2*q0))
+	q1 = r.RoundTame(a1 + r.RoundTame(dt2*q1))
+	q2 = r.RoundTame(a2 + r.RoundTame(dt2*q2))
+
+	p0 = r.RoundTame(v0 + r.RoundTame(dt2*p0))
+	p1 = r.RoundTame(v1 + r.RoundTame(dt2*p1))
+	p2 = r.RoundTame(v2 + r.RoundTame(dt2*p2))
+	v[0] = r.RoundTame(v0 + r.RoundTame(dt*q0))
+	v[1] = r.RoundTame(v1 + r.RoundTame(dt*q1))
+	v[2] = r.RoundTame(v2 + r.RoundTame(dt*q2))
+
+	x[0] = j.X[0] + displace(f, r.RoundTame(dt*p0))
+	x[1] = j.X[1] + displace(f, r.RoundTame(dt*p1))
+	x[2] = j.X[2] + displace(f, r.RoundTame(dt*p2))
 	return x, v
 }
 
@@ -564,6 +590,14 @@ func (ch *Chip) ForceBatchInto(dst []Partial, t float64, is []IParticle, eps flo
 // partition invariance that makes striping exact makes the tiled
 // partial sums bit-identical to the whole-memory stream.
 //
+// forceTile takes two pairs per step, so the batch goes through a tile two
+// i-particles at a time. The one an odd batch leaves over — every
+// one-particle block's — is both lanes itself, over the two halves of the
+// tile: the second half accumulates into a partial of its own on the same
+// three exponents, an odd last slot goes through forcePair, and the two
+// merge when the range is done. That is one more partition of the j-range,
+// exact for the same reason as the others.
+//
 // Prediction of a missing time runs lazily over the WHOLE memory, which
 // is only safe single-threaded: concurrent range calls on one chip
 // require the prediction cache to already hold time t (PredictedAt), as
@@ -597,15 +631,32 @@ func (ch *Chip) ForceBatchRangeInto(dst []Partial, t float64, is []IParticle, ep
 	for i := range is {
 		dst[i].Init(f, is[i].ExpAcc, is[i].ExpJerk, is[i].ExpPot)
 	}
+	lone := len(is) &^ 1 // index of the i-particle without a partner
+	odd := lone < len(is)
+	var half Partial // its second-half partial
+	if odd {
+		half = dst[lone]
+	}
 	tile := ch.cfg.TileLen()
 	for tlo := lo; tlo < hi; tlo += tile {
 		thi := tlo + tile
 		if thi > hi {
 			thi = hi
 		}
-		for i := range is {
-			ch.forceTile(&is[i], &dst[i], e2, r, invPos, tlo, thi)
+		n := thi - tlo
+		for i := 0; i < lone; i += 2 {
+			ch.forceTile(&is[i], &dst[i], tlo, &is[i+1], &dst[i+1], tlo, n, e2, r, invPos)
 		}
+		if odd {
+			h := n / 2
+			ch.forceTile(&is[lone], &dst[lone], tlo, &is[lone], &half, tlo+h, h, e2, r, invPos)
+			if n&1 != 0 {
+				ch.forcePair(&is[lone], &dst[lone], e2, r, invPos, thi-1)
+			}
+		}
+	}
+	if odd {
+		dst[lone].Merge(&half)
 	}
 
 	return ch.cfg.BatchCycles(len(is), hi-lo)
@@ -619,25 +670,36 @@ func slabPanic(got, want int) {
 	panic(fmt.Sprintf("chip: partial slab of %d for %d i-particles", got, want))
 }
 
-// forceTile streams the j-tile [lo, hi) against one i-particle. r and
-// invPos are the caller-hoisted mantissa rounder and fixed-point scale
-// (invariant across the whole batch). Only the SoA hot-set planes are
-// read — HotJBytes per slot, never the full JParticle record — so the
-// tile's working set is what Config.TileLen sized against the cache.
+// forceTile is the pair loop, two lanes wide: lane A streams the n slots
+// from loA against ipA into pA, lane B the n slots from loB against ipB
+// into pB, slot k of both in the same iteration, so the processor always
+// has two independent chains of roundings to overlap — the emulation's
+// share of the chip's 48 i-particles per streamed j-particle. The lanes are
+// two i-particles on one tile (loA == loB) or one i-particle on the two
+// halves of a tile (ipA == ipB, see ForceBatchRangeInto); pA and pB must be
+// distinct. r and invPos are the caller-hoisted mantissa rounder and
+// fixed-point scale (invariant across the whole batch). Only the SoA
+// hot-set planes are read — HotJBytes per slot, never the full JParticle
+// record — so the tile's working set is what Config.TileLen sized against
+// the cache.
 //
 // The pair loop makes no function call. It proceeds in runs: a run holds
-// the seven sums and the nearest neighbour in locals and evaluates every
-// pipeline stage with gfixed's inlined RoundTame / AddTame. Those are exact
-// only on tame values (gfixed.TameExp) and on plain in-range adds, so:
+// both lanes' seven sums and nearest neighbour in locals and evaluates every
+// pipeline stage of the two pairs side by side with gfixed's inlined
+// RoundTame / AddTame. Those are exact only on tame values (gfixed.TameExp)
+// and on plain in-range adds, so:
 //
 //   - a tile runs this way only if the softening e2 (a rounded square, so
-//     never negative) is tame and each group of three shares one scale;
-//   - one guard per pair checks that the pair's free inputs — the mass and
-//     the three raw velocity differences — are tame, a second that all
-//     seven AddTame steps hit (a sum near or past saturation, as Merge can
-//     leave one, misses every time); either ends the run before that pair
-//     has changed anything. Coordinate differences need no check: an int64
-//     difference scaled by 2^-PosFrac is zero or in [2^-62, 2^63].
+//     never negative) is tame and, in both partials, each group of three
+//     shares one scale; any other tile goes slot by slot through forcePair;
+//   - a run ends for both lanes, before either has changed anything, at a
+//     slot where either lane's r2 is not positive (a self-pair with zero
+//     softening), where one guard finds a free input of either pair — the
+//     mass, the three raw velocity differences — not tame, or where the OR
+//     of the fourteen AddTame miss words is set (a sum near or past
+//     saturation, as Merge can leave one, misses every time). Coordinate
+//     differences need no check: an int64 difference scaled by 2^-PosFrac
+//     is zero or in [2^-62, 2^63].
 //
 // Given those, every rounding's argument is zero or normal and finite.
 // With r2 in [2^-128, 2^130] (tame e2 plus at most three squares in
@@ -647,96 +709,144 @@ func slabPanic(got, want int) {
 // of such terms is zero or at least an ulp of the smaller term, still
 // hundreds of binades above the subnormals. No Inf arises, hence no NaN.
 //
-// The pair that ended a run goes through forcePair — which is also where Overflow gets set: a run never
-// sees a contribution that leaves the block format — and the next run
-// starts after it.
+// The slot that ended a run goes through forcePair for both lanes — which
+// is also where Overflow gets set: a run never sees a contribution that
+// leaves the block format — and the next run starts after it. Nothing
+// inside a pair differs from forcePair: same operations, operands, order.
 //
 //grape:noalloc
-func (ch *Chip) forceTile(ip *IParticle, p *Partial, e2 float64, r gfixed.Rounder, invPos float64, lo, hi int) {
-	px0 := ch.px[0][lo:hi]
-	n := len(px0)
+func (ch *Chip) forceTile(ipA *IParticle, pA *Partial, loA int, ipB *IParticle, pB *Partial, loB int, n int, e2 float64, r gfixed.Rounder, invPos float64) {
 	// Reslice every plane to the same length so the compiler can prove
 	// the indexed loads below in bounds once, outside the loop.
-	px1, px2 := ch.px[1][lo:][:n], ch.px[2][lo:][:n]
-	pv0, pv1, pv2 := ch.pv[0][lo:][:n], ch.pv[1][lo:][:n], ch.pv[2][lo:][:n]
-	mass, id := ch.mass[lo:][:n], ch.id[lo:][:n]
-	ix, iy, iz := ip.X[0], ip.X[1], ip.X[2]
-	ivx, ivy, ivz := ip.V[0], ip.V[1], ip.V[2]
-	scaleA, scaleJ, scaleP := p.Acc[0].Scale(), p.Jerk[0].Scale(), p.Pot.Scale()
-	// Partial.Init gives each group of three one exponent; a partial built
-	// any other way is not worth four more live scales.
-	tame := gfixed.Untame(e2) == 0 &&
-		p.Acc[1].Scale() == scaleA && p.Acc[2].Scale() == scaleA &&
-		p.Jerk[1].Scale() == scaleJ && p.Jerk[2].Scale() == scaleJ
+	xA0, xA1, xA2 := ch.px[0][loA:][:n], ch.px[1][loA:][:n], ch.px[2][loA:][:n]
+	vA0, vA1, vA2 := ch.pv[0][loA:][:n], ch.pv[1][loA:][:n], ch.pv[2][loA:][:n]
+	massA, idA := ch.mass[loA:][:n], ch.id[loA:][:n]
+	xB0, xB1, xB2 := ch.px[0][loB:][:n], ch.px[1][loB:][:n], ch.px[2][loB:][:n]
+	vB0, vB1, vB2 := ch.pv[0][loB:][:n], ch.pv[1][loB:][:n], ch.pv[2][loB:][:n]
+	massB, idB := ch.mass[loB:][:n], ch.id[loB:][:n]
+	ixA, iyA, izA := ipA.X[0], ipA.X[1], ipA.X[2]
+	ixB, iyB, izB := ipB.X[0], ipB.X[1], ipB.X[2]
+	ivxA, ivyA, ivzA := ipA.V[0], ipA.V[1], ipA.V[2]
+	ivxB, ivyB, ivzB := ipB.V[0], ipB.V[1], ipB.V[2]
+	scaleAA, scaleJA, scalePA, okA := pA.groupScales()
+	scaleAB, scaleJB, scalePB, okB := pB.groupScales()
+	tame := gfixed.Untame(e2) == 0 && okA && okB
 
 	for k := 0; k < n; k++ {
 		if !tame {
-			ch.forcePair(ip, p, e2, r, invPos, lo+k)
+			ch.forcePair(ipA, pA, e2, r, invPos, loA+k)
+			ch.forcePair(ipB, pB, e2, r, invPos, loB+k)
 			continue
 		}
-		a0, a1, a2 := p.Acc[0].Sum, p.Acc[1].Sum, p.Acc[2].Sum
-		j0, j1, j2 := p.Jerk[0].Sum, p.Jerk[1].Sum, p.Jerk[2].Sum
-		pot := p.Pot.Sum
-		nn, nnd2 := p.NN, p.NND2
+		a0A, a1A, a2A := pA.Acc[0].Sum, pA.Acc[1].Sum, pA.Acc[2].Sum
+		a0B, a1B, a2B := pB.Acc[0].Sum, pB.Acc[1].Sum, pB.Acc[2].Sum
+		j0A, j1A, j2A := pA.Jerk[0].Sum, pA.Jerk[1].Sum, pA.Jerk[2].Sum
+		j0B, j1B, j2B := pB.Jerk[0].Sum, pB.Jerk[1].Sum, pB.Jerk[2].Sum
+		potA, potB := pA.Pot.Sum, pB.Pot.Sum
+		nnA, nnd2A := pA.NN, pA.NND2
+		nnB, nnd2B := pB.NN, pB.NND2
 		for ; k < n; k++ {
 			// Stage 1: coordinate difference, exact in fixed point, then
 			// converted to the pipeline float format.
-			dx := r.RoundTame(float64(px0[k]-ix) * invPos)
-			dy := r.RoundTame(float64(px1[k]-iy) * invPos)
-			dz := r.RoundTame(float64(px2[k]-iz) * invPos)
+			dxA := r.RoundTame(float64(xA0[k]-ixA) * invPos)
+			dxB := r.RoundTame(float64(xB0[k]-ixB) * invPos)
+			dyA := r.RoundTame(float64(xA1[k]-iyA) * invPos)
+			dyB := r.RoundTame(float64(xB1[k]-iyB) * invPos)
+			dzA := r.RoundTame(float64(xA2[k]-izA) * invPos)
+			dzB := r.RoundTame(float64(xB2[k]-izB) * invPos)
 
 			// Stage 2: squared distance with softening.
-			r2 := r.RoundTame(dx*dx + dy*dy + dz*dz + e2)
-			if r2 <= 0 {
-				// Self-pair with zero softening: masked, contributes nothing.
-				continue
-			}
-
-			m := mass[k]
-			dvx, dvy, dvz := pv0[k]-ivx, pv1[k]-ivy, pv2[k]-ivz
-			if gfixed.Untame(m)|gfixed.Untame(dvx)|gfixed.Untame(dvy)|gfixed.Untame(dvz) != 0 {
+			r2A := r.RoundTame(dxA*dxA + dyA*dyA + dzA*dzA + e2)
+			r2B := r.RoundTame(dxB*dxB + dyB*dyB + dzB*dzB + e2)
+			if r2A <= 0 || r2B <= 0 {
+				// Self-pair with zero softening: forcePair masks it. (Its
+				// infinite rinv would miss in AddTame and end the run as
+				// well; the stages below are argued for r2 > 0.)
 				break
 			}
-			dvx, dvy, dvz = r.RoundTame(dvx), r.RoundTame(dvy), r.RoundTame(dvz)
+
+			mA, mB := massA[k], massB[k]
+			dvxA, dvyA, dvzA := vA0[k]-ivxA, vA1[k]-ivyA, vA2[k]-ivzA
+			dvxB, dvyB, dvzB := vB0[k]-ivxB, vB1[k]-ivyB, vB2[k]-ivzB
+			if gfixed.Untame(mA)|gfixed.Untame(dvxA)|gfixed.Untame(dvyA)|gfixed.Untame(dvzA)|
+				gfixed.Untame(mB)|gfixed.Untame(dvxB)|gfixed.Untame(dvyB)|gfixed.Untame(dvzB) != 0 {
+				break
+			}
+			dvxA, dvyA, dvzA = r.RoundTame(dvxA), r.RoundTame(dvyA), r.RoundTame(dvzA)
+			dvxB, dvyB, dvzB = r.RoundTame(dvxB), r.RoundTame(dvyB), r.RoundTame(dvzB)
 
 			// Stage 3: inverse square root and force factor.
-			rinv := r.RoundTame(1 / math.Sqrt(r2))
-			rinv2 := r.RoundTame(rinv * rinv)
-			mrinv := r.RoundTame(m * rinv)
-			mrinv3 := r.RoundTame(mrinv * rinv2)
+			rinvA := r.RoundTame(1 / math.Sqrt(r2A))
+			rinvB := r.RoundTame(1 / math.Sqrt(r2B))
+			rinv2A := r.RoundTame(rinvA * rinvA)
+			rinv2B := r.RoundTame(rinvB * rinvB)
+			mrinvA := r.RoundTame(mA * rinvA)
+			mrinvB := r.RoundTame(mB * rinvB)
+			mrinv3A := r.RoundTame(mrinvA * rinv2A)
+			mrinv3B := r.RoundTame(mrinvB * rinv2B)
 
 			// Stage 4: (v·r)/(r²+ε²).
-			rv := r.RoundTame((dx*dvx + dy*dvy + dz*dvz) * rinv2)
-			rv3 := r.RoundTame(3 * rv)
+			rvA := r.RoundTame((dxA*dvxA + dyA*dvyA + dzA*dvzA) * rinv2A)
+			rvB := r.RoundTame((dxB*dvxB + dyB*dvyB + dzB*dvzB) * rinv2B)
+			rv3A := r.RoundTame(3 * rvA)
+			rv3B := r.RoundTame(3 * rvB)
 
 			// Stage 5: accumulate in block floating point. The sums commit
-			// together, so a pair that ends the run has changed nothing.
-			na0, m0 := gfixed.AddTame(a0, r.RoundTame(mrinv3*dx), scaleA)
-			na1, m1 := gfixed.AddTame(a1, r.RoundTame(mrinv3*dy), scaleA)
-			na2, m2 := gfixed.AddTame(a2, r.RoundTame(mrinv3*dz), scaleA)
-			nj0, m3 := gfixed.AddTame(j0, r.RoundTame(mrinv3*r.RoundTame(dvx-rv3*dx)), scaleJ)
-			nj1, m4 := gfixed.AddTame(j1, r.RoundTame(mrinv3*r.RoundTame(dvy-rv3*dy)), scaleJ)
-			nj2, m5 := gfixed.AddTame(j2, r.RoundTame(mrinv3*r.RoundTame(dvz-rv3*dz)), scaleJ)
-			npot, m6 := gfixed.AddTame(pot, -mrinv, scaleP)
-			if m0|m1|m2|m3|m4|m5|m6 != 0 {
+			// together, so a slot that ends the run has changed nothing.
+			na0A, m0A := gfixed.AddTame(a0A, r.RoundTame(mrinv3A*dxA), scaleAA)
+			na0B, m0B := gfixed.AddTame(a0B, r.RoundTame(mrinv3B*dxB), scaleAB)
+			na1A, m1A := gfixed.AddTame(a1A, r.RoundTame(mrinv3A*dyA), scaleAA)
+			na1B, m1B := gfixed.AddTame(a1B, r.RoundTame(mrinv3B*dyB), scaleAB)
+			na2A, m2A := gfixed.AddTame(a2A, r.RoundTame(mrinv3A*dzA), scaleAA)
+			na2B, m2B := gfixed.AddTame(a2B, r.RoundTame(mrinv3B*dzB), scaleAB)
+			nj0A, m3A := gfixed.AddTame(j0A, r.RoundTame(mrinv3A*r.RoundTame(dvxA-rv3A*dxA)), scaleJA)
+			nj0B, m3B := gfixed.AddTame(j0B, r.RoundTame(mrinv3B*r.RoundTame(dvxB-rv3B*dxB)), scaleJB)
+			nj1A, m4A := gfixed.AddTame(j1A, r.RoundTame(mrinv3A*r.RoundTame(dvyA-rv3A*dyA)), scaleJA)
+			nj1B, m4B := gfixed.AddTame(j1B, r.RoundTame(mrinv3B*r.RoundTame(dvyB-rv3B*dyB)), scaleJB)
+			nj2A, m5A := gfixed.AddTame(j2A, r.RoundTame(mrinv3A*r.RoundTame(dvzA-rv3A*dzA)), scaleJA)
+			nj2B, m5B := gfixed.AddTame(j2B, r.RoundTame(mrinv3B*r.RoundTame(dvzB-rv3B*dzB)), scaleJB)
+			npotA, m6A := gfixed.AddTame(potA, -mrinvA, scalePA)
+			npotB, m6B := gfixed.AddTame(potB, -mrinvB, scalePB)
+			if m0A|m1A|m2A|m3A|m4A|m5A|m6A|m0B|m1B|m2B|m3B|m4B|m5B|m6B != 0 {
 				break
 			}
-			a0, a1, a2, j0, j1, j2, pot = na0, na1, na2, nj0, nj1, nj2, npot
+			a0A, a1A, a2A, j0A, j1A, j2A, potA = na0A, na1A, na2A, nj0A, nj1A, nj2A, npotA
+			a0B, a1B, a2B, j0B, j1B, j2B, potB = na0B, na1B, na2B, nj0B, nj1B, nj2B, npotB
 
 			// Nearest-neighbour unit, excluding the self-pair by id.
-			if id[k] != ip.SelfID && (r2 < nnd2 || (r2 == nnd2 && (nn < 0 || id[k] < nn))) {
-				nnd2 = r2
-				nn = id[k]
+			if idA[k] != ipA.SelfID && (r2A < nnd2A || (r2A == nnd2A && (nnA < 0 || idA[k] < nnA))) {
+				nnd2A = r2A
+				nnA = idA[k]
+			}
+			if idB[k] != ipB.SelfID && (r2B < nnd2B || (r2B == nnd2B && (nnB < 0 || idB[k] < nnB))) {
+				nnd2B = r2B
+				nnB = idB[k]
 			}
 		}
-		p.Acc[0].Sum, p.Acc[1].Sum, p.Acc[2].Sum = a0, a1, a2
-		p.Jerk[0].Sum, p.Jerk[1].Sum, p.Jerk[2].Sum = j0, j1, j2
-		p.Pot.Sum = pot
-		p.NN, p.NND2 = nn, nnd2
+		pA.Acc[0].Sum, pA.Acc[1].Sum, pA.Acc[2].Sum = a0A, a1A, a2A
+		pB.Acc[0].Sum, pB.Acc[1].Sum, pB.Acc[2].Sum = a0B, a1B, a2B
+		pA.Jerk[0].Sum, pA.Jerk[1].Sum, pA.Jerk[2].Sum = j0A, j1A, j2A
+		pB.Jerk[0].Sum, pB.Jerk[1].Sum, pB.Jerk[2].Sum = j0B, j1B, j2B
+		pA.Pot.Sum, pB.Pot.Sum = potA, potB
+		pA.NN, pA.NND2 = nnA, nnd2A
+		pB.NN, pB.NND2 = nnB, nnd2B
 		if k < n {
-			ch.forcePair(ip, p, e2, r, invPos, lo+k)
+			ch.forcePair(ipA, pA, e2, r, invPos, loA+k)
+			ch.forcePair(ipB, pB, e2, r, invPos, loB+k)
 		}
 	}
+}
+
+// groupScales returns the AddTame scale of each group of three and whether
+// every member of a group is on its group's scale. Partial.Init gives each
+// group one exponent; a partial built any other way is not worth four more
+// live scales in the pair loop.
+//
+//grape:noalloc
+func (p *Partial) groupScales() (acc, jerk, pot float64, uniform bool) {
+	acc, jerk, pot = p.Acc[0].Scale(), p.Jerk[0].Scale(), p.Pot.Scale()
+	return acc, jerk, pot, p.Acc[1].Scale() == acc && p.Acc[2].Scale() == acc &&
+		p.Jerk[1].Scale() == jerk && p.Jerk[2].Scale() == jerk
 }
 
 // forcePair evaluates the single pair (ip, slot k) with gfixed's exact

@@ -62,13 +62,15 @@ func samePartial(a, b *Partial) bool {
 const (
 	fzZeroVel    = 1 << iota // every velocity zero: a cold start
 	fzPlanar                 // z ≡ 0 in position and velocity: a disc
-	fzCoincident             // j-particles exactly on the i-particle
+	fzCoincident             // j-particles exactly on lane A's i-particle
 	fzMass                   // special value as one j-particle's mass
 	fzJVel                   // special value in one j-particle's velocity
-	fzIVel                   // special value in the i-particle's velocity
+	fzIVel                   // special value in lane A's velocity
 	fzMixedExp               // one acceleration or jerk component on the potential's exponent
 	fzPreload                // one accumulator entered with sum as its Sum
 	fzWideMant               // 53-bit mantissa: the identity rounder
+	fzBSharesVel             // lane B's i-particle moves with lane A's
+	fzBOnSlot                // lane B's i-particle is j-particle slotB (else a free point)
 )
 
 // FuzzForceTile compares forceTile with forceTileRef over the inputs where
@@ -76,9 +78,26 @@ const (
 // the fast runs), coincident particles with and without softening,
 // subnormal / ±Inf / NaN values in mass, velocity and softening, block
 // exponents that overflow each accumulator group on its own, groups with
-// mixed exponents, and a partial entered near or past saturation. The
-// j-range is also cut into two tiles at a fuzzed point, which must change
-// nothing.
+// mixed exponents, and a partial entered near or past saturation.
+//
+// Lane A is the i-particle those scenarios are built around. Lane B is a
+// second i-particle on its own three exponents, on a j-slot or off every
+// one, with lane A's velocity or its own, so that a slot can end a run for
+// one lane alone; the preloaded or mixed partial is tried in either lane.
+// Every comparison is with forceTileRef walking the same slots in the same
+// order, lane by lane: both lanes on one tile, the lanes swapped, and the
+// lanes on different slots (A from the front while B runs from a fuzzed
+// offset, then each over what it has not seen).
+//
+// The lone-particle path of ForceBatchRangeInto — one i-particle as both
+// lanes over the two halves of every tile, tile length fuzzed — must equal
+// forceTileRef over the same halves merged, Overflow flags included, and
+// the whole-range reference whenever neither run overflowed. Not always:
+// Add refuses a step that takes the sum to ±2^62, so a sum that is outside
+// only transiently raises the flag under one partition and not under
+// another. That is as old as j-striping (board.stripeLen cuts differently
+// under GOMAXPROCS 1 and 2); gbackend's six bits of headroom keep real sums
+// far from it.
 func FuzzForceTile(f *testing.F) {
 	nan1 := uint64(0xffffffffffffffff) // all-ones payload: RoundTame would carry it into -0
 	specials := []uint64{
@@ -89,43 +108,61 @@ func FuzzForceTile(f *testing.F) {
 		gfixed.FloatBits(math.NaN()), nan1, 0x7ff0000000000001,
 	}
 	eps64 := gfixed.FloatBits(1.0 / 64)
+	// Every lane A scenario is seeded with three lane B's: a j-particle on
+	// lane A's exponents, a free point moving with lane A on the exponents
+	// rotated (so the lanes overflow different groups), and lane A's own
+	// slot on the potential's exponent throughout.
+	add := func(seed uint64, flags uint16, epsBits, special uint64, expAcc, expJerk, expPot int, sum int64, cut uint8) {
+		f.Add(seed, flags|fzBOnSlot, epsBits, special, expAcc, expJerk, expPot, sum, cut, uint8(seed+3), expAcc, expJerk, expPot)
+		f.Add(seed, flags|fzBSharesVel, epsBits, special, expAcc, expJerk, expPot, sum, cut, uint8(0), expPot, expAcc, expJerk)
+		f.Add(seed, flags|fzBOnSlot|fzBSharesVel, epsBits, special, expAcc, expJerk, expPot, sum, cut, uint8(0), expPot, expPot, expPot)
+	}
+	// A softening whose rounded square is subnormal (0x8000000100000, a bit
+	// below RoundTame's cut) over a two-slot memory, everything coincident,
+	// one mass zero. Any other coincident pair under a subnormal r2 has an
+	// infinite force factor and misses its way to forcePair; a massless one
+	// adds seven zeros, and only the test of e2 keeps RoundTame off its r2.
+	for _, seed := range []uint64{0, 23} {
+		add(seed, fzCoincident|fzMass, 0x1ff6a09e6695dc6b, 0, 4, 6, 6, 0, 11)
+	}
 	for seed := uint64(0); seed < 8; seed++ {
 		// Ordinary clusters, cold, planar, coincident with ε = 0 and ε > 0.
-		f.Add(seed, uint16(0), eps64, uint64(0), 4, 6, 6, int64(0), uint8(3))
-		f.Add(seed, uint16(fzZeroVel), eps64, uint64(0), 4, 6, 6, int64(0), uint8(0))
-		f.Add(seed, uint16(fzPlanar), eps64, uint64(0), 4, 6, 6, int64(0), uint8(200))
-		f.Add(seed, uint16(fzZeroVel|fzPlanar|fzCoincident), uint64(0), uint64(0), 4, 6, 6, int64(0), uint8(5))
-		f.Add(seed, uint16(fzCoincident), eps64, uint64(0), 4, 6, 6, int64(0), uint8(5))
-		f.Add(seed, uint16(fzWideMant), eps64, uint64(0), 4, 6, 6, int64(0), uint8(9))
+		add(seed, 0, eps64, 0, 4, 6, 6, 0, 3)
+		add(seed, fzZeroVel, eps64, 0, 4, 6, 6, 0, 0)
+		add(seed, fzPlanar, eps64, 0, 4, 6, 6, 0, 200)
+		add(seed, fzZeroVel|fzPlanar|fzCoincident, 0, 0, 4, 6, 6, 0, 5)
+		add(seed, fzCoincident, eps64, 0, 4, 6, 6, 0, 5)
+		add(seed, fzWideMant, eps64, 0, 4, 6, 6, 0, 9)
 		// Exponents small enough to overflow one group at a time, all at
 		// once, and far enough out that the scale itself is 0 or +Inf.
-		f.Add(seed, uint16(0), eps64, uint64(0), -40, 6, 6, int64(0), uint8(7))
-		f.Add(seed, uint16(0), eps64, uint64(0), 4, -40, 6, int64(0), uint8(7))
-		f.Add(seed, uint16(0), eps64, uint64(0), 4, 6, -40, int64(0), uint8(7))
-		f.Add(seed, uint16(fzMixedExp), eps64, uint64(0), -30, 6, -12, int64(0), uint8(7))
-		f.Add(seed, uint16(fzMixedExp), eps64, uint64(0), 4, 6, 8, int64(0), uint8(7)) // mixed, nothing overflows
-		f.Add(seed, uint16(fzZeroVel), eps64, uint64(0), -1500, 1500, -1500, int64(0), uint8(7))
+		add(seed, 0, eps64, 0, -40, 6, 6, 0, 7)
+		add(seed, 0, eps64, 0, 4, -40, 6, 0, 7)
+		add(seed, 0, eps64, 0, 4, 6, -40, 0, 7)
+		add(seed, fzMixedExp, eps64, 0, -30, 6, -12, 0, 7)
+		add(seed, fzMixedExp, eps64, 0, 4, 6, 8, 0, 7) // mixed, nothing overflows
+		add(seed, fzZeroVel, eps64, 0, -1500, 1500, -1500, 0, 7)
 		// A partial as Merge can leave one: at, next to and past ±2^61 / ±2^62.
 		for _, sum := range []int64{1<<61 - 1, 1 << 61, -(1 << 61) - 1, 1<<62 - 1, -(1<<62 - 1), 1 << 62, -(1 << 62), math.MaxInt64, math.MinInt64} {
-			f.Add(seed, uint16(fzPreload), eps64, uint64(0), 4, 6, 6, sum, uint8(seed*37))
+			add(seed, fzPreload, eps64, 0, 4, 6, 6, sum, uint8(seed*37))
 		}
 		for _, sp := range specials {
 			for _, where := range []uint16{fzMass, fzJVel, fzIVel, fzMass | fzJVel | fzCoincident} {
-				f.Add(seed, where, eps64, sp, 4, 6, 6, int64(0), uint8(11))
+				add(seed, where, eps64, sp, 4, 6, 6, 0, 11)
 			}
-			f.Add(seed, uint16(fzCoincident), sp, uint64(0), 4, 6, 6, int64(0), uint8(11)) // as softening
+			add(seed, fzCoincident, sp, 0, 4, 6, 6, 0, 11) // as softening
 		}
 	}
 
-	f.Fuzz(func(t *testing.T, seed uint64, flags uint16, epsBits, special uint64, expAcc, expJerk, expPot int, sum int64, cut uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, flags uint16, epsBits, special uint64, expAcc, expJerk, expPot int, sum int64, cut, slotB uint8, expAccB, expJerkB, expPotB int) {
 		cfg := Default
 		if flags&fzWideMant != 0 {
 			cfg.Format.MantBits = 53
 		}
-		fm := cfg.Format
 		rng := xrand.New(seed)
 		unit := func() float64 { return 2*rng.Float64() - 1 }
 		nj := 2 + int(seed%23)
+		cfg.TileJ = 1 + int(cut)%(nj+1) // for the ForceBatchRangeInto half of the test
+		fm := cfg.Format
 		sp := gfixed.FloatFromBits(special)
 
 		ch := New(cfg)
@@ -149,26 +186,26 @@ func FuzzForceTile(f *testing.F) {
 
 		// The scenarios edit the predicted planes directly, so values the
 		// predictor would have rounded (or refused) still reach the kernel.
-		ip := IParticle{SelfID: 0}
+		ipA := IParticle{SelfID: 0, ExpAcc: expAcc % 2000, ExpJerk: expJerk % 2000, ExpPot: expPot % 2000}
 		for c := 0; c < 3; c++ {
-			ip.X[c], ip.V[c] = ch.px[c][0], ch.pv[c][0]
+			ipA.X[c], ipA.V[c] = ch.px[c][0], ch.pv[c][0]
 		}
 		if flags&fzCoincident != 0 {
 			for c := 0; c < 3; c++ {
-				ch.px[c][1] = ip.X[c]
-				ch.px[c][nj-1] = ip.X[c]
+				ch.px[c][1] = ipA.X[c]
+				ch.px[c][nj-1] = ipA.X[c]
 			}
 		}
 		if flags&fzZeroVel != 0 {
 			for c := 0; c < 3; c++ {
-				ip.V[c] = 0
+				ipA.V[c] = 0
 				for k := range js {
 					ch.pv[c][k] = 0
 				}
 			}
 		}
 		if flags&fzPlanar != 0 {
-			ip.X[2], ip.V[2] = 0, 0
+			ipA.X[2], ipA.V[2] = 0, 0
 			for k := range js {
 				ch.px[2][k], ch.pv[2][k] = 0, 0
 			}
@@ -180,14 +217,35 @@ func FuzzForceTile(f *testing.F) {
 			ch.pv[rng.Intn(3)][rng.Intn(nj)] = sp
 		}
 		if flags&fzIVel != 0 {
-			ip.V[rng.Intn(3)] = sp
+			ipA.V[rng.Intn(3)] = sp
+		}
+		// Lane B after the edits, so it sees the planes as the kernel will.
+		ipB := IParticle{SelfID: nj, ExpAcc: expAccB % 2000, ExpJerk: expJerkB % 2000, ExpPot: expPotB % 2000}
+		for c := 0; c < 3; c++ {
+			x, err := fm.ToFixed(4 * unit())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ipB.X[c], ipB.V[c] = x, fm.Round(unit())
+		}
+		if flags&fzBOnSlot != 0 {
+			k := int(slotB) % nj
+			ipB.SelfID = ch.id[k]
+			for c := 0; c < 3; c++ {
+				ipB.X[c], ipB.V[c] = ch.px[c][k], ch.pv[c][k]
+			}
+		}
+		if flags&fzBSharesVel != 0 {
+			ipB.V = ipA.V
 		}
 
-		var start Partial
-		start.Init(fm, expAcc%2000, expJerk%2000, expPot%2000)
-		all := [7]*gfixed.Accum{&start.Acc[0], &start.Acc[1], &start.Acc[2], &start.Jerk[0], &start.Jerk[1], &start.Jerk[2], &start.Pot}
+		var freshA, freshB Partial
+		freshA.Init(fm, ipA.ExpAcc, ipA.ExpJerk, ipA.ExpPot)
+		freshB.Init(fm, ipB.ExpAcc, ipB.ExpJerk, ipB.ExpPot)
+		startA, startB := freshA, freshB
+		all := [7]*gfixed.Accum{&startA.Acc[0], &startA.Acc[1], &startA.Acc[2], &startA.Jerk[0], &startA.Jerk[1], &startA.Jerk[2], &startA.Pot}
 		if flags&fzMixedExp != 0 {
-			all[rng.Intn(6)].Init(fm, expPot%2000)
+			all[rng.Intn(6)].Init(fm, ipA.ExpPot)
 		}
 		if flags&fzPreload != 0 {
 			all[seed%7].Sum = sum
@@ -196,22 +254,69 @@ func FuzzForceTile(f *testing.F) {
 		eps := gfixed.FloatFromBits(epsBits)
 		e2 := fm.Round(eps * eps)
 		r, invPos := fm.Rounder(), fm.PosResolution()
-
-		want := start
-		forceTileRef(ch, &ip, &want, e2, r, invPos, 0, nj)
-
-		got := start
-		ch.forceTile(&ip, &got, e2, r, invPos, 0, nj)
-		if !samePartial(&got, &want) {
-			t.Fatalf("one tile:\n got %+v\nwant %+v", got, want)
+		ref := func(ip *IParticle, p Partial, ranges ...int) Partial {
+			for q := 0; q < len(ranges); q += 2 {
+				forceTileRef(ch, ip, &p, e2, r, invPos, ranges[q], ranges[q+1])
+			}
+			return p
+		}
+		check := func(what string, got, want Partial) {
+			t.Helper()
+			if !samePartial(&got, &want) {
+				t.Fatalf("%s:\n got %+v\nwant %+v", what, got, want)
+			}
 		}
 
+		// ipA over n slots from loA beside ipB over n slots from loB: as
+		// lanes A and B, or swapped, so that lane B takes the edited partial.
+		var gotA, gotB Partial
+		lanes := func(swapped bool, loA, loB, n int) {
+			if swapped {
+				ch.forceTile(&ipB, &gotB, loB, &ipA, &gotA, loA, n, e2, r, invPos)
+			} else {
+				ch.forceTile(&ipA, &gotA, loA, &ipB, &gotB, loB, n, e2, r, invPos)
+			}
+		}
+		// Both on one tile; then on different slots: ipA takes [0, mid) while
+		// ipB takes [nj-mid, nj), then ipA the rest while ipB starts over from
+		// slot 0. For ipA that is the range cut into two tiles, which must
+		// change nothing; ipB's reference walks its slots in the same order.
 		mid := int(cut) % (nj + 1)
-		got = start
-		ch.forceTile(&ip, &got, e2, r, invPos, 0, mid)
-		ch.forceTile(&ip, &got, e2, r, invPos, mid, nj)
-		if !samePartial(&got, &want) {
-			t.Fatalf("tiles cut at %d:\n got %+v\nwant %+v", mid, got, want)
+		wantA, wantB := ref(&ipA, startA, 0, nj), ref(&ipB, startB, 0, nj)
+		wantBApart := ref(&ipB, startB, nj-mid, nj, 0, nj-mid)
+		for _, swapped := range []bool{false, true} {
+			gotA, gotB = startA, startB
+			lanes(swapped, 0, 0, nj)
+			what := "lanes as given"
+			if swapped {
+				what = "lanes swapped"
+			}
+			check(what+", one tile, ipA", gotA, wantA)
+			check(what+", one tile, ipB", gotB, wantB)
+			gotA, gotB = startA, startB
+			lanes(swapped, 0, nj-mid, mid)
+			lanes(swapped, mid, 0, nj-mid)
+			check(what+", apart, ipA", gotA, wantA)
+			check(what+", apart, ipB", gotB, wantBApart)
+		}
+
+		// A batch of three: a pair of lanes, then lane A's particle alone.
+		is := []IParticle{ipA, ipB, ipA}
+		dst := make([]Partial, len(is))
+		ch.ForceBatchRangeInto(dst, 0, is, eps, 0, nj)
+		wholeA := ref(&ipA, freshA, 0, nj)
+		check("batch, first of the pair", dst[0], wholeA)
+		check("batch, second of the pair", dst[1], ref(&ipB, freshB, 0, nj))
+		front, back := freshA, freshA
+		for lo := 0; lo < nj; lo += cfg.TileJ {
+			n := min(cfg.TileJ, nj-lo)
+			front = ref(&ipA, front, lo, lo+n/2, lo+n/2*2, lo+n)
+			back = ref(&ipA, back, lo+n/2, lo+n/2*2)
+		}
+		front.Merge(&back)
+		check("batch, lone particle against its halves", dst[2], front)
+		if !front.Overflowed() && !wholeA.Overflowed() {
+			check("batch, lone particle against the whole range", dst[2], wholeA)
 		}
 	})
 }
@@ -229,6 +334,12 @@ func FuzzPredictParticle(f *testing.F) {
 		for where := uint8(0); where < 14; where++ {
 			f.Add(uint64(where), gfixed.FloatBits(sp), where, uint8(32))
 		}
+	}
+	// A prediction time so far out that the snap term is all of the result,
+	// under the identity rounder (2 + 51 = 53 bits), which hides no last
+	// place: (s·dt)/3 is not s·(dt/3) there.
+	for seed := uint64(0); seed < 16; seed++ {
+		f.Add(seed, gfixed.FloatBits(0x1.3p60), uint8(13), uint8(51))
 	}
 	f.Fuzz(func(t *testing.T, seed, special uint64, where, mant uint8) {
 		fm := gfixed.Grape6

@@ -21,18 +21,26 @@ func tiledChip(tb testing.TB, js []JParticle, tileJ int) *Chip {
 	return ch
 }
 
+// oddBatches are the batch lengths the invariance tests walk: the hardware
+// i-batch and a short even one, and the odd ones whose last i-particle is
+// left without a partner and streams each tile as both lanes of the kernel,
+// one half each (ForceBatchRangeInto).
+var oddBatches = []int{48, 16, 1, 3, 47, 49}
+
 // TestForceTileInvariance is the cache-blocking bit-exactness property:
-// the SAME batch evaluated under every j-tile size — degenerate (1),
-// prime (7), the hardware i-batch (48), exactly N, larger than N, and a
-// handful of random sizes — must produce bit-identical partials, because
-// tiling only reorders exact integer accumulations (Section 3.4 partition
-// invariance applied within one chip).
+// the SAME batch evaluated under every j-tile size — degenerate (1, where a
+// lone i-particle's half tiles are empty), prime (7), the hardware i-batch
+// (48), exactly N, larger than N, and a handful of random sizes — must
+// produce bit-identical partials, because tiling only reorders exact integer
+// accumulations (Section 3.4 partition invariance applied within one chip).
+// Every batch length is held against one reference of the longest, so an
+// i-particle's partial must not depend on whether it found a partner either.
 func TestForceTileInvariance(t *testing.T) {
-	const n, ni = 1024, 48
-	js, is := benchParticles(t, n, ni)
+	const n, maxNI = 1024, 49
+	js, is := benchParticles(t, n, maxNI)
 	eps := 1.0 / 64
 
-	want := make([]Partial, ni)
+	want := make([]Partial, maxNI)
 	tiledChip(t, js, n).ForceBatchInto(want, 0, is, eps)
 
 	tiles := []int{1, 7, 48, 511, n, 3 * n}
@@ -41,11 +49,14 @@ func TestForceTileInvariance(t *testing.T) {
 		tiles = append(tiles, 1+int(rng.Uint64()%uint64(n+64)))
 	}
 	for _, tile := range tiles {
-		got := make([]Partial, ni)
-		tiledChip(t, js, tile).ForceBatchInto(got, 0, is, eps)
-		for q := range got {
-			if got[q] != want[q] {
-				t.Fatalf("tile %d: partial %d differs from single-tile reference", tile, q)
+		ch := tiledChip(t, js, tile)
+		for _, ni := range oddBatches {
+			got := make([]Partial, ni)
+			ch.ForceBatchInto(got, 0, is[:ni], eps)
+			for q := range got {
+				if got[q] != want[q] {
+					t.Fatalf("tile %d, batch of %d: partial %d differs from single-tile reference", tile, ni, q)
+				}
 			}
 		}
 	}
@@ -57,35 +68,37 @@ func TestForceTileInvariance(t *testing.T) {
 // bit for bit, whatever the cut points — the property that makes both
 // j-striping across cores and cache tiling numerically free.
 func TestForceRandomPartitionInvariance(t *testing.T) {
-	const n, ni = 512, 16
-	js, is := benchParticles(t, n, ni)
+	const n, maxNI = 512, 49
+	js, is := benchParticles(t, n, maxNI)
 	eps := 1.0 / 64
 	ch := tiledChip(t, js, 0) // default tile
 
-	want := make([]Partial, ni)
+	want := make([]Partial, maxNI)
 	ch.ForceBatchInto(want, 0, is, eps)
 
 	rng := xrand.New(4242)
-	stripe := make([]Partial, ni)
-	for trial := 0; trial < 16; trial++ {
-		got := make([]Partial, ni)
-		for q := range got {
-			got[q].Init(ch.Config().Format, is[q].ExpAcc, is[q].ExpJerk, is[q].ExpPot)
-		}
-		for lo := 0; lo < n; {
-			hi := lo + 1 + int(rng.Uint64()%uint64(n/4))
-			if hi > n {
-				hi = n
-			}
-			ch.ForceBatchRangeInto(stripe, 0, is, eps, lo, hi)
+	for _, ni := range oddBatches {
+		stripe := make([]Partial, ni)
+		for trial := 0; trial < 16; trial++ {
+			got := make([]Partial, ni)
 			for q := range got {
-				got[q].Merge(&stripe[q])
+				got[q].Init(ch.Config().Format, is[q].ExpAcc, is[q].ExpJerk, is[q].ExpPot)
 			}
-			lo = hi
-		}
-		for q := range got {
-			if got[q] != want[q] {
-				t.Fatalf("trial %d: merged random-partition partial %d differs from whole pass", trial, q)
+			for lo := 0; lo < n; {
+				hi := lo + 1 + int(rng.Uint64()%uint64(n/4))
+				if hi > n {
+					hi = n
+				}
+				ch.ForceBatchRangeInto(stripe, 0, is[:ni], eps, lo, hi)
+				for q := range got {
+					got[q].Merge(&stripe[q])
+				}
+				lo = hi
+			}
+			for q := range got {
+				if got[q] != want[q] {
+					t.Fatalf("batch of %d, trial %d: merged random-partition partial %d differs from whole pass", ni, trial, q)
+				}
 			}
 		}
 	}

@@ -17,7 +17,8 @@
 #   Findings fail the gauntlet. Then the inlining contract of the force
 #   kernel, which no analyzer sees because it is the compiler's decision:
 #   gfixed's tame primitives must report "can inline", and the compiled
-#   chip.forceTile must contain no CALL into gfixed (DESIGN.md §6).
+#   chip.forceTile (the two-lane pair loop) and chip.predictParticle must
+#   contain no CALL into gfixed (DESIGN.md §6).
 # Tier 4 (fuzz, full gauntlet only):
 #   the differential fuzz targets, 10s each — gfixed's rounding and
 #   accumulation against their references, the chip's call-free pair loop
@@ -53,7 +54,7 @@ if [ "$tier" = 3 ] || [ "$tier" = all ]; then
 	inl="$(go build -gcflags=-m ./internal/gfixed 2>&1)"
 	for fn in 'Rounder.RoundTame' 'Untame' 'AddTame' '(*Accum).Scale'; do
 		echo "$inl" | grep -qF "can inline $fn" || {
-			echo "gfixed.$fn is no longer inlinable: every use in chip.forceTile is now a call"
+			echo "gfixed.$fn is no longer inlinable: every use in chip's kernels is now a call"
 			echo "$inl" | grep -F "$fn" || true
 			exit 1
 		}
@@ -61,12 +62,17 @@ if [ "$tier" = 3 ] || [ "$tier" = all ]; then
 	tmp="$(mktemp -d)"
 	trap 'rm -rf "$tmp"' EXIT
 	go test -c -o "$tmp/chip.test" ./internal/chip
-	go tool objdump -s 'chip\.\(\*Chip\)\.forceTile$' "$tmp/chip.test" >"$tmp/forceTile.s"
-	grep -q 'forceTile(SB)' "$tmp/forceTile.s" || { echo "no disassembly for chip.(*Chip).forceTile: renamed?"; exit 1; }
-	if grep 'CALL' "$tmp/forceTile.s" | grep 'internal/gfixed'; then
-		echo "chip.forceTile calls into gfixed: its pair loop must be call-free"
-		exit 1
-	fi
+	# $1: the symbol as objdump prints it, $2: the same as a regexp.
+	call_free() {
+		go tool objdump -s "$2" "$tmp/chip.test" >"$tmp/sym.s"
+		grep -qF "chip.$1(SB)" "$tmp/sym.s" || { echo "no disassembly for chip.$1: renamed?"; exit 1; }
+		if grep 'CALL' "$tmp/sym.s" | grep 'internal/gfixed'; then
+			echo "chip.$1 calls into gfixed: its stages must be call-free"
+			exit 1
+		fi
+	}
+	call_free '(*Chip).forceTile' 'chip\.\(\*Chip\)\.forceTile$'
+	call_free 'predictParticle' 'chip\.predictParticle$'
 fi
 
 if [ "$tier" = 4 ] || [ "$tier" = all ]; then
