@@ -1,8 +1,8 @@
-// Benchmarks regenerating the paper's evaluation: one testing.B target per
-// table and figure (see DESIGN.md's experiment index). Each benchmark
-// reports domain metrics through b.ReportMetric — model Gflops/Tflops at
-// headline N, crossover locations — in addition to Go's wall-clock, so
-// `go test -bench=.` doubles as the reproduction report.
+// Benchmarks of the emulator and the co-simulation from the outside: chip
+// throughput, the predictor paths, end-to-end block steps (SmallBlockStep
+// is in CI's allocation guard) and the virtual-time cosim sweeps. The
+// paper's tables and figures are cmd/grape6bench's; this repository's own
+// speed is measured by benchmark/.
 package grape6_test
 
 import (
@@ -10,7 +10,6 @@ import (
 	"math"
 	"testing"
 
-	"grape6/internal/bench"
 	"grape6/internal/chip"
 	"grape6/internal/direct"
 	"grape6/internal/gbackend"
@@ -24,207 +23,6 @@ import (
 
 	gboard "grape6/internal/board"
 )
-
-// benchOpts share workload fits across benchmarks in this file.
-var benchOpts = bench.QuickOptions()
-
-func reportSeriesAt(b *testing.B, e bench.Experiment, label string, n int, metric string) {
-	b.Helper()
-	s := e.FindSeries(label)
-	if s == nil {
-		b.Fatalf("missing series %q", label)
-	}
-	v, ok := s.ValueAt(n)
-	if !ok {
-		b.Fatalf("missing N=%d in series %q", n, label)
-	}
-	b.ReportMetric(v, metric)
-}
-
-// BenchmarkTable1Peak regenerates the hardware inventory (Sections 1-2).
-func BenchmarkTable1Peak(b *testing.B) {
-	var e bench.Experiment
-	for i := 0; i < b.N; i++ {
-		e = bench.RunT1()
-	}
-	reportSeriesAt(b, e, "peak speed", 1, "Gflops/chip")
-	reportSeriesAt(b, e, "peak speed", 2048, "Gflops/machine")
-}
-
-// BenchmarkFig13SingleNode regenerates Figure 13.
-func BenchmarkFig13SingleNode(b *testing.B) {
-	var e bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = bench.RunF13(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeriesAt(b, e, "eps=1/64", 300000, "Gflops@3e5")
-}
-
-// BenchmarkFig14TimePerStep regenerates Figure 14.
-func BenchmarkFig14TimePerStep(b *testing.B) {
-	var e bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = bench.RunF14(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeriesAt(b, e, "model: cache-aware T_host", 100000, "s/step@1e5")
-}
-
-// BenchmarkFig15MultiNode regenerates Figure 15.
-func BenchmarkFig15MultiNode(b *testing.B) {
-	var e bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = bench.RunF15(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeriesAt(b, e, "4-node, eps=1/64", 100000, "Gflops@1e5")
-}
-
-// BenchmarkFig16FourNode regenerates Figure 16.
-func BenchmarkFig16FourNode(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunF16(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig17MultiCluster regenerates Figure 17.
-func BenchmarkFig17MultiCluster(b *testing.B) {
-	var e bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = bench.RunF17(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeriesAt(b, e, "16-node (4 clusters)", 1000000, "Tflops@1e6")
-}
-
-// BenchmarkFig18SixteenNode regenerates Figure 18.
-func BenchmarkFig18SixteenNode(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunF18(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig19NICTuning regenerates Figure 19.
-func BenchmarkFig19NICTuning(b *testing.B) {
-	var e bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = bench.RunF19(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeriesAt(b, e, "Intel82540EM + P4", 1000000, "Tflops@1e6")
-	reportSeriesAt(b, e, "NS83820 + Athlon", 1000000, "Tflops@1e6-untuned")
-}
-
-// BenchmarkTable5Kuiper and BenchmarkTable5BHBinary regenerate the
-// Section 5 application accounting.
-func BenchmarkTable5Kuiper(b *testing.B) {
-	var e bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = bench.RunApplications(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeriesAt(b, e, "sustained speed", 1800000, "Tflops")
-	reportSeriesAt(b, e, "wall-clock", 1800000, "hours")
-}
-
-func BenchmarkTable5BHBinary(b *testing.B) {
-	var e bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = bench.RunApplications(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeriesAt(b, e, "sustained speed", 2000000, "Tflops")
-	reportSeriesAt(b, e, "wall-clock", 2000000, "hours")
-}
-
-// BenchmarkTable5Treecode regenerates the treecode comparison.
-func BenchmarkTable5Treecode(b *testing.B) {
-	var e bench.Experiment
-	var err error
-	for i := 0; i < b.N; i++ {
-		e, err = bench.RunTreecode(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSeriesAt(b, e, "particle steps per second", 1, "steps/s-grape6")
-}
-
-// BenchmarkCosim runs the message-level co-simulation companion.
-func BenchmarkCosim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunCosim(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Ablation benches (DESIGN.md §6).
-func BenchmarkAblationMantissa(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunAblationMantissa(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationAccumulator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunAblationAccumulator(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationVMP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunAblationVMP(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationMyrinet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunAblationMyrinet(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationHostGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunAblationHostGrid(benchOpts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkEmulatedChipThroughput measures the raw emulation speed of one
 // pipeline chip: pairwise interactions per second of host time.
@@ -363,8 +161,7 @@ func BenchmarkHermiteOnEmulatedHardware(b *testing.B) {
 }
 
 // cosimBench runs one recorded multi-node co-simulation and reports the
-// virtual-time phase decomposition as benchmark metrics, so the tracked
-// JSON carries the per-NIC breakdown trajectory alongside wall-clock.
+// virtual-time phase decomposition as benchmark metrics beside wall-clock.
 func cosimBench(b *testing.B, run func() (*parallel.Result, error)) {
 	var res *parallel.Result
 	var err error

@@ -1,15 +1,15 @@
-// Command grape6bench regenerates the paper's tables and figures. Each
-// experiment id matches DESIGN.md's index:
+// Command grape6bench regenerates the paper's tables and figures. Every
+// experiment id (DESIGN.md's index) has exactly one source: a declarative
+// spec under scenarios/ (Figs. 13-19, g6a, cosim) run by internal/scenario,
+// or an entry of bench.Runners (the tables, ablations and validation run).
 //
 //	grape6bench -exp f13          # Figure 13: single-node speed vs N
 //	grape6bench -exp all          # everything
 //	grape6bench -exp f19 -quick   # fast, low-fidelity pass
+//	grape6bench -exp a4 -json     # figure JSON to stdout
 //
-// Figure experiments with a declarative spec under scenarios/ run
-// through the scenario engine (internal/scenario), which also provides
-// the committed-baseline regression workflow:
+// Specs also carry the committed-baseline regression workflow:
 //
-//	grape6bench -exp f13 -json            # figure JSON to stdout
 //	grape6bench -exp scenarios -quick -diff    # diff the whole matrix
 //	grape6bench -exp g6a -quick -update   # re-pin one baseline
 //
@@ -30,31 +30,14 @@ import (
 	"grape6/internal/scenario"
 )
 
-// builtinRunners is the single source of truth for the hand-wired
-// experiment ids: the -exp flag help and the unknown-id error are both
-// generated from it, so the lists cannot drift from the code again.
-func builtinRunners() map[string]func(*bench.Options) (bench.Experiment, error) {
-	return map[string]func(*bench.Options) (bench.Experiment, error){
-		"t1":    func(*bench.Options) (bench.Experiment, error) { return bench.RunT1(), nil },
-		"f13":   bench.RunF13,
-		"f14":   bench.RunF14,
-		"f15":   bench.RunF15,
-		"f16":   bench.RunF16,
-		"f17":   bench.RunF17,
-		"f18":   bench.RunF18,
-		"f19":   bench.RunF19,
-		"t5ab":  bench.RunApplications,
-		"t5c":   bench.RunTreecode,
-		"cosim": bench.RunCosim,
-		"a1":    bench.RunAblationMantissa,
-		"a2":    bench.RunAblationAccumulator,
-		"a3":    bench.RunAblationVMP,
-		"a4":    bench.RunAblationMyrinet,
-		"a5":    bench.RunAblationHostGrid,
-		"a6":    bench.RunAblationGrape4,
-		"a7":    bench.RunAblationNeighbourScheme,
-		"v1":    bench.RunValidation,
+// runnerIDs lists bench.Runners in table order: the -exp flag help, -list
+// and the unknown-id error are all generated from it.
+func runnerIDs() []string {
+	ids := make([]string, len(bench.Runners))
+	for i, r := range bench.Runners {
+		ids[i] = r.ID
 	}
+	return ids
 }
 
 // aliases are the DESIGN.md index names for the application experiments.
@@ -74,10 +57,9 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 func main() {
-	runners := builtinRunners()
 	expHelp := fmt.Sprintf(
-		"experiment id (%s), a scenario spec id (-list shows them), an alias (%s), \"scenarios\" for the whole spec matrix, or \"all\"",
-		strings.Join(sortedKeys(runners), ", "), strings.Join(sortedKeys(aliases), ", "))
+		"experiment id: a runner (%s), a scenario spec id (-list shows them), an alias (%s), \"scenarios\" for the whole spec matrix, or \"all\": %s, every spec by id (Figs. 13-19 exactly as the baselines pin them, g6a, cosim), then the other runners",
+		strings.Join(runnerIDs(), ", "), strings.Join(sortedKeys(aliases), ", "), bench.Runners[0].ID)
 
 	var (
 		exp     = flag.String("exp", "all", expHelp)
@@ -98,10 +80,13 @@ func main() {
 	}
 	opts.Seed = *seed
 
-	specs := loadSpecs(*scnDir)
+	specs, err := loadSpecs(*scnDir)
+	if err != nil {
+		fatal("-scenarios %s: %v", *scnDir, err)
+	}
 
 	if *list {
-		fmt.Printf("built-in: %s\n", strings.Join(sortedKeys(runners), " "))
+		fmt.Printf("runners: %s\n", strings.Join(runnerIDs(), " "))
 		fmt.Printf("scenario specs (%s): %s\n", *scnDir, strings.Join(sortedKeys(specs), " "))
 		fmt.Printf("aliases: %s\n", strings.Join(sortedKeys(aliases), " "))
 		fmt.Printf("meta: all scenarios\n")
@@ -113,76 +98,87 @@ func main() {
 		id = canon
 	}
 
+	ok := true
 	switch {
 	case id == "all":
 		requireNoScenarioFlags(*jsonOut, *doDiff, *update, "all")
-		es, err := bench.All(opts)
-		if err != nil {
-			fatal("%v", err)
+		runRunner(bench.Runners[0], opts, false)
+		for _, sid := range sortedKeys(specs) {
+			runSpec(specs[sid], opts, *baseDir, false, false, false)
 		}
-		for _, e := range es {
-			e.Format(os.Stdout)
+		for _, r := range bench.Runners[1:] {
+			runRunner(r, opts, false)
 		}
 	case id == "scenarios":
-		ids := sortedKeys(specs)
-		if len(ids) == 0 {
-			fatal("no scenario specs under %s", *scnDir)
-		}
-		failed := false
-		for _, sid := range ids {
+		for _, sid := range sortedKeys(specs) {
 			if !runSpec(specs[sid], opts, *baseDir, *jsonOut, *doDiff, *update) {
-				failed = true
+				ok = false
 			}
 		}
-		if failed {
-			os.Exit(1)
-		}
 	case specs[id] != nil:
-		// Spec-driven experiments shadow the hand-wired runner of the
-		// same id: Figs. 13-19 migrated to scenarios/.
-		if !runSpec(specs[id], opts, *baseDir, *jsonOut, *doDiff, *update) {
-			os.Exit(1)
-		}
+		ok = runSpec(specs[id], opts, *baseDir, *jsonOut, *doDiff, *update)
 	default:
-		run, ok := runners[id]
-		if !ok {
+		r := findRunner(id)
+		if r == nil {
 			fmt.Fprintf(os.Stderr, "grape6bench: unknown experiment %q\n", *exp)
 			fmt.Fprintf(os.Stderr, "known: %s all scenarios (aliases: %s; specs under %s: %s)\n",
-				strings.Join(sortedKeys(runners), " "), strings.Join(sortedKeys(aliases), " "),
+				strings.Join(runnerIDs(), " "), strings.Join(sortedKeys(aliases), " "),
 				*scnDir, strings.Join(sortedKeys(specs), " "))
 			os.Exit(2)
 		}
 		requireNoScenarioFlags(false, *doDiff, *update, id)
-		e, err := run(opts)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if *jsonOut {
-			if err := scenario.FromExperiment(e, opts).Write(os.Stdout); err != nil {
-				fatal("%v", err)
-			}
-			return
-		}
-		e.Format(os.Stdout)
+		runRunner(*r, opts, *jsonOut)
+	}
+	if !ok {
+		os.Exit(1)
 	}
 }
 
-// loadSpecs returns the scenario specs by id; a missing directory is an
-// empty matrix (the built-in runners still work without a checkout of
-// scenarios/).
-func loadSpecs(dir string) map[string]*scenario.Spec {
-	specs := make(map[string]*scenario.Spec)
-	if _, err := os.Stat(dir); err != nil {
-		return specs
+// findRunner returns the bench.Runners entry with the id, or nil.
+func findRunner(id string) *bench.Runner {
+	for i := range bench.Runners {
+		if bench.Runners[i].ID == id {
+			return &bench.Runners[i]
+		}
 	}
+	return nil
+}
+
+// loadSpecs returns the scenario specs by id. A spec may not take a
+// runner's id: every id has one source.
+func loadSpecs(dir string) (map[string]*scenario.Spec, error) {
 	list, err := scenario.LoadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	specs := make(map[string]*scenario.Spec, len(list))
+	for _, s := range list {
+		if findRunner(s.ID) != nil {
+			return nil, fmt.Errorf("spec id %q is already a runner's", s.ID)
+		}
+		specs[s.ID] = s
+	}
+	return specs, nil
+}
+
+// runRunner executes one table runner and prints its figure.
+func runRunner(r bench.Runner, opts *bench.Options, jsonOut bool) {
+	fig, err := r.Run(opts)
 	if err != nil {
 		fatal("%v", err)
 	}
-	for _, s := range list {
-		specs[s.ID] = s
+	emit(fig, jsonOut)
+}
+
+// emit prints a figure in one of its two renditions.
+func emit(fig bench.Figure, jsonOut bool) {
+	if !jsonOut {
+		fig.Format(os.Stdout)
+		return
 	}
-	return specs
+	if err := fig.Write(os.Stdout); err != nil {
+		fatal("%v", err)
+	}
 }
 
 // runSpec executes one spec and applies the requested output/baseline
@@ -215,14 +211,8 @@ func runSpec(s *scenario.Spec, opts *bench.Options, baseDir string, jsonOut, doD
 			fmt.Printf("%s: ok (%d series, %d points within tolerance)\n", s.ID, len(fig.Series), points)
 		}
 	}
-	if jsonOut {
-		if err := fig.Write(os.Stdout); err != nil {
-			fatal("%v", err)
-		}
-	} else if !doDiff && !update {
-		e := fig.ToExperiment()
-		e.Paper = s.Paper
-		e.Format(os.Stdout)
+	if jsonOut || (!doDiff && !update) {
+		emit(fig, jsonOut)
 	}
 	return ok
 }

@@ -22,5 +22,5 @@
 //   - cmd/grape6sim: run an N-body integration on the emulated stack;
 //   - cmd/grape6bench: regenerate any table or figure;
 //   - cmd/grape6calib: inspect workload fits and model breakdowns;
-//   - bench_test.go: the same experiments as Go benchmarks.
+//   - benchmark/: this repository's own speed, end to end and by layer.
 package grape6

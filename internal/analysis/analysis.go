@@ -72,7 +72,7 @@ const (
 type ignoreEntry struct {
 	analyzer string
 	file     string
-	line     int  // line the directive appears on
+	line     int // line the directive appears on
 	pos      token.Position
 	used     bool // suppressed at least one finding (audit)
 }
@@ -197,7 +197,7 @@ func (s *suppressions) audit() []Finding {
 				out = append(out, Finding{
 					Pos:      e.pos,
 					Analyzer: "suppression",
-					Message: fmt.Sprintf("unused suppression: no %s finding on this line or the statement below", e.analyzer),
+					Message:  fmt.Sprintf("unused suppression: no %s finding on this line or the statement below", e.analyzer),
 				})
 			}
 		}

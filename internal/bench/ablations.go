@@ -43,8 +43,8 @@ func measureStepRatio(sys *nbody.System) (float64, error) {
 // 3.4 ("the word length itself is chosen as such"): below ~28 pipeline
 // mantissa bits the Aarseth timestep criterion is dominated by arithmetic
 // noise and the block count explodes.
-func RunAblationMantissa(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunAblationMantissa(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "a1",
 		Title: "ablation: pipeline mantissa width vs block-step count",
 		Paper: "design-rule reproduction: word lengths chosen so arithmetic error never drives the integrator",
@@ -54,7 +54,7 @@ func RunAblationMantissa(o *Options) (Experiment, error) {
 	if o.Quick {
 		until = 0.025
 	}
-	s := Series{Label: "block steps per run", YUnits: "blocks"}
+	s := Series{Label: "block steps per run", Units: "blocks"}
 	for _, mant := range []uint{24, 26, 28, 30, 32, 40} {
 		cfg := board.Default
 		cfg.ChipsPerModule = 2
@@ -77,8 +77,8 @@ func RunAblationMantissa(o *Options) (Experiment, error) {
 // RunAblationAccumulator quantifies the block-floating-point accumulator
 // width against force accuracy — the other half of the Section 3.4
 // number-format design.
-func RunAblationAccumulator(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunAblationAccumulator(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "a2",
 		Title: "ablation: accumulator fraction bits vs force error",
 		Paper: "fixed-point block-float summation: error set by quantization, not by N or order",
@@ -88,7 +88,7 @@ func RunAblationAccumulator(o *Options) (Experiment, error) {
 	eps := 1.0 / 64
 	ref := direct.JSet{Mass: sys.Mass, Pos: sys.Pos, Vel: sys.Vel}
 
-	s := Series{Label: "max relative acc error", YUnits: "relative"}
+	s := Series{Label: "max relative acc error", Units: "relative"}
 	for _, frac := range []uint{12, 16, 24, 32, 40, 48} {
 		cfg := chip.Default
 		cfg.Format.AccumFrac = frac
@@ -130,8 +130,8 @@ func RunAblationAccumulator(o *Options) (Experiment, error) {
 // collapses when typical blocks are smaller than B. GRAPE-6 chose local
 // memories to keep B at 48 per chip; a GRAPE-4-style shared-memory design
 // would have pushed it to ~1000.
-func RunAblationVMP(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunAblationVMP(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "a3",
 		Title: "ablation: i-parallelism degree vs single-node efficiency",
 		Paper: "Section 3.4: degree ~1000 'too large ... for star clusters with small, high-density cores'",
@@ -144,8 +144,8 @@ func RunAblationVMP(o *Options) (Experiment, error) {
 		m := perfmodel.SingleNode(simnet.NS83820, perfmodel.Athlon)
 		// Re-shape the hardware: same peak, different i-parallelism.
 		m.HW.VMP = batch / m.HW.Pipelines
-		s := Series{Label: fmt.Sprintf("i-batch %d", batch), YUnits: "efficiency"}
-		for _, n := range o.curveNs() {
+		s := Series{Label: fmt.Sprintf("i-batch %d", batch), Units: "efficiency"}
+		for _, n := range o.CurveNs() {
 			s.Points = append(s.Points, Point{N: n, Value: m.Efficiency(n, w.MeanBlockSize(n))})
 		}
 		e.Series = append(e.Series, s)
@@ -155,8 +155,8 @@ func RunAblationVMP(o *Options) (Experiment, error) {
 
 // RunAblationMyrinet evaluates the upgrade the paper wanted but could not
 // afford: a Myrinet-class low-latency network on the full machine.
-func RunAblationMyrinet(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunAblationMyrinet(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "a4",
 		Title: "ablation: Myrinet-class network on the 16-node machine",
 		Paper: "'Myrinet would provide the latency 5-10 times shorter' (Section 4.4)",
@@ -175,8 +175,8 @@ func RunAblationMyrinet(o *Options) (Experiment, error) {
 		{"Myrinet-class", simnet.Myrinet},
 	} {
 		m := perfmodel.MultiCluster(4, c.nic, perfmodel.P4)
-		s := Series{Label: c.label, YUnits: "Tflops"}
-		for _, n := range o.curveNs() {
+		s := Series{Label: c.label, Units: "Tflops"}
+		for _, n := range o.CurveNs() {
 			s.Points = append(s.Points, Point{N: n, Value: m.Speed(n, w.MeanBlockSize(n)) / 1e12})
 		}
 		e.Series = append(e.Series, s)
@@ -188,8 +188,8 @@ func RunAblationMyrinet(o *Options) (Experiment, error) {
 // configurations — Section 3's design-evolution argument ("two orders of
 // magnitude faster than that of GRAPE-4" at scale, but with carefully
 // bounded i-parallelism so that small-core star clusters still run well).
-func RunAblationGrape4(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunAblationGrape4(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "a6",
 		Title: "ablation: GRAPE-4 (1 Tflops, batch 384) vs GRAPE-6 configurations",
 		Paper: "Section 3: ~100x chip speedup; parallelism kept ≤400 'not much different from full-size GRAPE-4'",
@@ -206,8 +206,8 @@ func RunAblationGrape4(o *Options) (Experiment, error) {
 		{"GRAPE-6 single node", perfmodel.SingleNode(simnet.NS83820, perfmodel.Athlon)},
 		{"GRAPE-6 full machine", perfmodel.MultiCluster(4, simnet.Intel82540EM, perfmodel.P4)},
 	} {
-		s := Series{Label: c.label, YUnits: "Gflops"}
-		for _, n := range o.curveNs() {
+		s := Series{Label: c.label, Units: "Gflops"}
+		for _, n := range o.CurveNs() {
 			s.Points = append(s.Points, Point{N: n, Value: c.m.Speed(n, w.MeanBlockSize(n)) / 1e9})
 		}
 		e.Series = append(e.Series, s)
@@ -224,8 +224,8 @@ func RunAblationGrape4(o *Options) (Experiment, error) {
 // 3.2): the r²-host grid (each host needs only O(N/r) communication but
 // you need r² hosts) versus the GRAPE-side hardware network with a 1-D
 // host array. We compare predicted per-block synchronization+exchange cost.
-func RunAblationHostGrid(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunAblationHostGrid(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "a5",
 		Title: "ablation: r^2-host grid vs GRAPE hardware network (sync cost per block)",
 		Paper: "Section 3.2: the hybrid chosen 'to make a reasonable compromise'",
@@ -235,9 +235,9 @@ func RunAblationHostGrid(o *Options) (Experiment, error) {
 		return e, err
 	}
 	nic := simnet.NS83820
-	gridCost := Series{Label: "16-host 2D grid (host-network updates)", YUnits: "s/block"}
-	hwCost := Series{Label: "4-host + GRAPE network (sync only)", YUnits: "s/block"}
-	for _, n := range o.curveNs() {
+	gridCost := Series{Label: "16-host 2D grid (host-network updates)", Units: "s/block"}
+	hwCost := Series{Label: "4-host + GRAPE network (sync only)", Units: "s/block"}
+	for _, n := range o.CurveNs() {
 		nb := int(math.Round(w.MeanBlockSize(n)))
 		if nb < 1 {
 			nb = 1

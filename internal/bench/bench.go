@@ -1,39 +1,75 @@
-// Package bench is the experiment harness: one runner per table and
-// figure of the paper's evaluation (see DESIGN.md's experiment index).
-// Each runner produces an Experiment — labelled series of (N, value)
-// points plus the paper's reference numbers — that cmd/grape6bench prints
-// and bench_test.go wraps as Go benchmarks.
+// Package bench is the experiment harness: the Figure every experiment
+// produces, the Options (fidelity, seed, cached workload fits) every
+// experiment reads, and Runners — the tables, application estimates,
+// ablations and validation run that have no scenario spec. Figs. 13-19 and
+// the cosim sweep are specs under scenarios/, run by internal/scenario.
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"grape6/internal/sched"
 	"grape6/internal/units"
 )
 
-// Point is one datum of a series.
+// Point is one datum of a series; N is the x value (particle count or,
+// for cosim figures, host count).
 type Point struct {
-	N     int     // particle count (or other x value)
-	Value float64 // y value (units depend on the experiment)
+	N     int     `json:"n"`
+	Value float64 `json:"v"`
 }
 
 // Series is one labelled curve.
 type Series struct {
-	Label  string
-	YUnits string
-	Points []Point
+	Label  string  `json:"label"`
+	Units  string  `json:"units,omitempty"`
+	Points []Point `json:"points"`
 }
 
-// Experiment is a reproduced table or figure.
-type Experiment struct {
-	ID     string // experiment id from DESIGN.md: "t1", "f13", ...
-	Title  string
-	Paper  string // the paper's reported result, for side-by-side reading
-	Series []Series
-	Notes  []string
+// Figure is a reproduced table or figure, and the JSON committed under
+// testdata/scenarios/ as its golden baseline: one labelled series per
+// curve, points sorted by N.
+type Figure struct {
+	ID       string   `json:"id"` // experiment id: "t1", "f13", ...
+	Title    string   `json:"title"`
+	Paper    string   `json:"-"`        // the paper's reported result; text report only
+	Fidelity string   `json:"fidelity"` // "quick" or "full"
+	Seed     uint64   `json:"seed"`
+	Series   []Series `json:"series"`
+	Notes    []string `json:"notes,omitempty"`
+}
+
+// Runner is one experiment that has no scenario spec.
+type Runner struct {
+	ID  string
+	run func(*Options) (Figure, error)
+}
+
+// Run executes the experiment and returns its figure stamped.
+func (r Runner) Run(o *Options) (Figure, error) {
+	f, err := r.run(o)
+	o.Stamp(&f)
+	return f, err
+}
+
+// Runners is every experiment without a spec, in report order: a full
+// report prints the spec figures after the first entry.
+var Runners = []Runner{
+	{"t1", func(*Options) (Figure, error) { return RunT1(), nil }},
+	{"t5ab", RunApplications},
+	{"t5c", RunTreecode},
+	{"a1", RunAblationMantissa},
+	{"a2", RunAblationAccumulator},
+	{"a3", RunAblationVMP},
+	{"a4", RunAblationMyrinet},
+	{"a5", RunAblationHostGrid},
+	{"a6", RunAblationGrape4},
+	{"a7", RunAblationNeighbourScheme},
+	{"v1", RunValidation},
 }
 
 // Options tunes the harness cost.
@@ -78,8 +114,26 @@ func (o *Options) measureDuration() float64 {
 	return 0.5
 }
 
-// curveNs returns the N grid for model-driven curves.
-func (o *Options) curveNs() []int {
+// Fidelity names the tier of this configuration.
+func (o *Options) Fidelity() string {
+	if o.Quick {
+		return "quick"
+	}
+	return "full"
+}
+
+// Stamp puts a figure in its committed form: this configuration's
+// fidelity and seed recorded, every series sorted by N.
+func (o *Options) Stamp(f *Figure) {
+	f.Fidelity, f.Seed = o.Fidelity(), o.Seed
+	for _, s := range f.Series {
+		sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].N < s.Points[j].N })
+	}
+}
+
+// CurveNs returns the default N grid for model-driven curves at this
+// fidelity — the grid scenario specs inherit when they name none.
+func (o *Options) CurveNs() []int {
 	if o.Quick {
 		return []int{1000, 3000, 10000, 30000, 100000, 300000, 1000000}
 	}
@@ -87,12 +141,6 @@ func (o *Options) curveNs() []int {
 		500, 1000, 2000, 3000, 5000, 10000, 20000, 30000, 50000,
 		100000, 200000, 300000, 500000, 1000000, 1800000,
 	}
-}
-
-// CurveNs returns the default N grid for model-driven curves at this
-// fidelity — the grid scenario specs inherit when they name none.
-func (o *Options) CurveNs() []int {
-	return append([]int(nil), o.curveNs()...)
 }
 
 // Workload returns (building and caching on first use) the fitted block
@@ -112,21 +160,20 @@ func (o *Options) Workload(kind units.SofteningKind) (*sched.Workload, error) {
 	return w, nil
 }
 
-// Format renders the experiment as an aligned text report.
-func (e Experiment) Format(w io.Writer) {
+// Format renders the figure as an aligned text report, points in the
+// order held (Stamp sorts them).
+func (e Figure) Format(w io.Writer) {
 	fmt.Fprintf(w, "== %s: %s ==\n", e.ID, e.Title)
 	if e.Paper != "" {
 		fmt.Fprintf(w, "paper: %s\n", e.Paper)
 	}
 	for _, s := range e.Series {
 		fmt.Fprintf(w, "\n-- %s", s.Label)
-		if s.YUnits != "" {
-			fmt.Fprintf(w, " [%s]", s.YUnits)
+		if s.Units != "" {
+			fmt.Fprintf(w, " [%s]", s.Units)
 		}
 		fmt.Fprintln(w)
-		pts := append([]Point(nil), s.Points...)
-		sort.Slice(pts, func(i, j int) bool { return pts[i].N < pts[j].N })
-		for _, p := range pts {
+		for _, p := range s.Points {
 			fmt.Fprintf(w, "  N=%-9d %.6g\n", p.N, p.Value)
 		}
 	}
@@ -136,8 +183,28 @@ func (e Experiment) Format(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// Write emits the committed JSON form (indented, trailing newline).
+// Non-finite values are rejected here rather than silently mangled: a
+// NaN or Inf in a figure is a harness bug that must fail loudly.
+func (e Figure) Write(w io.Writer) error {
+	for _, s := range e.Series {
+		for _, p := range s.Points {
+			if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+				return fmt.Errorf("figure %s: non-finite value %v in series %q at N=%d",
+					e.ID, p.Value, s.Label, p.N)
+			}
+		}
+	}
+	data, err := json.MarshalIndent(e, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "%s\n", data)
+	return err
+}
+
 // FindSeries returns the series with the given label, or nil.
-func (e Experiment) FindSeries(label string) *Series {
+func (e Figure) FindSeries(label string) *Series {
 	for i := range e.Series {
 		if e.Series[i].Label == label {
 			return &e.Series[i]

@@ -17,14 +17,14 @@ import (
 
 // RunT1 reproduces the hardware inventory of Sections 1-2: peak speeds of
 // chip, board, cluster and full machine under the 57-flops convention.
-func RunT1() Experiment {
-	e := Experiment{
+func RunT1() Figure {
+	e := Figure{
 		ID:    "t1",
 		Title: "hardware peak-speed inventory",
 		Paper: "chip 30.8 Gflops; 2048 chips; total 63.04 Tflops (Section 1)",
 	}
 	c := chip.Default
-	s := Series{Label: "peak speed", YUnits: "Gflops"}
+	s := Series{Label: "peak speed", Units: "Gflops"}
 	s.Points = append(s.Points,
 		Point{N: 1, Value: c.PeakFlops() / 1e9}, // one chip
 		Point{N: 32, Value: board.Config{Chip: c, ChipsPerModule: 4, ModulesPerBoard: 8, Boards: 1, ReduceCyclesPerStage: 4}.PeakFlops() / 1e9},
@@ -43,8 +43,8 @@ func RunT1() Experiment {
 // is available the per-step cost is weighted over the block-size
 // distribution (EstimateApplicationTrace); otherwise the mean-block model
 // is used.
-func RunApplications(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunApplications(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "t5ab",
 		Title: "application runs: Kuiper belt (1.8M) and BH binary (2M)",
 		Paper: "16.30 h / 33.4 Tflops and 37.19 h / 35.3 Tflops",
@@ -54,8 +54,8 @@ func RunApplications(o *Options) (Experiment, error) {
 		return e, err
 	}
 	m := perfmodel.MultiCluster(4, simnet.Intel82540EM, perfmodel.P4)
-	hours := Series{Label: "wall-clock", YUnits: "hours"}
-	tflops := Series{Label: "sustained speed", YUnits: "Tflops"}
+	hours := Series{Label: "wall-clock", Units: "hours"}
+	tflops := Series{Label: "sustained speed", Units: "Tflops"}
 	rng := xrand.New(o.Seed + 41)
 	for _, app := range []timing.Application{timing.KuiperBelt, timing.BHBinary} {
 		tr := w.Synthetic(app.N, 0.01, rng.Split())
@@ -74,8 +74,8 @@ func RunApplications(o *Options) (Experiment, error) {
 // shared-vs-individual timestep and accuracy corrections applied; plus a
 // live measurement of this machine's own Barnes-Hut implementation to
 // demonstrate the baseline actually exists and runs.
-func RunTreecode(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunTreecode(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "t5c",
 		Title: "treecode comparison: particle steps per second",
 		Paper: "GRAPE-6 ~3.3e5 steps/s; Gadget/T3E(16) ~1e4; ASCI-Red 2.55e6 (shared step)",
@@ -90,7 +90,7 @@ func RunTreecode(o *Options) (Experiment, error) {
 	n := 1_800_000
 	grapeRate := 1 / m.TimePerStep(n, w.MeanBlockSize(n))
 
-	s := Series{Label: "particle steps per second", YUnits: "steps/s"}
+	s := Series{Label: "particle steps per second", Units: "steps/s"}
 	s.Points = append(s.Points,
 		Point{N: 1, Value: grapeRate},        // GRAPE-6 (this model)
 		Point{N: 2, Value: 1e4},              // Gadget on 16-node T3E (paper-quoted)
@@ -121,7 +121,7 @@ func RunTreecode(o *Options) (Experiment, error) {
 		}
 	}
 	elapsed := time.Since(start).Seconds()
-	local := Series{Label: "this machine's treecode (shared step)", YUnits: "steps/s"}
+	local := Series{Label: "this machine's treecode (shared step)", Units: "steps/s"}
 	local.Points = append(local.Points, Point{N: nLocal, Value: float64(it.Steps) / elapsed})
 	e.Series = append(e.Series, local)
 

@@ -16,8 +16,8 @@ import (
 // the same Plummer model on the float64 reference and on the emulated
 // GRAPE-6 hardware, reporting trajectory deviation and energy drift, and
 // verifies the machine-size bit-invariance of Section 3.4 end to end.
-func RunValidation(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunValidation(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "v1",
 		Title: "validation: emulated hardware vs float64 reference",
 		Paper: "Section 3.4: word lengths chosen so arithmetic never affects the simulation; results machine-size independent",
@@ -75,7 +75,7 @@ func RunValidation(o *Options) (Experiment, error) {
 		return math.Abs((it.Energy() - e0) / e0)
 	}
 
-	s := Series{Label: "validation metrics", YUnits: "dimensionless"}
+	s := Series{Label: "validation metrics", Units: "dimensionless"}
 	s.Points = append(s.Points,
 		Point{N: 1, Value: maxDev},                 // max position deviation HW vs reference
 		Point{N: 2, Value: drift(ref)},             // reference energy drift
@@ -103,8 +103,8 @@ func boolTo01(b bool) float64 {
 // pairwise-work saving over the plain Hermite integrator — the software
 // optimisation layered on the same hardware, from the paper's reference
 // [10] (Makino & Aarseth 1992).
-func RunAblationNeighbourScheme(o *Options) (Experiment, error) {
-	e := Experiment{
+func RunAblationNeighbourScheme(o *Options) (Figure, error) {
+	e := Figure{
 		ID:    "a7",
 		Title: "ablation: Ahmad-Cohen neighbour scheme pairwise-work saving",
 		Paper: "reference [10]: neighbour scheme + Hermite, the NBODY-family algorithm",
@@ -116,7 +116,7 @@ func RunAblationNeighbourScheme(o *Options) (Experiment, error) {
 	until := 0.125
 	eps := 1.0 / 64
 
-	saving := Series{Label: "pairwise-work saving factor", YUnits: "x"}
+	saving := Series{Label: "pairwise-work saving factor", Units: "x"}
 	for _, n := range ns {
 		acSys := model.Plummer(n, xrand.New(o.Seed+uint64(n)))
 		ac, err := ahmadcohen.New(acSys, ahmadcohen.DefaultParams(eps))

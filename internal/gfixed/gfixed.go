@@ -52,7 +52,7 @@ type Format struct {
 // as such" that arithmetic error never affects the simulation. Below ~28
 // mantissa bits the Aarseth timestep criterion becomes noise-dominated
 // (reconstructed crackle ∝ δa/dt³) and block timesteps collapse — the
-// ablation bench BenchmarkAblationMantissa demonstrates exactly this
+// mantissa ablation (grape6bench -exp a1) demonstrates exactly this
 // cliff, and 32 bits sits safely above it.
 var Grape6 = Format{
 	PosFrac:   44,

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"grape6/internal/bench"
 )
 
 // Problem is one baseline-diff finding.
@@ -77,7 +79,7 @@ func Diff(got, base Figure, spec *Spec) []Problem {
 	return ps
 }
 
-func diffSeries(got, base FigSeries, tol float64) []Problem {
+func diffSeries(got, base bench.Series, tol float64) []Problem {
 	var ps []Problem
 	gotAt := make(map[int]float64, len(got.Points))
 	for _, p := range got.Points {

@@ -4,113 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"grape6/internal/bench"
 )
 
-// Figure is the paper-style figure JSON a scenario run emits: one file
-// per experiment id, one labelled series per curve, points sorted by N.
-// The same schema is committed under testdata/scenarios/ as the golden
-// baseline.
-type Figure struct {
-	ID       string      `json:"id"`
-	Title    string      `json:"title"`
-	Fidelity string      `json:"fidelity"` // "quick" or "full"
-	Seed     uint64      `json:"seed"`
-	Series   []FigSeries `json:"series"`
-	Notes    []string    `json:"notes,omitempty"`
-}
-
-// FigSeries is one labelled curve.
-type FigSeries struct {
-	Label  string     `json:"label"`
-	Units  string     `json:"units,omitempty"`
-	Points []FigPoint `json:"points"`
-}
-
-// FigPoint is one datum; N is the x value (particle count or, for cosim
-// figures, host count).
-type FigPoint struct {
-	N     int     `json:"n"`
-	Value float64 `json:"v"`
-}
-
-// Fidelity names the tier of a harness configuration.
-func Fidelity(o *bench.Options) string {
-	if o.Quick {
-		return "quick"
-	}
-	return "full"
-}
-
-// FromExperiment converts a hand-wired bench experiment into the figure
-// schema (points sorted by N), so -json works for every experiment id.
-func FromExperiment(e bench.Experiment, o *bench.Options) Figure {
-	f := Figure{
-		ID: e.ID, Title: e.Title, Fidelity: Fidelity(o), Seed: o.Seed,
-		Notes: append([]string(nil), e.Notes...),
-	}
-	for _, s := range e.Series {
-		fs := FigSeries{Label: s.Label, Units: s.YUnits}
-		for _, p := range s.Points {
-			fs.Points = append(fs.Points, FigPoint{N: p.N, Value: p.Value})
-		}
-		sort.Slice(fs.Points, func(i, j int) bool { return fs.Points[i].N < fs.Points[j].N })
-		f.Series = append(f.Series, fs)
-	}
-	return f
-}
-
-// ToExperiment converts back for the text renderer.
-func (f Figure) ToExperiment() bench.Experiment {
-	e := bench.Experiment{
-		ID: f.ID, Title: f.Title,
-		Notes: append([]string(nil), f.Notes...),
-	}
-	for _, s := range f.Series {
-		bs := bench.Series{Label: s.Label, YUnits: s.Units}
-		for _, p := range s.Points {
-			bs.Points = append(bs.Points, bench.Point{N: p.N, Value: p.Value})
-		}
-		e.Series = append(e.Series, bs)
-	}
-	return e
-}
-
-// FindSeries returns the series with the given label, or nil.
-func (f Figure) FindSeries(label string) *FigSeries {
-	for i := range f.Series {
-		if f.Series[i].Label == label {
-			return &f.Series[i]
-		}
-	}
-	return nil
-}
-
-// Write emits the committed JSON form (indented, trailing newline).
-// Non-finite values are rejected here rather than silently mangled: a
-// NaN or Inf in a figure is a harness bug that must fail loudly.
-func (f Figure) Write(w io.Writer) error {
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
-				return fmt.Errorf("scenario %s: non-finite value %v in series %q at N=%d",
-					f.ID, p.Value, s.Label, p.N)
-			}
-		}
-	}
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", data)
-	return err
-}
+// Figure is bench.Figure, the one figure type. The alias exists solely
+// because the frozen benchmark/fig13.go declares `var base scenario.Figure`;
+// the type itself cannot live here, since this package imports
+// bench.Options.
+type Figure = bench.Figure
 
 // ReadFigure decodes a figure JSON stream.
 func ReadFigure(r io.Reader) (Figure, error) {

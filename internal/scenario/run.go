@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 
 	"grape6/internal/bench"
 	"grape6/internal/hermite"
@@ -13,9 +12,8 @@ import (
 	"grape6/internal/xrand"
 )
 
-// Seed offsets keep the spec-driven curves bit-identical to the
-// hand-wired runners they migrated (bench.speedCurve and friends used
-// the same constants), so a committed baseline survives the migration.
+// Seed offsets of the synthetic-trace streams, one per kind; the
+// committed baselines pin them.
 const (
 	speedSeedOffset = 17
 	tpsSeedOffset   = 23
@@ -30,11 +28,11 @@ func Run(s *Spec, o *bench.Options) (Figure, error) {
 		return Figure{}, err
 	}
 	fig := Figure{
-		ID: s.ID, Title: s.Title, Fidelity: Fidelity(o), Seed: o.Seed,
+		ID: s.ID, Title: s.Title, Paper: s.Paper,
 		Notes: append([]string(nil), s.Notes...),
 	}
 	for _, c := range cells {
-		var fs FigSeries
+		var fs bench.Series
 		if s.Kind == "cosim" {
 			fs, err = runCosimCell(s, o, c)
 		} else {
@@ -43,9 +41,9 @@ func Run(s *Spec, o *bench.Options) (Figure, error) {
 		if err != nil {
 			return Figure{}, fmt.Errorf("scenario %s: series %q: %w", s.ID, c.Label, err)
 		}
-		sort.Slice(fs.Points, func(i, j int) bool { return fs.Points[i].N < fs.Points[j].N })
 		fig.Series = append(fig.Series, fs)
 	}
+	o.Stamp(&fig)
 	return fig, nil
 }
 
@@ -63,12 +61,12 @@ func (s *Spec) curveNs(o *bench.Options) []int {
 // runModelCell produces one speed or time-per-step series: measured and
 // synthetic traces through the timing simulator for trace curves, the
 // analytic mean-block-size prediction for model curves.
-func runModelCell(s *Spec, o *bench.Options, c Cell) (FigSeries, error) {
+func runModelCell(s *Spec, o *bench.Options, c Cell) (bench.Series, error) {
 	w, err := o.Workload(c.Soft)
 	if err != nil {
-		return FigSeries{}, err
+		return bench.Series{}, err
 	}
-	fs := FigSeries{Label: c.Label}
+	fs := bench.Series{Label: c.Label}
 	scale := 1.0
 	seedOff := uint64(tpsSeedOffset)
 	switch s.Kind {
@@ -101,19 +99,19 @@ func runModelCell(s *Spec, o *bench.Options, c Cell) (FigSeries, error) {
 	ns := s.curveNs(o)
 	if c.Curve == "model" {
 		for _, n := range ns {
-			fs.Points = append(fs.Points, FigPoint{N: n, Value: modelValue(n)})
+			fs.Points = append(fs.Points, bench.Point{N: n, Value: modelValue(n)})
 		}
 		return fs, nil
 	}
 	// Trace curve: functional (measured) traces at laptop-feasible N,
 	// power-law-extrapolated synthetic traces at paper scale.
 	for _, tr := range w.Measured {
-		fs.Points = append(fs.Points, FigPoint{N: tr.N, Value: value(timing.Simulate(c.Machine, tr))})
+		fs.Points = append(fs.Points, bench.Point{N: tr.N, Value: value(timing.Simulate(c.Machine, tr))})
 	}
 	rng := xrand.New(o.Seed + seedOff)
 	for _, n := range ns {
 		tr := w.Synthetic(n, 0.01, rng.Split())
-		fs.Points = append(fs.Points, FigPoint{N: n, Value: value(timing.Simulate(c.Machine, tr))})
+		fs.Points = append(fs.Points, bench.Point{N: n, Value: value(timing.Simulate(c.Machine, tr))})
 	}
 	return fs, nil
 }
@@ -121,7 +119,7 @@ func runModelCell(s *Spec, o *bench.Options, c Cell) (FigSeries, error) {
 // runCosimCell executes the real parallel algorithms over the simulated
 // network: one point per (hosts, clusters) sweep entry, the series value
 // being the virtual-time step rate.
-func runCosimCell(s *Spec, o *bench.Options, c Cell) (FigSeries, error) {
+func runCosimCell(s *Spec, o *bench.Options, c Cell) (bench.Series, error) {
 	n := s.N
 	tEnd := s.TEnd
 	if o.Quick {
@@ -133,7 +131,7 @@ func runCosimCell(s *Spec, o *bench.Options, c Cell) (FigSeries, error) {
 		}
 	}
 	if n <= 0 || tEnd <= 0 {
-		return FigSeries{}, fmt.Errorf("cosim kind needs positive n and t_end")
+		return bench.Series{}, fmt.Errorf("cosim kind needs positive n and t_end")
 	}
 	modelName := s.Model
 	if modelName == "" {
@@ -149,11 +147,11 @@ func runCosimCell(s *Spec, o *bench.Options, c Cell) (FigSeries, error) {
 		params.Eta = s.Eta
 	}
 
-	fs := FigSeries{Label: c.Label, Units: "steps/s (virtual)"}
+	fs := bench.Series{Label: c.Label, Units: "steps/s (virtual)"}
 	for _, sw := range c.Sweep {
 		sys, err := BuildModel(modelName, n, 6, xrand.New(o.Seed))
 		if err != nil {
-			return FigSeries{}, err
+			return bench.Series{}, err
 		}
 		cfg := parallel.Config{
 			Hosts:   sw.Hosts,
@@ -163,9 +161,9 @@ func runCosimCell(s *Spec, o *bench.Options, c Cell) (FigSeries, error) {
 		}
 		res, err := parallel.Run(c.Algo, sys, tEnd, sw.Clusters, cfg)
 		if err != nil {
-			return FigSeries{}, err
+			return bench.Series{}, err
 		}
-		fs.Points = append(fs.Points, FigPoint{N: sw.Hosts, Value: res.StepsPerSecond()})
+		fs.Points = append(fs.Points, bench.Point{N: sw.Hosts, Value: res.StepsPerSecond()})
 	}
 	return fs, nil
 }

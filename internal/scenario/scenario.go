@@ -9,7 +9,7 @@
 // spec row and a pinned curve, and CI diffs the whole matrix.
 //
 // The spec grammar, tolerance policy and the add-a-row / update-a-
-// baseline workflows are documented in DESIGN.md §12.
+// baseline workflows are documented in DESIGN.md §4.
 package scenario
 
 import (
@@ -450,10 +450,9 @@ func (s *Spec) Expand() ([]Cell, error) {
 }
 
 // seriesLabel composes the series label from the machine label and the
-// softening choice, matching the hand-wired runners' conventions: a
-// lone softening axis uses the paper's softening notation, a lone
-// machine axis uses the machine label, and a true cross-product joins
-// both.
+// softening choice: a lone softening axis uses the paper's softening
+// notation, a lone machine axis uses the machine label, and a true
+// cross-product joins both.
 func seriesLabel(machine string, kind units.SofteningKind, multiSoft bool) string {
 	if machine == "" {
 		return kind.String()

@@ -1,9 +1,9 @@
 package scenario
 
 import (
+	"bytes"
 	"math"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,12 +29,12 @@ func testSpec() *Spec {
 	}
 }
 
-func fig(series ...FigSeries) Figure {
+func fig(series ...bench.Series) Figure {
 	return Figure{ID: "t", Title: "t", Fidelity: "quick", Seed: 1, Series: series}
 }
 
-func s1(label string, pts ...FigPoint) FigSeries {
-	return FigSeries{Label: label, Units: "Gflops", Points: pts}
+func s1(label string, pts ...bench.Point) bench.Series {
+	return bench.Series{Label: label, Units: "Gflops", Points: pts}
 }
 
 // problemKinds extracts the finding kinds for compact assertions.
@@ -47,15 +47,15 @@ func problemKinds(ps []Problem) []string {
 }
 
 func TestDiffClean(t *testing.T) {
-	f := fig(s1("a", FigPoint{N: 1, Value: 2}, FigPoint{N: 2, Value: 4}))
+	f := fig(s1("a", bench.Point{N: 1, Value: 2}, bench.Point{N: 2, Value: 4}))
 	if ps := Diff(f, f, testSpec()); len(ps) != 0 {
 		t.Fatalf("identical figures produced findings: %v", ps)
 	}
 }
 
 func TestDiffMissingAndExtraSeries(t *testing.T) {
-	got := fig(s1("a", FigPoint{N: 1, Value: 2}), s1("c", FigPoint{N: 1, Value: 2}))
-	base := fig(s1("a", FigPoint{N: 1, Value: 2}), s1("b", FigPoint{N: 1, Value: 2}))
+	got := fig(s1("a", bench.Point{N: 1, Value: 2}), s1("c", bench.Point{N: 1, Value: 2}))
+	base := fig(s1("a", bench.Point{N: 1, Value: 2}), s1("b", bench.Point{N: 1, Value: 2}))
 	ps := Diff(got, base, testSpec())
 	if want := []string{"missing-series", "extra-series"}; !reflect.DeepEqual(problemKinds(ps), want) {
 		t.Fatalf("got %v, want %v", ps, want)
@@ -66,8 +66,8 @@ func TestDiffMissingAndExtraSeries(t *testing.T) {
 }
 
 func TestDiffMissingAndExtraPoint(t *testing.T) {
-	got := fig(s1("a", FigPoint{N: 1, Value: 2}, FigPoint{N: 3, Value: 8}))
-	base := fig(s1("a", FigPoint{N: 1, Value: 2}, FigPoint{N: 2, Value: 4}))
+	got := fig(s1("a", bench.Point{N: 1, Value: 2}, bench.Point{N: 3, Value: 8}))
+	base := fig(s1("a", bench.Point{N: 1, Value: 2}, bench.Point{N: 2, Value: 4}))
 	ps := Diff(got, base, testSpec())
 	if want := []string{"missing-point", "extra-point"}; !reflect.DeepEqual(problemKinds(ps), want) {
 		t.Fatalf("got %v, want %v", ps, want)
@@ -82,41 +82,41 @@ func TestDiffMissingAndExtraPoint(t *testing.T) {
 // value compares absolutely.
 func TestDiffToleranceBoundary(t *testing.T) {
 	spec := testSpec() // default tol 0.5
-	base := fig(s1("a", FigPoint{N: 1, Value: 2}))
+	base := fig(s1("a", bench.Point{N: 1, Value: 2}))
 
-	exact := fig(s1("a", FigPoint{N: 1, Value: 3})) // |3-2| = 1 = 0.5*2
+	exact := fig(s1("a", bench.Point{N: 1, Value: 3})) // |3-2| = 1 = 0.5*2
 	if ps := Diff(exact, base, spec); len(ps) != 0 {
 		t.Errorf("exact-boundary deviation failed: %v", ps)
 	}
-	over := fig(s1("a", FigPoint{N: 1, Value: 3.0000001}))
+	over := fig(s1("a", bench.Point{N: 1, Value: 3.0000001}))
 	ps := Diff(over, base, spec)
 	if !reflect.DeepEqual(problemKinds(ps), []string{"tolerance"}) {
 		t.Errorf("just-over-boundary deviation passed: %v", ps)
 	}
 
 	// Per-series override beats the default.
-	tight := fig(s1("tight", FigPoint{N: 1, Value: 2}))
-	tightOff := fig(s1("tight", FigPoint{N: 1, Value: 2.001}))
+	tight := fig(s1("tight", bench.Point{N: 1, Value: 2}))
+	tightOff := fig(s1("tight", bench.Point{N: 1, Value: 2.001}))
 	if ps := Diff(tightOff, tight, spec); !reflect.DeepEqual(problemKinds(ps), []string{"tolerance"}) {
 		t.Errorf("per-series tolerance not applied: %v", ps)
 	}
 
 	// Zero baseline: absolute comparison.
-	zero := fig(s1("a", FigPoint{N: 1, Value: 0}))
-	within := fig(s1("a", FigPoint{N: 1, Value: 0.5}))
+	zero := fig(s1("a", bench.Point{N: 1, Value: 0}))
+	within := fig(s1("a", bench.Point{N: 1, Value: 0.5}))
 	if ps := Diff(within, zero, spec); len(ps) != 0 {
 		t.Errorf("zero-baseline absolute pass failed: %v", ps)
 	}
-	outside := fig(s1("a", FigPoint{N: 1, Value: 0.51}))
+	outside := fig(s1("a", bench.Point{N: 1, Value: 0.51}))
 	if ps := Diff(outside, zero, spec); !reflect.DeepEqual(problemKinds(ps), []string{"tolerance"}) {
 		t.Errorf("zero-baseline absolute fail missed: %v", ps)
 	}
 }
 
 func TestDiffNonFinite(t *testing.T) {
-	base := fig(s1("a", FigPoint{N: 1, Value: 2}))
+	base := fig(s1("a", bench.Point{N: 1, Value: 2}))
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		got := fig(s1("a", FigPoint{N: 1, Value: v}))
+		got := fig(s1("a", bench.Point{N: 1, Value: v}))
 		if ps := Diff(got, base, testSpec()); !reflect.DeepEqual(problemKinds(ps), []string{"nonfinite"}) {
 			t.Errorf("non-finite run value %v not flagged: %v", v, ps)
 		}
@@ -126,14 +126,14 @@ func TestDiffNonFinite(t *testing.T) {
 		}
 	}
 	// NaN vs NaN is not a pass either.
-	nan := fig(s1("a", FigPoint{N: 1, Value: math.NaN()}))
+	nan := fig(s1("a", bench.Point{N: 1, Value: math.NaN()}))
 	if ps := Diff(nan, nan, testSpec()); !reflect.DeepEqual(problemKinds(ps), []string{"nonfinite"}) {
 		t.Errorf("NaN==NaN slipped through: %v", ps)
 	}
 }
 
 func TestDiffMetadataMismatch(t *testing.T) {
-	got := fig(s1("a", FigPoint{N: 1, Value: 2}))
+	got := fig(s1("a", bench.Point{N: 1, Value: 2}))
 	base := got
 	base.Fidelity = "full"
 	base.Seed = 2
@@ -144,7 +144,7 @@ func TestDiffMetadataMismatch(t *testing.T) {
 }
 
 func TestWriteRejectsNonFinite(t *testing.T) {
-	f := fig(s1("a", FigPoint{N: 1, Value: math.NaN()}))
+	f := fig(s1("a", bench.Point{N: 1, Value: math.NaN()}))
 	var b strings.Builder
 	if err := f.Write(&b); err == nil {
 		t.Fatal("NaN figure serialised without error")
@@ -161,18 +161,31 @@ func TestNoBaselineFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestBaselineRoundTrip: a written baseline loads back unchanged, and
+// Paper — the text report's side note — is no part of the committed bytes.
 func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	f := fig(s1("a", FigPoint{N: 1, Value: 2.5}))
-	if err := WriteBaseline(dir, f); err != nil {
-		t.Fatal(err)
+	f := fig(s1("a", bench.Point{N: 1, Value: 2.5}))
+	withPaper := f
+	withPaper.Paper = "the paper's reported result"
+	var written [2][]byte
+	for i, in := range []Figure{f, withPaper} {
+		dir := t.TempDir()
+		if err := WriteBaseline(dir, in); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadBaseline(dir, in.ID, in.Fidelity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(f, back) {
+			t.Fatalf("round trip mutated the figure:\n%+v\n%+v", f, back)
+		}
+		if written[i], err = os.ReadFile(BaselinePath(dir, in.ID, in.Fidelity)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	back, err := LoadBaseline(dir, f.ID, f.Fidelity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f, back) {
-		t.Fatalf("round trip mutated the figure:\n%+v\n%+v", f, back)
+	if !bytes.Equal(written[0], written[1]) {
+		t.Errorf("Paper changed the committed bytes:\n%s\n%s", written[0], written[1])
 	}
 }
 
@@ -184,7 +197,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(specs) < 8 {
-		t.Fatalf("expected the migrated figure matrix, found %d specs", len(specs))
+		t.Fatalf("expected the figure matrix, found %d specs", len(specs))
 	}
 	for _, s := range specs {
 		var b strings.Builder
@@ -245,67 +258,25 @@ func TestG6AMachinePeak(t *testing.T) {
 	}
 }
 
-// TestSpecMatchesHandWired proves the migration: the f13 spec produces
-// bit-identical curves to the hand-wired bench.RunF13 it replaced.
-func TestSpecMatchesHandWired(t *testing.T) {
-	spec, err := Load(filepath.Join(specDir, "f13.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := quickOpts
-	want, err := bench.RunF13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(spec, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Series) != len(want.Series) {
-		t.Fatalf("series count %d vs %d", len(got.Series), len(want.Series))
-	}
-	for _, ws := range want.Series {
-		gs := got.FindSeries(ws.Label)
-		if gs == nil {
-			t.Fatalf("series %q missing from the spec run", ws.Label)
-		}
-		for _, wp := range ws.Points {
-			found := false
-			for _, gp := range gs.Points {
-				if gp.N == wp.N {
-					found = true
-					if gp.Value != wp.Value {
-						t.Errorf("series %q N=%d: spec %v != hand-wired %v", ws.Label, wp.N, gp.Value, wp.Value)
-					}
-				}
-			}
-			if !found {
-				t.Errorf("series %q N=%d missing from the spec run", ws.Label, wp.N)
-			}
-		}
-	}
-}
-
-// TestCommittedBaselineDiffsClean runs one model-kind spec and one
-// cosim-kind spec at quick fidelity against the committed baselines —
-// the in-process version of the CI matrix job.
+// TestCommittedBaselineDiffsClean runs every committed spec at quick
+// fidelity against its committed baseline — the in-process version of
+// the CI matrix job.
 func TestCommittedBaselineDiffsClean(t *testing.T) {
-	o := quickOpts
-	for _, id := range []string{"f13", "cosim"} {
-		spec, err := Load(filepath.Join(specDir, id+".json"))
+	specs, err := LoadDir(specDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		base, err := LoadBaseline(baselineDir, spec.ID, "quick")
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig, err := Run(spec, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := LoadBaseline(baselineDir, id, "quick")
+		fig, err := Run(spec, quickOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ps := Diff(fig, base, spec); len(ps) > 0 {
-			t.Errorf("%s: committed baseline diff not clean:\n%s", id, FormatProblems(id, ps))
+			t.Errorf("%s: committed baseline diff not clean:\n%s", spec.ID, FormatProblems(spec.ID, ps))
 		}
 	}
 }

@@ -8,7 +8,9 @@
 #   ./... does not reach it)
 # Tier 2 (static + concurrency, required for changes touching hot paths
 #   or anything concurrent):
-#   go vet (both modules) + race detector across the whole module
+#   gofmt over every tracked *.go outside testdata/ (analyzer fixtures are
+#   laid out by hand), go vet (both modules) + race detector across the
+#   whole module
 # Tier 3 (repo-native static analysis, required for every change):
 #   grapelint — the intraprocedural suite (noalloc/deterministic/
 #   nodeprecated/gfixedboundary/goroutinejoin) plus the interprocedural
@@ -40,7 +42,9 @@ if [ "$tier" = 1 ] || [ "$tier" = all ]; then
 fi
 
 if [ "$tier" = 2 ] || [ "$tier" = all ]; then
-	echo "== tier 2: vet + race =="
+	echo "== tier 2: gofmt + vet + race =="
+	unformatted="$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l)"
+	[ -z "$unformatted" ] || { echo "gofmt -l:"; echo "$unformatted"; exit 1; }
 	go vet ./...
 	go vet -C benchmark ./...
 	go test -race ./...
