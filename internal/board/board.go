@@ -21,7 +21,6 @@ import (
 
 	"grape6/internal/chip"
 	"grape6/internal/nbody"
-	"grape6/internal/perfmodel"
 )
 
 // Config describes the packaging of one host's GRAPE-6 attachment.
@@ -85,7 +84,8 @@ func (c Config) PeakFlops() float64 {
 //   - a PREDICT stage (the chip predictor pipelines, which on the real
 //     machine run concurrently with the force pipelines): BeginPredict
 //     kicks it asynchronously so it overlaps host-side work, and any
-//     subsequent memory operation joins it;
+//     subsequent memory operation joins it; a force pass that finds the
+//     caches at another time runs it first and joins it at once;
 //   - the FORCE stage, whose per-span partials are pre-merged per worker
 //     and reduced exactly afterwards (integer accumulator adds, so span
 //     striping cannot change a result bit — the Section 3.4
@@ -151,28 +151,12 @@ type span struct {
 // negligible against the per-slot work.
 const minStripe = 64
 
-// HostCache is the cache model used to derive the default j-tile length
-// of the chips' cache-blocked force streaming (chip.Config.TileJ left
-// zero): the paper's tuned frontend, perfmodel.P4. It stands in for the
-// emulation host — override chip.Config.TileJ to tune for a specific
-// machine. Tile size only affects host wall-clock, never result bits.
-var HostCache = perfmodel.P4
-
 // stripeLen returns the span length for striping `total` j-slots across
-// the pool: about four claims per worker for dynamic load balance. When
-// the span would exceed one j-tile it is rounded down to a whole number
-// of tiles, so the atomic span claiming composes with the chips' cache
-// blocking — every claimed span then streams complete tiles, and a tile
-// is never split between two workers' claims. Sub-tile spans (small
-// memories, many cores) are left alone; blocking degenerates gracefully
-// there because a span shorter than a tile is itself a single tile.
-func stripeLen(total, tile int) int {
+// the pool: about four claims per worker for dynamic load balance.
+func stripeLen(total int) int {
 	l := total / (4 * runtime.GOMAXPROCS(0))
 	if l < minStripe {
 		l = minStripe
-	}
-	if tile > 0 && l > tile {
-		l -= l % tile
 	}
 	return l
 }
@@ -190,17 +174,9 @@ func appendSpans(units []span, ci, nj, l int) []span {
 }
 
 // New builds the attachment. It panics on invalid configuration.
-//
-// When cfg.Chip.TileJ is zero the j-tile length of the chips' cache
-// blocking is derived here from the HostCache profile's CacheBytes (the
-// Fig. 14 cache model) and the SoA hot-set footprint chip.HotJBytes;
-// Config() reports the resolved value.
 func New(cfg Config) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	if cfg.Chip.TileJ == 0 {
-		cfg.Chip.TileJ = HostCache.TileParticles(chip.HotJBytes)
 	}
 	a := &Array{cfg: cfg}
 	a.chips = make([]*chip.Chip, cfg.TotalChips())
@@ -303,7 +279,6 @@ type jobKind uint8
 const (
 	jobForce jobKind = iota
 	jobPredict
-	jobFused // predict, spin-barrier, force — one handoff for both stages
 )
 
 // poolJob is one stage broadcast to every pool worker. The call state is
@@ -328,19 +303,13 @@ type forceCall struct {
 
 // predictCall is the shared state of one striped predict stage: spans
 // cover every chip whose prediction cache does not already hold time t.
-// The wg WaitGroup joins the standalone (async-prefetch) stage. The
-// fused predict+force job instead meets at the in-pool barrier: left
-// counts the workers still predicting (its last decrementer marks the
-// caches valid) and barrier parks the rest until it has — so the
-// synchronous path pays one channel handoff per worker for both stages.
+// joinPredict waits on wg and then marks the caches valid.
 type predictCall struct {
-	t       float64
-	chips   []*chip.Chip
-	units   []span
-	next    int64
-	wg      sync.WaitGroup
-	left    atomic.Int32   // fused barrier: workers still predicting
-	barrier sync.WaitGroup // fused barrier: drops to zero once caches are marked
+	t     float64
+	chips []*chip.Chip
+	units []span
+	next  int64
+	wg    sync.WaitGroup
 }
 
 // forceWorker is one persistent pool goroutine with reusable result
@@ -365,9 +334,6 @@ func (w *forceWorker) run() {
 		case jobPredict:
 			w.doPredict(job.predict)
 			job.predict.wg.Done()
-		case jobFused:
-			w.doFused(job.predict, job.force)
-			job.force.wg.Done()
 		}
 	}
 }
@@ -418,30 +384,6 @@ func (w *forceWorker) doPredict(c *predictCall) {
 		s := c.units[u]
 		c.chips[s.chip].PredictRange(c.t, s.lo, s.hi)
 	}
-}
-
-// doFused runs both pool stages on one handoff: predict, an internal
-// barrier, then force. The last worker out of the predict half (left
-// hits zero; the atomic gives it happens-before over every striped
-// cache write) marks all caches valid and opens the barrier; the rest
-// park on the barrier WaitGroup — parking, not spinning, because the
-// pool is routinely oversubscribed on small hosts and measured spin
-// barriers lost 4x there. The caller still pays only one channel send
-// per worker per evaluation for both stages.
-//
-//grape:noalloc
-func (w *forceWorker) doFused(pc *predictCall, fc *forceCall) {
-	w.doPredict(pc)
-	if pc.left.Add(-1) == 0 {
-		for _, ch := range pc.chips {
-			ch.MarkPredicted(pc.t)
-		}
-		pc.barrier.Done()
-	} else {
-		//grapelint:ignore hotblock fused-stage barrier: parks only until the last predicting worker marks the caches; faster than spinning whenever the pool is oversubscribed
-		pc.barrier.Wait()
-	}
-	w.doForce(fc)
 }
 
 // growPartials returns s with length ≥ n, reallocating only on growth.
@@ -529,17 +471,15 @@ func (a *Array) BeginPredict(t float64) {
 // startPredict stripes prediction at time t across the pool without
 // waiting; nj is the currently chip-resident particle count (the loaded
 // set, or one page of it). Any previous stage must have been joined.
-// Only the async prefetch (BeginPredict) dispatches through here; the
-// synchronous force path fuses prediction into its own broadcast.
+// BeginPredict returns after it, leaving the join to the next memory
+// operation; a force pass that finds the caches at another time joins it
+// at once.
 //
 //grape:hotpath
 func (a *Array) startPredict(t float64, nj int) {
 	pc := &a.pc
 	pc.units = pc.units[:0]
-	// Predict spans use the same tile-aligned striping as the force
-	// stage: alignment is irrelevant for the predictor itself but keeps
-	// one span geometry across both stages.
-	l := stripeLen(nj, a.cfg.Chip.TileLen())
+	l := stripeLen(nj)
 	for ci, ch := range a.chips {
 		if !ch.PredictedAt(t) {
 			pc.units = appendSpans(pc.units, ci, ch.NJ(), l)
@@ -558,7 +498,7 @@ func (a *Array) startPredict(t float64, nj int) {
 	workers := a.pool()
 	pc.wg.Add(len(workers))
 	for _, w := range workers {
-		//grapelint:ignore hotblock async prefetch dispatch: these sends overlap host-side work by design (the jobs park until joinPredict)
+		//grapelint:ignore hotblock predict-stage dispatch, one parking handoff per worker: after BeginPredict the jobs overlap host-side work by design, until joinPredict
 		w.jobs <- poolJob{kind: jobPredict, predict: pc}
 	}
 	a.predPending = true
@@ -573,7 +513,7 @@ func (a *Array) joinPredict() {
 	if !a.predPending {
 		return
 	}
-	//grapelint:ignore hotblock the sanctioned join of the async prefetch; the fast path (no prefetch in flight) returns on the flag check above
+	//grapelint:ignore hotblock the sanctioned join of the predict stage; the fast path (no stage in flight) returns on the flag check above
 	a.pc.wg.Wait()
 	a.predPending = false
 	for _, ch := range a.chips {
@@ -640,56 +580,24 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 		return maxCycles
 	}
 
-	// Predict stage: if the prefetch did not already run (or ran for a
-	// different time), the spans ride the force broadcast as a fused job —
-	// the workers predict, meet at an internal barrier (parked, not
-	// spinning: see doFused), and roll straight into the force spans, so
-	// the synchronous path pays one channel handoff per worker per
-	// evaluation instead of two plus a WaitGroup join.
-	pc := &a.pc
-	pc.units = pc.units[:0]
-	// Tile-aligned spans: each claim is a whole number of j-tiles, so the
-	// chips' cache blocking and the pool's dynamic striping compose. The
-	// predict stage shares the geometry so one span list layout serves
-	// both halves of the fused job.
-	l := stripeLen(nj, a.cfg.Chip.TileLen())
-	for ci, ch := range a.chips {
-		if !ch.PredictedAt(t) {
-			pc.units = appendSpans(pc.units, ci, ch.NJ(), l)
-		}
-	}
-	needPredict := len(pc.units) > 0
-	if needPredict {
-		pc.t, pc.chips, pc.next = t, a.chips, 0
-	} else {
-		// Every cache already holds t (an empty memory trivially so).
-		for _, ch := range a.chips {
-			ch.MarkPredicted(t)
-		}
-	}
+	// Predict stage, for the chips a prefetch has not already left at t.
+	a.startPredict(t, nj)
+	a.joinPredict()
 
 	// Force stage: stripe (chip, j-range) spans across the pool.
 	fc := &a.fc
 	fc.t, fc.is, fc.eps, fc.chips = t, is, eps, a.chips
 	fc.units = fc.units[:0]
+	l := stripeLen(nj)
 	for ci, ch := range a.chips {
 		fc.units = appendSpans(fc.units, ci, ch.NJ(), l)
 	}
 	fc.next = 0
 	workers := a.pool()
 	fc.wg.Add(len(workers))
-	if needPredict {
-		pc.left.Store(int32(len(workers)))
-		pc.barrier.Add(1)
-		for _, w := range workers {
-			//grapelint:ignore hotblock one parking handoff per worker per evaluation: the fused job carries the predict broadcast, its join and the force broadcast
-			w.jobs <- poolJob{kind: jobFused, predict: pc, force: fc}
-		}
-	} else {
-		for _, w := range workers {
-			//grapelint:ignore hotblock one parking handoff per worker per evaluation: prediction was prefetched, only the force stage dispatches
-			w.jobs <- poolJob{kind: jobForce, force: fc}
-		}
+	for _, w := range workers {
+		//grapelint:ignore hotblock one parking handoff per worker per stage: the caches hold t, the force stage dispatches
+		w.jobs <- poolJob{kind: jobForce, force: fc}
 	}
 	//grapelint:ignore hotblock the single sanctioned join per evaluation: the caller must not touch dst or the slabs while workers run
 	fc.wg.Wait()
@@ -727,50 +635,52 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 	return maxCycles
 }
 
-// chipPageLen returns the per-chip page length of the streaming path:
-// the largest whole number of j-tiles fitting the chip memory, so
-// paging composes with the cache blocking (a memory smaller than one
-// tile pages at full capacity).
-func (a *Array) chipPageLen() int {
-	tile := a.cfg.Chip.TileLen()
-	capacity := a.cfg.Chip.MemCapacity
-	if tile <= 0 || tile >= capacity {
-		return capacity
+// pageChunk returns the jhost range [lo, hi) chip c holds while page p of
+// the paged set streams through, ok false once p is past the last page.
+// Pages are balanced — npages = ceil(total/fleetPage) with a chip page of
+// MemCapacity slots, page p covers [p·total/npages, (p+1)·total/npages)
+// and each chip takes an equally balanced chunk of it — so chunk sizes
+// differ by at most one across the whole run. forcesPaged evaluates by
+// this layout and BatchCyclesFor accounts by it.
+func (a *Array) pageChunk(p, c int) (lo, hi int, ok bool) {
+	nc, total := len(a.chips), len(a.jhost)
+	fleetPage := nc * a.cfg.Chip.MemCapacity
+	npages := (total + fleetPage - 1) / fleetPage
+	if p >= npages {
+		return 0, 0, false
 	}
-	return capacity - capacity%tile
+	lo = p * total / npages
+	m := (p+1)*total/npages - lo
+	return lo + c*m/nc, lo + (c+1)*m/nc, true
 }
 
 // forcesPaged evaluates the batch against the host-resident j-set by
-// streaming it through the chips page by page. Pages are balanced —
-// npages = ceil(total/fleetPage), page p covers [p·total/npages,
-// (p+1)·total/npages) and each chip takes an equally balanced chunk —
-// so chunk sizes differ by at most one across the whole run, the chip
-// planes keep one steady footprint (no shrink-hysteresis thrash), and
-// the streaming steady state allocates nothing. Per-page partials merge
-// into dst by exact integer accumulator adds, so the result is
-// bit-identical to a hypothetical unbounded-memory resident evaluation
-// (the Section 3.4 partition invariance), and the reduction-tree
-// latency is paid once, as the hardware would.
+// streaming it through the chips page by page (pageChunk): with chunk
+// sizes steady the chip planes keep one footprint (no shrink-hysteresis
+// thrash) and the streaming steady state allocates nothing. Per-page
+// partials merge into dst by exact integer accumulator adds, so the
+// result is bit-identical to a hypothetical unbounded-memory resident
+// evaluation (the Section 3.4 partition invariance), and the
+// reduction-tree latency is paid once, as the hardware would.
 //
 //grape:hotpath
 func (a *Array) forcesPaged(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) int64 {
 	n := len(is)
-	nc := len(a.chips)
-	total := len(a.jhost)
-	fleetPage := nc * a.chipPageLen()
-	npages := (total + fleetPage - 1) / fleetPage
 	var cycles int64
-	for p := 0; p < npages; p++ {
-		page := a.jhost[p*total/npages : (p+1)*total/npages]
-		m := len(page)
-		for c := 0; c < nc; c++ {
-			chunk := page[c*m/nc : (c+1)*m/nc]
-			if err := a.chips[c].LoadJRange(0, chunk); err != nil {
+	for p := 0; ; p++ {
+		m := 0
+		for c, ch := range a.chips {
+			lo, hi, ok := a.pageChunk(p, c)
+			if !ok {
+				return cycles + a.reductionCycles()
+			}
+			if err := ch.LoadJRange(0, a.jhost[lo:hi]); err != nil {
 				panic(fmt.Sprintf("board: page %d chip %d: %v", p, c, err))
 			}
-			if err := a.chips[c].TruncateJ(len(chunk)); err != nil {
+			if err := ch.TruncateJ(hi - lo); err != nil {
 				panic(fmt.Sprintf("board: page %d chip %d: %v", p, c, err))
 			}
+			m += hi - lo
 		}
 		d := dst[:n]
 		if p > 0 {
@@ -784,7 +694,6 @@ func (a *Array) forcesPaged(dst []chip.Partial, t float64, is []chip.IParticle, 
 			}
 		}
 	}
-	return cycles + a.reductionCycles()
 }
 
 // BatchCyclesFor returns the hardware cycles a ForcesInto of ni
@@ -797,23 +706,20 @@ func (a *Array) forcesPaged(dst []chip.Partial, t float64, is []chip.IParticle, 
 // charged it: occupancy is shared, accounting is not.
 func (a *Array) BatchCyclesFor(ni int) int64 {
 	if a.paged {
-		nc := len(a.chips)
-		total := len(a.jhost)
-		fleetPage := nc * a.chipPageLen()
-		npages := (total + fleetPage - 1) / fleetPage
 		var cycles int64
-		for p := 0; p < npages; p++ {
-			m := (p+1)*total/npages - p*total/npages
+		for p := 0; ; p++ {
 			var maxCycles int64
-			for c := 0; c < nc; c++ {
-				chunk := (c+1)*m/nc - c*m/nc
-				if cy := a.cfg.Chip.BatchCycles(ni, chunk); cy > maxCycles {
+			for c := range a.chips {
+				lo, hi, ok := a.pageChunk(p, c)
+				if !ok {
+					return cycles + a.reductionCycles()
+				}
+				if cy := a.cfg.Chip.BatchCycles(ni, hi-lo); cy > maxCycles {
 					maxCycles = cy
 				}
 			}
 			cycles += maxCycles
 		}
-		return cycles + a.reductionCycles()
 	}
 	var maxCycles int64
 	for _, ch := range a.chips {

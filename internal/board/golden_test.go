@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"grape6/internal/chip"
@@ -74,22 +75,32 @@ func TestGoldenBitIdentityWorkerPool(t *testing.T) {
 	}
 }
 
+// eachProcs runs f under the GOMAXPROCS ladder of the partition tests: 1
+// takes the serial path, the others size the pool and, through stripeLen,
+// cut the chip memories into different (chip, j-range) spans claimed by
+// different workers.
+func eachProcs(t *testing.T, f func(procs int)) {
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		f(procs)
+	}
+}
+
 func TestGoldenBitIdentityTileSweep(t *testing.T) {
-	// Cache blocking must be invisible in the result bits: the golden
-	// workload hashed under degenerate, prime, hardware-batch, mid-size and
-	// auto-derived j-tile lengths must reproduce the seed kernel hash
-	// exactly. 0 exercises board.New's cache-model derivation path.
-	for _, tile := range []int{1, 7, 48, 512, 0} {
-		cfg := smallConfig()
-		cfg.Chip.TileJ = tile
-		got := goldenWorkloadHash(t, cfg, func(a *Array, is []chip.IParticle) []*chip.Partial {
+	// How the j-memory is cut into spans and who merges which must be
+	// invisible in the result bits: the golden workload reproduces the seed
+	// kernel hash exactly at every pool width.
+	eachProcs(t, func(procs int) {
+		got := goldenWorkloadHash(t, smallConfig(), func(a *Array, is []chip.IParticle) []*chip.Partial {
 			out, _ := forces(a, 0.015625, is, 1.0/64)
 			return out
 		})
 		if got != seedKernelHash {
-			t.Errorf("tile %d: hash %#016x differs from seed kernel %#016x", tile, got, seedKernelHash)
+			t.Errorf("GOMAXPROCS %d: hash %#016x differs from seed kernel %#016x", procs, got, seedKernelHash)
 		}
-	}
+	})
 }
 
 // multiStepHash is the FNV-1a hash of a 24-block individual-timestep
@@ -190,16 +201,16 @@ func TestGoldenMultiStepParallelPrefetch(t *testing.T) {
 }
 
 func TestGoldenMultiStepTiled(t *testing.T) {
-	// The full individual-timestep loop — predict, force, slot-patch — at a
-	// deliberately awkward prime tile length must still match the serial
-	// pre-optimization hash.
-	cfg := smallConfig()
-	cfg.Chip.TileJ = 31
-	a := New(cfg)
-	defer a.Close()
-	if got := multiStepWorkloadHash(t, a, false); got != multiStepHash {
-		t.Errorf("tiled multi-step hash %#016x, want %#016x", got, multiStepHash)
-	}
+	// The full individual-timestep loop — predict, force, slot-patch — must
+	// match the serial pre-optimization hash however wide the pool: 2048
+	// j-particles stripe into spans of 256, 170 and 64 slots at 2, 3 and 8.
+	eachProcs(t, func(procs int) {
+		a := New(smallConfig())
+		defer a.Close()
+		if got := multiStepWorkloadHash(t, a, false); got != multiStepHash {
+			t.Errorf("GOMAXPROCS %d: multi-step hash %#016x, want %#016x", procs, got, multiStepHash)
+		}
+	})
 }
 
 func TestGoldenBitIdentityForcesInto(t *testing.T) {

@@ -60,7 +60,7 @@ func TestGoldenMultiStepPaged(t *testing.T) {
 func TestPagedMatchesResidentAcrossCapacities(t *testing.T) {
 	// Any per-chip memory capacity must yield the same bits as the fully
 	// resident evaluation, including capacities that leave ragged final
-	// pages and sub-tile chunks.
+	// pages.
 	resident := New(smallConfig())
 	defer resident.Close()
 	_, is := loadPlummer(t, resident, 300, 9)

@@ -106,10 +106,9 @@ func BenchmarkArrayForces(b *testing.B) {
 // evaluation time advancing every iteration so the predict stage can
 // never be skipped — the per-block-step pattern of the integrator. The
 // work per span is tiny, so the ns/op is dominated by the dispatch
-// machinery this benchmark tracks: with the fused predict+force job it
-// is one channel handoff per worker plus one WaitGroup join, where the
-// split stages paid two handoffs and two joins. Steady state must stay
-// allocation-free.
+// machinery this benchmark tracks: a predict stage and a force stage per
+// evaluation, each one channel handoff per worker plus one WaitGroup
+// join. Steady state must stay allocation-free.
 func BenchmarkArrayDispatch(b *testing.B) {
 	old := runtime.GOMAXPROCS(4) // engage the pool even on small hosts
 	defer runtime.GOMAXPROCS(old)
@@ -128,8 +127,7 @@ func BenchmarkArrayDispatch(b *testing.B) {
 
 // BenchmarkArrayForces64k is the array path at full memory pressure: 65536
 // j-particles striped over the 8 emulated chips (8192 per chip), where the
-// per-worker j-hot set exceeds the host cache and the tile-aligned spans
-// matter.
+// per-worker j-hot set exceeds the host cache.
 func BenchmarkArrayForces64k(b *testing.B) {
 	a := New(smallConfig())
 	defer a.Close()
@@ -145,14 +143,14 @@ func BenchmarkArrayForces64k(b *testing.B) {
 
 // TestForcesIntoFewParticlesAcrossProcs holds the smallest blocks — one
 // i-particle (both lanes of the chip kernel, over the halves of each
-// j-tile), a pair, a pair and a lone one — to the same partials however the
+// span), a pair, a pair and a lone one — to the same partials however the
 // evaluation is striped: on the caller's goroutine, across a pool of two,
 // and across a pool of four, which on a two-processor host leaves workers
 // that find no span left to claim.
 func TestForcesIntoFewParticlesAcrossProcs(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	const nj = 4801 // uneven chip loads, odd tiles; 1 × nj is above serialWorkMax
+	const nj = 4801 // uneven chip loads, odd spans; 1 × nj is above serialWorkMax
 	var want [][]*chip.Partial
 	for _, tc := range []struct {
 		procs int

@@ -27,16 +27,6 @@ type Config struct {
 	Format        gfixed.Format // arithmetic word lengths
 	MemCapacity   int           // j-particle memory capacity
 	PipelineDepth int           // pipeline latency in cycles
-
-	// TileJ is the j-tile length of the emulation's cache blocking: the
-	// force pass streams the j-memory in tiles of this many slots,
-	// evaluating the whole i-batch against each tile before advancing, so
-	// a tile is read from DRAM once per batch instead of once per
-	// i-particle. 0 selects the package default; board.New derives a
-	// value from the host cache model (perfmodel.HostProfile) instead.
-	// Purely a host-performance knob: block-floating-point accumulation
-	// is exact, so every tile size produces bit-identical results.
-	TileJ int
 }
 
 // Default is the production GRAPE-6 chip configuration.
@@ -63,34 +53,7 @@ func (c Config) Validate() error {
 	if c.PipelineDepth < 0 {
 		return fmt.Errorf("chip: negative pipeline depth %d", c.PipelineDepth)
 	}
-	if c.TileJ < 0 {
-		return fmt.Errorf("chip: negative j-tile length %d", c.TileJ)
-	}
 	return c.Format.Validate()
-}
-
-// HotJBytes is the per-particle footprint of the structure-of-arrays hot
-// set the force loop streams: three fixed-point position planes, three
-// velocity planes, the mass plane and the id plane, 8 bytes each. The
-// full JParticle record (WordsPerParticle words) is NOT touched by the
-// inner loop; tile sizing uses this number.
-const HotJBytes = 8 * 8
-
-// defaultTileJ is the fallback j-tile length for a standalone chip with
-// TileJ left zero: the hot set of one tile (HotJBytes per slot) fills
-// half of a 512 KB cache — the paper's tuned-frontend cache size
-// (perfmodel.P4) — leaving the other half for the i-batch, the partial
-// slab and the stack. Boards derive the same number through
-// perfmodel.HostProfile.TileParticles at construction.
-const defaultTileJ = 512 * 1024 / (2 * HotJBytes)
-
-// TileLen returns the j-tile length cache blocking will use: TileJ when
-// set, else the package default.
-func (c Config) TileLen() int {
-	if c.TileJ > 0 {
-		return c.TileJ
-	}
-	return defaultTileJ
 }
 
 // IBatch returns the number of i-particles served in parallel by one pass
@@ -581,22 +544,14 @@ func (ch *Chip) ForceBatchInto(dst []Partial, t float64, is []IParticle, eps flo
 // applied within a chip instead of across chips). Out-of-range and
 // reversed bounds are clamped to an empty range, never a panic.
 //
-// The range is streamed in j-tiles of Config.TileLen slots with the
-// loops interchanged: every i-particle is evaluated against one tile
-// before the next tile is touched, so a tile's SoA planes are pulled
-// into the host cache once per batch instead of once per i-particle —
-// the broadcast-i / stream-j layout of the real chip, where j-particles
-// stream from local memory through all pipelines at once. The same
-// partition invariance that makes striping exact makes the tiled
-// partial sums bit-identical to the whole-memory stream.
-//
-// forceTile takes two pairs per step, so the batch goes through a tile two
-// i-particles at a time. The one an odd batch leaves over — every
-// one-particle block's — is both lanes itself, over the two halves of the
-// tile: the second half accumulates into a partial of its own on the same
-// three exponents, an odd last slot goes through forcePair, and the two
-// merge when the range is done. That is one more partition of the j-range,
-// exact for the same reason as the others.
+// The i-particles are broadcast and the j-range streamed past them, the
+// loop order of the real chip. forceTile takes two pairs per step, so the
+// batch goes through the range two i-particles at a time. The one an odd
+// batch leaves over — every one-particle block's — is both lanes itself,
+// over the two halves of the range: the second half accumulates into a
+// partial of its own on the same three exponents, an odd last slot goes
+// through forcePair, and the two merge. That is one more partition of the
+// j-range, exact for the same reason as the others.
 //
 // Prediction of a missing time runs lazily over the WHOLE memory, which
 // is only safe single-threaded: concurrent range calls on one chip
@@ -631,32 +586,22 @@ func (ch *Chip) ForceBatchRangeInto(dst []Partial, t float64, is []IParticle, ep
 	for i := range is {
 		dst[i].Init(f, is[i].ExpAcc, is[i].ExpJerk, is[i].ExpPot)
 	}
-	lone := len(is) &^ 1 // index of the i-particle without a partner
-	odd := lone < len(is)
-	var half Partial // its second-half partial
-	if odd {
-		half = dst[lone]
-	}
-	tile := ch.cfg.TileLen()
-	for tlo := lo; tlo < hi; tlo += tile {
-		thi := tlo + tile
-		if thi > hi {
-			thi = hi
-		}
-		n := thi - tlo
+	// An empty range runs no kernel: lo may lie past the planes forceTile
+	// would slice.
+	if n := hi - lo; n > 0 {
+		lone := len(is) &^ 1 // index of the i-particle without a partner
 		for i := 0; i < lone; i += 2 {
-			ch.forceTile(&is[i], &dst[i], tlo, &is[i+1], &dst[i+1], tlo, n, e2, r, invPos)
+			ch.forceTile(&is[i], &dst[i], lo, &is[i+1], &dst[i+1], lo, n, e2, r, invPos)
 		}
-		if odd {
+		if lone < len(is) {
+			half := dst[lone] // its second-half partial
 			h := n / 2
-			ch.forceTile(&is[lone], &dst[lone], tlo, &is[lone], &half, tlo+h, h, e2, r, invPos)
+			ch.forceTile(&is[lone], &dst[lone], lo, &is[lone], &half, lo+h, h, e2, r, invPos)
 			if n&1 != 0 {
-				ch.forcePair(&is[lone], &dst[lone], e2, r, invPos, thi-1)
+				ch.forcePair(&is[lone], &dst[lone], e2, r, invPos, hi-1)
 			}
+			dst[lone].Merge(&half)
 		}
-	}
-	if odd {
-		dst[lone].Merge(&half)
 	}
 
 	return ch.cfg.BatchCycles(len(is), hi-lo)
@@ -675,13 +620,12 @@ func slabPanic(got, want int) {
 // into pB, slot k of both in the same iteration, so the processor always
 // has two independent chains of roundings to overlap — the emulation's
 // share of the chip's 48 i-particles per streamed j-particle. The lanes are
-// two i-particles on one tile (loA == loB) or one i-particle on the two
-// halves of a tile (ipA == ipB, see ForceBatchRangeInto); pA and pB must be
+// two i-particles on one range (loA == loB) or one i-particle on the two
+// halves of a range (ipA == ipB, see ForceBatchRangeInto); pA and pB must be
 // distinct. r and invPos are the caller-hoisted mantissa rounder and
 // fixed-point scale (invariant across the whole batch). Only the SoA
-// hot-set planes are read — HotJBytes per slot, never the full JParticle
-// record — so the tile's working set is what Config.TileLen sized against
-// the cache.
+// hot-set planes are read — eight 8-byte words per slot, never the full
+// JParticle record.
 //
 // The pair loop makes no function call. It proceeds in runs: a run holds
 // both lanes' seven sums and nearest neighbour in locals and evaluates every
@@ -689,9 +633,9 @@ func slabPanic(got, want int) {
 // RoundTame / AddTame. Those are exact only on tame values (gfixed.TameExp)
 // and on plain in-range adds, so:
 //
-//   - a tile runs this way only if the softening e2 (a rounded square, so
+//   - a call runs this way only if the softening e2 (a rounded square, so
 //     never negative) is tame and, in both partials, each group of three
-//     shares one scale; any other tile goes slot by slot through forcePair;
+//     shares one scale; any other call goes slot by slot through forcePair;
 //   - a run ends for both lanes, before either has changed anything, at a
 //     slot where either lane's r2 is not positive (a self-pair with zero
 //     softening), where one guard finds a free input of either pair — the

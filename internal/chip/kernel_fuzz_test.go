@@ -90,9 +90,10 @@ const (
 // offset, then each over what it has not seen).
 //
 // The lone-particle path of ForceBatchRangeInto — one i-particle as both
-// lanes over the two halves of every tile, tile length fuzzed — must equal
-// forceTileRef over the same halves merged, Overflow flags included, and
-// the whole-range reference whenever neither run overflowed. Not always:
+// lanes over the two halves of the range, on either side of a fuzzed cut of
+// the memory, the empty sides included — must equal forceTileRef over the
+// same halves merged, Overflow flags included, and the whole-range
+// reference whenever neither run overflowed. Not always:
 // Add refuses a step that takes the sum to ±2^62, so a sum that is outside
 // only transiently raises the flag under one partition and not under
 // another. That is as old as j-striping (board.stripeLen cuts differently
@@ -161,7 +162,6 @@ func FuzzForceTile(f *testing.F) {
 		rng := xrand.New(seed)
 		unit := func() float64 { return 2*rng.Float64() - 1 }
 		nj := 2 + int(seed%23)
-		cfg.TileJ = 1 + int(cut)%(nj+1) // for the ForceBatchRangeInto half of the test
 		fm := cfg.Format
 		sp := gfixed.FloatFromBits(special)
 
@@ -300,23 +300,24 @@ func FuzzForceTile(f *testing.F) {
 			check(what+", apart, ipB", gotB, wantBApart)
 		}
 
-		// A batch of three: a pair of lanes, then lane A's particle alone.
+		// A batch of three: a pair of lanes, then lane A's particle alone,
+		// over the ranges on either side of mid.
 		is := []IParticle{ipA, ipB, ipA}
 		dst := make([]Partial, len(is))
-		ch.ForceBatchRangeInto(dst, 0, is, eps, 0, nj)
-		wholeA := ref(&ipA, freshA, 0, nj)
-		check("batch, first of the pair", dst[0], wholeA)
-		check("batch, second of the pair", dst[1], ref(&ipB, freshB, 0, nj))
-		front, back := freshA, freshA
-		for lo := 0; lo < nj; lo += cfg.TileJ {
-			n := min(cfg.TileJ, nj-lo)
-			front = ref(&ipA, front, lo, lo+n/2, lo+n/2*2, lo+n)
-			back = ref(&ipA, back, lo+n/2, lo+n/2*2)
-		}
-		front.Merge(&back)
-		check("batch, lone particle against its halves", dst[2], front)
-		if !front.Overflowed() && !wholeA.Overflowed() {
-			check("batch, lone particle against the whole range", dst[2], wholeA)
+		for _, rg := range [][2]int{{0, mid}, {mid, nj}} {
+			lo, hi := rg[0], rg[1]
+			ch.ForceBatchRangeInto(dst, 0, is, eps, lo, hi)
+			wholeA := ref(&ipA, freshA, lo, hi)
+			check("batch, first of the pair", dst[0], wholeA)
+			check("batch, second of the pair", dst[1], ref(&ipB, freshB, lo, hi))
+			h := (hi - lo) / 2
+			front := ref(&ipA, freshA, lo, lo+h, lo+2*h, hi)
+			back := ref(&ipA, freshA, lo+h, lo+2*h)
+			front.Merge(&back)
+			check("batch, lone particle against its halves", dst[2], front)
+			if !front.Overflowed() && !wholeA.Overflowed() {
+				check("batch, lone particle against the whole range", dst[2], wholeA)
+			}
 		}
 	})
 }

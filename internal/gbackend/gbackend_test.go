@@ -2,6 +2,7 @@ package gbackend
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"grape6/internal/board"
@@ -219,18 +220,21 @@ func TestSpeedAccountingPlausible(t *testing.T) {
 }
 
 func TestIntegrationTileInvariant(t *testing.T) {
-	// The j-tile length is a pure host-performance knob: a full Hermite
-	// integration on the emulated hardware must be bit-identical under any
-	// tile size, down to the last position bit — the end-to-end face of
-	// the chip-level tile-invariance property.
+	// How the pool cuts and shares the j-memory is invisible end to end: a
+	// full Hermite integration on the emulated hardware is bit-identical,
+	// down to the last position bit, at every GOMAXPROCS — 1 is the serial
+	// path throughout, the others a pool of that width for the blocks above
+	// board's serial threshold (16 of these 256 particles).
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	eps := 1.0 / 64
-	run := func(tileJ int) *nbody.System {
-		sys := model.Plummer(64, xrand.New(9))
+	run := func(procs int) *nbody.System {
+		runtime.GOMAXPROCS(procs)
+		sys := model.Plummer(256, xrand.New(9))
 		cfg := board.Default
 		cfg.ChipsPerModule = 2
 		cfg.ModulesPerBoard = 2
 		cfg.Boards = 1
-		cfg.Chip.TileJ = tileJ
 		arr := board.New(cfg)
 		defer arr.Close()
 		it, err := hermite.New(sys, New(arr), hermite.DefaultParams(eps))
@@ -240,11 +244,13 @@ func TestIntegrationTileInvariant(t *testing.T) {
 		it.Run(0.0625)
 		return sys
 	}
-	want := run(0) // cache-model default
-	got := run(13) // awkward prime tile
-	for i := 0; i < want.N; i++ {
-		if want.Pos[i] != got.Pos[i] || want.Vel[i] != got.Vel[i] {
-			t.Fatalf("particle %d state differs between tile sizes", i)
+	want := run(1)
+	for _, procs := range []int{2, 3, 8} {
+		got := run(procs)
+		for i := 0; i < want.N; i++ {
+			if want.Pos[i] != got.Pos[i] || want.Vel[i] != got.Vel[i] {
+				t.Fatalf("particle %d state differs between GOMAXPROCS 1 and %d", i, procs)
+			}
 		}
 	}
 }

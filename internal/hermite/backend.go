@@ -1,9 +1,6 @@
 package hermite
 
 import (
-	"runtime"
-	"sync"
-
 	"grape6/internal/direct"
 	"grape6/internal/nbody"
 	"grape6/internal/vec"
@@ -93,31 +90,14 @@ type DirectBackend struct {
 	pos  []vec.V3
 	vel  []vec.V3
 
-	// Prefetched-prediction state (PredictAheadBackend). When predOK,
-	// pos/vel hold every particle predicted to predT. predWG is pending
-	// iff predBusy; every method that reads or writes js/pos/vel joins it
-	// first, so the background pass never races host access.
-	predT    float64
-	predOK   bool
-	predBusy bool
-	predWG   sync.WaitGroup
+	// When predOK, pos/vel hold every particle predicted to predT, and
+	// another evaluation at predT reuses them; Load and Update clear it.
+	predT  float64
+	predOK bool
 }
-
-// asyncPredictMin is the j-set size below which BeginPredict stays a
-// no-op: the pass is too short to be worth a goroutine handoff.
-const asyncPredictMin = 256
 
 // NewDirectBackend returns an empty DirectBackend.
 func NewDirectBackend() *DirectBackend { return &DirectBackend{} }
-
-// joinPredict waits for a pending background predict pass, if any.
-func (b *DirectBackend) joinPredict() {
-	if b.predBusy {
-		b.predWG.Wait()
-		b.predBusy = false
-		b.predOK = true
-	}
-}
 
 // predictAll runs the predictor pass (eqs. (6)-(7) in float64) for every
 // stored j-particle, striped across the host's cores. The per-particle
@@ -131,31 +111,8 @@ func (b *DirectBackend) predictAll(t float64) {
 	})
 }
 
-// BeginPredict implements PredictAheadBackend: it starts the predictor
-// pass for time t on a background goroutine so it overlaps with the
-// host's corrector and block setup. ForcesInto at the same t reuses the
-// result; any other access joins first.
-func (b *DirectBackend) BeginPredict(t float64) {
-	b.joinPredict()
-	if b.predOK && b.predT == t {
-		return
-	}
-	if runtime.GOMAXPROCS(0) <= 1 || len(b.js) < asyncPredictMin {
-		return // nothing to gain; ForcesInto predicts on demand
-	}
-	b.predT = t
-	b.predOK = false
-	b.predBusy = true
-	b.predWG.Add(1)
-	go func() {
-		defer b.predWG.Done()
-		b.predictAll(t)
-	}()
-}
-
 // Load implements Backend.
 func (b *DirectBackend) Load(sys *nbody.System) {
-	b.joinPredict()
 	b.predOK = false
 	b.js = make([]jstate, sys.N)
 	for i := 0; i < sys.N; i++ {
@@ -179,7 +136,6 @@ func (b *DirectBackend) Load(sys *nbody.System) {
 
 // Update implements Backend.
 func (b *DirectBackend) Update(sys *nbody.System, idx []int) {
-	b.joinPredict()
 	b.predOK = false
 	for _, i := range idx {
 		b.js[i] = jstate{
@@ -206,9 +162,8 @@ func (b *DirectBackend) Forces(t float64, ids []int, xi, vi []vec.V3, eps float6
 // ForcesInto implements ForcesIntoBackend.
 func (b *DirectBackend) ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force {
 	// Predictor pass over all stored j-particles (the chip's predictor
-	// pipeline does exactly this in hardware), unless a BeginPredict
-	// prefetch for this t already ran it in the background.
-	b.joinPredict()
+	// pipeline does exactly this in hardware), unless the last evaluation
+	// was at this t and nothing has been written since.
 	if !b.predOK || b.predT != t {
 		b.predictAll(t)
 		b.predT, b.predOK = t, true

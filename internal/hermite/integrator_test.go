@@ -2,10 +2,13 @@ package hermite
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"grape6/internal/direct"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
+	"grape6/internal/vec"
 	"grape6/internal/xrand"
 )
 
@@ -280,6 +283,42 @@ func TestInteractionsAccounting(t *testing.T) {
 	s := it.Step()
 	if got := it.Interactions - init; got != int64(s.Size)*32 {
 		t.Errorf("step interactions = %d, want %d", got, s.Size*32)
+	}
+}
+
+// TestDirectBackendSameTimeReuse pins what is left of DirectBackend's
+// prediction state now that nothing runs behind its back: it is not a
+// PredictAheadBackend, two evaluations at one t agree bit for bit (the
+// second reuses the prediction), and an Update between two evaluations at
+// one t invalidates it — the moved particle is seen, exactly as by a
+// backend freshly loaded with the new state.
+func TestDirectBackendSameTimeReuse(t *testing.T) {
+	if _, ok := Backend(NewDirectBackend()).(PredictAheadBackend); ok {
+		t.Error("DirectBackend satisfies PredictAheadBackend")
+	}
+	sys := model.Plummer(64, xrand.New(5))
+	b := NewDirectBackend()
+	b.Load(sys)
+	const tm, eps = 0x1p-6, 1.0 / 64
+	ids := []int{0, 1, 2}
+	forces := func(b *DirectBackend) []direct.Force {
+		return b.Forces(tm, ids, sys.Pos[:3], sys.Vel[:3], eps)
+	}
+	first := forces(b)
+	if again := forces(b); !slices.Equal(again, first) {
+		t.Errorf("second evaluation at one t differs: %v vs %v", again, first)
+	}
+
+	sys.Pos[40] = sys.Pos[0].Add(vec.New(0.125, 0, 0))
+	b.Update(sys, []int{40})
+	moved := forces(b)
+	if slices.Equal(moved, first) {
+		t.Error("evaluation after Update reused the stale prediction")
+	}
+	fresh := NewDirectBackend()
+	fresh.Load(sys)
+	if want := forces(fresh); !slices.Equal(moved, want) {
+		t.Errorf("after Update %v, freshly loaded %v", moved, want)
 	}
 }
 

@@ -68,28 +68,6 @@ func (h HostProfile) MissFraction(n int) float64 {
 	return excess / (excess + h.CacheBytes)
 }
 
-// TileParticles returns the j-tile length for cache-blocked streaming on
-// this host: the largest particle count whose streamed working set
-// (bytesPerParticle per particle) fills half the effective cache, the
-// other half being left for the resident i-block, partial results and
-// the stack. This inverts the Figure 14 cache model — MissFraction says
-// a working set under CacheBytes re-reads for free, so a force pass that
-// walks the j-memory in tiles of this size pays the DRAM transfer once
-// per tile per batch instead of once per tile per i-particle. The result
-// is floored at one hardware i-batch (48) so pathological cache sizes
-// still amortize the per-tile loop overhead.
-func (h HostProfile) TileParticles(bytesPerParticle int) int {
-	const floor = 48 // one i-batch of the production chip
-	if bytesPerParticle <= 0 {
-		return floor
-	}
-	t := int(h.CacheBytes) / (2 * bytesPerParticle)
-	if t < floor {
-		t = floor
-	}
-	return t
-}
-
 // PerStep returns the host time per particle step at particle count N —
 // the Figure 14 dotted-curve model. The dashed-curve (constant) variant is
 // PerStepConstant.
