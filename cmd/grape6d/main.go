@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"time"
 
 	"grape6/internal/board"
 	"grape6/internal/core"
@@ -30,12 +29,11 @@ import (
 
 func main() {
 	var (
-		listen  = flag.String("listen", ":7646", "address to serve RPC on")
-		fleet   = flag.Int("fleet", 1, "number of board arrays in the shared fleet")
-		boards  = flag.Int("boards", 0, "boards per array (0 = production 4-board attachment)")
-		chips   = flag.Int("chips", 0, "chips per module override (0 = production 4)")
-		maxWait = flag.Duration("maxwait", 0, "coalescing window for under-filled batches")
-		smoke   = flag.Bool("smoke", false, "run the in-process end-to-end smoke scenario and exit")
+		listen = flag.String("listen", ":7646", "address to serve RPC on")
+		fleet  = flag.Int("fleet", 1, "number of board arrays in the shared fleet")
+		boards = flag.Int("boards", 0, "boards per array (0 = production 4-board attachment)")
+		chips  = flag.Int("chips", 0, "chips per module override (0 = production 4)")
+		smoke  = flag.Bool("smoke", false, "run the in-process end-to-end smoke scenario and exit")
 	)
 	flag.Parse()
 
@@ -56,11 +54,7 @@ func main() {
 		return
 	}
 
-	sv := grape6d.NewServer(grape6d.NewScheduler(grape6d.Config{
-		Fleet:   *fleet,
-		HW:      hw,
-		MaxWait: *maxWait,
-	}))
+	sv := grape6d.NewServer(grape6d.NewScheduler(grape6d.Config{Fleet: *fleet, HW: hw}))
 	defer sv.Close()
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -101,9 +95,7 @@ func soloHash(hw board.Config, n int, seed uint64, eps float64, blocks int) (uin
 func runSmoke() error {
 	hw := smokeHW()
 	eps := 1.0 / 64
-	sv := grape6d.NewServer(grape6d.NewScheduler(grape6d.Config{
-		Fleet: 1, HW: hw, MaxWait: 200 * time.Microsecond,
-	}))
+	sv := grape6d.NewServer(grape6d.NewScheduler(grape6d.Config{Fleet: 1, HW: hw}))
 	defer sv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -640,8 +640,7 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 // Pages are balanced — npages = ceil(total/fleetPage) with a chip page of
 // MemCapacity slots, page p covers [p·total/npages, (p+1)·total/npages)
 // and each chip takes an equally balanced chunk of it — so chunk sizes
-// differ by at most one across the whole run. forcesPaged evaluates by
-// this layout and BatchCyclesFor accounts by it.
+// differ by at most one across the whole run.
 func (a *Array) pageChunk(p, c int) (lo, hi int, ok bool) {
 	nc, total := len(a.chips), len(a.jhost)
 	fleetPage := nc * a.cfg.Chip.MemCapacity
@@ -694,40 +693,6 @@ func (a *Array) forcesPaged(dst []chip.Partial, t float64, is []chip.IParticle, 
 			}
 		}
 	}
-}
-
-// BatchCyclesFor returns the hardware cycles a ForcesInto of ni
-// i-particles against the currently loaded j-set would report, without
-// evaluating anything. It mirrors the evaluation paths exactly — the
-// lockstep maximum over per-chip BatchCycles plus the reduction-tree
-// latency in resident mode, the per-page sum of chunk maxima plus one
-// reduction in paged mode — so a multi-tenant scheduler can charge each
-// coalesced sub-request the cycles a dedicated attachment would have
-// charged it: occupancy is shared, accounting is not.
-func (a *Array) BatchCyclesFor(ni int) int64 {
-	if a.paged {
-		var cycles int64
-		for p := 0; ; p++ {
-			var maxCycles int64
-			for c := range a.chips {
-				lo, hi, ok := a.pageChunk(p, c)
-				if !ok {
-					return cycles + a.reductionCycles()
-				}
-				if cy := a.cfg.Chip.BatchCycles(ni, hi-lo); cy > maxCycles {
-					maxCycles = cy
-				}
-			}
-			cycles += maxCycles
-		}
-	}
-	var maxCycles int64
-	for _, ch := range a.chips {
-		if cy := a.cfg.Chip.BatchCycles(ni, ch.NJ()); cy > maxCycles {
-			maxCycles = cy
-		}
-	}
-	return maxCycles + a.reductionCycles()
 }
 
 // reductionCycles returns the pipeline latency of the three-level

@@ -83,7 +83,7 @@ type Backend struct {
 	Retries     int64 // overflow-retry force evaluations
 	RangeClamps int64 // coordinates clamped to the fixed-point range
 
-	// Scratch reused across Forces calls so that a steady-state block step
+	// Scratch reused across ForcesInto calls so that a steady-state block step
 	// allocates nothing: i-particle staging, retry bookkeeping, and the
 	// hardware partial-result slab.
 	isBuf    []chip.IParticle
@@ -218,12 +218,7 @@ func (b *Backend) Yield() {
 	}
 }
 
-// Forces implements hermite.Backend. Allocating wrapper over ForcesInto.
-func (b *Backend) Forces(t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force {
-	return b.ForcesInto(make([]direct.Force, len(ids)), t, ids, xi, vi, eps)
-}
-
-// ForcesInto is the reuse-friendly force path: results are written into
+// ForcesInto implements hermite.Backend: results are written into
 // the caller-owned dst (len(dst) must be ≥ len(ids)) and the filled prefix
 // is returned. All staging buffers — i-particles, retry bookkeeping and
 // the hardware partial slab — live on the Backend, so a steady-state block

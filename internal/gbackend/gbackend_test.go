@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"grape6/internal/board"
+	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
@@ -40,8 +41,8 @@ func TestForcesMatchDirectBackend(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	fg := gb.Forces(0, ids, sys.Pos[:16], sys.Vel[:16], eps)
-	fd := db.Forces(0, ids, sys.Pos[:16], sys.Vel[:16], eps)
+	fg := gb.ForcesInto(make([]direct.Force, 16), 0, ids, sys.Pos[:16], sys.Vel[:16], eps)
+	fd := db.ForcesInto(make([]direct.Force, 16), 0, ids, sys.Pos[:16], sys.Vel[:16], eps)
 
 	for i := range ids {
 		relA := fg[i].Acc.Dist(fd[i].Acc) / fd[i].Acc.Norm()
@@ -71,7 +72,7 @@ func TestOverflowRetryConverges(t *testing.T) {
 
 	gb := New(tinyArray())
 	gb.Load(sys)
-	fs := gb.Forces(0, []int{0, 1}, sys.Pos, sys.Vel, 0.01)
+	fs := gb.ForcesInto(make([]direct.Force, 2), 0, []int{0, 1}, sys.Pos, sys.Vel, 0.01)
 	// a on 0 from 1: m/(r²+ε²)^{3/2} with r=1, ε=0.01.
 	want := 1e9 / math.Pow(1.0001, 1.5)
 	if math.Abs(fs[0].Acc.X-want)/want > 1e-5 {
@@ -167,7 +168,7 @@ func TestRangeClampingSurvivesEscapers(t *testing.T) {
 		t.Error("escaper was not clamped")
 	}
 	// Forces must still be finite.
-	fs := gb.Forces(0, []int{1}, sys.Pos[1:], sys.Vel[1:], 0.01)
+	fs := gb.ForcesInto(make([]direct.Force, 1), 0, []int{1}, sys.Pos[1:], sys.Vel[1:], 0.01)
 	if !fs[0].Acc.IsFinite() {
 		t.Errorf("non-finite force near clamped escaper: %v", fs[0].Acc)
 	}
@@ -182,7 +183,7 @@ func TestUnknownIDPanics(t *testing.T) {
 			t.Error("unknown id did not panic")
 		}
 	}()
-	gb.Forces(0, []int{999}, sys.Pos[:1], sys.Vel[:1], 0.01)
+	gb.ForcesInto(make([]direct.Force, 1), 0, []int{999}, sys.Pos[:1], sys.Vel[:1], 0.01)
 }
 
 func TestHWCyclesGrowWithWork(t *testing.T) {
@@ -190,9 +191,10 @@ func TestHWCyclesGrowWithWork(t *testing.T) {
 	gb := New(tinyArray())
 	gb.Load(sys)
 	ids := []int{0}
-	gb.Forces(0, ids, sys.Pos[:1], sys.Vel[:1], 0.01)
+	dst := make([]direct.Force, 1)
+	gb.ForcesInto(dst, 0, ids, sys.Pos[:1], sys.Vel[:1], 0.01)
 	c1 := gb.HWCycles
-	gb.Forces(0, ids, sys.Pos[:1], sys.Vel[:1], 0.01)
+	gb.ForcesInto(dst, 0, ids, sys.Pos[:1], sys.Vel[:1], 0.01)
 	if gb.HWCycles <= c1 {
 		t.Error("cycles did not accumulate")
 	}
@@ -210,7 +212,7 @@ func TestSpeedAccountingPlausible(t *testing.T) {
 		ids[i] = i
 	}
 	gb.HWCycles = 0
-	gb.Forces(0, ids, sys.Pos[:48], sys.Vel[:48], 1.0/64)
+	gb.ForcesInto(make([]direct.Force, 48), 0, ids, sys.Pos[:48], sys.Vel[:48], 1.0/64)
 	pairs := float64(48 * 512)
 	perCycle := pairs / float64(gb.HWCycles)
 	if perCycle < 10 || perCycle > 24 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"grape6/internal/board"
+	"grape6/internal/direct"
 	"grape6/internal/model"
 	"grape6/internal/xrand"
 )
@@ -57,7 +58,7 @@ func TestBorrowedCloseLeavesArrayRunning(t *testing.T) {
 	next := NewBorrowed(arr)
 	next.Load(sys)
 	ids := []int{0, 1, 2, 3}
-	fs := next.Forces(0, ids, nil, nil, 1.0/64)
+	fs := next.ForcesInto(make([]direct.Force, len(ids)), 0, ids, nil, nil, 1.0/64)
 	if len(fs) != len(ids) {
 		t.Fatalf("got %d forces from array after borrowed Close, want %d", len(fs), len(ids))
 	}
@@ -77,14 +78,14 @@ func TestBorrowedMatchesOwned(t *testing.T) {
 	owned := New(tinyArray())
 	defer owned.Close()
 	owned.Load(sys)
-	a := owned.Forces(0, ids, nil, nil, eps)
+	a := owned.ForcesInto(make([]direct.Force, len(ids)), 0, ids, nil, nil, eps)
 
 	arr := tinyArray()
 	defer arr.Close()
 	borrowed := NewBorrowed(arr)
 	defer borrowed.Close()
 	borrowed.Load(sys)
-	b := borrowed.Forces(0, ids, nil, nil, eps)
+	b := borrowed.ForcesInto(make([]direct.Force, len(ids)), 0, ids, nil, nil, eps)
 
 	for i := range a {
 		if a[i] != b[i] {

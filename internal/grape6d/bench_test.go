@@ -10,10 +10,10 @@ import (
 )
 
 // BenchmarkSchedulerDispatch measures the steady-state cost of pushing
-// one small force request through the scheduler — submit, pick, serve,
+// one small force request through the scheduler — request, pick, serve,
 // complete — on a resident session with no swap. The CI allocation
-// guard pins it at 0 allocs/op: the coalescing fast path must stay
-// allocation-free once the free lists and slabs have grown.
+// guard pins it at 0 allocs/op: the scheduler evaluates on the caller's
+// slabs and owns no per-request state to allocate.
 func BenchmarkSchedulerDispatch(b *testing.B) {
 	hw := smallHW()
 	js, is := plummerSet(b, hw, 512, 42)
@@ -28,7 +28,7 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	dst := make([]chip.Partial, 4)
-	for k := 0; k < 16; k++ { // grow free lists and slabs to steady state
+	for k := 0; k < 16; k++ { // swap in, grow the array's slabs to steady state
 		s.ForcesInto(dst, 0.015625, is[:4], 1.0/64)
 	}
 	b.ReportAllocs()
@@ -39,21 +39,18 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 }
 
 // BenchmarkTenancySweep is the multi-tenant throughput sweep: 1, 2, 4
-// and 8 sessions sharing a two-array fleet, each session repeatedly
-// assembling a small-block step as six 8-particle requests submitted
-// together (so the coalescing window can pack them into one pipeline
-// load). Reported per configuration: aggregate particle-steps/s across
-// all sessions, the mean batch-fill ratio, and the fleet's idle
-// fraction — the three numbers the multi-tenant scheduler exists to
-// move.
+// and 8 sessions sharing a two-array fleet, each driven the way a client
+// drives it — one ForcesInto per block, the next when it returns — with
+// small blocks of 16 i-particles (fill 16/48 by construction). Reported
+// per configuration: aggregate particle-steps/s across all sessions, the
+// mean fill ratio, and the fleet's idle fraction.
 func BenchmarkTenancySweep(b *testing.B) {
 	hw := smallHW()
 	js, is := plummerSet(b, hw, 512, 42)
-	const reqSize = 8
-	const reqsPerBlock = 6
+	const blockSize = 16
 	for _, nsess := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("sessions=%d", nsess), func(b *testing.B) {
-			d := NewScheduler(Config{Fleet: 2, HW: hw, MaxWait: time.Millisecond})
+			d := NewScheduler(Config{Fleet: 2, HW: hw})
 			defer d.Close()
 			sessions := make([]*Session, nsess)
 			for k := range sessions {
@@ -67,31 +64,21 @@ func BenchmarkTenancySweep(b *testing.B) {
 				}
 				sessions[k] = s
 			}
-			blockStep := func(s *Session, dst []chip.Partial, tks []Ticket) {
-				for r := 0; r < reqsPerBlock; r++ {
-					lo := r * reqSize
-					tks[r] = s.Submit(dst[lo:lo+reqSize], 0.015625, is[lo:lo+reqSize], 1.0/64)
-				}
-				for r := range tks {
-					tks[r].Wait()
-				}
-			}
 			run := func(blocks int) {
 				var wg sync.WaitGroup
 				for _, s := range sessions {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						dst := make([]chip.Partial, reqSize*reqsPerBlock)
-						tks := make([]Ticket, reqsPerBlock)
+						dst := make([]chip.Partial, blockSize)
 						for k := 0; k < blocks; k++ {
-							blockStep(s, dst, tks)
+							s.ForcesInto(dst, 0.015625, is[:blockSize], 1.0/64)
 						}
 					}()
 				}
 				wg.Wait()
 			}
-			run(2) // warm slots, free lists, slabs
+			run(2) // warm slots and slabs
 			before := d.Stats()
 			busyBefore := fleetBusy(before)
 			b.ResetTimer()
@@ -101,7 +88,7 @@ func BenchmarkTenancySweep(b *testing.B) {
 			b.StopTimer()
 			after := d.Stats()
 
-			psteps := float64(nsess*b.N*reqSize*reqsPerBlock) / elapsed.Seconds()
+			psteps := float64(nsess*b.N*blockSize) / elapsed.Seconds()
 			b.ReportMetric(psteps, "psteps/s")
 			if dd := after.Fill.Dispatches - before.Fill.Dispatches; dd > 0 {
 				sumAfter := after.Fill.MeanFill * float64(after.Fill.Dispatches)

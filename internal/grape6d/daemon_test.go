@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"grape6/internal/board"
 	"grape6/internal/core"
@@ -17,11 +16,9 @@ import (
 
 // startDaemon brings up a server on a loopback listener and returns a
 // connected client. Cleanup closes both.
-func startDaemon(t *testing.T, hw board.Config, fleet int, maxWait time.Duration) *Client {
+func startDaemon(t *testing.T, hw board.Config, fleet int) *Client {
 	t.Helper()
-	sv := NewServer(NewScheduler(Config{
-		Fleet: fleet, HW: hw, MaxWait: maxWait,
-	}))
+	sv := NewServer(NewScheduler(Config{Fleet: fleet, HW: hw}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +44,7 @@ func startDaemon(t *testing.T, hw board.Config, fleet int, maxWait time.Duration
 func TestDaemonRoundTrip(t *testing.T) {
 	hw := smallHW()
 	const eps = 1.0 / 64
-	cl := startDaemon(t, hw, 1, 200*time.Microsecond)
+	cl := startDaemon(t, hw, 1)
 
 	if _, err := cl.Attach(AttachArgs{Name: "a", N: 96, Seed: 5}); err != nil {
 		t.Fatal(err)
@@ -196,10 +193,11 @@ func TestServerConcurrentAttach(t *testing.T) {
 }
 
 // TestDaemonRejectsBadInput pins the failure paths reachable over the
-// wire: unknown session names, zero-N attaches and corrupt snapshot
-// streams must come back as errors, not crash the daemon.
+// wire: unknown session names, zero-N and oversized-N attaches and
+// corrupt snapshot streams must come back as errors, not crash the daemon
+// (or, for an N above MaxAttachN, make it allocate whatever was asked).
 func TestDaemonRejectsBadInput(t *testing.T) {
-	cl := startDaemon(t, smallHW(), 1, 0)
+	cl := startDaemon(t, smallHW(), 1)
 
 	if _, err := cl.Step("ghost", 1); err == nil {
 		t.Errorf("Step on unknown session succeeded")
@@ -212,6 +210,9 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 	}
 	if _, err := cl.Attach(AttachArgs{Name: "z", N: 0}); err == nil {
 		t.Errorf("Attach with N=0 succeeded")
+	}
+	if _, err := cl.Attach(AttachArgs{Name: "z", N: MaxAttachN + 1}); err == nil {
+		t.Errorf("Attach with N above MaxAttachN succeeded")
 	}
 	if _, err := cl.Restore("r", []byte("not a snapshot"), Quota{}); err == nil {
 		t.Errorf("Restore of garbage stream succeeded")

@@ -3,20 +3,18 @@ package grape6d
 import (
 	"fmt"
 	"time"
-
-	"grape6/internal/chip"
 )
 
 // affinityStreak bounds consecutive affinity serves of the resident
-// tenant while other tenants have dispatchable work: the resident drains
-// its queue without swap churn, but cannot monopolize a slot when the
+// tenant while other tenants have dispatchable work: the resident runs
+// its blocks without swap churn, but cannot monopolize a slot when the
 // rest of the machine is waiting.
 const affinityStreak = 4
 
 // crew is one slot's dispatcher goroutine: park until a session has
-// dispatchable work, serve one coalesced batch, repeat. All scheduling
-// state is examined under d.mu; the hardware section of serve runs
-// unlocked so crews on different slots overlap — one session's force
+// dispatchable work, serve its request, repeat. All scheduling state is
+// examined under d.mu; the hardware section of serve runs unlocked so
+// crews on different slots overlap — one session's force
 // evaluation occupies this slot's silicon while another session is in
 // its host phase (or on another slot).
 //
@@ -27,15 +25,15 @@ func (d *Scheduler) crew(sl *slot) {
 	d.mu.Lock()
 	for {
 		if d.closed && !d.pendingLocked() {
-			// Close drains: crews keep serving until every session's queue
-			// is empty (readyLocked bypasses quotas and coalescing windows
-			// once closed), so no Ticket.Wait is left hanging.
+			// Close drains: crews keep serving until every admitted
+			// request has returned (readyLocked bypasses quotas once
+			// closed), so no ForcesInto is left hanging.
 			d.mu.Unlock()
 			return
 		}
 		s := d.pick(sl, d.now())
 		if s == nil {
-			//grapelint:ignore hotblock the dispatcher's park: taken only when no session has dispatchable work (empty queues, quota debt, or a coalescing window still open)
+			//grapelint:ignore hotblock the dispatcher's park: taken only when no session has dispatchable work (nothing pending, or quota debt)
 			d.cond.Wait()
 			continue
 		}
@@ -45,9 +43,8 @@ func (d *Scheduler) crew(sl *slot) {
 
 // pick chooses the next session this slot should serve, or nil if none
 // is dispatchable now (after arming the wake timer for the earliest
-// quota refill or coalescing-window expiry). Resident tenant first —
-// affinity avoids j-image swaps — then round-robin over the rest.
-// Callers hold d.mu.
+// quota refill). Resident tenant first — affinity avoids j-image swaps —
+// then round-robin over the rest. Callers hold d.mu.
 //
 //grape:noalloc
 func (d *Scheduler) pick(sl *slot, now time.Time) *Session {
@@ -87,14 +84,13 @@ func (d *Scheduler) pick(sl *slot, now time.Time) *Session {
 	return nil
 }
 
-// pendingLocked reports whether any session still has queued requests
-// (in-flight batches are excluded: the crew serving one completes it
-// before re-checking). Callers hold d.mu.
+// pendingLocked reports whether any session has an admitted ForcesInto
+// that has not returned yet. Callers hold d.mu.
 //
 //grape:noalloc
 func (d *Scheduler) pendingLocked() bool {
 	for _, s := range d.sessions {
-		if len(s.queue) > 0 {
+		if s.admitted != s.turn {
 			return true
 		}
 	}
@@ -112,19 +108,19 @@ func mergeWake(wake, t time.Time) time.Time {
 	return wake
 }
 
-// readyLocked reports whether the session has work that may dispatch
-// now; when it does not but will, the second result is the earliest
-// time to re-examine (quota refill or coalescing-window expiry).
+// readyLocked reports whether the session's request may dispatch now;
+// when it may not but will, the second result is the earliest time to
+// re-examine (quota refill).
 //
 //grape:noalloc
 func (s *Session) readyLocked(now time.Time) (bool, time.Time) {
-	if len(s.queue) == 0 {
+	if !s.queued {
 		return false, time.Time{}
 	}
 	if s.sched.closed {
-		// Drain mode: Close dispatches everything still queued right away,
-		// bypassing quota throttling and coalescing windows (both gate only
-		// when work runs, never what it computes).
+		// Drain mode: Close dispatches everything still pending right
+		// away, bypassing quota throttling (which gates only when work
+		// runs, never what it computes).
 		return true, time.Time{}
 	}
 	if !s.bucket.allow(now) {
@@ -135,35 +131,25 @@ func (s *Session) readyLocked(now time.Time) (bool, time.Time) {
 		return false, s.bucket.nextOK(now)
 	}
 	s.inThrottle = false
-	d := s.sched
-	// A full pipeline load dispatches immediately; an under-filled batch
-	// is held for the coalescing window.
-	if s.queuedNi >= d.ibatch || d.maxWait == 0 || !now.Before(s.deadline) {
-		return true, time.Time{}
-	}
-	return false, s.deadline
+	return true, time.Time{}
 }
 
-// serve dispatches one coalesced batch for s on sl. Called with d.mu
-// held; the hardware section (j-image swap, predictor start, force
-// evaluation) runs unlocked, guarded by sl.busy and s.serving so no
-// other goroutine touches the slot's array or the session's queue head
-// meanwhile. Returns with d.mu held.
+// serve dispatches s's pending request on sl. Called with d.mu held; the
+// hardware section (j-image swap, predictor start, force evaluation)
+// runs unlocked, guarded by sl.busy and s.serving so no other goroutine
+// touches the slot's array or the session's j-image meanwhile. Returns
+// with d.mu held.
 //
-// Bit-exactness: the batch is the head run of queued requests sharing
-// (t, eps). Each i-particle's Partial depends only on (i-particle,
-// j-set, t, eps) — per-i accumulators are independent — so one packed
-// evaluation writes exactly the bits per request that len(reqs)
-// separate dispatches on a dedicated array would have written. Cycle
-// accounting is solo-identical the same way: each request is charged
-// BatchCyclesFor of its own i-count, what a dedicated attachment's
-// ForcesInto would have returned.
+// The evaluation runs straight on the caller's slabs and the session is
+// charged the cycles the array returned — exactly what a dedicated
+// attachment would have computed and reported.
 //
 //grape:hotpath
 func (d *Scheduler) serve(sl *slot, s *Session) {
 	start := d.now()
-	t, eps, ni := d.coalesceLocked(sl, s, start)
-	reqs := sl.batchReqs
+	dst, is, t, eps := s.reqDst, s.reqIs, s.reqT, s.reqEps
+	s.queued = false
+	ni := len(is)
 	loads := (ni + d.ibatch - 1) / d.ibatch
 
 	// The slot's copy is current only if it holds this session's image at
@@ -190,47 +176,15 @@ func (d *Scheduler) serve(sl *slot, s *Session) {
 	if predict {
 		sl.arr.BeginPredict(pt)
 	}
-
-	var charged int64
-	if len(reqs) == 1 {
-		// Single-request fast path: dispatch straight from the caller's
-		// slabs, no pack/scatter copies.
-		r := reqs[0]
-		charged = sl.arr.ForcesInto(r.dst[:len(r.is)], t, r.is, eps)
-		//grapelint:ignore hotblock completion handoff on a caller-owned buffered channel (cap 1, one waiter): the send never blocks the dispatch loop
-		r.done <- charged
-	} else {
-		is := sl.batchIs[:0]
-		for _, r := range reqs {
-			// Grow-only pack slab: reallocates only when a coalesced batch
-			// outgrows the high-water mark, never in steady state
-			// (BenchmarkSchedulerDispatch locks 0 allocs/op).
-			is = append(is, r.is...)
-		}
-		sl.batchIs = is
-		if cap(sl.batchDst) < len(is) {
-			sl.batchDst = make([]chip.Partial, len(is))
-		}
-		dst := sl.batchDst[:len(is)]
-		sl.arr.ForcesInto(dst, t, is, eps)
-		off := 0
-		for _, r := range reqs {
-			n := len(r.is)
-			copy(r.dst[:n], dst[off:off+n])
-			off += n
-			solo := sl.arr.BatchCyclesFor(n)
-			charged += solo
-			//grapelint:ignore hotblock completion handoff on a caller-owned buffered channel (cap 1, one waiter): the send never blocks the dispatch loop
-			r.done <- solo
-		}
-	}
+	charged := sl.arr.ForcesInto(dst[:ni], t, is, eps)
 
 	elapsed := d.now().Sub(start)
 	//grapelint:ignore hotblock reacquire after the unlocked hardware section; the slot's crew is the only goroutine that reaches here for this slot
 	d.mu.Lock()
+	s.reqDst, s.reqIs = nil, nil // do not retain the caller's slabs
+	s.reqCycles = charged
 	s.bucket.charge(sl.arr.TimeFor(charged))
 	s.cycles += charged
-	s.batches++
 	sl.busyNanos += elapsed.Nanoseconds()
 	if swap {
 		sl.swaps++
@@ -241,43 +195,4 @@ func (d *Scheduler) serve(sl *slot, s *Session) {
 	s.yield = false
 	sl.busy = false
 	d.cond.Broadcast()
-}
-
-// coalesceLocked pops the head run of s's queue sharing the head
-// request's (t, eps) into sl.batchReqs and returns the shared
-// evaluation time, softening, and total i-count. Requests at a
-// different time or softening stay queued for the next dispatch —
-// merging across (t, eps) would change arithmetic, and the invariant is
-// that coalescing shares silicon occupancy, never arithmetic. Callers
-// hold d.mu.
-//
-//grape:noalloc
-func (d *Scheduler) coalesceLocked(sl *slot, s *Session, now time.Time) (t, eps float64, ni int) {
-	head := s.queue[0]
-	t, eps = head.t, head.eps
-	reqs := sl.batchReqs[:0]
-	k := 0
-	for ; k < len(s.queue); k++ {
-		r := s.queue[k]
-		if r.t != t || r.eps != eps {
-			break
-		}
-		// Grow-only batch list: reallocates only when a coalesced batch
-		// holds more requests than ever before, never in steady state.
-		reqs = append(reqs, r)
-		ni += len(r.is)
-	}
-	sl.batchReqs = reqs
-	rest := copy(s.queue, s.queue[k:])
-	for i := rest; i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
-	s.queue = s.queue[:rest]
-	s.queuedNi -= ni
-	if rest > 0 && d.maxWait > 0 {
-		// The survivors (different t or eps) open a fresh window.
-		s.deadline = now.Add(d.maxWait)
-		d.wakeAtLocked(now, s.deadline)
-	}
-	return t, eps, ni
 }

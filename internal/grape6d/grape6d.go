@@ -6,40 +6,37 @@
 // Tflops of the SC'03 paper depend on the silicon never idling while any
 // one host is in its O(N) corrector phase).
 //
-// Three mechanisms keep the pipelines full:
-//
-//   - Intra-session batch coalescing: a session's small force requests
-//     (block timesteps routinely emit 4-16-particle blocks against the
-//     48 i-particle pipeline load) are queued, optionally held for a
-//     configurable MaxWait window, and packed into full pipeline batches
-//     before one hardware dispatch. Each i-particle's result depends only
-//     on (i-particle, j-set, t, eps) — per-i accumulators are
-//     independent — so packing requests with equal (t, eps) into one
-//     evaluation is bit-identical to dispatching them separately.
+// Two mechanisms keep the pipelines full:
 //
 //   - Cross-session phase overlap: while one session is in its host
 //     phase (corrector, block scheduling), another session's force
 //     evaluation occupies the fleet. Sessions keep a host-side j-image;
 //     an array slot swaps a tenant in by reloading that image (the
 //     board's LoadJ restages without allocating, and j-sets larger than
-//     the chips page through the PR 7 LoadJRange streaming path). The
-//     swap changes which silicon computes, never what is computed:
+//     the chips page through the LoadJRange streaming path). The swap
+//     changes which silicon computes, never what is computed:
 //     chip.WriteJ slot patching is pinned bit-identical to a cold
 //     re-predict, so a session that bounced between slots produces the
 //     same trajectory as one that owned an array outright.
 //
 //   - Admission control and per-session chip-time quotas: dispatch
 //     charges each session the model chip-seconds of its evaluations
-//     (board.Array.TimeFor over the cycle model), debited from a token
-//     bucket, so a greedy tenant is throttled instead of starving the
-//     rest. Cycle accounting is solo-identical: a coalesced sub-request
-//     is charged board.Array.BatchCyclesFor of its own i-count — exactly
-//     what a dedicated attachment would have reported.
+//     (board.Array.TimeFor over the cycles the array returned), debited
+//     from a token bucket, so a greedy tenant is throttled instead of
+//     starving the rest.
 //
-// The non-negotiable invariant: every session's trajectory is
-// bit-identical to the same run executed alone on a dedicated array.
-// Coalescing and overlap share silicon occupancy, never arithmetic; the
-// golden-hash suite pins this through the scheduler path.
+// A session has one force request in flight, as a host sends one block's
+// i-particles to its GRAPE in one transaction and waits (eq. 10 charges
+// T_comm once per block): ForcesInto posts the caller's slabs, a slot's
+// dispatcher evaluates straight on them and the caller returns with the
+// cycles the array reported. Requests are never packed together — the
+// machine paper shares the installation by partitioning clusters at the
+// network boards, not by merging one host's requests.
+//
+// The non-negotiable invariant: every session's trajectory and cycle
+// accounting are bit-identical to the same run executed alone on a
+// dedicated array. Overlap shares silicon occupancy, never arithmetic;
+// the golden-hash suite pins this through the scheduler path.
 //
 // A Session implements gbackend.Array, so the host-side GRAPE library
 // (gbackend.NewBorrowed) and the Hermite integrator run unchanged on a
@@ -49,12 +46,10 @@ package grape6d
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"grape6/internal/board"
-	"grape6/internal/chip"
 )
 
 // Config parameterises a Scheduler.
@@ -68,33 +63,22 @@ type Config struct {
 	// board.Default, the production 4-board attachment).
 	HW board.Config
 
-	// MaxWait is the coalescing window: an under-filled pipeline batch
-	// (fewer queued i-particles than one 48-slot pipeline load) is held
-	// up to this long for more of the session's requests to arrive.
-	// Zero dispatches immediately — the right default for synchronous
-	// clients, which never have a second request in flight.
-	MaxWait time.Duration
-
-	// Now is the clock used for quota accounting and the coalescing
-	// window (nil: time.Now). Tests inject a manual clock to make
-	// throttling deterministic; after moving a manual clock, call Kick.
+	// Now is the clock used for quota accounting (nil: time.Now). Tests
+	// inject a manual clock to make throttling deterministic; after
+	// moving a manual clock, call Kick.
 	Now func() time.Time
 }
 
 // Scheduler multiplexes sessions over the fleet. One dispatcher
 // goroutine per array slot picks a runnable session (resident tenant
 // first — affinity avoids swaps — then round-robin over the rest),
-// swaps its j-image in if needed, and drains its request queue in
-// coalesced pipeline batches until the queue empties, the tenant runs
-// out of quota, or other tenants are waiting for silicon.
+// swaps its j-image in if needed, and evaluates its pending request.
 type Scheduler struct {
-	hw      board.Config
-	ibatch  int // i-particles per pipeline load (chip.Config.IBatch: 48)
-	maxWait time.Duration
-	now     func() time.Time
+	ibatch int // i-particles per pipeline load (chip.Config.IBatch: 48)
+	now    func() time.Time
 
 	mu       sync.Mutex
-	cond     *sync.Cond // dispatchers park here; submits and releases broadcast
+	cond     *sync.Cond // dispatchers and callers park here; requests, completions and releases broadcast
 	slots    []*slot
 	sessions []*Session
 	rr       int // round-robin pick cursor
@@ -102,7 +86,7 @@ type Scheduler struct {
 	closed   bool
 	start    time.Time
 
-	wake   *time.Timer // earliest pending quota-refill / window wake
+	wake   *time.Timer // earliest pending quota-refill wake
 	wakeAt time.Time
 
 	crews sync.WaitGroup
@@ -110,7 +94,7 @@ type Scheduler struct {
 	fill fillHist
 }
 
-// slot is one array of the fleet plus its dispatcher's reusable state.
+// slot is one array of the fleet.
 type slot struct {
 	idx      int
 	arr      *board.Array
@@ -122,11 +106,6 @@ type slot struct {
 	swaps     int64
 	busyNanos int64
 	loads     int64 // pipeline loads dispatched through this slot
-
-	// dispatcher-owned scratch, reused across batches (grow-only).
-	batchReqs []*forceReq
-	batchIs   []chip.IParticle
-	batchDst  []chip.Partial
 }
 
 // NewScheduler builds the fleet and starts one dispatcher per slot.
@@ -142,12 +121,7 @@ func NewScheduler(cfg Config) *Scheduler {
 	if now == nil {
 		now = time.Now
 	}
-	d := &Scheduler{
-		hw:      hw,
-		maxWait: cfg.MaxWait,
-		now:     now,
-		start:   now(),
-	}
+	d := &Scheduler{now: now, start: now()}
 	d.cond = sync.NewCond(&d.mu)
 	d.wake = time.AfterFunc(time.Hour, d.kickLocked)
 	d.wake.Stop()
@@ -228,11 +202,10 @@ func (d *Scheduler) Attach(name string, q Quota) (*Session, error) {
 	return s, nil
 }
 
-// Close drains outstanding requests — everything queued at the time of
-// the call is dispatched, bypassing quota throttles and coalescing
-// windows, so every Ticket.Wait returns — then stops the dispatchers
-// and closes the fleet. Detach remains callable afterwards; requests
-// submitted after Close are rejected with a panic.
+// Close drains outstanding requests — every ForcesInto already admitted
+// at the time of the call is dispatched, bypassing quota throttles, and
+// returns — then stops the dispatchers and closes the fleet. Detach
+// remains callable afterwards; a ForcesInto after Close panics.
 func (d *Scheduler) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -251,9 +224,3 @@ func (d *Scheduler) Close() {
 
 // Fleet returns the number of array slots.
 func (d *Scheduler) Fleet() int { return len(d.slots) }
-
-// gomaxprocs reports whether more than one OS thread can run — with one,
-// cross-session overlap degenerates to interleaving (documented in
-// DESIGN.md; the real machine's host CPUs are separate silicon from the
-// pipelines, the emulation's are not).
-func gomaxprocs() int { return runtime.GOMAXPROCS(0) }

@@ -1,6 +1,7 @@
 package grape6d
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -15,19 +16,17 @@ import (
 	"grape6/internal/xrand"
 )
 
-// TestCoalescingBitIdentical submits several small same-(t, eps)
-// requests inside one coalescing window and checks that the single
-// packed dispatch returns, request by request, exactly the bits and
-// cycle counts of separate evaluations on a dedicated array.
+// TestCoalescingBitIdentical keeps its name from the deleted request
+// coalescer (the pipeline's test floor holds it). Four goroutines call
+// ForcesInto on one session at one (t, eps): the session serves them one
+// after another, and each gets exactly the bits and the cycle count of
+// its own evaluation on a dedicated array — one hardware dispatch per
+// request, nothing packed.
 func TestCoalescingBitIdentical(t *testing.T) {
 	hw := smallHW()
 	js, is := plummerSet(t, hw, 512, 42)
 	eps := 1.0 / 64
 	tm := 0.015625
-
-	// Under-filled splits: 5+7+11+13 = 36 i-particles < one 48-slot
-	// pipeline load, so nothing dispatches before the window closes and
-	// all four requests coalesce into one evaluation.
 	splits := []struct{ lo, n int }{{0, 5}, {5, 7}, {12, 11}, {23, 13}}
 
 	arr := board.New(hw)
@@ -45,7 +44,7 @@ func TestCoalescingBitIdentical(t *testing.T) {
 		refs[k].cycles = arr.ForcesInto(refs[k].dst, tm, is[sp.lo:sp.lo+sp.n], eps)
 	}
 
-	d := NewScheduler(Config{HW: hw, MaxWait: 40 * time.Millisecond})
+	d := NewScheduler(Config{HW: hw})
 	defer d.Close()
 	s, err := d.Attach("burst", Quota{})
 	if err != nil {
@@ -57,15 +56,20 @@ func TestCoalescingBitIdentical(t *testing.T) {
 	}
 
 	dsts := make([][]chip.Partial, len(splits))
-	tks := make([]Ticket, len(splits))
+	cycles := make([]int64, len(splits))
+	var wg sync.WaitGroup
 	for k, sp := range splits {
 		dsts[k] = make([]chip.Partial, sp.n)
-		tks[k] = s.Submit(dsts[k], tm, is[sp.lo:sp.lo+sp.n], eps)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cycles[k] = s.ForcesInto(dsts[k], tm, is[sp.lo:sp.lo+sp.n], eps)
+		}()
 	}
-	for k := range tks {
-		cycles := tks[k].Wait()
-		if cycles != refs[k].cycles {
-			t.Errorf("request %d charged %d cycles, dedicated array reports %d", k, cycles, refs[k].cycles)
+	wg.Wait()
+	for k := range splits {
+		if cycles[k] != refs[k].cycles {
+			t.Errorf("request %d charged %d cycles, dedicated array reports %d", k, cycles[k], refs[k].cycles)
 		}
 		for q := range dsts[k] {
 			if dsts[k][q] != refs[k].dst[q] {
@@ -75,28 +79,28 @@ func TestCoalescingBitIdentical(t *testing.T) {
 	}
 
 	st := d.Stats()
-	ss := st.Sessions[0]
-	if ss.Requests != int64(len(splits)) {
+	if ss := st.Sessions[0]; ss.Requests != int64(len(splits)) {
 		t.Errorf("session shows %d requests, want %d", ss.Requests, len(splits))
 	}
-	if ss.Batches != 1 {
-		t.Errorf("4 held requests dispatched in %d batches, want 1 coalesced dispatch", ss.Batches)
+	if st.Fill.Dispatches != int64(len(splits)) {
+		t.Errorf("fill histogram recorded %d dispatches, want one per request (%d)", st.Fill.Dispatches, len(splits))
 	}
-	if st.Fill.Dispatches != 1 {
-		t.Fatalf("fill histogram recorded %d dispatches, want 1", st.Fill.Dispatches)
-	}
-	if want := 36.0 / 48.0; st.Fill.MeanFill != want {
-		t.Errorf("mean batch fill %.4f, want %.4f (36 i-particles on one pipeline load)", st.Fill.MeanFill, want)
+	// The four fills sum in completion order, so the mean is exact only
+	// to rounding.
+	if want := 36.0 / 48.0 / 4; math.Abs(st.Fill.MeanFill-want) > 1e-12 {
+		t.Errorf("mean fill %.4f, want %.4f (36 i-particles over four pipeline loads)", st.Fill.MeanFill, want)
 	}
 }
 
-// TestCoalescingFullBatchFlushesEarly pins the other edge of the window:
-// once queued work reaches a full pipeline load it dispatches without
-// waiting out MaxWait.
+// TestCoalescingFullBatchFlushesEarly keeps its name from the deleted
+// coalescing window (the pipeline's test floor holds it); what survives
+// of it is the top edge of the fill histogram: a request of exactly one
+// pipeline load is one full load in the top bucket, and one particle
+// more takes a second load.
 func TestCoalescingFullBatchFlushesEarly(t *testing.T) {
 	hw := smallHW()
 	js, is := plummerSet(t, hw, 512, 42)
-	d := NewScheduler(Config{HW: hw, MaxWait: time.Hour})
+	d := NewScheduler(Config{HW: hw})
 	defer d.Close()
 	s, err := d.Attach("full", Quota{})
 	if err != nil {
@@ -106,24 +110,30 @@ func TestCoalescingFullBatchFlushesEarly(t *testing.T) {
 	if err := s.LoadJ(js); err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]chip.Partial, d.HW().Chip.IBatch())
-	done := make(chan int64)
-	go func() { done <- s.ForcesInto(dst, 0.015625, is[:d.HW().Chip.IBatch()], 1.0/64) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("a full pipeline load sat out a one-hour coalescing window instead of flushing immediately")
+	ib := d.HW().Chip.IBatch()
+	dst := make([]chip.Partial, ib+1)
+	s.ForcesInto(dst, 0.015625, is[:ib], 1.0/64)
+	st := d.Stats()
+	if st.Fill.MeanFill != 1 || st.Fill.Buckets[7] != 1 || st.Arrays[0].Loads != 1 {
+		t.Errorf("a full pipeline load recorded fill %+v over %d loads, want 1.0 in the top bucket over one load", st.Fill, st.Arrays[0].Loads)
+	}
+	s.ForcesInto(dst, 0.015625, is[:ib+1], 1.0/64)
+	st = d.Stats()
+	if want := int64((ib + 1) * 8 / (2 * ib)); st.Arrays[0].Loads != 3 || st.Fill.Buckets[want] != 1 {
+		t.Errorf("%d i-particles recorded fill %+v over %d loads in all, want two more loads and bucket %d", ib+1, st.Fill, st.Arrays[0].Loads, want)
 	}
 }
 
-// TestCoalescingMaxWaitFlush pins the window itself: an under-filled
-// batch must dispatch once MaxWait expires even though no more work
-// arrives — and not meaningfully earlier.
+// TestCoalescingMaxWaitFlush keeps its name from the deleted coalescing
+// window (the pipeline's test floor holds it); what survives of it is
+// that nothing holds an under-filled request back: with the scheduler's
+// clock frozen and never kicked, a lone 4-particle request dispatches at
+// once and lands in the lowest fill bucket.
 func TestCoalescingMaxWaitFlush(t *testing.T) {
 	hw := smallHW()
 	js, is := plummerSet(t, hw, 512, 42)
-	const wait = 30 * time.Millisecond
-	d := NewScheduler(Config{HW: hw, MaxWait: wait})
+	clock := &manualClock{now: time.Unix(1000, 0)}
+	d := NewScheduler(Config{HW: hw, Now: clock.Now})
 	defer d.Close()
 	s, err := d.Attach("lone", Quota{})
 	if err != nil {
@@ -134,10 +144,15 @@ func TestCoalescingMaxWaitFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]chip.Partial, 4)
-	start := time.Now()
-	s.ForcesInto(dst, 0.015625, is[:4], 1.0/64)
-	if elapsed := time.Since(start); elapsed < wait/2 {
-		t.Errorf("under-filled request completed after %v, want the %v coalescing window to hold it", elapsed, wait)
+	done := make(chan struct{})
+	go func() {
+		s.ForcesInto(dst, 0.015625, is[:4], 1.0/64)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an under-filled request waited on a clock that never moves")
 	}
 	if st := d.Stats(); st.Fill.Dispatches != 1 || st.Fill.Buckets[0] != 1 {
 		t.Errorf("fill histogram %+v, want one dispatch in the lowest bucket (4/48 fill)", st.Fill)
@@ -161,6 +176,16 @@ func (c *manualClock) Advance(d *Scheduler, by time.Duration) {
 	c.now = c.now.Add(by)
 	c.mu.Unlock()
 	d.Kick()
+}
+
+// awaitAdmitted returns once n ForcesInto calls on s are inside the
+// scheduler and the first of them is queued for dispatch.
+func awaitAdmitted(d *Scheduler, s *Session, n int64) {
+	for ok := false; !ok; runtime.Gosched() {
+		d.mu.Lock()
+		ok = s.queued && s.admitted-s.turn == n
+		d.mu.Unlock()
+	}
 }
 
 // TestQuotaThrottle pins admission control with a manual clock: a
@@ -202,9 +227,9 @@ func TestQuotaThrottle(t *testing.T) {
 	// The bucket is now overdrawn; with the clock frozen this request
 	// must not dispatch.
 	blocked := make([]chip.Partial, 16)
-	tk := greedy.Submit(blocked, 0.03125, is[:16], 1.0/64)
 	throttledDone := make(chan int64, 1)
-	go func() { throttledDone <- tk.Wait() }()
+	go func() { throttledDone <- greedy.ForcesInto(blocked, 0.03125, is[:16], 1.0/64) }()
+	awaitAdmitted(d, greedy, 1)
 
 	// The unlimited tenant keeps flowing with bounded latency while the
 	// greedy one is parked.
@@ -236,8 +261,8 @@ func TestQuotaThrottle(t *testing.T) {
 	if g.Throttled < 1 {
 		t.Errorf("greedy session shows %d throttle episodes, want ≥ 1", g.Throttled)
 	}
-	if g.QueueDepth != 1 {
-		t.Errorf("greedy queue depth %d, want the blocked request still queued", g.QueueDepth)
+	if g.QueueDepth != 1 || g.QueuedI != 16 {
+		t.Errorf("greedy queue depth %d with %d i-particles, want the blocked 16-particle request still queued", g.QueueDepth, g.QueuedI)
 	}
 
 	// Refill far past the debt: the parked request must now dispatch.
@@ -282,7 +307,7 @@ func sameSystem(a, b *nbody.System) bool {
 
 // TestSessionEndToEndVsSolo is the tentpole invariant end to end: two
 // Hermite integrations sharing a single-array fleet concurrently — with
-// all the swaps, coalescing windows and deferred updates that implies —
+// all the swaps and deferred updates that implies —
 // must each produce bit-identical trajectories AND identical hardware
 // cycle accounting to the same runs executed alone on dedicated arrays.
 func TestSessionEndToEndVsSolo(t *testing.T) {
@@ -523,61 +548,142 @@ func TestMultiSlotResidencyStaysFresh(t *testing.T) {
 	}
 }
 
+// TestFailedLoadJLeavesSessionUntouched pins LoadJ's validate-before-
+// mutate order: a j-set with a duplicate id is refused with the image, the
+// id index and the generation exactly as they were, so forces and cycles
+// are the same before and after — on the copy a slot still holds and on a
+// fresh swap-in from the host image — and a later UpdateJ patches the
+// particle the old index names.
+func TestFailedLoadJLeavesSessionUntouched(t *testing.T) {
+	hw := smallHW()
+	js, is := plummerSet(t, hw, 128, 1)
+	bad, _ := plummerSet(t, hw, 128, 2)
+	for i := range bad {
+		bad[i].ID = len(bad) - 1 - i // another id → slot map than js
+	}
+	bad[len(bad)-1].ID = bad[len(bad)/2].ID
+	const tm, eps = 0.015625, 1.0 / 64
+
+	d := NewScheduler(Config{Fleet: 1, HW: hw})
+	defer d.Close()
+	s, err := d.Attach("victim", Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Detach()
+	rival, err := d.Attach("rival", Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rival.Detach()
+	if err := s.LoadJ(js); err != nil {
+		t.Fatal(err)
+	}
+	if err := rival.LoadJ(js[:32]); err != nil {
+		t.Fatal(err)
+	}
+	eval := func(s *Session) ([8]chip.Partial, int64) {
+		var dst [8]chip.Partial
+		return dst, s.ForcesInto(dst[:], tm, is[:8], eps)
+	}
+	want, wantCycles := eval(s)
+	genOf := func() uint64 {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return s.gen
+	}
+	gen := genOf()
+
+	if err := s.LoadJ(bad); err == nil {
+		t.Fatal("LoadJ accepted a j-set with a duplicate id")
+	}
+	if g := genOf(); g != gen {
+		t.Errorf("failed LoadJ moved the generation %d → %d", gen, g)
+	}
+	if got, cycles := eval(s); got != want || cycles != wantCycles {
+		t.Error("forces or cycles on the resident copy changed after a failed LoadJ")
+	}
+	eval(rival) // evict: the next evaluation swaps the host image back in
+	if got, cycles := eval(s); got != want || cycles != wantCycles {
+		t.Error("forces or cycles after a swap-in changed: a failed LoadJ overwrote the host image")
+	}
+
+	// The index still maps js's ids: patching particle 3 must move exactly
+	// what it moves on a dedicated array.
+	p := js[3]
+	p.Mass *= 2
+	if err := s.UpdateJ(p); err != nil {
+		t.Fatal(err)
+	}
+	arr := board.New(hw)
+	defer arr.Close()
+	if err := arr.LoadJ(js); err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.UpdateJ(p); err != nil {
+		t.Fatal(err)
+	}
+	var ref [8]chip.Partial
+	arr.ForcesInto(ref[:], tm, is[:8], eps)
+	eval(rival)
+	if got, _ := eval(s); got != ref {
+		t.Error("UpdateJ after a failed LoadJ patched the wrong slot of the host image")
+	}
+}
+
 // TestCloseDrainsQueuedRequests pins Close's drain contract: requests
-// parked behind a still-open coalescing window or an overdrawn quota
-// bucket at the time of Close must still complete with correct bits
-// (the drain bypasses both gates — they only decide when work runs,
-// never what it computes), and Detach after Close must return instead
-// of waiting forever on a queue no dispatcher will ever serve.
+// parked behind an overdrawn quota bucket at the time of Close — one
+// queued for dispatch, one more waiting its turn on the same session —
+// must still complete with correct bits (the drain bypasses the quota
+// gate, which only decides when work runs, never what it computes), and
+// Detach after Close must return instead of waiting forever on a request
+// no dispatcher will ever serve.
 func TestCloseDrainsQueuedRequests(t *testing.T) {
 	hw := smallHW()
 	js, is := plummerSet(t, hw, 128, 7)
 	eps := 1.0 / 64
 	const tm = 0.015625
 	clock := &manualClock{now: time.Unix(1000, 0)}
-	d := NewScheduler(Config{HW: hw, MaxWait: time.Hour, Now: clock.Now})
+	d := NewScheduler(Config{HW: hw, Now: clock.Now})
 
-	held, err := d.Attach("held", Quota{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	greedy, err := d.Attach("greedy", Quota{ChipSecondsPerSecond: 1e-3, Burst: 1e-9})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := held.LoadJ(js); err != nil {
 		t.Fatal(err)
 	}
 	if err := greedy.LoadJ(js); err != nil {
 		t.Fatal(err)
 	}
 
-	// Overdraw greedy's bucket with a full pipeline load (a full batch
-	// dispatches without waiting out the one-hour window).
+	// Overdraw greedy's bucket.
 	ib := d.HW().Chip.IBatch()
 	full := make([]chip.Partial, ib)
 	if cycles := greedy.ForcesInto(full, tm, is[:ib], eps); cycles <= 0 {
 		t.Fatal("burst dispatch inside the quota did not run")
 	}
 
-	// With the clock frozen, neither of these can dispatch: one sits in
-	// the coalescing window, one behind the overdrawn bucket.
-	heldDst := make([]chip.Partial, 4)
-	heldTk := held.Submit(heldDst, tm, is[:4], eps)
-	gDst := make([]chip.Partial, 4)
-	gTk := greedy.Submit(gDst, tm, is[:4], eps)
+	// With the clock frozen neither of these can dispatch: the first is
+	// queued behind the overdrawn bucket, the second behind the first.
+	dsts := [2][]chip.Partial{make([]chip.Partial, 4), make([]chip.Partial, 4)}
+	var wg sync.WaitGroup
+	for k := range dsts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			greedy.ForcesInto(dsts[k], tm, is[:4], eps)
+		}()
+	}
+	awaitAdmitted(d, greedy, 2)
 
 	done := make(chan struct{})
 	go func() {
-		heldTk.Wait()
-		gTk.Wait()
+		wg.Wait()
 		close(done)
 	}()
 	d.Close()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close returned with queued requests still incomplete")
+		t.Fatal("Close returned with admitted requests still incomplete")
 	}
 
 	arr := board.New(hw)
@@ -588,17 +694,13 @@ func TestCloseDrainsQueuedRequests(t *testing.T) {
 	want := make([]chip.Partial, 4)
 	arr.ForcesInto(want, tm, is[:4], eps)
 	for q := range want {
-		if heldDst[q] != want[q] {
-			t.Errorf("window-held request drained with wrong bits (partial %d)", q)
-		}
-		if gDst[q] != want[q] {
+		if dsts[0][q] != want[q] || dsts[1][q] != want[q] {
 			t.Errorf("throttled request drained with wrong bits (partial %d)", q)
 		}
 	}
 
 	detached := make(chan struct{})
 	go func() {
-		held.Detach()
 		greedy.Detach()
 		close(detached)
 	}()

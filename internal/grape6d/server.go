@@ -159,10 +159,15 @@ type AttachReply struct {
 	ID int
 }
 
+// MaxAttachN bounds the N one Attach request may ask for: building a
+// session allocates O(N) and runs the O(N²) initial force evaluation, and
+// the paper's largest run is 2×10⁶ particles.
+const MaxAttachN = 1 << 21
+
 // Attach implements the session-create RPC.
 func (r *RPC) Attach(args *AttachArgs, reply *AttachReply) error {
-	if args.N <= 0 {
-		return fmt.Errorf("grape6d: attach with N=%d", args.N)
+	if args.N <= 0 || args.N > MaxAttachN {
+		return fmt.Errorf("grape6d: attach with N=%d outside [1, %d]", args.N, MaxAttachN)
 	}
 	eps := args.Eps
 	if eps == 0 {

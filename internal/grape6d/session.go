@@ -2,10 +2,10 @@ package grape6d
 
 import (
 	"fmt"
-	"time"
 
 	"grape6/internal/board"
 	"grape6/internal/chip"
+	"grape6/internal/nbody"
 )
 
 // Session is one tenant of the scheduler. It implements gbackend.Array,
@@ -38,17 +38,22 @@ type Session struct {
 	// once (concurrent dispatches land wherever silicon is free), and a
 	// single staleness flag cannot say *which* copies went stale.
 	jimg []chip.JParticle
-	byID map[int]int
+	byID nbody.IDIndex
+	ids  []int // byID's rebuild input, reused across loads
 	gen  uint64
 
-	// Pending force requests (FIFO), their total i-count, and the
-	// coalescing-window deadline armed when the queue went non-empty.
-	queue    []*forceReq
-	queuedNi int
-	deadline time.Time
-
-	// Free-listed request objects: steady-state submits allocate nothing.
-	free []*forceReq
+	// The one force request in flight: the caller's slabs from the moment
+	// ForcesInto posts them (queued until a dispatcher picks them up,
+	// then serving) and the cycles the evaluation was charged. Concurrent
+	// callers take turns in arrival order: admitted counts the ForcesInto
+	// calls let in, turn the ones that have returned.
+	reqDst       []chip.Partial
+	reqIs        []chip.IParticle
+	reqT, reqEps float64
+	reqCycles    int64
+	queued       bool
+	admitted     int64
+	turn         int64
 
 	// Deferred predictor start (served at the next swap-in/dispatch).
 	predictT   float64
@@ -56,43 +61,9 @@ type Session struct {
 
 	// Statistics (see SessionStats).
 	reqs       int64
-	batches    int64
 	cycles     int64
 	throttled  int64 // distinct quota-throttle episodes
 	inThrottle bool  // currently in one (edge detector for the counter)
-}
-
-// forceReq is one queued force evaluation. The dispatcher fills dst and
-// sends the charged cycle count on done (capacity 1, reused across the
-// free list, so completion never blocks the dispatch loop).
-type forceReq struct {
-	dst  []chip.Partial
-	is   []chip.IParticle
-	t    float64
-	eps  float64
-	done chan int64
-}
-
-// Ticket is a handle on a submitted request. It is a value, not an
-// allocation; Wait blocks until the dispatcher has filled the request's
-// destination slab and returns the hardware cycles charged.
-type Ticket struct {
-	s *Session
-	r *forceReq
-}
-
-// Wait blocks until the request completes and returns the model cycles
-// charged — exactly what a dedicated array would have reported for this
-// request alone (solo-identical accounting via BatchCyclesFor).
-func (tk Ticket) Wait() int64 {
-	cycles := <-tk.r.done
-	s := tk.s
-	d := s.sched
-	d.mu.Lock()
-	tk.r.dst, tk.r.is = nil, nil
-	s.free = append(s.free, tk.r)
-	d.mu.Unlock()
-	return cycles
 }
 
 // Name returns the session's attach name.
@@ -116,24 +87,29 @@ func (s *Session) LoadJ(ps []chip.JParticle) error {
 	if s.detached {
 		return fmt.Errorf("grape6d: session %q detached", s.name)
 	}
+	if !s.index(ps) {
+		// Rejected before the image or its generation moved: the slots
+		// holding this generation still hold what jimg says.
+		s.index(s.jimg)
+		return fmt.Errorf("grape6d: duplicate particle ids in the j-set of session %q", s.name)
+	}
 	if cap(s.jimg) < len(ps) {
 		s.jimg = make([]chip.JParticle, len(ps))
 	}
 	s.jimg = s.jimg[:len(ps)]
 	copy(s.jimg, ps)
-	if s.byID == nil {
-		s.byID = make(map[int]int, len(ps))
-	} else {
-		clear(s.byID)
-	}
-	for i, p := range ps {
-		if _, dup := s.byID[p.ID]; dup {
-			return fmt.Errorf("grape6d: duplicate particle id %d", p.ID)
-		}
-		s.byID[p.ID] = i
-	}
 	s.gen++
 	return nil
+}
+
+// index points byID at the positions of ps and reports whether the ids
+// are unique.
+func (s *Session) index(ps []chip.JParticle) bool {
+	s.ids = s.ids[:0]
+	for i := range ps {
+		s.ids = append(s.ids, ps[i].ID)
+	}
+	return s.byID.Rebuild(s.ids)
 }
 
 // UpdateJ implements gbackend.Array: it rewrites one particle of the
@@ -155,7 +131,7 @@ func (s *Session) UpdateJ(p chip.JParticle) error {
 		d.mu.Unlock()
 		return fmt.Errorf("grape6d: session %q detached", s.name)
 	}
-	k, ok := s.byID[p.ID]
+	k, ok := s.byID.Slot(p.ID)
 	if !ok {
 		d.mu.Unlock()
 		return fmt.Errorf("grape6d: particle %d not loaded", p.ID)
@@ -195,56 +171,45 @@ func (s *Session) freshIdleSlotLocked() *slot {
 	return nil
 }
 
-// Submit enqueues a force evaluation and returns immediately. Requests
-// with equal (t, eps) that are queued together are coalesced into one
-// hardware dispatch — bit-identical to dispatching them separately,
-// because each i-particle's accumulators are independent. dst and is
-// must stay untouched until Wait returns.
-func (s *Session) Submit(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) Ticket {
+// ForcesInto implements gbackend.Array: it posts the request, waits for
+// a dispatcher to evaluate it on dst and returns the model cycles charged
+// — exactly what a dedicated array would have reported. A session has
+// one request in flight; concurrent callers on one session are served
+// one after another in arrival order, callers on different sessions
+// overlap across the fleet. dst and is belong to the scheduler until the
+// call returns. It panics on a detached session or a closed scheduler.
+func (s *Session) ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) int64 {
 	d := s.sched
 	d.mu.Lock()
 	if s.detached || d.closed {
 		d.mu.Unlock()
-		panic(fmt.Sprintf("grape6d: submit on detached session %q", s.name))
+		panic(fmt.Sprintf("grape6d: ForcesInto on detached session %q", s.name))
 	}
-	r := s.getReqLocked()
-	r.dst, r.is, r.t, r.eps = dst, is, t, eps
-	if len(s.queue) == 0 && d.maxWait > 0 {
-		now := d.now()
-		s.deadline = now.Add(d.maxWait)
-		d.wakeAtLocked(now, s.deadline)
+	my := s.admitted
+	s.admitted++
+	for s.turn != my {
+		d.cond.Wait()
 	}
-	s.queue = append(s.queue, r)
-	s.queuedNi += len(is)
+	s.reqDst, s.reqIs, s.reqT, s.reqEps = dst, is, t, eps
+	s.queued = true
 	s.reqs++
 	d.cond.Broadcast()
-	d.mu.Unlock()
-	return Ticket{s: s, r: r}
-}
-
-func (s *Session) getReqLocked() *forceReq {
-	if n := len(s.free); n > 0 {
-		r := s.free[n-1]
-		s.free = s.free[:n-1]
-		return r
+	for s.queued || s.serving {
+		d.cond.Wait()
 	}
-	return &forceReq{done: make(chan int64, 1)}
-}
-
-// ForcesInto implements gbackend.Array: the synchronous force path,
-// Submit followed by Wait. Concurrent callers on different sessions are
-// coalesced across the fleet; concurrent callers on one session (e.g.
-// the retry rounds of several host threads) coalesce with each other.
-func (s *Session) ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) int64 {
-	return s.Submit(dst, t, is, eps).Wait()
+	cycles := s.reqCycles
+	s.turn++
+	d.cond.Broadcast()
+	d.mu.Unlock()
+	return cycles
 }
 
 // BeginPredict implements gbackend.Array. If a slot holds the current
 // image generation and is idle, the hardware predictor starts there
 // immediately (the §6 host/GRAPE overlap); otherwise the start is
-// deferred to the next dispatch, where the fused predict+force path
-// covers it. Either way the result bits are identical — prediction
-// timing never changes values.
+// deferred to the next dispatch, which kicks it after the swap-in and
+// before the force pass. Either way the result bits are identical —
+// prediction timing never changes values.
 func (s *Session) BeginPredict(t float64) {
 	d := s.sched
 	d.mu.Lock()
@@ -290,12 +255,13 @@ func (s *Session) Yield() {
 	d.mu.Unlock()
 }
 
-// Detach removes the session from the scheduler after its queue drains.
-// The fleet keeps running for other tenants. Detach is idempotent.
+// Detach removes the session from the scheduler once every admitted
+// ForcesInto has returned. The fleet keeps running for other tenants.
+// Detach is idempotent.
 func (s *Session) Detach() {
 	d := s.sched
 	d.mu.Lock()
-	for len(s.queue) > 0 || s.serving {
+	for s.admitted != s.turn {
 		d.cond.Wait()
 	}
 	if s.detached {

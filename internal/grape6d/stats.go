@@ -2,12 +2,12 @@ package grape6d
 
 import "time"
 
-// fillHist accumulates the batch-fill distribution: for every coalesced
-// dispatch, the fraction of dispatched pipeline-load capacity that
-// carried real i-particles (a 10-particle dispatch on the 48-slot
-// pipeline load fills 10/48 ≈ 0.21; two coalesced 30-particle requests
-// fill 60/96 = 0.625). Eight equal-width buckets over [0, 1], with
-// exactly-full dispatches landing in the top bucket.
+// fillHist accumulates the batch-fill distribution: for every dispatch,
+// the fraction of dispatched pipeline-load capacity that carried real
+// i-particles (a 10-particle request on the 48-slot pipeline load fills
+// 10/48 ≈ 0.21; a 60-particle request takes two loads and fills 60/96 =
+// 0.625). Eight equal-width buckets over [0, 1], with exactly-full
+// dispatches landing in the top bucket.
 type fillHist struct {
 	buckets    [8]int64
 	dispatches int64
@@ -51,14 +51,13 @@ type ArrayStats struct {
 type SessionStats struct {
 	ID       int
 	Name     string
-	Requests int64 // force requests submitted
-	Batches  int64 // hardware dispatches they were served in
-	Cycles   int64 // model cycles charged (solo-identical accounting)
+	Requests int64 // force requests posted, one hardware dispatch each
+	Cycles   int64 // model cycles charged (what a dedicated array reports)
 	// ChipSeconds is Cycles converted through the cycle model — the
 	// quantity quotas are debited in.
 	ChipSeconds float64
-	QueueDepth  int // requests currently queued
-	QueuedI     int // i-particles currently queued
+	QueueDepth  int // requests waiting for a dispatcher (0 or 1)
+	QueuedI     int // i-particles of that request
 	Throttled   int64
 }
 
@@ -98,17 +97,18 @@ func (d *Scheduler) Stats() Stats {
 		st.Arrays = append(st.Arrays, as)
 	}
 	for _, s := range d.sessions {
-		st.Sessions = append(st.Sessions, SessionStats{
+		ss := SessionStats{
 			ID:          s.id,
 			Name:        s.name,
 			Requests:    s.reqs,
-			Batches:     s.batches,
 			Cycles:      s.cycles,
 			ChipSeconds: d.slots[0].arr.TimeFor(s.cycles),
-			QueueDepth:  len(s.queue),
-			QueuedI:     s.queuedNi,
 			Throttled:   s.throttled,
-		})
+		}
+		if s.queued {
+			ss.QueueDepth, ss.QueuedI = 1, len(s.reqIs)
+		}
+		st.Sessions = append(st.Sessions, ss)
 	}
 	return st
 }

@@ -23,25 +23,22 @@ type Backend interface {
 	// indices after the integrator corrected them.
 	Update(sys *nbody.System, idx []int)
 
-	// Forces predicts all stored j-particles to time t and evaluates
+	// ForcesInto predicts all stored j-particles to time t and evaluates
 	// eqs. (1)-(3) on the i-particles with predicted states (xi, vi) and
 	// softening eps. ids carries the i-particles' stable IDs (for backends
-	// that care, e.g. tracing); results are returned in input order.
-	Forces(t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force
+	// that care, e.g. tracing). Results are written in input order into
+	// the caller-owned dst (len(dst) ≥ len(ids)) and the filled prefix is
+	// returned: the integrator reuses one buffer across block steps, so
+	// the force path allocates nothing in steady state.
+	ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force
 
 	// NJ returns the number of stored j-particles.
 	NJ() int
 }
 
-// ForcesIntoBackend is the optional allocation-free extension of Backend:
-// results are written into the caller-owned dst (len(dst) ≥ len(ids)) and
-// the filled prefix is returned. The integrator type-asserts for it and
-// reuses one buffer across block steps, so backends that implement it make
-// the whole force path allocation-free in steady state.
-type ForcesIntoBackend interface {
-	Backend
-	ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force
-}
+// ForcesIntoBackend is Backend under the name it had while ForcesInto was
+// an optional extension; benchmark/trace.go still asserts it.
+type ForcesIntoBackend = Backend
 
 // PredictAheadBackend is the optional host/GRAPE-overlap extension of
 // Backend (the paper's §6): BeginPredict(t) starts predicting the stored
@@ -154,12 +151,7 @@ func (b *DirectBackend) Update(sys *nbody.System, idx []int) {
 // NJ implements Backend.
 func (b *DirectBackend) NJ() int { return len(b.js) }
 
-// Forces implements Backend.
-func (b *DirectBackend) Forces(t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force {
-	return b.ForcesInto(make([]direct.Force, len(ids)), t, ids, xi, vi, eps)
-}
-
-// ForcesInto implements ForcesIntoBackend.
+// ForcesInto implements Backend.
 func (b *DirectBackend) ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force {
 	// Predictor pass over all stored j-particles (the chip's predictor
 	// pipeline does exactly this in hardware), unless the last evaluation

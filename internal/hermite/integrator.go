@@ -94,7 +94,7 @@ type Integrator struct {
 	ids   []int
 	xp    []vec.V3
 	vp    []vec.V3
-	fbuf  []direct.Force // force results, reused when the backend supports it
+	fbuf  []direct.Force // force results, reused across block steps
 
 	// pab is B when it supports predict-ahead, cached once at New; yb
 	// likewise when it supports the multi-tenant yield hint.
@@ -112,17 +112,13 @@ func (it *Integrator) prefetchPredict() {
 	}
 }
 
-// forces evaluates block forces through the backend, using the
-// allocation-free ForcesInto path when the backend provides it.
+// forces evaluates block forces through the backend into the reused
+// result buffer.
 func (it *Integrator) forces(t float64, ids []int, xi, vi []vec.V3) []direct.Force {
-	fb, ok := it.B.(ForcesIntoBackend)
-	if !ok {
-		return it.B.Forces(t, ids, xi, vi, it.P.Eps)
-	}
 	if cap(it.fbuf) < len(ids) {
 		it.fbuf = make([]direct.Force, len(ids))
 	}
-	return fb.ForcesInto(it.fbuf[:len(ids)], t, ids, xi, vi, it.P.Eps)
+	return it.B.ForcesInto(it.fbuf[:len(ids)], t, ids, xi, vi, it.P.Eps)
 }
 
 // New initialises the integrator: it computes forces on all particles at

@@ -302,7 +302,7 @@ func TestDirectBackendSameTimeReuse(t *testing.T) {
 	const tm, eps = 0x1p-6, 1.0 / 64
 	ids := []int{0, 1, 2}
 	forces := func(b *DirectBackend) []direct.Force {
-		return b.Forces(tm, ids, sys.Pos[:3], sys.Vel[:3], eps)
+		return b.ForcesInto(make([]direct.Force, len(ids)), tm, ids, sys.Pos[:3], sys.Vel[:3], eps)
 	}
 	first := forces(b)
 	if again := forces(b); !slices.Equal(again, first) {

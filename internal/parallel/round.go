@@ -74,18 +74,13 @@ func (sc *scratch) predict(sys *nbody.System, slots []int, t float64) {
 	}
 }
 
-// forces evaluates the staged i-particles against b's j-set, preferring the
-// allocation-free ForcesInto path when the backend provides it. The result
-// may alias sc.fbuf: consume it before the next call.
+// forces evaluates the staged i-particles against b's j-set. The result
+// aliases sc.fbuf: consume it before the next call.
 func (sc *scratch) forces(b hermite.Backend, t, eps float64) []direct.Force {
-	fb, ok := b.(hermite.ForcesIntoBackend)
-	if !ok {
-		return b.Forces(t, sc.ids, sc.xs, sc.vs, eps)
-	}
 	if cap(sc.fbuf) < len(sc.ids) {
 		sc.fbuf = make([]direct.Force, len(sc.ids))
 	}
-	return fb.ForcesInto(sc.fbuf[:len(sc.ids)], t, sc.ids, sc.xs, sc.vs, eps)
+	return b.ForcesInto(sc.fbuf[:len(sc.ids)], t, sc.ids, sc.xs, sc.vs, eps)
 }
 
 // absorb overwrites the particles of sys named by ups with their corrected
