@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"grape6/internal/chip"
-	"grape6/internal/direct"
 	"grape6/internal/gbackend"
 	"grape6/internal/hermite"
 	"grape6/internal/model"
@@ -83,21 +82,6 @@ func BenchmarkPredictFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Predict(float64(i+1) * math.Ldexp(1, -30))
-	}
-}
-
-// BenchmarkPredictStriped runs the same predict pass striped across the
-// host's cores through PredictRange — the board predict stage's inner
-// loop. On a single-core host it degenerates to the serial pass.
-func BenchmarkPredictStriped(b *testing.B) {
-	ch, _ := predictChip(b, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := float64(i+1) * math.Ldexp(1, -30)
-		direct.ParallelFor(ch.NJ(), 512, func(lo, hi int) {
-			ch.PredictRange(t, lo, hi)
-		})
-		ch.MarkPredicted(t)
 	}
 }
 

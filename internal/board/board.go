@@ -85,7 +85,8 @@ func (c Config) PeakFlops() float64 {
 //     machine run concurrently with the force pipelines): BeginPredict
 //     kicks it asynchronously so it overlaps host-side work, and any
 //     subsequent memory operation joins it; a force pass that finds the
-//     caches at another time runs it first and joins it at once;
+//     caches at another time runs it first and joins it at once (on the
+//     serial path too, from asyncPredictMin j-particles up);
 //   - the FORCE stage, whose per-span partials are pre-merged per worker
 //     and reduced exactly afterwards (integer accumulator adds, so span
 //     striping cannot change a result bit — the Section 3.4
@@ -136,9 +137,9 @@ type Array struct {
 // than the work.
 const serialWorkMax = 4096
 
-// asyncPredictMin is the j-memory size below which BeginPredict does not
-// bother the pool (the chips' lazy predict in the force pass is cheaper
-// than a stage handoff).
+// asyncPredictMin is the j-memory size below which neither BeginPredict
+// nor a serial-path force pass bothers the pool with the predict stage
+// (the chips' lazy predict in the force pass is cheaper than a handoff).
 const asyncPredictMin = 256
 
 // span is one claimable unit of pool work: slots [lo, hi) of one chip.
@@ -445,8 +446,8 @@ func (a *Array) Close() {
 // hot; any other memory operation (load, update, close, a force pass at a
 // different time) joins the stage first, so overlap is never observable
 // in results. Callers use it to hide prediction behind host-side work:
-// the backend kicks it before staging i-particles, and the integrator
-// prefetches the next block's time while correcting the current block.
+// the integrator prefetches the next block's time right after correcting
+// the current block.
 //
 // On a single-core host (or a tiny j-memory) it is a no-op; the chips
 // predict lazily in the force pass instead.
@@ -559,7 +560,17 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 	n := len(is)
 	var maxCycles int64
 
-	if runtime.GOMAXPROCS(0) <= 1 || n*nj < serialWorkMax {
+	procs := runtime.GOMAXPROCS(0)
+	serial := procs <= 1 || n*nj < serialWorkMax
+	if !serial || (procs > 1 && nj >= asyncPredictMin) {
+		// Predict stage, for the chips a prefetch has not already left at
+		// t. The pool path needs it; a small block against a freshly loaded
+		// image or page would otherwise predict it on this goroutine.
+		a.startPredict(t, nj)
+		a.joinPredict()
+	}
+
+	if serial {
 		// Small workload: the goroutine handoff costs more than the work.
 		a.scratch = growPartials(a.scratch, n)
 		for c := 0; c < nc; c++ {
@@ -579,10 +590,6 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 		}
 		return maxCycles
 	}
-
-	// Predict stage, for the chips a prefetch has not already left at t.
-	a.startPredict(t, nj)
-	a.joinPredict()
 
 	// Force stage: stripe (chip, j-range) spans across the pool.
 	fc := &a.fc

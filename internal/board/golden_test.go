@@ -91,7 +91,20 @@ func eachProcs(t *testing.T, f func(procs int)) {
 func TestGoldenBitIdentityTileSweep(t *testing.T) {
 	// How the j-memory is cut into spans and who merges which must be
 	// invisible in the result bits: the golden workload reproduces the seed
-	// kernel hash exactly at every pool width.
+	// kernel hash exactly at every pool width. The small-block cases are
+	// the serial force path right after LoadJ, on the resident set and on
+	// one page of a paged set: from asyncPredictMin j-particles up the pass
+	// stripes its predict stage over the pool, and must match the serial
+	// result and leave every chip's cache at t.
+	small := []struct {
+		name string
+		cfg  Config
+		nj   int
+	}{
+		{"resident", smallConfig(), 512},
+		{"paged", pagedConfig(64), 2048}, // 4 pages of 512
+	}
+	want := make([][][]chip.Partial, len(small))
 	eachProcs(t, func(procs int) {
 		got := goldenWorkloadHash(t, smallConfig(), func(a *Array, is []chip.IParticle) []*chip.Partial {
 			out, _ := forces(a, 0.015625, is, 1.0/64)
@@ -99,6 +112,37 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 		})
 		if got != seedKernelHash {
 			t.Errorf("GOMAXPROCS %d: hash %#016x differs from seed kernel %#016x", procs, got, seedKernelHash)
+		}
+
+		for k, tc := range small {
+			a := New(tc.cfg)
+			js, is := loadPlummer(t, a, tc.nj, 5)
+			for ni := 1; ni <= 3; ni++ {
+				if err := a.LoadJ(js); err != nil {
+					t.Fatal(err)
+				}
+				const tm = 0x1p-6
+				dst := make([]chip.Partial, ni)
+				a.ForcesInto(dst, tm, is[:ni], 1.0/64)
+				if procs == 1 {
+					want[k] = append(want[k], dst)
+				} else {
+					for q := range dst {
+						if dst[q] != want[k][ni-1][q] {
+							t.Errorf("%s, GOMAXPROCS %d, %d i-particles: partial %d differs from the serial path", tc.name, procs, ni, q)
+						}
+					}
+					if a.workers.Load() == nil {
+						t.Errorf("%s, GOMAXPROCS %d: predict stage did not run on the pool", tc.name, procs)
+					}
+				}
+				for c, ch := range a.chips {
+					if !ch.PredictedAt(tm) {
+						t.Errorf("%s, GOMAXPROCS %d, %d i-particles: chip %d not predicted at t", tc.name, procs, ni, c)
+					}
+				}
+			}
+			a.Close()
 		}
 	})
 }

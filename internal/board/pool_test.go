@@ -125,6 +125,26 @@ func BenchmarkArrayDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkArrayPredict is the board's predict stage as the force pass
+// runs it: startPredict striping 4096 j-particles over the 8 chips'
+// memories across a pool of GOMAXPROCS workers, then joinPredict, with
+// the time advancing every iteration so no chip's cache is ever current.
+// Set beside BenchmarkPredictFull (one chip, 4096 j, serial) it is the
+// striping gain. Steady state must stay allocation-free.
+func BenchmarkArrayPredict(b *testing.B) {
+	a := New(smallConfig())
+	defer a.Close()
+	loadPlummer(b, a, 4096, 1)
+	a.startPredict(0x1p-20, a.nj) // spawn the pool
+	a.joinPredict()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.startPredict(float64(i+2)*0x1p-20, a.nj)
+		a.joinPredict()
+	}
+}
+
 // BenchmarkArrayForces64k is the array path at full memory pressure: 65536
 // j-particles striped over the 8 emulated chips (8192 per chip), where the
 // per-worker j-hot set exceeds the host cache.

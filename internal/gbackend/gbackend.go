@@ -209,7 +209,7 @@ func (b *Backend) guessExponents(sys *nbody.System, i int) (ea, ej, ep int) {
 func (b *Backend) BeginPredict(t float64) { b.arr.BeginPredict(t) }
 
 // Yield implements hermite.YieldBackend by forwarding to the array when
-// it is a multi-tenant lease (anything exposing a Yield method); a
+// it exposes a Yield method (a grape6d session, which ignores it); a
 // dedicated attachment has no other tenants to yield to, so the hint is
 // dropped.
 func (b *Backend) Yield() {
@@ -234,10 +234,6 @@ func (b *Backend) ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []
 		panic(fmt.Sprintf("gbackend: force buffer of %d for %d i-particles", len(dst), n))
 	}
 	out := dst[:n]
-	// Kick the hardware predictor for t now so it stripes the j-memory
-	// across the worker pool while the host stages i-particles below —
-	// the predictor/host overlap of §6. ForcesInto on the array joins it.
-	b.arr.BeginPredict(t)
 	b.isBuf = growSlice(b.isBuf, n)
 	b.ksBuf = growSlice(b.ksBuf, n)
 	is, ks := b.isBuf, b.ksBuf

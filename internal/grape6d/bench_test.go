@@ -43,7 +43,7 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 // drives it — one ForcesInto per block, the next when it returns — with
 // small blocks of 16 i-particles (fill 16/48 by construction). Reported
 // per configuration: aggregate particle-steps/s across all sessions, the
-// mean fill ratio, and the fleet's idle fraction.
+// mean fill ratio, the fleet's idle fraction and j-image swaps per block.
 func BenchmarkTenancySweep(b *testing.B) {
 	hw := smallHW()
 	js, is := plummerSet(b, hw, 512, 42)
@@ -102,8 +102,18 @@ func BenchmarkTenancySweep(b *testing.B) {
 				idle = 0
 			}
 			b.ReportMetric(idle, "idle")
+			swaps := fleetSwaps(after) - fleetSwaps(before)
+			b.ReportMetric(float64(swaps)/float64(nsess*b.N), "swaps/block")
 		})
 	}
+}
+
+func fleetSwaps(st Stats) int64 {
+	var swaps int64
+	for _, as := range st.Arrays {
+		swaps += as.Swaps
+	}
+	return swaps
 }
 
 func fleetBusy(st Stats) time.Duration {

@@ -5,12 +5,6 @@ import (
 	"time"
 )
 
-// affinityStreak bounds consecutive affinity serves of the resident
-// tenant while other tenants have dispatchable work: the resident runs
-// its blocks without swap churn, but cannot monopolize a slot when the
-// rest of the machine is waiting.
-const affinityStreak = 4
-
 // crew is one slot's dispatcher goroutine: park until a session has
 // dispatchable work, serve its request, repeat. All scheduling state is
 // examined under d.mu; the hardware section of serve runs unlocked so
@@ -43,27 +37,18 @@ func (d *Scheduler) crew(sl *slot) {
 
 // pick chooses the next session this slot should serve, or nil if none
 // is dispatchable now (after arming the wake timer for the earliest
-// quota refill). Resident tenant first — affinity avoids j-image swaps —
-// then round-robin over the rest. Callers hold d.mu.
+// quota refill): plain round-robin over the sessions, whichever image the
+// slot holds. Callers hold d.mu.
 //
 //grape:noalloc
 func (d *Scheduler) pick(sl *slot, now time.Time) *Session {
 	if sl.busy {
-		// A client-side fast path (UpdateJ write-through or immediate
-		// BeginPredict) is operating this slot's array unlocked; it
-		// broadcasts when done. Dispatching now would run two operations
-		// on the same silicon concurrently.
+		// An UpdateJ write-through is operating this slot's array
+		// unlocked; it broadcasts when done. Dispatching now would run two
+		// operations on the same silicon concurrently.
 		return nil
 	}
 	var wake time.Time
-	if r := sl.resident; r != nil && !r.serving && !r.yield && sl.streak < affinityStreak {
-		ok, w := r.readyLocked(now)
-		if ok {
-			sl.streak++
-			return r
-		}
-		wake = mergeWake(wake, w)
-	}
 	n := len(d.sessions)
 	for k := 0; k < n; k++ {
 		s := d.sessions[(d.rr+k)%n]
@@ -73,7 +58,6 @@ func (d *Scheduler) pick(sl *slot, now time.Time) *Session {
 		ok, w := s.readyLocked(now)
 		if ok {
 			d.rr = (d.rr + k + 1) % n
-			sl.streak = 0
 			return s
 		}
 		wake = mergeWake(wake, w)
@@ -135,14 +119,14 @@ func (s *Session) readyLocked(now time.Time) (bool, time.Time) {
 }
 
 // serve dispatches s's pending request on sl. Called with d.mu held; the
-// hardware section (j-image swap, predictor start, force evaluation)
-// runs unlocked, guarded by sl.busy and s.serving so no other goroutine
-// touches the slot's array or the session's j-image meanwhile. Returns
-// with d.mu held.
+// hardware section (j-image swap, force evaluation) runs unlocked,
+// guarded by sl.busy and s.serving so no other goroutine touches the
+// slot's array or the session's j-image meanwhile. Returns with d.mu held.
 //
 // The evaluation runs straight on the caller's slabs and the session is
 // charged the cycles the array returned — exactly what a dedicated
-// attachment would have computed and reported.
+// attachment would have computed and reported. A swapped-in image is
+// predicted by the array's own force pass, striped over its pool.
 //
 //grape:hotpath
 func (d *Scheduler) serve(sl *slot, s *Session) {
@@ -158,8 +142,6 @@ func (d *Scheduler) serve(sl *slot, s *Session) {
 	// generation rather than chase every copy.
 	gen := s.gen
 	swap := sl.resident != s || sl.gen != gen
-	predict, pt := s.hasPredict, s.predictT
-	s.hasPredict = false
 	s.serving = true
 	sl.busy = true
 	sl.resident = s
@@ -172,9 +154,6 @@ func (d *Scheduler) serve(sl *slot, s *Session) {
 			// caught at LoadJ staging time; reaching here is internal.
 			panic(fmt.Sprintf("grape6d: swap-in for session %q: %v", s.name, err))
 		}
-	}
-	if predict {
-		sl.arr.BeginPredict(pt)
 	}
 	charged := sl.arr.ForcesInto(dst[:ni], t, is, eps)
 
@@ -192,7 +171,6 @@ func (d *Scheduler) serve(sl *slot, s *Session) {
 	sl.loads += int64(loads)
 	d.fill.add(ni, loads, d.ibatch)
 	s.serving = false
-	s.yield = false
 	sl.busy = false
 	d.cond.Broadcast()
 }

@@ -6,24 +6,29 @@
 // Tflops of the SC'03 paper depend on the silicon never idling while any
 // one host is in its O(N) corrector phase).
 //
-// Two mechanisms keep the pipelines full:
+// Dispatch is plain round-robin over the sessions with work, under two
+// rules:
 //
-//   - Cross-session phase overlap: while one session is in its host
-//     phase (corrector, block scheduling), another session's force
-//     evaluation occupies the fleet. Sessions keep a host-side j-image;
-//     an array slot swaps a tenant in by reloading that image (the
-//     board's LoadJ restages without allocating, and j-sets larger than
-//     the chips page through the LoadJRange streaming path). The swap
-//     changes which silicon computes, never what is computed:
-//     chip.WriteJ slot patching is pinned bit-identical to a cold
-//     re-predict, so a session that bounced between slots produces the
-//     same trajectory as one that owned an array outright.
+//   - Swapping by generation: sessions keep a host-side j-image; an array
+//     slot swaps a tenant in by reloading that image (the board's LoadJ
+//     restages without allocating, and j-sets larger than the chips page
+//     through the LoadJRange streaming path) unless it already holds the
+//     image's current generation. The swap changes which silicon
+//     computes, never what is computed: chip.WriteJ slot patching is
+//     pinned bit-identical to a cold re-predict, so a session that bounced
+//     between slots produces the same trajectory as one that owned an
+//     array outright. While one session is in its host phase, another
+//     session's evaluation occupies the fleet.
 //
 //   - Admission control and per-session chip-time quotas: dispatch
 //     charges each session the model chip-seconds of its evaluations
 //     (board.Array.TimeFor over the cycles the array returned), debited
 //     from a token bucket, so a greedy tenant is throttled instead of
 //     starving the rest.
+//
+// The scheduler keeps no predictor state: the array's force pass predicts
+// a swapped-in image itself, and Session.Yield and Session.BeginPredict
+// are no-ops.
 //
 // A session has one force request in flight, as a host sends one block's
 // i-particles to its GRAPE in one transaction and waits (eq. 10 charges
@@ -70,9 +75,9 @@ type Config struct {
 }
 
 // Scheduler multiplexes sessions over the fleet. One dispatcher
-// goroutine per array slot picks a runnable session (resident tenant
-// first — affinity avoids swaps — then round-robin over the rest),
-// swaps its j-image in if needed, and evaluates its pending request.
+// goroutine per array slot picks the next runnable session round-robin,
+// swaps its j-image in if the slot does not hold its current generation,
+// and evaluates its pending request.
 type Scheduler struct {
 	ibatch int // i-particles per pipeline load (chip.Config.IBatch: 48)
 	now    func() time.Time
@@ -101,7 +106,6 @@ type slot struct {
 	resident *Session // tenant whose j-image the array holds (nil: none)
 	gen      uint64   // generation of the resident image this slot holds
 	busy     bool     // a goroutine is operating the array right now
-	streak   int      // consecutive affinity serves of the resident
 
 	swaps     int64
 	busyNanos int64

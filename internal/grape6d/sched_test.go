@@ -826,7 +826,6 @@ func TestWriteThroughDispatchExclusion(t *testing.T) {
 			t.Fatal(err)
 		}
 		if k%8 == 0 {
-			writer.BeginPredict(0)
 			writer.ForcesInto(wdst[:], 0, wis[:8], 1.0/64)
 		}
 	}

@@ -29,7 +29,6 @@ type Session struct {
 	bucket   bucket
 	detached bool
 	serving  bool // a dispatcher is operating the fleet for this session
-	yield    bool // host phase announced; residency affinity suspended
 
 	// Canonical j-image and its id → slot index. gen counts image
 	// generations: it starts at 1 and advances on every change that is
@@ -54,10 +53,6 @@ type Session struct {
 	queued       bool
 	admitted     int64
 	turn         int64
-
-	// Deferred predictor start (served at the next swap-in/dispatch).
-	predictT   float64
-	hasPredict bool
 
 	// Statistics (see SessionStats).
 	reqs       int64
@@ -137,7 +132,13 @@ func (s *Session) UpdateJ(p chip.JParticle) error {
 		return fmt.Errorf("grape6d: particle %d not loaded", p.ID)
 	}
 	s.jimg[k] = p
-	sl := s.freshIdleSlotLocked()
+	var sl *slot
+	for _, c := range d.slots {
+		if c.resident == s && c.gen == s.gen && !c.busy {
+			sl = c
+			break
+		}
+	}
 	s.gen++
 	if sl == nil {
 		d.mu.Unlock()
@@ -156,19 +157,6 @@ func (s *Session) UpdateJ(p chip.JParticle) error {
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	return err
-}
-
-// freshIdleSlotLocked returns a slot holding the current generation of
-// this session's j-image that no goroutine is currently operating, or
-// nil. Only such a slot may take a write-through or an immediate
-// predictor start — a stale resident copy reloads at dispatch instead.
-func (s *Session) freshIdleSlotLocked() *slot {
-	for _, sl := range s.sched.slots {
-		if sl.resident == s && sl.gen == s.gen && !sl.busy {
-			return sl
-		}
-	}
-	return nil
 }
 
 // ForcesInto implements gbackend.Array: it posts the request, waits for
@@ -204,33 +192,10 @@ func (s *Session) ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle,
 	return cycles
 }
 
-// BeginPredict implements gbackend.Array. If a slot holds the current
-// image generation and is idle, the hardware predictor starts there
-// immediately (the §6 host/GRAPE overlap); otherwise the start is
-// deferred to the next dispatch, which kicks it after the swap-in and
-// before the force pass. Either way the result bits are identical —
-// prediction timing never changes values.
-func (s *Session) BeginPredict(t float64) {
-	d := s.sched
-	d.mu.Lock()
-	if s.detached {
-		d.mu.Unlock()
-		return
-	}
-	if sl := s.freshIdleSlotLocked(); sl != nil {
-		sl.busy = true
-		d.mu.Unlock()
-		sl.arr.BeginPredict(t)
-		d.mu.Lock()
-		sl.busy = false
-		s.hasPredict = false
-		d.cond.Broadcast()
-		d.mu.Unlock()
-		return
-	}
-	s.predictT, s.hasPredict = t, true
-	d.mu.Unlock()
-}
+// BeginPredict implements gbackend.Array as a no-op: the array predicts
+// a swapped-in image in its own force pass, striped over its pool, so
+// there is nothing for a session to start ahead of its dispatch.
+func (s *Session) BeginPredict(float64) {}
 
 // NJ implements gbackend.Array.
 func (s *Session) NJ() int {
@@ -243,17 +208,9 @@ func (s *Session) NJ() int {
 // configuration.
 func (s *Session) Config() board.Config { return s.sched.HW() }
 
-// Yield announces that the session is entering a host phase (corrector,
-// block scheduling): its residency affinity is suspended so another
-// tenant's evaluation can occupy the silicon meanwhile. Purely a
-// scheduling hint — it never changes any session's results.
-func (s *Session) Yield() {
-	d := s.sched
-	d.mu.Lock()
-	s.yield = true
-	d.cond.Broadcast()
-	d.mu.Unlock()
-}
+// Yield accepts the integrator's host-phase hint (hermite.YieldBackend)
+// and does nothing: dispatch is round-robin whatever a session's phase.
+func (s *Session) Yield() {}
 
 // Detach removes the session from the scheduler once every admitted
 // ForcesInto has returned. The fleet keeps running for other tenants.

@@ -55,11 +55,11 @@ type PredictAheadBackend interface {
 // YieldBackend is the optional multi-tenant extension of Backend: Yield
 // announces that the integrator is entering a host phase (correction,
 // rebinning, block selection) and will not need the force engine until
-// the next block's evaluation. Backends over shared hardware (a grape6d
-// scheduler lease) use it to release their residency affinity so
-// another tenant's evaluation can occupy the silicon meanwhile; it is a
-// scheduling hint only and never changes any result. The integrator
-// calls it at the end of every block step.
+// the next block's evaluation. It is a scheduling hint only and never
+// changes any result; no in-tree backend acts on it (gbackend forwards
+// it to a grape6d session, whose dispatch is round-robin whatever a
+// tenant's phase). The integrator calls it at the end of every block
+// step.
 type YieldBackend interface {
 	Backend
 	Yield()

@@ -231,8 +231,8 @@ func (it *Integrator) Step() BlockStat {
 	it.prefetchPredict()
 	if it.yb != nil {
 		// The host phase until the next block — trace callbacks, block
-		// selection, i-particle prediction — needs no silicon: on a
-		// shared fleet, let another tenant's evaluation occupy it.
+		// selection, i-particle prediction — needs no silicon: announce
+		// it to a backend that takes the hint.
 		it.yb.Yield()
 	}
 
