@@ -102,7 +102,8 @@ func BenchmarkPredictSlotPatch(b *testing.B) {
 // BenchmarkSmallBlockStep is the Figure 14 small-block regime end to end:
 // an individual-timestep integration on an emulated 4-chip attachment in
 // steady state, where every block advances the time and the predictor
-// would dominate without the parallel predict stage and slot patching.
+// would dominate without each force span predicting its own slots across
+// the pool and slot patching.
 func BenchmarkSmallBlockStep(b *testing.B) {
 	cfg := gboard.Default
 	cfg.ChipsPerModule = 2

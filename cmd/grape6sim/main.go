@@ -92,14 +92,8 @@ func main() {
 		}
 	}
 
-	kind := units.SoftConstant
-	switch *softening {
-	case "const":
-	case "ncbrt":
-		kind = units.SoftNDependent
-	case "overn":
-		kind = units.SoftOverN
-	default:
+	kind, ok := scenario.LookupSoftening(*softening)
+	if !ok {
 		fatal("unknown softening %q", *softening)
 	}
 

@@ -138,8 +138,8 @@ type effectKey struct {
 // HotBlock is the ROADMAP's chanopt-style analyzer: a channel op costs
 // ~40x an uncontended atomic, and a lock or wait can stall the whole
 // pipeline, so none of them may be reachable from a //grape:noalloc
-// kernel or a //grape:hotpath root (the board pool's force/predict
-// dispatch stages). go-statement edges and ops inside `go func(){...}()`
+// kernel or a //grape:hotpath root (the board pool's force-pass
+// dispatch). go-statement edges and ops inside `go func(){...}()`
 // literals are not traversed: a spawned goroutine's blocking does not
 // stall its spawner (the spawn itself is the noalloc analyzer's
 // finding).

@@ -72,35 +72,31 @@ func (c Config) PeakFlops() float64 {
 
 // Array is the emulated multi-board attachment of one host.
 //
-// Force evaluation above a small-workload threshold runs on a persistent
-// worker pool: GOMAXPROCS goroutines are spawned once (lazily, on first
-// use), each with reusable partial slabs, and they stay parked on a job
-// channel between calls — the emulation counterpart of the real chips
-// running continuously. Work is striped dynamically: each job carries a
-// list of (chip, j-range) spans that workers claim with an atomic cursor,
+// A force evaluation is one pass over (chip, j-range) spans: a span on a
+// chip whose prediction cache is stale first predicts its own j-slots and
+// then forces the i-batch against them — the chip's predictor pipeline
+// feeding the force pipelines as j-particles stream from memory, with no
+// barrier between the two. Above a small-workload threshold the spans are
+// striped over a persistent worker pool: GOMAXPROCS goroutines spawned
+// once (lazily, on first use), each with reusable partial slabs, parked
+// on a job channel between calls — the emulation counterpart of the real
+// chips running continuously. Workers claim spans with an atomic cursor,
 // so every core participates even when the configuration has fewer chips
-// than the host has cores. Two job kinds run on the pool:
+// than the host has cores. Below the threshold the caller runs the same
+// loop on its own worker, one span per chip. Either way each worker
+// pre-merges the partials of its spans and the slabs are reduced exactly
+// afterwards (integer accumulator adds, so span striping cannot change a
+// result bit — the Section 3.4 partition-invariance property applied
+// within chips).
 //
-//   - a PREDICT stage (the chip predictor pipelines, which on the real
-//     machine run concurrently with the force pipelines): BeginPredict
-//     kicks it asynchronously so it overlaps host-side work, and any
-//     subsequent memory operation joins it; a force pass that finds the
-//     caches at another time runs it first and joins it at once (on the
-//     serial path too, from asyncPredictMin j-particles up);
-//   - the FORCE stage, whose per-span partials are pre-merged per worker
-//     and reduced exactly afterwards (integer accumulator adds, so span
-//     striping cannot change a result bit — the Section 3.4
-//     partition-invariance property applied within chips).
-//
-// Close releases the pool (joining any in-flight predict); a closed Array
-// may keep being used (the pool respawns lazily).
+// Close releases the pool; a closed Array may keep being used (the pool
+// respawns lazily).
 //
 // An Array serves one host: like the real hardware's memory bus, force
 // evaluations on the same Array must not run concurrently with each other
-// or with loads/updates (the worker slabs and scratch are reused between
-// calls). BeginPredict is the one sanctioned overlap: between the kick
-// and the implicit join the caller may do anything that does not touch
-// this Array's memory. Distinct Arrays are fully independent.
+// or with loads/updates (the worker slabs are reused between calls). No
+// work is in flight between calls, so there is no overlap to sanction.
+// Distinct Arrays are fully independent.
 type Array struct {
 	cfg   Config
 	chips []*chip.Chip
@@ -125,11 +121,9 @@ type Array struct {
 
 	mu      sync.Mutex                     // serializes pool spawn and Close (slow paths)
 	workers atomic.Pointer[[]*forceWorker] // force paths read it lock-free
-	scratch []chip.Partial                 // serial-path per-chip scratch, reused across calls
+	caller  []*forceWorker                 // serial path: the caller's own worker, reduced like the pool's
 
-	fc          forceCall   // striped force-stage state, reused across calls
-	pc          predictCall // striped predict-stage state, reused across calls
-	predPending bool        // a BeginPredict is in flight (join before use)
+	fc forceCall // force-pass state, reused across calls
 }
 
 // serialWorkMax is the pairwise-interaction count below which the force
@@ -137,12 +131,12 @@ type Array struct {
 // than the work.
 const serialWorkMax = 4096
 
-// asyncPredictMin is the j-memory size below which neither BeginPredict
-// nor a serial-path force pass bothers the pool with the predict stage
-// (the chips' lazy predict in the force pass is cheaper than a handoff).
-const asyncPredictMin = 256
+// predictPoolMin is the j-memory size from which a pass on a stale
+// prediction cache goes to the pool however small the block: striping
+// the predict over the workers then pays for the handoff.
+const predictPoolMin = 256
 
-// span is one claimable unit of pool work: slots [lo, hi) of one chip.
+// span is one claimable unit of a force pass: slots [lo, hi) of one chip.
 type span struct {
 	chip   int
 	lo, hi int
@@ -179,7 +173,7 @@ func New(cfg Config) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Array{cfg: cfg}
+	a := &Array{cfg: cfg, caller: []*forceWorker{{}}}
 	a.chips = make([]*chip.Chip, cfg.TotalChips())
 	for i := range a.chips {
 		a.chips[i] = chip.New(cfg.Chip)
@@ -201,7 +195,6 @@ func (a *Array) NJ() int { return a.nj }
 // stream it through the chips page by page (bit-identical results by
 // the Section 3.4 partition invariance).
 func (a *Array) LoadJ(ps []chip.JParticle) error {
-	a.joinPredict()
 	nc := len(a.chips)
 	if len(ps) > nc*a.cfg.Chip.MemCapacity {
 		return a.loadPaged(ps)
@@ -265,7 +258,6 @@ func (a *Array) UpdateJ(p chip.JParticle) error {
 	if !ok {
 		return fmt.Errorf("board: particle %d not loaded", p.ID)
 	}
-	a.joinPredict()
 	if a.paged {
 		a.jhost[pos] = p
 		return nil
@@ -274,74 +266,44 @@ func (a *Array) UpdateJ(p chip.JParticle) error {
 	return a.chips[pos%nc].WriteJ(pos/nc, p)
 }
 
-// jobKind tags the stage a poolJob runs.
-type jobKind uint8
-
-const (
-	jobForce jobKind = iota
-	jobPredict
-)
-
-// poolJob is one stage broadcast to every pool worker. The call state is
-// shared: workers claim spans from it with an atomic cursor and signal
-// the stage's WaitGroup when the span list is drained.
-type poolJob struct {
-	kind    jobKind
-	force   *forceCall
-	predict *predictCall
-}
-
-// forceCall is the shared state of one striped force evaluation.
+// forceCall is the shared state of one force pass. stale records, per
+// chip, whether its prediction cache missed t when the pass began: the
+// chip is marked predicted at t before dispatch, and each of its spans
+// predicts its own slots before forcing them.
 type forceCall struct {
 	t     float64
 	is    []chip.IParticle
 	eps   float64
 	chips []*chip.Chip
+	stale []bool
 	units []span
 	next  int64 // atomic span-claim cursor
 	wg    sync.WaitGroup
 }
 
-// predictCall is the shared state of one striped predict stage: spans
-// cover every chip whose prediction cache does not already hold time t.
-// joinPredict waits on wg and then marks the caches valid.
-type predictCall struct {
-	t     float64
-	chips []*chip.Chip
-	units []span
-	next  int64
-	wg    sync.WaitGroup
-}
-
-// forceWorker is one persistent pool goroutine with reusable result
-// slabs. Between calls it is parked on the jobs channel; within a force
-// job it pre-merges the partials of every span it claims (exact integer
-// adds, so the pre-merge is bit-identical to any other merge order — the
-// Section 3.4 property) and leaves the merged slab for the caller to
-// reduce after the join.
+// forceWorker holds reusable result slabs: one per pool goroutine, parked
+// on the jobs channel between calls, and one the caller runs itself on
+// the serial path. Within a pass it pre-merges the partials of every span
+// it claims (exact integer adds, so the pre-merge is bit-identical to any
+// other merge order — the Section 3.4 property) and leaves the merged
+// slab for the caller to reduce.
 type forceWorker struct {
-	jobs    chan poolJob
+	jobs    chan *forceCall
 	merged  []chip.Partial // this worker's pre-merged partials, one per i
 	scratch []chip.Partial // per-span result buffer
-	claimed int            // spans claimed in the last force job
+	claimed int            // spans claimed in the last pass
 }
 
 func (w *forceWorker) run() {
-	for job := range w.jobs {
-		switch job.kind {
-		case jobForce:
-			w.doForce(job.force)
-			job.force.wg.Done()
-		case jobPredict:
-			w.doPredict(job.predict)
-			job.predict.wg.Done()
-		}
+	for c := range w.jobs {
+		w.doForce(c)
+		c.wg.Done()
 	}
 }
 
-// doForce is the worker half of the striped force stage. It must stay
-// allocation-free in steady state: the merged/scratch slabs only grow, and
-// everything else is span claiming and exact merges.
+// doForce claims spans until none is left. It must stay allocation-free
+// in steady state: the merged/scratch slabs only grow, and everything
+// else is span claiming, prediction and exact merges.
 //
 //grape:noalloc
 func (w *forceWorker) doForce(c *forceCall) {
@@ -355,35 +317,24 @@ func (w *forceWorker) doForce(c *forceCall) {
 			return
 		}
 		s := c.units[u]
+		ch := c.chips[s.chip]
+		if c.stale[s.chip] {
+			// No other span reads these slots, so predicting them here
+			// races with nothing; the chip is already marked at c.t, so
+			// the range call below does not predict again.
+			ch.PredictRange(c.t, s.lo, s.hi)
+		}
 		dst := w.merged[:n]
 		if w.claimed > 0 {
 			dst = w.scratch[:n]
 		}
-		// The predict stage has already filled every chip's cache for c.t
-		// (ForcesInto guarantees it), so concurrent range calls on one
-		// chip are pure reads of the memory and the cache.
-		c.chips[s.chip].ForceBatchRangeInto(dst, c.t, c.is, c.eps, s.lo, s.hi)
+		ch.ForceBatchRangeInto(dst, c.t, c.is, c.eps, s.lo, s.hi)
 		if w.claimed > 0 {
 			for i := 0; i < n; i++ {
 				w.merged[i].Merge(&w.scratch[i])
 			}
 		}
 		w.claimed++
-	}
-}
-
-// doPredict is the worker half of the striped predict stage; like doForce
-// it runs between every block step and must not allocate.
-//
-//grape:noalloc
-func (w *forceWorker) doPredict(c *predictCall) {
-	for {
-		u := int(atomic.AddInt64(&c.next, 1)) - 1
-		if u >= len(c.units) {
-			return
-		}
-		s := c.units[u]
-		c.chips[s.chip].PredictRange(c.t, s.lo, s.hi)
 	}
 }
 
@@ -415,7 +366,7 @@ func (a *Array) pool() []*forceWorker {
 	}
 	ws := make([]*forceWorker, runtime.GOMAXPROCS(0))
 	for wi := range ws {
-		w := &forceWorker{jobs: make(chan poolJob)}
+		w := &forceWorker{jobs: make(chan *forceCall)}
 		ws[wi] = w
 		go w.run()
 	}
@@ -423,12 +374,10 @@ func (a *Array) pool() []*forceWorker {
 	return ws
 }
 
-// Close shuts down the worker pool, joining any in-flight predict stage
-// first. It is safe to call multiple times and on an Array whose pool
-// never started; the Array remains usable (a later Forces call lazily
-// respawns the pool).
+// Close shuts down the worker pool. It is safe to call multiple times and
+// on an Array whose pool never started; the Array remains usable (a later
+// Forces call lazily respawns the pool).
 func (a *Array) Close() {
-	a.joinPredict()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if ws := a.workers.Load(); ws != nil {
@@ -439,88 +388,10 @@ func (a *Array) Close() {
 	}
 }
 
-// BeginPredict starts the pool-wide predict stage for time t — every
-// chip's j-memory striped across all workers, the emulation counterpart
-// of the on-chip predictor pipelines running concurrently with host work
-// — and returns immediately. The next ForcesInto at t finds the caches
-// hot; any other memory operation (load, update, close, a force pass at a
-// different time) joins the stage first, so overlap is never observable
-// in results. Callers use it to hide prediction behind host-side work:
-// the integrator prefetches the next block's time right after correcting
-// the current block.
-//
-// On a single-core host (or a tiny j-memory) it is a no-op; the chips
-// predict lazily in the force pass instead.
-//
-//grape:hotpath
-func (a *Array) BeginPredict(t float64) {
-	if a.predPending {
-		if a.pc.t == t {
-			return // already in flight for this time
-		}
-		a.joinPredict()
-	}
-	// In paged mode the chips hold whatever page streamed last; each page
-	// predicts lazily inside the force pass, so there is nothing to
-	// prefetch.
-	if a.paged || runtime.GOMAXPROCS(0) <= 1 || a.nj < asyncPredictMin {
-		return
-	}
-	a.startPredict(t, a.nj)
-}
-
-// startPredict stripes prediction at time t across the pool without
-// waiting; nj is the currently chip-resident particle count (the loaded
-// set, or one page of it). Any previous stage must have been joined.
-// BeginPredict returns after it, leaving the join to the next memory
-// operation; a force pass that finds the caches at another time joins it
-// at once.
-//
-//grape:hotpath
-func (a *Array) startPredict(t float64, nj int) {
-	pc := &a.pc
-	pc.units = pc.units[:0]
-	l := stripeLen(nj)
-	for ci, ch := range a.chips {
-		if !ch.PredictedAt(t) {
-			pc.units = appendSpans(pc.units, ci, ch.NJ(), l)
-		}
-	}
-	if len(pc.units) == 0 {
-		// Every chip is already at t (an empty memory trivially so).
-		for _, ch := range a.chips {
-			ch.MarkPredicted(t)
-		}
-		return
-	}
-	pc.t = t
-	pc.chips = a.chips
-	pc.next = 0
-	workers := a.pool()
-	pc.wg.Add(len(workers))
-	for _, w := range workers {
-		//grapelint:ignore hotblock predict-stage dispatch, one parking handoff per worker: after BeginPredict the jobs overlap host-side work by design, until joinPredict
-		w.jobs <- poolJob{kind: jobPredict, predict: pc}
-	}
-	a.predPending = true
-}
-
-// joinPredict waits for an in-flight predict stage and validates the
-// chips' caches. The join happens-before the cache marking, so the
-// striped writes are visible to whoever runs the force pass next.
-//
-//grape:hotpath
-func (a *Array) joinPredict() {
-	if !a.predPending {
-		return
-	}
-	//grapelint:ignore hotblock the sanctioned join of the predict stage; the fast path (no stage in flight) returns on the flag check above
-	a.pc.wg.Wait()
-	a.predPending = false
-	for _, ch := range a.chips {
-		ch.MarkPredicted(a.pc.t)
-	}
-}
+// BeginPredict is a no-op: the force pass predicts each span's j-slots
+// just before forcing them, so there is nothing to start ahead of it. It
+// stays for callers of the host/GRAPE-overlap hint (gbackend.Array).
+func (a *Array) BeginPredict(float64) {}
 
 // ForcesInto is the allocation-free force path: the merged results are
 // written into the caller-owned slab dst (len(dst) must be ≥ len(is)).
@@ -541,7 +412,6 @@ func (a *Array) ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle, e
 	if len(dst) < len(is) {
 		panic(fmt.Sprintf("board: partial slab of %d for %d i-particles", len(dst), len(is)))
 	}
-	a.joinPredict()
 	if a.paged {
 		return a.forcesPaged(dst, t, is, eps)
 	}
@@ -556,58 +426,44 @@ func (a *Array) ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle, e
 //
 //grape:hotpath
 func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticle, eps float64, nj int) int64 {
-	nc := len(a.chips)
 	n := len(is)
-	var maxCycles int64
-
-	procs := runtime.GOMAXPROCS(0)
-	serial := procs <= 1 || n*nj < serialWorkMax
-	if !serial || (procs > 1 && nj >= asyncPredictMin) {
-		// Predict stage, for the chips a prefetch has not already left at
-		// t. The pool path needs it; a small block against a freshly loaded
-		// image or page would otherwise predict it on this goroutine.
-		a.startPredict(t, nj)
-		a.joinPredict()
-	}
-
-	if serial {
-		// Small workload: the goroutine handoff costs more than the work.
-		a.scratch = growPartials(a.scratch, n)
-		for c := 0; c < nc; c++ {
-			d := dst[:n]
-			if c > 0 {
-				d = a.scratch[:n]
-			}
-			cy := a.chips[c].ForceBatchInto(d, t, is, eps)
-			if cy > maxCycles {
-				maxCycles = cy
-			}
-			if c > 0 {
-				for i := 0; i < n; i++ {
-					dst[i].Merge(&a.scratch[i])
-				}
-			}
-		}
-		return maxCycles
-	}
-
-	// Force stage: stripe (chip, j-range) spans across the pool.
 	fc := &a.fc
 	fc.t, fc.is, fc.eps, fc.chips = t, is, eps, a.chips
+	fc.stale = fc.stale[:0]
+	stale := false
+	for _, ch := range a.chips {
+		s := !ch.PredictedAt(t)
+		fc.stale = append(fc.stale, s)
+		stale = stale || s
+		ch.MarkPredicted(t)
+	}
+
+	// Small workload: the goroutine handoff costs more than the work,
+	// unless a stale memory makes the predict worth striping.
+	procs := runtime.GOMAXPROCS(0)
+	serial := procs <= 1 || n*nj < serialWorkMax && (!stale || nj < predictPoolMin)
+	l := nj // one span per chip
+	if !serial {
+		l = stripeLen(nj)
+	}
 	fc.units = fc.units[:0]
-	l := stripeLen(nj)
 	for ci, ch := range a.chips {
 		fc.units = appendSpans(fc.units, ci, ch.NJ(), l)
 	}
 	fc.next = 0
-	workers := a.pool()
-	fc.wg.Add(len(workers))
-	for _, w := range workers {
-		//grapelint:ignore hotblock one parking handoff per worker per stage: the caches hold t, the force stage dispatches
-		w.jobs <- poolJob{kind: jobForce, force: fc}
+	workers := a.caller
+	if serial {
+		workers[0].doForce(fc)
+	} else {
+		workers = a.pool()
+		fc.wg.Add(len(workers))
+		for _, w := range workers {
+			//grapelint:ignore hotblock one parking handoff per worker per evaluation
+			w.jobs <- fc
+		}
+		//grapelint:ignore hotblock the single join per evaluation: the caller must not touch dst or the slabs while workers run
+		fc.wg.Wait()
 	}
-	//grapelint:ignore hotblock the single sanctioned join per evaluation: the caller must not touch dst or the slabs while workers run
-	fc.wg.Wait()
 	fc.is = nil // do not retain the caller's batch across calls
 
 	// Reduction: exact merges, span distribution and order irrelevant by
@@ -634,6 +490,7 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 		}
 	}
 
+	var maxCycles int64
 	for _, ch := range a.chips {
 		if cy := a.cfg.Chip.BatchCycles(n, ch.NJ()); cy > maxCycles {
 			maxCycles = cy

@@ -92,10 +92,11 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 	// How the j-memory is cut into spans and who merges which must be
 	// invisible in the result bits: the golden workload reproduces the seed
 	// kernel hash exactly at every pool width. The small-block cases are
-	// the serial force path right after LoadJ, on the resident set and on
-	// one page of a paged set: from asyncPredictMin j-particles up the pass
-	// stripes its predict stage over the pool, and must match the serial
-	// result and leave every chip's cache at t.
+	// 1-3 i-particles right after LoadJ, on the resident set and on one
+	// page of a paged set: below serialWorkMax, but on a stale memory of at
+	// least predictPoolMin j-particles, so the pass still goes to the pool,
+	// each span predicting its own slots. It must match the caller-run
+	// pass of GOMAXPROCS 1 and leave every chip's cache at t.
 	small := []struct {
 		name string
 		cfg  Config
@@ -129,11 +130,11 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 				} else {
 					for q := range dst {
 						if dst[q] != want[k][ni-1][q] {
-							t.Errorf("%s, GOMAXPROCS %d, %d i-particles: partial %d differs from the serial path", tc.name, procs, ni, q)
+							t.Errorf("%s, GOMAXPROCS %d, %d i-particles: partial %d differs from the caller-run pass", tc.name, procs, ni, q)
 						}
 					}
 					if a.workers.Load() == nil {
-						t.Errorf("%s, GOMAXPROCS %d: predict stage did not run on the pool", tc.name, procs)
+						t.Errorf("%s, GOMAXPROCS %d: stale-cache pass did not run on the pool", tc.name, procs)
 					}
 				}
 				for c, ch := range a.chips {
@@ -150,15 +151,13 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 // multiStepHash is the FNV-1a hash of a 24-block individual-timestep
 // workload: every block advances the time (so the same-t predict memo
 // never hits), evaluates forces on a 4-particle block and writes the
-// corrected block back through UpdateJ — exercising predict prefetch,
-// striped prediction and slot-level cache patching together. Captured
-// from the serial pre-optimization path.
+// corrected block back through UpdateJ — exercising the force pass on a
+// stale cache, each span predicting its own slots, and slot-level cache
+// patching together. Captured from the serial pre-optimization path.
 const multiStepHash = 0x12ad9bc6633aaa87
 
-// multiStepWorkloadHash runs the workload on a; prefetch, when true,
-// kicks BeginPredict for the next block time right after the corrector
-// writes — the integrator's host/GRAPE overlap pattern.
-func multiStepWorkloadHash(t *testing.T, a *Array, prefetch bool) uint64 {
+// multiStepWorkloadHash runs the workload on a.
+func multiStepWorkloadHash(t *testing.T, a *Array) uint64 {
 	t.Helper()
 	js, _ := loadPlummer(t, a, 2048, 77)
 	f := a.Config().Chip.Format
@@ -209,9 +208,6 @@ func multiStepWorkloadHash(t *testing.T, a *Array, prefetch bool) uint64 {
 				t.Fatal(err)
 			}
 		}
-		if prefetch {
-			a.BeginPredict(float64(step+2) * math.Ldexp(1, -9))
-		}
 	}
 	return h.Sum64()
 }
@@ -219,7 +215,7 @@ func multiStepWorkloadHash(t *testing.T, a *Array, prefetch bool) uint64 {
 func TestGoldenMultiStepSerial(t *testing.T) {
 	a := New(smallConfig())
 	defer a.Close()
-	if got := multiStepWorkloadHash(t, a, false); got != multiStepHash {
+	if got := multiStepWorkloadHash(t, a); got != multiStepHash {
 		t.Errorf("serial multi-step hash %#016x, want %#016x", got, multiStepHash)
 	}
 }
@@ -228,19 +224,8 @@ func TestGoldenMultiStepParallel(t *testing.T) {
 	forceParallel(t)
 	a := New(smallConfig())
 	defer a.Close()
-	if got := multiStepWorkloadHash(t, a, false); got != multiStepHash {
+	if got := multiStepWorkloadHash(t, a); got != multiStepHash {
 		t.Errorf("parallel multi-step hash %#016x, want %#016x", got, multiStepHash)
-	}
-}
-
-func TestGoldenMultiStepParallelPrefetch(t *testing.T) {
-	// Async BeginPredict between blocks — the overlapped predictor must
-	// not change a bit either.
-	forceParallel(t)
-	a := New(smallConfig())
-	defer a.Close()
-	if got := multiStepWorkloadHash(t, a, true); got != multiStepHash {
-		t.Errorf("prefetch multi-step hash %#016x, want %#016x", got, multiStepHash)
 	}
 }
 
@@ -251,7 +236,7 @@ func TestGoldenMultiStepTiled(t *testing.T) {
 	eachProcs(t, func(procs int) {
 		a := New(smallConfig())
 		defer a.Close()
-		if got := multiStepWorkloadHash(t, a, false); got != multiStepHash {
+		if got := multiStepWorkloadHash(t, a); got != multiStepHash {
 			t.Errorf("GOMAXPROCS %d: multi-step hash %#016x, want %#016x", procs, got, multiStepHash)
 		}
 	})

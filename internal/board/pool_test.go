@@ -28,9 +28,12 @@ func TestWorkerPoolPersistsAcrossCalls(t *testing.T) {
 	}
 	workers := *wp
 
-	// Further calls — larger, smaller, and tiny (serial path) — reuse it.
+	// Further calls — larger, smaller, and tiny — reuse it. The tiny one
+	// (7 × 512 pairs at the same t, below serialWorkMax on a current
+	// cache) runs on the caller's goroutine and must agree with the pool.
 	forces(a, 0, is[:128], 1.0/64)
 	forces(a, 0, is[:16], 1.0/64)
+	tiny, _ := forces(a, 0, is[:7], 1.0/64)
 	r2, _ := forces(a, 0, is[:64], 1.0/64)
 	now := *a.workers.Load()
 	if len(now) != len(workers) {
@@ -44,6 +47,11 @@ func TestWorkerPoolPersistsAcrossCalls(t *testing.T) {
 	for i := range r1 {
 		if r1[i].Acc[0].Sum != r2[i].Acc[0].Sum || r1[i].Pot.Sum != r2[i].Pot.Sum {
 			t.Fatalf("i=%d: repeated evaluation changed bits", i)
+		}
+	}
+	for i := range tiny {
+		if *tiny[i] != *r1[i] {
+			t.Errorf("i=%d: serial path differs from the pool", i)
 		}
 	}
 }
@@ -103,12 +111,12 @@ func BenchmarkArrayForces(b *testing.B) {
 
 // BenchmarkArrayDispatch isolates the pool's per-evaluation
 // synchronization cost: a small i-batch against a modest j-set, with the
-// evaluation time advancing every iteration so the predict stage can
-// never be skipped — the per-block-step pattern of the integrator. The
-// work per span is tiny, so the ns/op is dominated by the dispatch
-// machinery this benchmark tracks: a predict stage and a force stage per
-// evaluation, each one channel handoff per worker plus one WaitGroup
-// join. Steady state must stay allocation-free.
+// evaluation time advancing every iteration so every span predicts its
+// slots before forcing them — the per-block-step pattern of the
+// integrator. The work per span is tiny, so the ns/op is dominated by the
+// dispatch machinery this benchmark tracks: one fused stage per
+// evaluation, one channel handoff per worker plus one WaitGroup join.
+// Steady state must stay allocation-free.
 func BenchmarkArrayDispatch(b *testing.B) {
 	old := runtime.GOMAXPROCS(4) // engage the pool even on small hosts
 	defer runtime.GOMAXPROCS(old)
@@ -122,26 +130,6 @@ func BenchmarkArrayDispatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := float64(i+1) * 0x1p-20
 		a.ForcesInto(dst, t, is[:4], 1.0/64)
-	}
-}
-
-// BenchmarkArrayPredict is the board's predict stage as the force pass
-// runs it: startPredict striping 4096 j-particles over the 8 chips'
-// memories across a pool of GOMAXPROCS workers, then joinPredict, with
-// the time advancing every iteration so no chip's cache is ever current.
-// Set beside BenchmarkPredictFull (one chip, 4096 j, serial) it is the
-// striping gain. Steady state must stay allocation-free.
-func BenchmarkArrayPredict(b *testing.B) {
-	a := New(smallConfig())
-	defer a.Close()
-	loadPlummer(b, a, 4096, 1)
-	a.startPredict(0x1p-20, a.nj) // spawn the pool
-	a.joinPredict()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.startPredict(float64(i+2)*0x1p-20, a.nj)
-		a.joinPredict()
 	}
 }
 

@@ -455,12 +455,13 @@ func displace(f gfixed.Format, disp float64) gfixed.Fixed64 {
 
 // PredictRange runs the predictor pipeline over the memory slots [lo, hi)
 // at time t, writing the predictions into the chip's cache WITHOUT
-// validating it. It is the striping primitive for a pool-wide parallel
-// predict stage: concurrent calls on disjoint ranges are race-free (each
-// touches only its own cache slots), and once stripes covering the whole
-// memory have completed, the coordinator calls MarkPredicted(t). Results
-// are bit-identical to a serial Predict(t) because each slot's prediction
-// depends only on (particle, t). Out-of-range bounds are clamped.
+// validating it. It is the striping primitive of the board's force pass:
+// the board marks a stale chip predicted first (MarkPredicted), and each
+// span then predicts its own slots before ForceBatchRangeInto reads them.
+// Concurrent calls on disjoint ranges are race-free (each touches only its
+// own cache slots), and results are bit-identical to a serial Predict(t)
+// because each slot's prediction depends only on (particle, t).
+// Out-of-range bounds are clamped.
 //
 //grape:noalloc
 func (ch *Chip) PredictRange(t float64, lo, hi int) {
@@ -481,10 +482,10 @@ func (ch *Chip) PredictRange(t float64, lo, hi int) {
 	}
 }
 
-// MarkPredicted declares the prediction cache valid for time t. It must
-// only be called after PredictRange calls at t have covered every stored
-// slot since the last memory write; the board's striped predict stage
-// does exactly that before marking.
+// MarkPredicted declares the prediction cache valid for time t. Every
+// stored slot must be predicted at t by PredictRange before anything reads
+// it: the board marks a stale chip before its force pass, and each span of
+// that pass predicts its own slots before forcing them.
 func (ch *Chip) MarkPredicted(t float64) {
 	ch.predT = t
 	ch.predOK = true
@@ -554,10 +555,11 @@ func (ch *Chip) ForceBatchInto(dst []Partial, t float64, is []IParticle, eps flo
 // j-range, exact for the same reason as the others.
 //
 // Prediction of a missing time runs lazily over the WHOLE memory, which
-// is only safe single-threaded: concurrent range calls on one chip
-// require the prediction cache to already hold time t (PredictedAt), as
-// arranged by the board's predict stage. The returned cycle count covers
-// just this range; callers striping a chip account whole-chip cycles via
+// is only safe single-threaded. Callers striping one chip across
+// goroutines mark it predicted at t first (MarkPredicted) and have each
+// span PredictRange its own slots before this call reads them; the lazy
+// predict is then a no-op. The returned cycle count covers just this
+// range; callers striping a chip account whole-chip cycles via
 // Config.BatchCycles.
 //
 //grape:noalloc

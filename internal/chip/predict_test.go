@@ -107,7 +107,7 @@ func TestWriteJStalePredictionInvalidates(t *testing.T) {
 }
 
 // TestPredictRangeStripingBitIdentical verifies the Section 3.4-style
-// invariance the parallel predict stage relies on: predicting the memory
+// invariance the board's striped force pass relies on: predicting the memory
 // in arbitrary disjoint stripes produces exactly the bits of one full
 // Predict pass.
 func TestPredictRangeStripingBitIdentical(t *testing.T) {

@@ -40,8 +40,9 @@ type Array interface {
 	// ForcesInto evaluates forces on is at time t into dst and returns
 	// the hardware cycles consumed.
 	ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) int64
-	// BeginPredict starts the j-memory predictor for time t in the
-	// background (may be a no-op).
+	// BeginPredict hints the next evaluation time ahead of ForcesInto. No
+	// in-tree array acts on it: board.Array predicts inside the force
+	// pass, and a grape6d session ignores it.
 	BeginPredict(t float64)
 	// NJ returns the number of loaded j-particles.
 	NJ() int
@@ -201,11 +202,9 @@ func (b *Backend) guessExponents(sys *nbody.System, i int) (ea, ej, ep int) {
 	return ea, ej, ep
 }
 
-// BeginPredict implements hermite.PredictAheadBackend: it starts the
-// hardware predictor pipeline for time t in the background so the
-// j-memory prediction runs concurrently with host-side work (the
-// paper's §6 host/GRAPE overlap). The next memory operation on the
-// array joins it; results are bit-identical to a synchronous predict.
+// BeginPredict implements hermite.PredictAheadBackend by forwarding the
+// hint to the array, where it is a no-op: the board predicts each span's
+// j-slots inside the force pass, so nothing is left to start ahead.
 func (b *Backend) BeginPredict(t float64) { b.arr.BeginPredict(t) }
 
 // Yield implements hermite.YieldBackend by forwarding to the array when

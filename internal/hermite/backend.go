@@ -41,12 +41,12 @@ type Backend interface {
 type ForcesIntoBackend = Backend
 
 // PredictAheadBackend is the optional host/GRAPE-overlap extension of
-// Backend (the paper's §6): BeginPredict(t) starts predicting the stored
-// j-particles to time t in the background, overlapping the predictor with
-// host-side work (block selection, correction, i-particle staging). The
-// backend joins the prefetch before any operation that needs or mutates
-// the j-memory, so results are bit-identical with or without the call.
-// The integrator calls it with the next block time right after Update.
+// Backend (the paper's §6): BeginPredict(t) announces the next evaluation
+// time so a backend could predict its stored j-particles ahead of the
+// force call. It never changes any result, and no in-tree backend acts on
+// it (gbackend forwards it to a board.Array or grape6d session, both of
+// which predict inside the force pass). The integrator calls it with the
+// next block time right after Update.
 type PredictAheadBackend interface {
 	Backend
 	BeginPredict(t float64)

@@ -102,10 +102,9 @@ type Integrator struct {
 	yb  YieldBackend
 }
 
-// prefetchPredict starts the backend's j-memory prediction for the next
-// block time so it overlaps with the host work between blocks (trace
-// callbacks, block selection, i-particle prediction) — the paper's §6
-// host/GRAPE overlap. No-op for backends without predict-ahead support.
+// prefetchPredict hands the backend the next block time ahead of the
+// host work between blocks — the paper's §6 host/GRAPE overlap hook. No
+// in-tree backend acts on it (see PredictAheadBackend).
 func (it *Integrator) prefetchPredict() {
 	if it.pab != nil {
 		it.pab.BeginPredict(it.sched.NextTime())
