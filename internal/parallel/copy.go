@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"grape6/internal/des"
+	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/nbody"
 	"grape6/internal/vtrace"
@@ -59,8 +60,11 @@ func copyHost(p *des.Proc, h int, w *world, st *copyState) error {
 	// travel through the network (gatherUpdates ships a fresh copy per
 	// exchange round).
 	var ups []update
+	var t float64
+	var fs []direct.Force
+	job := w.newJob(func() { fs = sc.forces(st.backend, t, cfg.Params.Eps) })
 	for round := 0; ; round++ {
-		t := S.MinTime()
+		t = S.MinTime()
 		if t > w.until {
 			return nil
 		}
@@ -70,15 +74,17 @@ func copyHost(p *des.Proc, h int, w *world, st *copyState) error {
 		ups = ups[:0]
 		if len(mine) > 0 {
 			sc.predict(S, mine, t)
-			fs := sc.forces(st.backend, t, cfg.Params.Eps)
+			job.kick()
 
 			// Charge the modelled compute time, attributed per phase:
 			// frontend work, GRAPE pipelines over the full stored system,
-			// and the DMA link.
+			// and the DMA link. The forces are evaluated on a worker
+			// meanwhile (grapeJob: kick, sleep, collect).
 			p.SleepAs(int(vtrace.HostWork), m.HostWork(len(mine), S.N))
 			p.SleepAs(int(vtrace.Grape), m.GrapeTimeHost(len(mine), S.N))
 			p.SleepAs(int(vtrace.CommSend), m.LinkTime(len(mine)))
 
+			job.wait()
 			for k, i := range mine {
 				ups = append(ups, correctParticle(S, i, fs[k], t, cfg.Params))
 			}

@@ -139,9 +139,21 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 	k := rank / perCl
 	i, j := rank%perCl/r, rank%r
 	diagRank := k*perCl + i*r + i
+	var t float64
+	// Partial forces from subset j for the cluster's share. An empty share
+	// (most hosts, most rounds) stays a nil slice, here and for ups below:
+	// nil boxes into a message payload without allocating, a zero-length
+	// make does not.
+	var partial []pforce
+	job := w.newJob(func() {
+		fs := st.forces(st.backend, t, cfg.Params.Eps)
+		for q := range partial {
+			partial[q] = pforce{acc: fs[q].Acc, jerk: fs[q].Jerk, pot: fs[q].Pot}
+		}
+	})
 	for round := 0; ; round++ {
 		tag := round * tagStride
-		t := allreduceMin(p, net, rank, cfg.Hosts, tag+tagMin, st.row.MinTime(), rec)
+		t = allreduceMin(p, net, rank, cfg.Hosts, tag+tagMin, st.row.MinTime(), rec)
 		if t > w.until {
 			return nil
 		}
@@ -150,20 +162,14 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 		st.selectBlock(st.row, t, clusters, k)
 		block := st.mine
 
-		// Partial forces from subset j for the cluster's share. An empty
-		// share (most hosts, most rounds) stays a nil slice, here and for
-		// ups below: nil boxes into a message payload without allocating,
-		// a zero-length make does not.
-		var partial []pforce
+		partial = nil
 		if len(block) > 0 {
 			partial = make([]pforce, len(block))
 			st.predict(st.row, block, t)
-			fs := st.forces(st.backend, t, cfg.Params.Eps)
-			for q := range block {
-				partial[q] = pforce{acc: fs[q].Acc, jerk: fs[q].Jerk, pot: fs[q].Pot}
-			}
+			job.kick()
 			p.SleepAs(int(vtrace.Grape), m.GrapeTimeHost(len(block), st.col.N))
 			p.SleepAs(int(vtrace.CommSend), m.LinkTime(len(block)))
+			job.wait()
 		}
 
 		if rank != diagRank {

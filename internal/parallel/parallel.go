@@ -4,7 +4,9 @@
 // testable against the single-host integrator) while sleeping in virtual
 // time for their modelled compute costs, and all host-host traffic goes
 // through the simulated network. The virtual clock at completion is the
-// predicted wall-clock of the run.
+// predicted wall-clock of the run. A host's force evaluation runs on a
+// worker goroutine while the host sleeps through its modelled GRAPE time
+// (grapeJob), so a run uses every core and still repeats bit for bit.
 //
 // Every run is the same block-step loop — agree on the next block time,
 // predict the block, evaluate forces, correct, make the corrected
@@ -51,7 +53,10 @@ type Config struct {
 
 	// NewBackend, when non-nil, builds the force backend for each
 	// simulated host (e.g. an emulated GRAPE attachment per host). Nil
-	// uses the float64 DirectBackend. Each host gets its own instance.
+	// uses the float64 DirectBackend. Each host gets its own instance,
+	// and its force evaluations run on a worker goroutine while other
+	// hosts' do (grapeJob): an instance must share no mutable state with
+	// another rank's instance.
 	//
 	// Rank -1 is a sentinel: initForces calls NewBackend(-1) once for a
 	// throwaway backend that computes the common initial forces before
@@ -164,12 +169,23 @@ type hostFunc func(p *des.Proc, rank int, rec *vtrace.Recorder) error
 
 // world is what the host processes of one run share. Simulated processes
 // execute one at a time under the DES discipline, so their writes to res
-// never actually race.
+// never actually race. jobs is the queue of the workers that run the
+// hosts' force evaluations (grapeJob).
 type world struct {
 	cfg   Config
 	net   *simnet.Network
 	until float64
 	res   *Result
+	jobs  chan *grapeJob
+}
+
+// newWorld sets up a run's shared state on eng. The job queue holds one job
+// per host, the most that can be in flight.
+func newWorld(eng *des.Engine, cfg Config, until float64) *world {
+	return &world{
+		cfg: cfg, net: simnet.New(eng, cfg.NIC, cfg.Hosts), until: until, res: &Result{},
+		jobs: make(chan *grapeJob, cfg.Hosts),
+	}
 }
 
 // count books n particle steps taken by rank in block round `round`. The
@@ -201,7 +217,7 @@ func run(sys *nbody.System, until float64, cfg Config, ex exchange) (*Result, er
 	}
 
 	eng := des.New()
-	w := &world{cfg: cfg, net: simnet.New(eng, cfg.NIC, cfg.Hosts), until: until, res: &Result{}}
+	w := newWorld(eng, cfg, until)
 	var set *vtrace.Set
 	if cfg.Record {
 		set = vtrace.NewSet(cfg.Hosts)
@@ -220,6 +236,10 @@ func run(sys *nbody.System, until float64, cfg Config, ex exchange) (*Result, er
 			errs[rank] = host(p, rank, rec)
 		})
 	}
+	// The workers stop when run returns, however RunAll ended — a finished
+	// run, a host error, a deadlock or a panic — so none outlives the run.
+	stop := startWorkers(w.jobs)
+	defer stop()
 	eng.RunAll()
 	// A host that bailed out with an error stops participating, which
 	// deadlocks its peers — report the root cause, not the symptom.

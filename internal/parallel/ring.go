@@ -91,8 +91,19 @@ func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Bac
 	cfg, m, net := w.cfg, w.cfg.Machine, w.net
 	next := (h + 1) % cfg.Hosts
 	var sc scratch
+	var t float64
+	var held []ipacket
+	// The job adds the local subset's partial forces to the held packets.
+	job := w.newJob(func() {
+		fs := sc.forces(backend, t, cfg.Params.Eps)
+		for k := range held {
+			held[k].acc = held[k].acc.Add(fs[k].Acc)
+			held[k].jerk = held[k].jerk.Add(fs[k].Jerk)
+			held[k].pot += fs[k].Pot
+		}
+	})
 	for round := 0; ; round++ {
-		t := allreduceMin(p, net, h, cfg.Hosts, round*tagStride+tagMin, S.MinTime(), rec)
+		t = allreduceMin(p, net, h, cfg.Hosts, round*tagStride+tagMin, S.MinTime(), rec)
 		if t > w.until {
 			return nil
 		}
@@ -108,7 +119,7 @@ func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Bac
 
 		// p stages: compute partial forces on the held packet list from
 		// the local subset, then pass it along the ring.
-		held := packets
+		held = packets
 		for stage := 0; stage < cfg.Hosts; stage++ {
 			if len(held) > 0 {
 				sc.ids, sc.xs, sc.vs = sc.ids[:0], sc.xs[:0], sc.vs[:0]
@@ -117,14 +128,10 @@ func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Bac
 					sc.xs = append(sc.xs, pk.x)
 					sc.vs = append(sc.vs, pk.v)
 				}
-				fs := sc.forces(backend, t, cfg.Params.Eps)
-				for k := range held {
-					held[k].acc = held[k].acc.Add(fs[k].Acc)
-					held[k].jerk = held[k].jerk.Add(fs[k].Jerk)
-					held[k].pot += fs[k].Pot
-				}
+				job.kick()
 				p.SleepAs(int(vtrace.Grape), m.GrapeTimeHost(len(held), S.N))
 				p.SleepAs(int(vtrace.CommSend), m.LinkTime(len(held)))
+				job.wait()
 			}
 			net.Send(h, next, round*tagStride+stage, len(held)*ipacketBytes, held)
 			msg := net.Recv(p, h, round*tagStride+stage)

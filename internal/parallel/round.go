@@ -88,7 +88,8 @@ func (sc *scratch) forces(b hermite.Backend, t, eps float64) []direct.Force {
 // refreshes b's image of the slots that changed.
 func (sc *scratch) absorb(sys *nbody.System, idx *nbody.IDIndex, ups []update, b hermite.Backend) {
 	sc.changed = sc.changed[:0]
-	for _, u := range ups {
+	for q := range ups {
+		u := &ups[q]
 		i, ok := idx.Slot(u.id)
 		if !ok {
 			continue

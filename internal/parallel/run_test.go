@@ -99,6 +99,20 @@ func TestArbitraryIDs(t *testing.T) {
 // run reads them off Engine.Live and leaves their coroutines suspended for
 // good (des never stops a live process — that would resume its body).
 func TestHybridHostSurfacesShortPartial(t *testing.T) {
+	err := runRogueGrid(t, sendShortPartial)
+	if err == nil {
+		t.Fatal("short partial list did not fail the run")
+	}
+	if !strings.Contains(err.Error(), "host 0") || !strings.Contains(err.Error(), "partial") {
+		t.Errorf("error does not name the diagonal host's cause: %v", err)
+	}
+}
+
+// runRogueGrid runs a 2×2 grid on a 16-particle system in which rank 1,
+// host (0,1), agrees on the first block time and then, instead of forcing
+// its share, calls rogue with the slots of that block in subset 0 and
+// leaves the run. The others run the real hybrid host.
+func runRogueGrid(t *testing.T, rogue func(w *world, block []int)) error {
 	_, err := run(plummer(16, 9), 1.0, testConfig(4), exchange{
 		check: func(int) error { return nil },
 		build: func(w *world, sys *nbody.System) (hostFunc, []*nbody.System) {
@@ -115,16 +129,16 @@ func TestHybridHostSurfacesShortPartial(t *testing.T) {
 					t.Error("the first block has no member in subset 0: pick another seed")
 					return nil
 				}
-				short := make([]pforce, len(sc.block)-1)
-				w.net.Send(1, 0, tagPartial+1, len(short)*pforceBytes, short)
+				rogue(w, sc.block)
 				return nil
 			}, final
 		},
 	})
-	if err == nil {
-		t.Fatal("short partial list did not fail the run")
-	}
-	if !strings.Contains(err.Error(), "host 0") || !strings.Contains(err.Error(), "partial") {
-		t.Errorf("error does not name the diagonal host's cause: %v", err)
-	}
+	return err
+}
+
+// sendShortPartial ships the diagonal one partial force too few.
+func sendShortPartial(w *world, block []int) {
+	short := make([]pforce, len(block)-1)
+	w.net.Send(1, 0, tagPartial+1, len(short)*pforceBytes, short)
 }

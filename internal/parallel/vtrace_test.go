@@ -230,8 +230,9 @@ func TestRingHostSurfacesCirculationError(t *testing.T) {
 	backend.Load(part)
 
 	eng := des.New()
-	net := simnet.New(eng, cfg.NIC, 2)
-	w := &world{cfg: cfg, net: net, until: 1.0, res: &Result{}}
+	w := newWorld(eng, cfg, 1.0)
+	net := w.net
+	defer startWorkers(w.jobs)()
 	var hostErr error
 	eng.Spawn("ring0", func(p *des.Proc) {
 		hostErr = ringHost(p, 0, w, part, backend, nil)

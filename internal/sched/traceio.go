@@ -20,6 +20,10 @@ const traceMagic = 0x47365452
 // traceVersion is the current format version.
 const traceVersion = 1
 
+// maxPrealloc caps the blocks ReadTrace reserves room for before reading
+// any of them.
+const maxPrealloc = 1 << 16
+
 // Write serialises the trace with a CRC-32 trailer.
 func (t *Trace) Write(w io.Writer) error {
 	crc := crc32.NewIEEE()
@@ -85,16 +89,21 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	out.N = int(n)
 	out.Kind = units.SofteningKind(kind)
-	out.Blocks = make([]hermite.BlockStat, blocks)
-	for i := range out.Blocks {
-		if err := binary.Read(tr, binary.LittleEndian, &out.Blocks[i].Time); err != nil {
+	// The header's count is not trusted for the allocation: the slice grows
+	// as blocks arrive, so a short stream claiming 2³² blocks fails at its
+	// end instead of asking for 64 GB up front.
+	out.Blocks = make([]hermite.BlockStat, 0, min(blocks, maxPrealloc))
+	for i := int64(0); i < blocks; i++ {
+		var b hermite.BlockStat
+		if err := binary.Read(tr, binary.LittleEndian, &b.Time); err != nil {
 			return nil, fmt.Errorf("sched: block %d: %w", i, err)
 		}
 		var sz int64
 		if err := binary.Read(tr, binary.LittleEndian, &sz); err != nil {
 			return nil, fmt.Errorf("sched: block %d: %w", i, err)
 		}
-		out.Blocks[i].Size = int(sz)
+		b.Size = int(sz)
+		out.Blocks = append(out.Blocks, b)
 	}
 	want := crc.Sum32()
 	var got uint32

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"grape6/internal/hermite"
@@ -118,4 +120,60 @@ func TestMeasuredTraceRoundTrip(t *testing.T) {
 	if _, err := FromTraces(units.SoftConstant, []*Trace{got, tr2}); err != nil {
 		t.Errorf("restored trace unusable for fitting: %v", err)
 	}
+}
+
+// hugeHeader is a bare 48-byte header that claims 2³² blocks and carries
+// none of them.
+func hugeHeader() []byte {
+	var buf bytes.Buffer
+	for _, v := range []interface{}{
+		uint32(traceMagic), uint32(traceVersion),
+		int64(1024), int64(units.SoftConstant), 1.0 / 64, 1.0, int64(1 << 32),
+	} {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			panic(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// A header may claim any block count up to 2³² before a single block has
+// been read. Reading must not reserve room for the claim — 2³² blocks are
+// 64 GB, which used to kill the process — but fail where the stream ends.
+func TestTraceHugeBlockCountHeader(t *testing.T) {
+	data := hugeHeader()
+	if len(data) != 48 {
+		t.Fatalf("header is %d bytes, want 48", len(data))
+	}
+	_, err := ReadTrace(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "block 0") {
+		t.Errorf("got %v, want an error at block 0", err)
+	}
+}
+
+// FuzzReadTrace feeds ReadTrace arbitrary bytes. It must return an error or
+// a trace, never panic or exhaust memory, and a trace it accepts must
+// encode back to the bytes it was read from.
+func FuzzReadTrace(f *testing.F) {
+	for _, tr := range []*Trace{sampleTrace(), {N: 10, Duration: 1}} {
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(hugeHeader())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Errorf("accepted trace re-encodes to %x, read from %x", buf.Bytes(), data)
+		}
+	})
 }

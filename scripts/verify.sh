@@ -24,7 +24,9 @@
 # Tier 4 (fuzz, full gauntlet only):
 #   the differential fuzz targets, 10s each — gfixed's rounding and
 #   accumulation against their references, the chip's call-free pair loop
-#   and predictor against the exact per-stage forms.
+#   and predictor against the exact per-stage forms — and the decoders of
+#   outside bytes (sched.ReadTrace), from their committed corpora under
+#   testdata/fuzz/.
 #
 # Usage: scripts/verify.sh [tier]
 #   scripts/verify.sh       # run all tiers (the default gauntlet)
@@ -86,6 +88,7 @@ if [ "$tier" = 4 ] || [ "$tier" = all ]; then
 	go test -run '^$' -fuzz '^FuzzAddTame$' -fuzztime=10s ./internal/gfixed/
 	go test -run '^$' -fuzz '^FuzzForceTile$' -fuzztime=10s ./internal/chip/
 	go test -run '^$' -fuzz '^FuzzPredictParticle$' -fuzztime=10s ./internal/chip/
+	go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime=10s ./internal/sched/
 fi
 
 echo "verify: OK ($tier)"
