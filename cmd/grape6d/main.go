@@ -5,12 +5,15 @@
 //
 //	grape6d -listen :7646 -fleet 2 -boards 4
 //
-// With -smoke it instead runs the CI end-to-end scenario in-process:
-// start a daemon, attach two sessions of different N, step both,
-// snapshot one, restore it as a third session, detach, and verify every
-// session's state hash against the same workloads run on dedicated
-// arrays — the scheduler's bit-exactness contract, end to end over the
-// wire.
+// Each force request is served on the goroutine of the RPC that makes
+// it, first come, first served, on a free array of the fleet.
+//
+// With -smoke it instead runs the CI end-to-end scenario in-process on a
+// fleet of -fleet small arrays: start a daemon, attach two sessions of
+// different N, step both, snapshot one, restore it as a third session,
+// detach, and verify every session's state hash against the same
+// workloads run on dedicated arrays — the scheduler's bit-exactness
+// contract, end to end over the wire.
 package main
 
 import (
@@ -46,7 +49,7 @@ func main() {
 	}
 
 	if *smoke {
-		if err := runSmoke(); err != nil {
+		if err := runSmoke(*fleet); err != nil {
 			fmt.Fprintln(os.Stderr, "grape6d smoke:", err)
 			os.Exit(1)
 		}
@@ -92,10 +95,10 @@ func soloHash(hw board.Config, n int, seed uint64, eps float64, blocks int) (uin
 	return grape6d.SystemHash(sim.Synchronized()), nil
 }
 
-func runSmoke() error {
+func runSmoke(fleet int) error {
 	hw := smokeHW()
 	eps := 1.0 / 64
-	sv := grape6d.NewServer(grape6d.NewScheduler(grape6d.Config{Fleet: 1, HW: hw}))
+	sv := grape6d.NewServer(grape6d.NewScheduler(grape6d.Config{Fleet: fleet, HW: hw}))
 	defer sv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -109,7 +112,7 @@ func runSmoke() error {
 	}
 	defer cl.Close()
 
-	// Two tenants of different N share the single-array fleet.
+	// Two tenants of different N share the fleet.
 	if _, err := cl.Attach(grape6d.AttachArgs{Name: "a", N: 128, Seed: 7}); err != nil {
 		return err
 	}
@@ -131,7 +134,7 @@ func runSmoke() error {
 	if err != nil {
 		return err
 	}
-	if _, err := cl.Restore("a2", snap.Data, grape6d.Quota{}); err != nil {
+	if _, err := cl.Restore("a2", snap.Data); err != nil {
 		return err
 	}
 	const extra = 5
@@ -181,13 +184,17 @@ func runSmoke() error {
 	if err != nil {
 		return err
 	}
+	var swaps int64
+	for _, as := range st.Arrays {
+		swaps += as.Swaps
+	}
 	fmt.Printf("grape6d smoke: %d sessions, %d dispatches, mean fill %.2f, %d swaps\n",
-		len(st.Sessions), st.Fill.Dispatches, st.Fill.MeanFill, st.Arrays[0].Swaps)
+		len(st.Sessions), st.Fill.Dispatches, st.Fill.MeanFill, swaps)
 	if len(st.Sessions) != 2 {
 		return fmt.Errorf("stats show %d sessions after detach, want 2", len(st.Sessions))
 	}
-	if st.Arrays[0].Swaps < 2 {
-		return fmt.Errorf("single-array fleet saw %d swaps across three tenants, want ≥ 2", st.Arrays[0].Swaps)
+	if swaps < 2 {
+		return fmt.Errorf("fleet of %d saw %d swaps across three tenants, want ≥ 2", fleet, swaps)
 	}
 	return nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkSchedulerDispatch measures the steady-state cost of pushing
-// one small force request through the scheduler — request, pick, serve,
-// complete — on a resident session with no swap. The CI allocation
+// one small force request through the scheduler — admit, claim,
+// evaluate, release — on a resident session with no swap. The CI allocation
 // guard pins it at 0 allocs/op: the scheduler evaluates on the caller's
 // slabs and owns no per-request state to allocate.
 func BenchmarkSchedulerDispatch(b *testing.B) {
@@ -39,18 +39,25 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 }
 
 // BenchmarkTenancySweep is the multi-tenant throughput sweep: 1, 2, 4
-// and 8 sessions sharing a two-array fleet, each driven the way a client
-// drives it — one ForcesInto per block, the next when it returns — with
-// small blocks of 16 i-particles (fill 16/48 by construction). Reported
-// per configuration: aggregate particle-steps/s across all sessions, the
-// mean fill ratio, the fleet's idle fraction and j-image swaps per block.
+// and 8 sessions sharing a one- and a two-array fleet, each driven the
+// way a client drives it — one ForcesInto per block, the next when it
+// returns — with small blocks of 16 i-particles (fill 16/48 by
+// construction). Reported per configuration: aggregate particle-steps/s
+// across all sessions, the mean fill ratio, the fleet's idle fraction and
+// j-image swaps per block.
 func BenchmarkTenancySweep(b *testing.B) {
+	for _, fleet := range []int{1, 2} {
+		b.Run(fmt.Sprintf("fleet=%d", fleet), func(b *testing.B) { tenancySweep(b, fleet) })
+	}
+}
+
+func tenancySweep(b *testing.B, fleet int) {
 	hw := smallHW()
 	js, is := plummerSet(b, hw, 512, 42)
 	const blockSize = 16
 	for _, nsess := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("sessions=%d", nsess), func(b *testing.B) {
-			d := NewScheduler(Config{Fleet: 2, HW: hw})
+			d := NewScheduler(Config{Fleet: fleet, HW: hw})
 			defer d.Close()
 			sessions := make([]*Session, nsess)
 			for k := range sessions {

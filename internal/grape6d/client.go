@@ -44,9 +44,9 @@ func (cl *Client) Snapshot(name string) (SnapshotReply, error) {
 }
 
 // Restore creates a session from a snapshot stream.
-func (cl *Client) Restore(name string, data []byte, q Quota) (RestoreReply, error) {
+func (cl *Client) Restore(name string, data []byte) (RestoreReply, error) {
 	var reply RestoreReply
-	err := cl.c.Call("grape6d.Restore", &RestoreArgs{Name: name, Data: data, Quota: q}, &reply)
+	err := cl.c.Call("grape6d.Restore", &RestoreArgs{Name: name, Data: data}, &reply)
 	return reply, err
 }
 

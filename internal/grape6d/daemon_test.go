@@ -2,8 +2,10 @@ package grape6d
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"grape6/internal/core"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
+	"grape6/internal/snapshot"
 	"grape6/internal/xrand"
 )
 
@@ -70,7 +73,7 @@ func TestDaemonRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Restore("a2", snap.Data, Quota{}); err != nil {
+	if _, err := cl.Restore("a2", snap.Data); err != nil {
 		t.Fatal(err)
 	}
 	const extra = 6
@@ -156,7 +159,7 @@ func TestServerConcurrentAttach(t *testing.T) {
 			if k%2 == 1 {
 				name = fmt.Sprintf("solo%d", k)
 			}
-			_, errs[k] = sv.start(name, newSys(uint64(k+1)), 1.0/64, uint64(k+1), Quota{})
+			_, errs[k] = sv.start(name, newSys(uint64(k+1)), 1.0/64, uint64(k+1))
 		}()
 	}
 	wg.Wait()
@@ -179,7 +182,7 @@ func TestServerConcurrentAttach(t *testing.T) {
 	if _, err := sv.get("dup"); err != nil {
 		t.Fatalf("winning session not installed: %v", err)
 	}
-	if _, err := sv.start("dup", newSys(9), 1.0/64, 9, Quota{}); err == nil {
+	if _, err := sv.start("dup", newSys(9), 1.0/64, 9); err == nil {
 		t.Fatal("duplicate attach succeeded after the race settled")
 	}
 
@@ -187,15 +190,25 @@ func TestServerConcurrentAttach(t *testing.T) {
 	if err := r.Detach(&DetachArgs{Name: "dup"}, &DetachReply{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.start("dup", newSys(9), 1.0/64, 9, Quota{}); err != nil {
+	if _, err := sv.start("dup", newSys(9), 1.0/64, 9); err != nil {
 		t.Fatalf("reattach after detach failed: %v", err)
 	}
 }
 
+// snapshotHeader is the 40 bytes a snapshot stream opens with — magic,
+// version and a header claiming n particles — and nothing after them.
+func snapshotHeader(n int64) []byte {
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.LittleEndian, [2]uint32{snapshot.Magic, snapshot.Version})
+	binary.Write(&buf, binary.LittleEndian, snapshot.Header{N: n})
+	return buf.Bytes()
+}
+
 // TestDaemonRejectsBadInput pins the failure paths reachable over the
 // wire: unknown session names, zero-N and oversized-N attaches and
-// corrupt snapshot streams must come back as errors, not crash the daemon
-// (or, for an N above MaxAttachN, make it allocate whatever was asked).
+// restores, and corrupt snapshot streams must come back as errors, not
+// crash the daemon (or, for an N above MaxAttachN, make it allocate
+// whatever was asked).
 func TestDaemonRejectsBadInput(t *testing.T) {
 	cl := startDaemon(t, smallHW(), 1)
 
@@ -214,8 +227,18 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 	if _, err := cl.Attach(AttachArgs{Name: "z", N: MaxAttachN + 1}); err == nil {
 		t.Errorf("Attach with N above MaxAttachN succeeded")
 	}
-	if _, err := cl.Restore("r", []byte("not a snapshot"), Quota{}); err == nil {
+	if _, err := cl.Restore("r", []byte("not a snapshot")); err == nil {
 		t.Errorf("Restore of garbage stream succeeded")
+	}
+	// The 40 bytes before a snapshot's first record, claiming 2³¹
+	// particles: the daemon used to allocate 17 GB for them and die.
+	if _, err := cl.Restore("r", snapshotHeader(1<<31)); err == nil {
+		t.Errorf("Restore of a bare header claiming 2^31 particles succeeded")
+	}
+	// A restart runs the same O(N²) initial evaluation as an attach, so
+	// it is held to the same bound before any record is read.
+	if _, err := cl.Restore("r", snapshotHeader(MaxAttachN+1)); err == nil || !strings.Contains(err.Error(), fmt.Sprint(MaxAttachN)) {
+		t.Errorf("Restore with N above MaxAttachN: got %v, want an error naming the bound", err)
 	}
 
 	// The daemon must still be serving after all of that.

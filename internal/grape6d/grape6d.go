@@ -6,37 +6,31 @@
 // Tflops of the SC'03 paper depend on the silicon never idling while any
 // one host is in its O(N) corrector phase).
 //
-// Dispatch is plain round-robin over the sessions with work, under two
-// rules:
+// A session has one force request in flight, as a host sends one block's
+// i-particles to its GRAPE in one transaction and waits (eq. 10 charges
+// T_comm once per block). Session.ForcesInto serves its own request on
+// the caller's goroutine: it takes a ticket, and once the ticket is at
+// the head of the scheduler's first-come-first-served queue and an array
+// is free, it claims that array, evaluates straight on the caller's slabs
+// and returns with the cycles the array reported. The scheduler runs no
+// goroutines of its own. Requests are never packed together and users
+// are never rate-limited — the machine paper shares the installation by
+// partitioning clusters at the network boards.
 //
-//   - Swapping by generation: sessions keep a host-side j-image; an array
-//     slot swaps a tenant in by reloading that image (the board's LoadJ
-//     restages without allocating, and j-sets larger than the chips page
-//     through the LoadJRange streaming path) unless it already holds the
-//     image's current generation. The swap changes which silicon
-//     computes, never what is computed: chip.WriteJ slot patching is
-//     pinned bit-identical to a cold re-predict, so a session that bounced
-//     between slots produces the same trajectory as one that owned an
-//     array outright. While one session is in its host phase, another
-//     session's evaluation occupies the fleet.
-//
-//   - Admission control and per-session chip-time quotas: dispatch
-//     charges each session the model chip-seconds of its evaluations
-//     (board.Array.TimeFor over the cycles the array returned), debited
-//     from a token bucket, so a greedy tenant is throttled instead of
-//     starving the rest.
+// Swapping by generation: sessions keep a host-side j-image; an array
+// swaps a tenant in by reloading that image (the board's LoadJ restages
+// without allocating, and j-sets larger than the chips page through the
+// LoadJRange streaming path) unless it already holds the image's current
+// generation, and a request prefers a free array that does. The swap
+// changes which silicon computes, never what is computed: chip.WriteJ
+// slot patching is pinned bit-identical to a cold re-predict, so a
+// session that bounced between arrays produces the same trajectory as
+// one that owned an array outright. While one session is in its host
+// phase, another session's evaluation occupies the fleet.
 //
 // The scheduler keeps no predictor state: the array's force pass predicts
 // a swapped-in image itself, and Session.Yield and Session.BeginPredict
 // are no-ops.
-//
-// A session has one force request in flight, as a host sends one block's
-// i-particles to its GRAPE in one transaction and waits (eq. 10 charges
-// T_comm once per block): ForcesInto posts the caller's slabs, a slot's
-// dispatcher evaluates straight on them and the caller returns with the
-// cycles the array reported. Requests are never packed together — the
-// machine paper shares the installation by partitioning clusters at the
-// network boards, not by merging one host's requests.
 //
 // The non-negotiable invariant: every session's trajectory and cycle
 // accounting are bit-identical to the same run executed alone on a
@@ -67,34 +61,30 @@ type Config struct {
 	// HW is the per-array hardware configuration (zero value:
 	// board.Default, the production 4-board attachment).
 	HW board.Config
-
-	// Now is the clock used for quota accounting (nil: time.Now). Tests
-	// inject a manual clock to make throttling deterministic; after
-	// moving a manual clock, call Kick.
-	Now func() time.Time
 }
 
-// Scheduler multiplexes sessions over the fleet. One dispatcher
-// goroutine per array slot picks the next runnable session round-robin,
-// swaps its j-image in if the slot does not hold its current generation,
-// and evaluates its pending request.
+// Quota is empty and Attach ignores it. Sessions have no chip-time
+// budgets: no client ever set one, and the machine paper shares the
+// installation by partitioning, not by rate-limiting. The type stays
+// because the benchmark module calls Attach(name, Quota{}).
+type Quota struct{}
+
+// Scheduler multiplexes sessions over the fleet. Each ForcesInto call
+// claims a free array under mu, swaps its session's j-image in if the
+// array does not hold the current generation, and evaluates on its own
+// goroutine.
 type Scheduler struct {
 	ibatch int // i-particles per pipeline load (chip.Config.IBatch: 48)
-	now    func() time.Time
+	start  time.Time
 
 	mu       sync.Mutex
-	cond     *sync.Cond // dispatchers and callers park here; requests, completions and releases broadcast
+	cond     *sync.Cond // callers park here; claims, completions and releases broadcast
 	slots    []*slot
 	sessions []*Session
-	rr       int // round-robin pick cursor
-	nextID   int // next session id; monotonic, never reused
+	nextID   int   // next session id; monotonic, never reused
+	tickets  int64 // ForcesInto calls admitted so far: the next call's ticket
+	head     int64 // ticket of the oldest call that has not claimed an array
 	closed   bool
-	start    time.Time
-
-	wake   *time.Timer // earliest pending quota-refill wake
-	wakeAt time.Time
-
-	crews sync.WaitGroup
 
 	fill fillHist
 }
@@ -105,14 +95,14 @@ type slot struct {
 	arr      *board.Array
 	resident *Session // tenant whose j-image the array holds (nil: none)
 	gen      uint64   // generation of the resident image this slot holds
-	busy     bool     // a goroutine is operating the array right now
+	busy     bool     // a force call or an UpdateJ write-through is operating the array
 
 	swaps     int64
 	busyNanos int64
 	loads     int64 // pipeline loads dispatched through this slot
 }
 
-// NewScheduler builds the fleet and starts one dispatcher per slot.
+// NewScheduler builds the fleet.
 func NewScheduler(cfg Config) *Scheduler {
 	if cfg.Fleet <= 0 {
 		cfg.Fleet = 1
@@ -121,58 +111,13 @@ func NewScheduler(cfg Config) *Scheduler {
 	if hw == (board.Config{}) {
 		hw = board.Default
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	d := &Scheduler{now: now, start: now()}
+	d := &Scheduler{start: time.Now()}
 	d.cond = sync.NewCond(&d.mu)
-	d.wake = time.AfterFunc(time.Hour, d.kickLocked)
-	d.wake.Stop()
 	for i := 0; i < cfg.Fleet; i++ {
-		sl := &slot{idx: i, arr: board.New(hw)}
-		d.slots = append(d.slots, sl)
+		d.slots = append(d.slots, &slot{idx: i, arr: board.New(hw)})
 	}
 	d.ibatch = d.slots[0].arr.Config().Chip.IBatch()
-	d.crews.Add(len(d.slots))
-	for _, sl := range d.slots {
-		go d.crew(sl)
-	}
 	return d
-}
-
-// kickLocked is the wake timer's callback: re-examine schedulability.
-func (d *Scheduler) kickLocked() {
-	d.mu.Lock()
-	d.wakeAt = time.Time{}
-	d.cond.Broadcast()
-	d.mu.Unlock()
-}
-
-// Kick forces the dispatchers to re-examine schedulability. Tests with a
-// manual Config.Now clock call it after advancing the clock (the real
-// wake timer runs on wall time and cannot see a manual clock move).
-func (d *Scheduler) Kick() {
-	d.mu.Lock()
-	d.cond.Broadcast()
-	d.mu.Unlock()
-}
-
-// wakeAtLocked arms the shared wake timer for time t, with now the
-// caller's clock reading (callers hold mu; the noalloc dispatch path
-// cannot read the injectable clock field itself).
-//
-//grape:noalloc
-func (d *Scheduler) wakeAtLocked(now, t time.Time) {
-	if !d.wakeAt.IsZero() && !t.Before(d.wakeAt) {
-		return
-	}
-	d.wakeAt = t
-	delay := t.Sub(now)
-	if delay < 0 {
-		delay = 0
-	}
-	d.wake.Reset(delay)
 }
 
 // HW returns the fleet's resolved per-array hardware configuration.
@@ -182,9 +127,9 @@ func (d *Scheduler) HW() board.Config { return d.slots[0].arr.Config() }
 // fleet array.
 func (d *Scheduler) TimeFor(cycles int64) float64 { return d.slots[0].arr.TimeFor(cycles) }
 
-// Attach admits a new session under the given quota (zero Quota:
-// unlimited). It fails once the scheduler is closed.
-func (d *Scheduler) Attach(name string, q Quota) (*Session, error) {
+// Attach admits a new session; the Quota is ignored. It fails once the
+// scheduler is closed.
+func (d *Scheduler) Attach(name string, _ Quota) (*Session, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -193,10 +138,8 @@ func (d *Scheduler) Attach(name string, q Quota) (*Session, error) {
 	s := &Session{
 		sched: d,
 		name:  name,
-		quota: q,
 		gen:   1, // slot.gen zero-value 0 never matches a fresh session
 	}
-	s.bucket.init(q, d.now())
 	// Session ids come off a monotonic counter, so an id is never reused
 	// within one scheduler — a stale client holding a detached session's
 	// id can never conflate it with a later tenant.
@@ -206,10 +149,10 @@ func (d *Scheduler) Attach(name string, q Quota) (*Session, error) {
 	return s, nil
 }
 
-// Close drains outstanding requests — every ForcesInto already admitted
-// at the time of the call is dispatched, bypassing quota throttles, and
-// returns — then stops the dispatchers and closes the fleet. Detach
-// remains callable afterwards; a ForcesInto after Close panics.
+// Close drains: it waits until every ForcesInto already admitted at the
+// time of the call has returned and no array is busy (an UpdateJ
+// write-through included), then closes the fleet. Detach remains callable
+// afterwards; a ForcesInto after Close panics.
 func (d *Scheduler) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -217,13 +160,26 @@ func (d *Scheduler) Close() {
 		return
 	}
 	d.closed = true
-	d.cond.Broadcast()
+	// A claimed call holds its array busy until it completes, so once
+	// every ticket has claimed and no array is busy, every call is done.
+	for d.head != d.tickets || d.busyLocked() {
+		d.cond.Wait()
+	}
 	d.mu.Unlock()
-	d.crews.Wait()
-	d.wake.Stop()
 	for _, sl := range d.slots {
 		sl.arr.Close()
 	}
+}
+
+// busyLocked reports whether any array is being operated. Callers hold
+// d.mu.
+func (d *Scheduler) busyLocked() bool {
+	for _, sl := range d.slots {
+		if sl.busy {
+			return true
+		}
+	}
+	return false
 }
 
 // Fleet returns the number of array slots.

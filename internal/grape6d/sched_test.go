@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,14 +127,12 @@ func TestCoalescingFullBatchFlushesEarly(t *testing.T) {
 
 // TestCoalescingMaxWaitFlush keeps its name from the deleted coalescing
 // window (the pipeline's test floor holds it); what survives of it is
-// that nothing holds an under-filled request back: with the scheduler's
-// clock frozen and never kicked, a lone 4-particle request dispatches at
-// once and lands in the lowest fill bucket.
+// that nothing holds an under-filled request back: a lone 4-particle
+// request dispatches at once and lands in the lowest fill bucket.
 func TestCoalescingMaxWaitFlush(t *testing.T) {
 	hw := smallHW()
 	js, is := plummerSet(t, hw, 512, 42)
-	clock := &manualClock{now: time.Unix(1000, 0)}
-	d := NewScheduler(Config{HW: hw, Now: clock.Now})
+	d := NewScheduler(Config{HW: hw})
 	defer d.Close()
 	s, err := d.Attach("lone", Quota{})
 	if err != nil {
@@ -152,57 +151,54 @@ func TestCoalescingMaxWaitFlush(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("an under-filled request waited on a clock that never moves")
+		t.Fatal("a lone under-filled request was held back")
 	}
 	if st := d.Stats(); st.Fill.Dispatches != 1 || st.Fill.Buckets[0] != 1 {
 		t.Errorf("fill histogram %+v, want one dispatch in the lowest bucket (4/48 fill)", st.Fill)
 	}
 }
 
-// manualClock is a lockable test clock for deterministic quota tests.
-type manualClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (c *manualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *manualClock) Advance(d *Scheduler, by time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(by)
-	c.mu.Unlock()
-	d.Kick()
-}
-
-// awaitAdmitted returns once n ForcesInto calls on s are inside the
-// scheduler and the first of them is queued for dispatch.
-func awaitAdmitted(d *Scheduler, s *Session, n int64) {
+// awaitCalls returns once n ForcesInto calls of s are inside the
+// scheduler.
+func awaitCalls(d *Scheduler, s *Session, n int) {
 	for ok := false; !ok; runtime.Gosched() {
 		d.mu.Lock()
-		ok = s.queued && s.admitted-s.turn == n
+		ok = s.calls == n
 		d.mu.Unlock()
 	}
 }
 
-// TestQuotaThrottle pins admission control with a manual clock: a
-// session that has overdrawn its chip-second bucket stops dispatching
-// until the refill covers the debt, while an unlimited session keeps
-// being served with bounded latency the whole time.
+// holdSlot marks array k busy once nothing else operates it — the state
+// an UpdateJ write-through puts it in — so force calls park behind it.
+// The returned func releases it.
+func holdSlot(d *Scheduler, k int) (release func()) {
+	d.mu.Lock()
+	for d.slots[k].busy {
+		d.cond.Wait()
+	}
+	d.slots[k].busy = true
+	d.mu.Unlock()
+	return func() {
+		d.mu.Lock()
+		d.slots[k].busy = false
+		d.cond.Broadcast()
+		d.mu.Unlock()
+	}
+}
+
+// TestQuotaThrottle keeps its name from the deleted chip-second quotas;
+// what survives of it is that no tenant starves another. Calls are served first come, first served, so
+// while one session hammers ForcesInto from four goroutines, another
+// session's request waits only for the calls admitted before it. The test
+// parks the four greedy calls, then the polite one, behind the array it
+// holds busy; each greedy goroutine's later calls are admitted after the
+// polite request and must find it already served.
 func TestQuotaThrottle(t *testing.T) {
 	hw := smallHW()
 	js, is := plummerSet(t, hw, 256, 3)
-	clock := &manualClock{now: time.Unix(1000, 0)}
-	d := NewScheduler(Config{HW: hw, Now: clock.Now})
+	d := NewScheduler(Config{HW: hw})
 	defer d.Close()
-
-	// A near-empty bucket with a slow refill: the first dispatch is
-	// admitted (positive balance) and overdraws; everything after waits
-	// on the refill rate.
-	greedy, err := d.Attach("greedy", Quota{ChipSecondsPerSecond: 1e-3, Burst: 1e-9})
+	greedy, err := d.Attach("greedy", Quota{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,61 +215,51 @@ func TestQuotaThrottle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst := make([]chip.Partial, 16)
-	if cycles := greedy.ForcesInto(dst, 0.015625, is[:16], 1.0/64); cycles <= 0 {
-		t.Fatal("first dispatch inside the burst did not run")
-	}
-
-	// The bucket is now overdrawn; with the clock frozen this request
-	// must not dispatch.
-	blocked := make([]chip.Partial, 16)
-	throttledDone := make(chan int64, 1)
-	go func() { throttledDone <- greedy.ForcesInto(blocked, 0.03125, is[:16], 1.0/64) }()
-	awaitAdmitted(d, greedy, 1)
-
-	// The unlimited tenant keeps flowing with bounded latency while the
-	// greedy one is parked.
-	pd := make([]chip.Partial, 16)
-	for k := 0; k < 5; k++ {
-		pdone := make(chan struct{})
+	const hammers, rounds = 4, 8
+	release := holdSlot(d, 0)
+	var overtaken atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < hammers; g++ {
+		wg.Add(1)
 		go func() {
-			polite.ForcesInto(pd, 0.0625, is[:16], 1.0/64)
-			close(pdone)
+			defer wg.Done()
+			dst := make([]chip.Partial, 16)
+			for k := 0; k < rounds; k++ {
+				greedy.ForcesInto(dst, 0.015625, is[:16], 1.0/64)
+				d.mu.Lock()
+				served := polite.reqs
+				d.mu.Unlock()
+				if k > 0 && served == 0 {
+					overtaken.Add(1)
+				}
+			}
 		}()
-		select {
-		case <-pdone:
-		case <-time.After(10 * time.Second):
-			t.Fatal("unlimited session starved behind a throttled tenant")
-		}
 	}
-	select {
-	case <-throttledDone:
-		t.Fatal("overdrawn session dispatched with the clock frozen")
-	case <-time.After(20 * time.Millisecond):
-	}
-	st := d.Stats()
-	var g SessionStats
-	for _, ss := range st.Sessions {
-		if ss.Name == "greedy" {
-			g = ss
-		}
-	}
-	if g.Throttled < 1 {
-		t.Errorf("greedy session shows %d throttle episodes, want ≥ 1", g.Throttled)
-	}
-	if g.QueueDepth != 1 || g.QueuedI != 16 {
-		t.Errorf("greedy queue depth %d with %d i-particles, want the blocked 16-particle request still queued", g.QueueDepth, g.QueuedI)
-	}
+	awaitCalls(d, greedy, hammers)
+	pdone := make(chan int64, 1)
+	go func() {
+		pd := make([]chip.Partial, 16)
+		pdone <- polite.ForcesInto(pd, 0.0625, is[:16], 1.0/64)
+	}()
+	awaitCalls(d, polite, 1)
+	release()
 
-	// Refill far past the debt: the parked request must now dispatch.
-	clock.Advance(d, time.Hour)
 	select {
-	case cycles := <-throttledDone:
+	case cycles := <-pdone:
 		if cycles <= 0 {
-			t.Error("throttled request completed with no cycles charged")
+			t.Error("polite request completed with no cycles charged")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("refilled session never dispatched after the clock advanced")
+		t.Fatal("polite session starved behind a session hammering from four goroutines")
+	}
+	wg.Wait()
+	if n := overtaken.Load(); n > 0 {
+		t.Errorf("%d greedy calls admitted after the polite request were served before it", n)
+	}
+	for _, ss := range d.Stats().Sessions {
+		if want := map[string]int64{"greedy": hammers * rounds, "polite": 1}[ss.Name]; ss.Requests != want || ss.QueueDepth != 0 || ss.Throttled != 0 {
+			t.Errorf("session %s: %d requests, %d waiting, %d throttled; want %d, 0, 0", ss.Name, ss.Requests, ss.QueueDepth, ss.Throttled, want)
+		}
 	}
 }
 
@@ -368,7 +354,7 @@ func TestSessionEndToEndVsSolo(t *testing.T) {
 // TestOverlapThroughput checks that two tenants on a two-array fleet
 // actually overlap: while both run, the two arrays must be busy at the
 // same time. The evidence is the scheduler's own accounting — each slot's
-// Stats busy time is the wall clock its crew spent operating the array, so
+// Stats busy time is the wall clock force calls spent operating the array, so
 // if the scheduler serialized the tenants the two busy times could not sum
 // to more than the window, and full overlap sums to twice it. The
 // wall-clock ratio against one session doing the same work is logged but
@@ -631,59 +617,64 @@ func TestFailedLoadJLeavesSessionUntouched(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsQueuedRequests pins Close's drain contract: requests
-// parked behind an overdrawn quota bucket at the time of Close — one
-// queued for dispatch, one more waiting its turn on the same session —
-// must still complete with correct bits (the drain bypasses the quota
-// gate, which only decides when work runs, never what it computes), and
-// Detach after Close must return instead of waiting forever on a request
-// no dispatcher will ever serve.
+// TestCloseDrainsQueuedRequests pins Close's drain contract on a
+// two-array fleet whose arrays the test holds busy — each standing in for
+// an UpdateJ write-through, which holds an array the same way while it
+// patches the silicon. Two requests of one session park behind them, and
+// Close is called. Releasing the first array lets both requests complete
+// with a dedicated array's bits, but Close must not return (and shut the
+// fleet) until the second array's write-through finishes too. Detach
+// after Close must return instead of waiting forever.
 func TestCloseDrainsQueuedRequests(t *testing.T) {
 	hw := smallHW()
 	js, is := plummerSet(t, hw, 128, 7)
 	eps := 1.0 / 64
 	const tm = 0.015625
-	clock := &manualClock{now: time.Unix(1000, 0)}
-	d := NewScheduler(Config{HW: hw, Now: clock.Now})
+	d := NewScheduler(Config{Fleet: 2, HW: hw})
 
-	greedy, err := d.Attach("greedy", Quota{ChipSecondsPerSecond: 1e-3, Burst: 1e-9})
+	late, err := d.Attach("late", Quota{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := greedy.LoadJ(js); err != nil {
+	if err := late.LoadJ(js); err != nil {
 		t.Fatal(err)
 	}
 
-	// Overdraw greedy's bucket.
-	ib := d.HW().Chip.IBatch()
-	full := make([]chip.Partial, ib)
-	if cycles := greedy.ForcesInto(full, tm, is[:ib], eps); cycles <= 0 {
-		t.Fatal("burst dispatch inside the quota did not run")
-	}
-
-	// With the clock frozen neither of these can dispatch: the first is
-	// queued behind the overdrawn bucket, the second behind the first.
+	release := holdSlot(d, 0)
+	writeThrough := holdSlot(d, 1)
 	dsts := [2][]chip.Partial{make([]chip.Partial, 4), make([]chip.Partial, 4)}
 	var wg sync.WaitGroup
 	for k := range dsts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			greedy.ForcesInto(dsts[k], tm, is[:4], eps)
+			late.ForcesInto(dsts[k], tm, is[:4], eps)
 		}()
 	}
-	awaitAdmitted(d, greedy, 2)
+	awaitCalls(d, late, 2)
 
-	done := make(chan struct{})
+	closed := make(chan struct{})
 	go func() {
-		wg.Wait()
-		close(done)
+		d.Close()
+		close(closed)
 	}()
-	d.Close()
 	select {
-	case <-done:
+	case <-closed:
+		t.Fatal("Close returned while both arrays were busy and two requests were parked")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	wg.Wait()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a write-through was still operating an array")
+	case <-time.After(20 * time.Millisecond):
+	}
+	writeThrough()
+	select {
+	case <-closed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close returned with admitted requests still incomplete")
+		t.Fatal("Close never returned after the arrays were released")
 	}
 
 	arr := board.New(hw)
@@ -695,13 +686,13 @@ func TestCloseDrainsQueuedRequests(t *testing.T) {
 	arr.ForcesInto(want, tm, is[:4], eps)
 	for q := range want {
 		if dsts[0][q] != want[q] || dsts[1][q] != want[q] {
-			t.Errorf("throttled request drained with wrong bits (partial %d)", q)
+			t.Errorf("parked request drained with wrong bits (partial %d)", q)
 		}
 	}
 
 	detached := make(chan struct{})
 	go func() {
-		greedy.Detach()
+		late.Detach()
 		close(detached)
 	}()
 	select {
@@ -780,8 +771,8 @@ func TestDetachLeavesFleetRunning(t *testing.T) {
 // TestWriteThroughDispatchExclusion hammers the interleaving where one
 // tenant's UpdateJ write-through (client goroutine operating the slot's
 // array unlocked, sl.busy set) overlaps another tenant's force
-// submissions on a Fleet=1 scheduler: the crew must treat the busy slot
-// as non-dispatchable instead of stomping it with a concurrent
+// submissions on a Fleet=1 scheduler: a force call must treat the busy
+// slot as unclaimable instead of stomping it with a concurrent
 // LoadJ/ForcesInto. Regression for a race the detector caught in the
 // end-to-end test; run under tier 2 this pins the exclusion.
 func TestWriteThroughDispatchExclusion(t *testing.T) {

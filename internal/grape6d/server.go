@@ -98,7 +98,7 @@ func (sv *Server) get(name string) (*sim, error) {
 // install hold sv.mu: building the integrator runs the full O(N²)
 // initial force evaluation, and holding the server lock across it
 // would stall every other tenant's RPCs for the duration.
-func (sv *Server) start(name string, sys *nbody.System, eps float64, seed uint64, q Quota) (*sim, error) {
+func (sv *Server) start(name string, sys *nbody.System, eps float64, seed uint64) (*sim, error) {
 	sv.mu.Lock()
 	if _, dup := sv.sims[name]; dup {
 		sv.mu.Unlock()
@@ -114,7 +114,7 @@ func (sv *Server) start(name string, sys *nbody.System, eps float64, seed uint64
 		sv.mu.Unlock()
 	}
 
-	lease, err := sv.sched.Attach(name, q)
+	lease, err := sv.sched.Attach(name, Quota{})
 	if err != nil {
 		unreserve()
 		return nil, err
@@ -146,11 +146,10 @@ type RPC struct{ sv *Server }
 // AttachArgs creates a session over a seeded Plummer model — the
 // standard workload of the paper's measurements.
 type AttachArgs struct {
-	Name  string
-	N     int
-	Seed  uint64
-	Eps   float64 // zero: 1/64, the suite's default softening
-	Quota Quota
+	Name string
+	N    int
+	Seed uint64
+	Eps  float64 // zero: 1/64, the suite's default softening
 }
 
 // AttachReply reports the created session.
@@ -174,7 +173,7 @@ func (r *RPC) Attach(args *AttachArgs, reply *AttachReply) error {
 		eps = 1.0 / 64
 	}
 	sys := model.Plummer(args.N, xrand.New(args.Seed))
-	sm, err := r.sv.start(args.Name, sys, eps, args.Seed, args.Quota)
+	sm, err := r.sv.start(args.Name, sys, eps, args.Seed)
 	if err != nil {
 		return err
 	}
@@ -253,9 +252,8 @@ func (r *RPC) Snapshot(args *SnapshotArgs, reply *SnapshotReply) error {
 
 // RestoreArgs creates a session from a snapshot stream.
 type RestoreArgs struct {
-	Name  string
-	Data  []byte
-	Quota Quota
+	Name string
+	Data []byte
 }
 
 // RestoreReply reports the restored session.
@@ -268,12 +266,14 @@ type RestoreReply struct {
 // re-initialises forces and timesteps at the checkpoint time, the same
 // cold-restart semantics as core.Restore — so a restored daemon session
 // and a restored dedicated run are bit-identical from the first block.
+// A snapshot is held to MaxAttachN particles, like an attach, before any
+// record is read.
 func (r *RPC) Restore(args *RestoreArgs, reply *RestoreReply) error {
-	h, sys, err := snapshot.Read(bytes.NewReader(args.Data))
+	h, sys, err := snapshot.ReadLimited(bytes.NewReader(args.Data), MaxAttachN)
 	if err != nil {
 		return err
 	}
-	sm, err := r.sv.start(args.Name, sys, h.Eps, 0, args.Quota)
+	sm, err := r.sv.start(args.Name, sys, h.Eps, 0)
 	if err != nil {
 		return err
 	}

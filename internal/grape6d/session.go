@@ -23,12 +23,11 @@ type Session struct {
 	sched *Scheduler
 	name  string
 	id    int
-	quota Quota
 
 	// All mutable state below is guarded by sched.mu.
-	bucket   bucket
 	detached bool
-	serving  bool // a dispatcher is operating the fleet for this session
+	serving  bool // one of this session's ForcesInto calls is operating an array
+	calls    int  // ForcesInto calls admitted and not yet returned
 
 	// Canonical j-image and its id → slot index. gen counts image
 	// generations: it starts at 1 and advances on every change that is
@@ -41,24 +40,9 @@ type Session struct {
 	ids  []int // byID's rebuild input, reused across loads
 	gen  uint64
 
-	// The one force request in flight: the caller's slabs from the moment
-	// ForcesInto posts them (queued until a dispatcher picks them up,
-	// then serving) and the cycles the evaluation was charged. Concurrent
-	// callers take turns in arrival order: admitted counts the ForcesInto
-	// calls let in, turn the ones that have returned.
-	reqDst       []chip.Partial
-	reqIs        []chip.IParticle
-	reqT, reqEps float64
-	reqCycles    int64
-	queued       bool
-	admitted     int64
-	turn         int64
-
 	// Statistics (see SessionStats).
-	reqs       int64
-	cycles     int64
-	throttled  int64 // distinct quota-throttle episodes
-	inThrottle bool  // currently in one (edge detector for the counter)
+	reqs   int64
+	cycles int64
 }
 
 // Name returns the session's attach name.
@@ -113,7 +97,8 @@ func (s *Session) index(ps []chip.JParticle) bool {
 // slot patching is pinned bit-identical to a cold reload) and the slot
 // is stamped with the new generation; every other resident copy is now
 // one generation behind and the next dispatch there reloads the image
-// wholesale — same bits either way.
+// wholesale — same bits either way. Once the scheduler is closed nothing
+// writes through: Close may be shutting the arrays.
 func (s *Session) UpdateJ(p chip.JParticle) error {
 	d := s.sched
 	d.mu.Lock()
@@ -140,7 +125,7 @@ func (s *Session) UpdateJ(p chip.JParticle) error {
 		}
 	}
 	s.gen++
-	if sl == nil {
+	if sl == nil || d.closed {
 		d.mu.Unlock()
 		return nil
 	}
@@ -157,39 +142,6 @@ func (s *Session) UpdateJ(p chip.JParticle) error {
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	return err
-}
-
-// ForcesInto implements gbackend.Array: it posts the request, waits for
-// a dispatcher to evaluate it on dst and returns the model cycles charged
-// — exactly what a dedicated array would have reported. A session has
-// one request in flight; concurrent callers on one session are served
-// one after another in arrival order, callers on different sessions
-// overlap across the fleet. dst and is belong to the scheduler until the
-// call returns. It panics on a detached session or a closed scheduler.
-func (s *Session) ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) int64 {
-	d := s.sched
-	d.mu.Lock()
-	if s.detached || d.closed {
-		d.mu.Unlock()
-		panic(fmt.Sprintf("grape6d: ForcesInto on detached session %q", s.name))
-	}
-	my := s.admitted
-	s.admitted++
-	for s.turn != my {
-		d.cond.Wait()
-	}
-	s.reqDst, s.reqIs, s.reqT, s.reqEps = dst, is, t, eps
-	s.queued = true
-	s.reqs++
-	d.cond.Broadcast()
-	for s.queued || s.serving {
-		d.cond.Wait()
-	}
-	cycles := s.reqCycles
-	s.turn++
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	return cycles
 }
 
 // BeginPredict implements gbackend.Array as a no-op: the array predicts
@@ -209,7 +161,8 @@ func (s *Session) NJ() int {
 func (s *Session) Config() board.Config { return s.sched.HW() }
 
 // Yield accepts the integrator's host-phase hint (hermite.YieldBackend)
-// and does nothing: dispatch is round-robin whatever a session's phase.
+// and does nothing: requests are served in arrival order whatever a
+// session's phase.
 func (s *Session) Yield() {}
 
 // Detach removes the session from the scheduler once every admitted
@@ -218,7 +171,7 @@ func (s *Session) Yield() {}
 func (s *Session) Detach() {
 	d := s.sched
 	d.mu.Lock()
-	for s.admitted != s.turn {
+	for s.calls != 0 {
 		d.cond.Wait()
 	}
 	if s.detached {

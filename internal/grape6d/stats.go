@@ -53,12 +53,13 @@ type SessionStats struct {
 	Name     string
 	Requests int64 // force requests posted, one hardware dispatch each
 	Cycles   int64 // model cycles charged (what a dedicated array reports)
-	// ChipSeconds is Cycles converted through the cycle model — the
-	// quantity quotas are debited in.
+	// ChipSeconds is Cycles converted through the cycle model: the time
+	// the session occupied an array.
 	ChipSeconds float64
-	QueueDepth  int // requests waiting for a dispatcher (0 or 1)
-	QueuedI     int // i-particles of that request
-	Throttled   int64
+	QueueDepth  int // ForcesInto calls waiting for an array
+	// Throttled is always 0: sessions have no quotas. It stays because
+	// the benchmark module reads it.
+	Throttled int64
 }
 
 // Stats is a scheduler-wide snapshot.
@@ -73,9 +74,8 @@ type Stats struct {
 func (d *Scheduler) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	now := d.now()
 	st := Stats{
-		Uptime: now.Sub(d.start),
+		Uptime: time.Since(d.start),
 		Fill: FillStats{
 			Buckets:    d.fill.buckets,
 			Dispatches: d.fill.dispatches,
@@ -103,10 +103,10 @@ func (d *Scheduler) Stats() Stats {
 			Requests:    s.reqs,
 			Cycles:      s.cycles,
 			ChipSeconds: d.slots[0].arr.TimeFor(s.cycles),
-			Throttled:   s.throttled,
+			QueueDepth:  s.calls,
 		}
-		if s.queued {
-			ss.QueueDepth, ss.QueuedI = 1, len(s.reqIs)
+		if s.serving {
+			ss.QueueDepth--
 		}
 		st.Sessions = append(st.Sessions, ss)
 	}

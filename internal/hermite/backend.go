@@ -57,9 +57,9 @@ type PredictAheadBackend interface {
 // rebinning, block selection) and will not need the force engine until
 // the next block's evaluation. It is a scheduling hint only and never
 // changes any result; no in-tree backend acts on it (gbackend forwards
-// it to a grape6d session, whose dispatch is round-robin whatever a
-// tenant's phase). The integrator calls it at the end of every block
-// step.
+// it to a grape6d session, which serves requests in arrival order
+// whatever a tenant's phase). The integrator calls it at the end of every
+// block step.
 type YieldBackend interface {
 	Backend
 	Yield()

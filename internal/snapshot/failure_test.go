@@ -11,7 +11,7 @@ import (
 )
 
 // validStream serialises a small system and returns the bytes.
-func validStream(t *testing.T) []byte {
+func validStream(t testing.TB) []byte {
 	t.Helper()
 	sys := model.Plummer(8, xrand.New(7))
 	var buf bytes.Buffer
@@ -75,18 +75,53 @@ func TestWrongVersion(t *testing.T) {
 	}
 }
 
-// TestHugeHeaderN patches the header's particle count to an absurd
-// value. Read must fail on the (now short) record section instead of
-// attempting a multi-terabyte allocation.
+// headerOnly is the 40 bytes a snapshot stream opens with — magic,
+// version and a header claiming n particles — and nothing after them.
+func headerOnly(t testing.TB, n int64) []byte {
+	data := validStream(t)[:40]
+	binary.LittleEndian.PutUint64(data[8:16], uint64(n))
+	return data
+}
+
+// TestHugeHeaderN patches the header's particle count to values the
+// stream does not hold. 2⁴⁰ is over the format's limit; 2³⁰ and 2³¹ are
+// under it, and Read used to allocate the whole system for them before
+// reading a record — 17 GB for 2³¹, which killed the process. Each must
+// now fail where the records run out, whether the header is followed by
+// the eight real records or by nothing at all.
 func TestHugeHeaderN(t *testing.T) {
-	data := validStream(t)
-	binary.LittleEndian.PutUint64(data[8:16], 1<<40)
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("Read panicked on absurd header N: %v", r)
+	for _, n := range []int64{1 << 30, 1 << 31, 1 << 40} {
+		data := validStream(t)
+		binary.LittleEndian.PutUint64(data[8:16], uint64(n))
+		for _, stream := range [][]byte{data, headerOnly(t, n)} {
+			if _, _, err := Read(bytes.NewReader(stream)); err == nil {
+				t.Errorf("Read accepted a %d-byte stream whose header claims %d particles", len(stream), n)
+			}
 		}
-	}()
-	if _, _, err := Read(bytes.NewReader(data)); err == nil {
-		t.Error("Read accepted header claiming 2^40 particles in a 8-particle stream")
 	}
+	if _, _, err := ReadLimited(bytes.NewReader(validStream(t)), 7); err == nil || !strings.Contains(err.Error(), "limit 7") {
+		t.Errorf("ReadLimited(7) on an 8-particle stream: got %v, want the limit error", err)
+	}
+}
+
+// FuzzSnapshotRead feeds Read arbitrary bytes. It must return an error or
+// a system, never panic or exhaust memory, and a system it accepts must
+// encode back to the bytes it was read from (unless Write refuses it:
+// Read does not check the masses and coordinates Write validates).
+func FuzzSnapshotRead(f *testing.F) {
+	f.Add(validStream(f))
+	f.Add(headerOnly(f, 1<<31))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, sys, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, h, sys); err != nil {
+			return
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Errorf("accepted snapshot re-encodes to %x, read from %x", buf.Bytes(), data)
+		}
+	})
 }

@@ -82,8 +82,16 @@ func particleRecord(sys *nbody.System, i int) record {
 func v3arr(v vec.V3) [3]float64 { return [3]float64{v.X, v.Y, v.Z} }
 func arrv3(a [3]float64) vec.V3 { return vec.New(a[0], a[1], a[2]) }
 
+// maxPrealloc caps the particle records Read reserves room for before
+// reading any of them.
+const maxPrealloc = 1 << 8
+
 // Read deserialises a snapshot, verifying magic, version and checksum.
-func Read(r io.Reader) (Header, *nbody.System, error) {
+func Read(r io.Reader) (Header, *nbody.System, error) { return ReadLimited(r, 1<<31) }
+
+// ReadLimited is Read for a stream that may hold at most maxN particles:
+// a header claiming more is an error before any record is read.
+func ReadLimited(r io.Reader, maxN int64) (Header, *nbody.System, error) {
 	crc := crc32.NewIEEE()
 	tr := io.TeeReader(r, crc)
 
@@ -104,19 +112,26 @@ func Read(r io.Reader) (Header, *nbody.System, error) {
 	if err := binary.Read(tr, binary.LittleEndian, &h); err != nil {
 		return Header{}, nil, err
 	}
-	if h.N < 0 || h.N > 1<<31 {
-		return Header{}, nil, fmt.Errorf("snapshot: implausible N=%d", h.N)
+	if h.N < 0 || h.N > maxN {
+		return Header{}, nil, fmt.Errorf("snapshot: implausible N=%d (limit %d)", h.N, maxN)
 	}
 	if math.IsNaN(h.Time) {
 		return Header{}, nil, fmt.Errorf("snapshot: NaN time")
 	}
 
-	sys := nbody.New(int(h.N))
-	for i := 0; i < sys.N; i++ {
+	// The header's count is not trusted for the allocation: records are
+	// collected as they arrive, so a short stream claiming 2³¹ particles
+	// fails where it ends instead of asking for 17 GB up front.
+	recs := make([]record, 0, min(h.N, maxPrealloc))
+	for i := int64(0); i < h.N; i++ {
 		var rec record
 		if err := binary.Read(tr, binary.LittleEndian, &rec); err != nil {
 			return Header{}, nil, fmt.Errorf("snapshot: particle %d: %w", i, err)
 		}
+		recs = append(recs, rec)
+	}
+	sys := nbody.New(len(recs))
+	for i, rec := range recs {
 		sys.ID[i] = int(rec.ID)
 		sys.Mass[i] = rec.Mass
 		sys.Pos[i] = arrv3(rec.Pos)

@@ -25,8 +25,8 @@
 #   the differential fuzz targets, 10s each — gfixed's rounding and
 #   accumulation against their references, the chip's call-free pair loop
 #   and predictor against the exact per-stage forms — and the decoders of
-#   outside bytes (sched.ReadTrace), from their committed corpora under
-#   testdata/fuzz/.
+#   outside bytes (sched.ReadTrace, snapshot.Read), from their committed
+#   corpora under testdata/fuzz/.
 #
 # Usage: scripts/verify.sh [tier]
 #   scripts/verify.sh       # run all tiers (the default gauntlet)
@@ -89,6 +89,9 @@ if [ "$tier" = 4 ] || [ "$tier" = all ]; then
 	go test -run '^$' -fuzz '^FuzzForceTile$' -fuzztime=10s ./internal/chip/
 	go test -run '^$' -fuzz '^FuzzPredictParticle$' -fuzztime=10s ./internal/chip/
 	go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime=10s ./internal/sched/
+	# Minimizing an interesting 1.5 KB snapshot stream at the default 60 s
+	# cap would eat the whole 10 s budget; 2 s leaves time to fuzz.
+	go test -run '^$' -fuzz '^FuzzSnapshotRead$' -fuzztime=10s -fuzzminimizetime=2s ./internal/snapshot/
 fi
 
 echo "verify: OK ($tier)"
