@@ -278,7 +278,7 @@ func runCosim(o cosimOpts) {
 	if o.boards > 0 {
 		fmt.Printf("emulating %d boards × %d chips = %d pipeline chips (%d per rank, %.4g peak Tflops)\n",
 			o.boards, o.chips, o.boards*o.chips,
-			machine.BoardsPerHost*machine.HW.ChipsPerBoard, machine.PeakFlops()/1e12)
+			machine.Attach.TotalChips(), machine.PeakFlops()/1e12)
 	}
 
 	res, err := parallel.Run(o.algo, sys, o.tEnd, o.clusters, cfg)

@@ -26,12 +26,12 @@ func main() {
 
 	full := perfmodel.MultiCluster(4, simnet.Intel82540EM, perfmodel.P4)
 	fmt.Println("GRAPE-6 production machine")
+	hw := full.Attach
 	fmt.Printf("  %d clusters x %d hosts x %d boards x %d chips = %d chips\n",
-		full.Clusters, full.HostsPerCl, full.BoardsPerHost,
-		full.HW.ChipsPerBoard, full.TotalChips())
+		full.Clusters, full.HostsPerCl, hw.Boards, hw.ChipsPerBoard(), full.TotalChips())
 	fmt.Printf("  peak %.2f Tflops (57 flops/interaction at %.0f MHz, %d pipes x %d-way VMP)\n",
-		full.PeakFlops()/1e12, full.HW.ClockHz/1e6, full.HW.Pipelines, full.HW.VMP)
-	fmt.Printf("  per-host i-parallelism: %d particles per pipeline pass\n\n", full.HW.IBatch())
+		full.PeakFlops()/1e12, hw.Chip.ClockHz/1e6, hw.Chip.Pipelines, hw.Chip.VMP)
+	fmt.Printf("  per-host i-parallelism: %d particles per pipeline pass\n\n", hw.Chip.IBatch())
 
 	c := netboard.Production
 	var p netboard.Partition

@@ -10,6 +10,7 @@ import (
 	"log"
 	"math"
 
+	"grape6/internal/board"
 	"grape6/internal/core"
 	"grape6/internal/model"
 	"grape6/internal/units"
@@ -20,11 +21,13 @@ func main() {
 	const n = 256
 	eps := units.Softening(units.SoftConstant, n) // ε = 1/64, as in Section 4
 
+	hw := board.Default
+	hw.Boards = 1
 	sys := model.Plummer(n, xrand.New(42))
 	sim, err := core.NewSimulator(sys, core.Config{
 		Backend: core.Grape, // bit-faithful hardware emulation
 		Eps:     eps,
-		Boards:  1,
+		HW:      &hw,
 	})
 	if err != nil {
 		log.Fatal(err)

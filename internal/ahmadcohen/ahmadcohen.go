@@ -39,6 +39,15 @@ type Params struct {
 	InitialRadius float64
 }
 
+// corrector returns the Hermite parameters for hermite.Start and Advance:
+// Eps = 0, because direct.EvalSkip leaves out the self-pair, so there is
+// no −m/ε in the potential to take off.
+func (p Params) corrector() hermite.Params {
+	hp := p.Params
+	hp.Eps = 0
+	return hp
+}
+
 // DefaultParams mirrors hermite.DefaultParams with NBODY-style neighbour
 // settings.
 func DefaultParams(eps float64) Params {
@@ -174,14 +183,7 @@ func New(sys *nbody.System, p Params) (*Integrator, error) {
 		st.jReg = total.Jerk.Sub(jIrr)
 		st.tReg = t0
 
-		sys.Acc[i] = total.Acc
-		sys.Jerk[i] = total.Jerk
-		sys.Pot[i] = total.Pot
-		sys.Snap[i] = vec.Zero
-		sys.Crack[i] = vec.Zero
-		sys.Time[i] = t0
-		sys.Step[i] = hermite.QuantizeInitial(
-			hermite.InitialStep(total.Acc, total.Jerk, p.EtaS), p.MinStep, p.MaxStep)
+		hermite.Start(sys, i, total, t0, p.corrector())
 		st.dtReg = sys.Step[i] * p.RegFactor
 		if st.dtReg > p.MaxStep {
 			st.dtReg = p.MaxStep
@@ -299,9 +301,9 @@ func (it *Integrator) Step() hermite.BlockStat {
 		}
 	}
 
+	hp := it.P.corrector()
 	for _, i := range it.block {
 		st := &it.ps[i]
-		dt := t - sys.Time[i]
 
 		// New irregular force at the predicted state.
 		aIrr1, jIrr1 := it.irregularForce(i, it.px, it.pv)
@@ -339,20 +341,9 @@ func (it *Integrator) Step() hermite.BlockStat {
 		}
 
 		// Combined Hermite correction.
-		a0, j0 := sys.Acc[i], sys.Jerk[i]
-		a1 := aIrr1.Add(aReg1)
-		j1 := jIrr1.Add(jReg1)
-		x1, v1, snap1, crackle := hermite.Correct(sys.Pos[i], sys.Vel[i], a0, j0, a1, j1, dt)
-
-		sys.Pos[i], sys.Vel[i] = x1, v1
-		sys.Acc[i], sys.Jerk[i] = a1, j1
-		sys.Snap[i], sys.Crack[i] = snap1, crackle
-		sys.Pot[i] = pot1
-		sys.Time[i] = t
+		f := direct.Force{Acc: aIrr1.Add(aReg1), Jerk: jIrr1.Add(jReg1), Pot: pot1}
+		hermite.Advance(sys, i, f, t, hp)
 		st.aIrr, st.jIrr = aIrr1, jIrr1
-
-		desired := hermite.AarsethStep(a1, j1, snap1, crackle, it.P.Eta)
-		sys.Step[i] = hermite.NextStep(sys.Step[i], desired, t, it.P.MinStep, it.P.MaxStep)
 		it.sched.Rebin(sys, i)
 
 		if regular {

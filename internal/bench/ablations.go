@@ -143,7 +143,7 @@ func RunAblationVMP(o *Options) (Figure, error) {
 	for _, batch := range []int{48, 192, 768} {
 		m := perfmodel.SingleNode(simnet.NS83820, perfmodel.Athlon)
 		// Re-shape the hardware: same peak, different i-parallelism.
-		m.HW.VMP = batch / m.HW.Pipelines
+		m.Attach.Chip.VMP = batch / m.Attach.Chip.Pipelines
 		s := Series{Label: fmt.Sprintf("i-batch %d", batch), Units: "efficiency"}
 		for _, n := range o.CurveNs() {
 			s.Points = append(s.Points, Point{N: n, Value: m.Efficiency(n, w.MeanBlockSize(n))})

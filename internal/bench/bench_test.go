@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -188,8 +190,13 @@ func TestFormatOutput(t *testing.T) {
 	}
 }
 
+// runnerGoldens holds each deterministic runner's quick figure as
+// `grape6bench -exp <id> -quick -json` prints it.
+const runnerGoldens = "../../testdata/runners"
+
 // TestAllRuns: every runner of the table runs, under the id the table
-// gives it, and comes back stamped.
+// gives it, comes back stamped, and — all but t5c, whose live treecode
+// row is wall-clock time — reproduces its committed JSON byte for byte.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness in -short mode")
@@ -217,6 +224,20 @@ func TestAllRuns(t *testing.T) {
 			if !sort.SliceIsSorted(s.Points, func(i, j int) bool { return s.Points[i].N < s.Points[j].N }) {
 				t.Errorf("%s: series %q not sorted by N", e.ID, s.Label)
 			}
+		}
+		if r.ID == "t5c" {
+			continue
+		}
+		var got bytes.Buffer
+		if err := e.Write(&got); err != nil {
+			t.Fatalf("%s: %v", r.ID, err)
+		}
+		want, err := os.ReadFile(filepath.Join(runnerGoldens, r.ID+".quick.json"))
+		if err != nil {
+			t.Fatalf("%s: %v", r.ID, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: quick JSON differs from %s/%s.quick.json:\n%s", r.ID, runnerGoldens, r.ID, got.Bytes())
 		}
 	}
 	for _, want := range []string{"t1", "t5ab", "t5c", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "v1"} {

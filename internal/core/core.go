@@ -53,14 +53,8 @@ type Config struct {
 	// Eps is the Plummer softening length.
 	Eps float64
 
-	// Boards configures the emulated hardware attachment (Grape backend
-	// only); zero means the production 4-board single-host attachment.
-	// Small functional tests may also shrink ChipsPerModule etc. through
-	// HW.
-	Boards int
-
-	// HW overrides the full hardware configuration; nil uses the
-	// production layout with the Boards count above.
+	// HW is the emulated hardware attachment (Grape backend only); nil
+	// uses board.Default, the production 4-board single-host attachment.
 	HW *board.Config
 }
 
@@ -90,9 +84,6 @@ func NewSimulator(sys *nbody.System, cfg Config) (*Simulator, error) {
 		b = hermite.NewDirectBackend()
 	case Grape:
 		hw := board.Default
-		if cfg.Boards > 0 {
-			hw.Boards = cfg.Boards
-		}
 		if cfg.HW != nil {
 			hw = *cfg.HW
 		}

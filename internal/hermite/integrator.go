@@ -151,14 +151,8 @@ func New(sys *nbody.System, b Backend, p Params) (*Integrator, error) {
 		ids[i] = i
 	}
 	fs := it.forces(t0, ids, sys.Pos, sys.Vel)
-	for i := 0; i < sys.N; i++ {
-		sys.Acc[i] = fs[i].Acc
-		sys.Jerk[i] = fs[i].Jerk
-		sys.Pot[i] = correctedPot(fs[i].Pot, sys.Mass[i], p.Eps)
-		sys.Snap[i] = vec.Zero
-		sys.Crack[i] = vec.Zero
-		sys.Time[i] = t0
-		sys.Step[i] = QuantizeInitial(InitialStep(fs[i].Acc, fs[i].Jerk, p.EtaS), p.MinStep, p.MaxStep)
+	for i := range fs {
+		Start(sys, i, fs[i], t0, p)
 	}
 	it.Interactions += int64(sys.N) * int64(b.NJ())
 	b.Update(sys, ids)
@@ -169,8 +163,33 @@ func New(sys *nbody.System, b Backend, p Params) (*Integrator, error) {
 	return it, nil
 }
 
+// Start sets particle i up at time t from its force f there: force and
+// jerk, the potential, zero snap and crackle, and the startup block step.
+func Start(sys *nbody.System, i int, f direct.Force, t float64, p Params) {
+	sys.Acc[i], sys.Jerk[i] = f.Acc, f.Jerk
+	sys.Pot[i] = correctedPot(f.Pot, sys.Mass[i], p.Eps)
+	sys.Snap[i], sys.Crack[i] = vec.Zero, vec.Zero
+	sys.Time[i] = t
+	sys.Step[i] = QuantizeInitial(InitialStep(f.Acc, f.Jerk, p.EtaS), p.MinStep, p.MaxStep)
+}
+
+// Advance completes particle i's step to time t with the force f
+// evaluated at its predicted state: the Hermite corrector, the new force
+// and potential, and the next block step from Aarseth's criterion.
+func Advance(sys *nbody.System, i int, f direct.Force, t float64, p Params) {
+	x1, v1, snap1, crackle := Correct(sys.Pos[i], sys.Vel[i], sys.Acc[i], sys.Jerk[i], f.Acc, f.Jerk, t-sys.Time[i])
+	sys.Pos[i], sys.Vel[i] = x1, v1
+	sys.Acc[i], sys.Jerk[i] = f.Acc, f.Jerk
+	sys.Snap[i], sys.Crack[i] = snap1, crackle
+	sys.Pot[i] = correctedPot(f.Pot, sys.Mass[i], p.Eps)
+	sys.Time[i] = t
+	desired := AarsethStep(f.Acc, f.Jerk, snap1, crackle, p.Eta)
+	sys.Step[i] = NextStep(sys.Step[i], desired, t, p.MinStep, p.MaxStep)
+}
+
 // correctedPot removes the self-interaction term -m/ε that backends
-// include (as the hardware does) when ε > 0.
+// include (as the hardware does) when ε > 0. Callers whose force leaves
+// out the self-pair pass ε = 0.
 func correctedPot(pot, m, eps float64) float64 {
 	if eps > 0 {
 		return pot + m/eps
@@ -207,22 +226,7 @@ func (it *Integrator) Step() BlockStat {
 	fs := it.forces(t, it.ids, xp, vp)
 
 	for k, i := range it.block {
-		dt := t - sys.Time[i]
-		a0, j0 := sys.Acc[i], sys.Jerk[i]
-		a1, j1 := fs[k].Acc, fs[k].Jerk
-		x1, v1, snap1, crackle := Correct(sys.Pos[i], sys.Vel[i], a0, j0, a1, j1, dt)
-
-		sys.Pos[i] = x1
-		sys.Vel[i] = v1
-		sys.Acc[i] = a1
-		sys.Jerk[i] = j1
-		sys.Snap[i] = snap1
-		sys.Crack[i] = crackle
-		sys.Pot[i] = correctedPot(fs[k].Pot, sys.Mass[i], it.P.Eps)
-		sys.Time[i] = t
-
-		desired := AarsethStep(a1, j1, snap1, crackle, it.P.Eta)
-		sys.Step[i] = NextStep(sys.Step[i], desired, t, it.P.MinStep, it.P.MaxStep)
+		Advance(sys, i, fs[k], t, it.P)
 		it.sched.Rebin(sys, i)
 	}
 

@@ -40,7 +40,6 @@ import (
 	"grape6/internal/nbody"
 	"grape6/internal/perfmodel"
 	"grape6/internal/simnet"
-	"grape6/internal/vec"
 	"grape6/internal/vtrace"
 )
 
@@ -307,17 +306,8 @@ func initForces(sys *nbody.System, cfg Config) (*nbody.IDIndex, error) {
 	b.Load(sys)
 	whole := scratch{ids: sys.ID, xs: sys.Pos, vs: sys.Vel} // one block, already at t0
 	fs := whole.forces(b, t0, p.Eps)
-	for i := 0; i < sys.N; i++ {
-		sys.Acc[i] = fs[i].Acc
-		sys.Jerk[i] = fs[i].Jerk
-		sys.Pot[i] = fs[i].Pot
-		if p.Eps > 0 {
-			sys.Pot[i] += sys.Mass[i] / p.Eps
-		}
-		sys.Snap[i] = vec.Zero
-		sys.Crack[i] = vec.Zero
-		sys.Step[i] = hermite.QuantizeInitial(
-			hermite.InitialStep(fs[i].Acc, fs[i].Jerk, p.EtaS), p.MinStep, p.MaxStep)
+	for i := range fs {
+		hermite.Start(sys, i, fs[i], t0, p)
 	}
 	return home, nil
 }

@@ -105,22 +105,10 @@ func (sc *scratch) absorb(sys *nbody.System, idx *nbody.IDIndex, ups []update, b
 	}
 }
 
-// correctParticle applies the Hermite corrector and timestep update to
-// particle i using the freshly evaluated force f at time t, and returns
-// the update record.
+// correctParticle advances particle i to time t with the freshly
+// evaluated force f (hermite.Advance) and returns the update record.
 func correctParticle(sys *nbody.System, i int, f direct.Force, t float64, p hermite.Params) update {
-	dt := t - sys.Time[i]
-	x1, v1, snap1, crackle := hermite.Correct(sys.Pos[i], sys.Vel[i], sys.Acc[i], sys.Jerk[i], f.Acc, f.Jerk, dt)
-	sys.Pos[i], sys.Vel[i] = x1, v1
-	sys.Acc[i], sys.Jerk[i] = f.Acc, f.Jerk
-	sys.Snap[i], sys.Crack[i] = snap1, crackle
-	sys.Pot[i] = f.Pot
-	if p.Eps > 0 {
-		sys.Pot[i] += sys.Mass[i] / p.Eps // the self-potential fix
-	}
-	sys.Time[i] = t
-	desired := hermite.AarsethStep(f.Acc, f.Jerk, snap1, crackle, p.Eta)
-	sys.Step[i] = hermite.NextStep(sys.Step[i], desired, t, p.MinStep, p.MaxStep)
+	hermite.Advance(sys, i, f, t, p)
 	return update{
 		id:  sys.ID[i],
 		pos: sys.Pos[i], vel: sys.Vel[i], acc: sys.Acc[i], jerk: sys.Jerk[i],

@@ -10,12 +10,21 @@
 // predicts the wall-clock cost per block and the sustained speed under the
 // paper's 57-flops accounting. The trace-driven simulator in
 // internal/timing evaluates the same model block by block.
+//
+// Each host's GRAPE attachment is the board.Config the emulator runs
+// (Machine.Attach), so the GRAPE term is the chip's own cycle count,
+// chip.Config.BatchCycles, and the peak is board.Config.PeakFlops per
+// host: the model and the emulator cannot disagree on the silicon. The
+// model leaves out only the emulator's reduction-tree latency (a few
+// cycles per batch).
 package perfmodel
 
 import (
 	"fmt"
 	"math"
 
+	"grape6/internal/board"
+	"grape6/internal/chip"
 	"grape6/internal/simnet"
 	"grape6/internal/units"
 )
@@ -69,16 +78,11 @@ func (h HostProfile) MissFraction(n int) float64 {
 }
 
 // PerStep returns the host time per particle step at particle count N —
-// the Figure 14 dotted-curve model. The dashed-curve (constant) variant is
-// PerStepConstant.
+// the Figure 14 dotted-curve model. With CacheBytes = 0 every step
+// misses and PerStep is the constant StepTime + MemTime, the dashed
+// curve and the large-N asymptote.
 func (h HostProfile) PerStep(n int) float64 {
 	return h.StepTime + h.MemTime*h.MissFraction(n)
-}
-
-// PerStepConstant is the Figure 14 dashed-curve model: a constant host
-// time, the large-N asymptote.
-func (h HostProfile) PerStepConstant() float64 {
-	return h.StepTime + h.MemTime
 }
 
 // Link models the host↔GRAPE interface (PCI on the production hosts).
@@ -99,52 +103,25 @@ var PCI = Link{
 	JBytes:      72,
 }
 
-// GrapeHW carries the hardware constants that set the force-calculation
-// time (the chip and board parameters of Sections 2-3).
-type GrapeHW struct {
-	ClockHz       float64
-	Pipelines     int
-	VMP           int
-	ChipsPerBoard int
-	PipelineDepth int
-}
-
-// ProductionHW is the GRAPE-6 processor chip and board.
-var ProductionHW = GrapeHW{
-	ClockHz:       90e6,
-	Pipelines:     6,
-	VMP:           8,
-	ChipsPerBoard: 32,
-	PipelineDepth: 30,
-}
-
-// Grape4HW abstracts the predecessor machine (Section 3) into the same
-// cost model: the full 1-Tflops GRAPE-4 is represented as 9 board-level
-// units sharing the j-particles (j split 9 ways), with a machine-wide
-// i-parallelism of 384 — the "400" the paper quotes — at a 32 MHz clock
-// streaming one j-particle per 6 cycles. Peak: 384/6 × 32 MHz × 57 ≈
-// 1.05 Tflops, the paper's "1-Tflops GRAPE-4".
-var Grape4HW = GrapeHW{
-	ClockHz:       32e6,
-	Pipelines:     64, // 4 clusters × 16 chip-groups sharing each j-stream
-	VMP:           6,  // cycles per streamed j-particle
-	ChipsPerBoard: 1,
-	PipelineDepth: 50,
-}
-
 // Grape4Machine is the whole predecessor system: one mid-90s host on a
 // shared I/O bus driving 9 j-partitions (Section 3.2: "4 clusters are
-// connected to a single host, sharing one I/O bus").
+// connected to a single host, sharing one I/O bus"). The 1-Tflops
+// GRAPE-4 is abstracted into the GRAPE-6 cost model as 9 one-chip
+// "boards" sharing the j-particles, with a machine-wide i-parallelism of
+// 384 — the "400" the paper quotes — at a 32 MHz clock streaming one
+// j-particle per 6 cycles: 64 pipelines (4 clusters × 16 chip-groups
+// sharing each j-stream) × VMP 6. Peak: 9 × 57 × 64 × 32 MHz ≈ 1.05
+// Tflops, the paper's "1-Tflops GRAPE-4".
 func Grape4Machine() Machine {
+	c := chip.Default
+	c.ClockHz, c.Pipelines, c.VMP, c.PipelineDepth = 32e6, 64, 6, 50
 	return Machine{
 		Name:       "GRAPE-4 (1 host, full machine)",
 		Clusters:   1,
 		HostsPerCl: 1,
-		// Nine j-partitions ("boards" in the abstract model).
-		BoardsPerHost: 9,
-		HW:            Grape4HW,
-		Link:          Link{DMASetup: 40e-6, Bandwidth: 30e6, IBytes: 107 / 8 * 8, ResultBytes: 56, JBytes: 72},
-		NIC:           simnet.NIC{Name: "single-host", RTT: 1e-6, Bandwidth: 1e9},
+		Attach:     board.Config{Chip: c, ChipsPerModule: 1, ModulesPerBoard: 1, Boards: 9},
+		Link:       Link{DMASetup: 40e-6, Bandwidth: 30e6, IBytes: 107 / 8 * 8, ResultBytes: 56, JBytes: 72},
+		NIC:        simnet.NIC{Name: "single-host", RTT: 1e-6, Bandwidth: 1e9},
 		Host: HostProfile{
 			Name: "mid-90s RISC host", StepTime: 4e-6, MemTime: 8e-6,
 			CacheBytes: 1e6, BytesPerParticle: 200,
@@ -152,30 +129,26 @@ func Grape4Machine() Machine {
 	}
 }
 
-// IBatch is the number of i-particles served per pass (48 in production).
-func (g GrapeHW) IBatch() int { return g.Pipelines * g.VMP }
-
 // Machine is a full system configuration: clusters of hosts, each host
-// with its GRAPE boards, host network and frontend profile.
+// with the same GRAPE attachment — the board.Config the emulator runs —
+// host link, host network and frontend profile.
 type Machine struct {
-	Name          string
-	Clusters      int
-	HostsPerCl    int
-	BoardsPerHost int
-	HW            GrapeHW
-	Link          Link
-	NIC           simnet.NIC
-	Host          HostProfile
+	Name       string
+	Clusters   int
+	HostsPerCl int
+	Attach     board.Config
+	Link       Link
+	NIC        simnet.NIC
+	Host       HostProfile
 }
 
 // Validate reports configuration errors.
 func (m Machine) Validate() error {
-	if m.Clusters <= 0 || m.HostsPerCl <= 0 || m.BoardsPerHost <= 0 {
-		return fmt.Errorf("perfmodel: non-positive machine shape %d/%d/%d",
-			m.Clusters, m.HostsPerCl, m.BoardsPerHost)
+	if m.Clusters <= 0 || m.HostsPerCl <= 0 {
+		return fmt.Errorf("perfmodel: non-positive machine shape %d/%d", m.Clusters, m.HostsPerCl)
 	}
-	if m.HW.ClockHz <= 0 || m.HW.Pipelines <= 0 || m.HW.VMP <= 0 || m.HW.ChipsPerBoard <= 0 {
-		return fmt.Errorf("perfmodel: invalid hardware constants %+v", m.HW)
+	if err := m.Attach.Validate(); err != nil {
+		return err
 	}
 	if m.Link.Bandwidth <= 0 {
 		return fmt.Errorf("perfmodel: invalid link %+v", m.Link)
@@ -187,33 +160,30 @@ func (m Machine) Validate() error {
 func (m Machine) Hosts() int { return m.Clusters * m.HostsPerCl }
 
 // TotalChips returns the number of pipeline chips in the machine.
-func (m Machine) TotalChips() int {
-	return m.Hosts() * m.BoardsPerHost * m.HW.ChipsPerBoard
-}
+func (m Machine) TotalChips() int { return m.Hosts() * m.Attach.TotalChips() }
 
 // PeakFlops returns the machine's peak under the 57-flops convention.
-func (m Machine) PeakFlops() float64 {
-	return float64(m.TotalChips()) * 57 * float64(m.HW.Pipelines) * m.HW.ClockHz
-}
+func (m Machine) PeakFlops() float64 { return float64(m.Hosts()) * m.Attach.PeakFlops() }
 
 // Standard configurations of the paper's benchmark section. The 1-, 2- and
 // 4-host systems are single-cluster (Figure 15); 8 and 16 hosts span 2 and
-// 4 clusters (Figure 17).
+// 4 clusters (Figure 17). Every host carries board.Default, the
+// production 4-board attachment.
 func SingleNode(nic simnet.NIC, host HostProfile) Machine {
 	return Machine{Name: "1-host 4-board", Clusters: 1, HostsPerCl: 1,
-		BoardsPerHost: 4, HW: ProductionHW, Link: PCI, NIC: nic, Host: host}
+		Attach: board.Default, Link: PCI, NIC: nic, Host: host}
 }
 
 func MultiNode(hosts int, nic simnet.NIC, host HostProfile) Machine {
 	return Machine{Name: fmt.Sprintf("%d-host single-cluster", hosts),
 		Clusters: 1, HostsPerCl: hosts,
-		BoardsPerHost: 4, HW: ProductionHW, Link: PCI, NIC: nic, Host: host}
+		Attach: board.Default, Link: PCI, NIC: nic, Host: host}
 }
 
 func MultiCluster(clusters int, nic simnet.NIC, host HostProfile) Machine {
 	return Machine{Name: fmt.Sprintf("%d-cluster (%d hosts)", clusters, clusters*4),
 		Clusters: clusters, HostsPerCl: 4,
-		BoardsPerHost: 4, HW: ProductionHW, Link: PCI, NIC: nic, Host: host}
+		Attach: board.Default, Link: PCI, NIC: nic, Host: host}
 }
 
 // ShardedFleet builds the full-machine emulation topology (Figure 19): a
@@ -225,8 +195,8 @@ func MultiCluster(clusters int, nic simnet.NIC, host HostProfile) Machine {
 // the cost model sees the same aggregate pipeline throughput.
 //
 // The shard is expressed as one board of totalChips/ranks chips per host
-// (the cost model only consumes chips-per-host = BoardsPerHost ×
-// ChipsPerBoard, so the board/chip split within a host is immaterial).
+// (the cost model only consumes the chips per host, Attach.TotalChips(),
+// so the board/module split within a host is immaterial).
 func ShardedFleet(clusters, ranks, boards, chipsPerBoard int, nic simnet.NIC, host HostProfile) (Machine, error) {
 	if clusters <= 0 || ranks <= 0 || ranks%clusters != 0 {
 		return Machine{}, fmt.Errorf("perfmodel: %d ranks not divisible into %d clusters", ranks, clusters)
@@ -236,18 +206,17 @@ func ShardedFleet(clusters, ranks, boards, chipsPerBoard int, nic simnet.NIC, ho
 		return Machine{}, fmt.Errorf("perfmodel: %d×%d chip fleet not divisible over %d ranks",
 			boards, chipsPerBoard, ranks)
 	}
-	hw := ProductionHW
-	hw.ChipsPerBoard = totalChips / ranks
+	attach := board.Default
+	attach.ChipsPerModule, attach.ModulesPerBoard, attach.Boards = totalChips/ranks, 1, 1
 	return Machine{
 		Name: fmt.Sprintf("full-machine %d×%d chips over %d clusters × %d hosts",
 			boards, chipsPerBoard, clusters, ranks/clusters),
-		Clusters:      clusters,
-		HostsPerCl:    ranks / clusters,
-		BoardsPerHost: 1,
-		HW:            hw,
-		Link:          PCI,
-		NIC:           nic,
-		Host:          host,
+		Clusters:   clusters,
+		HostsPerCl: ranks / clusters,
+		Attach:     attach,
+		Link:       PCI,
+		NIC:        nic,
+		Host:       host,
 	}, nil
 }
 
@@ -283,25 +252,15 @@ func (m Machine) BlockTime(n, nb int) BlockCost {
 	hosts := m.Hosts()
 	nbLocal := ceilDiv(nb, hosts)
 
-	// j-particles per chip: in the 2D board grid, the boards of one host's
-	// row hold the column subsets — collectively the full system — so each
-	// host's chipsPerHost chips share all N particles. (The replication
-	// across rows/clusters is what buys the parallelism; Section 3.2.)
-	chipsPerHost := m.BoardsPerHost * m.HW.ChipsPerBoard
-	jPerChip := ceilDiv(n, chipsPerHost)
-
-	var c BlockCost
-	c.Host = float64(nbLocal) * m.Host.PerStep(n)
-
-	// Host↔GRAPE: one DMA round trip per block plus per-particle traffic
-	// (send i-particles, fetch results, write back updated j-particles).
-	bytes := nbLocal * (m.Link.IBytes + m.Link.ResultBytes + m.Link.JBytes)
-	c.Comm = m.Link.DMASetup + float64(bytes)/m.Link.Bandwidth
-
-	// GRAPE pipelines.
-	passes := ceilDiv(nbLocal, m.HW.IBatch())
-	cycles := float64(passes) * (float64(m.HW.VMP)*float64(jPerChip) + float64(m.HW.PipelineDepth))
-	c.Grape = cycles / m.HW.ClockHz
+	// In the 2D board grid the boards of one host's row hold the column
+	// subsets — collectively the full system — so each host's chips share
+	// all N particles. (The replication across rows/clusters is what buys
+	// the parallelism; Section 3.2.)
+	c := BlockCost{
+		Host:  m.HostWork(nbLocal, n),
+		Comm:  m.LinkTime(nbLocal),
+		Grape: m.GrapeTimeHost(nbLocal, n),
+	}
 
 	// Synchronization: two butterfly barriers per block step — one to
 	// agree on the next block time, one to complete the update exchange
@@ -368,16 +327,15 @@ func ceilDiv(a, b int) int {
 // its own compute while the network costs emerge from simnet traffic.
 
 // GrapeTimeHost returns the force-pipeline time for ni i-particles against
-// njStored j-particles spread over ONE host's attached chips.
+// njStored j-particles spread over ONE host's attached chips: the chip's
+// own cycle count for its ⌈njStored/chips⌉ j-slots. The emulator charges
+// the same cycles plus the reduction-tree latency, which the model omits.
 func (m Machine) GrapeTimeHost(ni, njStored int) float64 {
 	if ni <= 0 || njStored <= 0 {
 		return 0
 	}
-	chipsPerHost := m.BoardsPerHost * m.HW.ChipsPerBoard
-	jPerChip := ceilDiv(njStored, chipsPerHost)
-	passes := ceilDiv(ni, m.HW.IBatch())
-	cycles := float64(passes) * (float64(m.HW.VMP)*float64(jPerChip) + float64(m.HW.PipelineDepth))
-	return cycles / m.HW.ClockHz
+	jPerChip := ceilDiv(njStored, m.Attach.TotalChips())
+	return float64(m.Attach.Chip.BatchCycles(ni, jPerChip)) / m.Attach.Chip.ClockHz
 }
 
 // HostWork returns the frontend time to integrate nSteps particle steps at

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"grape6/internal/chip"
 	"grape6/internal/simnet"
 )
 
@@ -38,7 +39,7 @@ func TestValidate(t *testing.T) {
 		t.Error("accepted invalid NIC")
 	}
 	m = SingleNode(simnet.NS83820, Athlon)
-	m.HW.ClockHz = 0
+	m.Attach.Chip.ClockHz = 0
 	if err := m.Validate(); err == nil {
 		t.Error("accepted zero clock")
 	}
@@ -59,7 +60,7 @@ func TestCacheModelShape(t *testing.T) {
 		if got < prev {
 			t.Errorf("PerStep not monotone at N=%d", n)
 		}
-		if got > h.PerStepConstant() {
+		if got > h.StepTime+h.MemTime {
 			t.Errorf("PerStep exceeds asymptote at N=%d", n)
 		}
 		prev = got
@@ -69,8 +70,8 @@ func TestCacheModelShape(t *testing.T) {
 		t.Errorf("cache-resident PerStep = %v, want %v", got, h.StepTime)
 	}
 	// Large N approaches the constant model.
-	if got := h.PerStep(10_000_000); got < 0.9*h.PerStepConstant() {
-		t.Errorf("large-N PerStep = %v, asymptote %v", got, h.PerStepConstant())
+	if got := h.PerStep(10_000_000); got < 0.9*(h.StepTime+h.MemTime) {
+		t.Errorf("large-N PerStep = %v, asymptote %v", got, h.StepTime+h.MemTime)
 	}
 }
 
@@ -284,7 +285,7 @@ func TestGrape4MachinePeak(t *testing.T) {
 		t.Errorf("GRAPE-4 peak = %v Tflops, want ≈1.05", peak)
 	}
 	// Machine-wide i-parallelism ≈ the paper's "400".
-	if got := m.HW.IBatch(); got != 384 {
+	if got := m.Attach.Chip.IBatch(); got != 384 {
 		t.Errorf("GRAPE-4 i-parallelism = %d, want 384", got)
 	}
 }
@@ -306,12 +307,12 @@ func TestGrape4ParallelismPenaltyAtSmallBlocks(t *testing.T) {
 	// The Section 3.4 design argument: with blocks much smaller than the
 	// i-parallelism, the wide design wastes pipeline slots. Measure the
 	// slot utilization nb/(passes×IBatch) directly for a 50-particle block.
-	util := func(hw GrapeHW, nb int) float64 {
-		passes := (nb + hw.IBatch() - 1) / hw.IBatch()
-		return float64(nb) / float64(passes*hw.IBatch())
+	util := func(c chip.Config, nb int) float64 {
+		passes := (nb + c.IBatch() - 1) / c.IBatch()
+		return float64(nb) / float64(passes*c.IBatch())
 	}
-	u4 := util(Grape4HW, 50)     // 50/384 ≈ 13%
-	u6 := util(ProductionHW, 50) // one chip-row: 50/96 ≈ 52%
+	u4 := util(Grape4Machine().Attach.Chip, 50) // 50/384 ≈ 13%
+	u6 := util(chip.Default, 50)                // one chip-row: 50/96 ≈ 52%
 	if u4 >= u6 {
 		t.Errorf("GRAPE-4 slot utilization %v not below GRAPE-6 %v", u4, u6)
 	}
@@ -319,7 +320,7 @@ func TestGrape4ParallelismPenaltyAtSmallBlocks(t *testing.T) {
 		t.Errorf("GRAPE-4 utilization at nb=50 = %v, want ≈0.13", u4)
 	}
 	// The GRAPE-6 pipelines lose nothing once blocks reach the batch size.
-	if got := util(ProductionHW, 480); got != 1.0 {
+	if got := util(chip.Default, 480); got != 1.0 {
 		t.Errorf("GRAPE-6 utilization at nb=480 = %v", got)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"grape6/internal/board"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
 	"grape6/internal/parallel"
@@ -288,25 +289,24 @@ func (m MachineSpec) Build() (perfmodel.Machine, error) {
 	if m.FlatCache {
 		host.CacheBytes = 0
 	}
-	hw := perfmodel.ProductionHW
+	hw := board.Default
+	if m.Boards > 0 {
+		hw.Boards = m.Boards
+	}
 	if m.Chips > 0 {
-		hw.ChipsPerBoard = m.Chips
+		hw.ChipsPerModule, hw.ModulesPerBoard = m.Chips, 1
 	}
 	if m.ClockMHz > 0 {
-		hw.ClockHz = m.ClockMHz * 1e6
+		hw.Chip.ClockHz = m.ClockMHz * 1e6
 	}
 	mm := perfmodel.Machine{
-		Name:          m.Label,
-		Clusters:      max1(m.Clusters),
-		HostsPerCl:    max1(m.Hosts),
-		BoardsPerHost: m.Boards,
-		HW:            hw,
-		Link:          perfmodel.PCI,
-		NIC:           nic,
-		Host:          host,
-	}
-	if mm.BoardsPerHost == 0 {
-		mm.BoardsPerHost = 4
+		Name:       m.Label,
+		Clusters:   max1(m.Clusters),
+		HostsPerCl: max1(m.Hosts),
+		Attach:     hw,
+		Link:       perfmodel.PCI,
+		NIC:        nic,
+		Host:       host,
 	}
 	if err := mm.Validate(); err != nil {
 		return perfmodel.Machine{}, err

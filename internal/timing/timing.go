@@ -17,27 +17,24 @@ import (
 	"grape6/internal/units"
 )
 
-// Report is the outcome of replaying one trace on one machine.
+// Report is the outcome of replaying one trace on one machine. Its
+// embedded BlockCost holds the wall-clock component totals in seconds
+// over every block, and its Total the predicted wall-clock time.
 type Report struct {
+	perfmodel.BlockCost
 	Machine perfmodel.Machine
 	N       int
 	Blocks  int64
 	Steps   int64
-
-	// Wall-clock component totals in seconds.
-	Host, Comm, Grape, Sync float64
 
 	// SimDuration is the simulated time covered by the trace, in N-body
 	// units.
 	SimDuration float64
 }
 
-// Wall returns the total predicted wall-clock time.
-func (r Report) Wall() float64 { return r.Host + r.Comm + r.Grape + r.Sync }
-
 // StepsPerSecond returns the individual-step rate.
 func (r Report) StepsPerSecond() float64 {
-	w := r.Wall()
+	w := r.Total()
 	if w <= 0 {
 		return 0
 	}
@@ -50,7 +47,7 @@ func (r Report) TimePerStep() float64 {
 	if r.Steps == 0 {
 		return 0
 	}
-	return r.Wall() / float64(r.Steps)
+	return r.Total() / float64(r.Steps)
 }
 
 // SpeedFlops returns the sustained speed under eq. (9).

@@ -32,8 +32,8 @@ func TestSimulateAccounting(t *testing.T) {
 	}
 	// The report totals must equal 100× the single-block cost.
 	c := m.BlockTime(10000, 200)
-	if math.Abs(rep.Wall()-100*c.Total()) > 1e-12*rep.Wall() {
-		t.Errorf("wall = %v, want %v", rep.Wall(), 100*c.Total())
+	if math.Abs(rep.Total()-100*c.Total()) > 1e-12*rep.Total() {
+		t.Errorf("wall = %v, want %v", rep.Total(), 100*c.Total())
 	}
 	if rep.TimePerStep() <= 0 || rep.StepsPerSecond() <= 0 {
 		t.Error("degenerate rates")
@@ -57,7 +57,7 @@ func TestReportSpeedConsistency(t *testing.T) {
 func TestEmptyTrace(t *testing.T) {
 	m := perfmodel.SingleNode(simnet.NS83820, perfmodel.Athlon)
 	rep := Simulate(m, &sched.Trace{N: 100, Duration: 1})
-	if rep.Wall() != 0 || rep.StepsPerSecond() != 0 || rep.TimePerStep() != 0 {
+	if rep.Total() != 0 || rep.StepsPerSecond() != 0 || rep.TimePerStep() != 0 {
 		t.Error("empty trace should produce zero report")
 	}
 }
