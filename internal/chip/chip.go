@@ -346,7 +346,9 @@ func PredictParticle(f gfixed.Format, j *JParticle, t float64) (x [3]gfixed.Fixe
 // stage is dt/k times a partial sum plus a coefficient: four nested stages
 // reach at most 2^(4·128+128+4) and, by the ulp argument (a sum of two
 // floats is zero or at least an ulp of the smaller), at least
-// 2^-(4·128+128+166) — normal and finite throughout.
+// 2^-(4·128+128+166) — normal and finite throughout, inside 2^±806, and so
+// inside RoundTame's domain (±0 and the normals below 2^(1023-s),
+// s = 53 - MantBits, which at every valid width includes [2^-1022, 2^972)).
 //
 // The three components are written abreast — six independent Horner chains
 // per particle, a stage of all six before the next — and the quotients
@@ -654,6 +656,9 @@ func slabPanic(got, want int) {
 // bounded geometry, so magnitudes stay inside 2^±830; a sum or difference
 // of such terms is zero or at least an ulp of the smaller term, still
 // hundreds of binades above the subnormals. No Inf arises, hence no NaN.
+// So every argument lies inside RoundTame's domain, ±0 and the normals
+// below 2^(1023-s) for s = 53 - MantBits, which at every valid width
+// includes [2^-1022, 2^972) — 142 binades of margin above 2^830.
 //
 // The slot that ended a run goes through forcePair for both lanes — which
 // is also where Overflow gets set: a run never sees a contribution that

@@ -100,7 +100,7 @@ const (
 // under GOMAXPROCS 1 and 2); gbackend's six bits of headroom keep real sums
 // far from it.
 func FuzzForceTile(f *testing.F) {
-	nan1 := uint64(0xffffffffffffffff) // all-ones payload: RoundTame would carry it into -0
+	nan1 := uint64(0xffffffffffffffff) // all-ones payload: RoundTame keeps a NaN a NaN, but Untame must still exclude it
 	specials := []uint64{
 		0, 1 << 63, 1, 0x000fffffffffffff, 0x0010000000000000, // ±0, subnormals, smallest normal
 		gfixed.FloatBits(math.Ldexp(1, -gfixed.TameExp)), gfixed.FloatBits(math.Ldexp(1, -gfixed.TameExp-1)),

@@ -6,16 +6,16 @@ import (
 )
 
 // The fuzz targets are differential: the optimized hot-path entry points
-// (Rounder.Round's branch-free carry, Accum.Add's 2^52 magic-constant
-// trick) must stay bit-identical to their straightforward references for
-// EVERY input, not just the corpus the unit tests enumerate. The inlinable
-// primitives (RoundTame, Untame, AddTame) are partial: each must
-// agree with its exact counterpart wherever its own guard says it may be
-// used, and the guard must fire on every input where it would not — the
-// "caller must fall back" class. Seeds come from interestingFloats(), which
-// pins the known cliffs: the 2^51/2^52 integrality boundaries, the
-// 2^61/2^62 saturation boundaries, the tame class's edges, subnormals,
-// ties, infinities and NaN. verify.sh runs each target with -fuzztime=10s.
+// (Accum.Add's 2^52 magic-constant trick) must stay bit-identical to their
+// straightforward references for EVERY input, not just the corpus the unit
+// tests enumerate. The inlinable primitives (RoundTame, Untame, AddTame)
+// are partial: each must agree with its exact counterpart wherever its own
+// guard says it may be used, and the guard must fire on every input where
+// it would not — the "caller must fall back" class. Seeds come from
+// interestingFloats(), which pins the known cliffs: the 2^51/2^52
+// integrality boundaries, the 2^61/2^62 saturation boundaries, the tame
+// class's edges, subnormals, ties, infinities and NaN. verify.sh runs each
+// target with -fuzztime=10s.
 
 func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
@@ -27,6 +27,15 @@ func FuzzRound(f *testing.F) {
 	for _, x := range interestingFloats() {
 		for _, bits := range []uint{2, 8, 24, 32, 52, 53} {
 			f.Add(math.Float64bits(x), bits)
+		}
+	}
+	// Appended after the original seeds so their numbers keep their
+	// inputs: RoundTame's domain top 2^(1023-s) and its predecessor for
+	// s = 0, 21 and 51. The body maps the raw width 51-s to 53-s.
+	for _, s := range []int{0, 21, 51} {
+		top := math.Ldexp(1, 1023-s)
+		for _, x := range []float64{top, math.Nextafter(top, 0), -top, -math.Nextafter(top, 0)} {
+			f.Add(math.Float64bits(x), uint(53-s-2))
 		}
 	}
 	f.Fuzz(func(t *testing.T, xb uint64, bits uint) {
@@ -54,10 +63,12 @@ func FuzzRound(f *testing.F) {
 			t.Fatalf("bits=%d x=%#x: sign flipped to %#x", bits, xb, math.Float64bits(want))
 		}
 
-		// RoundTame is exact on ±0, normals and ±Inf; subnormals and NaN
-		// are the fall-back class, and Untame must flag every one of them.
+		// RoundTame is exact on ±0 and on normals below 2^(1023-s); NaN,
+		// ±Inf, subnormals and magnitudes from 2^(1023-s) up are the
+		// fall-back class, and Untame must flag every one of them.
 		mag := math.Abs(x)
-		fallBack := math.IsNaN(x) || (mag != 0 && mag < math.Ldexp(1, -1022))
+		fallBack := math.IsNaN(x) || (mag != 0 && mag < math.Ldexp(1, -1022)) ||
+			mag >= math.Ldexp(1, 1023-int(53-bits))
 		if got := fm.Rounder().RoundTame(x); !fallBack && !sameBits(got, want) {
 			t.Fatalf("bits=%d x=%#x: RoundTame %#x != Round %#x outside the fall-back class",
 				bits, xb, math.Float64bits(got), math.Float64bits(want))

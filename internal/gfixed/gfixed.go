@@ -133,8 +133,10 @@ func (f Format) Round(x float64) float64 {
 
 // RoundMantissa rounds x to the given mantissa width (including the
 // implicit bit), round-to-nearest-even. bits must be in [1, 53]; 53 is an
-// identity. This sits on the chip emulator's innermost loop, so it works
-// directly on the IEEE-754 bit pattern.
+// identity. It is the bit-exact specification of every rounding in the
+// package and works directly on the IEEE-754 bit pattern; the chip's
+// kernels inline Rounder.RoundTame instead, which agrees with it on their
+// domain.
 //
 //grape:noalloc
 func RoundMantissa(x float64, bits uint) float64 {
@@ -175,75 +177,53 @@ func roundSubnormal(x float64, bits uint) float64 {
 	return math.Ldexp(math.RoundToEven(scaled), e-int(bits))
 }
 
-// Rounder is a mantissa rounder with the Format's shift/half/mask
-// constants hoisted out, for use in kernels that round in a tight loop.
-// Obtain one via Format.Rounder (the zero value is NOT valid).
-// Rounder.Round is bit-identical to Format.Round but avoids recomputing
-// the masks and the two-deep call chain on every pipeline stage.
+// Rounder is a mantissa rounder with the Veltkamp splitting constant
+// hoisted out, for use in kernels that round in a tight loop. Obtain one
+// via Format.Rounder (the zero value is NOT valid).
 type Rounder struct {
-	// Four words and no more: the compiler keeps a struct of up to four
-	// fields in registers, and copies a larger one through the stack at
-	// every inlined use.
-	shift uint64 // 53 - mantissa width: position of the kept lsb; 0 is identity
-	bias  uint64 // 1<<(shift-1) - 1: half a kept ulp, less one
-	one   uint64 // selects the kept lsb after the shift: 1
-	mask  uint64 // 1<<shift - 1: the dropped bits
+	sigma float64 // 2^(53-bits) + 1: Veltkamp's splitting constant
+	bits  uint    // mantissa width, including the implicit bit
 }
 
 // Rounder returns the precomputed rounder for the format's mantissa width.
 func (f Format) Rounder() Rounder {
-	if f.MantBits >= 53 {
-		// Identity: with every constant zero the carry formula is
-		// (b + 0 + (b&0)) &^ 0, so identity widths need no test of their own.
-		return Rounder{}
-	}
-	shift := uint64(53 - f.MantBits)
-	return Rounder{
-		shift: shift,
-		bias:  uint64(1)<<(shift-1) - 1,
-		one:   1,
-		mask:  uint64(1)<<shift - 1,
-	}
+	bits := min(f.MantBits, 53)
+	return Rounder{sigma: math.Ldexp(1, 53-int(bits)) + 1, bits: bits}
 }
 
-// Round rounds x to the rounder's mantissa width, round-to-nearest-even.
-// Bit-identical to RoundMantissa(x, bits) for every input. With its
-// special-value test it costs more than the compiler's inlining budget
-// (go build -gcflags=-m: cost 111 against 80), so every use is a real
-// call; RoundTame is the inlinable part.
+// Round rounds x to the rounder's mantissa width, round-to-nearest-even:
+// RoundMantissa(x, bits), defined on every float64 and over the
+// compiler's inlining budget, so every use is a real call; RoundTame is
+// the inlinable part.
 //
 //grape:noalloc
 func (r Rounder) Round(x float64) float64 {
-	b := math.Float64bits(x)
-	if e := (b >> 52) & 0x7ff; e-1 >= 0x7fe {
-		// Zero, subnormal, Inf or NaN: off the fast path.
-		return r.roundSpecial(x)
-	}
-	return r.RoundTame(x)
+	return RoundMantissa(x, r.bits)
 }
 
-// RoundTame is Round without the special-value test, small enough to be
-// inlined into a kernel's pair loop. The round-up carry is computed
-// branch-free: adding bias+lsb (half a kept ulp, less one, plus the kept
-// lsb) carries into the kept bits exactly when the dropped fraction
-// exceeds half, or equals half with an odd kept lsb; a mantissa carry
-// propagates into the exponent, which is the correct IEEE behaviour up to
-// and including overflow to ±Inf.
+// RoundTame is Round as Veltkamp's split, three floating-point operations
+// that inline into a kernel's pair loop: with s = 53 - bits, c is
+// x·(2^s + 1) rounded, and c - (c - x) is x rounded to bits significant
+// bits, ties to even.
 //
-// It is bit-identical to Round for ±0, every normal number and ±Inf. It is
-// WRONG for subnormals (Round keeps bits significant bits below the
-// leading one, this keeps a fixed bit position) and for NaN (Round passes
-// the payload through, this may carry it into ±0 or ±Inf). A caller must
-// therefore know its argument is neither — which is what Untame on the
-// inputs of a pipeline, plus the interval argument written next to it,
-// establishes — or call Round.
+// It is bit-identical to Round on ±0 and every normal x with
+// |x| < 2^(1023-s), which at every width in [2, 53] includes
+// [2^-1022, 2^972). It may be WRONG on subnormals (the split needs c and
+// c - x rounded to 53 significant bits, not to the subnormals' fixed
+// grid), on |x| ≥ 2^(1023-s) (c may overflow, and Inf - Inf is NaN), on
+// ±Inf and on NaN. A caller must therefore know its argument is inside
+// the domain — which is what Untame on the inputs of a pipeline, plus the
+// interval argument written next to it, establishes — or call Round.
+//
+// The float64 conversions are the Go spec's fusion barrier: where the
+// compiler fuses multiply-add, c - x would otherwise skip the rounding of
+// the product that made c, or of a caller's x that is itself a product.
 //
 //grape:noalloc
 func (r Rounder) RoundTame(x float64) float64 {
-	b := math.Float64bits(x)
-	// shift&63 tells the compiler the count is in range (it is: shift ≤ 51),
-	// which drops the oversized-shift fix-up from every rounding.
-	return math.Float64frombits((b + r.bias + ((b >> (r.shift & 63)) & r.one)) &^ r.mask)
+	x = float64(x)
+	c := float64(x * r.sigma)
+	return c - float64(c-x)
 }
 
 // TameExp bounds the tame class: a float64 is tame when it is ±0 or its
@@ -271,19 +251,6 @@ func Untame(x float64) uint64 {
 		return 0
 	}
 	return (u - tameLo) >> tameShift
-}
-
-// roundSpecial handles the rare inputs excluded from Round's fast path.
-//
-//grape:noalloc
-func (r Rounder) roundSpecial(x float64) float64 {
-	if r.shift == 0 || x == 0 {
-		return x
-	}
-	if (math.Float64bits(x)>>52)&0x7ff == 0x7ff {
-		return x // Inf or NaN
-	}
-	return roundSubnormal(x, uint(53-r.shift))
 }
 
 // Accum is a block-floating-point accumulator: Sum counts units of

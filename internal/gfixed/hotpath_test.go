@@ -88,6 +88,67 @@ func TestRounderMatchesRoundMantissa(t *testing.T) {
 	}
 }
 
+// TestRoundTameVeltkamp pins RoundTame to RoundMantissa, bit for bit, on
+// the inputs where a splitting constant off by anything would show: at
+// every width, ties of half a kept ulp with an odd and an even kept lsb and
+// the floats either side of them, all-ones mantissas that carry into the
+// next binade, the bottom normal binades and the two binades below the
+// domain top 2^(1023-s), both signs, and ±0. sigma = 2^s - 1 or 2^(s+1) + 1
+// fails it.
+func TestRoundTameVeltkamp(t *testing.T) {
+	for bits := uint(2); bits <= 53; bits++ {
+		s := 53 - bits
+		r := Format{PosFrac: 44, MantBits: bits, AccumFrac: 40}.Rounder()
+		check := func(x float64) {
+			t.Helper()
+			got, want := r.RoundTame(x), RoundMantissa(x, bits)
+			if !sameBits(got, want) {
+				t.Fatalf("bits=%d x=%#x: RoundTame %#x != RoundMantissa %#x",
+					bits, math.Float64bits(x), math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+		check(0)
+		check(math.Copysign(0, -1))
+
+		keptMask := uint64(1)<<(bits-1) - 1 // the stored fraction bits kept
+		kept := []uint64{0, 1, 2, 0x5555555555555 & keptMask, keptMask - 1, keptMask}
+		var dropped []uint64 // low bits of the tie and its neighbours
+		if s > 0 {
+			half := uint64(1) << (s - 1)
+			dropped = []uint64{half - 1, half, half + 1, 0, 1<<s - 1}
+		}
+		// Biased exponents: 2^-1022 … 2^-1020, one, and the two binades
+		// below 2^(1023-s).
+		for _, e := range []uint64{1, 2, 3, 1023, 2044 - uint64(s), 2045 - uint64(s)} {
+			for _, k := range kept {
+				base := e<<52 | (k&keptMask)<<s
+				for _, sign := range []uint64{0, 1 << 63} {
+					check(math.Float64frombits(sign | base))
+					for _, d := range dropped {
+						check(math.Float64frombits(sign | (base + d)))
+					}
+				}
+			}
+			// The all-ones mantissa: a round-up carries into the next
+			// binade.
+			check(math.Float64frombits(e<<52 | (1<<52 - 1)))
+			check(math.Float64frombits(1<<63 | e<<52 | (1<<52 - 1)))
+		}
+
+		// A product argument: on a target with fused multiply-add the
+		// inlined split must not fold the caller's multiply into c - x.
+		a, b := 1.0/3, math.Pi
+		for i := 0; i < 64; i++ {
+			p := a * b
+			if got, want := r.RoundTame(a*b), RoundMantissa(p, bits); !sameBits(got, want) {
+				t.Fatalf("bits=%d %v*%v: RoundTame %#x != RoundMantissa %#x",
+					bits, a, b, math.Float64bits(got), math.Float64bits(want))
+			}
+			a, b = b*1.0625, -a*0.75
+		}
+	}
+}
+
 func TestAddMatchesReference(t *testing.T) {
 	rng := xrand.New(100)
 	for _, exp := range []int{-20, 0, 8, 40, 80} {

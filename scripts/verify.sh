@@ -20,7 +20,8 @@
 #   kernel, which no analyzer sees because it is the compiler's decision:
 #   gfixed's tame primitives must report "can inline", and the compiled
 #   chip.forceTile (the two-lane pair loop) and chip.predictParticle must
-#   contain no CALL into gfixed (DESIGN.md §6).
+#   contain no CALL into gfixed, and RoundTame inlined on arm64 must not
+#   fuse a multiply into its split (DESIGN.md §6).
 # Tier 4 (fuzz, full gauntlet only):
 #   the differential fuzz targets, 10s each — gfixed's rounding and
 #   accumulation against their references, the chip's call-free pair loop
@@ -79,6 +80,17 @@ if [ "$tier" = 3 ] || [ "$tier" = all ]; then
 	}
 	call_free '(*Chip).forceTile' 'chip\.\(\*Chip\)\.forceTile$'
 	call_free 'predictParticle' 'chip\.predictParticle$'
+	# RoundTame's fusion barrier, on the target whose compiler fuses x*y±z
+	# (amd64's fuses only math.FMA): TestRoundTameVeltkamp rounds products
+	# through the inlined split, and a missing float64() conversion shows in
+	# its arm64 build as a fused multiply-add.
+	GOARCH=arm64 go test -c -o "$tmp/gfixed.arm64.test" ./internal/gfixed
+	go tool objdump -s 'gfixed\.TestRoundTameVeltkamp$' "$tmp/gfixed.arm64.test" >"$tmp/sym.s"
+	grep -qF 'TestRoundTameVeltkamp(SB)' "$tmp/sym.s" || { echo "no arm64 disassembly for TestRoundTameVeltkamp: renamed?"; exit 1; }
+	if grep -E 'FN?M(ADD|SUB)D' "$tmp/sym.s"; then
+		echo "gfixed.Rounder.RoundTame fuses on arm64: the Veltkamp split needs its float64() conversions"
+		exit 1
+	fi
 fi
 
 if [ "$tier" = 4 ] || [ "$tier" = all ]; then
