@@ -55,7 +55,7 @@ func BenchmarkEmulatedChipThroughput(b *testing.B) {
 
 // predictChip loads one default chip with n Plummer particles for the
 // predictor benchmarks.
-func predictChip(b *testing.B, n int) (*chip.Chip, []chip.JParticle) {
+func predictChip(b *testing.B, n int) *chip.Chip {
 	b.Helper()
 	sys := model.Plummer(n, xrand.New(3))
 	ch := chip.New(chip.Default)
@@ -71,31 +71,17 @@ func predictChip(b *testing.B, n int) (*chip.Chip, []chip.JParticle) {
 	if err := ch.LoadJ(js); err != nil {
 		b.Fatal(err)
 	}
-	return ch, js
+	return ch
 }
 
 // BenchmarkPredictFull is the pre-existing predictor cost: one serial
 // whole-memory predict per op, with the time advancing every iteration so
 // the same-t memo never hits (the individual-timestep regime).
 func BenchmarkPredictFull(b *testing.B) {
-	ch, _ := predictChip(b, 4096)
+	ch := predictChip(b, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Predict(float64(i+1) * math.Ldexp(1, -30))
-	}
-}
-
-// BenchmarkPredictSlotPatch measures the corrector write path when the
-// prediction cache is current: WriteJ re-predicts only the touched slot,
-// O(1) instead of the O(N_j) whole-memory invalidation it replaced.
-func BenchmarkPredictSlotPatch(b *testing.B) {
-	ch, js := predictChip(b, 4096)
-	ch.Predict(math.Ldexp(1, -10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ch.WriteJ(i%len(js), js[i%len(js)]); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -103,7 +89,7 @@ func BenchmarkPredictSlotPatch(b *testing.B) {
 // an individual-timestep integration on an emulated 4-chip attachment in
 // steady state, where every block advances the time and the predictor
 // would dominate without each force span predicting its own slots across
-// the pool and slot patching.
+// the pool.
 func BenchmarkSmallBlockStep(b *testing.B) {
 	cfg := gboard.Default
 	cfg.ChipsPerModule = 2
@@ -137,11 +123,13 @@ func BenchmarkHermiteOnEmulatedHardware(b *testing.B) {
 	cfg.Boards = 1
 	for i := 0; i < b.N; i++ {
 		sys := model.Plummer(64, xrand.New(9))
-		it, err := hermite.New(sys, gbackend.New(gboard.New(cfg)), hermite.DefaultParams(1.0/64))
+		gb := gbackend.New(gboard.New(cfg))
+		it, err := hermite.New(sys, gb, hermite.DefaultParams(1.0/64))
 		if err != nil {
 			b.Fatal(err)
 		}
 		it.Run(1.0 / 32)
+		gb.Close()
 	}
 }
 

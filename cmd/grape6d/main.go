@@ -89,6 +89,7 @@ func soloHash(hw board.Config, n int, seed uint64, eps float64, blocks int) (uin
 	if err != nil {
 		return 0, err
 	}
+	defer sim.Close()
 	for k := 0; k < blocks; k++ {
 		sim.Step()
 	}
@@ -168,6 +169,7 @@ func runSmoke(fleet int) error {
 	if err != nil {
 		return err
 	}
+	defer soloRestored.Close()
 	for k := 0; k < extra; k++ {
 		soloRestored.Step()
 	}

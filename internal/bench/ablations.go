@@ -13,6 +13,7 @@ import (
 	"grape6/internal/nbody"
 	"grape6/internal/perfmodel"
 	"grape6/internal/simnet"
+	"grape6/internal/tree"
 	"grape6/internal/units"
 	"grape6/internal/vec"
 	"grape6/internal/xrand"
@@ -27,16 +28,7 @@ func measureStepRatio(sys *nbody.System) (float64, error) {
 		return 0, err
 	}
 	it.Run(1.0 / 64)
-	steps := append([]float64(nil), sys.Step...)
-	min := steps[0]
-	var inv float64
-	for _, s := range steps {
-		if s < min {
-			min = s
-		}
-		inv += 1 / s
-	}
-	return float64(len(steps)) / inv / min, nil
+	return tree.StepRatio(sys.Step), nil
 }
 
 // RunAblationMantissa demonstrates the word-length design rule of Section
@@ -54,20 +46,28 @@ func RunAblationMantissa(o *Options) (Figure, error) {
 	if o.Quick {
 		until = 0.025
 	}
-	s := Series{Label: "block steps per run", Units: "blocks"}
-	for _, mant := range []uint{24, 26, 28, 30, 32, 40} {
+	blocks := func(mant uint) (int64, error) {
 		cfg := board.Default
 		cfg.ChipsPerModule = 2
 		cfg.ModulesPerBoard = 2
 		cfg.Boards = 1
 		cfg.Chip.Format.MantBits = mant
-		sys := model.Plummer(n, xrand.New(o.Seed))
-		it, err := hermite.New(sys, gbackend.New(board.New(cfg)), hermite.DefaultParams(1.0/64))
+		gb := gbackend.New(board.New(cfg))
+		defer gb.Close()
+		it, err := hermite.New(model.Plummer(n, xrand.New(o.Seed)), gb, hermite.DefaultParams(1.0/64))
+		if err != nil {
+			return 0, err
+		}
+		it.Run(until)
+		return it.Blocks, nil
+	}
+	s := Series{Label: "block steps per run", Units: "blocks"}
+	for _, mant := range []uint{24, 26, 28, 30, 32, 40} {
+		nb, err := blocks(mant)
 		if err != nil {
 			return e, err
 		}
-		it.Run(until)
-		s.Points = append(s.Points, Point{N: int(mant), Value: float64(it.Blocks)})
+		s.Points = append(s.Points, Point{N: int(mant), Value: float64(nb)})
 	}
 	e.Series = append(e.Series, s)
 	e.Notes = append(e.Notes, "x = mantissa bits; blow-up at the short end is the timestep-noise cliff")

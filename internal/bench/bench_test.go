@@ -5,9 +5,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
+
+	"grape6/internal/board"
+	"grape6/internal/core"
+	"grape6/internal/model"
+	"grape6/internal/xrand"
 )
 
 // sharedOpts caches workload fits across tests in this package.
@@ -324,5 +331,55 @@ func TestAblationKernelBypassOrdering(t *testing.T) {
 	c, _ := my.ValueAt(n)
 	if !(a < b && b < c) {
 		t.Errorf("ordering at N=1e5: tcp %v, bypass %v, myrinet %v", a, b, c)
+	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once it has held still for
+// 20 ms: a closed pool's workers may still be unwinding.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestEmulatorRunsReleaseWorkers holds the runners that build their own
+// emulated arrays (a1 six, v1 two) and a core.Grape simulator to closing
+// them: an array spawns a GOMAXPROCS worker pool on its first force call,
+// and one left open strands those goroutines for the life of the process.
+func TestEmulatorRunsReleaseWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // several workers per pool on any host
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"a1", func() error { _, err := RunAblationMantissa(sharedOpts); return err }},
+		{"v1", func() error { _, err := RunValidation(sharedOpts); return err }},
+		{"core.Grape", func() error {
+			hw := board.Default
+			hw.ChipsPerModule, hw.ModulesPerBoard, hw.Boards = 2, 2, 1
+			sim, err := core.NewSimulator(model.Plummer(48, xrand.New(3)), core.Config{Backend: core.Grape, Eps: 1.0 / 64, HW: &hw})
+			if err != nil {
+				return err
+			}
+			sim.Run(1.0 / 32)
+			sim.Close()
+			sim.Close() // a repeat Close is a no-op
+			return nil
+		}},
+	} {
+		before := settledGoroutines()
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := settledGoroutines(); n > before {
+			t.Errorf("%s: %d goroutines after the run, %d before", tc.name, n, before)
+		}
 	}
 }

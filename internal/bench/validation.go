@@ -29,13 +29,6 @@ func RunValidation(o *Options) (Figure, error) {
 	}
 	eps := 1.0 / 64
 
-	mkHW := func(boards int) hermite.Backend {
-		cfg := board.Default
-		cfg.ChipsPerModule = 2
-		cfg.ModulesPerBoard = 2
-		cfg.Boards = boards
-		return gbackend.New(board.New(cfg))
-	}
 	run := func(b hermite.Backend) (*hermite.Integrator, error) {
 		sys := model.Plummer(n, xrand.New(o.Seed+3))
 		it, err := hermite.New(sys, b, hermite.DefaultParams(eps))
@@ -45,16 +38,25 @@ func RunValidation(o *Options) (Figure, error) {
 		it.Run(until)
 		return it, nil
 	}
+	runHW := func(boards int) (*hermite.Integrator, error) {
+		cfg := board.Default
+		cfg.ChipsPerModule = 2
+		cfg.ModulesPerBoard = 2
+		cfg.Boards = boards
+		gb := gbackend.New(board.New(cfg))
+		defer gb.Close()
+		return run(gb)
+	}
 
 	ref, err := run(hermite.NewDirectBackend())
 	if err != nil {
 		return e, err
 	}
-	hw1, err := run(mkHW(1))
+	hw1, err := runHW(1)
 	if err != nil {
 		return e, err
 	}
-	hw4, err := run(mkHW(4))
+	hw4, err := runHW(4)
 	if err != nil {
 		return e, err
 	}

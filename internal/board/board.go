@@ -76,21 +76,21 @@ func (c Config) PeakFlops() float64 {
 // chip whose prediction cache is stale first predicts its own j-slots and
 // then forces the i-batch against them — the chip's predictor pipeline
 // feeding the force pipelines as j-particles stream from memory, with no
-// barrier between the two. Above a small-workload threshold the spans are
-// striped over a persistent worker pool: GOMAXPROCS goroutines spawned
-// once (lazily, on first use), each with reusable partial slabs, parked
-// on a job channel between calls — the emulation counterpart of the real
-// chips running continuously. Workers claim spans with an atomic cursor,
-// so every core participates even when the configuration has fewer chips
-// than the host has cores. Below the threshold the caller runs the same
-// loop on its own worker, one span per chip. Either way each worker
+// barrier between the two. The spans are striped over a persistent worker
+// pool: GOMAXPROCS goroutines spawned once (lazily, on the first force
+// call), each with reusable partial slabs, parked on a job channel between
+// calls — the emulation counterpart of the real chips running
+// continuously. Workers claim spans with an atomic cursor, so every core
+// participates even when the configuration has fewer chips than the host
+// has cores; at GOMAXPROCS 1 the pool is one worker. Each worker
 // pre-merges the partials of its spans and the slabs are reduced exactly
 // afterwards (integer accumulator adds, so span striping cannot change a
 // result bit — the Section 3.4 partition-invariance property applied
 // within chips).
 //
 // Close releases the pool; a closed Array may keep being used (the pool
-// respawns lazily).
+// respawns lazily). An Array that has run a force evaluation holds its
+// pool's goroutines until Close.
 //
 // An Array serves one host: like the real hardware's memory bus, force
 // evaluations on the same Array must not run concurrently with each other
@@ -121,20 +121,9 @@ type Array struct {
 
 	mu      sync.Mutex                     // serializes pool spawn and Close (slow paths)
 	workers atomic.Pointer[[]*forceWorker] // force paths read it lock-free
-	caller  []*forceWorker                 // serial path: the caller's own worker, reduced like the pool's
 
 	fc forceCall // force-pass state, reused across calls
 }
-
-// serialWorkMax is the pairwise-interaction count below which the force
-// evaluation stays on the caller's goroutine: the pool handoff costs more
-// than the work.
-const serialWorkMax = 4096
-
-// predictPoolMin is the j-memory size from which a pass on a stale
-// prediction cache goes to the pool however small the block: striping
-// the predict over the workers then pays for the handoff.
-const predictPoolMin = 256
 
 // span is one claimable unit of a force pass: slots [lo, hi) of one chip.
 type span struct {
@@ -173,7 +162,7 @@ func New(cfg Config) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Array{cfg: cfg, caller: []*forceWorker{{}}}
+	a := &Array{cfg: cfg}
 	a.chips = make([]*chip.Chip, cfg.TotalChips())
 	for i := range a.chips {
 		a.chips[i] = chip.New(cfg.Chip)
@@ -247,12 +236,11 @@ func (a *Array) loadPaged(ps []chip.JParticle) error {
 }
 
 // UpdateJ rewrites the memory image of an already-loaded particle. In
-// resident mode, when the owning chip's prediction cache is current,
-// only that particle's cached prediction is re-evaluated (see
-// chip.WriteJ), so a block update costs O(block) predictor evaluations
-// instead of O(N_j) at the next same-time force pass. In paged mode the
-// update is a single host-side slot write — the next force pass streams
-// the new state with everything else.
+// resident mode it is one slot write into the owning chip, which marks
+// that chip's prediction cache stale (chip.WriteJ): the next force pass
+// re-predicts the chip's slots span by span, as it does at every new block
+// time. In paged mode the update is a single host-side slot write — the
+// next force pass streams the new state with everything else.
 func (a *Array) UpdateJ(p chip.JParticle) error {
 	pos, ok := a.loc.Slot(p.ID)
 	if !ok {
@@ -281,12 +269,11 @@ type forceCall struct {
 	wg    sync.WaitGroup
 }
 
-// forceWorker holds reusable result slabs: one per pool goroutine, parked
-// on the jobs channel between calls, and one the caller runs itself on
-// the serial path. Within a pass it pre-merges the partials of every span
-// it claims (exact integer adds, so the pre-merge is bit-identical to any
-// other merge order — the Section 3.4 property) and leaves the merged
-// slab for the caller to reduce.
+// forceWorker holds the reusable result slabs of one pool goroutine,
+// parked on the jobs channel between calls. Within a pass it pre-merges
+// the partials of every span it claims (exact integer adds, so the
+// pre-merge is bit-identical to any other merge order — the Section 3.4
+// property) and leaves the merged slab for the caller to reduce.
 type forceWorker struct {
 	jobs    chan *forceCall
 	merged  []chip.Partial // this worker's pre-merged partials, one per i
@@ -430,40 +417,25 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 	fc := &a.fc
 	fc.t, fc.is, fc.eps, fc.chips = t, is, eps, a.chips
 	fc.stale = fc.stale[:0]
-	stale := false
 	for _, ch := range a.chips {
-		s := !ch.PredictedAt(t)
-		fc.stale = append(fc.stale, s)
-		stale = stale || s
+		fc.stale = append(fc.stale, !ch.PredictedAt(t))
 		ch.MarkPredicted(t)
 	}
 
-	// Small workload: the goroutine handoff costs more than the work,
-	// unless a stale memory makes the predict worth striping.
-	procs := runtime.GOMAXPROCS(0)
-	serial := procs <= 1 || n*nj < serialWorkMax && (!stale || nj < predictPoolMin)
-	l := nj // one span per chip
-	if !serial {
-		l = stripeLen(nj)
-	}
+	l := stripeLen(nj)
 	fc.units = fc.units[:0]
 	for ci, ch := range a.chips {
 		fc.units = appendSpans(fc.units, ci, ch.NJ(), l)
 	}
 	fc.next = 0
-	workers := a.caller
-	if serial {
-		workers[0].doForce(fc)
-	} else {
-		workers = a.pool()
-		fc.wg.Add(len(workers))
-		for _, w := range workers {
-			//grapelint:ignore hotblock one parking handoff per worker per evaluation
-			w.jobs <- fc
-		}
-		//grapelint:ignore hotblock the single join per evaluation: the caller must not touch dst or the slabs while workers run
-		fc.wg.Wait()
+	workers := a.pool()
+	fc.wg.Add(len(workers))
+	for _, w := range workers {
+		//grapelint:ignore hotblock one parking handoff per worker per evaluation
+		w.jobs <- fc
 	}
+	//grapelint:ignore hotblock the single join per evaluation: the caller must not touch dst or the slabs while workers run
+	fc.wg.Wait()
 	fc.is = nil // do not retain the caller's batch across calls
 
 	// Reduction: exact merges, span distribution and order irrelevant by

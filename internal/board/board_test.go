@@ -81,15 +81,20 @@ func forces(a *Array, t float64, is []chip.IParticle, eps float64) ([]*chip.Part
 	return out, cycles
 }
 
-// chipForceBatch is the same convenience shape over chip.ForceBatchInto.
-func chipForceBatch(ch *chip.Chip, t float64, is []chip.IParticle, eps float64) ([]*chip.Partial, int64) {
-	slab := make([]chip.Partial, len(is))
-	cycles := ch.ForceBatchInto(slab, t, is, eps)
-	out := make([]*chip.Partial, len(is))
-	for i := range slab {
-		out[i] = &slab[i]
+// singleChipPartials is the reference every striping of the board must
+// match bit for bit (the Section 3.4 partition invariance): one chip of cfg,
+// its memory widened to the whole of js, evaluating the batch over every
+// slot with ForceBatchRangeInto.
+func singleChipPartials(t testing.TB, cfg chip.Config, js []chip.JParticle, tm float64, is []chip.IParticle, eps float64) []chip.Partial {
+	t.Helper()
+	cfg.MemCapacity = max(cfg.MemCapacity, len(js))
+	ch := chip.New(cfg)
+	if err := ch.LoadJ(js); err != nil {
+		t.Fatal(err)
 	}
-	return out, cycles
+	dst := make([]chip.Partial, len(is))
+	ch.ForceBatchRangeInto(dst, tm, is, eps, 0, len(js))
+	return dst
 }
 
 // smallConfig keeps emulation cheap for functional tests.
@@ -124,6 +129,7 @@ func loadPlummer(t testing.TB, a *Array, n int, seed uint64) ([]chip.JParticle, 
 
 func TestLoadDistribution(t *testing.T) {
 	a := New(smallConfig())
+	defer a.Close()
 	loadPlummer(t, a, 100, 1)
 	if a.NJ() != 100 {
 		t.Errorf("NJ = %d", a.NJ())
@@ -143,15 +149,11 @@ func TestArrayMatchesSingleChip(t *testing.T) {
 	eps := 1.0 / 64
 
 	a := New(smallConfig())
+	defer a.Close()
 	js, is := loadPlummer(t, a, n, 2)
 	got, _ := forces(a, 0, is[:8], eps)
 
-	cfg := smallConfig().Chip
-	single := chip.New(cfg)
-	if err := single.LoadJ(js); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := chipForceBatch(single, 0, is[:8], eps)
+	want := singleChipPartials(t, smallConfig().Chip, js, 0, is[:8], eps)
 
 	for i := range got {
 		for c := 0; c < 3; c++ {
@@ -180,12 +182,14 @@ func TestDifferentBoardCountsBitIdentical(t *testing.T) {
 	c1 := smallConfig()
 	c1.Boards = 1
 	a1 := New(c1)
+	defer a1.Close()
 	_, is := loadPlummer(t, a1, n, 3)
 	r1, _ := forces(a1, 0, is[:4], eps)
 
 	c4 := smallConfig()
 	c4.Boards = 4
 	a4 := New(c4)
+	defer a4.Close()
 	loadPlummer(t, a4, n, 3)
 	r4, _ := forces(a4, 0, is[:4], eps)
 
@@ -198,6 +202,7 @@ func TestDifferentBoardCountsBitIdentical(t *testing.T) {
 
 func TestUpdateJ(t *testing.T) {
 	a := New(smallConfig())
+	defer a.Close()
 	loadPlummer(t, a, 32, 4)
 	f := a.Config().Chip.Format
 	p, err := chip.MakeJParticle(f, 7, 0.5, 2.0, vec.New(9, 9, 9), vec.Zero, vec.Zero, vec.Zero, vec.Zero)
@@ -216,6 +221,7 @@ func TestUpdateJ(t *testing.T) {
 
 func TestUpdateJChangesForce(t *testing.T) {
 	a := New(smallConfig())
+	defer a.Close()
 	js, is := loadPlummer(t, a, 16, 5)
 	before, _ := forces(a, 0, is[:1], 1.0/64)
 	accBefore := before[0].Acc[0].Sum
@@ -238,6 +244,7 @@ func TestUpdateJChangesForce(t *testing.T) {
 func TestCycleModel(t *testing.T) {
 	cfg := smallConfig()
 	a := New(cfg)
+	defer a.Close()
 	loadPlummer(t, a, 80, 6) // 10 per chip
 	_, cycles := forces(a, 0, make([]chip.IParticle, 1), 0.1)
 	// One pass: 8 × 10 + depth, plus reduction stages:
@@ -250,6 +257,7 @@ func TestCycleModel(t *testing.T) {
 
 func TestTimeFor(t *testing.T) {
 	a := New(smallConfig())
+	defer a.Close()
 	if got := a.TimeFor(90e6); math.Abs(got-1.0) > 1e-12 {
 		t.Errorf("TimeFor(90e6 cycles @ 90MHz) = %v s", got)
 	}
@@ -267,23 +275,26 @@ func TestLog2Ceil(t *testing.T) {
 }
 
 func TestForcesParallelPathMatchesSerial(t *testing.T) {
-	// Large-enough workload takes the goroutine fan-out path; results must
-	// be identical to the small-workload serial path.
-	cfg := smallConfig()
-	a := New(cfg)
-	_, is := loadPlummer(t, a, 512, 7)
+	// The pool's striped pass — one i-particle and a batch of 64 — must
+	// match a serial single-chip stream over the whole j-set.
+	a := New(smallConfig())
+	defer a.Close()
+	js, is := loadPlummer(t, a, 512, 7)
 	eps := 1.0 / 64
-	// Serial (1 i-particle → below threshold).
-	serial, _ := forces(a, 0, is[:1], eps)
-	// Parallel (many i-particles → above threshold).
-	parallel, _ := forces(a, 0, is[:64], eps)
-	if serial[0].Acc[0].Sum != parallel[0].Acc[0].Sum {
-		t.Error("parallel chip fan-out changed result bits")
+	for _, ni := range []int{1, 64} {
+		got, _ := forces(a, 0, is[:ni], eps)
+		want := singleChipPartials(t, a.Config().Chip, js, 0, is[:ni], eps)
+		for i := range got {
+			if *got[i] != want[i] {
+				t.Fatalf("%d i-particles: i=%d: the pool changed result bits", ni, i)
+			}
+		}
 	}
 }
 
 func TestExponentsPreserved(t *testing.T) {
 	a := New(smallConfig())
+	defer a.Close()
 	_, is := loadPlummer(t, a, 16, 8)
 	is[0].ExpAcc, is[0].ExpJerk, is[0].ExpPot = 10, 11, 12
 	out, _ := forces(a, 0, is[:1], 1.0/64)
@@ -297,6 +308,7 @@ func TestExponentsPreserved(t *testing.T) {
 func BenchmarkArrayForces128(b *testing.B) {
 	cfg := smallConfig()
 	a := New(cfg)
+	defer a.Close()
 	_, is := loadPlummer(b, a, 1024, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

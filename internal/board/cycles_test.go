@@ -11,10 +11,10 @@ import (
 // compared the deleted analytic mirror with ForcesInto (the pipeline's test
 // floor holds it). What it pins now is what made the mirror redundant: the
 // cycle count ForcesInto returns depends on the i-count and the loaded
-// j-set alone — the serial and the pooled path report the same number for
-// resident and paged sets, and the resident number is the cycle model's
-// lockstep maximum plus the reduction latency — so the grape6d scheduler
-// can charge a session the array's own return value.
+// j-set alone — a pool of one worker and a pool of four report the same
+// number for resident and paged sets, and the resident number is the
+// cycle model's lockstep maximum plus the reduction latency — so the
+// grape6d scheduler can charge a session the array's own return value.
 func TestBatchCyclesForMatchesForcesInto(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	paged := smallConfig()
@@ -36,19 +36,23 @@ func TestBatchCyclesForMatchesForcesInto(t *testing.T) {
 		}
 		dst := make([]chip.Partial, len(is))
 		for _, n := range []int{1, 8, 48, 96, 200} {
+			// The pool is sized when it spawns: Close between the two
+			// widths so each evaluation runs on the width it names.
 			runtime.GOMAXPROCS(1)
-			serial := a.ForcesInto(dst[:n], 0.015625, is[:n], 1.0/64)
+			one := a.ForcesInto(dst[:n], 0.015625, is[:n], 1.0/64)
+			a.Close()
 			runtime.GOMAXPROCS(4)
 			pooled := a.ForcesInto(dst[:n], 0.015625, is[:n], 1.0/64)
-			if serial != pooled {
-				t.Errorf("%s: %d i-particles cost %d cycles on the serial path, %d on the pool", tc.name, n, serial, pooled)
+			a.Close()
+			if one != pooled {
+				t.Errorf("%s: %d i-particles cost %d cycles on one worker, %d on four", tc.name, n, one, pooled)
 			}
 			if tc.paged {
 				continue
 			}
 			perChip := (tc.n + len(a.chips) - 1) / len(a.chips)
-			if want := tc.cfg.Chip.BatchCycles(n, perChip) + a.reductionCycles(); serial != want {
-				t.Errorf("%s: %d i-particles cost %d cycles, the cycle model says %d", tc.name, n, serial, want)
+			if want := tc.cfg.Chip.BatchCycles(n, perChip) + a.reductionCycles(); one != want {
+				t.Errorf("%s: %d i-particles cost %d cycles, the cycle model says %d", tc.name, n, one, want)
 			}
 		}
 	}

@@ -60,8 +60,8 @@ func TestGoldenBitIdentityWorkerPool(t *testing.T) {
 	// The parallel path — workers pre-merging their chips' partials locally
 	// before the cross-worker merge — must also match the seed kernel bit
 	// for bit (Section 3.4: integer accumulator adds are exact, so merge
-	// order is irrelevant). Force GOMAXPROCS > 1 so the pool actually runs
-	// even on single-CPU hosts.
+	// order is irrelevant). Force GOMAXPROCS > 1 so the pool is wider than
+	// one worker even on single-CPU hosts.
 	forceParallel(t)
 	got := goldenWorkloadHash(t, smallConfig(), func(a *Array, is []chip.IParticle) []*chip.Partial {
 		out, _ := forces(a, 0.015625, is, 1.0/64)
@@ -75,10 +75,10 @@ func TestGoldenBitIdentityWorkerPool(t *testing.T) {
 	}
 }
 
-// eachProcs runs f under the GOMAXPROCS ladder of the partition tests: 1
-// takes the serial path, the others size the pool and, through stripeLen,
-// cut the chip memories into different (chip, j-range) spans claimed by
-// different workers.
+// eachProcs runs f under the GOMAXPROCS ladder of the partition tests: the
+// ladder sizes the pool from one worker up and, through stripeLen, cuts the
+// chip memories into different (chip, j-range) spans claimed by different
+// workers.
 func eachProcs(t *testing.T, f func(procs int)) {
 	old := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -93,10 +93,9 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 	// invisible in the result bits: the golden workload reproduces the seed
 	// kernel hash exactly at every pool width. The small-block cases are
 	// 1-3 i-particles right after LoadJ, on the resident set and on one
-	// page of a paged set: below serialWorkMax, but on a stale memory of at
-	// least predictPoolMin j-particles, so the pass still goes to the pool,
-	// each span predicting its own slots. It must match the caller-run
-	// pass of GOMAXPROCS 1 and leave every chip's cache at t.
+	// page of a paged set: a stale memory, each span predicting its own
+	// slots. They must match the single-chip reference and leave every
+	// chip's cache at t.
 	small := []struct {
 		name string
 		cfg  Config
@@ -105,7 +104,6 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 		{"resident", smallConfig(), 512},
 		{"paged", pagedConfig(64), 2048}, // 4 pages of 512
 	}
-	want := make([][][]chip.Partial, len(small))
 	eachProcs(t, func(procs int) {
 		got := goldenWorkloadHash(t, smallConfig(), func(a *Array, is []chip.IParticle) []*chip.Partial {
 			out, _ := forces(a, 0.015625, is, 1.0/64)
@@ -115,7 +113,7 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 			t.Errorf("GOMAXPROCS %d: hash %#016x differs from seed kernel %#016x", procs, got, seedKernelHash)
 		}
 
-		for k, tc := range small {
+		for _, tc := range small {
 			a := New(tc.cfg)
 			js, is := loadPlummer(t, a, tc.nj, 5)
 			for ni := 1; ni <= 3; ni++ {
@@ -125,16 +123,10 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 				const tm = 0x1p-6
 				dst := make([]chip.Partial, ni)
 				a.ForcesInto(dst, tm, is[:ni], 1.0/64)
-				if procs == 1 {
-					want[k] = append(want[k], dst)
-				} else {
-					for q := range dst {
-						if dst[q] != want[k][ni-1][q] {
-							t.Errorf("%s, GOMAXPROCS %d, %d i-particles: partial %d differs from the caller-run pass", tc.name, procs, ni, q)
-						}
-					}
-					if a.workers.Load() == nil {
-						t.Errorf("%s, GOMAXPROCS %d: stale-cache pass did not run on the pool", tc.name, procs)
+				want := singleChipPartials(t, tc.cfg.Chip, js, tm, is[:ni], 1.0/64)
+				for q := range dst {
+					if dst[q] != want[q] {
+						t.Errorf("%s, GOMAXPROCS %d, %d i-particles: partial %d differs from the single-chip reference", tc.name, procs, ni, q)
 					}
 				}
 				for c, ch := range a.chips {
@@ -152,8 +144,9 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 // workload: every block advances the time (so the same-t predict memo
 // never hits), evaluates forces on a 4-particle block and writes the
 // corrected block back through UpdateJ — exercising the force pass on a
-// stale cache, each span predicting its own slots, and slot-level cache
-// patching together. Captured from the serial pre-optimization path.
+// stale cache, each span predicting its own slots, together with the
+// memory writes between passes. Captured from the serial
+// pre-optimization path.
 const multiStepHash = 0x12ad9bc6633aaa87
 
 // multiStepWorkloadHash runs the workload on a.
@@ -192,8 +185,8 @@ func multiStepWorkloadHash(t *testing.T, a *Array) uint64 {
 			w(int64(p.NN))
 		}
 		// Corrector stand-in: rewrite the block particles' memory images
-		// with T0 = tm and deterministically perturbed state — slot-patch
-		// traffic against the still-current prediction cache.
+		// with T0 = tm and deterministically perturbed state — the write
+		// traffic between two force passes.
 		for q := 0; q < nb; q++ {
 			j := js[lo+q]
 			j.T0 = tm
@@ -213,10 +206,13 @@ func multiStepWorkloadHash(t *testing.T, a *Array) uint64 {
 }
 
 func TestGoldenMultiStepSerial(t *testing.T) {
+	// One processor: the pool is a single worker running every span in
+	// turn.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a := New(smallConfig())
 	defer a.Close()
 	if got := multiStepWorkloadHash(t, a); got != multiStepHash {
-		t.Errorf("serial multi-step hash %#016x, want %#016x", got, multiStepHash)
+		t.Errorf("one-worker multi-step hash %#016x, want %#016x", got, multiStepHash)
 	}
 }
 
@@ -230,7 +226,7 @@ func TestGoldenMultiStepParallel(t *testing.T) {
 }
 
 func TestGoldenMultiStepTiled(t *testing.T) {
-	// The full individual-timestep loop — predict, force, slot-patch — must
+	// The full individual-timestep loop — predict, force, write back — must
 	// match the serial pre-optimization hash however wide the pool: 2048
 	// j-particles stripe into spans of 256, 170 and 64 slots at 2, 3 and 8.
 	eachProcs(t, func(procs int) {

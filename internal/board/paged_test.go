@@ -63,6 +63,7 @@ func TestPagedMatchesResidentAcrossCapacities(t *testing.T) {
 
 	for _, capacity := range []int{5, 16, 37} {
 		a := New(pagedConfig(capacity))
+		defer a.Close()
 		js, _ := loadPlummer(t, a, 300, 9)
 		if !a.paged {
 			t.Fatalf("capacity %d: expected paged mode for 300 particles", capacity)

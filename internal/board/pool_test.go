@@ -7,8 +7,8 @@ import (
 	"grape6/internal/chip"
 )
 
-// forceParallel raises GOMAXPROCS so ForcesInto takes the worker-pool path
-// even on single-CPU hosts (where it would otherwise stay serial).
+// forceParallel raises GOMAXPROCS so the worker pool is several workers
+// wide even on single-CPU hosts.
 func forceParallel(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
@@ -18,19 +18,19 @@ func TestWorkerPoolPersistsAcrossCalls(t *testing.T) {
 	forceParallel(t)
 	a := New(smallConfig())
 	defer a.Close()
-	_, is := loadPlummer(t, a, 512, 7)
+	js, is := loadPlummer(t, a, 512, 7)
 
-	// First large call spawns the pool.
+	// The first call spawns the pool.
 	r1, _ := forces(a, 0, is[:64], 1.0/64)
 	wp := a.workers.Load()
 	if wp == nil || len(*wp) == 0 {
-		t.Fatal("no worker pool after a large Forces call")
+		t.Fatal("no worker pool after a Forces call")
 	}
 	workers := *wp
 
 	// Further calls — larger, smaller, and tiny — reuse it. The tiny one
-	// (7 × 512 pairs at the same t, below serialWorkMax on a current
-	// cache) runs on the caller's goroutine and must agree with the pool.
+	// (7 × 512 pairs at the same t, on a current cache) must agree with
+	// one chip holding the whole j-set.
 	forces(a, 0, is[:128], 1.0/64)
 	forces(a, 0, is[:16], 1.0/64)
 	tiny, _ := forces(a, 0, is[:7], 1.0/64)
@@ -49,9 +49,10 @@ func TestWorkerPoolPersistsAcrossCalls(t *testing.T) {
 			t.Fatalf("i=%d: repeated evaluation changed bits", i)
 		}
 	}
+	want := singleChipPartials(t, a.Config().Chip, js, 0, is[:7], 1.0/64)
 	for i := range tiny {
-		if *tiny[i] != *r1[i] {
-			t.Errorf("i=%d: serial path differs from the pool", i)
+		if *tiny[i] != want[i] {
+			t.Errorf("i=%d: pool differs from the single-chip reference", i)
 		}
 	}
 }
@@ -118,7 +119,7 @@ func BenchmarkArrayForces(b *testing.B) {
 // evaluation, one channel handoff per worker plus one WaitGroup join.
 // Steady state must stay allocation-free.
 func BenchmarkArrayDispatch(b *testing.B) {
-	old := runtime.GOMAXPROCS(4) // engage the pool even on small hosts
+	old := runtime.GOMAXPROCS(4) // a pool of four even on small hosts
 	defer runtime.GOMAXPROCS(old)
 	a := New(smallConfig())
 	defer a.Close()
@@ -151,31 +152,27 @@ func BenchmarkArrayForces64k(b *testing.B) {
 
 // TestForcesIntoFewParticlesAcrossProcs holds the smallest blocks — one
 // i-particle (both lanes of the chip kernel, over the halves of each
-// span), a pair, a pair and a lone one — to the same partials however the
-// evaluation is striped: on the caller's goroutine, across a pool of two,
-// and across a pool of four, which on a two-processor host leaves workers
-// that find no span left to claim.
+// span), a pair, a pair and a lone one — to the single-chip reference
+// however the evaluation is striped: on a pool of one, of two, and of
+// four, which on a two-processor host leaves workers that find no span
+// left to claim.
 func TestForcesIntoFewParticlesAcrossProcs(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	const nj = 4801 // uneven chip loads, odd spans; 1 × nj is above serialWorkMax
-	var want [][]*chip.Partial
+	const nj = 4801 // uneven chip loads, odd spans
 	for _, tc := range []struct {
 		procs int
 		path  string
-	}{{1, "serial"}, {2, "pool"}, {4, "pool with idle workers"}} {
+	}{{1, "one worker"}, {2, "pool"}, {4, "pool with idle workers"}} {
 		runtime.GOMAXPROCS(tc.procs)
 		a := New(smallConfig())
-		_, is := loadPlummer(t, a, nj, 11)
+		js, is := loadPlummer(t, a, nj, 11)
 		for ni := 1; ni <= 3; ni++ {
 			got, _ := forces(a, 0x1p-6, is[100:100+ni], 1.0/64)
-			if tc.procs == 1 {
-				want = append(want, got)
-				continue
-			}
+			want := singleChipPartials(t, a.Config().Chip, js, 0x1p-6, is[100:100+ni], 1.0/64)
 			for q := range got {
-				if *got[q] != *want[ni-1][q] {
-					t.Errorf("%s (GOMAXPROCS %d), %d i-particles: partial %d differs from the serial path", tc.path, tc.procs, ni, q)
+				if *got[q] != want[q] {
+					t.Errorf("%s (GOMAXPROCS %d), %d i-particles: partial %d differs from the single-chip reference", tc.path, tc.procs, ni, q)
 				}
 			}
 		}

@@ -278,11 +278,9 @@ func (ch *Chip) TruncateJ(n int) error {
 }
 
 // WriteJ updates one memory slot (the host's j-particle update path after
-// a block is corrected). When the prediction cache is current, only the
-// written slot's cached prediction is re-evaluated — PredictParticle is
-// deterministic per (particle, t), so patching one slot at the cached time
-// is bit-identical to invalidating and cold re-predicting the whole
-// memory, at 1/NJ of the cost.
+// a block is corrected). The prediction cache is invalidated: the next
+// force pass re-predicts the memory, which it does at every new block
+// time anyway.
 func (ch *Chip) WriteJ(slot int, p JParticle) error {
 	if slot < 0 || slot >= len(ch.mem) {
 		return fmt.Errorf("chip: slot %d out of range [0,%d)", slot, len(ch.mem))
@@ -290,13 +288,7 @@ func (ch *Chip) WriteJ(slot int, p JParticle) error {
 	ch.mem[slot] = p
 	ch.mass[slot] = p.Mass
 	ch.id[slot] = p.ID
-	if ch.predOK {
-		x, v := PredictParticle(ch.cfg.Format, &p, ch.predT)
-		for c := 0; c < 3; c++ {
-			ch.px[c][slot] = x[c]
-			ch.pv[c][slot] = v[c]
-		}
-	}
+	ch.predOK = false
 	return nil
 }
 

@@ -50,10 +50,10 @@ func requireSameCache(t *testing.T, got, want *Chip, label string) {
 	}
 }
 
-// TestSlotPatchMatchesColdRepredict pins the WriteJ cache-patching
-// behaviour: updating a slot while the prediction cache is current must
-// leave the cache bit-identical to discarding it and re-predicting the
-// whole memory from scratch.
+// TestSlotPatchMatchesColdRepredict pins WriteJ against a current
+// prediction cache: a slot write invalidates the cache, and the next
+// Predict at the same time leaves it bit-identical to a fresh chip loaded
+// with the updated set and predicted from scratch.
 func TestSlotPatchMatchesColdRepredict(t *testing.T) {
 	const n = 64
 	ch, js := loadRandomChip(t, n, 5)
@@ -75,9 +75,10 @@ func TestSlotPatchMatchesColdRepredict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !ch.PredictedAt(tm) {
-		t.Fatal("WriteJ invalidated a patchable prediction cache")
+	if ch.PredictedAt(tm) {
+		t.Fatal("WriteJ left the prediction cache valid")
 	}
+	ch.Predict(tm)
 
 	// Cold reference: fresh chip, updated particle set, full predict.
 	cold := New(Default)
@@ -85,12 +86,11 @@ func TestSlotPatchMatchesColdRepredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold.Predict(tm)
-	requireSameCache(t, ch, cold, "patched vs cold")
+	requireSameCache(t, ch, cold, "written vs cold")
 }
 
-// TestWriteJStalePredictionInvalidates pins the other half of the WriteJ
-// contract: with no current prediction the cache must stay invalid, and a
-// later Predict must reflect the write.
+// TestWriteJStalePredictionInvalidates pins WriteJ on a cold cache: with
+// no current prediction the cache must stay invalid.
 func TestWriteJStalePredictionInvalidates(t *testing.T) {
 	ch, js := loadRandomChip(t, 8, 9)
 	if ch.PredictedAt(0.25) {

@@ -100,6 +100,15 @@ func NewSimulator(sys *nbody.System, cfg Config) (*Simulator, error) {
 	return &Simulator{cfg: cfg, sys: sys, it: it, gb: gb}, nil
 }
 
+// Close releases the emulated hardware the simulator owns: the worker
+// pool of a Grape backend's array. It is a no-op for Direct and on repeat
+// calls.
+func (s *Simulator) Close() {
+	if s.gb != nil {
+		s.gb.Close()
+	}
+}
+
 // System returns the simulated system (live view).
 func (s *Simulator) System() *nbody.System { return s.sys }
 

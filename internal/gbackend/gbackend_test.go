@@ -224,9 +224,8 @@ func TestSpeedAccountingPlausible(t *testing.T) {
 func TestIntegrationTileInvariant(t *testing.T) {
 	// How the pool cuts and shares the j-memory is invisible end to end: a
 	// full Hermite integration on the emulated hardware is bit-identical,
-	// down to the last position bit, at every GOMAXPROCS — 1 is the serial
-	// path throughout, the others a pool of that width for the blocks above
-	// board's serial threshold (16 of these 256 particles).
+	// down to the last position bit, at every GOMAXPROCS — the width of
+	// the board's pool, one worker at 1.
 	old := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 	eps := 1.0 / 64

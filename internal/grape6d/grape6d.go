@@ -22,11 +22,11 @@
 // without allocating, and j-sets larger than the chips page through the
 // LoadJRange streaming path) unless it already holds the image's current
 // generation, and a request prefers a free array that does. The swap
-// changes which silicon computes, never what is computed: chip.WriteJ
-// slot patching is pinned bit-identical to a cold re-predict, so a
-// session that bounced between arrays produces the same trajectory as
-// one that owned an array outright. While one session is in its host
-// phase, another session's evaluation occupies the fleet.
+// changes which silicon computes, never what is computed: a prediction
+// depends only on (particle, t) and the reduction is exact integer
+// addition, so a session that bounced between arrays produces the same
+// trajectory as one that owned an array outright. While one session is in
+// its host phase, another session's evaluation occupies the fleet.
 //
 // The scheduler keeps no predictor state: the array's force pass predicts
 // a swapped-in image itself, and Session.Yield and Session.BeginPredict

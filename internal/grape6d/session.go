@@ -94,7 +94,7 @@ func (s *Session) index(ps []chip.JParticle) bool {
 // UpdateJ implements gbackend.Array: it rewrites one particle of the
 // j-image. If a slot holds the current generation of the image and is
 // idle, the write goes through to that silicon immediately (chip.WriteJ
-// slot patching is pinned bit-identical to a cold reload) and the slot
+// marks the chip's prediction stale, as a cold reload does) and the slot
 // is stamped with the new generation; every other resident copy is now
 // one generation behind and the next dispatch there reloads the image
 // wholesale — same bits either way. Once the scheduler is closed nothing

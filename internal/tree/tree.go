@@ -11,9 +11,8 @@ package tree
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
+	"grape6/internal/direct"
 	"grape6/internal/vec"
 )
 
@@ -299,34 +298,10 @@ func (t *Tree) cellForce(nd *node, p, d vec.V3, r2 float64, f *Force) {
 // host's cores.
 func (t *Tree) AccelAll(ps []vec.V3) []Force {
 	out := make([]Force, len(ps))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ps) {
-		workers = len(ps)
-	}
-	if workers <= 1 {
-		for i, p := range ps {
-			out[i] = t.Accel(p)
+	direct.ParallelFor(len(ps), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = t.Accel(ps[i])
 		}
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (len(ps) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(ps) {
-			hi = len(ps)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = t.Accel(ps[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }
