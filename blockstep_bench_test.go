@@ -4,7 +4,7 @@
 // isolates the scheduling cost itself — bucketed O(active block)
 // selection against the retired O(N) MinTime scan — on identical
 // synthetic step spectra at N = 64k and N = 1M. BenchmarkStreamLoadJ
-// measures the paged j-memory force path, and
+// measures a multi-page j-set's force path, and
 // BenchmarkAhmadCohenBlockStep the neighbour-scheme steady state.
 package grape6_test
 
@@ -108,7 +108,7 @@ func BenchmarkBlockScanStep64k(b *testing.B)  { benchBlockScan(b, 65536) }
 func BenchmarkBlockSchedStep1M(b *testing.B)  { benchBlockSched(b, 1048576) }
 func BenchmarkBlockScanStep1M(b *testing.B)   { benchBlockScan(b, 1048576) }
 
-// BenchmarkStreamLoadJ is the paged j-memory force path: a 64k Plummer
+// BenchmarkStreamLoadJ is a multi-page set's force path: a 64k Plummer
 // j-set streamed through 4 chips of 4096 slots (4 fleet pages per force
 // evaluation) for a 48-particle i-batch — the bounded-memory chip model
 // evaluating a j-set 4× its combined capacity.

@@ -6,10 +6,11 @@
 // network board.
 //
 // All j-particles attached to one host are distributed across the chips'
-// local memories; every pipeline calculates forces on the same i-particle
-// set, and the partial forces are summed exactly by the FPGA reduction
-// trees — so the merged result is bit-identical to a single-chip
-// evaluation of the same j-set (the Section 3.4 property).
+// local memories in balanced contiguous chunks, a page at a time when the
+// set outgrows their combined capacity; every pipeline calculates forces
+// on the same i-particle set, and the partial forces are summed exactly
+// by the FPGA reduction trees — so the merged result is bit-identical to
+// a single-chip evaluation of the same j-set (the Section 3.4 property).
 package board
 
 import (
@@ -72,14 +73,24 @@ func (c Config) PeakFlops() float64 {
 
 // Array is the emulated multi-board attachment of one host.
 //
-// A force evaluation is one pass over (chip, j-range) spans: a span on a
-// chip whose prediction cache is stale first predicts its own j-slots and
-// then forces the i-batch against them — the chip's predictor pipeline
-// feeding the force pipelines as j-particles stream from memory, with no
-// barrier between the two. The spans are striped over a persistent worker
-// pool: GOMAXPROCS goroutines spawned once (lazily, on the first force
-// call), each with reusable partial slabs, parked on a job channel between
-// calls — the emulation counterpart of the real chips running
+// The loaded j-set lives host-side in load order (the frontend's RAM,
+// which on the real machine also holds the canonical particle data) and
+// reaches the chips in pages of at most MemCapacity slots per chip, each
+// chip taking a balanced contiguous chunk of the page. A set that fits the
+// chips' combined memory is one page, loaded once by LoadJ and rewritten
+// slot by slot by UpdateJ; a larger set streams through the chips page by
+// page on every force evaluation. The merged result is the same either
+// way: the Section 3.4 partition invariance covers a split in time
+// (pages) as it covers a split in space (chips).
+//
+// A force evaluation is one pass over (chip, j-range) spans per page: a
+// span on a chip whose prediction cache is stale first predicts its own
+// j-slots and then forces the i-batch against them — the chip's predictor
+// pipeline feeding the force pipelines as j-particles stream from memory,
+// with no barrier between the two. The spans are striped over a persistent
+// worker pool: GOMAXPROCS goroutines spawned once (lazily, on the first
+// force call), each with reusable partial slabs, parked on a job channel
+// between calls — the emulation counterpart of the real chips running
 // continuously. Workers claim spans with an atomic cursor, so every core
 // participates even when the configuration has fewer chips than the host
 // has cores; at GOMAXPROCS 1 the pool is one worker. Each worker
@@ -100,24 +111,11 @@ func (c Config) PeakFlops() float64 {
 type Array struct {
 	cfg   Config
 	chips []*chip.Chip
-	loc   nbody.IDIndex // particle id → load position
-	ids   []int         // loc's rebuild input, reused across loads
-	nj    int
+	jhost []chip.JParticle // the loaded set in load order
+	loc   nbody.IDIndex    // particle id → load position (jhost slot)
+	ids   []int            // loc's rebuild input, reused across loads
 
-	// Paged j-memory (j-sets exceeding the chips' combined capacity):
-	// the full set lives host-side in jhost and force evaluations stream
-	// it through the chips page by page. In paged mode a particle's load
-	// position is its jhost slot; in resident mode position i maps to
-	// chip i%nc, slot i/nc (the round-robin distribution).
-	paged       bool
-	jhost       []chip.JParticle
 	pageScratch []chip.Partial // per-page partials merged into dst
-
-	// loadBuckets is the per-chip staging of LoadJ, reused across calls
-	// so that swapping j-sets (the grape6d scheduler re-loads a session's
-	// j-image every time it swaps a tenant in) allocates nothing in
-	// steady state.
-	loadBuckets [][]chip.JParticle
 
 	mu      sync.Mutex                     // serializes pool spawn and Close (slow paths)
 	workers atomic.Pointer[[]*forceWorker] // force paths read it lock-free
@@ -174,84 +172,73 @@ func New(cfg Config) *Array {
 func (a *Array) Config() Config { return a.cfg }
 
 // NJ returns the number of loaded j-particles.
-func (a *Array) NJ() int { return a.nj }
+func (a *Array) NJ() int { return len(a.jhost) }
 
-// LoadJ installs a j-set. When it fits the chips' combined memory the
-// particles are distributed across the local memories in round-robin
-// order (so each chip holds ≈ N/TotalChips particles, the GRAPE-6
-// local-memory design of Section 3.4); a larger set switches the Array
-// to paged mode, where the set lives host-side and force evaluations
-// stream it through the chips page by page (bit-identical results by
-// the Section 3.4 partition invariance).
+// LoadJ installs a j-set: it keeps a host copy in load order and places
+// page 0 on the chips, chip c holding load positions [⌊c·n/nc⌋,
+// ⌊(c+1)·n/nc⌋) of a one-page set of n (so each chip holds ≈ n/TotalChips
+// particles, the GRAPE-6 local-memory design of Section 3.4). A set larger
+// than the chips' combined memory is several pages, which force
+// evaluations stream through the chips in turn.
 func (a *Array) LoadJ(ps []chip.JParticle) error {
-	nc := len(a.chips)
-	if len(ps) > nc*a.cfg.Chip.MemCapacity {
-		return a.loadPaged(ps)
-	}
-	a.paged = false
-	a.jhost = a.jhost[:0]
-	if len(a.loadBuckets) != nc {
-		a.loadBuckets = make([][]chip.JParticle, nc)
-	}
-	buckets := a.loadBuckets
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
-	for i, p := range ps {
-		buckets[i%nc] = append(buckets[i%nc], p)
-	}
-	for c, b := range buckets {
-		if err := a.chips[c].LoadJ(b); err != nil {
-			return fmt.Errorf("board: chip %d: %w", c, err)
-		}
-	}
-	a.indexLoad(ps)
-	a.nj = len(ps)
-	return nil
-}
-
-// indexLoad points loc at the load positions of ps.
-func (a *Array) indexLoad(ps []chip.JParticle) {
+	a.jhost = append(a.jhost[:0], ps...)
 	a.ids = a.ids[:0]
 	for i := range ps {
 		a.ids = append(a.ids, ps[i].ID)
 	}
 	a.loc.Rebuild(a.ids)
+	return a.loadPage(0, a.pages())
 }
 
-// loadPaged keeps the whole j-set in host memory (the frontend's RAM,
-// which on the real machine also holds the canonical particle data) and
-// empties the chips; forcesPaged streams pages on demand.
-func (a *Array) loadPaged(ps []chip.JParticle) error {
-	a.paged = true
-	a.jhost = append(a.jhost[:0], ps...)
-	a.indexLoad(ps)
-	a.nj = len(ps)
+// pages returns the number of pages the loaded set takes: one while it
+// fits the chips' combined memory (the empty set included), else
+// ⌈n/(TotalChips·MemCapacity)⌉.
+func (a *Array) pages() int {
+	fleet := len(a.chips) * a.cfg.Chip.MemCapacity
+	return max(1, (len(a.jhost)+fleet-1)/fleet)
+}
+
+// chunk returns the jhost range [lo, hi) chip c holds while page p of np
+// is loaded. Page p covers [⌊p·n/np⌋, ⌊(p+1)·n/np⌋) and each chip takes a
+// balanced contiguous chunk of it, so chunk sizes differ by at most one
+// across the whole set and none exceeds MemCapacity.
+func (a *Array) chunk(p, np, c int) (lo, hi int) {
+	nc, n := len(a.chips), len(a.jhost)
+	lo = p * n / np
+	m := (p+1)*n/np - lo
+	return lo + c*m/nc, lo + (c+1)*m/nc
+}
+
+// loadPage replaces every chip's memory image with its chunk of page p.
+func (a *Array) loadPage(p, np int) error {
 	for c, ch := range a.chips {
-		if err := ch.TruncateJ(0); err != nil {
-			return fmt.Errorf("board: chip %d: %w", c, err)
+		lo, hi := a.chunk(p, np, c)
+		if err := ch.LoadJ(a.jhost[lo:hi]); err != nil {
+			return fmt.Errorf("board: page %d chip %d: %w", p, c, err)
 		}
 	}
 	return nil
 }
 
-// UpdateJ rewrites the memory image of an already-loaded particle. In
-// resident mode it is one slot write into the owning chip, which marks
-// that chip's prediction cache stale (chip.WriteJ): the next force pass
-// re-predicts the chip's slots span by span, as it does at every new block
-// time. In paged mode the update is a single host-side slot write — the
-// next force pass streams the new state with everything else.
+// UpdateJ rewrites the memory image of an already-loaded particle in the
+// host copy. On a one-page set it also writes the owning chip's slot,
+// which marks that chip's prediction cache stale (chip.WriteJ): the next
+// force pass re-predicts the chip's slots span by span, as it does at
+// every new block time. A multi-page set streams the new state with the
+// next force pass.
 func (a *Array) UpdateJ(p chip.JParticle) error {
 	pos, ok := a.loc.Slot(p.ID)
 	if !ok {
 		return fmt.Errorf("board: particle %d not loaded", p.ID)
 	}
-	if a.paged {
-		a.jhost[pos] = p
+	a.jhost[pos] = p
+	if a.pages() > 1 {
 		return nil
 	}
-	nc := len(a.chips)
-	return a.chips[pos%nc].WriteJ(pos/nc, p)
+	// The chip c with ⌊c·n/nc⌋ ≤ pos < ⌊(c+1)·n/nc⌋.
+	c := ((pos+1)*len(a.chips) - 1) / len(a.jhost)
+	lo, _ := a.chunk(0, 1, c)
+	return a.chips[c].WriteJ(pos-lo, p)
 }
 
 // forceCall is the shared state of one force pass. stale records, per
@@ -385,44 +372,66 @@ func (a *Array) BeginPredict(float64) {}
 // Steady-state callers reuse the slab, so a force evaluation allocates
 // nothing on either the caller's or the workers' side.
 //
-// Cycle model: all chips run in lockstep on the same i-set, so the force
-// time is the maximum chip time (the chips' memory loads differ by at most
-// one particle); the reduction trees add one pipeline stage per level:
-// ceil(log2 chips/module) within the module, ceil(log2 modules) on the
-// board, and ceil(log2 boards) on the network board. The cycle count is
-// computed analytically from the workload shape (chip.Config.BatchCycles),
-// so it is independent of how the emulation stripes the work across host
-// cores.
+// The evaluation is one loop over pages; it reloads the chips only when
+// the set is more than one page. Per-page partials merge into dst by
+// exact integer accumulator adds, so the page count cannot move a result
+// bit, and the reduction-tree latency is paid once, as the hardware would.
+//
+// Cycle model: all chips run in lockstep on the same i-set, so a page's
+// force time is the maximum chip time (the chips' chunks differ by at
+// most one particle); the reduction trees add one pipeline stage per
+// level: ceil(log2 chips/module) within the module, ceil(log2 modules) on
+// the board, and ceil(log2 boards) on the network board. The cycle count
+// is computed analytically from the workload shape
+// (chip.Config.BatchCycles), so it is independent of how the emulation
+// stripes the work across host cores.
 //
 //grape:hotpath
 func (a *Array) ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) int64 {
 	if len(dst) < len(is) {
 		panic(fmt.Sprintf("board: partial slab of %d for %d i-particles", len(dst), len(is)))
 	}
-	if a.paged {
-		return a.forcesPaged(dst, t, is, eps)
+	n := len(is)
+	np := a.pages()
+	var cycles int64
+	for p := 0; p < np; p++ {
+		if np > 1 {
+			if err := a.loadPage(p, np); err != nil {
+				panic(err)
+			}
+		}
+		d := dst[:n]
+		if p > 0 {
+			a.pageScratch = growPartials(a.pageScratch, n)
+			d = a.pageScratch[:n]
+		}
+		cycles += a.forcePage(d, t, is, eps)
+		if p > 0 {
+			for i := 0; i < n; i++ {
+				dst[i].Merge(&a.pageScratch[i])
+			}
+		}
 	}
-	return a.forcesResident(dst, t, is, eps, a.nj) + a.reductionCycles()
+	return cycles + a.reductionCycles()
 }
 
-// forcesResident evaluates the batch against the chip-resident j-set of
-// nj particles (the whole loaded set, or one streamed page) and returns
-// the lockstep chip cycles WITHOUT the reduction-tree latency — the
-// caller adds reductionCycles once per evaluation, since the paged path
-// merges page partials host-side and pays the trees once.
+// forcePage evaluates the batch against the page the chips hold and
+// returns the lockstep chip cycles without the reduction-tree latency.
 //
 //grape:hotpath
-func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticle, eps float64, nj int) int64 {
+func (a *Array) forcePage(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) int64 {
 	n := len(is)
 	fc := &a.fc
 	fc.t, fc.is, fc.eps, fc.chips = t, is, eps, a.chips
 	fc.stale = fc.stale[:0]
+	m := 0
 	for _, ch := range a.chips {
 		fc.stale = append(fc.stale, !ch.PredictedAt(t))
 		ch.MarkPredicted(t)
+		m += ch.NJ()
 	}
 
-	l := stripeLen(nj)
+	l := stripeLen(m)
 	fc.units = fc.units[:0]
 	for ci, ch := range a.chips {
 		fc.units = appendSpans(fc.units, ci, ch.NJ(), l)
@@ -469,66 +478,6 @@ func (a *Array) forcesResident(dst []chip.Partial, t float64, is []chip.IParticl
 		}
 	}
 	return maxCycles
-}
-
-// pageChunk returns the jhost range [lo, hi) chip c holds while page p of
-// the paged set streams through, ok false once p is past the last page.
-// Pages are balanced — npages = ceil(total/fleetPage) with a chip page of
-// MemCapacity slots, page p covers [p·total/npages, (p+1)·total/npages)
-// and each chip takes an equally balanced chunk of it — so chunk sizes
-// differ by at most one across the whole run.
-func (a *Array) pageChunk(p, c int) (lo, hi int, ok bool) {
-	nc, total := len(a.chips), len(a.jhost)
-	fleetPage := nc * a.cfg.Chip.MemCapacity
-	npages := (total + fleetPage - 1) / fleetPage
-	if p >= npages {
-		return 0, 0, false
-	}
-	lo = p * total / npages
-	m := (p+1)*total/npages - lo
-	return lo + c*m/nc, lo + (c+1)*m/nc, true
-}
-
-// forcesPaged evaluates the batch against the host-resident j-set by
-// streaming it through the chips page by page (pageChunk): with chunk
-// sizes steady the chip planes keep one footprint (no shrink-hysteresis
-// thrash) and the streaming steady state allocates nothing. Per-page
-// partials merge into dst by exact integer accumulator adds, so the
-// result is bit-identical to a hypothetical unbounded-memory resident
-// evaluation (the Section 3.4 partition invariance), and the
-// reduction-tree latency is paid once, as the hardware would.
-//
-//grape:hotpath
-func (a *Array) forcesPaged(dst []chip.Partial, t float64, is []chip.IParticle, eps float64) int64 {
-	n := len(is)
-	var cycles int64
-	for p := 0; ; p++ {
-		m := 0
-		for c, ch := range a.chips {
-			lo, hi, ok := a.pageChunk(p, c)
-			if !ok {
-				return cycles + a.reductionCycles()
-			}
-			if err := ch.LoadJRange(0, a.jhost[lo:hi]); err != nil {
-				panic(fmt.Sprintf("board: page %d chip %d: %v", p, c, err))
-			}
-			if err := ch.TruncateJ(hi - lo); err != nil {
-				panic(fmt.Sprintf("board: page %d chip %d: %v", p, c, err))
-			}
-			m += hi - lo
-		}
-		d := dst[:n]
-		if p > 0 {
-			a.pageScratch = growPartials(a.pageScratch, n)
-			d = a.pageScratch[:n]
-		}
-		cycles += a.forcesResident(d, t, is, eps, m)
-		if p > 0 {
-			for i := 0; i < n; i++ {
-				dst[i].Merge(&a.pageScratch[i])
-			}
-		}
-	}
 }
 
 // reductionCycles returns the pipeline latency of the three-level

@@ -130,15 +130,97 @@ func loadPlummer(t testing.TB, a *Array, n int, seed uint64) ([]chip.JParticle, 
 func TestLoadDistribution(t *testing.T) {
 	a := New(smallConfig())
 	defer a.Close()
-	loadPlummer(t, a, 100, 1)
+	js, _ := loadPlummer(t, a, 100, 1)
 	if a.NJ() != 100 {
 		t.Errorf("NJ = %d", a.NJ())
 	}
-	// 100 particles over 8 chips: 4 chips hold 13, 4 hold 12.
+	// 100 particles over 8 chips: chip c holds load positions
+	// [⌊c·100/8⌋, ⌊(c+1)·100/8⌋), 12 or 13 of them, in load order.
+	nc := len(a.chips)
 	for c, ch := range a.chips {
-		if ch.NJ() < 12 || ch.NJ() > 13 {
-			t.Errorf("chip %d holds %d particles, want 12-13", c, ch.NJ())
+		lo, hi := c*100/nc, (c+1)*100/nc
+		if ch.NJ() != hi-lo {
+			t.Fatalf("chip %d holds %d particles, want %d", c, ch.NJ(), hi-lo)
 		}
+		for k := 0; k < ch.NJ(); k++ {
+			if got, want := ch.ID(k), js[lo+k].ID; got != want {
+				t.Errorf("chip %d slot %d holds id %d, want %d", c, k, got, want)
+			}
+		}
+	}
+}
+
+// TestUpdateJWriteThrough pins UpdateJ's map from a load position to its
+// chip and slot: after every particle of the set is rewritten, forces and
+// cycles must equal, bit for bit, those of a fresh array loaded with the
+// rewritten set. The sizes cover fewer particles than chips, one and one
+// more than a particle per chip, a ragged split, the fullest one-page set
+// and the smallest multi-page set.
+func TestUpdateJWriteThrough(t *testing.T) {
+	cfg := pagedConfig(16)
+	nc := cfg.TotalChips()
+	f := cfg.Chip.Format
+	for _, nj := range []int{1, 3, nc, nc + 1, 100, nc * 16, nc*16 + 1} {
+		a := New(cfg)
+		js, is := loadPlummer(t, a, nj, 11)
+		for i := range js {
+			js[i].Mass *= 1.5
+			js[i].A[1] = f.Round(js[i].A[1] + 0.25)
+			if err := a.UpdateJ(js[i]); err != nil {
+				t.Fatalf("nj %d: %v", nj, err)
+			}
+		}
+		fresh := New(cfg)
+		if err := fresh.LoadJ(js); err != nil {
+			t.Fatal(err)
+		}
+		ni := min(nj, 24)
+		got := make([]chip.Partial, ni)
+		want := make([]chip.Partial, ni)
+		gotCycles := a.ForcesInto(got, 0.0078125, is[:ni], 1.0/64)
+		wantCycles := fresh.ForcesInto(want, 0.0078125, is[:ni], 1.0/64)
+		if gotCycles != wantCycles {
+			t.Errorf("nj %d: %d cycles after the updates, %d on a fresh load", nj, gotCycles, wantCycles)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("nj %d: partial %d after the updates differs from a fresh load", nj, i)
+				break
+			}
+		}
+		a.Close()
+		fresh.Close()
+	}
+}
+
+// TestEmptySet: an array loaded with no particles returns, for every
+// i-particle, the partial a chip initialises with its exponents, at the
+// cost of an empty memory pass plus the reduction latency.
+func TestEmptySet(t *testing.T) {
+	a := New(smallConfig())
+	defer a.Close()
+	if err := a.LoadJ(nil); err != nil {
+		t.Fatal(err)
+	}
+	if a.NJ() != 0 {
+		t.Fatalf("NJ = %d after an empty load", a.NJ())
+	}
+	is := make([]chip.IParticle, 5)
+	for i := range is {
+		is[i] = chip.IParticle{SelfID: i, ExpAcc: i, ExpJerk: 2 * i, ExpPot: -i}
+	}
+	dst := make([]chip.Partial, len(is))
+	cycles := a.ForcesInto(dst, 0.5, is, 1.0/64)
+	f := a.Config().Chip.Format
+	for i := range is {
+		var want chip.Partial
+		want.Init(f, is[i].ExpAcc, is[i].ExpJerk, is[i].ExpPot)
+		if dst[i] != want {
+			t.Errorf("i=%d: partial %+v, want the initialised %+v", i, dst[i], want)
+		}
+	}
+	if want := a.Config().Chip.BatchCycles(len(is), 0) + a.reductionCycles(); cycles != want {
+		t.Errorf("cycles = %d, want %d", cycles, want)
 	}
 }
 

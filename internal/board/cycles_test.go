@@ -12,27 +12,27 @@ import (
 // floor holds it). What it pins now is what made the mirror redundant: the
 // cycle count ForcesInto returns depends on the i-count and the loaded
 // j-set alone — a pool of one worker and a pool of four report the same
-// number for resident and paged sets, and the resident number is the
-// cycle model's lockstep maximum plus the reduction latency — so the
-// grape6d scheduler can charge a session the array's own return value.
+// number for one-page and multi-page sets, and the number is the cycle
+// model's lockstep maximum of every page plus the reduction latency — so
+// the grape6d scheduler can charge a session the array's own return value.
 func TestBatchCyclesForMatchesForcesInto(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	paged := smallConfig()
-	paged.Chip.MemCapacity = 24 // a 512-particle set streams in pages
+	multi := smallConfig()
+	multi.Chip.MemCapacity = 24 // a 512-particle set streams in pages
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
 		n     int
-		paged bool
+		pages int
 	}{
-		{"resident", smallConfig(), 2048, false},
-		{"paged", paged, 512, true},
+		{"one page", smallConfig(), 2048, 1},
+		{"multi-page", multi, 512, 3},
 	} {
 		a := New(tc.cfg)
 		defer a.Close()
 		_, is := loadPlummer(t, a, tc.n, 42)
-		if a.paged != tc.paged {
-			t.Fatalf("%s: paged = %v", tc.name, a.paged)
+		if got := a.pages(); got != tc.pages {
+			t.Fatalf("%s: %d pages, want %d", tc.name, got, tc.pages)
 		}
 		dst := make([]chip.Partial, len(is))
 		for _, n := range []int{1, 8, 48, 96, 200} {
@@ -47,11 +47,14 @@ func TestBatchCyclesForMatchesForcesInto(t *testing.T) {
 			if one != pooled {
 				t.Errorf("%s: %d i-particles cost %d cycles on one worker, %d on four", tc.name, n, one, pooled)
 			}
-			if tc.paged {
-				continue
+			// Page p's busiest chip holds ⌈m/nc⌉ of its m particles.
+			want := a.reductionCycles()
+			nc := len(a.chips)
+			for p := 0; p < tc.pages; p++ {
+				m := (p+1)*tc.n/tc.pages - p*tc.n/tc.pages
+				want += tc.cfg.Chip.BatchCycles(n, (m+nc-1)/nc)
 			}
-			perChip := (tc.n + len(a.chips) - 1) / len(a.chips)
-			if want := tc.cfg.Chip.BatchCycles(n, perChip) + a.reductionCycles(); one != want {
+			if one != want {
 				t.Errorf("%s: %d i-particles cost %d cycles, the cycle model says %d", tc.name, n, one, want)
 			}
 		}

@@ -92,8 +92,8 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 	// How the j-memory is cut into spans and who merges which must be
 	// invisible in the result bits: the golden workload reproduces the seed
 	// kernel hash exactly at every pool width. The small-block cases are
-	// 1-3 i-particles right after LoadJ, on the resident set and on one
-	// page of a paged set: a stale memory, each span predicting its own
+	// 1-3 i-particles right after LoadJ, on a one-page set and on a
+	// multi-page set: a stale memory, each span predicting its own
 	// slots. They must match the single-chip reference and leave every
 	// chip's cache at t.
 	small := []struct {
@@ -101,8 +101,8 @@ func TestGoldenBitIdentityTileSweep(t *testing.T) {
 		cfg  Config
 		nj   int
 	}{
-		{"resident", smallConfig(), 512},
-		{"paged", pagedConfig(64), 2048}, // 4 pages of 512
+		{"one page", smallConfig(), 512},
+		{"multi-page", pagedConfig(64), 2048}, // 4 pages of 512
 	}
 	eachProcs(t, func(procs int) {
 		got := goldenWorkloadHash(t, smallConfig(), func(a *Array, is []chip.IParticle) []*chip.Partial {

@@ -196,6 +196,9 @@ func (ch *Chip) Config() Config { return ch.cfg }
 // NJ returns the number of stored j-particles.
 func (ch *Chip) NJ() int { return len(ch.mem) }
 
+// ID returns the id of the particle stored in memory slot k.
+func (ch *Chip) ID(k int) int { return ch.mem[k].ID }
+
 // LoadJ replaces the chip memory contents. It returns an error when the
 // particle count exceeds the memory capacity.
 func (ch *Chip) LoadJ(ps []JParticle) error {
@@ -207,71 +210,6 @@ func (ch *Chip) LoadJ(ps []JParticle) error {
 	for k := range ch.mem {
 		ch.mass[k] = ch.mem[k].Mass
 		ch.id[k] = ch.mem[k].ID
-	}
-	ch.predOK = false
-	return nil
-}
-
-// LoadJRange streams ps into memory slots [lo, lo+len(ps)), leaving other
-// slots untouched and extending the stored set as needed. lo must lie
-// within the contiguous occupied range (no holes). This is the write half
-// of the paged j-memory path: j-sets larger than the chip memory live
-// host-side and page through here chunk by chunk, with block-floating-
-// point partial sums merging exactly across pages (§3.4 partition
-// invariance). The prediction cache is invalidated; the force pass
-// re-predicts the page lazily.
-func (ch *Chip) LoadJRange(lo int, ps []JParticle) error {
-	if lo < 0 || lo > len(ch.mem) {
-		return fmt.Errorf("chip: LoadJRange offset %d outside contiguous range [0,%d]", lo, len(ch.mem))
-	}
-	end := lo + len(ps)
-	if end > ch.cfg.MemCapacity {
-		return fmt.Errorf("chip: %d j-particles exceed memory capacity %d", end, ch.cfg.MemCapacity)
-	}
-	oldCap := cap(ch.mass)
-	if end > len(ch.mem) {
-		if end > cap(ch.mem) {
-			grown := make([]JParticle, end)
-			copy(grown, ch.mem)
-			ch.mem = grown
-		} else {
-			ch.mem = ch.mem[:end]
-		}
-	}
-	copy(ch.mem[lo:end], ps)
-	ch.growPlanes()
-	// A plane reallocation drops the mirrored mass/id of untouched slots;
-	// refill everything from mem in that case, just the range otherwise.
-	start, stop := lo, end
-	if cap(ch.mass) != oldCap {
-		start, stop = 0, len(ch.mem)
-	}
-	for k := start; k < stop; k++ {
-		ch.mass[k] = ch.mem[k].Mass
-		ch.id[k] = ch.mem[k].ID
-	}
-	ch.predOK = false
-	return nil
-}
-
-// TruncateJ shrinks the stored j-set to its first n slots, the paging
-// path's way of trimming a chip to a final short page without a full
-// reload.
-func (ch *Chip) TruncateJ(n int) error {
-	if n < 0 || n > len(ch.mem) {
-		return fmt.Errorf("chip: truncate to %d outside [0,%d]", n, len(ch.mem))
-	}
-	if n == len(ch.mem) {
-		return nil
-	}
-	oldCap := cap(ch.mass)
-	ch.mem = ch.mem[:n]
-	ch.growPlanes()
-	if cap(ch.mass) != oldCap {
-		for k := range ch.mem {
-			ch.mass[k] = ch.mem[k].Mass
-			ch.id[k] = ch.mem[k].ID
-		}
 	}
 	ch.predOK = false
 	return nil

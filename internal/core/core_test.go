@@ -9,6 +9,7 @@ import (
 	"grape6/internal/diag"
 	"grape6/internal/hermite"
 	"grape6/internal/model"
+	"grape6/internal/snapshot"
 	"grape6/internal/xrand"
 )
 
@@ -152,6 +153,21 @@ func TestCheckpointRestore(t *testing.T) {
 func TestRestoreRejectsGarbage(t *testing.T) {
 	if _, err := Restore(bytes.NewReader([]byte("junk")), Config{}); err == nil {
 		t.Error("restored from garbage")
+	}
+}
+
+// TestRestoreRejectsRepeatedIDs: a checkpoint whose particles 5 and 6
+// share an id would load both copies and refresh only the later one on
+// every update; Restore must refuse it.
+func TestRestoreRejectsRepeatedIDs(t *testing.T) {
+	sys := model.Plummer(64, xrand.New(5))
+	sys.ID[5] = sys.ID[6]
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, snapshot.Header{N: 64, Eps: 1.0 / 64}, sys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(&buf, Config{Backend: Grape, HW: tinyHW()}); err == nil {
+		t.Fatal("restored a checkpoint with a repeated particle id")
 	}
 }
 

@@ -131,7 +131,10 @@ func (b *Backend) Load(sys *nbody.System) {
 		b.expA[i], b.expJ[i], b.expP[i] = b.guessExponents(sys, i)
 	}
 	if err := b.arr.LoadJ(b.js); err != nil {
-		// Loads can only fail on capacity, a configuration error.
+		// A board.Array load cannot fail: a set larger than the chips'
+		// memory streams in pages. A grape6d session's load fails on a
+		// detached session or repeated ids, both caller errors
+		// (snapshot.Read refuses a stream whose ids repeat).
 		panic(fmt.Sprintf("gbackend: %v", err))
 	}
 }

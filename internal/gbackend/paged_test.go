@@ -13,8 +13,8 @@ import (
 
 // TestIntegrationPagedBitIdentical: per-chip memory capacity is a pure
 // host-resource knob — a full Hermite integration on an attachment whose
-// j-set pages through tiny chip memories must be bit-identical to the
-// fully resident run, down to the last position bit (the end-to-end face
+// j-set is a multi-page set streamed through tiny chip memories must be
+// bit-identical to the one-page run, down to the last position bit (the end-to-end face
 // of the §3.4 partition invariance applied across pages).
 func TestIntegrationPagedBitIdentical(t *testing.T) {
 	eps := 1.0 / 64
@@ -36,17 +36,17 @@ func TestIntegrationPagedBitIdentical(t *testing.T) {
 		it.Run(0.0625)
 		return sys
 	}
-	want := run(0)  // resident: default 64k slots per chip
-	got := run(7)   // paged: 28 resident slots for 96 particles
-	got2 := run(24) // paged, different page geometry
+	want := run(0)  // one page: default 64k slots per chip
+	got := run(7)   // multi-page: 28 chip slots for 96 particles
+	got2 := run(24) // multi-page, different page geometry
 
 	for i := 0; i < want.N; i++ {
 		if want.Pos[i] != got.Pos[i] || want.Vel[i] != got.Vel[i] ||
 			want.Time[i] != got.Time[i] || want.Step[i] != got.Step[i] {
-			t.Fatalf("particle %d state differs between resident and paged (cap 7)", i)
+			t.Fatalf("particle %d state differs between one-page and multi-page sets (cap 7)", i)
 		}
 		if want.Pos[i] != got2.Pos[i] || want.Vel[i] != got2.Vel[i] {
-			t.Fatalf("particle %d state differs between resident and paged (cap 24)", i)
+			t.Fatalf("particle %d state differs between one-page and multi-page sets (cap 24)", i)
 		}
 	}
 }

@@ -249,3 +249,28 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestoreRejectsRepeatedIDs sends a snapshot whose particles 5 and 6
+// share an id. It used to panic the daemon on the RPC handler goroutine,
+// which net/rpc does not recover. It must come back as an error that
+// leaves the name free and the daemon serving.
+func TestRestoreRejectsRepeatedIDs(t *testing.T) {
+	cl := startDaemon(t, smallHW(), 1)
+	sys := model.Plummer(64, xrand.New(5))
+	sys.ID[5] = sys.ID[6]
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, snapshot.Header{N: 64, Eps: 1.0 / 64}, sys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Restore("dup", buf.Bytes()); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
+		t.Fatalf("Restore of a snapshot with a repeated id: got %v, want the repeated-id error", err)
+	}
+	for _, name := range []string{"dup", "second"} {
+		if _, err := cl.Attach(AttachArgs{Name: name, N: 32, Seed: 3}); err != nil {
+			t.Fatalf("attach %q after the rejected restore: %v", name, err)
+		}
+		if _, err := cl.Step(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -18,10 +18,10 @@
 // partitioning clusters at the network boards.
 //
 // Swapping by generation: sessions keep a host-side j-image; an array
-// swaps a tenant in by reloading that image (the board's LoadJ restages
-// without allocating, and j-sets larger than the chips page through the
-// LoadJRange streaming path) unless it already holds the image's current
-// generation, and a request prefers a free array that does. The swap
+// swaps a tenant in by reloading that image (the board's LoadJ copies it
+// and places its first page without allocating; a j-set larger than the
+// chips is a multi-page set every force pass streams through them) unless
+// it already holds the image's current generation, and a request prefers a free array that does. The swap
 // changes which silicon computes, never what is computed: a prediction
 // depends only on (particle, t) and the reduction is exact integer
 // addition, so a session that bounced between arrays produces the same

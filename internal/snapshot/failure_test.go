@@ -104,6 +104,21 @@ func TestHugeHeaderN(t *testing.T) {
 	}
 }
 
+// TestRepeatedIDs: a stream whose particles 5 and 6 share an id reads
+// back as an error, not as a system every id-indexed consumer would
+// mis-load. The same stream is the fuzz corpus entry repeated_id.
+func TestRepeatedIDs(t *testing.T) {
+	sys := model.Plummer(64, xrand.New(5))
+	sys.ID[5] = sys.ID[6]
+	var buf bytes.Buffer
+	if err := Write(&buf, Header{N: 64, Eps: 1.0 / 64}, sys); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
+		t.Errorf("Read of a stream with a repeated id: got %v, want the repeated-id error", err)
+	}
+}
+
 // FuzzSnapshotRead feeds Read arbitrary bytes. It must return an error or
 // a system, never panic or exhaust memory, and a system it accepts must
 // encode back to the bytes it was read from (unless Write refuses it:

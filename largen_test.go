@@ -1,7 +1,7 @@
 // Large-N smoke: the paper's production regime is N ≈ 1-2M, far beyond
 // what an O(N²)-initialised integration can cover in a test budget. This
 // file exercises the two scaling mechanisms this regime depends on — the
-// bucketed block-timestep scheduler and the paged j-memory streaming —
+// bucketed block-timestep scheduler and multi-page j-set streaming —
 // directly at N = 64k, in a few seconds.
 package grape6_test
 
@@ -80,8 +80,8 @@ func TestLargeN64kSchedulerSmoke(t *testing.T) {
 }
 
 func TestLargeN64kPagedForceSmoke(t *testing.T) {
-	// A 64k j-set forced through 4 chips of 4096 slots (16k resident —
-	// 4 pages) must reproduce the fully resident evaluation bit for bit.
+	// A 64k j-set forced through 4 chips of 4096 slots (16k chip slots —
+	// 4 pages) must reproduce the one-page evaluation bit for bit.
 	if testing.Short() {
 		t.Skip("large-N smoke skipped in -short")
 	}
@@ -114,21 +114,20 @@ func TestLargeN64kPagedForceSmoke(t *testing.T) {
 		}
 		dst := make([]chip.Partial, ni)
 		arr.ForcesInto(dst, 0, is, 1.0/64)
-		paged := arr.NJ() > memCapacity*cfg.TotalChips()
-		return dst, paged
+		return dst, arr.NJ() > memCapacity*cfg.TotalChips()
 	}
 
-	want, wantPaged := force(65536) // resident
-	got, gotPaged := force(4096)    // 4-page streaming
-	if wantPaged {
-		t.Fatal("reference run unexpectedly paged")
+	want, wantMulti := force(65536) // one page
+	got, gotMulti := force(4096)    // 4 pages
+	if wantMulti {
+		t.Fatal("reference run unexpectedly a multi-page set")
 	}
-	if !gotPaged {
-		t.Fatal("streaming run did not engage paged mode")
+	if !gotMulti {
+		t.Fatal("streaming run is not a multi-page set")
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("partial %d differs between resident and paged at N=64k", i)
+			t.Fatalf("partial %d differs between one-page and multi-page sets at N=64k", i)
 		}
 	}
 }
