@@ -95,6 +95,9 @@ func NewSimulator(sys *nbody.System, cfg Config) (*Simulator, error) {
 
 	it, err := hermite.New(sys, b, p)
 	if err != nil {
+		if gb != nil {
+			gb.Close() // the refused system leaves no worker pool behind
+		}
 		return nil, err
 	}
 	return &Simulator{cfg: cfg, sys: sys, it: it, gb: gb}, nil

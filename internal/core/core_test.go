@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"strings"
 	"testing"
 
 	"grape6/internal/board"
@@ -160,14 +163,32 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 // share an id would load both copies and refresh only the later one on
 // every update; Restore must refuse it.
 func TestRestoreRejectsRepeatedIDs(t *testing.T) {
-	sys := model.Plummer(64, xrand.New(5))
-	sys.ID[5] = sys.ID[6]
+	// snapshot.Write refuses a repeated id, so it is patched into a valid
+	// stream (40 header bytes, 184-byte records) and the CRC-32 trailer
+	// recomputed.
 	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, snapshot.Header{N: 64, Eps: 1.0 / 64}, sys); err != nil {
+	if err := snapshot.Write(&buf, snapshot.Header{N: 64, Eps: 1.0 / 64}, model.Plummer(64, xrand.New(5))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(&buf, Config{Backend: Grape, HW: tinyHW()}); err == nil {
+	data := buf.Bytes()
+	const header, record = 40, 184
+	copy(data[header+5*record:header+5*record+8], data[header+6*record:])
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	if _, err := Restore(bytes.NewReader(data), Config{Backend: Grape, HW: tinyHW()}); err == nil {
 		t.Fatal("restored a checkpoint with a repeated particle id")
+	}
+}
+
+// TestNewSimulatorRejectsRepeatedIDs: a system whose particles 5 and 6
+// share an id is refused on both backends, before any backend addresses
+// a particle.
+func TestNewSimulatorRejectsRepeatedIDs(t *testing.T) {
+	for _, kind := range []BackendKind{Direct, Grape} {
+		sys := model.Plummer(64, xrand.New(5))
+		sys.ID[6] = sys.ID[5]
+		if _, err := NewSimulator(sys, Config{Backend: kind, Eps: 1.0 / 64, HW: tinyHW()}); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
+			t.Errorf("%v: NewSimulator of a system with a repeated id: got %v, want the repeated-id error", kind, err)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@
 // the integrator, chooses block-floating-point exponents (from the
 // previous step's force, per Section 3.4), retries on overflow, and
 // accounts the hardware cycles consumed so the timing layer can convert
-// the run into the paper's performance numbers.
+// the run into the paper's performance numbers. It addresses particles by
+// their slot in the system last loaded, as hermite.Backend does; ids are
+// labels it hands the hardware (UpdateJ, SelfID), never indexes.
 package gbackend
 
 import (
@@ -69,15 +71,14 @@ type Backend struct {
 	// Host-side mirror of the hardware memory image, used to predict
 	// i-particles through the chip's exact datapath (so self-pairs cancel
 	// bit-exactly) and to rebuild particles on update. The mirror and the
-	// per-particle exponent tables persist across Load calls (grow-only),
-	// so Update patches only the changed slots and a reload reuses the
-	// fixed-point-ready staging wholesale.
+	// per-particle exponent tables are indexed by slot in the system last
+	// loaded, the index space Update and ForcesInto take. They persist
+	// across Load calls (grow-only), so Update patches only the changed
+	// slots and a reload reuses the fixed-point-ready staging wholesale.
 	js   []chip.JParticle
 	expA []int // per-particle block exponents (previous-step guess)
 	expJ []int
 	expP []int
-
-	slots nbody.IDIndex // id → js index
 
 	// Counters for performance accounting and diagnostics.
 	HWCycles    int64 // hardware busy cycles
@@ -88,7 +89,6 @@ type Backend struct {
 	// allocates nothing: i-particle staging, retry bookkeeping, and the
 	// hardware partial-result slab.
 	isBuf    []chip.IParticle
-	ksBuf    []int
 	batch    []chip.IParticle
 	pending  []int
 	again    []int
@@ -125,7 +125,6 @@ func (b *Backend) Load(sys *nbody.System) {
 	b.expA = growSlice(b.expA, sys.N)[:sys.N]
 	b.expJ = growSlice(b.expJ, sys.N)[:sys.N]
 	b.expP = growSlice(b.expP, sys.N)[:sys.N]
-	b.slots.Rebuild(sys.ID[:sys.N])
 	for i := 0; i < sys.N; i++ {
 		b.js[i] = b.makeJ(sys, i)
 		b.expA[i], b.expJ[i], b.expP[i] = b.guessExponents(sys, i)
@@ -134,7 +133,7 @@ func (b *Backend) Load(sys *nbody.System) {
 		// A board.Array load cannot fail: a set larger than the chips'
 		// memory streams in pages. A grape6d session's load fails on a
 		// detached session or repeated ids, both caller errors
-		// (snapshot.Read refuses a stream whose ids repeat).
+		// (nbody.System.Validate refuses a system whose ids repeat).
 		panic(fmt.Sprintf("gbackend: %v", err))
 	}
 }
@@ -142,16 +141,11 @@ func (b *Backend) Load(sys *nbody.System) {
 // Update implements hermite.Backend.
 func (b *Backend) Update(sys *nbody.System, idx []int) {
 	for _, i := range idx {
-		j := b.makeJ(sys, i)
-		k, ok := b.slots.Slot(sys.ID[i])
-		if !ok {
-			panic(fmt.Sprintf("gbackend: update of unknown particle id %d", sys.ID[i]))
-		}
-		b.js[k] = j
-		if err := b.arr.UpdateJ(j); err != nil {
+		b.js[i] = b.makeJ(sys, i)
+		if err := b.arr.UpdateJ(b.js[i]); err != nil {
 			panic(fmt.Sprintf("gbackend: %v", err))
 		}
-		b.expA[k], b.expJ[k], b.expP[k] = b.guessExponents(sys, i)
+		b.expA[i], b.expJ[i], b.expP[i] = b.guessExponents(sys, i)
 	}
 }
 
@@ -220,34 +214,34 @@ func (b *Backend) Yield() {
 	}
 }
 
-// ForcesInto implements hermite.Backend: results are written into
-// the caller-owned dst (len(dst) must be ≥ len(ids)) and the filled prefix
-// is returned. All staging buffers — i-particles, retry bookkeeping and
-// the hardware partial slab — live on the Backend, so a steady-state block
-// step performs no heap allocation from the integrator down to the chips.
+// ForcesInto implements hermite.Backend for the loaded particles at
+// slots: results are written into the caller-owned dst (len(dst) must be
+// ≥ len(slots)) and the filled prefix is returned. All staging buffers —
+// i-particles, retry bookkeeping and the hardware partial slab — live on
+// the Backend, so a steady-state block step performs no heap allocation
+// from the integrator down to the chips.
 //
 // The supplied (xi, vi) host predictions are intentionally ignored: the
-// backend predicts i-particles through the chip's own datapath, which both
-// matches the hardware behaviour (the same predictor feeds both sides) and
-// guarantees that self-pairs cancel exactly.
-func (b *Backend) ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force {
-	n := len(ids)
+// backend predicts i-particles from its own image through the chip's
+// datapath, which both matches the hardware behaviour (the same
+// predictor feeds both sides) and guarantees that self-pairs cancel
+// exactly. The i-particles must therefore be loaded particles: nil slots
+// with a non-empty batch panic.
+func (b *Backend) ForcesInto(dst []direct.Force, t float64, slots []int, xi, vi []vec.V3, eps float64) []direct.Force {
+	if slots == nil && len(xi) > 0 {
+		panic("gbackend: i-particles that are not loaded particles (nil slots)")
+	}
+	n := len(slots)
 	if len(dst) < n {
 		panic(fmt.Sprintf("gbackend: force buffer of %d for %d i-particles", len(dst), n))
 	}
 	out := dst[:n]
 	b.isBuf = growSlice(b.isBuf, n)
-	b.ksBuf = growSlice(b.ksBuf, n)
-	is, ks := b.isBuf, b.ksBuf
-	for q, id := range ids {
-		k, ok := b.slots.Slot(id)
-		if !ok {
-			panic(fmt.Sprintf("gbackend: unknown particle id %d", id))
-		}
-		ks[q] = k
+	is := b.isBuf
+	for q, k := range slots {
 		x, v := chip.PredictParticle(b.f, &b.js[k], t)
 		is[q] = chip.IParticle{
-			X: x, V: v, SelfID: id,
+			X: x, V: v, SelfID: b.js[k].ID,
 			ExpAcc: b.expA[k], ExpJerk: b.expJ[k], ExpPot: b.expP[k],
 		}
 	}
@@ -280,7 +274,7 @@ func (b *Backend) ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []
 			if ps[q].Overflowed() {
 				// Bump the failing groups and retry — the hardware's
 				// repeat-with-better-exponent protocol.
-				k := ks[p]
+				k := slots[p]
 				if anyOverflow(ps[q].Acc[:]) {
 					b.expA[k] += 8
 				}

@@ -174,16 +174,36 @@ func TestRangeClampingSurvivesEscapers(t *testing.T) {
 	}
 }
 
-func TestUnknownIDPanics(t *testing.T) {
+func TestOutOfRangeSlotPanics(t *testing.T) {
 	sys := model.Plummer(8, xrand.New(2))
 	gb := New(tinyArray())
+	defer gb.Close()
 	gb.Load(sys)
 	defer func() {
 		if recover() == nil {
-			t.Error("unknown id did not panic")
+			t.Error("slot 8 of an 8-particle system did not panic")
 		}
 	}()
-	gb.ForcesInto(make([]direct.Force, 1), 0, []int{999}, sys.Pos[:1], sys.Vel[:1], 0.01)
+	gb.ForcesInto(make([]direct.Force, 1), 0, []int{8}, sys.Pos[:1], sys.Vel[:1], 0.01)
+}
+
+// TestNilSlotsPanics: the backend predicts i-particles from its own
+// image, so a non-empty batch of visitors (nil slots) is a caller error;
+// an empty one is no work.
+func TestNilSlotsPanics(t *testing.T) {
+	sys := model.Plummer(8, xrand.New(2))
+	gb := New(tinyArray())
+	defer gb.Close()
+	gb.Load(sys)
+	if fs := gb.ForcesInto(nil, 0, nil, nil, nil, 0.01); len(fs) != 0 {
+		t.Errorf("empty batch returned %d forces", len(fs))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("nil slots with one i-particle did not panic")
+		}
+	}()
+	gb.ForcesInto(make([]direct.Force, 1), 0, nil, sys.Pos[:1], sys.Vel[:1], 0.01)
 }
 
 func TestHWCyclesGrowWithWork(t *testing.T) {

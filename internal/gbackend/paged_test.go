@@ -51,8 +51,8 @@ func TestIntegrationPagedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSparseIDsUseMapFallback pins the id-index fallback: a j-set whose
-// ids are far from dense must resolve every lookup through the map and
+// TestSparseIDsUseMapFallback: a j-set whose ids are far from dense,
+// which the board's load-position index resolves through its map, must
 // produce the same force bits as the dense-id twin (particle identity
 // only relabels, never perturbs arithmetic — modulo the NN id itself).
 func TestSparseIDsUseMapFallback(t *testing.T) {
@@ -61,7 +61,7 @@ func TestSparseIDsUseMapFallback(t *testing.T) {
 	cfg.ModulesPerBoard = 2
 	cfg.Boards = 1
 
-	force := func(sparse bool) ([]direct.Force, *Backend) {
+	force := func(sparse bool) []direct.Force {
 		sys := model.Plummer(32, xrand.New(8))
 		if sparse {
 			for i := 0; i < sys.N; i++ {
@@ -72,20 +72,18 @@ func TestSparseIDsUseMapFallback(t *testing.T) {
 		defer arr.Close()
 		b := New(arr)
 		b.Load(sys)
+		slots := make([]int, sys.N)
+		for i := range slots {
+			slots[i] = i
+		}
 		out := make([]direct.Force, sys.N)
-		b.ForcesInto(out, 0, sys.ID, sys.Pos, sys.Vel, 1.0/64)
+		b.ForcesInto(out, 0, slots, sys.Pos, sys.Vel, 1.0/64)
 		// One update round-trip through the lookup path as well.
 		b.Update(sys, []int{0, 17, 31})
-		return out, b
+		return out
 	}
-	dense, db := force(false)
-	sparse, sb := force(true)
-	if !db.slots.Dense() {
-		t.Fatal("dense ids should use the array index")
-	}
-	if sb.slots.Dense() {
-		t.Fatal("sparse ids should fall back to the map index")
-	}
+	dense := force(false)
+	sparse := force(true)
 	for i := range dense {
 		if dense[i].Acc != sparse[i].Acc || dense[i].Jerk != sparse[i].Jerk || dense[i].Pot != sparse[i].Pot {
 			t.Fatalf("force %d differs between dense and sparse id spaces", i)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"strings"
 	"sync"
@@ -256,13 +257,18 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 // leaves the name free and the daemon serving.
 func TestRestoreRejectsRepeatedIDs(t *testing.T) {
 	cl := startDaemon(t, smallHW(), 1)
-	sys := model.Plummer(64, xrand.New(5))
-	sys.ID[5] = sys.ID[6]
+	// snapshot.Write refuses a repeated id, so it is patched into a valid
+	// stream (40 header bytes, 184-byte records) and the CRC-32 trailer
+	// recomputed.
 	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, snapshot.Header{N: 64, Eps: 1.0 / 64}, sys); err != nil {
+	if err := snapshot.Write(&buf, snapshot.Header{N: 64, Eps: 1.0 / 64}, model.Plummer(64, xrand.New(5))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Restore("dup", buf.Bytes()); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
+	data := buf.Bytes()
+	const header, record = 40, 184
+	copy(data[header+5*record:header+5*record+8], data[header+6*record:])
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+	if _, err := cl.Restore("dup", data); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
 		t.Fatalf("Restore of a snapshot with a repeated id: got %v, want the repeated-id error", err)
 	}
 	for _, name := range []string{"dup", "second"} {
@@ -272,5 +278,51 @@ func TestRestoreRejectsRepeatedIDs(t *testing.T) {
 		if _, err := cl.Step(name, 1); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRestoreRelabelled sends a snapshot whose particles are labelled
+// 1000+i. Ids are labels, never addresses: the restored session must
+// step bit-identically to core.Restore of the same bytes on a private
+// array, and the daemon must go on serving. It used to panic the RPC
+// handler goroutine, looking the slots 0..63 up as ids.
+func TestRestoreRelabelled(t *testing.T) {
+	hw := smallHW()
+	cl := startDaemon(t, hw, 1)
+	sys := model.Plummer(64, xrand.New(5))
+	for i := range sys.ID {
+		sys.ID[i] = 1000 + i
+	}
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, snapshot.Header{N: 64, Eps: 1.0 / 64}, sys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Restore("relabelled", buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	const blocks = 8
+	if _, err := cl.Step("relabelled", blocks); err != nil {
+		t.Fatal(err)
+	}
+	solo, err := core.Restore(bytes.NewReader(buf.Bytes()), core.Config{Backend: core.Grape, HW: &hw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solo.Close()
+	for k := 0; k < blocks; k++ {
+		solo.Step()
+	}
+	got, err := cl.Hash("relabelled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := SystemHash(solo.Synchronized()); got.Hash != want {
+		t.Errorf("relabelled session hash %#016x, dedicated restore %#016x", got.Hash, want)
+	}
+	if _, err := cl.Attach(AttachArgs{Name: "next", N: 32, Seed: 3}); err != nil {
+		t.Fatalf("attach after the relabelled restore: %v", err)
+	}
+	if _, err := cl.Step("next", 1); err != nil {
+		t.Fatal(err)
 	}
 }

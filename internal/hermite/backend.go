@@ -20,17 +20,20 @@ type Backend interface {
 	Load(sys *nbody.System)
 
 	// Update refreshes the stored state of the particles at the given
-	// indices after the integrator corrected them.
+	// slots (indices into sys) after the integrator corrected them.
 	Update(sys *nbody.System, idx []int)
 
 	// ForcesInto predicts all stored j-particles to time t and evaluates
 	// eqs. (1)-(3) on the i-particles with predicted states (xi, vi) and
-	// softening eps. ids carries the i-particles' stable IDs (for backends
-	// that care, e.g. tracing). Results are written in input order into
-	// the caller-owned dst (len(dst) ≥ len(ids)) and the filled prefix is
+	// softening eps. slots are the i-particles' indices in the system
+	// last loaded, the index space Update takes; it is nil when the
+	// i-particles are not particles of that system (a co-simulated
+	// host's visitors). Particle ids are labels and never address a
+	// particle here. Results are written in input order into the
+	// caller-owned dst (len(dst) ≥ len(xi)) and the filled prefix is
 	// returned: the integrator reuses one buffer across block steps, so
 	// the force path allocates nothing in steady state.
-	ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force
+	ForcesInto(dst []direct.Force, t float64, slots []int, xi, vi []vec.V3, eps float64) []direct.Force
 
 	// NJ returns the number of stored j-particles.
 	NJ() int
@@ -152,7 +155,7 @@ func (b *DirectBackend) Update(sys *nbody.System, idx []int) {
 func (b *DirectBackend) NJ() int { return len(b.js) }
 
 // ForcesInto implements Backend.
-func (b *DirectBackend) ForcesInto(dst []direct.Force, t float64, ids []int, xi, vi []vec.V3, eps float64) []direct.Force {
+func (b *DirectBackend) ForcesInto(dst []direct.Force, t float64, slots []int, xi, vi []vec.V3, eps float64) []direct.Force {
 	// Predictor pass over all stored j-particles (the chip's predictor
 	// pipeline does exactly this in hardware), unless the last evaluation
 	// was at this t and nothing has been written since.

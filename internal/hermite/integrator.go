@@ -91,7 +91,6 @@ type Integrator struct {
 	// scratch buffers, sized at New for the largest block there can be
 	// (all N), so no block step grows them
 	block []int
-	ids   []int
 	xp    []vec.V3
 	vp    []vec.V3
 	fbuf  []direct.Force // force results, reused across block steps
@@ -111,13 +110,13 @@ func (it *Integrator) prefetchPredict() {
 	}
 }
 
-// forces evaluates block forces through the backend into the reused
-// result buffer.
-func (it *Integrator) forces(t float64, ids []int, xi, vi []vec.V3) []direct.Force {
-	if cap(it.fbuf) < len(ids) {
-		it.fbuf = make([]direct.Force, len(ids))
+// forces evaluates block forces on the particles at slots through the
+// backend into the reused result buffer.
+func (it *Integrator) forces(t float64, slots []int, xi, vi []vec.V3) []direct.Force {
+	if cap(it.fbuf) < len(slots) {
+		it.fbuf = make([]direct.Force, len(slots))
 	}
-	return it.B.ForcesInto(it.fbuf[:len(ids)], t, ids, xi, vi, it.P.Eps)
+	return it.B.ForcesInto(it.fbuf[:len(slots)], t, slots, xi, vi, it.P.Eps)
 }
 
 // New initialises the integrator: it computes forces on all particles at
@@ -146,18 +145,18 @@ func New(sys *nbody.System, b Backend, p Params) (*Integrator, error) {
 	b.Load(sys)
 
 	// Full force evaluation at the common initial time.
-	ids := make([]int, sys.N)
-	for i := range ids {
-		ids[i] = i
+	all := make([]int, sys.N)
+	for i := range all {
+		all[i] = i
 	}
-	fs := it.forces(t0, ids, sys.Pos, sys.Vel)
+	fs := it.forces(t0, all, sys.Pos, sys.Vel)
 	for i := range fs {
 		Start(sys, i, fs[i], t0, p)
 	}
 	it.Interactions += int64(sys.N) * int64(b.NJ())
-	b.Update(sys, ids)
+	b.Update(sys, all)
 	it.sched = nbody.NewBlockSched(sys)
-	it.block, it.ids = make([]int, 0, sys.N), ids[:0]
+	it.block = all[:0]
 	it.xp, it.vp = make([]vec.V3, sys.N), make([]vec.V3, sys.N)
 	it.prefetchPredict()
 	return it, nil
@@ -214,16 +213,14 @@ func (it *Integrator) Step() BlockStat {
 	it.block = it.sched.AppendBlock(sys, t, it.block[:0])
 
 	nb := len(it.block)
-	it.ids = it.ids[:0]
 	xp := it.xp[:nb]
 	vp := it.vp[:nb]
 	for k, i := range it.block {
-		it.ids = append(it.ids, sys.ID[i])
 		dt := t - sys.Time[i]
 		xp[k], vp[k] = Predict(sys.Pos[i], sys.Vel[i], sys.Acc[i], sys.Jerk[i], sys.Snap[i], dt)
 	}
 
-	fs := it.forces(t, it.ids, xp, vp)
+	fs := it.forces(t, it.block, xp, vp)
 
 	for k, i := range it.block {
 		Advance(sys, i, fs[k], t, it.P)

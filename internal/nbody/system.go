@@ -210,8 +210,9 @@ func (s *System) VirialRatio(eps float64) float64 {
 	return math.Abs(2 * s.KineticEnergy() / w)
 }
 
-// Validate checks structural invariants: array lengths, finite values and
-// positive masses. It returns a descriptive error for the first violation.
+// Validate checks structural invariants: array lengths, finite values,
+// positive masses and unique ids. It returns a descriptive error for the
+// first violation.
 func (s *System) Validate() error {
 	arrays := []struct {
 		name string
@@ -237,6 +238,10 @@ func (s *System) Validate() error {
 		if !s.Vel[i].IsFinite() {
 			return fmt.Errorf("nbody: particle %d has non-finite velocity %v", i, s.Vel[i])
 		}
+	}
+	var ids IDIndex
+	if !ids.Rebuild(s.ID) {
+		return fmt.Errorf("nbody: repeated particle id")
 	}
 	return nil
 }

@@ -31,10 +31,10 @@ func RunCopy(sys *nbody.System, until float64, cfg Config) (*Result, error) {
 	})
 }
 
-// copyState is one copy host's storage: a full replica.
+// copyState is one copy host's storage: a full replica, so an update's
+// slot is its slot here.
 type copyState struct {
 	sys     *nbody.System
-	idx     nbody.IDIndex
 	backend hermite.Backend // loaded with the replica
 }
 
@@ -43,7 +43,6 @@ func buildCopy(w *world, sys *nbody.System) (hostFunc, []*nbody.System) {
 	for h := range states {
 		st := &states[h]
 		st.sys = sys.Clone()
-		st.idx.Rebuild(st.sys.ID)
 		st.backend = w.cfg.backendFor(h)
 		st.backend.Load(st.sys)
 	}
@@ -62,7 +61,7 @@ func copyHost(p *des.Proc, h int, w *world, st *copyState) error {
 	var ups []update
 	var t float64
 	var fs []direct.Force
-	job := w.newJob(func() { fs = sc.forces(st.backend, t, cfg.Params.Eps) })
+	job := w.newJob(func() { fs = sc.forces(st.backend, sc.mine, t, cfg.Params.Eps) })
 	for round := 0; ; round++ {
 		t = S.MinTime()
 		if t > w.until {
@@ -86,7 +85,7 @@ func copyHost(p *des.Proc, h int, w *world, st *copyState) error {
 
 			job.wait()
 			for k, i := range mine {
-				ups = append(ups, correctParticle(S, i, fs[k], t, cfg.Params))
+				ups = append(ups, correctParticle(S, 0, i, fs[k], t, cfg.Params))
 			}
 		}
 
@@ -95,7 +94,7 @@ func copyHost(p *des.Proc, h int, w *world, st *copyState) error {
 		// updates come back in the list; absorbing them rewrites what
 		// correctParticle stored and refreshes the backend with the rest.
 		all := gatherUpdates(p, w.net, h, cfg.Hosts, round*tagStride, ups)
-		sc.absorb(S, &st.idx, all, st.backend)
+		sc.absorb(S, 0, all, st.backend)
 		w.count(h, round, len(mine))
 	}
 }

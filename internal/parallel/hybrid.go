@@ -91,10 +91,10 @@ func gridSide(hosts int) (r int, ok bool) {
 
 // gridState is one grid host's storage.
 type gridState struct {
-	row     *nbody.System // copy of subset i
-	col     *nbody.System // copy of subset j (same object on the diagonal)
-	rowIdx  nbody.IDIndex
-	colIdx  nbody.IDIndex
+	row     *nbody.System   // copy of subset i
+	col     *nbody.System   // copy of subset j (same object on the diagonal)
+	rowOff  int             // whole-system slot of row's slot 0: i·N/r
+	colOff  int             // likewise for col: j·N/r
 	backend hermite.Backend // loaded with the column subset
 	scratch
 	parts [][]pforce     // diagonal: the row's partials, by column
@@ -118,8 +118,7 @@ func buildHybrid(w *world, sys *nbody.System, clusters, r int) (hostFunc, []*nbo
 		if i != j {
 			st.col = subset(j)
 		}
-		st.rowIdx.Rebuild(st.row.ID)
-		st.colIdx.Rebuild(st.col.ID)
+		st.rowOff, st.colOff = i*sys.N/r, j*sys.N/r
 		st.backend = w.cfg.backendFor(rank)
 		st.backend.Load(st.col)
 	}
@@ -146,7 +145,7 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 	// make does not.
 	var partial []pforce
 	job := w.newJob(func() {
-		fs := st.forces(st.backend, t, cfg.Params.Eps)
+		fs := st.forces(st.backend, nil, t, cfg.Params.Eps)
 		for q := range partial {
 			partial[q] = pforce{acc: fs[q].Acc, jerk: fs[q].Jerk, pot: fs[q].Pot}
 		}
@@ -179,13 +178,13 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 			// Row updates for subset i from every cluster's diagonal i.
 			for kk := 0; kk < clusters; kk++ {
 				msg := net.Recv(p, rank, tag+tagRowUpd+kk)
-				st.absorb(st.row, &st.rowIdx, msg.Payload.([]update), nil)
+				st.absorb(st.row, st.rowOff, msg.Payload.([]update), nil)
 			}
 			// Column updates for subset j from every cluster's diagonal j,
 			// applied to the column copy feeding the force backend.
 			for kk := 0; kk < clusters; kk++ {
 				msg := net.Recv(p, rank, tag+tagColUpd+kk)
-				st.absorb(st.col, &st.colIdx, msg.Payload.([]update), st.backend)
+				st.absorb(st.col, st.colOff, msg.Payload.([]update), st.backend)
 			}
 			continue
 		}
@@ -212,7 +211,7 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 		if len(block) > 0 {
 			ups = make([]update, 0, len(block))
 			for q, ix := range block {
-				ups = append(ups, correctParticle(st.row, ix, st.total[q], t, cfg.Params))
+				ups = append(ups, correctParticle(st.row, st.rowOff, ix, st.total[q], t, cfg.Params))
 			}
 			p.SleepAs(int(vtrace.HostWork), m.HostWork(len(block), st.row.N*r))
 			st.backend.Update(st.col, block) // col == row on the diagonal
@@ -242,7 +241,7 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 		for kk := 0; kk < clusters; kk++ {
 			if kk != k {
 				msg := net.Recv(p, rank, tag+tagRowUpd+kk)
-				st.absorb(st.row, &st.rowIdx, msg.Payload.([]update), st.backend)
+				st.absorb(st.row, st.rowOff, msg.Payload.([]update), st.backend)
 			}
 		}
 		w.count(rank, round, len(block))

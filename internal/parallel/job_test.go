@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"grape6/internal/direct"
+	"grape6/internal/gbackend"
 	"grape6/internal/hermite"
 	"grape6/internal/vec"
 )
@@ -126,6 +127,30 @@ func TestWorkersDoNotOutliveRun(t *testing.T) {
 			_, err = Run("copy", plummer(32, 3), 0.03125, 0, cfg)
 			return err
 		}, "pipeline fault"},
+		// The emulated GRAPE predicts i-particles from its own image; a
+		// ring host's visitors are not in it, so it is handed nil slots
+		// and refuses them.
+		{"gbackend on the ring", func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("%v", r)
+				}
+			}()
+			var made []*gbackend.Backend
+			defer func() {
+				for _, b := range made {
+					b.Close()
+				}
+			}()
+			cfg := testConfig(4)
+			cfg.NewBackend = func(rank int) hermite.Backend {
+				b := tinyGrape(1)(rank).(*gbackend.Backend)
+				made = append(made, b)
+				return b
+			}
+			_, err = Run("ring", plummer(32, 3), 0.03125, 0, cfg)
+			return err
+		}, "nil slots"},
 	} {
 		before, parked := settledGoroutines(), goroutinesIn(proc)
 		err := tc.run()

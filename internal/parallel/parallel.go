@@ -62,11 +62,13 @@ type Config struct {
 	// any per-rank instance exists. Implementations that index per-rank
 	// state must treat -1 as "shared setup", not a rank.
 	//
-	// The gbackend (emulated GRAPE) predicts i-particles from its own
-	// j-memory image, so it requires every i-particle to be loaded on the
-	// host evaluating it: that holds for the copy algorithm (full replica
-	// per host) but NOT for ring/grid, whose i-particles visit hosts that
-	// store disjoint subsets — use position-honouring backends there.
+	// A copy host passes its block's slots in its replica to ForcesInto.
+	// Ring, grid and hybrid hosts evaluate visiting i-particles, not
+	// particles of the subset they loaded, and pass nil slots (see
+	// hermite.Backend). The gbackend (emulated GRAPE) predicts
+	// i-particles from its own j-memory image and panics on nil slots,
+	// so it serves the copy algorithm only — use position-honouring
+	// backends for the others.
 	NewBackend func(rank int) hermite.Backend
 
 	// Record enables per-phase virtual-time accounting (internal/vtrace):
@@ -210,8 +212,7 @@ func run(sys *nbody.System, until float64, cfg Config, ex exchange) (*Result, er
 	if err := ex.check(sys.N); err != nil {
 		return nil, err
 	}
-	home, err := initForces(sys, cfg)
-	if err != nil {
+	if err := initForces(sys, cfg); err != nil {
 		return nil, err
 	}
 
@@ -251,13 +252,15 @@ func run(sys *nbody.System, until float64, cfg Config, ex exchange) (*Result, er
 		return nil, fmt.Errorf("parallel: %d hosts deadlocked", eng.Live())
 	}
 
-	// Gather the final states into the input's particle order.
+	// Gather the final states into the input's particle order: the final
+	// parts hold consecutive slot ranges, in order.
 	res := w.res
 	res.Sys = nbody.New(sys.N)
+	slot := 0
 	for _, part := range final {
 		for i := 0; i < part.N; i++ {
-			slot, _ := home.Slot(part.ID[i])
 			res.Sys.CopyParticle(slot, part, i)
+			slot++
 		}
 	}
 	res.VirtualTime = eng.Now()
@@ -282,34 +285,29 @@ func run(sys *nbody.System, until float64, cfg Config, ex exchange) (*Result, er
 // backend type, so that a run on emulated hardware starts from
 // hardware-rounded initial forces and stays bit-comparable with a
 // single-host run on the same hardware. Every exchange starts from this
-// common state. It returns the id → slot index of sys; ids may be any
-// unique integers.
-func initForces(sys *nbody.System, cfg Config) (*nbody.IDIndex, error) {
+// common state.
+func initForces(sys *nbody.System, cfg Config) error {
 	p := cfg.Params
 	if err := sys.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if sys.N == 0 {
-		return nil, fmt.Errorf("parallel: empty system")
-	}
-	home := new(nbody.IDIndex)
-	if !home.Rebuild(sys.ID) {
-		return nil, fmt.Errorf("parallel: duplicate particle ids")
+		return fmt.Errorf("parallel: empty system")
 	}
 	t0 := sys.Time[0]
 	for _, t := range sys.Time {
 		if t != t0 {
-			return nil, fmt.Errorf("parallel: unsynchronised initial times")
+			return fmt.Errorf("parallel: unsynchronised initial times")
 		}
 	}
 	b := cfg.backendFor(-1)
 	b.Load(sys)
-	whole := scratch{ids: sys.ID, xs: sys.Pos, vs: sys.Vel} // one block, already at t0
-	fs := whole.forces(b, t0, p.Eps)
+	whole := scratch{xs: sys.Pos, vs: sys.Vel} // one block, already at t0
+	fs := whole.forces(b, identity(sys.N), t0, p.Eps)
 	for i := range fs {
 		hermite.Start(sys, i, fs[i], t0, p)
 	}
-	return home, nil
+	return nil
 }
 
 // identity returns the slots 0..n-1; its subslices are the contiguous

@@ -95,7 +95,7 @@ func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Bac
 	var held []ipacket
 	// The job adds the local subset's partial forces to the held packets.
 	job := w.newJob(func() {
-		fs := sc.forces(backend, t, cfg.Params.Eps)
+		fs := sc.forces(backend, nil, t, cfg.Params.Eps)
 		for k := range held {
 			held[k].acc = held[k].acc.Add(fs[k].Acc)
 			held[k].jerk = held[k].jerk.Add(fs[k].Jerk)
@@ -114,7 +114,7 @@ func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Bac
 		sc.predict(S, sc.block, t)
 		packets := make([]ipacket, len(sc.block))
 		for k, i := range sc.block {
-			packets[k] = ipacket{id: sc.ids[k], x: sc.xs[k], v: sc.vs[k], ownerIx: i}
+			packets[k] = ipacket{id: S.ID[i], x: sc.xs[k], v: sc.vs[k], ownerIx: i}
 		}
 
 		// p stages: compute partial forces on the held packet list from
@@ -122,9 +122,8 @@ func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Bac
 		held = packets
 		for stage := 0; stage < cfg.Hosts; stage++ {
 			if len(held) > 0 {
-				sc.ids, sc.xs, sc.vs = sc.ids[:0], sc.xs[:0], sc.vs[:0]
+				sc.xs, sc.vs = sc.xs[:0], sc.vs[:0]
 				for _, pk := range held {
-					sc.ids = append(sc.ids, pk.id)
 					sc.xs = append(sc.xs, pk.x)
 					sc.vs = append(sc.vs, pk.v)
 				}
@@ -145,7 +144,7 @@ func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Bac
 		}
 		for _, pk := range held {
 			f := direct.Force{Acc: pk.acc, Jerk: pk.jerk, Pot: pk.pot, NN: -1}
-			correctParticle(S, pk.ownerIx, f, t, cfg.Params)
+			hermite.Advance(S, pk.ownerIx, f, t, cfg.Params)
 		}
 		if len(held) > 0 {
 			p.SleepAs(int(vtrace.HostWork), m.HostWork(len(held), S.N*cfg.Hosts))

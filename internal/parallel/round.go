@@ -14,15 +14,17 @@ import (
 
 // The steps of a block round that every exchange takes the same way.
 
-// update carries one particle's corrected state between hosts.
+// update carries one particle's corrected state between hosts. slot is
+// the particle's slot in the whole system; a host storing a contiguous
+// range of slots from off on writes it to its own slot slot-off.
 type update struct {
-	id                               int
+	slot                             int
 	pos, vel, acc, jerk, snap, crack vec.V3
 	pot, time, step                  float64
 }
 
 // updateBytes is the wire size of one update: 18 coordinates + 3 scalars
-// + id ≈ 176 bytes.
+// + slot ≈ 176 bytes.
 const updateBytes = 176
 
 // Per-round message tags: a round's tags are round*tagStride + one of the
@@ -40,7 +42,6 @@ type scratch struct {
 	block   []int // slots due at the block time
 	mine    []int // the share of block this host's group integrates
 	changed []int
-	ids     []int
 	xs, vs  []vec.V3
 	fbuf    []direct.Force
 }
@@ -63,37 +64,35 @@ func (sc *scratch) selectBlock(sys *nbody.System, t float64, groups, share int) 
 }
 
 // predict stages the i-particles at the given slots of sys, predicted to
-// time t, into sc.ids/xs/vs.
+// time t, into sc.xs/vs.
 func (sc *scratch) predict(sys *nbody.System, slots []int, t float64) {
-	sc.ids, sc.xs, sc.vs = sc.ids[:0], sc.xs[:0], sc.vs[:0]
+	sc.xs, sc.vs = sc.xs[:0], sc.vs[:0]
 	for _, i := range slots {
 		x, v := hermite.Predict(sys.Pos[i], sys.Vel[i], sys.Acc[i], sys.Jerk[i], sys.Snap[i], t-sys.Time[i])
-		sc.ids = append(sc.ids, sys.ID[i])
 		sc.xs = append(sc.xs, x)
 		sc.vs = append(sc.vs, v)
 	}
 }
 
-// forces evaluates the staged i-particles against b's j-set. The result
-// aliases sc.fbuf: consume it before the next call.
-func (sc *scratch) forces(b hermite.Backend, t, eps float64) []direct.Force {
-	if cap(sc.fbuf) < len(sc.ids) {
-		sc.fbuf = make([]direct.Force, len(sc.ids))
+// forces evaluates the staged i-particles against b's j-set. slots are
+// their slots in the system b holds, nil when they are visitors (see
+// hermite.Backend). The result aliases sc.fbuf: consume it before the
+// next call.
+func (sc *scratch) forces(b hermite.Backend, slots []int, t, eps float64) []direct.Force {
+	if cap(sc.fbuf) < len(sc.xs) {
+		sc.fbuf = make([]direct.Force, len(sc.xs))
 	}
-	return b.ForcesInto(sc.fbuf[:len(sc.ids)], t, sc.ids, sc.xs, sc.vs, eps)
+	return b.ForcesInto(sc.fbuf[:len(sc.xs)], t, slots, sc.xs, sc.vs, eps)
 }
 
-// absorb overwrites the particles of sys named by ups with their corrected
-// state — ids sys does not store are skipped — and, when b is non-nil,
-// refreshes b's image of the slots that changed.
-func (sc *scratch) absorb(sys *nbody.System, idx *nbody.IDIndex, ups []update, b hermite.Backend) {
+// absorb overwrites the particles of sys, which holds the whole system's
+// slots from off on, with their corrected state from ups and, when b is
+// non-nil, refreshes b's image of the slots that changed.
+func (sc *scratch) absorb(sys *nbody.System, off int, ups []update, b hermite.Backend) {
 	sc.changed = sc.changed[:0]
 	for q := range ups {
 		u := &ups[q]
-		i, ok := idx.Slot(u.id)
-		if !ok {
-			continue
-		}
+		i := u.slot - off
 		sys.Pos[i], sys.Vel[i] = u.pos, u.vel
 		sys.Acc[i], sys.Jerk[i] = u.acc, u.jerk
 		sys.Snap[i], sys.Crack[i] = u.snap, u.crack
@@ -105,13 +104,14 @@ func (sc *scratch) absorb(sys *nbody.System, idx *nbody.IDIndex, ups []update, b
 	}
 }
 
-// correctParticle advances particle i to time t with the freshly
-// evaluated force f (hermite.Advance) and returns the update record.
-func correctParticle(sys *nbody.System, i int, f direct.Force, t float64, p hermite.Params) update {
+// correctParticle advances particle i of sys, which holds the whole
+// system's slots from off on, to time t with the freshly evaluated force f
+// (hermite.Advance) and returns the update record.
+func correctParticle(sys *nbody.System, off, i int, f direct.Force, t float64, p hermite.Params) update {
 	hermite.Advance(sys, i, f, t, p)
 	return update{
-		id:  sys.ID[i],
-		pos: sys.Pos[i], vel: sys.Vel[i], acc: sys.Acc[i], jerk: sys.Jerk[i],
+		slot: off + i,
+		pos:  sys.Pos[i], vel: sys.Vel[i], acc: sys.Acc[i], jerk: sys.Jerk[i],
 		snap: sys.Snap[i], crack: sys.Crack[i],
 		pot: sys.Pot[i], time: sys.Time[i], step: sys.Step[i],
 	}
@@ -119,7 +119,7 @@ func correctParticle(sys *nbody.System, i int, f direct.Force, t float64, p herm
 
 // gatherUpdates performs a recursive-doubling allgather of update lists
 // among `size` hosts (power of two): after log2(size) rounds every host
-// holds the concatenation of all lists, which it returns sorted by id
+// holds the concatenation of all lists, which it returns sorted by slot
 // (hosts receive them in topology-dependent order). Tag space: tagBase
 // must be unique per call site and block round.
 func gatherUpdates(p *des.Proc, net *simnet.Network, rank, size, tagBase int, local []update) []update {
@@ -135,7 +135,7 @@ func gatherUpdates(p *des.Proc, net *simnet.Network, rank, size, tagBase int, lo
 		msg := net.Recv(p, rank, tagBase+bit)
 		local = append(local, msg.Payload.([]update)...)
 	}
-	sort.Slice(local, func(i, j int) bool { return local[i].id < local[j].id })
+	sort.Slice(local, func(i, j int) bool { return local[i].slot < local[j].slot })
 	return local
 }
 

@@ -221,7 +221,7 @@ func TestCheckRingReturn(t *testing.T) {
 func TestRingHostSurfacesCirculationError(t *testing.T) {
 	cfg := testConfig(2)
 	sys := plummer(4, 9)
-	if _, err := initForces(sys, cfg); err != nil {
+	if err := initForces(sys, cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Rank 0 runs the real ring host on its half of the system.

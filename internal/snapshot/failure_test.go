@@ -3,6 +3,9 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -106,23 +109,36 @@ func TestHugeHeaderN(t *testing.T) {
 
 // TestRepeatedIDs: a stream whose particles 5 and 6 share an id reads
 // back as an error, not as a system every id-indexed consumer would
-// mis-load. The same stream is the fuzz corpus entry repeated_id.
+// mis-load. Write refuses to make such a stream, so the test patches
+// particle 5's id in a valid one and recomputes the CRC-32 trailer; the
+// result is the fuzz corpus entry repeated_id.
 func TestRepeatedIDs(t *testing.T) {
-	sys := model.Plummer(64, xrand.New(5))
-	sys.ID[5] = sys.ID[6]
 	var buf bytes.Buffer
-	if err := Write(&buf, Header{N: 64, Eps: 1.0 / 64}, sys); err != nil {
+	if err := Write(&buf, Header{N: 64, Eps: 1.0 / 64}, model.Plummer(64, xrand.New(5))); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Read(&buf); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
+	dup := buf.Bytes()
+	const header, record = 40, 184 // bytes before the records; one record
+	copy(dup[header+5*record:header+5*record+8], dup[header+6*record:])
+	binary.LittleEndian.PutUint32(dup[len(dup)-4:], crc32.ChecksumIEEE(dup[:len(dup)-4]))
+	corpus, err := os.ReadFile("testdata/fuzz/FuzzSnapshotRead/repeated_id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(corpus)), "\n")
+	want, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")"))
+	if err != nil || want != string(dup) {
+		t.Errorf("patched stream is not the corpus entry repeated_id (%v)", err)
+	}
+	if _, _, err := Read(bytes.NewReader(dup)); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
 		t.Errorf("Read of a stream with a repeated id: got %v, want the repeated-id error", err)
 	}
 }
 
 // FuzzSnapshotRead feeds Read arbitrary bytes. It must return an error or
 // a system, never panic or exhaust memory, and a system it accepts must
-// encode back to the bytes it was read from (unless Write refuses it:
-// Read does not check the masses and coordinates Write validates).
+// encode back to the bytes it was read from: Read accepts exactly what
+// Write writes.
 func FuzzSnapshotRead(f *testing.F) {
 	f.Add(validStream(f))
 	f.Add(headerOnly(f, 1<<31))
@@ -133,7 +149,7 @@ func FuzzSnapshotRead(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, h, sys); err != nil {
-			return
+			t.Fatalf("Write refuses a system Read accepted: %v", err)
 		}
 		if !bytes.HasPrefix(data, buf.Bytes()) {
 			t.Errorf("accepted snapshot re-encodes to %x, read from %x", buf.Bytes(), data)

@@ -87,12 +87,12 @@ func arrv3(a [3]float64) vec.V3 { return vec.New(a[0], a[1], a[2]) }
 const maxPrealloc = 1 << 8
 
 // Read deserialises a snapshot, verifying magic, version, checksum and
-// that no particle id repeats.
+// that the system is valid (nbody.System.Validate: finite coordinates,
+// non-negative masses, no repeated id).
 func Read(r io.Reader) (Header, *nbody.System, error) { return ReadLimited(r, 1<<31) }
 
 // ReadLimited is Read for a stream that may hold at most maxN particles:
-// a header claiming more is an error before any record is read. A stream
-// whose particle ids repeat is an error too.
+// a header claiming more is an error before any record is read.
 func ReadLimited(r io.Reader, maxN int64) (Header, *nbody.System, error) {
 	crc := crc32.NewIEEE()
 	tr := io.TeeReader(r, crc)
@@ -154,11 +154,9 @@ func ReadLimited(r io.Reader, maxN int64) (Header, *nbody.System, error) {
 	if got != want {
 		return Header{}, nil, fmt.Errorf("snapshot: checksum mismatch %#x != %#x", got, want)
 	}
-	// Every consumer indexes particles by id; a repeated one would load
-	// both copies and update only the later.
-	var ids nbody.IDIndex
-	if !ids.Rebuild(sys.ID) {
-		return Header{}, nil, fmt.Errorf("snapshot: repeated particle id")
+	// Read accepts exactly what Write writes.
+	if err := sys.Validate(); err != nil {
+		return Header{}, nil, fmt.Errorf("snapshot: %w", err)
 	}
 	return h, sys, nil
 }
