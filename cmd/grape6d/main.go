@@ -25,6 +25,7 @@ import (
 
 	"grape6/internal/board"
 	"grape6/internal/core"
+	"grape6/internal/gbackend"
 	"grape6/internal/grape6d"
 	"grape6/internal/model"
 	"grape6/internal/xrand"
@@ -84,7 +85,7 @@ func smokeHW() board.Config {
 // dedicated array and fingerprints the synchronized state.
 func soloHash(hw board.Config, n int, seed uint64, eps float64, blocks int) (uint64, error) {
 	sim, err := core.NewSimulator(model.Plummer(n, xrand.New(seed)), core.Config{
-		Backend: core.Grape, Eps: eps, HW: &hw,
+		Backend: gbackend.New(board.New(hw)), Eps: eps,
 	})
 	if err != nil {
 		return 0, err
@@ -165,7 +166,7 @@ func runSmoke(fleet int) error {
 		return fmt.Errorf("session a hash %#016x, dedicated run %#016x: multi-tenancy changed bits", gotA.Hash, wantA)
 	}
 
-	soloRestored, err := core.Restore(bytes.NewReader(snap.Data), core.Config{Backend: core.Grape, HW: &hw})
+	soloRestored, err := core.Restore(bytes.NewReader(snap.Data), core.Config{Backend: gbackend.New(board.New(hw))})
 	if err != nil {
 		return err
 	}

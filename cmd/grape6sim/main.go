@@ -20,8 +20,10 @@ import (
 	"os"
 
 	"grape6/internal/binaries"
+	"grape6/internal/board"
 	"grape6/internal/core"
 	"grape6/internal/diag"
+	"grape6/internal/gbackend"
 	"grape6/internal/hermite"
 	"grape6/internal/nbody"
 	"grape6/internal/parallel"
@@ -97,13 +99,7 @@ func main() {
 		fatal("unknown softening %q", *softening)
 	}
 
-	var bk core.BackendKind
-	switch *backend {
-	case "direct":
-		bk = core.Direct
-	case "grape":
-		bk = core.Grape
-	default:
+	if *backend != "direct" && *backend != "grape" {
 		fatal("unknown backend %q", *backend)
 	}
 
@@ -111,7 +107,7 @@ func main() {
 		if *restore != "" || *check != "" {
 			fatal("checkpointing is not supported in co-simulation mode")
 		}
-		if bk != core.Direct {
+		if *backend != "direct" {
 			fatal("co-simulation mode supports only -backend direct")
 		}
 		runCosim(cosimOpts{
@@ -130,6 +126,10 @@ func main() {
 		fatal("-breakdown and -trace need the co-simulation mode (-hosts)")
 	}
 
+	var be hermite.Backend // nil: the float64 reference
+	if *backend == "grape" {
+		be = gbackend.New(board.New(board.Default))
+	}
 	var sim *core.Simulator
 	var eps float64
 	if *restore != "" {
@@ -137,7 +137,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		sim, err = core.Restore(f, core.Config{Backend: bk, Eta: *eta})
+		sim, err = core.Restore(f, core.Config{Backend: be, Eta: *eta})
 		f.Close()
 		if err != nil {
 			fatal("restore: %v", err)
@@ -151,12 +151,12 @@ func main() {
 		sys := buildSystem(*modelName, *n, *kingW0, *seed)
 		eps = units.Softening(kind, sys.N)
 		var err error
-		sim, err = core.NewSimulator(sys, core.Config{Backend: bk, Eps: eps, Eta: *eta})
+		sim, err = core.NewSimulator(sys, core.Config{Backend: be, Eps: eps, Eta: *eta})
 		if err != nil {
 			fatal("%v", err)
 		}
 		fmt.Printf("model=%s N=%d backend=%s eps=%.6g eta=%g\n",
-			*modelName, sys.N, bk, eps, *eta)
+			*modelName, sys.N, *backend, eps, *eta)
 	}
 
 	cons := diag.NewConservation(sim.Synchronized(), eps)
@@ -183,7 +183,7 @@ func main() {
 		next += *report
 	}
 
-	if bk == core.Grape {
+	if *backend == "grape" {
 		fmt.Printf("emulated hardware cycles: %d\n", sim.HardwareCycles())
 	}
 

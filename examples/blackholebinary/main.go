@@ -27,9 +27,8 @@ func main() {
 	sys := model.PlummerWithBlackHoles(n, 0.005, 0.3, xrand.New(11))
 	bh1, bh2 := n, n+1 // the two massive particles
 
-	sim, err := core.NewSimulator(sys, core.Config{
-		Backend: core.Direct,
-		Eps:     units.Softening(units.SoftConstant, n),
+	sim, err := core.NewSimulator(sys, core.Config{ // no Backend: the float64 reference
+		Eps: units.Softening(units.SoftConstant, n),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,7 @@ func main() {
 	eps := units.Softening(units.SoftNDependent, n)
 	sys := model.Plummer(n, xrand.New(2003))
 
-	sim, err := core.NewSimulator(sys, core.Config{Backend: core.Direct, Eps: eps})
+	sim, err := core.NewSimulator(sys, core.Config{Eps: eps}) // the float64 reference
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("\ncheckpoint at t=%.2f: %d bytes\n", sim.Time(), ckpt.Len())
 
-	sim2, err := core.Restore(&ckpt, core.Config{Backend: core.Direct})
+	sim2, err := core.Restore(&ckpt, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,10 +28,9 @@ func main() {
 
 	// Planetesimal dynamics needs a softening far below the interparticle
 	// spacing; the central star dominates every orbit.
-	sim, err := core.NewSimulator(sys, core.Config{
-		Backend: core.Direct,
-		Eps:     1e-4,
-		Eta:     0.05, // near-Keplerian orbits tolerate a larger eta
+	sim, err := core.NewSimulator(sys, core.Config{ // no Backend: the float64 reference
+		Eps: 1e-4,
+		Eta: 0.05, // near-Keplerian orbits tolerate a larger eta
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -12,6 +12,7 @@ import (
 
 	"grape6/internal/board"
 	"grape6/internal/core"
+	"grape6/internal/gbackend"
 	"grape6/internal/model"
 	"grape6/internal/units"
 	"grape6/internal/xrand"
@@ -25,9 +26,8 @@ func main() {
 	hw.Boards = 1
 	sys := model.Plummer(n, xrand.New(42))
 	sim, err := core.NewSimulator(sys, core.Config{
-		Backend: core.Grape, // bit-faithful hardware emulation
+		Backend: gbackend.New(board.New(hw)), // bit-faithful hardware emulation
 		Eps:     eps,
-		HW:      &hw,
 	})
 	if err != nil {
 		log.Fatal(err)

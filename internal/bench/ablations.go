@@ -153,37 +153,6 @@ func RunAblationVMP(o *Options) (Figure, error) {
 	return e, nil
 }
 
-// RunAblationMyrinet evaluates the upgrade the paper wanted but could not
-// afford: a Myrinet-class low-latency network on the full machine.
-func RunAblationMyrinet(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "a4",
-		Title: "ablation: Myrinet-class network on the 16-node machine",
-		Paper: "'Myrinet would provide the latency 5-10 times shorter' (Section 4.4)",
-	}
-	w, err := o.Workload(units.SoftConstant)
-	if err != nil {
-		return e, err
-	}
-	for _, c := range []struct {
-		label string
-		nic   simnet.NIC
-	}{
-		{"NS83820 (TCP/IP)", simnet.NS83820},
-		{"NS83820 + GAMMA/VIA (kernel bypass)", simnet.KernelBypass},
-		{"Intel82540EM (tuned TCP/IP)", simnet.Intel82540EM},
-		{"Myrinet-class", simnet.Myrinet},
-	} {
-		m := perfmodel.MultiCluster(4, c.nic, perfmodel.P4)
-		s := Series{Label: c.label, Units: "Tflops"}
-		for _, n := range o.CurveNs() {
-			s.Points = append(s.Points, Point{N: n, Value: m.Speed(n, w.MeanBlockSize(n)) / 1e12})
-		}
-		e.Series = append(e.Series, s)
-	}
-	return e, nil
-}
-
 // RunAblationGrape4 compares the predecessor machine against GRAPE-6
 // configurations — Section 3's design-evolution argument ("two orders of
 // magnitude faster than that of GRAPE-4" at scale, but with carefully

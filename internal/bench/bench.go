@@ -65,7 +65,6 @@ var Runners = []Runner{
 	{"a1", RunAblationMantissa},
 	{"a2", RunAblationAccumulator},
 	{"a3", RunAblationVMP},
-	{"a4", RunAblationMyrinet},
 	{"a5", RunAblationHostGrid},
 	{"a6", RunAblationGrape4},
 	{"a7", RunAblationNeighbourScheme},

@@ -13,6 +13,7 @@ import (
 
 	"grape6/internal/board"
 	"grape6/internal/core"
+	"grape6/internal/gbackend"
 	"grape6/internal/model"
 	"grape6/internal/xrand"
 )
@@ -150,23 +151,6 @@ func TestAblationVMPEfficiency(t *testing.T) {
 	}
 }
 
-func TestAblationMyrinetHelps(t *testing.T) {
-	e, err := RunAblationMyrinet(sharedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := e.FindSeries("NS83820 (TCP/IP)")
-	my := e.FindSeries("Myrinet-class")
-	if ns == nil || my == nil {
-		t.Fatal("missing series")
-	}
-	a, _ := ns.ValueAt(100000)
-	b, _ := my.ValueAt(100000)
-	if b <= a {
-		t.Errorf("Myrinet not faster at N=1e5: %v vs %v", b, a)
-	}
-}
-
 func TestAblationHostGrid(t *testing.T) {
 	e, err := RunAblationHostGrid(sharedOpts)
 	if err != nil {
@@ -247,7 +231,7 @@ func TestAllRuns(t *testing.T) {
 			t.Errorf("%s: quick JSON differs from %s/%s.quick.json:\n%s", r.ID, runnerGoldens, r.ID, got.Bytes())
 		}
 	}
-	for _, want := range []string{"t1", "t5ab", "t5c", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "v1"} {
+	for _, want := range []string{"t1", "t5ab", "t5c", "a1", "a2", "a3", "a5", "a6", "a7", "v1"} {
 		if !ids[want] {
 			t.Errorf("missing experiment %s", want)
 		}
@@ -314,26 +298,6 @@ func TestNeighbourSchemeSaving(t *testing.T) {
 	}
 }
 
-func TestAblationKernelBypassOrdering(t *testing.T) {
-	e, err := RunAblationMyrinet(sharedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := e.FindSeries("NS83820 (TCP/IP)")
-	kb := e.FindSeries("NS83820 + GAMMA/VIA (kernel bypass)")
-	my := e.FindSeries("Myrinet-class")
-	if ns == nil || kb == nil || my == nil {
-		t.Fatalf("missing series: %v", labels(e))
-	}
-	n := 100000
-	a, _ := ns.ValueAt(n)
-	b, _ := kb.ValueAt(n)
-	c, _ := my.ValueAt(n)
-	if !(a < b && b < c) {
-		t.Errorf("ordering at N=1e5: tcp %v, bypass %v, myrinet %v", a, b, c)
-	}
-}
-
 // settledGoroutines returns runtime.NumGoroutine once it has held still for
 // 20 ms: a closed pool's workers may still be unwinding.
 func settledGoroutines() int {
@@ -350,7 +314,7 @@ func settledGoroutines() int {
 }
 
 // TestEmulatorRunsReleaseWorkers holds the runners that build their own
-// emulated arrays (a1 six, v1 two) and a core.Grape simulator to closing
+// emulated arrays (a1 six, v1 two) and a core simulator on its own array to closing
 // them: an array spawns a GOMAXPROCS worker pool on its first force call,
 // and one left open strands those goroutines for the life of the process.
 func TestEmulatorRunsReleaseWorkers(t *testing.T) {
@@ -361,10 +325,10 @@ func TestEmulatorRunsReleaseWorkers(t *testing.T) {
 	}{
 		{"a1", func() error { _, err := RunAblationMantissa(sharedOpts); return err }},
 		{"v1", func() error { _, err := RunValidation(sharedOpts); return err }},
-		{"core.Grape", func() error {
+		{"core", func() error {
 			hw := board.Default
 			hw.ChipsPerModule, hw.ModulesPerBoard, hw.Boards = 2, 2, 1
-			sim, err := core.NewSimulator(model.Plummer(48, xrand.New(3)), core.Config{Backend: core.Grape, Eps: 1.0 / 64, HW: &hw})
+			sim, err := core.NewSimulator(model.Plummer(48, xrand.New(3)), core.Config{Backend: gbackend.New(board.New(hw)), Eps: 1.0 / 64})
 			if err != nil {
 				return err
 			}

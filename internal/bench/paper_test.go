@@ -227,6 +227,37 @@ func TestF19TuningImprovement(t *testing.T) {
 	}
 }
 
+func TestAblationMyrinetHelps(t *testing.T) {
+	e := quickFigure(t, "a4")
+	ns := e.FindSeries("NS83820 (TCP/IP)")
+	my := e.FindSeries("Myrinet-class")
+	if ns == nil || my == nil {
+		t.Fatalf("missing series; have %v", bench.Labels(e))
+	}
+	a, _ := ns.ValueAt(100000)
+	b, _ := my.ValueAt(100000)
+	if b <= a {
+		t.Errorf("Myrinet not faster at N=1e5: %v vs %v", b, a)
+	}
+}
+
+func TestAblationKernelBypassOrdering(t *testing.T) {
+	e := quickFigure(t, "a4")
+	ns := e.FindSeries("NS83820 (TCP/IP)")
+	kb := e.FindSeries("NS83820 + GAMMA/VIA (kernel bypass)")
+	my := e.FindSeries("Myrinet-class")
+	if ns == nil || kb == nil || my == nil {
+		t.Fatalf("missing series; have %v", bench.Labels(e))
+	}
+	n := 100000
+	a, _ := ns.ValueAt(n)
+	b, _ := kb.ValueAt(n)
+	c, _ := my.ValueAt(n)
+	if !(a < b && b < c) {
+		t.Errorf("ordering at N=1e5: tcp %v, bypass %v, myrinet %v", a, b, c)
+	}
+}
+
 func TestCosimSmallNSlowdown(t *testing.T) {
 	e := quickFigure(t, "cosim")
 	cp := e.FindSeries("copy algorithm")

@@ -10,39 +10,27 @@ import (
 
 	"grape6/internal/board"
 	"grape6/internal/diag"
+	"grape6/internal/gbackend"
 	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/snapshot"
 	"grape6/internal/xrand"
 )
 
-func tinyHW() *board.Config {
+func tinyHW() board.Config {
 	hw := board.Default
 	hw.ChipsPerModule = 2
 	hw.ModulesPerBoard = 2
 	hw.Boards = 1
-	return &hw
+	return hw
 }
 
-func TestBackendKindString(t *testing.T) {
-	if Direct.String() != "direct" || Grape.String() != "grape" {
-		t.Error("backend names")
-	}
-	if BackendKind(9).String() == "" {
-		t.Error("unknown kind should still format")
-	}
-}
-
-func TestNewSimulatorRejectsUnknownBackend(t *testing.T) {
-	sys := model.Plummer(16, xrand.New(1))
-	if _, err := NewSimulator(sys, Config{Backend: BackendKind(7)}); err == nil {
-		t.Error("accepted unknown backend")
-	}
-}
+// tinyGrape is a dedicated 4-chip emulated array.
+func tinyGrape() *gbackend.Backend { return gbackend.New(board.New(tinyHW())) }
 
 func TestDirectRun(t *testing.T) {
 	sys := model.Plummer(64, xrand.New(2))
-	sim, err := NewSimulator(sys, Config{Backend: Direct, Eps: 1.0 / 64})
+	sim, err := NewSimulator(sys, Config{Eps: 1.0 / 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +52,7 @@ func TestDirectRun(t *testing.T) {
 
 func TestGrapeRun(t *testing.T) {
 	sys := model.Plummer(48, xrand.New(3))
-	sim, err := NewSimulator(sys, Config{Backend: Grape, Eps: 1.0 / 64, HW: tinyHW()})
+	sim, err := NewSimulator(sys, Config{Backend: tinyGrape(), Eps: 1.0 / 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,28 +66,14 @@ func TestGrapeRun(t *testing.T) {
 	}
 }
 
-func TestOnBlockCallback(t *testing.T) {
-	sys := model.Plummer(32, xrand.New(4))
-	sim, err := NewSimulator(sys, Config{Backend: Direct, Eps: 1.0 / 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blocks []hermite.BlockStat
-	sim.OnBlock(func(b hermite.BlockStat) { blocks = append(blocks, b) })
-	sim.Run(0.0625)
-	if int64(len(blocks)) != sim.Blocks() {
-		t.Errorf("callback count %d != blocks %d", len(blocks), sim.Blocks())
-	}
-}
-
 func TestEnergiesAndSynchronized(t *testing.T) {
 	sys := model.Plummer(64, xrand.New(5))
-	sim, err := NewSimulator(sys, Config{Backend: Direct, Eps: 1.0 / 64})
+	sim, err := NewSimulator(sys, Config{Eps: 1.0 / 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.Run(0.125)
-	e := sim.Energies()
+	e := diag.Measure(sim.Synchronized(), sim.Eps())
 	if e.Kinetic <= 0 || e.Potential >= 0 {
 		t.Errorf("energies %+v", e)
 	}
@@ -118,7 +92,7 @@ func TestEnergiesAndSynchronized(t *testing.T) {
 
 func TestCheckpointRestore(t *testing.T) {
 	sys := model.Plummer(48, xrand.New(6))
-	cfg := Config{Backend: Direct, Eps: 1.0 / 64}
+	cfg := Config{Eps: 1.0 / 64}
 	sim, err := NewSimulator(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +106,7 @@ func TestCheckpointRestore(t *testing.T) {
 	if err := sim.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sim2, err := Restore(&buf, Config{Backend: Direct})
+	sim2, err := Restore(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +148,7 @@ func TestRestoreRejectsRepeatedIDs(t *testing.T) {
 	const header, record = 40, 184
 	copy(data[header+5*record:header+5*record+8], data[header+6*record:])
 	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
-	if _, err := Restore(bytes.NewReader(data), Config{Backend: Grape, HW: tinyHW()}); err == nil {
+	if _, err := Restore(bytes.NewReader(data), Config{Backend: tinyGrape()}); err == nil {
 		t.Fatal("restored a checkpoint with a repeated particle id")
 	}
 }
@@ -183,18 +157,18 @@ func TestRestoreRejectsRepeatedIDs(t *testing.T) {
 // share an id is refused on both backends, before any backend addresses
 // a particle.
 func TestNewSimulatorRejectsRepeatedIDs(t *testing.T) {
-	for _, kind := range []BackendKind{Direct, Grape} {
+	for _, be := range []hermite.Backend{nil, tinyGrape()} {
 		sys := model.Plummer(64, xrand.New(5))
 		sys.ID[6] = sys.ID[5]
-		if _, err := NewSimulator(sys, Config{Backend: kind, Eps: 1.0 / 64, HW: tinyHW()}); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
-			t.Errorf("%v: NewSimulator of a system with a repeated id: got %v, want the repeated-id error", kind, err)
+		if _, err := NewSimulator(sys, Config{Backend: be, Eps: 1.0 / 64}); err == nil || !strings.Contains(err.Error(), "repeated particle id") {
+			t.Errorf("%T: NewSimulator of a system with a repeated id: got %v, want the repeated-id error", be, err)
 		}
 	}
 }
 
 func TestStepAdvances(t *testing.T) {
 	sys := model.Plummer(32, xrand.New(7))
-	sim, err := NewSimulator(sys, Config{Backend: Direct, Eps: 1.0 / 64})
+	sim, err := NewSimulator(sys, Config{Eps: 1.0 / 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,27 +181,83 @@ func TestStepAdvances(t *testing.T) {
 	}
 }
 
+// TestHardwareStats: the protocol counters live on the backend the
+// caller handed in; HardwareCycles reads the same cycles, and is zero on
+// the float64 reference.
 func TestHardwareStats(t *testing.T) {
-	sys := model.Plummer(32, xrand.New(15))
-	sim, err := NewSimulator(sys, Config{Backend: Grape, Eps: 1.0 / 64, HW: tinyHW()})
+	gb := tinyGrape()
+	sim, err := NewSimulator(model.Plummer(32, xrand.New(15)), Config{Backend: gb, Eps: 1.0 / 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sim.Close()
 	sim.Run(0.0625)
-	st := sim.HardwareStats()
-	if st.Cycles == 0 {
-		t.Error("no cycles in stats")
+	if gb.HWCycles == 0 || sim.HardwareCycles() != gb.HWCycles {
+		t.Errorf("cycles: backend %d, simulator %d", gb.HWCycles, sim.HardwareCycles())
 	}
-	if st.RangeClamps != 0 {
-		t.Errorf("unexpected clamps: %d", st.RangeClamps)
+	if gb.RangeClamps != 0 {
+		t.Errorf("unexpected clamps: %d", gb.RangeClamps)
 	}
-	// Direct backend reports zeros.
-	sim2, err := NewSimulator(model.Plummer(8, xrand.New(1)), Config{Backend: Direct, Eps: 0.1})
+	sim2, err := NewSimulator(model.Plummer(8, xrand.New(1)), Config{Eps: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim2.HardwareStats() != (HardwareStats{}) {
-		t.Error("direct backend reported hardware stats")
+	if sim2.HardwareCycles() != 0 {
+		t.Error("float64 reference reported hardware cycles")
+	}
+}
+
+// closingBackend is the float64 reference with a Close that counts.
+type closingBackend struct {
+	*hermite.DirectBackend
+	closes int
+}
+
+func (b *closingBackend) Close() { b.closes++ }
+
+// closingArray is an emulated array whose Close only counts.
+type closingArray struct {
+	*board.Array
+	closes int
+}
+
+func (a *closingArray) Close() { a.closes++ }
+
+// TestSimulatorClosesItsBackend: the Simulator owns the backend it is
+// given. Close reaches it, also when NewSimulator refuses the system, and
+// a gbackend.NewBorrowed backend passes none of that on to the array it
+// leases.
+func TestSimulatorClosesItsBackend(t *testing.T) {
+	be := &closingBackend{DirectBackend: hermite.NewDirectBackend()}
+	sim, err := NewSimulator(model.Plummer(32, xrand.New(15)), Config{Backend: be, Eps: 1.0 / 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Close()
+	if be.closes != 1 {
+		t.Errorf("Close reached the backend %d times, want 1", be.closes)
+	}
+
+	refused := &closingBackend{DirectBackend: hermite.NewDirectBackend()}
+	sys := model.Plummer(32, xrand.New(15))
+	sys.ID[6] = sys.ID[5]
+	if _, err := NewSimulator(sys, Config{Backend: refused, Eps: 1.0 / 64}); err == nil {
+		t.Fatal("accepted a repeated id")
+	}
+	if refused.closes != 1 {
+		t.Errorf("a refused system closed its backend %d times, want 1", refused.closes)
+	}
+
+	shared := board.New(tinyHW())
+	defer shared.Close()
+	lease := &closingArray{Array: shared}
+	sim, err = NewSimulator(model.Plummer(32, xrand.New(15)), Config{Backend: gbackend.NewBorrowed(lease), Eps: 1.0 / 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Close()
+	if lease.closes != 0 {
+		t.Errorf("Close reached a borrowed array %d times", lease.closes)
 	}
 }
 
@@ -241,7 +271,7 @@ func TestHardwareStats(t *testing.T) {
 func TestRestoreEpsDiagnostics(t *testing.T) {
 	const eps = 1.0 / 64
 	sys := model.Plummer(64, xrand.New(9))
-	sim, err := NewSimulator(sys, Config{Backend: Direct, Eps: eps})
+	sim, err := NewSimulator(sys, Config{Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +281,7 @@ func TestRestoreEpsDiagnostics(t *testing.T) {
 	if err := sim.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(&buf, Config{Backend: Direct})
+	restored, err := Restore(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

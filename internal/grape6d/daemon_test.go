@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"grape6/internal/board"
 	"grape6/internal/core"
+	"grape6/internal/gbackend"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
 	"grape6/internal/snapshot"
@@ -44,7 +46,8 @@ func startDaemon(t *testing.T, hw board.Config, fleet int) *Client {
 // attach, step, snapshot, restore, step, detach — with a second tenant
 // contending for the same array throughout, and pins both trajectories
 // bit-identical to dedicated runs (core.NewSimulator / core.Restore on
-// a private array of the same shape).
+// a private array of the same shape): the state hashes, and the
+// snapshot bytes against the dedicated runs' Checkpoint.
 func TestDaemonRoundTrip(t *testing.T) {
 	hw := smallHW()
 	const eps = 1.0 / 64
@@ -93,14 +96,23 @@ func TestDaemonRoundTrip(t *testing.T) {
 
 	// Dedicated-run references.
 	solo, err := core.NewSimulator(model.Plummer(96, xrand.New(5)), core.Config{
-		Backend: core.Grape, Eps: eps, HW: &hw,
+		Backend: gbackend.New(board.New(hw)), Eps: eps,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < blocks+1; k++ {
+	defer solo.Close()
+	for k := 0; k < blocks; k++ {
 		solo.Step()
 	}
+	var ckpt bytes.Buffer
+	if err := solo.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap.Data, ckpt.Bytes()) {
+		t.Errorf("session a's snapshot differs from the dedicated run's checkpoint after the same %d blocks", blocks)
+	}
+	solo.Step()
 	wantA := SystemHash(solo.Synchronized())
 	gotA, err := cl.Hash("a")
 	if err != nil {
@@ -111,11 +123,12 @@ func TestDaemonRoundTrip(t *testing.T) {
 	}
 
 	soloRestored, err := core.Restore(bytes.NewReader(snap.Data), core.Config{
-		Backend: core.Grape, HW: &hw,
+		Backend: gbackend.New(board.New(hw)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer soloRestored.Close()
 	for k := 0; k < extra; k++ {
 		soloRestored.Step()
 	}
@@ -126,6 +139,17 @@ func TestDaemonRoundTrip(t *testing.T) {
 	}
 	if gotA2.Hash != wantA2 {
 		t.Errorf("restored session hash %#016x, dedicated restore %#016x", gotA2.Hash, wantA2)
+	}
+	snap2, err := cl.Snapshot("a2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt.Reset()
+	if err := soloRestored.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap2.Data, ckpt.Bytes()) {
+		t.Errorf("restored session's snapshot differs from the dedicated restore's checkpoint")
 	}
 
 	st, err := cl.Stats()
@@ -160,7 +184,7 @@ func TestServerConcurrentAttach(t *testing.T) {
 			if k%2 == 1 {
 				name = fmt.Sprintf("solo%d", k)
 			}
-			_, errs[k] = sv.start(name, newSys(uint64(k+1)), 1.0/64, uint64(k+1))
+			_, errs[k] = sv.start(name, snapshot.Header{Eps: 1.0 / 64}, newSys(uint64(k+1)))
 		}()
 	}
 	wg.Wait()
@@ -183,7 +207,7 @@ func TestServerConcurrentAttach(t *testing.T) {
 	if _, err := sv.get("dup"); err != nil {
 		t.Fatalf("winning session not installed: %v", err)
 	}
-	if _, err := sv.start("dup", newSys(9), 1.0/64, 9); err == nil {
+	if _, err := sv.start("dup", snapshot.Header{Eps: 1.0 / 64}, newSys(9)); err == nil {
 		t.Fatal("duplicate attach succeeded after the race settled")
 	}
 
@@ -191,7 +215,7 @@ func TestServerConcurrentAttach(t *testing.T) {
 	if err := r.Detach(&DetachArgs{Name: "dup"}, &DetachReply{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.start("dup", newSys(9), 1.0/64, 9); err != nil {
+	if _, err := sv.start("dup", snapshot.Header{Eps: 1.0 / 64}, newSys(9)); err != nil {
 		t.Fatalf("reattach after detach failed: %v", err)
 	}
 }
@@ -304,7 +328,7 @@ func TestRestoreRelabelled(t *testing.T) {
 	if _, err := cl.Step("relabelled", blocks); err != nil {
 		t.Fatal(err)
 	}
-	solo, err := core.Restore(bytes.NewReader(buf.Bytes()), core.Config{Backend: core.Grape, HW: &hw})
+	solo, err := core.Restore(bytes.NewReader(buf.Bytes()), core.Config{Backend: gbackend.New(board.New(hw))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,5 +348,62 @@ func TestRestoreRelabelled(t *testing.T) {
 	}
 	if _, err := cl.Step("next", 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDaemonRejectsNonFiniteInput sends the four non-finite inputs that
+// used to panic an RPC handler goroutine, which net/rpc does not
+// recover, so every tenant died with the process: an attach softening of
+// NaN or +Inf, a snapshot whose header softening is NaN, and one whose
+// particle times are all +Inf. Each must come back as an error while
+// another session keeps stepping.
+func TestDaemonRejectsNonFiniteInput(t *testing.T) {
+	cl := startDaemon(t, smallHW(), 1)
+	if _, err := cl.Attach(AttachArgs{Name: "ok", N: 32, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	stillServing := func(after string) {
+		t.Helper()
+		if _, err := cl.Step("ok", 1); err != nil {
+			t.Fatalf("step after %s: %v", after, err)
+		}
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := cl.Attach(AttachArgs{Name: "bad", N: 32, Seed: 3, Eps: eps}); err == nil {
+			t.Errorf("Attach with Eps=%v succeeded", eps)
+		}
+		stillServing(fmt.Sprintf("an attach with Eps=%v", eps))
+	}
+
+	var nanEps bytes.Buffer
+	if err := snapshot.Write(&nanEps, snapshot.Header{N: 64, Eps: math.NaN()}, model.Plummer(64, xrand.New(5))); err != nil {
+		t.Fatal(err)
+	}
+	// snapshot.Write refuses a non-finite particle time, so +Inf is
+	// patched into every record of a valid stream (40 header bytes,
+	// 184-byte records with the time 168 bytes in) and the CRC-32
+	// trailer recomputed.
+	var infTime bytes.Buffer
+	if err := snapshot.Write(&infTime, snapshot.Header{N: 64, Eps: 1.0 / 64}, model.Plummer(64, xrand.New(5))); err != nil {
+		t.Fatal(err)
+	}
+	data := infTime.Bytes()
+	const header, record, timeAt = 40, 184, 168
+	for i := 0; i < 64; i++ {
+		binary.LittleEndian.PutUint64(data[header+i*record+timeAt:], math.Float64bits(math.Inf(1)))
+	}
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(data[:len(data)-4]))
+
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"a NaN header softening", nanEps.Bytes()},
+		{"every particle time +Inf", data},
+	} {
+		if _, err := cl.Restore("bad", tc.stream); err == nil {
+			t.Errorf("Restore of a snapshot with %s succeeded", tc.name)
+		}
+		stillServing("a restore with " + tc.name)
 	}
 }

@@ -40,7 +40,9 @@
 // A Session implements gbackend.Array, so the host-side GRAPE library
 // (gbackend.NewBorrowed) and the Hermite integrator run unchanged on a
 // shared fleet — gbackend is a client of the scheduler instead of the
-// owner of the boards.
+// owner of the boards. The daemon (Server) hosts each session as a
+// core.Simulator on its lease: one host program for dedicated and shared
+// runs.
 package grape6d
 
 import (

@@ -9,9 +9,9 @@ import (
 	"net/rpc"
 	"sync"
 
+	"grape6/internal/core"
 	"grape6/internal/gbackend"
 	"grape6/internal/gfixed"
-	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
 	"grape6/internal/snapshot"
@@ -27,40 +27,37 @@ type Server struct {
 	sched *Scheduler
 
 	mu   sync.Mutex
-	sims map[string]*sim
+	sims map[string]*tenant
 }
 
-// sim is one hosted integration: a scheduler lease, the GRAPE library
-// layer over it, and the integrator state. Its own lock serializes
-// RPCs against the same session; different sessions proceed in
-// parallel (that is the point of the daemon).
-type sim struct {
+// tenant is one hosted integration: a scheduler lease and the
+// core.Simulator that runs on it — the host program a dedicated run
+// uses, on a borrowed attachment. Its own lock serializes RPCs against
+// the same session; different sessions proceed in parallel (that is the
+// point of the daemon).
+type tenant struct {
 	mu    sync.Mutex
 	lease *Session
-	be    *gbackend.Backend
-	it    *hermite.Integrator
-	sys   *nbody.System
-	eps   float64
-	seed  uint64
+	sim   *core.Simulator
 }
 
 // NewServer wraps a scheduler in the RPC service. The server takes
 // ownership: Close shuts the scheduler down.
 func NewServer(sched *Scheduler) *Server {
-	return &Server{sched: sched, sims: make(map[string]*sim)}
+	return &Server{sched: sched, sims: make(map[string]*tenant)}
 }
 
 // Close detaches every hosted session and closes the scheduler.
 func (sv *Server) Close() {
 	sv.mu.Lock()
-	sims := make([]*sim, 0, len(sv.sims))
+	sims := make([]*tenant, 0, len(sv.sims))
 	for _, sm := range sv.sims {
 		if sm == nil {
 			continue // name reserved by an in-flight start; it rolls back
 		}
 		sims = append(sims, sm)
 	}
-	sv.sims = make(map[string]*sim)
+	sv.sims = make(map[string]*tenant)
 	sv.mu.Unlock()
 	for _, sm := range sims {
 		sm.lease.Detach()
@@ -83,7 +80,7 @@ func (sv *Server) Serve(ln net.Listener) error {
 	}
 }
 
-func (sv *Server) get(name string) (*sim, error) {
+func (sv *Server) get(name string) (*tenant, error) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	sm, ok := sv.sims[name]
@@ -93,12 +90,13 @@ func (sv *Server) get(name string) (*sim, error) {
 	return sm, nil
 }
 
-// start builds a hosted integration from an initial system and
-// registers it under name. Only the name reservation and the final
-// install hold sv.mu: building the integrator runs the full O(N²)
-// initial force evaluation, and holding the server lock across it
-// would stall every other tenant's RPCs for the duration.
-func (sv *Server) start(name string, sys *nbody.System, eps float64, seed uint64) (*sim, error) {
+// start builds a hosted integration continuing sys from the state h
+// describes (core.Resume on a lease) and registers it under name. Only
+// the name reservation and the final install hold sv.mu: building the
+// integrator runs the full O(N²) initial force evaluation, and holding
+// the server lock across it would stall every other tenant's RPCs for
+// the duration.
+func (sv *Server) start(name string, h snapshot.Header, sys *nbody.System) (*tenant, error) {
 	sv.mu.Lock()
 	if _, dup := sv.sims[name]; dup {
 		sv.mu.Unlock()
@@ -119,14 +117,13 @@ func (sv *Server) start(name string, sys *nbody.System, eps float64, seed uint64
 		unreserve()
 		return nil, err
 	}
-	be := gbackend.NewBorrowed(lease)
-	it, err := hermite.New(sys, be, hermite.DefaultParams(eps))
+	s, err := core.Resume(h, sys, core.Config{Backend: gbackend.NewBorrowed(lease)})
 	if err != nil {
 		lease.Detach()
 		unreserve()
 		return nil, err
 	}
-	sm := &sim{lease: lease, be: be, it: it, sys: sys, eps: eps, seed: seed}
+	sm := &tenant{lease: lease, sim: s}
 	sv.mu.Lock()
 	if _, still := sv.sims[name]; !still {
 		// Server.Close swept the map while we were building: roll back.
@@ -173,7 +170,7 @@ func (r *RPC) Attach(args *AttachArgs, reply *AttachReply) error {
 		eps = 1.0 / 64
 	}
 	sys := model.Plummer(args.N, xrand.New(args.Seed))
-	sm, err := r.sv.start(args.Name, sys, eps, args.Seed)
+	sm, err := r.sv.start(args.Name, snapshot.Header{Eps: eps}, sys)
 	if err != nil {
 		return err
 	}
@@ -205,12 +202,12 @@ func (r *RPC) Step(args *StepArgs, reply *StepReply) error {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	for k := 0; k < args.Blocks; k++ {
-		sm.it.Step()
+		sm.sim.Step()
 	}
-	reply.T = sm.it.T
-	reply.Steps = sm.it.Steps
-	reply.Blocks = sm.it.Blocks
-	reply.HWCycles = sm.be.HWCycles
+	reply.T = sm.sim.Time()
+	reply.Steps = sm.sim.Steps()
+	reply.Blocks = sm.sim.Blocks()
+	reply.HWCycles = sm.sim.HardwareCycles()
 	return nil
 }
 
@@ -224,9 +221,9 @@ type SnapshotReply struct {
 	T    float64
 }
 
-// Snapshot implements the checkpoint RPC: the session's state is
-// synchronized to its current time and serialized, exactly like a
-// dedicated run's core.Simulator.Checkpoint.
+// Snapshot implements the checkpoint RPC: the session's
+// core.Simulator.Checkpoint, the bytes a dedicated run at the same state
+// writes.
 func (r *RPC) Snapshot(args *SnapshotArgs, reply *SnapshotReply) error {
 	sm, err := r.sv.get(args.Name)
 	if err != nil {
@@ -234,19 +231,12 @@ func (r *RPC) Snapshot(args *SnapshotArgs, reply *SnapshotReply) error {
 	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	snap := sm.it.Synchronize(sm.it.T)
-	h := snapshot.Header{
-		N:    int64(snap.N),
-		Time: sm.it.T,
-		Eps:  sm.eps,
-		Step: sm.it.Steps,
-	}
 	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, h, snap); err != nil {
+	if err := sm.sim.Checkpoint(&buf); err != nil {
 		return err
 	}
 	reply.Data = buf.Bytes()
-	reply.T = sm.it.T
+	reply.T = sm.sim.Time()
 	return nil
 }
 
@@ -262,24 +252,19 @@ type RestoreReply struct {
 	T float64
 }
 
-// Restore implements the checkpoint-restore RPC: the restart
-// re-initialises forces and timesteps at the checkpoint time, the same
-// cold-restart semantics as core.Restore — so a restored daemon session
-// and a restored dedicated run are bit-identical from the first block.
-// A snapshot is held to MaxAttachN particles, like an attach, before any
-// record is read.
+// Restore implements the checkpoint-restore RPC: the session is
+// core.Resume of the stream, the construction core.Restore uses — so a
+// restored daemon session and a restored dedicated run are bit-identical
+// from the first block. A snapshot is held to MaxAttachN particles, like
+// an attach, before any record is read.
 func (r *RPC) Restore(args *RestoreArgs, reply *RestoreReply) error {
 	h, sys, err := snapshot.ReadLimited(bytes.NewReader(args.Data), MaxAttachN)
 	if err != nil {
 		return err
 	}
-	sm, err := r.sv.start(args.Name, sys, h.Eps, 0)
-	if err != nil {
+	if _, err := r.sv.start(args.Name, h, sys); err != nil {
 		return err
 	}
-	sm.mu.Lock()
-	sm.it.Steps = h.Step
-	sm.mu.Unlock()
 	reply.N = sys.N
 	reply.T = h.Time
 	return nil
@@ -342,8 +327,8 @@ func (r *RPC) Hash(args *HashArgs, reply *HashReply) error {
 	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	reply.Hash = SystemHash(sm.it.Synchronize(sm.it.T))
-	reply.T = sm.it.T
+	reply.Hash = SystemHash(sm.sim.Synchronized())
+	reply.T = sm.sim.Time()
 	return nil
 }
 

@@ -32,11 +32,11 @@ func DefaultParams(eps float64) Params {
 
 // Validate reports configuration errors.
 func (p Params) Validate() error {
-	if p.Eta <= 0 || p.EtaS <= 0 {
-		return fmt.Errorf("hermite: eta parameters must be positive (eta=%v etaS=%v)", p.Eta, p.EtaS)
+	if !(p.Eta > 0 && p.EtaS > 0) || math.IsInf(p.Eta, 0) || math.IsInf(p.EtaS, 0) {
+		return fmt.Errorf("hermite: eta parameters must be positive and finite (eta=%v etaS=%v)", p.Eta, p.EtaS)
 	}
-	if p.Eps < 0 {
-		return fmt.Errorf("hermite: negative softening %v", p.Eps)
+	if !(p.Eps >= 0) || math.IsInf(p.Eps, 0) {
+		return fmt.Errorf("hermite: softening %v is not a finite non-negative length", p.Eps)
 	}
 	if p.MinStep <= 0 || p.MaxStep < p.MinStep {
 		return fmt.Errorf("hermite: invalid step bounds [%v, %v]", p.MinStep, p.MaxStep)

@@ -29,6 +29,28 @@ func TestNewRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestParamsRejectNonFinite: NaN passes every ordered comparison's
+// negation, so a NaN or infinite eta or softening must be refused by name
+// before it reaches a force pass.
+func TestParamsRejectNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, set := range []struct {
+			name string
+			f    func(p *Params)
+		}{
+			{"Eta", func(p *Params) { p.Eta = v }},
+			{"EtaS", func(p *Params) { p.EtaS = v }},
+			{"Eps", func(p *Params) { p.Eps = v }},
+		} {
+			p := DefaultParams(1.0 / 64)
+			set.f(&p)
+			if err := p.Validate(); err == nil {
+				t.Errorf("Validate accepted %s = %v", set.name, v)
+			}
+		}
+	}
+}
+
 func TestNewRejectsUnsynchronised(t *testing.T) {
 	sys := model.TwoBodyCircular(0.5, 0.5, 1)
 	sys.Time[1] = 0.5

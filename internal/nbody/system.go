@@ -238,6 +238,9 @@ func (s *System) Validate() error {
 		if !s.Vel[i].IsFinite() {
 			return fmt.Errorf("nbody: particle %d has non-finite velocity %v", i, s.Vel[i])
 		}
+		if math.IsNaN(s.Time[i]) || math.IsInf(s.Time[i], 0) {
+			return fmt.Errorf("nbody: particle %d has non-finite time %v", i, s.Time[i])
+		}
 	}
 	var ids IDIndex
 	if !ids.Rebuild(s.ID) {

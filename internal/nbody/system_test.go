@@ -186,6 +186,16 @@ func TestValidateCatchesBadPosition(t *testing.T) {
 	}
 }
 
+func TestValidateCatchesBadTime(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := New(2)
+		s.Time[1] = v
+		if err := s.Validate(); err == nil {
+			t.Errorf("Validate accepted particle time %v", v)
+		}
+	}
+}
+
 func TestValidateCatchesLengthMismatch(t *testing.T) {
 	s := New(2)
 	s.Pot = s.Pot[:1]

@@ -12,7 +12,9 @@ import (
 	"grape6/internal/chip"
 	"grape6/internal/core"
 	"grape6/internal/diag"
+	"grape6/internal/gbackend"
 	"grape6/internal/grape6d"
+	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/perfmodel"
 	"grape6/internal/sched"
@@ -22,12 +24,13 @@ import (
 	"grape6/internal/xrand"
 )
 
-func tinyHW() *gboard.Config {
+// tinyGrape is a dedicated 4-chip emulated array.
+func tinyGrape() *gbackend.Backend {
 	hw := gboard.Default
 	hw.ChipsPerModule = 2
 	hw.ModulesPerBoard = 2
 	hw.Boards = 1
-	return &hw
+	return gbackend.New(gboard.New(hw))
 }
 
 // TestKingClusterOnEmulatedHardware: the canonical GRAPE workload — a
@@ -38,7 +41,7 @@ func TestKingClusterOnEmulatedHardware(t *testing.T) {
 		t.Fatal(err)
 	}
 	eps := units.Softening(units.SoftNDependent, sys.N)
-	sim, err := core.NewSimulator(sys, core.Config{Backend: core.Grape, Eps: eps, HW: tinyHW()})
+	sim, err := core.NewSimulator(sys, core.Config{Backend: tinyGrape(), Eps: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +68,7 @@ func TestKingClusterOnEmulatedHardware(t *testing.T) {
 // the emulated backend, continuing conservatively.
 func TestCheckpointRestartOnHardware(t *testing.T) {
 	sys := model.Plummer(64, xrand.New(9))
-	cfg := core.Config{Backend: core.Grape, Eps: 1.0 / 64, HW: tinyHW()}
-	sim, err := core.NewSimulator(sys, cfg)
+	sim, err := core.NewSimulator(sys, core.Config{Backend: tinyGrape(), Eps: 1.0 / 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestCheckpointRestartOnHardware(t *testing.T) {
 	if err := sim.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sim2, err := core.Restore(&buf, core.Config{Backend: core.Grape, HW: tinyHW()})
+	sim2, err := core.Restore(&buf, core.Config{Backend: tinyGrape()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +98,17 @@ func TestCheckpointRestartOnHardware(t *testing.T) {
 // backends; the hashes are taken after the labels are mapped back.
 func TestRelabelledSystems(t *testing.T) {
 	const n, blocks = 64, 40
-	for _, kind := range []core.BackendKind{core.Direct, core.Grape} {
+	for _, kind := range []string{"direct", "grape"} {
 		run := func(label func(i int) int) uint64 {
 			sys := model.Plummer(n, xrand.New(9))
 			for i := range sys.ID {
 				sys.ID[i] = label(i)
 			}
-			sim, err := core.NewSimulator(sys, core.Config{Backend: kind, Eps: 1.0 / 64, HW: tinyHW()})
+			var be hermite.Backend // nil: the float64 reference
+			if kind == "grape" {
+				be = tinyGrape()
+			}
+			sim, err := core.NewSimulator(sys, core.Config{Backend: be, Eps: 1.0 / 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +173,7 @@ func TestTracePersistenceFeedsTimingModel(t *testing.T) {
 func TestDiskOnHardware(t *testing.T) {
 	cfg := model.DefaultKuiperDisk(48)
 	sys := model.Disk(cfg, xrand.New(11))
-	sim, err := core.NewSimulator(sys, core.Config{Backend: core.Grape, Eps: 1e-3, Eta: 0.05, HW: tinyHW()})
+	sim, err := core.NewSimulator(sys, core.Config{Backend: tinyGrape(), Eps: 1e-3, Eta: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
