@@ -31,8 +31,8 @@ type Series struct {
 }
 
 // Figure is a reproduced table or figure, and the JSON committed under
-// testdata/scenarios/ as its golden baseline: one labelled series per
-// curve, points sorted by N.
+// testdata/scenarios/ as its pin: one labelled series per curve, points
+// sorted by N.
 type Figure struct {
 	ID       string   `json:"id"` // experiment id: "t1", "f13", ...
 	Title    string   `json:"title"`
@@ -43,15 +43,18 @@ type Figure struct {
 	Notes    []string `json:"notes,omitempty"`
 }
 
-// Runner is one experiment that has no scenario spec.
+// Runner is one experiment id and the function that makes its figure.
 type Runner struct {
 	ID  string
-	run func(*Options) (Figure, error)
+	Fig func(*Options) (Figure, error)
+	// WallClock marks a figure with a row timed on this host's wall
+	// clock: it changes from run to run, so it has no pin.
+	WallClock bool
 }
 
 // Run executes the experiment and returns its figure stamped.
 func (r Runner) Run(o *Options) (Figure, error) {
-	f, err := r.run(o)
+	f, err := r.Fig(o)
 	o.Stamp(&f)
 	return f, err
 }
@@ -59,16 +62,16 @@ func (r Runner) Run(o *Options) (Figure, error) {
 // Runners is every experiment without a spec, in report order: a full
 // report prints the spec figures after the first entry.
 var Runners = []Runner{
-	{"t1", func(*Options) (Figure, error) { return RunT1(), nil }},
-	{"t5ab", RunApplications},
-	{"t5c", RunTreecode},
-	{"a1", RunAblationMantissa},
-	{"a2", RunAblationAccumulator},
-	{"a3", RunAblationVMP},
-	{"a5", RunAblationHostGrid},
-	{"a6", RunAblationGrape4},
-	{"a7", RunAblationNeighbourScheme},
-	{"v1", RunValidation},
+	{ID: "t1", Fig: func(*Options) (Figure, error) { return RunT1(), nil }},
+	{ID: "t5ab", Fig: RunApplications},
+	{ID: "t5c", Fig: RunTreecode, WallClock: true},
+	{ID: "a1", Fig: RunAblationMantissa},
+	{ID: "a2", Fig: RunAblationAccumulator},
+	{ID: "a3", Fig: RunAblationVMP},
+	{ID: "a5", Fig: RunAblationHostGrid},
+	{ID: "a6", Fig: RunAblationGrape4},
+	{ID: "a7", Fig: RunAblationNeighbourScheme},
+	{ID: "v1", Fig: RunValidation},
 }
 
 // Options tunes the harness cost.
@@ -130,8 +133,8 @@ func (o *Options) Stamp(f *Figure) {
 	}
 }
 
-// CurveNs returns the default N grid for model-driven curves at this
-// fidelity — the grid scenario specs inherit when they name none.
+// CurveNs returns the N grid of the model-driven scenario curves at this
+// fidelity.
 func (o *Options) CurveNs() []int {
 	if o.Quick {
 		return []int{1000, 3000, 10000, 30000, 100000, 300000, 1000000}

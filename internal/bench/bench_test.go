@@ -3,10 +3,7 @@ package bench
 import (
 	"bytes"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -177,63 +174,6 @@ func TestFormatOutput(t *testing.T) {
 	for _, want := range []string{"t1", "peak speed", "N=2048", "paper:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// runnerGoldens holds each deterministic runner's quick figure as
-// `grape6bench -exp <id> -quick -json` prints it.
-const runnerGoldens = "../../testdata/runners"
-
-// TestAllRuns: every runner of the table runs, under the id the table
-// gives it, comes back stamped, and — all but t5c, whose live treecode
-// row is wall-clock time — reproduces its committed JSON byte for byte.
-func TestAllRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness in -short mode")
-	}
-	ids := map[string]bool{}
-	for _, r := range Runners {
-		if ids[r.ID] {
-			t.Errorf("duplicate experiment id %s", r.ID)
-		}
-		ids[r.ID] = true
-		e, err := r.Run(sharedOpts)
-		if err != nil {
-			t.Fatalf("%s: %v", r.ID, err)
-		}
-		if e.ID != r.ID {
-			t.Errorf("runner %s produced figure %q", r.ID, e.ID)
-		}
-		if len(e.Series) == 0 {
-			t.Errorf("experiment %s has no series", e.ID)
-		}
-		if e.Fidelity != "quick" || e.Seed != sharedOpts.Seed {
-			t.Errorf("%s: stamped %q/%d, want quick/%d", e.ID, e.Fidelity, e.Seed, sharedOpts.Seed)
-		}
-		for _, s := range e.Series {
-			if !sort.SliceIsSorted(s.Points, func(i, j int) bool { return s.Points[i].N < s.Points[j].N }) {
-				t.Errorf("%s: series %q not sorted by N", e.ID, s.Label)
-			}
-		}
-		if r.ID == "t5c" {
-			continue
-		}
-		var got bytes.Buffer
-		if err := e.Write(&got); err != nil {
-			t.Fatalf("%s: %v", r.ID, err)
-		}
-		want, err := os.ReadFile(filepath.Join(runnerGoldens, r.ID+".quick.json"))
-		if err != nil {
-			t.Fatalf("%s: %v", r.ID, err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s: quick JSON differs from %s/%s.quick.json:\n%s", r.ID, runnerGoldens, r.ID, got.Bytes())
-		}
-	}
-	for _, want := range []string{"t1", "t5ab", "t5c", "a1", "a2", "a3", "a5", "a6", "a7", "v1"} {
-		if !ids[want] {
-			t.Errorf("missing experiment %s", want)
 		}
 	}
 }

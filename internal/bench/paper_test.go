@@ -1,5 +1,5 @@
 // The paper-claim guard: what Figs. 13-19 and the cosim sweep must show
-// whatever the baselines say — crossovers, the 1/N regime, the tuning
+// whatever the pins say — crossovers, the 1/N regime, the tuning
 // gain — so that a careless -update cannot re-pin a claim away. The
 // figures come from the committed specs, hence the external test package
 // (scenario imports bench).

@@ -27,10 +27,8 @@ type Config struct {
 	// and leaves a gbackend.NewBorrowed lease to its scheduler.
 	Backend hermite.Backend
 
-	// Eta and EtaS are the Aarseth timestep parameters; zero values take
-	// the defaults (0.02 / 0.01).
-	Eta  float64
-	EtaS float64
+	// Eta is the Aarseth timestep parameter; zero takes the default 0.02.
+	Eta float64
 
 	// Eps is the Plummer softening length.
 	Eps float64
@@ -48,9 +46,6 @@ func NewSimulator(sys *nbody.System, cfg Config) (*Simulator, error) {
 	p := hermite.DefaultParams(cfg.Eps)
 	if cfg.Eta > 0 {
 		p.Eta = cfg.Eta
-	}
-	if cfg.EtaS > 0 {
-		p.EtaS = cfg.EtaS
 	}
 	b := cfg.Backend
 	if b == nil {

@@ -18,9 +18,8 @@
 // The kernel is built for scale (full-machine co-simulations run hundreds
 // of ranks and tens of millions of events): events are plain pointer-free
 // values in an indexed 4-ary heap, same-tick events bypass the heap
-// through a FIFO ready ring, callback storage is slab-reused, and the
-// steady-state event loop — Sleep, Park/Wake, handler events — performs
-// no allocation at all.
+// through a FIFO ready ring, and the steady-state event loop — Sleep,
+// Park/Wake, handler events — performs no allocation at all.
 package des
 
 import (
@@ -33,13 +32,10 @@ import (
 //
 //   - evResume: hand the virtual CPU to process procs[arg] (Sleep wake-ups
 //     and Waiter.Wake — the vast majority of events in a co-simulation);
-//   - evFunc: run the callback stored in the fns slab at index arg
-//     (Engine.At / Engine.After);
-//   - evHandler: call registered handler hid with arg (the allocation-free
-//     path used by hot-loop schedulers such as simnet message delivery).
+//   - evHandler: call registered handler hid with arg (simnet message
+//     delivery, for one).
 const (
 	evResume uint8 = iota
-	evFunc
 	evHandler
 )
 
@@ -50,7 +46,7 @@ const (
 type event struct {
 	at   float64
 	seq  uint64 // tie-breaker: creation order
-	arg  uint64 // proc index, fn-slab index, or handler argument
+	arg  uint64 // proc index or handler argument
 	kind uint8
 	hid  uint8 // handler id for evHandler
 }
@@ -86,11 +82,6 @@ type Engine struct {
 	// heap events at the same tick keep their place.
 	ready []event
 	rhead int
-
-	// fns is the callback slab for At/After events; slots are recycled
-	// through fnFree so a steady-state callback loop stops growing it.
-	fns    []func()
-	fnFree []int32
 
 	handlers []func(arg uint64)
 
@@ -229,52 +220,16 @@ func (e *Engine) dispatch(ev event) {
 	switch ev.kind {
 	case evResume:
 		e.handoff(e.procs[ev.arg])
-	case evFunc:
-		fn := e.fns[ev.arg]
-		e.fns[ev.arg] = nil
-		e.fnFree = append(e.fnFree, int32(ev.arg))
-		fn()
 	default: // evHandler
 		e.handlers[ev.hid](ev.arg)
 	}
 }
 
-// At schedules fn to run at absolute virtual time t (clamped to now).
-// Callbacks run in the scheduler context and must not block. t must be
-// finite. The callback is held in a recycled slab slot, so a steady
-// schedule/fire loop does not grow the engine — though fn itself is
-// usually a fresh closure; hot paths that must not allocate should use
-// RegisterHandler/AtHandler instead.
-func (e *Engine) At(t float64, fn func()) {
-	checkFinite(t, "event time")
-	if t < e.now {
-		t = e.now
-	}
-	var idx int32
-	if n := len(e.fnFree) - 1; n >= 0 {
-		idx = e.fnFree[n]
-		e.fnFree = e.fnFree[:n]
-		e.fns[idx] = fn
-	} else {
-		idx = int32(len(e.fns))
-		e.fns = append(e.fns, fn)
-	}
-	e.schedule(t, evFunc, 0, uint64(idx))
-}
-
-// After schedules fn to run after a finite virtual delay d ≥ 0.
-func (e *Engine) After(d float64, fn func()) {
-	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		panic(fmt.Sprintf("des: invalid delay %v", d))
-	}
-	e.At(e.now+d, fn)
-}
-
 // RegisterHandler registers a reusable event handler and returns its id.
-// A handler is the allocation-free alternative to At for hot-path callers
-// that keep their own state slabs: scheduling with AtHandler stores only
-// (id, arg) in the event, no closure. Handlers cannot be unregistered;
-// an engine supports at most 256.
+// A handler is how scheduler-context work is scheduled: its caller keeps
+// its own state, and AtHandler stores only (id, arg) in the event, no
+// closure. Handlers cannot be unregistered; an engine supports at most
+// 256.
 func (e *Engine) RegisterHandler(fn func(arg uint64)) HandlerID {
 	if len(e.handlers) >= 256 {
 		panic("des: handler table full")
@@ -420,7 +375,7 @@ func (w *Waiter) Park() {
 // Wake schedules the parked process to resume at finite virtual time t
 // (or now, if t is in the past). It is a no-op if the process is not
 // parked — the caller is responsible for pairing Park/Wake correctly.
-// Must be called from scheduler context (event callbacks) or from another
+// Must be called from scheduler context (a handler) or from another
 // process.
 //
 //grape:noalloc
@@ -438,14 +393,14 @@ func (w *Waiter) Wake(t float64) {
 }
 
 // run is Run/RunAll: it guards against re-entrant calls — invoking the
-// scheduler from process context or from an event callback would resume a
+// scheduler from process context or from a handler would resume a
 // coroutine from inside itself — and fires events in order up to until.
 func (e *Engine) run(what string, until float64) float64 {
 	if e.active != nil {
 		panic(fmt.Sprintf("des: Engine.%s called from process %q: the scheduler is already running", what, e.active.name))
 	}
 	if e.running {
-		panic(fmt.Sprintf("des: Engine.%s called re-entrantly from an event callback", what))
+		panic(fmt.Sprintf("des: Engine.%s called re-entrantly from an event handler", what))
 	}
 	e.running = true
 	defer e.exitRun()
@@ -463,7 +418,7 @@ func (e *Engine) run(what string, until float64) float64 {
 // Goexit, such as t.Fatal) in a process body comes out of its resume with
 // the process still active: that process is over, no longer live, and a
 // panic goes on to the caller of Run/RunAll with the process name and the
-// virtual time prepended. One from an event callback passes through as is.
+// virtual time prepended. One from a handler passes through as is.
 func (e *Engine) exitRun() {
 	e.running = false
 	if p := e.active; p != nil {

@@ -9,10 +9,11 @@ import (
 
 func TestEventOrdering(t *testing.T) {
 	e := New()
-	var order []int
-	e.At(2.0, func() { order = append(order, 2) })
-	e.At(1.0, func() { order = append(order, 1) })
-	e.At(3.0, func() { order = append(order, 3) })
+	var order []uint64
+	h := e.RegisterHandler(func(arg uint64) { order = append(order, arg) })
+	e.AtHandler(2.0, h, 2)
+	e.AtHandler(1.0, h, 1)
+	e.AtHandler(3.0, h, 3)
 	e.RunAll()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
@@ -24,14 +25,14 @@ func TestEventOrdering(t *testing.T) {
 
 func TestTieBreakByCreation(t *testing.T) {
 	e := New()
-	var order []int
+	var order []uint64
+	h := e.RegisterHandler(func(arg uint64) { order = append(order, arg) })
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(1.0, func() { order = append(order, i) })
+		e.AtHandler(1.0, h, uint64(i))
 	}
 	e.RunAll()
 	for i, v := range order {
-		if v != i {
+		if v != uint64(i) {
 			t.Fatalf("same-time events out of creation order: %v", order)
 		}
 	}
@@ -40,9 +41,15 @@ func TestTieBreakByCreation(t *testing.T) {
 func TestAfterFromCallback(t *testing.T) {
 	e := New()
 	var times []float64
-	e.At(1.0, func() {
-		e.After(0.5, func() { times = append(times, e.Now()) })
+	var h HandlerID
+	h = e.RegisterHandler(func(arg uint64) {
+		if arg == 0 {
+			e.AtHandler(e.Now()+0.5, h, 1)
+			return
+		}
+		times = append(times, e.Now())
 	})
+	e.AtHandler(1.0, h, 0)
 	e.RunAll()
 	if len(times) != 1 || times[0] != 1.5 {
 		t.Errorf("times = %v", times)
@@ -52,9 +59,15 @@ func TestAfterFromCallback(t *testing.T) {
 func TestPastSchedulingClamps(t *testing.T) {
 	e := New()
 	var at float64 = -1
-	e.At(2.0, func() {
-		e.At(1.0, func() { at = e.Now() }) // in the past → clamped to 2.0
+	var h HandlerID
+	h = e.RegisterHandler(func(arg uint64) {
+		if arg == 0 {
+			e.AtHandler(1.0, h, 1) // in the past → clamped to 2.0
+			return
+		}
+		at = e.Now()
 	})
+	e.AtHandler(2.0, h, 0)
 	e.RunAll()
 	if at != 2.0 {
 		t.Errorf("past event ran at %v", at)
@@ -63,20 +76,23 @@ func TestPastSchedulingClamps(t *testing.T) {
 
 func TestNegativeDelayPanics(t *testing.T) {
 	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay did not panic")
-		}
-	}()
-	e.After(-1, func() {})
+	e.Spawn("p", func(p *Proc) {
+		defer func() {
+			if recover() == nil {
+				t.Error("negative delay did not panic")
+			}
+		}()
+		p.Sleep(-1)
+	})
+	e.RunAll()
 }
 
 func TestRunUntil(t *testing.T) {
 	e := New()
-	var ran []float64
+	var ran []uint64
+	h := e.RegisterHandler(func(arg uint64) { ran = append(ran, arg) })
 	for _, at := range []float64{1, 2, 3, 4} {
-		at := at
-		e.At(at, func() { ran = append(ran, at) })
+		e.AtHandler(at, h, uint64(at))
 	}
 	e.Run(2.5)
 	if len(ran) != 2 {
@@ -275,19 +291,24 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
-// A process spawned from an event callback (scheduler context, mid-run)
-// starts at the callback's virtual time, after the events already due then.
+// A process spawned from a handler (scheduler context, mid-run) starts at
+// the handler's virtual time, after the events already due then.
 func TestSpawnFromCallback(t *testing.T) {
 	e := New()
 	var trace []string
-	e.At(2, func() {
+	h := e.RegisterHandler(func(arg uint64) {
+		if arg == 1 {
+			trace = append(trace, "sibling@2")
+			return
+		}
 		e.Spawn("late", func(p *Proc) {
 			trace = append(trace, fmt.Sprint("start@", p.Now()))
 			p.Sleep(1)
 			trace = append(trace, fmt.Sprint("end@", p.Now()))
 		})
 	})
-	e.At(2, func() { trace = append(trace, "sibling@2") })
+	e.AtHandler(2, h, 0)
+	e.AtHandler(2, h, 1)
 	e.RunAll()
 	if got, want := strings.Join(trace, " "), "sibling@2 start@2 end@3"; got != want {
 		t.Errorf("trace %q, want %q", got, want)
@@ -343,6 +364,7 @@ func TestDeterminismAcrossProcs(t *testing.T) {
 		e := New()
 		var trace []rec
 		waiters := make([]*Waiter, n)
+		wake := e.RegisterHandler(func(arg uint64) { waiters[arg].Wake(0) })
 		for i := 0; i < n; i++ {
 			e.Spawn(fmt.Sprint("p", i), func(p *Proc) {
 				mark := func() { trace = append(trace, rec{e.now, e.seq, i}) }
@@ -353,7 +375,7 @@ func TestDeterminismAcrossProcs(t *testing.T) {
 					mark()
 					waiters[(i+k)%n].Wake(p.Now() + float64(k%3)*0.125) // no-op unless parked
 					if (i+k)%4 == 0 {
-						e.After(0.5, func() { waiters[i].Wake(0) })
+						e.AtHandler(e.Now()+0.5, wake, uint64(i))
 						waiters[i].Park()
 						mark()
 					}
@@ -414,10 +436,9 @@ func TestPropEventOrder(t *testing.T) {
 			seq int
 		}
 		var fired []rec
+		h := e.RegisterHandler(func(arg uint64) { fired = append(fired, rec{e.Now(), int(arg)}) })
 		for i := 0; i < 50; i++ {
-			at := next()
-			i := i
-			e.At(at, func() { fired = append(fired, rec{at, i}) })
+			e.AtHandler(next(), h, uint64(i))
 		}
 		e.RunAll()
 		for k := 1; k < len(fired); k++ {

@@ -39,9 +39,9 @@ func (q *refQueue) Pop() interface{} {
 }
 
 // TestDifferentialQueueOrder drives the engine and the container/heap
-// reference through identical randomized workloads — bursts of At at
-// mixed offsets (including zero — the ready-ring path) scheduled from
-// inside callbacks, exactly how the simulation layers use the queue — and
+// reference through identical randomized workloads — bursts of AtHandler
+// at mixed offsets (including zero — the ready-ring path) scheduled from
+// inside handlers, exactly how the simulation layers use the queue — and
 // requires the pop order to match event for event.
 func TestDifferentialQueueOrder(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
@@ -73,25 +73,24 @@ func TestDifferentialQueueOrder(t *testing.T) {
 		// Run the engine: event i records its pop position.
 		eng := New()
 		var gotOrder []int
-		var spawn func(id int)
 		nextID := 0
-		spawn = func(id int) {
+		var h HandlerID
+		h = eng.RegisterHandler(func(arg uint64) {
+			id := int(arg)
 			gotOrder = append(gotOrder, id)
 			if id >= len(specs) {
 				return
 			}
 			sp := specs[id]
 			for k := 0; k < sp.fanout; k++ {
-				cid := nextID
+				eng.AtHandler(eng.Now()+sp.offsets[k], h, uint64(nextID))
 				nextID++
-				eng.At(eng.Now()+sp.offsets[k], func() { spawn(cid) })
 			}
-		}
+		})
 		// Seed events; ids 0..9 are the seeds, children number upward.
 		nextID = 10
 		for i := 0; i < 10; i++ {
-			id := i
-			eng.At(float64(i%3)*0.25, func() { spawn(id) })
+			eng.AtHandler(float64(i%3)*0.25, h, uint64(i))
 		}
 		eng.RunAll()
 
@@ -149,21 +148,19 @@ func TestNonFiniteTimesPanic(t *testing.T) {
 	inf := math.Inf(1)
 
 	eng := New()
-	mustPanic("At(NaN)", func() { eng.At(nan, func() {}) })
-	mustPanic("At(+Inf)", func() { eng.At(inf, func() {}) })
-	mustPanic("After(NaN)", func() { eng.After(nan, func() {}) })
-	mustPanic("After(-Inf)", func() { eng.After(math.Inf(-1), func() {}) })
-	mustPanic("AtHandler(NaN)", func() {
-		h := eng.RegisterHandler(func(uint64) {})
-		eng.AtHandler(nan, h, 0)
-	})
+	h := eng.RegisterHandler(func(uint64) {})
+	mustPanic("AtHandler(NaN)", func() { eng.AtHandler(nan, h, 0) })
+	mustPanic("AtHandler(+Inf)", func() { eng.AtHandler(inf, h, 0) })
+	mustPanic("AtHandler(-Inf)", func() { eng.AtHandler(math.Inf(-1), h, 0) })
 
 	eng2 := New()
+	var w *Waiter
+	wake := eng2.RegisterHandler(func(uint64) { mustPanic("Wake(NaN)", func() { w.Wake(nan) }); w.Wake(1) })
 	eng2.Spawn("p", func(p *Proc) {
 		mustPanic("Sleep(NaN)", func() { p.Sleep(nan) })
 		mustPanic("Sleep(+Inf)", func() { p.Sleep(inf) })
-		w := p.NewWaiter()
-		eng2.After(0.5, func() { mustPanic("Wake(NaN)", func() { w.Wake(nan) }); w.Wake(1) })
+		w = p.NewWaiter()
+		eng2.AtHandler(p.Now()+0.5, wake, 0)
 		w.Park()
 	})
 	eng2.RunAll()
@@ -172,7 +169,7 @@ func TestNonFiniteTimesPanic(t *testing.T) {
 	}
 }
 
-// Re-entrant Run/RunAll — from a process or from an event callback — used
+// Re-entrant Run/RunAll — from a process or from a handler — used
 // to deadlock on the scheduler handoff. It must panic descriptively.
 func TestReentrantRunPanics(t *testing.T) {
 	check := func(name string, fn func()) {
@@ -193,9 +190,10 @@ func TestReentrantRunPanics(t *testing.T) {
 	eng.RunAll()
 
 	eng2 := New()
-	eng2.At(0, func() {
-		check("RunAll from callback", func() { eng2.RunAll() })
+	h := eng2.RegisterHandler(func(uint64) {
+		check("RunAll from handler", func() { eng2.RunAll() })
 	})
+	eng2.AtHandler(0, h, 0)
 	eng2.RunAll()
 }
 
@@ -272,7 +270,7 @@ func BenchmarkSleepProcCycle(b *testing.B) {
 			p.Sleep(1e-9)
 		}
 	})
-	// Let the spawn callback run first so the timed loop is pure cycles.
+	// Let the process start first so the timed loop is pure cycles.
 	eng.Run(0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -28,22 +28,21 @@ func ReadFigure(r io.Reader) (Figure, error) {
 	return f, nil
 }
 
-// BaselinePath names the committed baseline for an experiment id at a
+// BaselinePath names an experiment's pin, its committed figure at a
 // fidelity tier: <dir>/<id>.<fidelity>.json.
 func BaselinePath(dir, id, fidelity string) string {
 	return filepath.Join(dir, id+"."+fidelity+".json")
 }
 
-// LoadBaseline reads the committed baseline. A missing baseline is an
-// error — an experiment with no pinned curve must fail loudly, not pass
-// vacuously.
+// LoadBaseline reads a pin. A missing pin is an error — an experiment
+// with no pinned figure must fail loudly, not pass vacuously.
 func LoadBaseline(dir, id, fidelity string) (Figure, error) {
 	path := BaselinePath(dir, id, fidelity)
 	file, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return Figure{}, fmt.Errorf(
-				"scenario %s: no committed %s-fidelity baseline at %s (run with -update to create it)",
+				"scenario %s: no committed %s-fidelity pin at %s (run with -update to create it)",
 				id, fidelity, path)
 		}
 		return Figure{}, err
@@ -56,7 +55,7 @@ func LoadBaseline(dir, id, fidelity string) (Figure, error) {
 	return f, nil
 }
 
-// WriteBaseline writes (or overwrites) the committed baseline file.
+// WriteBaseline writes (or overwrites) a pin.
 func WriteBaseline(dir string, f Figure) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 
 	"grape6/internal/bench"
 	"grape6/internal/hermite"
+	"grape6/internal/model"
 	"grape6/internal/parallel"
 	"grape6/internal/perfmodel"
 	"grape6/internal/timing"
@@ -12,8 +13,8 @@ import (
 	"grape6/internal/xrand"
 )
 
-// Seed offsets of the synthetic-trace streams, one per kind; the
-// committed baselines pin them.
+// Seed offsets of the synthetic-trace streams, one per kind; the pins
+// hold them.
 const (
 	speedSeedOffset = 17
 	tpsSeedOffset   = 23
@@ -45,17 +46,6 @@ func Run(s *Spec, o *bench.Options) (Figure, error) {
 	}
 	o.Stamp(&fig)
 	return fig, nil
-}
-
-// curveNs returns the spec's N grid at the current fidelity tier.
-func (s *Spec) curveNs(o *bench.Options) []int {
-	if o.Quick && len(s.QuickNs) > 0 {
-		return s.QuickNs
-	}
-	if !o.Quick && len(s.Ns) > 0 {
-		return s.Ns
-	}
-	return o.CurveNs()
 }
 
 // runModelCell produces one speed or time-per-step series: measured and
@@ -96,7 +86,7 @@ func runModelCell(s *Spec, o *bench.Options, c Cell) (bench.Series, error) {
 		return c.Machine.TimePerStep(n, nb)
 	}
 
-	ns := s.curveNs(o)
+	ns := o.CurveNs()
 	if c.Curve == "model" {
 		for _, n := range ns {
 			fs.Points = append(fs.Points, bench.Point{N: n, Value: modelValue(n)})
@@ -133,26 +123,16 @@ func runCosimCell(s *Spec, o *bench.Options, c Cell) (bench.Series, error) {
 	if n <= 0 || tEnd <= 0 {
 		return bench.Series{}, fmt.Errorf("cosim kind needs positive n and t_end")
 	}
-	modelName := s.Model
-	if modelName == "" {
-		modelName = "plummer"
-	}
 	soft := units.SoftConstant
 	if len(s.Softening) > 0 {
 		soft, _ = LookupSoftening(s.Softening[0])
 	}
 	eps := units.Softening(soft, n)
 	params := hermite.DefaultParams(eps)
-	if s.Eta > 0 {
-		params.Eta = s.Eta
-	}
 
 	fs := bench.Series{Label: c.Label, Units: "steps/s (virtual)"}
 	for _, sw := range c.Sweep {
-		sys, err := BuildModel(modelName, n, 6, xrand.New(o.Seed))
-		if err != nil {
-			return bench.Series{}, err
-		}
+		sys := model.Plummer(n, xrand.New(o.Seed))
 		cfg := parallel.Config{
 			Hosts:   sw.Hosts,
 			NIC:     c.NIC,

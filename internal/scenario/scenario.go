@@ -1,15 +1,13 @@
-// Package scenario is the declarative experiment matrix: a Spec names an
-// initial model, particle counts, softening choices, integrator
-// parameters and backend topologies (direct model curves, GRAPE fleets,
-// message-level co-simulation), and the runner expands the cross-product
-// through the existing bench/timing/parallel/perfmodel layers into
-// paper-style figure JSON. Committed baselines under testdata/scenarios/
-// plus per-series relative tolerances turn every figure into a
-// machine-checkable regression: a new scale or speed claim lands as a
-// spec row and a pinned curve, and CI diffs the whole matrix.
+// Package scenario is the declarative experiment matrix: a Spec names
+// particle counts, softening choices and backend topologies (direct model
+// curves, GRAPE fleets, message-level co-simulation), and Run expands the
+// cross-product through the existing bench/timing/parallel/perfmodel
+// layers into a figure. Every figure is pinned under testdata/scenarios/,
+// and Diff reports each way a figure differs from its pin: a figure
+// diffs clean only when it would Write its pin's bytes.
 //
-// The spec grammar, tolerance policy and the add-a-row / update-a-
-// baseline workflows are documented in DESIGN.md §4.
+// The spec grammar and the add-a-row / re-pin workflows are documented in
+// DESIGN.md §4.
 package scenario
 
 import (
@@ -51,18 +49,8 @@ type Spec struct {
 	// axis into one series per (machine, softening).
 	Softening []string `json:"softening,omitempty"`
 
-	// Ns / QuickNs override the model-curve N grid per fidelity tier;
-	// empty uses the harness defaults (bench.Options.CurveNs). Trace
-	// curves additionally include the measured-workload points.
-	Ns      []int `json:"ns,omitempty"`
-	QuickNs []int `json:"quick_ns,omitempty"`
-
-	// Eta overrides the Aarseth accuracy parameter (cosim kind).
-	Eta float64 `json:"eta,omitempty"`
-
-	// Cosim-kind workload: initial model (default "plummer"), system
-	// size and integration span per fidelity tier.
-	Model     string  `json:"model,omitempty"`
+	// Cosim-kind workload: the Plummer model's size and integration
+	// span per fidelity tier.
 	N         int     `json:"n,omitempty"`
 	QuickN    int     `json:"quick_n,omitempty"`
 	TEnd      float64 `json:"t_end,omitempty"`
@@ -71,12 +59,6 @@ type Spec struct {
 	// Machines is the topology axis: one entry per backend
 	// configuration (model curves) or per algorithm sweep (cosim).
 	Machines []MachineSpec `json:"machines"`
-
-	// Tolerance is the default relative tolerance for baseline diffing;
-	// zero means the DefaultTolerance. Tolerances overrides it per
-	// series label.
-	Tolerance  float64            `json:"tolerance,omitempty"`
-	Tolerances map[string]float64 `json:"tolerances,omitempty"`
 
 	Notes []string `json:"notes,omitempty"`
 }
@@ -124,22 +106,6 @@ type MachineSpec struct {
 type CosimCell struct {
 	Hosts    int `json:"hosts"`
 	Clusters int `json:"clusters,omitempty"` // hybrid algorithm only
-}
-
-// DefaultTolerance is the relative tolerance applied when a spec names
-// none: tight enough that any real change to the deterministic harness
-// fails, loose enough to absorb cross-platform FMA contraction.
-const DefaultTolerance = 1e-6
-
-// TolFor returns the relative tolerance for a series label.
-func (s *Spec) TolFor(label string) float64 {
-	if t, ok := s.Tolerances[label]; ok {
-		return t
-	}
-	if s.Tolerance > 0 {
-		return s.Tolerance
-	}
-	return DefaultTolerance
 }
 
 // Load reads and validates one spec file.
@@ -206,74 +172,77 @@ func (s *Spec) Emit(w io.Writer) error {
 
 // Validate reports grammar errors.
 func (s *Spec) Validate() error {
+	_, err := s.Expand()
+	return err
+}
+
+// Expand validates the spec and returns the deterministic cross-product
+// of its axes, one Cell per output series.
+func (s *Spec) Expand() ([]Cell, error) {
 	if s.ID == "" {
-		return fmt.Errorf("scenario: spec without id")
+		return nil, fmt.Errorf("scenario: spec without id")
 	}
 	switch s.Kind {
 	case "speed", "timeperstep", "cosim":
 	default:
-		return fmt.Errorf("scenario %s: unknown kind %q (want speed, timeperstep or cosim)", s.ID, s.Kind)
+		return nil, fmt.Errorf("scenario %s: unknown kind %q (want speed, timeperstep or cosim)", s.ID, s.Kind)
 	}
 	if len(s.Machines) == 0 {
-		return fmt.Errorf("scenario %s: no machines", s.ID)
+		return nil, fmt.Errorf("scenario %s: no machines", s.ID)
 	}
 	switch s.Unit {
 	case "", "Gflops", "Tflops":
 	default:
-		return fmt.Errorf("scenario %s: unknown unit %q", s.ID, s.Unit)
+		return nil, fmt.Errorf("scenario %s: unknown unit %q", s.ID, s.Unit)
 	}
 	for _, name := range s.Softening {
 		if _, ok := LookupSoftening(name); !ok {
-			return fmt.Errorf("scenario %s: unknown softening %q", s.ID, name)
-		}
-	}
-	if s.Model != "" {
-		if !KnownModel(s.Model) {
-			return fmt.Errorf("scenario %s: unknown model %q", s.ID, s.Model)
+			return nil, fmt.Errorf("scenario %s: unknown softening %q", s.ID, name)
 		}
 	}
 	for i, m := range s.Machines {
 		if _, ok := LookupNIC(m.NIC); !ok {
-			return fmt.Errorf("scenario %s: machine %d: unknown NIC %q", s.ID, i, m.NIC)
+			return nil, fmt.Errorf("scenario %s: machine %d: unknown NIC %q", s.ID, i, m.NIC)
 		}
 		if _, ok := LookupHost(m.Host); !ok {
-			return fmt.Errorf("scenario %s: machine %d: unknown host %q", s.ID, i, m.Host)
+			return nil, fmt.Errorf("scenario %s: machine %d: unknown host %q", s.ID, i, m.Host)
 		}
 		if s.Kind == "cosim" {
 			if !parallel.Known(m.Algo) {
-				return fmt.Errorf("scenario %s: machine %d: unknown algorithm %q", s.ID, i, m.Algo)
+				return nil, fmt.Errorf("scenario %s: machine %d: unknown algorithm %q", s.ID, i, m.Algo)
 			}
 			if len(m.Sweep) == 0 {
-				return fmt.Errorf("scenario %s: machine %d: cosim sweep is empty", s.ID, i)
+				return nil, fmt.Errorf("scenario %s: machine %d: cosim sweep is empty", s.ID, i)
 			}
 			for _, c := range m.Sweep {
 				if c.Hosts <= 0 {
-					return fmt.Errorf("scenario %s: machine %d: non-positive host count %d", s.ID, i, c.Hosts)
+					return nil, fmt.Errorf("scenario %s: machine %d: non-positive host count %d", s.ID, i, c.Hosts)
 				}
 				if m.Algo == "hybrid" && c.Clusters <= 0 {
-					return fmt.Errorf("scenario %s: machine %d: hybrid sweep needs clusters", s.ID, i)
+					return nil, fmt.Errorf("scenario %s: machine %d: hybrid sweep needs clusters", s.ID, i)
 				}
 			}
 		} else {
 			switch m.Curve {
 			case "", "trace", "model":
 			default:
-				return fmt.Errorf("scenario %s: machine %d: unknown curve %q", s.ID, i, m.Curve)
+				return nil, fmt.Errorf("scenario %s: machine %d: unknown curve %q", s.ID, i, m.Curve)
 			}
 			if _, err := m.Build(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	for _, t := range s.Tolerances {
-		if t <= 0 {
-			return fmt.Errorf("scenario %s: non-positive tolerance %v", s.ID, t)
+	cells := s.cells()
+	// Diff finds a series by its label, so no two may share one.
+	seen := make(map[string]bool, len(cells))
+	for _, c := range cells {
+		if seen[c.Label] {
+			return nil, fmt.Errorf("scenario %s: two series labelled %q", s.ID, c.Label)
 		}
+		seen[c.Label] = true
 	}
-	if s.Tolerance < 0 {
-		return fmt.Errorf("scenario %s: negative tolerance %v", s.ID, s.Tolerance)
-	}
-	return nil
+	return cells, nil
 }
 
 // Build constructs the perfmodel machine for a model-kind entry.
@@ -363,17 +332,7 @@ func LookupSoftening(name string) (units.SofteningKind, bool) {
 	return 0, false
 }
 
-// KnownModel reports whether BuildModel accepts the name.
-func KnownModel(name string) bool {
-	switch name {
-	case "plummer", "king", "disk", "bhbinary", "coldsphere":
-		return true
-	}
-	return false
-}
-
-// BuildModel samples an initial model by name — the shared table behind
-// grape6sim's -model flag and the cosim scenario kind. w0 is the King
+// BuildModel samples an initial model by name: grape6sim's -model flag. w0 is the King
 // central potential (ignored elsewhere).
 func BuildModel(name string, n int, w0 float64, rng *xrand.Source) (*nbody.System, error) {
 	switch name {
@@ -405,12 +364,8 @@ type Cell struct {
 	Sweep []CosimCell
 }
 
-// Expand returns the deterministic cross-product of the spec's axes, one
-// Cell per output series.
-func (s *Spec) Expand() ([]Cell, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
+// cells expands a spec whose machines are valid into its series.
+func (s *Spec) cells() []Cell {
 	var cells []Cell
 	if s.Kind == "cosim" {
 		for _, m := range s.Machines {
@@ -421,17 +376,14 @@ func (s *Spec) Expand() ([]Cell, error) {
 				Sweep: append([]CosimCell(nil), m.Sweep...),
 			})
 		}
-		return cells, nil
+		return cells
 	}
 	softs := s.Softening
 	if len(softs) == 0 {
 		softs = []string{"const"}
 	}
 	for _, m := range s.Machines {
-		mm, err := m.Build()
-		if err != nil {
-			return nil, err
-		}
+		mm, _ := m.Build()
 		curve := m.Curve
 		if curve == "" {
 			curve = "trace"
@@ -446,7 +398,7 @@ func (s *Spec) Expand() ([]Cell, error) {
 			})
 		}
 	}
-	return cells, nil
+	return cells
 }
 
 // seriesLabel composes the series label from the machine label and the

@@ -12,25 +12,12 @@ import (
 )
 
 const (
-	specDir     = "../../scenarios"
-	baselineDir = "../../testdata/scenarios"
+	specDir = "../../scenarios"
+	pinDir  = "../../testdata/scenarios"
 )
 
-// quickOpts is shared across the executing tests so the measured
-// workload fits (the expensive part) are built once per softening kind.
-var quickOpts = bench.QuickOptions()
-
-func testSpec() *Spec {
-	return &Spec{
-		ID: "t", Title: "t", Kind: "speed",
-		Machines:   []MachineSpec{{NIC: "ns83820", Host: "athlon"}},
-		Tolerance:  0.5,
-		Tolerances: map[string]float64{"tight": 1e-9},
-	}
-}
-
 func fig(series ...bench.Series) Figure {
-	return Figure{ID: "t", Title: "t", Fidelity: "quick", Seed: 1, Series: series}
+	return Figure{ID: "t", Title: "t", Fidelity: "quick", Seed: 1, Series: series, Notes: []string{"x = N"}}
 }
 
 func s1(label string, pts ...bench.Point) bench.Series {
@@ -48,7 +35,7 @@ func problemKinds(ps []Problem) []string {
 
 func TestDiffClean(t *testing.T) {
 	f := fig(s1("a", bench.Point{N: 1, Value: 2}, bench.Point{N: 2, Value: 4}))
-	if ps := Diff(f, f, testSpec()); len(ps) != 0 {
+	if ps := Diff(f, f, nil); len(ps) != 0 {
 		t.Fatalf("identical figures produced findings: %v", ps)
 	}
 }
@@ -56,7 +43,7 @@ func TestDiffClean(t *testing.T) {
 func TestDiffMissingAndExtraSeries(t *testing.T) {
 	got := fig(s1("a", bench.Point{N: 1, Value: 2}), s1("c", bench.Point{N: 1, Value: 2}))
 	base := fig(s1("a", bench.Point{N: 1, Value: 2}), s1("b", bench.Point{N: 1, Value: 2}))
-	ps := Diff(got, base, testSpec())
+	ps := Diff(got, base, nil)
 	if want := []string{"missing-series", "extra-series"}; !reflect.DeepEqual(problemKinds(ps), want) {
 		t.Fatalf("got %v, want %v", ps, want)
 	}
@@ -68,7 +55,7 @@ func TestDiffMissingAndExtraSeries(t *testing.T) {
 func TestDiffMissingAndExtraPoint(t *testing.T) {
 	got := fig(s1("a", bench.Point{N: 1, Value: 2}, bench.Point{N: 3, Value: 8}))
 	base := fig(s1("a", bench.Point{N: 1, Value: 2}, bench.Point{N: 2, Value: 4}))
-	ps := Diff(got, base, testSpec())
+	ps := Diff(got, base, nil)
 	if want := []string{"missing-point", "extra-point"}; !reflect.DeepEqual(problemKinds(ps), want) {
 		t.Fatalf("got %v, want %v", ps, want)
 	}
@@ -77,39 +64,69 @@ func TestDiffMissingAndExtraPoint(t *testing.T) {
 	}
 }
 
-// TestDiffToleranceBoundary pins the inclusive semantics: a deviation of
-// exactly tol·|want| passes, anything beyond fails, and a zero baseline
-// value compares absolutely.
-func TestDiffToleranceBoundary(t *testing.T) {
-	spec := testSpec() // default tol 0.5
-	base := fig(s1("a", bench.Point{N: 1, Value: 2}))
-
-	exact := fig(s1("a", bench.Point{N: 1, Value: 3})) // |3-2| = 1 = 0.5*2
-	if ps := Diff(exact, base, spec); len(ps) != 0 {
-		t.Errorf("exact-boundary deviation failed: %v", ps)
+// TestDiffIsExact: a figure diffs clean against itself and against its
+// own Write-and-read-back, and a change to any field Write emits is a
+// finding — one ulp in one value, the units, the title, a note, the
+// series order, a repeated label, an empty list of points.
+func TestDiffIsExact(t *testing.T) {
+	base := fig(s1("a", bench.Point{N: 1, Value: 2}, bench.Point{N: 2, Value: 0.1}), s1("b", bench.Point{N: 1, Value: 0}))
+	if ps := Diff(base, base, nil); len(ps) != 0 {
+		t.Fatalf("a figure against itself: %v", ps)
 	}
-	over := fig(s1("a", bench.Point{N: 1, Value: 3.0000001}))
-	ps := Diff(over, base, spec)
-	if !reflect.DeepEqual(problemKinds(ps), []string{"tolerance"}) {
-		t.Errorf("just-over-boundary deviation passed: %v", ps)
+	dir := t.TempDir()
+	if err := WriteBaseline(dir, base); err != nil {
+		t.Fatal(err)
 	}
-
-	// Per-series override beats the default.
-	tight := fig(s1("tight", bench.Point{N: 1, Value: 2}))
-	tightOff := fig(s1("tight", bench.Point{N: 1, Value: 2.001}))
-	if ps := Diff(tightOff, tight, spec); !reflect.DeepEqual(problemKinds(ps), []string{"tolerance"}) {
-		t.Errorf("per-series tolerance not applied: %v", ps)
+	pin, err := LoadBaseline(dir, base.ID, base.Fidelity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := Diff(base, pin, nil); len(ps) != 0 {
+		t.Fatalf("a figure against its written pin: %v", ps)
 	}
 
-	// Zero baseline: absolute comparison.
-	zero := fig(s1("a", bench.Point{N: 1, Value: 0}))
-	within := fig(s1("a", bench.Point{N: 1, Value: 0.5}))
-	if ps := Diff(within, zero, spec); len(ps) != 0 {
-		t.Errorf("zero-baseline absolute pass failed: %v", ps)
+	// clone copies the series so a perturbation leaves base alone.
+	clone := func() Figure {
+		f := base
+		f.Series = nil
+		for _, s := range base.Series {
+			s.Points = append([]bench.Point(nil), s.Points...)
+			f.Series = append(f.Series, s)
+		}
+		f.Notes = append([]string(nil), base.Notes...)
+		return f
 	}
-	outside := fig(s1("a", bench.Point{N: 1, Value: 0.51}))
-	if ps := Diff(outside, zero, spec); !reflect.DeepEqual(problemKinds(ps), []string{"tolerance"}) {
-		t.Errorf("zero-baseline absolute fail missed: %v", ps)
+	for _, tc := range []struct {
+		name, kind string
+		change     func(*Figure)
+	}{
+		{"one ulp", "value", func(f *Figure) { f.Series[0].Points[1].Value = math.Nextafter(0.1, 1) }},
+		{"negative zero", "value", func(f *Figure) { f.Series[1].Points[0].Value = math.Copysign(0, -1) }},
+		{"units", "units", func(f *Figure) { f.Series[1].Units = "Tflops" }},
+		{"title", "meta", func(f *Figure) { f.Title += " (renamed)" }},
+		{"note", "meta", func(f *Figure) { f.Notes[0] = "x = host count" }},
+		{"series order", "meta", func(f *Figure) { f.Series[0], f.Series[1] = f.Series[1], f.Series[0] }},
+		{"repeated label", "meta", func(f *Figure) { f.Series[1].Label = "a" }},
+	} {
+		got := clone()
+		tc.change(&got)
+		ps := Diff(got, base, nil)
+		if len(ps) == 0 || ps[0].Kind != tc.kind {
+			t.Errorf("%s: findings %v, want a %s finding first", tc.name, ps, tc.kind)
+		}
+	}
+	// Write gives "points": null for no points and [] for an empty list.
+	none := fig(s1("c"))
+	empty := fig(s1("c"))
+	empty.Series[0].Points = []bench.Point{}
+	if ps := Diff(empty, none, nil); !reflect.DeepEqual(problemKinds(ps), []string{"meta"}) {
+		t.Errorf("an empty list against a missing one: %v", ps)
+	}
+	// A value finding reports both values exactly.
+	got := clone()
+	got.Series[0].Points[1].Value = math.Nextafter(0.1, 1)
+	if ps := Diff(got, base, nil); len(ps) != 1 || ps[0].String() != `value: series "a" N=2 got 0.10000000000000002 want 0.1` {
+		t.Errorf("one-ulp finding reads %v", ps)
 	}
 }
 
@@ -117,17 +134,17 @@ func TestDiffNonFinite(t *testing.T) {
 	base := fig(s1("a", bench.Point{N: 1, Value: 2}))
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		got := fig(s1("a", bench.Point{N: 1, Value: v}))
-		if ps := Diff(got, base, testSpec()); !reflect.DeepEqual(problemKinds(ps), []string{"nonfinite"}) {
+		if ps := Diff(got, base, nil); !reflect.DeepEqual(problemKinds(ps), []string{"nonfinite"}) {
 			t.Errorf("non-finite run value %v not flagged: %v", v, ps)
 		}
 		// And the other side: a corrupted baseline must fail too.
-		if ps := Diff(base, got, testSpec()); !reflect.DeepEqual(problemKinds(ps), []string{"nonfinite"}) {
+		if ps := Diff(base, got, nil); !reflect.DeepEqual(problemKinds(ps), []string{"nonfinite"}) {
 			t.Errorf("non-finite baseline value %v not flagged: %v", v, ps)
 		}
 	}
 	// NaN vs NaN is not a pass either.
 	nan := fig(s1("a", bench.Point{N: 1, Value: math.NaN()}))
-	if ps := Diff(nan, nan, testSpec()); !reflect.DeepEqual(problemKinds(ps), []string{"nonfinite"}) {
+	if ps := Diff(nan, nan, nil); !reflect.DeepEqual(problemKinds(ps), []string{"nonfinite"}) {
 		t.Errorf("NaN==NaN slipped through: %v", ps)
 	}
 }
@@ -135,11 +152,12 @@ func TestDiffNonFinite(t *testing.T) {
 func TestDiffMetadataMismatch(t *testing.T) {
 	got := fig(s1("a", bench.Point{N: 1, Value: 2}))
 	base := got
+	base.ID = "u"
 	base.Fidelity = "full"
 	base.Seed = 2
-	ps := Diff(got, base, testSpec())
-	if len(ps) != 2 || ps[0].Kind != "meta" || ps[1].Kind != "meta" {
-		t.Fatalf("fidelity/seed mismatch not flagged: %v", ps)
+	ps := Diff(got, base, nil)
+	if len(ps) != 3 || ps[0].Kind != "meta" || ps[1].Kind != "meta" || ps[2].Kind != "meta" {
+		t.Fatalf("id/fidelity/seed mismatch not flagged: %v", ps)
 	}
 }
 
@@ -223,6 +241,57 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBaselinesCommittedForEverySpec: every committed spec has a quick pin
+// that loads.
+func TestBaselinesCommittedForEverySpec(t *testing.T) {
+	specs, err := LoadDir(specDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range specs {
+		if _, err := LoadBaseline(pinDir, s.ID, "quick"); err != nil {
+			t.Errorf("%s: %v; run grape6bench -exp %s -quick -update", s.ID, err, s.ID)
+		}
+	}
+}
+
+// TestCommittedBaselineDiffsClean runs each committed spec once at quick
+// fidelity: its figure diffs clean against its pin, whose file holds the
+// bytes Write gives. The runners' figures are checked the same way in
+// internal/bench.
+func TestCommittedBaselineDiffsClean(t *testing.T) {
+	specs, err := LoadDir(specDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := bench.QuickOptions()
+	for _, spec := range specs {
+		base, err := LoadBaseline(pinDir, spec.ID, "quick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig, err := Run(spec, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		if ps := Diff(fig, base, nil); len(ps) > 0 {
+			t.Errorf("%s: differs from its pin:\n%s", spec.ID, FormatProblems(spec.ID, ps))
+			continue
+		}
+		var got bytes.Buffer
+		if err := fig.Write(&got); err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		want, err := os.ReadFile(BaselinePath(pinDir, spec.ID, "quick"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: diffs clean, but the pin file is not as Write gives it:\n%s", spec.ID, got.Bytes())
+		}
+	}
+}
+
 func TestParseRejectsUnknownFieldsAndBadSpecs(t *testing.T) {
 	cases := map[string]string{
 		"unknown field":  `{"id":"x","kind":"speed","machines":[{"nic":"ns83820","host":"athlon"}],"typo_field":1}`,
@@ -235,10 +304,26 @@ func TestParseRejectsUnknownFieldsAndBadSpecs(t *testing.T) {
 		"empty sweep":    `{"id":"x","kind":"cosim","n":8,"t_end":0.1,"machines":[{"algo":"ring","nic":"ns83820","host":"athlon"}]}`,
 		"hybrid needs c": `{"id":"x","kind":"cosim","n":8,"t_end":0.1,"machines":[{"algo":"hybrid","nic":"ns83820","host":"athlon","sweep":[{"hosts":4}]}]}`,
 		"no id":          `{"kind":"speed","machines":[{"nic":"ns83820","host":"athlon"}]}`,
+		// Keys the grammar no longer has are unknown fields.
+		"ns":         `{"id":"x","kind":"speed","ns":[1000],"machines":[{"nic":"ns83820","host":"athlon"}]}`,
+		"quick_ns":   `{"id":"x","kind":"speed","quick_ns":[1000],"machines":[{"nic":"ns83820","host":"athlon"}]}`,
+		"eta":        `{"id":"x","kind":"cosim","eta":0.02,"n":8,"t_end":0.1,"machines":[{"algo":"ring","nic":"ns83820","host":"athlon","sweep":[{"hosts":2}]}]}`,
+		"model":      `{"id":"x","kind":"cosim","model":"plummer","n":8,"t_end":0.1,"machines":[{"algo":"ring","nic":"ns83820","host":"athlon","sweep":[{"hosts":2}]}]}`,
+		"tolerance":  `{"id":"x","kind":"speed","tolerance":1e-6,"machines":[{"nic":"ns83820","host":"athlon"}]}`,
+		"tolerances": `{"id":"x","kind":"speed","tolerances":{"a":1e-6},"machines":[{"nic":"ns83820","host":"athlon"}]}`,
+		// Two series under one label, which Diff could never tell apart.
+		"repeated machine label":  `{"id":"x","kind":"speed","machines":[{"label":"m","nic":"ns83820","host":"athlon"},{"label":"m","nic":"tigon2","host":"athlon"}]}`,
+		"two unlabelled machines": `{"id":"x","kind":"speed","softening":["overn"],"machines":[{"nic":"ns83820","host":"athlon"},{"nic":"tigon2","host":"athlon"}]}`,
 	}
 	for name, src := range cases {
 		if _, err := Parse([]byte(src)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The repeated label is named.
+	for _, src := range []string{cases["repeated machine label"], cases["two unlabelled machines"]} {
+		if _, err := Parse([]byte(src)); err == nil || !strings.Contains(err.Error(), "two series labelled") {
+			t.Errorf("repeated label refused as %v", err)
 		}
 	}
 }
@@ -255,44 +340,5 @@ func TestG6AMachinePeak(t *testing.T) {
 	peak := mm.PeakFlops() / 1e9
 	if math.Abs(peak-131.3) > 0.2 {
 		t.Fatalf("GRAPE-6A peak %.1f Gflops, want 131.3", peak)
-	}
-}
-
-// TestCommittedBaselineDiffsClean runs every committed spec at quick
-// fidelity against its committed baseline — the in-process version of
-// the CI matrix job.
-func TestCommittedBaselineDiffsClean(t *testing.T) {
-	specs, err := LoadDir(specDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range specs {
-		base, err := LoadBaseline(baselineDir, spec.ID, "quick")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fig, err := Run(spec, quickOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ps := Diff(fig, base, spec); len(ps) > 0 {
-			t.Errorf("%s: committed baseline diff not clean:\n%s", spec.ID, FormatProblems(spec.ID, ps))
-		}
-	}
-}
-
-// TestBaselinesCommittedForEverySpec: the quick tier of the whole matrix
-// must stay pinned — a new spec row without a baseline fails here, not
-// silently in CI.
-func TestBaselinesCommittedForEverySpec(t *testing.T) {
-	specs, err := LoadDir(specDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range specs {
-		path := BaselinePath(baselineDir, s.ID, "quick")
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("%s: no committed quick baseline (%v); run grape6bench -exp %s -quick -update", s.ID, err, s.ID)
-		}
 	}
 }
