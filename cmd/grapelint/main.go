@@ -1,11 +1,12 @@
-// Command grapelint runs the repo's static-analysis suite: the five
-// intraprocedural checks (noalloc, deterministic, nodeprecated,
-// gfixedboundary, goroutinejoin) plus the interprocedural closures over
-// the module call graph (noallocdeep, hotblock, puritydeep) — see
-// DESIGN.md §7 "Static guarantees". It type-checks the whole module
-// with the standard library only; the interprocedural analyzers always
-// see every package (a chain through an unlisted package must not go
-// dark), and the given patterns select which findings to report:
+// Command grapelint runs the repo's static-analysis suite: three
+// package-scoped checks (nodeprecated, gfixedboundary, goroutinejoin)
+// and three closures over the module call graph (noalloc, hotblock,
+// deterministic), each of which checks its roots' own bodies and
+// everything they reach — see DESIGN.md §7 "Static guarantees". It
+// type-checks the whole module with the standard library only; the
+// analyzers always see every package (a chain through an unlisted
+// package must not go dark), and the given patterns select which
+// findings to report:
 //
 //	grapelint ./...                  # everything (the verify.sh tier-3 call)
 //	grapelint ./internal/chip        # one package
@@ -32,7 +33,7 @@ import (
 )
 
 // jsonFinding is the -json wire form of one finding. Root fields are
-// present only on interprocedural findings.
+// present only on call-graph findings.
 type jsonFinding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`

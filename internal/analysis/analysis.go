@@ -9,12 +9,12 @@ import (
 	"strings"
 )
 
-// A Finding is one analyzer diagnostic. Interprocedural findings also
-// carry the position of the chain's root function, so package-scoped
-// runs can match either end of a cross-package chain.
+// A Finding is one analyzer diagnostic. Findings of the call-graph
+// analyzers also carry the position of the chain's root function, so
+// package-scoped runs can match either end of a cross-package chain.
 type Finding struct {
 	Pos      token.Position
-	Root     token.Position // zero for intraprocedural findings
+	Root     token.Position // zero for findings outside the call graph
 	Analyzer string
 	Message  string
 }
@@ -23,41 +23,45 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// An Analyzer is one named check: Run inspects a single package,
-// RunModule the whole module at once (over the call graph). Exactly one
-// of the two is set.
+// An Analyzer is one named check, run once over the whole module.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass)
-	RunModule func(*ModulePass)
+	Name string
+	Doc  string
+	Run  func(*Pass)
 }
 
-// A Pass carries one (analyzer, package) run. Analyzers report through
-// Reportf; suppression via //grapelint:ignore happens in the driver.
+// A Pass carries one analyzer's run over the module: every package and
+// the call graph built over them. Analyzers report through Reportf;
+// suppression via //grapelint:ignore happens in the driver.
 type Pass struct {
-	Analyzer   *Analyzer
-	Pkg        *Package
-	Fset       *token.FileSet
-	Info       *types.Info
-	Deprecated map[types.Object]bool // module-wide // Deprecated: symbols
-	findings   *[]Finding
+	Analyzer *Analyzer
+	Pkgs     []*Package
+	Graph    *CallGraph
+	Fset     *token.FileSet
+	findings *[]Finding
 }
 
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
+// Reportf records a finding at pos. root is the chain's root function
+// for a call-graph finding (its position is attached so package-scoped
+// runs can match either end of a cross-package chain), nil otherwise.
+func (p *Pass) Reportf(root *Node, pos token.Pos, format string, args ...any) {
+	f := Finding{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
+	}
+	if root != nil {
+		f.Root = p.Fset.Position(root.Obj.Pos())
+	}
+	*p.findings = append(*p.findings, f)
 }
 
-// All returns every analyzer in the suite, in reporting order: the five
-// intraprocedural checks, then the three interprocedural closures over
-// the module call graph.
+// All returns every analyzer in the suite, in reporting order: the
+// three package-scoped checks, then the three closures over the module
+// call graph.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoAlloc, Deterministic, NoDeprecated, GfixedBoundary, GoroutineJoin,
+		NoDeprecated, GfixedBoundary, GoroutineJoin,
 		NoAllocDeep, HotBlock, PurityDeep,
 	}
 }
@@ -219,106 +223,17 @@ func hasDirective(doc *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// isDeprecatedDoc reports whether a doc comment carries the standard
-// "Deprecated:" marker.
-func isDeprecatedDoc(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		text = strings.TrimPrefix(text, "/*")
-		if strings.HasPrefix(strings.TrimSpace(text), "Deprecated:") {
-			return true
-		}
-	}
-	return false
-}
-
-// deprecatedIndex collects every object in the module whose declaration
-// is marked "Deprecated:". Uses of these objects are flagged by the
-// nodeprecated analyzer in whichever package they occur.
-func deprecatedIndex(pkgs []*Package) map[types.Object]bool {
-	dep := make(map[types.Object]bool)
-	mark := func(pkg *Package, id *ast.Ident) {
-		if obj := pkg.Info.Defs[id]; obj != nil {
-			dep[obj] = true
-		}
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if isDeprecatedDoc(d.Doc) {
-						mark(pkg, d.Name)
-					}
-				case *ast.GenDecl:
-					whole := isDeprecatedDoc(d.Doc)
-					for _, spec := range d.Specs {
-						switch s := spec.(type) {
-						case *ast.TypeSpec:
-							if whole || isDeprecatedDoc(s.Doc) {
-								mark(pkg, s.Name)
-							}
-						case *ast.ValueSpec:
-							if whole || isDeprecatedDoc(s.Doc) {
-								for _, n := range s.Names {
-									mark(pkg, n)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return dep
-}
-
-// Run executes the analyzers over the packages — intraprocedural passes
-// per package, interprocedural passes once over the whole set via the
-// call graph — applies ignore directives, audits unused ones, and
-// returns the surviving findings sorted by position. For the
-// interprocedural analyzers the package set should be the whole module:
-// reachability through an omitted package is invisible.
+// Run builds the call graph over the packages, executes each analyzer
+// once over them, applies ignore directives, audits unused ones, and
+// returns the surviving findings sorted by position. The package set
+// should be the whole module: reachability through an omitted package
+// is invisible.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	dep := deprecatedIndex(pkgs)
 	sup := newSuppressions(pkgs)
+	graph := BuildCallGraph(pkgs)
 	var raw []Finding
-	for _, pkg := range pkgs {
-		for _, az := range analyzers {
-			if az.Run == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer:   az,
-				Pkg:        pkg,
-				Fset:       pkg.Fset,
-				Info:       pkg.Info,
-				Deprecated: dep,
-				findings:   &raw,
-			}
-			az.Run(pass)
-		}
-	}
-
-	var graph *CallGraph
 	for _, az := range analyzers {
-		if az.RunModule == nil {
-			continue
-		}
-		if graph == nil {
-			graph = BuildCallGraph(pkgs)
-		}
-		mp := &ModulePass{
-			Analyzer: az,
-			Pkgs:     pkgs,
-			Graph:    graph,
-			Fset:     graph.Fset,
-			findings: &raw,
-		}
-		az.RunModule(mp)
+		az.Run(&Pass{Analyzer: az, Pkgs: pkgs, Graph: graph, Fset: graph.Fset, findings: &raw})
 	}
 
 	out := append([]Finding{}, sup.bad...)

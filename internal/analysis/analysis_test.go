@@ -22,9 +22,11 @@ var (
 )
 
 // loadFixture type-checks testdata/<dir> under the given fake import
-// path; path-scoped analyzers key off the path, which is why fixtures
-// can impersonate packages like grape6/internal/chip.
-func loadFixture(t *testing.T, dir, path string) *Package {
+// path, with the given fixture packages visible as imports (the
+// standard library comes from the shared source importer); path-scoped
+// analyzers key off the path, which is why fixtures can impersonate
+// packages like grape6/internal/chip.
+func loadFixture(t *testing.T, dir, path string, deps ...*Package) *Package {
 	t.Helper()
 	full := filepath.Join("testdata", dir)
 	entries, err := os.ReadDir(full)
@@ -49,12 +51,29 @@ func loadFixture(t *testing.T, dir, path string) *Package {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{Importer: fixImp}
+	im := depImporter{deps: make(map[string]*types.Package)}
+	for _, d := range deps {
+		im.deps[d.Path] = d.Types
+	}
+	conf := types.Config{Importer: im}
 	tpkg, err := conf.Check(path, fixFset, files, info)
 	if err != nil {
 		t.Fatalf("fixture %s does not type-check: %v", dir, err)
 	}
 	return &Package{Path: path, Dir: full, Fset: fixFset, Files: files, Types: tpkg, Info: info}
+}
+
+// depImporter resolves in-fixture dependencies by package path and
+// falls back to the shared source importer for the standard library.
+type depImporter struct {
+	deps map[string]*types.Package
+}
+
+func (im depImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.deps[path]; ok {
+		return p, nil
+	}
+	return fixImp.Import(path)
 }
 
 var wantRe = regexp.MustCompile(`want "([^"]+)"`)

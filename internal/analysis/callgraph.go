@@ -10,8 +10,8 @@ import (
 )
 
 // This file builds grapelint's module-wide static call graph: the
-// substrate of the interprocedural analyzers (noallocdeep, hotblock,
-// puritydeep). Resolution rules, in decreasing exactness:
+// substrate of the closure analyzers (noalloc, hotblock,
+// deterministic). Resolution rules, in decreasing exactness:
 //
 //   - static calls to declared functions and methods on concrete
 //     receivers resolve exactly (generics to their origin declaration);
@@ -572,57 +572,4 @@ func (b *graphBuilder) resolveFuncValue(n *Node, call *ast.CallExpr, id *ast.Ide
 		Reason: fmt.Sprintf("call through func value %s (%d local bindings)", id.Name, len(bound)),
 		InGo:   kind == EdgeGo,
 	})
-}
-
-// Condense computes the strongly connected components of the graph in
-// a deterministic order (Tarjan over position-sorted nodes) and returns
-// them in reverse topological order of the condensation. The
-// condensation of any graph is acyclic; the whole-module test asserts
-// that by topologically ordering it.
-func (g *CallGraph) Condense() [][]*Node {
-	index := make(map[*Node]int, len(g.list))
-	low := make(map[*Node]int, len(g.list))
-	onStack := make(map[*Node]bool, len(g.list))
-	var stack []*Node
-	var sccs [][]*Node
-	next := 0
-
-	var strongconnect func(n *Node)
-	strongconnect = func(n *Node) {
-		index[n] = next
-		low[n] = next
-		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, e := range n.Edges {
-			w := e.To
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[n] {
-					low[n] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[n] {
-				low[n] = index[w]
-			}
-		}
-		if low[n] == index[n] {
-			var scc []*Node
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == n {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, n := range g.list {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
-	}
-	return sccs
 }

@@ -2,10 +2,8 @@ package analysis
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/types"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -94,11 +92,9 @@ func TestCallGraphEdgeKinds(t *testing.T) {
 }
 
 // TestModuleGraphInvariants builds the graph over the real module and
-// asserts the two structural properties the interprocedural analyzers
-// rely on: the SCC condensation is acyclic (Tarjan emits components in
-// reverse topological order, so every cross-component edge must point
-// to an earlier component), and every //grape:noalloc function in the
-// tree appears as a graph root with Noalloc set.
+// asserts that every //grape:noalloc function in the tree appears as a
+// graph root with Noalloc set: the noalloc and hotblock closures start
+// from these roots, so a kernel missing here would go unchecked.
 func TestModuleGraphInvariants(t *testing.T) {
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -115,26 +111,6 @@ func TestModuleGraphInvariants(t *testing.T) {
 	g := BuildCallGraph(pkgs)
 	if len(g.All()) == 0 {
 		t.Fatal("empty module graph")
-	}
-
-	sccOf := make(map[*Node]int, len(g.All()))
-	for i, scc := range g.Condense() {
-		if len(scc) == 0 {
-			t.Fatal("empty SCC")
-		}
-		for _, n := range scc {
-			sccOf[n] = i
-		}
-	}
-	for _, n := range g.All() {
-		if _, ok := sccOf[n]; !ok {
-			t.Fatalf("node %s missing from condensation", n.Name())
-		}
-		for _, e := range n.Edges {
-			if sccOf[e.To] > sccOf[n] {
-				t.Errorf("condensation cycle: edge %s -> %s goes to a later SCC", n.Name(), e.To.Name())
-			}
-		}
 	}
 
 	roots := g.Roots(func(n *Node) bool { return n.Noalloc })
@@ -167,75 +143,18 @@ func TestModuleGraphInvariants(t *testing.T) {
 	}
 }
 
-func TestNoAllocDeepFixture(t *testing.T) {
-	checkFixture(t, "noallocdeep", "fixture/noallocdeep")
-}
-
 func TestHotBlockFixture(t *testing.T) {
 	checkFixture(t, "hotblock", "fixture/hotblock")
 }
 
-// depImporter resolves one in-fixture dependency by package path and
-// falls back to the shared source importer for the standard library.
-type depImporter struct {
-	deps map[string]*types.Package
-}
-
-func (im depImporter) Import(path string) (*types.Package, error) {
-	if p, ok := im.deps[path]; ok {
-		return p, nil
-	}
-	return fixImp.Import(path)
-}
-
-// loadFixtureDeps is loadFixture with extra fixture packages visible as
-// imports — the cross-package puritydeep fixture needs a real package
-// boundary between the bit-exact root and the impure callee.
-func loadFixtureDeps(t *testing.T, dir, path string, deps ...*Package) *Package {
-	t.Helper()
-	full := filepath.Join("testdata", dir)
-	entries, err := os.ReadDir(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fixFset, filepath.Join(full, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	im := depImporter{deps: make(map[string]*types.Package)}
-	for _, d := range deps {
-		im.deps[d.Path] = d.Types
-	}
-	conf := types.Config{Importer: im}
-	tpkg, err := conf.Check(path, fixFset, files, info)
-	if err != nil {
-		t.Fatalf("fixture %s does not type-check: %v", dir, err)
-	}
-	return &Package{Path: path, Dir: full, Fset: fixFset, Files: files, Types: tpkg, Info: info}
-}
-
-func TestPurityDeepCrossPackage(t *testing.T) {
-	impure := loadFixture(t, "puritydeep/impure", "fixture/impure")
-	chiplike := loadFixtureDeps(t, "puritydeep", "grape6/internal/chip", impure)
+func TestDeterministicCrossPackage(t *testing.T) {
+	impure := loadFixture(t, "crosspkg/impure", "fixture/impure")
+	chiplike := loadFixture(t, "crosspkg", "grape6/internal/chip", impure)
 
 	findings := Run([]*Package{chiplike, impure}, All())
 	var purity []Finding
 	for _, f := range findings {
-		if f.Analyzer == "puritydeep" {
+		if f.Analyzer == "deterministic" {
 			purity = append(purity, f)
 		} else {
 			t.Errorf("unexpected %s finding: %s", f.Analyzer, f)
@@ -258,10 +177,10 @@ func TestPurityDeepCrossPackage(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("no puritydeep finding containing %q; got %v", want, purity)
+			t.Errorf("no deterministic finding containing %q; got %v", want, purity)
 		}
 	}
 	if len(purity) != 2 {
-		t.Errorf("got %d puritydeep findings, want 2: %v", len(purity), purity)
+		t.Errorf("got %d deterministic findings, want 2: %v", len(purity), purity)
 	}
 }

@@ -2,38 +2,18 @@ package analysis
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"path/filepath"
 	"strings"
 )
 
-// The interprocedural analyzers: each picks a set of root nodes from
-// the call graph, walks the transitive closure of calls (breadth-first,
-// so reported chains are shortest), and reports the reachable effect
-// sites its contract forbids. Chains are printed hop by hop with the
-// call site of every hop, so a finding is actionable without re-running
-// the analysis by hand.
-
-// A ModulePass carries one (analyzer, whole module) run.
-type ModulePass struct {
-	Analyzer *Analyzer
-	Pkgs     []*Package
-	Graph    *CallGraph
-	Fset     *token.FileSet
-	findings *[]Finding
-}
-
-// Reportf records a finding at pos; root is the chain's root function
-// (its position is attached so package-scoped runs can match either
-// end of a cross-package chain).
-func (mp *ModulePass) Reportf(root *Node, pos token.Pos, format string, args ...any) {
-	*mp.findings = append(*mp.findings, Finding{
-		Pos:      mp.Fset.Position(pos),
-		Root:     mp.Fset.Position(root.Obj.Pos()),
-		Analyzer: mp.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
+// The call-graph analyzers: each picks a set of root nodes from the
+// call graph, walks the transitive closure of calls (breadth-first, so
+// reported chains are shortest), and reports the effect sites its
+// contract forbids in the roots themselves and in everything they
+// reach. Chains are printed hop by hop with the call site of every hop,
+// so a finding is actionable without re-running the analysis by hand.
 
 // step records how a node was first reached during a BFS.
 type step struct {
@@ -88,43 +68,43 @@ func chainString(fset *token.FileSet, via map[*Node]step, root, target *Node) st
 	return sb.String()
 }
 
-// NoAllocDeep extends the noalloc contract transitively: an allocation
-// site inside an unannotated function is a finding when any
-// //grape:noalloc kernel can reach it through the call graph. Sites in
-// annotated functions are the intraprocedural noalloc analyzer's job
-// and are not re-reported. Calls the graph cannot resolve (function
-// values with several bindings, func-typed fields) are findings too:
-// the contract cannot be verified past them.
+// NoAllocDeep enforces the //grape:noalloc contract: annotated
+// functions (force kernels, predictor, accumulator primitives, board
+// pool stages) and everything they reach through the call graph must
+// not allocate on the steady-state path. A site in an annotated
+// function reads "in noalloc function F"; a site in an unannotated
+// callee carries the call chain from the kernel that reaches it. Calls
+// the graph cannot resolve (function values with several bindings,
+// func-typed fields) are findings too: the contract cannot be verified
+// past them.
 var NoAllocDeep = &Analyzer{
-	Name:      "noallocdeep",
-	Doc:       "forbid allocations reachable from //grape:noalloc kernels through unannotated callees",
-	RunModule: runNoAllocDeep,
+	Name: "noalloc",
+	Doc:  "forbid allocations in //grape:noalloc kernels and everything they reach",
+	Run:  runNoAllocDeep,
 }
 
-func runNoAllocDeep(mp *ModulePass) {
-	reported := map[effectKey]bool{}
-	for _, root := range mp.Graph.Roots(func(n *Node) bool { return n.Noalloc }) {
+func runNoAllocDeep(p *Pass) {
+	reported := effectSet{}
+	for _, root := range p.Graph.Roots(func(n *Node) bool { return n.Noalloc }) {
 		order, via := reachFrom(root, func(Edge) bool { return true })
 		for _, n := range order {
-			if !n.Noalloc {
-				for _, eff := range n.Allocs {
-					k := effectKey{eff.Pos, eff.Desc}
-					if reported[k] {
-						continue
-					}
-					reported[k] = true
-					mp.Reportf(root, eff.Pos, "%s in %s, reachable from //grape:noalloc kernel %s via %s",
-						eff.Desc, n.Name(), root.Name(), chainString(mp.Fset, via, root, n))
-				}
-			}
-			for _, dyn := range n.Dynamics {
-				k := effectKey{dyn.Pos, dyn.Reason}
-				if reported[k] {
+			for _, eff := range n.Allocs {
+				if reported.seen(eff.Pos, eff.Desc) {
 					continue
 				}
-				reported[k] = true
-				mp.Reportf(root, dyn.Pos, "unresolvable call (%s) in %s, reachable from //grape:noalloc kernel %s via %s: the noalloc contract cannot be verified past this call",
-					dyn.Reason, n.Name(), root.Name(), chainString(mp.Fset, via, root, n))
+				if n.Noalloc {
+					p.Reportf(n, eff.Pos, "%s in noalloc function %s", eff.Desc, n.Name())
+					continue
+				}
+				p.Reportf(root, eff.Pos, "%s in %s, reachable from //grape:noalloc kernel %s via %s",
+					eff.Desc, n.Name(), root.Name(), chainString(p.Fset, via, root, n))
+			}
+			for _, dyn := range n.Dynamics {
+				if reported.seen(dyn.Pos, dyn.Reason) {
+					continue
+				}
+				p.Reportf(root, dyn.Pos, "unresolvable call (%s) in %s, reachable from //grape:noalloc kernel %s via %s: the noalloc contract cannot be verified past this call",
+					dyn.Reason, n.Name(), root.Name(), chainString(p.Fset, via, root, n))
 			}
 		}
 	}
@@ -133,6 +113,20 @@ func runNoAllocDeep(mp *ModulePass) {
 type effectKey struct {
 	pos  token.Pos
 	desc string
+}
+
+// effectSet dedupes findings across roots: a site two kernels reach is
+// reported once.
+type effectSet map[effectKey]bool
+
+// seen reports whether the site was already reported, and marks it.
+func (s effectSet) seen(pos token.Pos, desc string) bool {
+	k := effectKey{pos, desc}
+	if s[k] {
+		return true
+	}
+	s[k] = true
+	return false
 }
 
 // HotBlock is the ROADMAP's chanopt-style analyzer: a channel op costs
@@ -144,14 +138,14 @@ type effectKey struct {
 // stall its spawner (the spawn itself is the noalloc analyzer's
 // finding).
 var HotBlock = &Analyzer{
-	Name:      "hotblock",
-	Doc:       "forbid channel/lock/wait/sleep ops reachable from noalloc kernels and hot-path roots",
-	RunModule: runHotBlock,
+	Name: "hotblock",
+	Doc:  "forbid channel/lock/wait/sleep ops reachable from noalloc kernels and hot-path roots",
+	Run:  runHotBlock,
 }
 
-func runHotBlock(mp *ModulePass) {
-	reported := map[effectKey]bool{}
-	for _, root := range mp.Graph.Roots(func(n *Node) bool { return n.Noalloc || n.Hotpath }) {
+func runHotBlock(p *Pass) {
+	reported := effectSet{}
+	for _, root := range p.Graph.Roots(func(n *Node) bool { return n.Noalloc || n.Hotpath }) {
 		order, via := reachFrom(root, func(e Edge) bool {
 			return e.Kind != EdgeGo && !e.InGo
 		})
@@ -164,51 +158,68 @@ func runHotBlock(mp *ModulePass) {
 				if eff.InGo {
 					continue
 				}
-				k := effectKey{eff.Pos, eff.Desc}
-				if reported[k] {
+				if reported.seen(eff.Pos, eff.Desc) {
 					continue
 				}
-				reported[k] = true
 				if n == root {
-					mp.Reportf(root, eff.Pos, "%s on the hot path in %s (%s)",
+					p.Reportf(root, eff.Pos, "%s on the hot path in %s (%s)",
 						eff.Desc, n.Name(), rootKind)
 					continue
 				}
-				mp.Reportf(root, eff.Pos, "%s in %s, reachable from %s %s via %s",
-					eff.Desc, n.Name(), rootKind, root.Name(), chainString(mp.Fset, via, root, n))
+				p.Reportf(root, eff.Pos, "%s in %s, reachable from %s %s via %s",
+					eff.Desc, n.Name(), rootKind, root.Name(), chainString(p.Fset, via, root, n))
 			}
 		}
 	}
 }
 
-// PurityDeep extends the deterministic contract across package
-// boundaries: math/rand, time.Now, and order-sensitive map-range
-// accumulation are findings in any function a bit-exact package
-// (gfixed/chip/board/gbackend) can reach, wherever that function
-// lives. Sites inside the bit-exact packages themselves are the
-// intraprocedural deterministic analyzer's job.
+// PurityDeep enforces the bit-exact contract: math/rand (global seed
+// state — use internal/xrand's explicit streams), time.Now, and
+// float or accumulator updates inside `range` over a map (iteration
+// order is randomized, and block-float accumulation is order-sensitive
+// by design — that is what partition invariance is about) are findings
+// in every function of a bit-exact package (gfixed/chip/board/gbackend)
+// and in everything such a function reaches, wherever it lives. The
+// packages' declarations outside function bodies (package-level var
+// initializers, signatures) are walked too: they are not graph nodes.
 var PurityDeep = &Analyzer{
-	Name:      "puritydeep",
-	Doc:       "forbid nondeterminism reachable from the bit-exact packages",
-	RunModule: runPurityDeep,
+	Name: "deterministic",
+	Doc:  "forbid nondeterminism in the bit-exact packages and everything they reach",
+	Run:  runPurityDeep,
 }
 
-func runPurityDeep(mp *ModulePass) {
-	reported := map[effectKey]bool{}
-	for _, root := range mp.Graph.Roots(func(n *Node) bool { return isBitExactPath(n.Pkg.Path) }) {
+func runPurityDeep(p *Pass) {
+	reported := effectSet{}
+	for _, root := range p.Graph.Roots(func(n *Node) bool { return isBitExactPath(n.Pkg.Path) }) {
 		order, via := reachFrom(root, func(Edge) bool { return true })
 		for _, n := range order {
-			if isBitExactPath(n.Pkg.Path) {
-				continue // intraprocedural deterministic covers these
-			}
 			for _, eff := range n.Purity {
-				k := effectKey{eff.Pos, eff.Desc}
-				if reported[k] {
+				if reported.seen(eff.Pos, eff.Desc) {
 					continue
 				}
-				reported[k] = true
-				mp.Reportf(root, eff.Pos, "%s in %s, reachable from bit-exact package function %s via %s",
-					eff.Desc, n.Name(), root.Name(), chainString(mp.Fset, via, root, n))
+				if isBitExactPath(n.Pkg.Path) {
+					p.Reportf(n, eff.Pos, "%s in bit-exact package", eff.Desc)
+					continue
+				}
+				p.Reportf(root, eff.Pos, "%s in %s, reachable from bit-exact package function %s via %s",
+					eff.Desc, n.Name(), root.Name(), chainString(p.Fset, via, root, n))
+			}
+		}
+	}
+	emit := func(pos token.Pos, desc string) {
+		p.Reportf(nil, pos, "%s in bit-exact package", desc)
+	}
+	for _, pkg := range p.Pkgs {
+		if !isBitExactPath(pkg.Path) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					forEachPurity(pkg.Info, fd.Type, emit) // the body is a graph node
+					continue
+				}
+				forEachPurity(pkg.Info, decl, emit)
 			}
 		}
 	}

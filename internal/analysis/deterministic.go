@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
+	"slices"
 )
 
 // bitExactSuffixes are the packages whose outputs are locked by golden
@@ -18,62 +18,11 @@ var bitExactSuffixes = []string{
 }
 
 func isBitExactPath(path string) bool {
-	for _, s := range bitExactSuffixes {
-		if pathHasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
-}
-
-// Deterministic forbids the three classic sources of run-to-run drift
-// in the bit-exact packages: math/rand (global seed state — use
-// internal/xrand's explicit streams), time.Now, and floating-point /
-// accumulator updates inside `range` over a map (iteration order is
-// randomized, and block-float accumulation is order-sensitive by
-// design — that is what partition invariance is about). The
-// cross-package closure of the same contract is the puritydeep
-// analyzer's job.
-var Deterministic = &Analyzer{
-	Name: "deterministic",
-	Doc:  "forbid nondeterministic constructs in bit-exact packages",
-	Run:  runDeterministic,
-}
-
-func runDeterministic(p *Pass) {
-	if !isBitExactPath(p.Pkg.Path) {
-		return
-	}
-	for _, f := range p.Pkg.Files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue
-			}
-			if path == "math/rand" || path == "math/rand/v2" {
-				p.Reportf(imp.Pos(), "import of %s in bit-exact package: use internal/xrand for seeded, reproducible streams", path)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok &&
-					isPkgIdent(p.Info, sel.X, "time") && sel.Sel.Name == "Now" {
-					p.Reportf(n.Pos(), "time.Now in bit-exact package: results must not depend on wall-clock time")
-				}
-			case *ast.RangeStmt:
-				forEachMapRangeAccum(p.Info, n, func(pos token.Pos, desc string) {
-					p.Reportf(pos, "%s", desc)
-				})
-			}
-			return true
-		})
-	}
+	return slices.ContainsFunc(bitExactSuffixes, func(s string) bool { return pathHasSuffix(path, s) })
 }
 
 // forEachMapRangeAccum emits order-sensitive accumulation into state
-// declared outside a range-over-map body. Shared between the
-// intraprocedural deterministic analyzer and puritydeep.
+// declared outside a range-over-map body.
 func forEachMapRangeAccum(info *types.Info, rs *ast.RangeStmt, emit func(pos token.Pos, desc string)) {
 	if rs.X == nil {
 		return

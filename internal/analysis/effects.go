@@ -8,7 +8,7 @@ import (
 
 // An Effect is one local "effectful" operation inside a declared
 // function: an allocation site, a blocking synchronization op, or a
-// source of run-to-run nondeterminism. The interprocedural analyzers
+// source of run-to-run nondeterminism. The call-graph analyzers
 // compute, per root annotation, the transitive closure of these over
 // the call graph.
 type Effect struct {
@@ -30,7 +30,7 @@ func collectEffects(n *Node) {
 	forEachBlocking(info, fd, func(pos token.Pos, desc string) {
 		n.Blocking = append(n.Blocking, Effect{Pos: pos, Desc: desc, InGo: inGo.contains(pos)})
 	})
-	forEachPurity(info, fd, func(pos token.Pos, desc string) {
+	forEachPurity(info, fd.Body, func(pos token.Pos, desc string) {
 		n.Purity = append(n.Purity, Effect{Pos: pos, Desc: desc, InGo: inGo.contains(pos)})
 	})
 }
@@ -103,10 +103,10 @@ func blockingSyncMethod(info *types.Info, sel *ast.SelectorExpr) string {
 }
 
 // forEachPurity emits every source of run-to-run nondeterminism the
-// bit-exact contract forbids: math/rand use, time.Now, and float or
-// bit-exact-accumulator updates inside range over a map.
-func forEachPurity(info *types.Info, fd *ast.FuncDecl, emit func(pos token.Pos, desc string)) {
-	ast.Inspect(fd.Body, func(x ast.Node) bool {
+// bit-exact contract forbids under root: math/rand use, time.Now, and
+// float or bit-exact-accumulator updates inside range over a map.
+func forEachPurity(info *types.Info, root ast.Node, emit func(pos token.Pos, desc string)) {
+	ast.Inspect(root, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.SelectorExpr:
 			if isPkgIdent(info, x.X, "math/rand") || isPkgIdent(info, x.X, "math/rand/v2") {

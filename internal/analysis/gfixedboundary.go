@@ -26,26 +26,28 @@ var GfixedBoundary = &Analyzer{
 }
 
 func runGfixedBoundary(p *Pass) {
-	if pathHasSuffix(p.Pkg.Path, "internal/gfixed") {
-		return
-	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if isPkgIdent(p.Info, n.X, "math") &&
-					(n.Sel.Name == "Float64bits" || n.Sel.Name == "Float64frombits") {
-					p.Reportf(n.Pos(), "math.%s outside internal/gfixed: use gfixed.FloatBits/FloatFromBits so number-format decisions stay in one place", n.Sel.Name)
-				}
-			case *ast.BinaryExpr:
-				if n.Op == token.SHL || n.Op == token.SHR {
-					if field := formatFieldRef(n.Y); field != "" {
-						p.Reportf(n.Pos(), "manual shift by %s outside internal/gfixed: use the Format/Rounder helpers (PosResolution, Round, ...)", field)
+	for _, pkg := range p.Pkgs {
+		if pathHasSuffix(pkg.Path, "internal/gfixed") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if isPkgIdent(pkg.Info, n.X, "math") &&
+						(n.Sel.Name == "Float64bits" || n.Sel.Name == "Float64frombits") {
+						p.Reportf(nil, n.Pos(), "math.%s outside internal/gfixed: use gfixed.FloatBits/FloatFromBits so number-format decisions stay in one place", n.Sel.Name)
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.SHL || n.Op == token.SHR {
+						if field := formatFieldRef(n.Y); field != "" {
+							p.Reportf(nil, n.Pos(), "manual shift by %s outside internal/gfixed: use the Format/Rounder helpers (PosResolution, Round, ...)", field)
+						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }
 

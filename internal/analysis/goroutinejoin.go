@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // joinSuffixes are the packages where an unjoined goroutine can race
@@ -28,40 +29,35 @@ var GoroutineJoin = &Analyzer{
 }
 
 func runGoroutineJoin(p *Pass) {
-	applies := false
-	for _, s := range joinSuffixes {
-		if pathHasSuffix(p.Pkg.Path, s) {
-			applies = true
-			break
+	for _, pkg := range p.Pkgs {
+		if !slices.ContainsFunc(joinSuffixes, func(s string) bool { return pathHasSuffix(pkg.Path, s) }) {
+			continue
 		}
-	}
-	if !applies {
-		return
-	}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			var gos []*ast.GoStmt
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					gos = append(gos, g)
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
 				}
-				return true
-			})
-			if len(gos) == 0 || hasJoinMechanism(p, fd.Body) {
-				continue
-			}
-			for _, g := range gos {
-				p.Reportf(g.Pos(), "go statement in %s without a join mechanism (WaitGroup or channel) in the same function", fd.Name.Name)
+				var gos []*ast.GoStmt
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						gos = append(gos, g)
+					}
+					return true
+				})
+				if len(gos) == 0 || hasJoinMechanism(pkg.Info, fd.Body) {
+					continue
+				}
+				for _, g := range gos {
+					p.Reportf(nil, g.Pos(), "go statement in %s without a join mechanism (WaitGroup or channel) in the same function", fd.Name.Name)
+				}
 			}
 		}
 	}
 }
 
-func hasJoinMechanism(p *Pass, body *ast.BlockStmt) bool {
+func hasJoinMechanism(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
@@ -75,23 +71,23 @@ func hasJoinMechanism(p *Pass, body *ast.BlockStmt) bool {
 				found = true
 			}
 		case *ast.RangeStmt:
-			if tv, ok := p.Info.Types[n.X]; ok {
+			if tv, ok := info.Types[n.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 					found = true
 				}
 			}
 		case *ast.CallExpr:
-			switch builtinName(p.Info, n.Fun) {
+			switch builtinName(info, n.Fun) {
 			case "close":
 				found = true
 			case "make":
-				if tv, ok := p.Info.Types[n]; ok {
+				if tv, ok := info.Types[n]; ok {
 					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 						found = true
 					}
 				}
 			}
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && isWaitGroupMethod(p, sel) {
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && isWaitGroupMethod(info, sel) {
 				found = true
 			}
 		}
@@ -100,13 +96,13 @@ func hasJoinMechanism(p *Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-func isWaitGroupMethod(p *Pass, sel *ast.SelectorExpr) bool {
+func isWaitGroupMethod(info *types.Info, sel *ast.SelectorExpr) bool {
 	switch sel.Sel.Name {
 	case "Add", "Done", "Wait":
 	default:
 		return false
 	}
-	s := p.Info.Selections[sel]
+	s := info.Selections[sel]
 	if s == nil || s.Kind() != types.MethodVal {
 		return false
 	}

@@ -1,7 +1,8 @@
 // Package analysis is grapelint's engine: a stdlib-only loader that
 // type-checks the whole module plus a small analyzer framework with
-// repo-specific checks (noalloc, deterministic, nodeprecated,
-// gfixedboundary, goroutinejoin). See DESIGN.md §7 "Static guarantees".
+// repo-specific checks (nodeprecated, gfixedboundary, goroutinejoin,
+// and the call-graph closures noalloc, hotblock, deterministic). See
+// DESIGN.md §7 "Static guarantees".
 //
 // The loader deliberately avoids golang.org/x/tools: the repo has no
 // module dependencies and the analyzers only need go/parser + go/types.

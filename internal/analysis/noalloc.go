@@ -6,40 +6,13 @@ import (
 	"go/types"
 )
 
-// NoAlloc enforces the //grape:noalloc contract: annotated functions
-// (force kernels, predictor, accumulator primitives, board pool stages)
-// must not contain constructs that allocate on the steady-state path.
-// The check is intraprocedural and syntactic over typed ASTs; escape
-// analysis is deliberately not modeled — a construct the compiler might
-// prove non-escaping is still flagged, because the hot path should not
-// depend on optimizer behavior. The transitive closure through
-// unannotated callees is the noallocdeep analyzer's job.
-var NoAlloc = &Analyzer{
-	Name: "noalloc",
-	Doc:  "forbid allocating constructs in //grape:noalloc functions",
-	Run:  runNoAlloc,
-}
-
-func runNoAlloc(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasDirective(fd.Doc, noallocDirective) {
-				continue
-			}
-			name := fd.Name.Name
-			forEachAlloc(p.Info, p.Pkg.Types, fd, func(pos token.Pos, desc string) {
-				p.Reportf(pos, "%s in noalloc function %s", desc, name)
-			})
-		}
-	}
-}
-
 // forEachAlloc walks one declared function (nested literals included)
 // and emits a (position, description) pair for every construct that
-// allocates on the steady-state path. It is shared between the
-// intraprocedural noalloc analyzer and the interprocedural closure
-// (noallocdeep), which differ only in where they point the walker.
+// allocates on the steady-state path: the local effects the noalloc
+// closure collects per graph node. The check is syntactic over typed
+// ASTs; escape analysis is deliberately not modeled — a construct the
+// compiler might prove non-escaping is still flagged, because the hot
+// path should not depend on optimizer behavior.
 func forEachAlloc(info *types.Info, tpkg *types.Package, fd *ast.FuncDecl, emit func(pos token.Pos, desc string)) {
 	// First pass: append calls of the reuse form x = append(x, ...) grow
 	// a caller-owned buffer and are allowed (amortized, steady-state
@@ -157,7 +130,7 @@ func emitAllocCall(info *types.Info, tpkg *types.Package, call *ast.CallExpr, re
 }
 
 // allocatingStdlibCall recognizes calls into standard-library functions
-// that are known to allocate (the interprocedural walk cannot see their
+// that are known to allocate (the call-graph walk cannot see their
 // bodies). The list is deliberately short and certain: formatting,
 // error construction, and the reflect-based sort entry points.
 func allocatingStdlibCall(info *types.Info, call *ast.CallExpr) string {

@@ -1,7 +1,6 @@
 // The helper package a bit-exact fixture package reaches across a
-// package boundary: its nondeterminism is invisible to the
-// intraprocedural deterministic analyzer (wrong package path) and is
-// exactly what puritydeep exists to catch.
+// package boundary: its own path is not bit-exact, so its
+// nondeterminism is a finding only through the call chain.
 package impure
 
 import (

@@ -3,9 +3,13 @@
 package chip
 
 import (
-	"math/rand" // want "import of math/rand"
+	"math/rand"
 	"time"
 )
+
+// A package-level initializer is not a call-graph node; it is checked
+// all the same.
+var started = time.Now() // want "time.Now (wall-clock dependence) in bit-exact package"
 
 // Accum stands in for the gfixed block-float accumulator: its Add is
 // order-sensitive.
@@ -13,10 +17,10 @@ type Accum struct{ sum float64 }
 
 func (a *Accum) Add(x float64) { a.sum += x }
 
-func Jitter() float64 { return rand.Float64() }
+func Jitter() float64 { return rand.Float64() } // want "math/rand.Float64 (global seed state) in bit-exact package"
 
 func Stamp() int64 {
-	return time.Now().UnixNano() // want "time.Now in bit-exact package"
+	return time.Now().UnixNano() // want "time.Now (wall-clock dependence) in bit-exact package"
 }
 
 func SumMap(m map[int]float64) float64 {

@@ -1,5 +1,6 @@
 // Fixture for the noalloc analyzer: one annotated function per
-// violation class, plus clean cases exercising the allowed idioms.
+// violation class, plus clean cases exercising the allowed idioms
+// (chain.go holds the call-chain cases).
 package noallocsrc
 
 type point struct{ x, y float64 }
@@ -33,7 +34,7 @@ func accumulate(dst *point, xs []point) {
 
 //grape:noalloc
 func alloc(n int, xs []float64) {
-	buf := make([]float64, n) // want "make allocates"
+	buf := make([]float64, n) // want "make allocates in noalloc function noalloc.alloc"
 	q := new(point)           // want "new allocates"
 	grown := append(xs, 1)    // want "append to non-reused slice"
 	lit := []float64{1, 2}    // want "slice literal allocates"

@@ -1,13 +1,16 @@
-// The paper-claim guard: what Figs. 13-19 and the cosim sweep must show
-// whatever the pins say — crossovers, the 1/N regime, the tuning
-// gain — so that a careless -update cannot re-pin a claim away. The
-// figures come from the committed specs, hence the external test package
-// (scenario imports bench).
+// The paper-claim guard: what Figs. 13-19, the cosim sweep, the tables,
+// the ablations and the validation run must show whatever the pins say —
+// crossovers, the 1/N regime, the tuning gain — so that a careless
+// -update cannot re-pin a claim away. The checks read the pins
+// themselves: TestAllRuns and internal/scenario's
+// TestCommittedBaselineDiffsClean hold every run to its pin, so a claim
+// the pin keeps is a claim the run keeps, and no figure is made twice.
+// The pins are read with scenario, which imports bench, hence the
+// external test package.
 package bench_test
 
 import (
 	"math"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -16,25 +19,13 @@ import (
 	"grape6/internal/scenario"
 )
 
-// quickFigures caches one quick-fidelity run per spec id.
-var quickFigures = map[string]bench.Figure{}
-
-// quickFigure loads scenarios/<id>.json and returns its figure on the
-// package's shared quick Options, running it on first use.
+// quickFigure returns experiment id's committed quick-fidelity figure.
 func quickFigure(t *testing.T, id string) bench.Figure {
 	t.Helper()
-	if fig, ok := quickFigures[id]; ok {
-		return fig
-	}
-	spec, err := scenario.Load(filepath.Join("../../scenarios", id+".json"))
+	fig, err := scenario.LoadBaseline(pinDir, id, "quick")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := scenario.Run(spec, bench.SharedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quickFigures[id] = fig
 	return fig
 }
 
@@ -281,5 +272,146 @@ func TestCosimHybridSlowdown(t *testing.T) {
 	r8, _ := hy.ValueAt(8)
 	if r8 >= r4 {
 		t.Errorf("hybrid: 8 hosts/2 clusters (%v steps/s) not slower than 4 hosts (%v) at small N", r8, r4)
+	}
+}
+
+func TestT1MatchesPaperInventory(t *testing.T) {
+	e := quickFigure(t, "t1")
+	s := e.FindSeries("peak speed")
+	if s == nil {
+		t.Fatal("missing series")
+	}
+	chip, _ := s.ValueAt(1)
+	if math.Abs(chip-30.78) > 0.05 {
+		t.Errorf("chip peak = %v, paper: 30.8 Gflops", chip)
+	}
+	full, _ := s.ValueAt(2048)
+	if math.Abs(full-63040) > 100 {
+		t.Errorf("full machine = %v Gflops, paper: 63.04 Tflops", full)
+	}
+}
+
+func TestApplicationsInPaperDecade(t *testing.T) {
+	e := quickFigure(t, "t5ab")
+	tf := e.FindSeries("sustained speed")
+	if tf == nil {
+		t.Fatal("missing series")
+	}
+	k, _ := tf.ValueAt(1800000)
+	b, _ := tf.ValueAt(2000000)
+	for _, v := range []float64{k, b} {
+		if v < 20 || v > 63 {
+			t.Errorf("application Tflops = %v, paper: 33.4/35.3", v)
+		}
+	}
+	h := e.FindSeries("wall-clock")
+	kh, _ := h.ValueAt(1800000)
+	bh, _ := h.ValueAt(2000000)
+	if kh < 8 || kh > 35 {
+		t.Errorf("Kuiper hours = %v, paper: 16.30", kh)
+	}
+	if bh <= kh {
+		t.Error("BH run should take longer than Kuiper run")
+	}
+}
+
+func TestAblationMantissaCliff(t *testing.T) {
+	e := quickFigure(t, "a1")
+	s := e.Series[0]
+	short, _ := s.ValueAt(24)
+	long, _ := s.ValueAt(32)
+	if short < 3*long {
+		t.Errorf("no noise cliff: %v blocks at 24 bits vs %v at 32", short, long)
+	}
+}
+
+func TestAblationAccumulatorMonotone(t *testing.T) {
+	e := quickFigure(t, "a2")
+	s := e.Series[0]
+	coarse, _ := s.ValueAt(12)
+	fine, _ := s.ValueAt(40)
+	if fine >= coarse {
+		t.Errorf("accumulator error not decreasing: %v at 12 bits, %v at 40", coarse, fine)
+	}
+}
+
+func TestAblationVMPEfficiency(t *testing.T) {
+	e := quickFigure(t, "a3")
+	b48 := e.FindSeries("i-batch 48")
+	b768 := e.FindSeries("i-batch 768")
+	if b48 == nil || b768 == nil {
+		t.Fatal("missing series")
+	}
+	// At small N the shallow-parallelism design is more efficient.
+	v48, _ := b48.ValueAt(1000)
+	v768, _ := b768.ValueAt(1000)
+	if v768 >= v48 {
+		t.Errorf("deep parallelism should hurt small N: %v vs %v", v768, v48)
+	}
+}
+
+func TestAblationHostGrid(t *testing.T) {
+	e := quickFigure(t, "a5")
+	if len(e.Series) != 2 {
+		t.Fatalf("series = %v", bench.Labels(e))
+	}
+	// The hardware network always costs less per block.
+	grid := e.Series[0]
+	hw := e.Series[1]
+	for i := range grid.Points {
+		if hw.Points[i].Value >= grid.Points[i].Value {
+			t.Errorf("hardware network not cheaper at N=%d", grid.Points[i].N)
+		}
+	}
+}
+
+func TestAblationGrape4(t *testing.T) {
+	e := quickFigure(t, "a6")
+	g4 := e.FindSeries("GRAPE-4 (full machine)")
+	g6 := e.FindSeries("GRAPE-6 full machine")
+	if g4 == nil || g6 == nil {
+		t.Fatalf("missing series: %v", bench.Labels(e))
+	}
+	a, _ := g4.ValueAt(1000000)
+	b, _ := g6.ValueAt(1000000)
+	if b/a < 20 {
+		t.Errorf("GRAPE-6/GRAPE-4 ratio at 1e6 = %v, want ≫1", b/a)
+	}
+	// GRAPE-4 approaches its ~1 Tflops peak at large N.
+	if a < 300 || a > 1100 {
+		t.Errorf("GRAPE-4 at 1e6 = %v Gflops, want hundreds", a)
+	}
+}
+
+func TestValidationExperiment(t *testing.T) {
+	e := quickFigure(t, "v1")
+	s := e.FindSeries("validation metrics")
+	if s == nil {
+		t.Fatal("missing series")
+	}
+	dev, _ := s.ValueAt(1)
+	if dev > 1e-6 {
+		t.Errorf("hardware deviation %v too large", dev)
+	}
+	hwDrift, _ := s.ValueAt(3)
+	if hwDrift > 1e-4 {
+		t.Errorf("hardware energy drift %v", hwDrift)
+	}
+	bitID, _ := s.ValueAt(4)
+	if bitID != 1 {
+		t.Error("machine-size bit-invariance violated")
+	}
+}
+
+func TestNeighbourSchemeSaving(t *testing.T) {
+	e := quickFigure(t, "a7")
+	s := e.Series[0]
+	small, _ := s.ValueAt(128)
+	big, _ := s.ValueAt(256)
+	if small < 1.0 || big < 1.2 {
+		t.Errorf("savings too small: %v at 128, %v at 256", small, big)
+	}
+	if big <= small {
+		t.Errorf("saving did not grow with N: %v vs %v", big, small)
 	}
 }

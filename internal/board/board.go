@@ -315,7 +315,7 @@ func (w *forceWorker) doForce(c *forceCall) {
 // growPartials returns s with length ≥ n, reallocating only on growth.
 func growPartials(s []chip.Partial, n int) []chip.Partial {
 	if cap(s) < n {
-		//grapelint:ignore noallocdeep grow-only slab: reallocates only when the batch outgrows the high-water mark, never in steady state (alloc_test.go locks 0 allocs/op)
+		//grapelint:ignore noalloc grow-only slab: reallocates only when the batch outgrows the high-water mark, never in steady state (alloc_test.go locks 0 allocs/op)
 		return make([]chip.Partial, n)
 	}
 	return s[:n]

@@ -545,7 +545,7 @@ func (ch *Chip) ForceBatchRangeInto(dst []Partial, t float64, is []IParticle, ep
 // lives here, off the noalloc force path, so the annotated kernels carry
 // no interface boxing on their cold error branch.
 func slabPanic(got, want int) {
-	//grapelint:ignore noallocdeep cold panic path: runs once, when a caller hands the kernel an undersized slab, and the program dies
+	//grapelint:ignore noalloc cold panic path: runs once, when a caller hands the kernel an undersized slab, and the program dies
 	panic(fmt.Sprintf("chip: partial slab of %d for %d i-particles", got, want))
 }
 

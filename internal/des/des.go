@@ -107,7 +107,7 @@ func (e *Engine) Now() float64 { return e.now }
 // event unreachable), and an infinite time can never fire.
 func checkFinite(t float64, what string) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
-		//grapelint:ignore noallocdeep cold panic path: a non-finite time is a caller bug and the simulation dies here
+		//grapelint:ignore noalloc cold panic path: a non-finite time is a caller bug and the simulation dies here
 		panic(fmt.Sprintf("des: non-finite %s %v", what, t))
 	}
 }
@@ -116,7 +116,7 @@ func checkFinite(t float64, what string) {
 // of Sleep itself so the panic's boxing stays off the noalloc hot path.
 func checkSleep(d float64) {
 	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		//grapelint:ignore noallocdeep cold panic path: an invalid duration is a caller bug and the simulation dies here
+		//grapelint:ignore noalloc cold panic path: an invalid duration is a caller bug and the simulation dies here
 		panic(fmt.Sprintf("des: invalid sleep %v", d))
 	}
 }
@@ -312,7 +312,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 //grape:noalloc
 func (e *Engine) handoff(p *Proc) {
 	e.active = p
-	//grapelint:ignore noallocdeep iter.Pull's next: a runtime coroutine switch, pinned at 0 allocs/op by BenchmarkSleepProcCycle
+	//grapelint:ignore noalloc iter.Pull's next: a runtime coroutine switch, pinned at 0 allocs/op by BenchmarkSleepProcCycle
 	p.resume()
 }
 
@@ -322,7 +322,7 @@ func (e *Engine) handoff(p *Proc) {
 //grape:noalloc
 func (p *Proc) yield() {
 	p.eng.active = nil
-	//grapelint:ignore noallocdeep iter.Pull's yield: a runtime coroutine switch, pinned at 0 allocs/op by BenchmarkSleepProcCycle
+	//grapelint:ignore noalloc iter.Pull's yield: a runtime coroutine switch, pinned at 0 allocs/op by BenchmarkSleepProcCycle
 	p.suspend(struct{}{})
 }
 

@@ -41,7 +41,7 @@ func (s *Session) ForcesInto(dst []chip.Partial, t float64, is []chip.IParticle,
 		sl = d.claimLocked(s, ticket)
 	}
 	d.head++
-	//grapelint:ignore puritydeep the clock times array occupancy for Stats only; no force, cycle count or claim reads it
+	//grapelint:ignore deterministic the clock times array occupancy for Stats only; no force, cycle count or claim reads it
 	start := time.Now()
 	ni := len(is)
 	loads := (ni + d.ibatch - 1) / d.ibatch

@@ -78,7 +78,7 @@ func (s *BlockSched) Rebuild(sys *System) {
 func stepExp(step float64) int {
 	f, e := math.Frexp(step)
 	if f != 0.5 {
-		//grapelint:ignore noallocdeep cold panic path: a malformed timestep is an integrator bug and the run dies here
+		//grapelint:ignore noalloc cold panic path: a malformed timestep is an integrator bug and the run dies here
 		panic(fmt.Sprintf("nbody: timestep %v is not a positive power of two", step))
 	}
 	return e - 1
@@ -203,7 +203,7 @@ func (s *BlockSched) binFor(e int) *schedBin {
 			grow = len(s.bins)
 		}
 		old := len(s.bins)
-		//grapelint:ignore noallocdeep grow-only bin table: extends only when a particle reaches a new smallest power-of-two step, never in steady state
+		//grapelint:ignore noalloc grow-only bin table: extends only when a particle reaches a new smallest power-of-two step, never in steady state
 		s.bins = append(s.bins, make([]schedBin, grow)...)
 		copy(s.bins[grow:], s.bins[:old])
 		for k := 0; k < grow; k++ {

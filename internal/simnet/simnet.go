@@ -205,7 +205,7 @@ func (net *Network) Size() int { return net.n }
 
 func (net *Network) checkRank(r int) {
 	if r < 0 || r >= net.n {
-		//grapelint:ignore noallocdeep cold panic path: an out-of-range rank is a driver bug and the cosimulation dies here
+		//grapelint:ignore noalloc cold panic path: an out-of-range rank is a driver bug and the cosimulation dies here
 		panic(fmt.Sprintf("simnet: rank %d out of range [0,%d)", r, net.n))
 	}
 }

@@ -89,7 +89,7 @@ type spanArena struct {
 
 func (a *spanArena) alloc() *spanChunk {
 	if len(a.slab) == 0 {
-		//grapelint:ignore noallocdeep amortized arena slab: one allocation per 32 chunks, 1/32 of an alloc per chunk handed out
+		//grapelint:ignore noalloc amortized arena slab: one allocation per 32 chunks, 1/32 of an alloc per chunk handed out
 		a.slab = make([]spanChunk, 32)
 	}
 	c := &a.slab[0]

@@ -12,10 +12,11 @@
 #   laid out by hand), go vet (both modules) + race detector across the
 #   whole module
 # Tier 3 (repo-native static analysis, required for every change):
-#   grapelint — the intraprocedural suite (noalloc/deterministic/
-#   nodeprecated/gfixedboundary/goroutinejoin) plus the interprocedural
-#   closures over the module call graph (noallocdeep/hotblock/
-#   puritydeep) and the stale-suppression audit (DESIGN.md §7).
+#   grapelint — three package-scoped checks (nodeprecated/
+#   gfixedboundary/goroutinejoin), three closures over the module call
+#   graph that check their roots and everything they reach (noalloc/
+#   hotblock/deterministic), and the stale-suppression audit
+#   (DESIGN.md §7).
 #   Findings fail the gauntlet. Then the inlining contract of the force
 #   kernel, which no analyzer sees because it is the compiler's decision:
 #   gfixed's tame primitives must report "can inline", and the compiled
