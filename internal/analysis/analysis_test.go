@@ -130,6 +130,10 @@ func TestNoAllocFixture(t *testing.T) {
 	checkFixture(t, "noalloc", "fixture/noalloc")
 }
 
+func TestNoAllocDeepFixture(t *testing.T) {
+	checkFixture(t, "noallocdeep", "fixture/noallocdeep")
+}
+
 func TestDeterministicFixture(t *testing.T) {
 	checkFixture(t, "deterministic", "grape6/internal/chip")
 }

@@ -1,6 +1,6 @@
 // Fixture for the noalloc analyzer: one annotated function per
 // violation class, plus clean cases exercising the allowed idioms
-// (chain.go holds the call-chain cases).
+// (testdata/noallocdeep holds the call-chain cases).
 package noallocsrc
 
 type point struct{ x, y float64 }
