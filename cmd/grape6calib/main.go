@@ -15,6 +15,7 @@ import (
 	"os"
 	"sort"
 
+	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/perfmodel"
@@ -89,8 +90,18 @@ func main() {
 	}
 
 	if *workload {
-		for _, kind := range []units.SofteningKind{units.SoftConstant, units.SoftNDependent, units.SoftOverN} {
-			w, err := sched.FitWorkload(kind, sched.DefaultNs, 0.25, *seed)
+		// The three fits are independent: run them side by side, print
+		// them in order.
+		kinds := []units.SofteningKind{units.SoftConstant, units.SoftNDependent, units.SoftOverN}
+		fits := make([]*sched.Workload, len(kinds))
+		errs := make([]error, len(kinds))
+		direct.ParallelFor(len(kinds), 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				fits[i], errs[i] = sched.FitWorkload(kinds[i], sched.DefaultNs, 0.25, *seed)
+			}
+		})
+		for i, kind := range kinds {
+			w, err := fits[i], errs[i]
 			if err != nil {
 				fatal("%v", err)
 			}

@@ -33,8 +33,8 @@ import (
 //
 // Function literals are attributed to their enclosing declared
 // function: their calls and effects count as the encloser's, except
-// that effects inside the immediate `go func(){...}()` idiom carry
-// InGo so blocking analyzers can skip them.
+// that calls and blocking ops inside the immediate `go func(){...}()`
+// idiom carry InGo so blocking analyzers can skip them.
 
 // EdgeKind classifies how a call edge was resolved.
 type EdgeKind uint8

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"os"
 	"strings"
 	"testing"
 )
@@ -96,18 +95,7 @@ func TestCallGraphEdgeKinds(t *testing.T) {
 // graph root with Noalloc set: the noalloc and hotblock closures start
 // from these roots, so a kernel missing here would go unchecked.
 func TestModuleGraphInvariants(t *testing.T) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root, err := FindModuleRoot(cwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadModule(t)
 	g := BuildCallGraph(pkgs)
 	if len(g.All()) == 0 {
 		t.Fatal("empty module graph")

@@ -1,6 +1,29 @@
 package analysis
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
+
+// moduleLoad type-checks the whole module once for every test that needs
+// it: a load takes seconds.
+var moduleLoad = sync.OnceValues(func() ([]*Package, error) {
+	root, err := FindModuleRoot(".")
+	if err != nil {
+		return nil, err
+	}
+	return LoadModule(root)
+})
+
+// loadModule returns the shared load of the module this package sits in.
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	pkgs, err := moduleLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
 
 // TestLoadModuleTypeChecksCleanly is the machinery smoke test: the
 // loader must type-check the entire module, including this package.
@@ -11,14 +34,7 @@ func TestLoadModuleTypeChecksCleanly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type check skipped in -short mode")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadModule(t)
 	if len(pkgs) < 20 {
 		t.Errorf("loaded %d packages, expected the whole module", len(pkgs))
 	}

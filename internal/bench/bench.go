@@ -11,6 +11,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"grape6/internal/sched"
 	"grape6/internal/units"
@@ -74,7 +75,8 @@ var Runners = []Runner{
 	{ID: "v1", Fig: RunValidation},
 }
 
-// Options tunes the harness cost.
+// Options tunes the harness cost. It is safe for concurrent use: callers
+// may fit several softenings' workloads at once.
 type Options struct {
 	// Quick shrinks the measured workloads so the whole suite runs in
 	// seconds (used by unit tests and -bench smoke runs).
@@ -82,8 +84,8 @@ type Options struct {
 	// Seed makes the stochastic parts reproducible.
 	Seed uint64
 
-	// workload cache, keyed by softening kind.
-	workloads map[units.SofteningKind]*sched.Workload
+	mu        sync.Mutex                              // guards workloads
+	workloads map[units.SofteningKind]*sched.Workload // fit cache, by softening kind
 }
 
 // DefaultOptions returns the full-fidelity configuration.
@@ -145,18 +147,31 @@ func (o *Options) CurveNs() []int {
 	}
 }
 
+// fitWorkload is the fit Workload caches; tests swap in a cheaper one.
+var fitWorkload = sched.FitWorkload
+
 // Workload returns (building and caching on first use) the fitted block
-// statistics for a softening choice.
+// statistics for a softening choice. The fit runs outside the lock, so
+// fits of different kinds proceed side by side; if two calls fit the same
+// kind at once, the first to finish is cached and both return it.
 func (o *Options) Workload(kind units.SofteningKind) (*sched.Workload, error) {
-	if o.workloads == nil {
-		o.workloads = make(map[units.SofteningKind]*sched.Workload)
-	}
-	if w, ok := o.workloads[kind]; ok {
+	o.mu.Lock()
+	w, ok := o.workloads[kind]
+	o.mu.Unlock()
+	if ok {
 		return w, nil
 	}
-	w, err := sched.FitWorkload(kind, o.measureNs(), o.measureDuration(), o.Seed)
+	w, err := fitWorkload(kind, o.measureNs(), o.measureDuration(), o.Seed)
 	if err != nil {
 		return nil, err
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if cached, ok := o.workloads[kind]; ok {
+		return cached, nil
+	}
+	if o.workloads == nil {
+		o.workloads = make(map[units.SofteningKind]*sched.Workload)
 	}
 	o.workloads[kind] = w
 	return w, nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +13,8 @@ import (
 	"grape6/internal/core"
 	"grape6/internal/gbackend"
 	"grape6/internal/model"
+	"grape6/internal/sched"
+	"grape6/internal/units"
 	"grape6/internal/xrand"
 )
 
@@ -57,6 +61,51 @@ func TestTreecodeComparison(t *testing.T) {
 	local := e.FindSeries("this machine's treecode (shared step)")
 	if local == nil || len(local.Points) == 0 || local.Points[0].Value <= 0 {
 		t.Error("local treecode measurement missing")
+	}
+}
+
+// Options is shared by callers that fit several softenings at once: two
+// kinds fitted together and one kind asked for twice leave one cached fit
+// per kind, which every caller of that kind gets (go test -race checks the
+// cache). The fit is shrunk so the race detector's run stays short.
+func TestWorkloadConcurrentCalls(t *testing.T) {
+	var fits atomic.Int32
+	orig := fitWorkload
+	defer func() { fitWorkload = orig }()
+	fitWorkload = func(kind units.SofteningKind, _ []int, _ float64, seed uint64) (*sched.Workload, error) {
+		fits.Add(1)
+		return sched.FitWorkload(kind, []int{32, 64}, 1.0/32, seed)
+	}
+	o := QuickOptions()
+	kinds := []units.SofteningKind{units.SoftConstant, units.SoftOverN, units.SoftConstant}
+	got := make([]*sched.Workload, len(kinds))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, kind := range kinds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			w, err := o.Workload(kind)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = w
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if len(o.workloads) != 2 {
+		t.Fatalf("%d cached fits, want one per kind (2)", len(o.workloads))
+	}
+	for i, kind := range kinds {
+		if got[i] == nil || got[i] != o.workloads[kind] || got[i].Kind != kind {
+			t.Errorf("call %d (%v) did not return the cached fit of its kind", i, kind)
+		}
+	}
+	n := fits.Load()
+	if w, _ := o.Workload(units.SoftOverN); w != got[1] || fits.Load() != n {
+		t.Error("a cached kind was fitted again")
 	}
 }
 

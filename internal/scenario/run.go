@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"grape6/internal/bench"
+	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/parallel"
@@ -32,6 +33,11 @@ func Run(s *Spec, o *bench.Options) (Figure, error) {
 		ID: s.ID, Title: s.Title, Paper: s.Paper,
 		Notes: append([]string(nil), s.Notes...),
 	}
+	if s.Kind != "cosim" {
+		if err := fitWorkloads(s, o, cells); err != nil {
+			return Figure{}, err
+		}
+	}
 	for _, c := range cells {
 		var fs bench.Series
 		if s.Kind == "cosim" {
@@ -46,6 +52,32 @@ func Run(s *Spec, o *bench.Options) (Figure, error) {
 	}
 	o.Stamp(&fig)
 	return fig, nil
+}
+
+// fitWorkloads fits, side by side, every softening the model cells need,
+// so the cell loop reads each from o's cache. A failed fit is reported
+// against the first cell that needs its softening.
+func fitWorkloads(s *Spec, o *bench.Options, cells []Cell) error {
+	var first []Cell // the first cell of each softening
+	seen := make(map[units.SofteningKind]bool)
+	for _, c := range cells {
+		if !seen[c.Soft] {
+			seen[c.Soft] = true
+			first = append(first, c)
+		}
+	}
+	errs := make([]error, len(first))
+	direct.ParallelFor(len(first), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			_, errs[i] = o.Workload(first[i].Soft)
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("scenario %s: series %q: %w", s.ID, first[i].Label, err)
+		}
+	}
+	return nil
 }
 
 // runModelCell produces one speed or time-per-step series: measured and

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"grape6/internal/direct"
 	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/units"
@@ -95,22 +96,31 @@ type Workload struct {
 
 // FitWorkload measures traces at the given particle counts (each over
 // `duration` time units) and fits the power laws. At least two distinct N
-// are required.
+// are required. The integrations are independent, so they run side by
+// side on direct.ParallelFor (one after another on the caller at
+// GOMAXPROCS=1); the traces keep the order of ns, and when several
+// integrations fail the error of the lowest index is returned.
 func FitWorkload(kind units.SofteningKind, ns []int, duration float64, seed uint64) (*Workload, error) {
 	if len(ns) < 2 {
 		return nil, fmt.Errorf("sched: need ≥2 particle counts, got %d", len(ns))
 	}
-	w := &Workload{Kind: kind}
-	for i, n := range ns {
-		tr, err := Record(n, kind, duration, seed+uint64(i))
+	traces := make([]*Trace, len(ns))
+	errs := make([]error, len(ns))
+	direct.ParallelFor(len(ns), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			tr, err := Record(ns[i], kind, duration, seed+uint64(i))
+			if err == nil && len(tr.Blocks) == 0 {
+				err = fmt.Errorf("sched: empty trace at N=%d", ns[i])
+			}
+			traces[i], errs[i] = tr, err
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		if len(tr.Blocks) == 0 {
-			return nil, fmt.Errorf("sched: empty trace at N=%d", n)
-		}
-		w.Measured = append(w.Measured, tr)
 	}
+	w := &Workload{Kind: kind, Measured: traces}
 	if err := w.fit(); err != nil {
 		return nil, err
 	}

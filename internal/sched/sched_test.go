@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"grape6/internal/hermite"
@@ -61,6 +62,88 @@ func TestFitWorkloadRejectsTooFew(t *testing.T) {
 	}
 	if _, err := FromTraces(units.SoftConstant, nil); err == nil {
 		t.Error("accepted empty trace list")
+	}
+}
+
+// withProcs runs f at the given GOMAXPROCS and restores the old value.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// The integrations run side by side, yet each trace is the one a lone
+// Record call gives, block for block, and so are the fitted coefficients,
+// whether the fit runs on the caller (GOMAXPROCS=1) or on several workers.
+func TestFitWorkloadMatchesSerialRecords(t *testing.T) {
+	ns := []int{64, 128, 256}
+	const d, seed = 0.125, 11
+	serial := make([]*Trace, len(ns))
+	for i, n := range ns {
+		tr, err := Record(n, units.SoftNDependent, d, seed+uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = tr
+	}
+	want, err := FromTraces(units.SoftNDependent, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		var w *Workload
+		withProcs(procs, func() { w, err = FitWorkload(units.SoftNDependent, ns, d, seed) })
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if len(w.Measured) != len(ns) {
+			t.Fatalf("GOMAXPROCS=%d: %d traces, want %d", procs, len(w.Measured), len(ns))
+		}
+		for i, tr := range w.Measured {
+			ref := serial[i]
+			if tr.N != ref.N || len(tr.Blocks) != len(ref.Blocks) {
+				t.Fatalf("GOMAXPROCS=%d trace %d: N=%d with %d blocks, want N=%d with %d",
+					procs, i, tr.N, len(tr.Blocks), ref.N, len(ref.Blocks))
+			}
+			for k, b := range tr.Blocks {
+				r := ref.Blocks[k]
+				if math.Float64bits(b.Time) != math.Float64bits(r.Time) || b.Size != r.Size || b.Bins != r.Bins {
+					t.Fatalf("GOMAXPROCS=%d trace %d block %d: %+v, want %+v", procs, i, k, b, r)
+				}
+			}
+		}
+		for _, c := range [][2]float64{
+			{w.StepsA, want.StepsA}, {w.StepsB, want.StepsB},
+			{w.BlocksA, want.BlocksA}, {w.BlocksB, want.BlocksB},
+		} {
+			if math.Float64bits(c[0]) != math.Float64bits(c[1]) {
+				t.Errorf("GOMAXPROCS=%d: coefficient %v, want %v bit for bit", procs, c[0], c[1])
+			}
+		}
+	}
+}
+
+// A failed integration fails the fit with its own error, and when several
+// fail, the lowest index's error wins, however the runs interleave.
+func TestFitWorkloadErrorIsLowestIndex(t *testing.T) {
+	for _, tc := range []struct {
+		ns   []int
+		d    float64
+		want string
+	}{
+		// N=0 is refused by hermite.New; the others integrate.
+		{[]int{64, 0, 128}, 0.0625, "hermite: empty system"},
+		// Over zero time every trace is empty: all three fail.
+		{[]int{256, 0, 128}, 0, "sched: empty trace at N=256"},
+	} {
+		for _, procs := range []int{1, 4} {
+			for rep := 0; rep < 3; rep++ {
+				var err error
+				withProcs(procs, func() { _, err = FitWorkload(units.SoftConstant, tc.ns, tc.d, 3) })
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("ns=%v GOMAXPROCS=%d run %d: error %v, want %q", tc.ns, procs, rep, err, tc.want)
+				}
+			}
+		}
 	}
 }
 
