@@ -9,9 +9,8 @@
 //	grape6bench -exp f19 -quick   # fast, low-fidelity pass
 //	grape6bench -exp a6 -json     # figure JSON to stdout
 //
-// Every figure but t5c's, whose treecode row is this host's wall clock, is
-// pinned: testdata/scenarios/<id>.quick.json holds the bytes -quick -json
-// prints.
+// Every figure is pinned: testdata/scenarios/<id>.quick.json holds the
+// bytes -quick -json prints.
 //
 //	grape6bench -exp all -quick -diff     # diff every figure with its pin
 //	grape6bench -exp g6a -quick -update   # re-pin one figure
@@ -95,24 +94,23 @@ func idList(rs []bench.Runner) string {
 	return strings.Join(l, " ")
 }
 
-// targets resolves an id, alias or meta target to its entries; meta
-// reports a meta target.
-func (t table) targets(id string) (rs []bench.Runner, meta bool) {
+// targets resolves an id, alias or meta target to its entries.
+func (t table) targets(id string) []bench.Runner {
 	if canon, ok := aliases[id]; ok {
 		id = canon
 	}
 	switch id {
 	case "all":
-		return t.all, true
+		return t.all
 	case "scenarios":
-		return t.specs, true
+		return t.specs
 	}
 	for _, r := range t.all {
 		if r.ID == id {
-			return []bench.Runner{r}, false
+			return []bench.Runner{r}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 func main() {
@@ -150,15 +148,12 @@ func main() {
 		return
 	}
 
-	rs, meta := tab.targets(strings.ToLower(*exp))
+	rs := tab.targets(strings.ToLower(*exp))
 	if rs == nil {
 		fmt.Fprintf(os.Stderr, "grape6bench: unknown experiment %q\n", *exp)
 		fmt.Fprintf(os.Stderr, "known: %s all scenarios (aliases: %s)\n",
 			idList(tab.all), strings.Join(sortedKeys(aliases), " "))
 		os.Exit(2)
-	}
-	if !meta && rs[0].WallClock && (*doDiff || *update) {
-		fatal("%s is not pinned (wall-clock row): -diff and -update do not apply", rs[0].ID)
 	}
 	ok := true
 	for _, r := range rs {
@@ -170,16 +165,8 @@ func main() {
 }
 
 // run executes one experiment and applies the requested output and pin
-// actions; the pin actions pass over a wall-clock figure. It returns
-// false when a diff found differences.
+// actions. It returns false when a diff found differences.
 func run(r bench.Runner, opts *bench.Options, pinDir string, jsonOut, doDiff, update bool) bool {
-	if r.WallClock && (doDiff || update) {
-		fmt.Printf("%s: not pinned (wall-clock row)\n", r.ID)
-		if !jsonOut {
-			return true
-		}
-		doDiff, update = false, false
-	}
 	fig, err := r.Run(opts)
 	if err != nil {
 		fatal("%v", err)

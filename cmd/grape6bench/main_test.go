@@ -27,19 +27,19 @@ func TestSpecIDsDisjointFromRunners(t *testing.T) {
 		t.Errorf("an id names two entries: %s", idList(tab.all))
 	}
 	for _, r := range tab.all {
-		if rs, meta := tab.targets(r.ID); len(rs) != 1 || meta || rs[0].ID != r.ID {
+		if rs := tab.targets(r.ID); len(rs) != 1 || rs[0].ID != r.ID {
 			t.Errorf("id %q resolves to %s", r.ID, idList(rs))
 		}
 	}
 	for alias, id := range aliases {
-		if rs, _ := tab.targets(alias); len(rs) != 1 || rs[0].ID != id {
+		if rs := tab.targets(alias); len(rs) != 1 || rs[0].ID != id {
 			t.Errorf("alias %q resolves to %s, want %s", alias, idList(rs), id)
 		}
 	}
-	if rs, meta := tab.targets("all"); !meta || len(rs) != len(tab.all) {
+	if rs := tab.targets("all"); len(rs) != len(tab.all) {
 		t.Errorf("all resolves to %s", idList(rs))
 	}
-	if rs, meta := tab.targets("scenarios"); !meta || len(rs) != 10 || rs[0].ID != "a4" {
+	if rs := tab.targets("scenarios"); len(rs) != 10 || rs[0].ID != "a4" {
 		t.Errorf("scenarios resolves to %s", idList(rs))
 	}
 
@@ -70,8 +70,8 @@ func TestMissingScenariosDirIsAnError(t *testing.T) {
 	}
 }
 
-// TestEveryPin: every experiment of the table but the wall-clock t5c has
-// a pin that loads, and every pin file belongs to one of them. The figures
+// TestEveryPin: every experiment of the table has a pin that loads, and
+// every pin file belongs to one of them. The figures
 // themselves are run and diffed against their pins where they are made:
 // the specs' in internal/scenario, the runners' in internal/bench.
 func TestEveryPin(t *testing.T) {
@@ -81,19 +81,13 @@ func TestEveryPin(t *testing.T) {
 	}
 	pinned := map[string]bool{}
 	for _, r := range tab.all {
-		if r.WallClock {
-			if r.ID != "t5c" {
-				t.Errorf("%s is marked wall-clock; only t5c is", r.ID)
-			}
-			continue
-		}
 		pinned[r.ID] = true
 		if _, err := scenario.LoadBaseline(pinDir, r.ID, "quick"); err != nil {
 			t.Errorf("%s: %v", r.ID, err)
 		}
 	}
-	if len(pinned) != 19 {
-		t.Errorf("%d pinned experiments, want the 10 specs and 9 runners", len(pinned))
+	if len(pinned) != 20 {
+		t.Errorf("%d pinned experiments, want the 10 specs and 10 runners", len(pinned))
 	}
 	files, err := filepath.Glob(filepath.Join(pinDir, "*.quick.json"))
 	if err != nil {

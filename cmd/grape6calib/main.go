@@ -89,6 +89,8 @@ func main() {
 		}
 	}
 
+	// The ε = 1/64 fit, shared by -workload and -breakdown.
+	var constFit *sched.Workload
 	if *workload {
 		// The three fits are independent: run them side by side, print
 		// them in order.
@@ -105,6 +107,9 @@ func main() {
 			if err != nil {
 				fatal("%v", err)
 			}
+			if kind == units.SoftConstant {
+				constFit = w
+			}
 			fmt.Printf("softening %s:\n", kind)
 			fmt.Printf("  steps/unit-time  ~ N^%.3f\n", w.StepsB)
 			fmt.Printf("  blocks/unit-time ~ N^%.3f\n", w.BlocksB)
@@ -120,11 +125,13 @@ func main() {
 	}
 
 	if *breakdown {
-		w, err := sched.FitWorkload(units.SoftConstant, sched.DefaultNs, 0.25, *seed)
-		if err != nil {
-			fatal("%v", err)
+		if constFit == nil {
+			var err error
+			if constFit, err = sched.FitWorkload(units.SoftConstant, sched.DefaultNs, 0.25, *seed); err != nil {
+				fatal("%v", err)
+			}
 		}
-		nb := int(math.Round(w.MeanBlockSize(*n)))
+		nb := int(math.Round(constFit.MeanBlockSize(*n)))
 		fmt.Printf("N=%d, mean block=%d\n", *n, nb)
 		for _, mc := range []perfmodel.Machine{
 			perfmodel.SingleNode(simnet.NS83820, perfmodel.Athlon),

@@ -178,8 +178,9 @@ func runHotBlock(p *Pass) {
 // float or accumulator updates inside `range` over a map (iteration
 // order is randomized, and block-float accumulation is order-sensitive
 // by design — that is what partition invariance is about) are findings
-// in every function of a bit-exact package (gfixed/chip/board/gbackend)
-// and in everything such a function reaches, wherever it lives. The
+// in every function of a bit-exact package (gfixed/chip/board/gbackend
+// and the figure producers bench/scenario) and in everything such a
+// function reaches, wherever it lives. The
 // packages' declarations outside function bodies (package-level var
 // initializers, signatures) are walked too: they are not graph nodes.
 var PurityDeep = &Analyzer{

@@ -7,14 +7,18 @@ import (
 	"slices"
 )
 
-// bitExactSuffixes are the packages whose outputs are locked by golden
-// hashes (board/golden_test.go): any run-to-run nondeterminism there is a bug
-// even if every test still passes on one machine.
+// bitExactSuffixes are the packages whose outputs are locked byte for byte:
+// the force path by golden hashes (board/golden_test.go), the figure
+// producers by their pins (testdata/scenarios/). Any run-to-run
+// nondeterminism there is a bug even if every test still passes on one
+// machine.
 var bitExactSuffixes = []string{
 	"internal/gfixed",
 	"internal/chip",
 	"internal/board",
 	"internal/gbackend",
+	"internal/bench",
+	"internal/scenario",
 }
 
 func isBitExactPath(path string) bool {

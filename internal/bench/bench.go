@@ -48,9 +48,6 @@ type Figure struct {
 type Runner struct {
 	ID  string
 	Fig func(*Options) (Figure, error)
-	// WallClock marks a figure with a row timed on this host's wall
-	// clock: it changes from run to run, so it has no pin.
-	WallClock bool
 }
 
 // Run executes the experiment and returns its figure stamped.
@@ -65,7 +62,7 @@ func (r Runner) Run(o *Options) (Figure, error) {
 var Runners = []Runner{
 	{ID: "t1", Fig: func(*Options) (Figure, error) { return RunT1(), nil }},
 	{ID: "t5ab", Fig: RunApplications},
-	{ID: "t5c", Fig: RunTreecode, WallClock: true},
+	{ID: "t5c", Fig: RunTreecode},
 	{ID: "a1", Fig: RunAblationMantissa},
 	{ID: "a2", Fig: RunAblationAccumulator},
 	{ID: "a3", Fig: RunAblationVMP},

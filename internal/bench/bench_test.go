@@ -35,35 +35,6 @@ func labels(e Figure) []string {
 	return out
 }
 
-func TestTreecodeComparison(t *testing.T) {
-	e, err := RunTreecode(sharedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.FindSeries("particle steps per second")
-	if s == nil {
-		t.Fatal("missing series")
-	}
-	grape, _ := s.ValueAt(1)
-	gadget, _ := s.ValueAt(2)
-	asciCorrected, _ := s.ValueAt(4)
-	// Paper: GRAPE-6 ~3.3e5; Gadget 1e4 (~3% of GRAPE); corrected ASCI Red
-	// ~1/70 of GRAPE.
-	if grape < 1e5 || grape > 1e6 {
-		t.Errorf("GRAPE-6 rate = %v, paper: ~3.3e5", grape)
-	}
-	if gadget >= grape {
-		t.Error("Gadget should be far below GRAPE-6")
-	}
-	if asciCorrected >= grape {
-		t.Error("corrected ASCI-Red rate should be below GRAPE-6")
-	}
-	local := e.FindSeries("this machine's treecode (shared step)")
-	if local == nil || len(local.Points) == 0 || local.Points[0].Value <= 0 {
-		t.Error("local treecode measurement missing")
-	}
-}
-
 // Options is shared by callers that fit several softenings at once: two
 // kinds fitted together and one kind asked for twice leave one cached fit
 // per kind, which every caller of that kind gets (go test -race checks the

@@ -315,6 +315,37 @@ func TestApplicationsInPaperDecade(t *testing.T) {
 	}
 }
 
+func TestTreecodeComparison(t *testing.T) {
+	e := quickFigure(t, "t5c")
+	s := e.FindSeries("particle steps per second")
+	if s == nil {
+		t.Fatal("missing series")
+	}
+	grape, _ := s.ValueAt(1)
+	gadget, _ := s.ValueAt(2)
+	asciCorrected, _ := s.ValueAt(4)
+	// Paper: GRAPE-6 ~3.3e5; Gadget 1e4 (~3% of GRAPE); corrected ASCI Red
+	// ~1/70 of GRAPE.
+	if grape < 1e5 || grape > 1e6 {
+		t.Errorf("GRAPE-6 rate = %v, paper: ~3.3e5", grape)
+	}
+	if gadget >= grape {
+		t.Error("Gadget should be far below GRAPE-6")
+	}
+	if asciCorrected >= grape {
+		t.Error("corrected ASCI-Red rate should be below GRAPE-6")
+	}
+	// The treecode's point: a particle step walks fewer terms than the
+	// N-1 of direct summation.
+	local := e.FindSeries("interactions per particle step")
+	if local == nil || len(local.Points) != 1 {
+		t.Fatal("missing treecode interaction count")
+	}
+	if p := local.Points[0]; p.Value <= 0 || p.Value >= float64(p.N-1) {
+		t.Errorf("tree interactions per particle step = %v at N=%d, want in (0, N-1)", p.Value, p.N)
+	}
+}
+
 func TestAblationMantissaCliff(t *testing.T) {
 	e := quickFigure(t, "a1")
 	s := e.Series[0]

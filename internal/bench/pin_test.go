@@ -13,9 +13,8 @@ import (
 const pinDir = "../../testdata/scenarios"
 
 // TestAllRuns runs each runner once at quick fidelity: it comes back under
-// its id, stamped, with every series sorted by N, and each figure but the
-// wall-clock one diffs clean against its pin, whose file holds the bytes
-// Write gives. The specs' figures are checked the same way in
+// its id, stamped, with every series sorted by N, and each figure diffs
+// clean against its pin, whose file holds the bytes Write gives. The specs' figures are checked the same way in
 // internal/scenario.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
@@ -45,9 +44,7 @@ func TestAllRuns(t *testing.T) {
 				t.Errorf("%s: series %q not sorted by N", r.ID, s.Label)
 			}
 		}
-		if !r.WallClock {
-			checkPin(t, fig)
-		}
+		checkPin(t, fig)
 	}
 	for _, want := range []string{"t1", "t5ab", "t5c", "a1", "a2", "a3", "a5", "a6", "a7", "v1"} {
 		if !ids[want] {

@@ -1,11 +1,10 @@
 // Package tree implements the Barnes & Hut (1986) octree force algorithm
-// with monopole and optional quadrupole moments, plus a shared-timestep
-// leapfrog integrator. It is the comparison baseline of Section 5 of the
-// paper, which weighs GRAPE-6 against treecodes on general-purpose
-// machines (Gadget on the T3E, Warren et al. on ASCI Red): the treecode
-// trades per-interaction cost O(N log N) against lower force accuracy and
-// — without individual timesteps — a ~100× larger step count for
-// collisional problems.
+// with monopole and optional quadrupole moments. It is the comparison
+// baseline of Section 5 of the paper, which weighs GRAPE-6 against
+// treecodes on general-purpose machines (Gadget on the T3E, Warren et al.
+// on ASCI Red): the treecode trades per-interaction cost O(N log N)
+// against lower force accuracy and — without individual timesteps — a
+// ~100× larger step count for collisional problems.
 package tree
 
 import (

@@ -230,67 +230,6 @@ func TestTreeOrderPreservesMass(t *testing.T) {
 	}
 }
 
-func TestLeapfrogEnergyConservation(t *testing.T) {
-	sys := model.Plummer(256, xrand.New(8))
-	cfg := DefaultConfig(1.0 / 64)
-	cfg.Theta = 0.5
-	it, err := NewIntegrator(sys, cfg, 1.0/256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e0 := it.Energy()
-	if err := it.Run(0.5); err != nil {
-		t.Fatal(err)
-	}
-	e1 := it.Energy()
-	if rel := math.Abs((e1 - e0) / e0); rel > 5e-3 {
-		t.Errorf("leapfrog energy error = %v", rel)
-	}
-	if it.Steps != int64(sys.N)*128 {
-		t.Errorf("steps = %d, want %d", it.Steps, int64(sys.N)*128)
-	}
-	if it.Interactions == 0 {
-		t.Error("no interactions counted")
-	}
-}
-
-func TestLeapfrogSecondOrder(t *testing.T) {
-	// Halving dt should reduce the energy error by ≈4 (2nd order). Use
-	// θ=0 to avoid tree-error contamination.
-	errAt := func(dt float64) float64 {
-		sys := model.Plummer(64, xrand.New(9))
-		cfg := DefaultConfig(1.0 / 16)
-		cfg.Theta = 0
-		it, err := NewIntegrator(sys, cfg, dt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e0 := it.Energy()
-		if err := it.Run(0.25); err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs((it.Energy() - e0) / e0)
-	}
-	coarse := errAt(1.0 / 64)
-	fine := errAt(1.0 / 128)
-	ratio := coarse / fine
-	if ratio < 2.5 || ratio > 6.5 {
-		t.Errorf("convergence ratio = %v, want ≈4", ratio)
-	}
-}
-
-func TestIntegratorRejectsBadInput(t *testing.T) {
-	sys := model.Plummer(16, xrand.New(10))
-	if _, err := NewIntegrator(sys, DefaultConfig(0.01), 0); err == nil {
-		t.Error("accepted zero timestep")
-	}
-	bad := DefaultConfig(0.01)
-	bad.Theta = -1
-	if _, err := NewIntegrator(sys, bad, 0.01); err == nil {
-		t.Error("accepted bad config")
-	}
-}
-
 func TestStepRatio(t *testing.T) {
 	// Uniform steps: ratio 1.
 	if r := StepRatio([]float64{0.1, 0.1, 0.1}); math.Abs(r-1) > 1e-12 {
