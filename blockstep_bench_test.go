@@ -16,6 +16,7 @@ import (
 	"grape6/internal/ahmadcohen"
 	"grape6/internal/direct"
 	"grape6/internal/gbackend"
+	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
 	"grape6/internal/xrand"
@@ -147,10 +148,10 @@ func BenchmarkStreamLoadJ(b *testing.B) {
 
 // BenchmarkAhmadCohenBlockStep is the neighbour scheme in steady state:
 // mostly irregular blocks touching ~32 neighbours each, with the full-j
-// regular force amortized over ~RegFactor irregular steps.
+// regular force amortized over ~8 irregular steps.
 func BenchmarkAhmadCohenBlockStep(b *testing.B) {
 	sys := model.Plummer(2048, xrand.New(13))
-	it, err := ahmadcohen.New(sys, ahmadcohen.DefaultParams(1.0/64))
+	it, err := ahmadcohen.New(sys, hermite.DefaultParams(1.0/64))
 	if err != nil {
 		b.Fatal(err)
 	}

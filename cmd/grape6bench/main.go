@@ -25,28 +25,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"grape6/internal/bench"
 	"grape6/internal/scenario"
 )
-
-// aliases are the DESIGN.md index names for the application experiments.
-var aliases = map[string]string{
-	"kuiper":   "t5ab",
-	"bhbinary": "t5ab",
-	"treecmp":  "t5c",
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
 
 // table is every experiment in report order; specs is its run of
 // scenario-spec entries, the "scenarios" target.
@@ -94,11 +77,8 @@ func idList(rs []bench.Runner) string {
 	return strings.Join(l, " ")
 }
 
-// targets resolves an id, alias or meta target to its entries.
+// targets resolves an id or meta target to its entries.
 func (t table) targets(id string) []bench.Runner {
-	if canon, ok := aliases[id]; ok {
-		id = canon
-	}
 	switch id {
 	case "all":
 		return t.all
@@ -115,11 +95,9 @@ func (t table) targets(id string) []bench.Runner {
 
 func main() {
 	var (
-		exp = flag.String("exp", "all", fmt.Sprintf(
-			"experiment id (-list shows every one), an alias (%s), \"scenarios\" for the spec matrix, or \"all\": t1, every spec by id, then the other runners",
-			strings.Join(sortedKeys(aliases), ", ")))
+		exp = flag.String("exp", "all",
+			"experiment id (-list shows every one), \"scenarios\" for the spec matrix, or \"all\": t1, every spec by id, then the other runners")
 		quick   = flag.Bool("quick", false, "reduced-fidelity fast mode")
-		seed    = flag.Uint64("seed", 20031115, "random seed for workload sampling")
 		scnDir  = flag.String("scenarios", "scenarios", "scenario spec directory")
 		baseDir = flag.String("baseline", "testdata/scenarios", "pin directory")
 		jsonOut = flag.Bool("json", false, "emit figure JSON instead of the text report")
@@ -133,7 +111,6 @@ func main() {
 	if *quick {
 		opts = bench.QuickOptions()
 	}
-	opts.Seed = *seed
 
 	tab, err := load(*scnDir)
 	if err != nil {
@@ -143,7 +120,6 @@ func main() {
 	if *list {
 		fmt.Printf("experiments: %s\n", idList(tab.all))
 		fmt.Printf("scenario specs (%s): %s\n", *scnDir, idList(tab.specs))
-		fmt.Printf("aliases: %s\n", strings.Join(sortedKeys(aliases), " "))
 		fmt.Printf("meta: all scenarios\n")
 		return
 	}
@@ -151,8 +127,7 @@ func main() {
 	rs := tab.targets(strings.ToLower(*exp))
 	if rs == nil {
 		fmt.Fprintf(os.Stderr, "grape6bench: unknown experiment %q\n", *exp)
-		fmt.Fprintf(os.Stderr, "known: %s all scenarios (aliases: %s)\n",
-			idList(tab.all), strings.Join(sortedKeys(aliases), " "))
+		fmt.Fprintf(os.Stderr, "known: %s all scenarios\n", idList(tab.all))
 		os.Exit(2)
 	}
 	ok := true

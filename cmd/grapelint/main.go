@@ -1,6 +1,6 @@
-// Command grapelint runs the repo's static-analysis suite: three
-// package-scoped checks (nodeprecated, gfixedboundary, goroutinejoin)
-// and three closures over the module call graph (noalloc, hotblock,
+// Command grapelint runs the repo's static-analysis suite: two
+// package-scoped checks (gfixedboundary, goroutinejoin) and three
+// closures over the module call graph (noalloc, hotblock,
 // deterministic), each of which checks its roots' own bodies and
 // everything they reach — see DESIGN.md §7 "Static guarantees". It
 // type-checks the whole module with the standard library only; the

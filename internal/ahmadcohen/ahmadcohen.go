@@ -22,58 +22,23 @@ import (
 	"grape6/internal/vec"
 )
 
-// Params configures the scheme.
-type Params struct {
-	hermite.Params
+// NBODY-style neighbour settings.
+const (
+	// targetNeighbours is the desired neighbour count (clamped to N-1).
+	targetNeighbours = 32
 
-	// TargetNeighbours is the desired neighbour count (clamped to N-1).
-	TargetNeighbours int
-
-	// RegFactor is the ratio cap between regular and irregular steps: the
-	// regular step is at most RegFactor times the irregular step (and at
-	// least equal to it). Power of two.
-	RegFactor float64
-
-	// InitialRadius is the starting neighbour-sphere radius; zero derives
-	// it from the target count and a homogeneous-density estimate.
-	InitialRadius float64
-}
+	// regFactor caps the ratio of regular to irregular step: the regular
+	// step is at most regFactor times the irregular step (and at least
+	// equal to it). Power of two.
+	regFactor = 8
+)
 
 // corrector returns the Hermite parameters for hermite.Start and Advance:
 // Eps = 0, because direct.EvalSkip leaves out the self-pair, so there is
 // no −m/ε in the potential to take off.
-func (p Params) corrector() hermite.Params {
-	hp := p.Params
-	hp.Eps = 0
-	return hp
-}
-
-// DefaultParams mirrors hermite.DefaultParams with NBODY-style neighbour
-// settings.
-func DefaultParams(eps float64) Params {
-	return Params{
-		Params:           hermite.DefaultParams(eps),
-		TargetNeighbours: 32,
-		RegFactor:        8,
-	}
-}
-
-// Validate reports configuration errors.
-func (p Params) Validate() error {
-	if err := p.Params.Validate(); err != nil {
-		return err
-	}
-	if p.TargetNeighbours < 1 {
-		return fmt.Errorf("ahmadcohen: target neighbours %d < 1", p.TargetNeighbours)
-	}
-	if p.RegFactor < 1 {
-		return fmt.Errorf("ahmadcohen: regular factor %v < 1", p.RegFactor)
-	}
-	f, _ := math.Frexp(p.RegFactor)
-	if f != 0.5 {
-		return fmt.Errorf("ahmadcohen: regular factor %v not a power of two", p.RegFactor)
-	}
-	return nil
+func corrector(p hermite.Params) hermite.Params {
+	p.Eps = 0
+	return p
 }
 
 // pstate is the per-particle Ahmad-Cohen state beyond the nbody fields.
@@ -93,7 +58,7 @@ type pstate struct {
 // Integrator advances a system with the neighbour scheme.
 type Integrator struct {
 	Sys *nbody.System
-	P   Params
+	P   hermite.Params
 	T   float64
 
 	// Counters: the scheme's point is the PairOps saving.
@@ -115,7 +80,7 @@ type Integrator struct {
 	// lists lazily through pt; a block containing any regular step
 	// refreshes the whole system (full-j force and neighbour rebuild read
 	// every entry), so the O(N) predictor pass amortizes over the
-	// ~RegFactor irregular steps between regular ones.
+	// ~regFactor irregular steps between regular ones.
 	px, pv []vec.V3
 	pt     []float64
 
@@ -126,7 +91,7 @@ type Integrator struct {
 
 // New initialises the scheme: full forces, neighbour lists and startup
 // steps at the common initial time.
-func New(sys *nbody.System, p Params) (*Integrator, error) {
+func New(sys *nbody.System, p hermite.Params) (*Integrator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -151,17 +116,11 @@ func New(sys *nbody.System, p Params) (*Integrator, error) {
 		it.pt[i] = math.NaN()
 	}
 
-	nnb := p.TargetNeighbours
-	if nnb > sys.N-1 {
-		nnb = sys.N - 1
-	}
+	nnb := min(targetNeighbours, sys.N-1)
 
 	// Initial neighbour radius from a homogeneous estimate around the
 	// half-mass scale, refined per particle right below.
-	r0 := p.InitialRadius
-	if r0 <= 0 {
-		r0 = 1.5 * math.Cbrt(float64(nnb)/float64(sys.N))
-	}
+	r0 := 1.5 * math.Cbrt(float64(nnb)/float64(sys.N))
 
 	js := direct.JSet{Mass: sys.Mass, Pos: sys.Pos, Vel: sys.Vel}
 	for i := 0; i < sys.N; i++ {
@@ -183,11 +142,8 @@ func New(sys *nbody.System, p Params) (*Integrator, error) {
 		st.jReg = total.Jerk.Sub(jIrr)
 		st.tReg = t0
 
-		hermite.Start(sys, i, total, t0, p.corrector())
-		st.dtReg = sys.Step[i] * p.RegFactor
-		if st.dtReg > p.MaxStep {
-			st.dtReg = p.MaxStep
-		}
+		hermite.Start(sys, i, total, t0, corrector(p))
+		st.dtReg = min(sys.Step[i]*regFactor, hermite.MaxStep)
 	}
 	it.sched = nbody.NewBlockSched(sys)
 	return it, nil
@@ -301,7 +257,7 @@ func (it *Integrator) Step() hermite.BlockStat {
 		}
 	}
 
-	hp := it.P.corrector()
+	hp := corrector(it.P)
 	for _, i := range it.block {
 		st := &it.ps[i]
 
@@ -321,10 +277,7 @@ func (it *Integrator) Step() hermite.BlockStat {
 			pot1 = total.Pot
 
 			// Adjust the neighbour sphere toward the target count.
-			target := it.P.TargetNeighbours
-			if target > sys.N-1 {
-				target = sys.N - 1
-			}
+			target := min(targetNeighbours, sys.N-1)
 			st.rnb2 *= math.Pow(float64(target+1)/float64(len(st.nb)+1), 2.0/3.0)
 			st.nb = predictedNeighboursWithin(it.px, i, st.rnb2, sys.N, st.nb)
 			aIrr1, jIrr1 = it.irregularForce(i, it.px, it.pv)
@@ -349,10 +302,7 @@ func (it *Integrator) Step() hermite.BlockStat {
 		if regular {
 			st.aReg, st.jReg = aReg1, jReg1
 			st.tReg = t
-			st.dtReg = sys.Step[i] * it.P.RegFactor
-			if st.dtReg > it.P.MaxStep {
-				st.dtReg = it.P.MaxStep
-			}
+			st.dtReg = min(sys.Step[i]*regFactor, hermite.MaxStep)
 			it.RegSteps++
 		}
 		it.IrrSteps++

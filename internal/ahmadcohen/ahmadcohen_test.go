@@ -11,38 +11,20 @@ import (
 )
 
 func TestParamsValidation(t *testing.T) {
-	p := DefaultParams(0.01)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	p.TargetNeighbours = 0
-	if err := p.Validate(); err == nil {
-		t.Error("accepted zero neighbours")
-	}
-	p = DefaultParams(0.01)
-	p.RegFactor = 3
-	if err := p.Validate(); err == nil {
-		t.Error("accepted non-power-of-two regular factor")
-	}
-	p = DefaultParams(0.01)
-	p.RegFactor = 0.5
-	if err := p.Validate(); err == nil {
-		t.Error("accepted regular factor < 1")
-	}
-	p = DefaultParams(0.01)
+	p := hermite.DefaultParams(0.01)
 	p.Eta = -1
-	if err := p.Validate(); err == nil {
+	if _, err := New(model.Plummer(8, xrand.New(1)), p); err == nil {
 		t.Error("accepted bad hermite params")
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nbody.New(1), DefaultParams(0.01)); err == nil {
+	if _, err := New(nbody.New(1), hermite.DefaultParams(0.01)); err == nil {
 		t.Error("accepted single particle")
 	}
 	sys := model.Plummer(8, xrand.New(1))
 	sys.Time[3] = 0.5
-	if _, err := New(sys, DefaultParams(0.01)); err == nil {
+	if _, err := New(sys, hermite.DefaultParams(0.01)); err == nil {
 		t.Error("accepted unsynchronised system")
 	}
 }
@@ -50,7 +32,7 @@ func TestNewValidation(t *testing.T) {
 func TestInitialForceSplit(t *testing.T) {
 	// aIrr + aReg must equal the total direct force at init.
 	sys := model.Plummer(64, xrand.New(2))
-	it, err := New(sys, DefaultParams(1.0/64))
+	it, err := New(sys, hermite.DefaultParams(1.0/64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +46,19 @@ func TestInitialForceSplit(t *testing.T) {
 
 func TestNeighbourCountsNearTarget(t *testing.T) {
 	sys := model.Plummer(256, xrand.New(3))
-	p := DefaultParams(1.0 / 64)
-	p.TargetNeighbours = 20
-	it, err := New(sys, p)
+	it, err := New(sys, hermite.DefaultParams(1.0/64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := it.MeanNeighbours()
-	if mean < 5 || mean > 80 {
-		t.Errorf("mean neighbours = %v, target 20", mean)
+	if mean < targetNeighbours/4 || mean > targetNeighbours*4 {
+		t.Errorf("mean neighbours = %v, target %d", mean, targetNeighbours)
 	}
 }
 
 func TestEnergyConservation(t *testing.T) {
 	sys := model.Plummer(128, xrand.New(4))
-	it, err := New(sys, DefaultParams(1.0/64))
+	it, err := New(sys, hermite.DefaultParams(1.0/64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +75,7 @@ func TestEnergyConservation(t *testing.T) {
 
 func TestRegularStepsAreRarer(t *testing.T) {
 	sys := model.Plummer(128, xrand.New(5))
-	it, err := New(sys, DefaultParams(1.0/64))
+	it, err := New(sys, hermite.DefaultParams(1.0/64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +93,7 @@ func TestPairOpsSavings(t *testing.T) {
 	eps := 1.0 / 64
 
 	acSys := model.Plummer(n, xrand.New(6))
-	ac, err := New(acSys, DefaultParams(eps))
+	ac, err := New(acSys, hermite.DefaultParams(eps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +122,7 @@ func TestTrajectoriesCloseToPlainHermite(t *testing.T) {
 	eps := 1.0 / 64
 
 	acSys := model.Plummer(n, xrand.New(7))
-	ac, err := New(acSys, DefaultParams(eps))
+	ac, err := New(acSys, hermite.DefaultParams(eps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +150,7 @@ func TestTrajectoriesCloseToPlainHermite(t *testing.T) {
 
 func TestBlocksAndTimes(t *testing.T) {
 	sys := model.Plummer(64, xrand.New(8))
-	it, err := New(sys, DefaultParams(1.0/64))
+	it, err := New(sys, hermite.DefaultParams(1.0/64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +173,7 @@ func TestBlocksAndTimes(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() *nbody.System {
 		sys := model.Plummer(64, xrand.New(9))
-		it, err := New(sys, DefaultParams(1.0/64))
+		it, err := New(sys, hermite.DefaultParams(1.0/64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +190,7 @@ func TestDeterminism(t *testing.T) {
 
 func BenchmarkACStep256(b *testing.B) {
 	sys := model.Plummer(256, xrand.New(1))
-	it, err := New(sys, DefaultParams(1.0/64))
+	it, err := New(sys, hermite.DefaultParams(1.0/64))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package ahmadcohen
 import (
 	"testing"
 
+	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/xrand"
 )
@@ -15,7 +16,7 @@ import (
 func TestLazyPredictionMatchesEager(t *testing.T) {
 	run := func(eager bool) *Integrator {
 		sys := model.Plummer(192, xrand.New(31))
-		it, err := New(sys, DefaultParams(1.0/32))
+		it, err := New(sys, hermite.DefaultParams(1.0/32))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestLazyPredictionMatchesEager(t *testing.T) {
 // retired O(N) scan on the Ahmad-Cohen block sequence.
 func TestSchedulerMatchesScanAC(t *testing.T) {
 	sys := model.Plummer(128, xrand.New(37))
-	it, err := New(sys, DefaultParams(1.0/32))
+	it, err := New(sys, hermite.DefaultParams(1.0/32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSchedulerMatchesScanAC(t *testing.T) {
 // satellite task pins down).
 func TestStepSteadyStateAllocs(t *testing.T) {
 	sys := model.Plummer(256, xrand.New(5))
-	it, err := New(sys, DefaultParams(1.0/32))
+	it, err := New(sys, hermite.DefaultParams(1.0/32))
 	if err != nil {
 		t.Fatal(err)
 	}

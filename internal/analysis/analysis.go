@@ -57,11 +57,11 @@ func (p *Pass) Reportf(root *Node, pos token.Pos, format string, args ...any) {
 }
 
 // All returns every analyzer in the suite, in reporting order: the
-// three package-scoped checks, then the three closures over the module
+// two package-scoped checks, then the three closures over the module
 // call graph.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoDeprecated, GfixedBoundary, GoroutineJoin,
+		GfixedBoundary, GoroutineJoin,
 		NoAllocDeep, HotBlock, PurityDeep,
 	}
 }

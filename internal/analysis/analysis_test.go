@@ -138,10 +138,6 @@ func TestDeterministicFixture(t *testing.T) {
 	checkFixture(t, "deterministic", "grape6/internal/chip")
 }
 
-func TestNoDeprecatedFixture(t *testing.T) {
-	checkFixture(t, "nodeprecated", "fixture/nodeprecated")
-}
-
 func TestGfixedBoundaryFixture(t *testing.T) {
 	checkFixture(t, "gfixedboundary", "grape6/internal/hermite")
 }

@@ -121,7 +121,7 @@ func RunAblationNeighbourScheme(o *Options) (Figure, error) {
 	saving := Series{Label: "pairwise-work saving factor", Units: "x"}
 	for _, n := range ns {
 		acSys := model.Plummer(n, xrand.New(o.Seed+uint64(n)))
-		ac, err := ahmadcohen.New(acSys, ahmadcohen.DefaultParams(eps))
+		ac, err := ahmadcohen.New(acSys, hermite.DefaultParams(eps))
 		if err != nil {
 			return e, err
 		}

@@ -123,13 +123,6 @@ func (p *Partial) Init(f gfixed.Format, expAcc, expJerk, expPot int) {
 	p.NND2 = math.Inf(1)
 }
 
-// NewPartial allocates a zeroed partial result with the given exponents.
-func NewPartial(f gfixed.Format, expAcc, expJerk, expPot int) *Partial {
-	p := new(Partial)
-	p.Init(f, expAcc, expJerk, expPot)
-	return p
-}
-
 // Merge folds another chip's partial result into p (exact integer adds;
 // this is the FPGA adder of Section 3.4). Nearest-neighbour candidates are
 // compared by distance with ties broken toward the smaller id, which keeps
@@ -636,9 +629,12 @@ func (ch *Chip) forceTile(ipA *IParticle, pA *Partial, loA int, ipB *IParticle, 
 			dzA := r.RoundTame(float64(xA2[k]-izA) * invPos)
 			dzB := r.RoundTame(float64(xB2[k]-izB) * invPos)
 
-			// Stage 2: squared distance with softening.
-			r2A := r.RoundTame(dxA*dxA + dyA*dyA + dzA*dzA + e2)
-			r2B := r.RoundTame(dxB*dxB + dyB*dyB + dzB*dzB + e2)
+			// Stage 2: squared distance with softening. Every product
+			// feeding an add or subtract here and below is wrapped in
+			// float64(): the conversion rounds it, so a compiler that fuses
+			// x*y±z (arm64's) cannot skip that rounding.
+			r2A := r.RoundTame(float64(dxA*dxA) + float64(dyA*dyA) + float64(dzA*dzA) + e2)
+			r2B := r.RoundTame(float64(dxB*dxB) + float64(dyB*dyB) + float64(dzB*dzB) + e2)
 			if r2A <= 0 || r2B <= 0 {
 				// Self-pair with zero softening: forcePair masks it. (Its
 				// infinite rinv would miss in AddTame and end the run as
@@ -667,8 +663,8 @@ func (ch *Chip) forceTile(ipA *IParticle, pA *Partial, loA int, ipB *IParticle, 
 			mrinv3B := r.RoundTame(mrinvB * rinv2B)
 
 			// Stage 4: (v·r)/(r²+ε²).
-			rvA := r.RoundTame((dxA*dvxA + dyA*dvyA + dzA*dvzA) * rinv2A)
-			rvB := r.RoundTame((dxB*dvxB + dyB*dvyB + dzB*dvzB) * rinv2B)
+			rvA := r.RoundTame((float64(dxA*dvxA) + float64(dyA*dvyA) + float64(dzA*dvzA)) * rinv2A)
+			rvB := r.RoundTame((float64(dxB*dvxB) + float64(dyB*dvyB) + float64(dzB*dvzB)) * rinv2B)
 			rv3A := r.RoundTame(3 * rvA)
 			rv3B := r.RoundTame(3 * rvB)
 
@@ -680,12 +676,12 @@ func (ch *Chip) forceTile(ipA *IParticle, pA *Partial, loA int, ipB *IParticle, 
 			na1B, m1B := gfixed.AddTame(a1B, r.RoundTame(mrinv3B*dyB), scaleAB)
 			na2A, m2A := gfixed.AddTame(a2A, r.RoundTame(mrinv3A*dzA), scaleAA)
 			na2B, m2B := gfixed.AddTame(a2B, r.RoundTame(mrinv3B*dzB), scaleAB)
-			nj0A, m3A := gfixed.AddTame(j0A, r.RoundTame(mrinv3A*r.RoundTame(dvxA-rv3A*dxA)), scaleJA)
-			nj0B, m3B := gfixed.AddTame(j0B, r.RoundTame(mrinv3B*r.RoundTame(dvxB-rv3B*dxB)), scaleJB)
-			nj1A, m4A := gfixed.AddTame(j1A, r.RoundTame(mrinv3A*r.RoundTame(dvyA-rv3A*dyA)), scaleJA)
-			nj1B, m4B := gfixed.AddTame(j1B, r.RoundTame(mrinv3B*r.RoundTame(dvyB-rv3B*dyB)), scaleJB)
-			nj2A, m5A := gfixed.AddTame(j2A, r.RoundTame(mrinv3A*r.RoundTame(dvzA-rv3A*dzA)), scaleJA)
-			nj2B, m5B := gfixed.AddTame(j2B, r.RoundTame(mrinv3B*r.RoundTame(dvzB-rv3B*dzB)), scaleJB)
+			nj0A, m3A := gfixed.AddTame(j0A, r.RoundTame(mrinv3A*r.RoundTame(dvxA-float64(rv3A*dxA))), scaleJA)
+			nj0B, m3B := gfixed.AddTame(j0B, r.RoundTame(mrinv3B*r.RoundTame(dvxB-float64(rv3B*dxB))), scaleJB)
+			nj1A, m4A := gfixed.AddTame(j1A, r.RoundTame(mrinv3A*r.RoundTame(dvyA-float64(rv3A*dyA))), scaleJA)
+			nj1B, m4B := gfixed.AddTame(j1B, r.RoundTame(mrinv3B*r.RoundTame(dvyB-float64(rv3B*dyB))), scaleJB)
+			nj2A, m5A := gfixed.AddTame(j2A, r.RoundTame(mrinv3A*r.RoundTame(dvzA-float64(rv3A*dzA))), scaleJA)
+			nj2B, m5B := gfixed.AddTame(j2B, r.RoundTame(mrinv3B*r.RoundTame(dvzB-float64(rv3B*dzB))), scaleJB)
 			npotA, m6A := gfixed.AddTame(potA, -mrinvA, scalePA)
 			npotB, m6B := gfixed.AddTame(potB, -mrinvB, scalePB)
 			if m0A|m1A|m2A|m3A|m4A|m5A|m6A|m0B|m1B|m2B|m3B|m4B|m5B|m6B != 0 {
@@ -745,7 +741,7 @@ func (ch *Chip) forcePair(ip *IParticle, p *Partial, e2 float64, r gfixed.Rounde
 	dvy := r.Round(ch.pv[1][k] - ip.V[1])
 	dvz := r.Round(ch.pv[2][k] - ip.V[2])
 
-	r2 := r.Round(dx*dx + dy*dy + dz*dz + e2)
+	r2 := r.Round(float64(dx*dx) + float64(dy*dy) + float64(dz*dz) + e2)
 	if r2 <= 0 {
 		return
 	}
@@ -755,15 +751,15 @@ func (ch *Chip) forcePair(ip *IParticle, p *Partial, e2 float64, r gfixed.Rounde
 	mrinv := r.Round(ch.mass[k] * rinv)
 	mrinv3 := r.Round(mrinv * rinv2)
 
-	rv := r.Round((dx*dvx + dy*dvy + dz*dvz) * rinv2)
+	rv := r.Round((float64(dx*dvx) + float64(dy*dvy) + float64(dz*dvz)) * rinv2)
 	rv3 := r.Round(3 * rv)
 
 	p.Acc[0].Add(r.Round(mrinv3 * dx))
 	p.Acc[1].Add(r.Round(mrinv3 * dy))
 	p.Acc[2].Add(r.Round(mrinv3 * dz))
-	p.Jerk[0].Add(r.Round(mrinv3 * r.Round(dvx-rv3*dx)))
-	p.Jerk[1].Add(r.Round(mrinv3 * r.Round(dvy-rv3*dy)))
-	p.Jerk[2].Add(r.Round(mrinv3 * r.Round(dvz-rv3*dz)))
+	p.Jerk[0].Add(r.Round(mrinv3 * r.Round(dvx-float64(rv3*dx))))
+	p.Jerk[1].Add(r.Round(mrinv3 * r.Round(dvy-float64(rv3*dy))))
+	p.Jerk[2].Add(r.Round(mrinv3 * r.Round(dvz-float64(rv3*dz))))
 	p.Pot.Add(-mrinv)
 
 	if id := ch.id[k]; id != ip.SelfID && (r2 < p.NND2 || (r2 == p.NND2 && (p.NN < 0 || id < p.NN))) {

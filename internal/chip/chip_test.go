@@ -257,7 +257,8 @@ func TestPartitionInvarianceAcrossChips(t *testing.T) {
 		for i, j := range mkJS() {
 			buckets[i%parts] = append(buckets[i%parts], j)
 		}
-		merged := NewPartial(gfixed.Grape6, 4, 6, 6)
+		var merged Partial
+		merged.Init(gfixed.Grape6, 4, 6, 6)
 		for c := 0; c < parts; c++ {
 			chips[c] = New(Default)
 			if err := chips[c].LoadJ(buckets[c]); err != nil {

@@ -22,7 +22,7 @@ func forceTileRef(ch *Chip, ip *IParticle, p *Partial, e2 float64, r gfixed.Roun
 		dvy := r.Round(ch.pv[1][k] - ip.V[1])
 		dvz := r.Round(ch.pv[2][k] - ip.V[2])
 
-		r2 := r.Round(dx*dx + dy*dy + dz*dz + e2)
+		r2 := r.Round(float64(dx*dx) + float64(dy*dy) + float64(dz*dz) + e2)
 		if r2 <= 0 {
 			continue
 		}
@@ -32,15 +32,15 @@ func forceTileRef(ch *Chip, ip *IParticle, p *Partial, e2 float64, r gfixed.Roun
 		mrinv := r.Round(ch.mass[k] * rinv)
 		mrinv3 := r.Round(mrinv * rinv2)
 
-		rv := r.Round((dx*dvx + dy*dvy + dz*dvz) * rinv2)
+		rv := r.Round((float64(dx*dvx) + float64(dy*dvy) + float64(dz*dvz)) * rinv2)
 		rv3 := r.Round(3 * rv)
 
 		p.Acc[0].Add(r.Round(mrinv3 * dx))
 		p.Acc[1].Add(r.Round(mrinv3 * dy))
 		p.Acc[2].Add(r.Round(mrinv3 * dz))
-		p.Jerk[0].Add(r.Round(mrinv3 * r.Round(dvx-rv3*dx)))
-		p.Jerk[1].Add(r.Round(mrinv3 * r.Round(dvy-rv3*dy)))
-		p.Jerk[2].Add(r.Round(mrinv3 * r.Round(dvz-rv3*dz)))
+		p.Jerk[0].Add(r.Round(mrinv3 * r.Round(dvx-float64(rv3*dx))))
+		p.Jerk[1].Add(r.Round(mrinv3 * r.Round(dvy-float64(rv3*dy))))
+		p.Jerk[2].Add(r.Round(mrinv3 * r.Round(dvz-float64(rv3*dz))))
 		p.Pot.Add(-mrinv)
 
 		if ch.id[k] != ip.SelfID && (r2 < p.NND2 || (r2 == p.NND2 && (p.NN < 0 || ch.id[k] < p.NN))) {

@@ -36,19 +36,12 @@ type JSet struct {
 // Len returns the number of source particles.
 func (j JSet) Len() int { return len(j.Mass) }
 
-// Eval computes the force on a particle at position xi with velocity vi
-// from all particles in js, with Plummer softening eps. A source particle
-// exactly coincident with (xi, vi distance 0 after softening... ) is skipped
-// only when the softened distance is zero, which can happen only for
-// eps == 0 and an exact self-pair; callers integrating a particle against a
-// j-set that contains it should use EvalSkip.
-func Eval(xi, vi vec.V3, js JSet, eps float64) Force {
-	return EvalSkip(xi, vi, js, eps, -1)
-}
-
-// EvalSkip is Eval but ignores the source particle at index skip (pass -1
-// to keep all). This is how self-interaction is excluded when the j-set
-// contains the i-particle itself.
+// EvalSkip computes the force on a particle at position xi with velocity
+// vi from the particles in js, with Plummer softening eps, ignoring the
+// source particle at index skip (pass -1 to keep all). This is how
+// self-interaction is excluded when the j-set contains the i-particle
+// itself; a source at zero softened distance (eps == 0 and an exact
+// self-pair) is skipped as well.
 func EvalSkip(xi, vi vec.V3, js JSet, eps float64, skip int) Force {
 	e2 := eps * eps
 	var ax, ay, az float64
@@ -103,16 +96,11 @@ func EvalSkip(xi, vi vec.V3, js JSet, eps float64, skip int) Force {
 	}
 }
 
-// EvalAll computes forces on every particle in (xi, vi) from js, excluding
-// self-pairs by identity of index only when selfSet is true and the two
-// sets are the same length (i.e. the i-set IS the j-set in the same order).
-func EvalAll(xs, vs []vec.V3, js JSet, eps float64, selfSet bool) []Force {
-	return EvalAllInto(make([]Force, len(xs)), xs, vs, js, eps, selfSet)
-}
-
-// EvalAllInto is EvalAll writing into the caller-owned dst (len(dst) must
-// be ≥ len(xs)); it returns the filled prefix. Reusing dst across calls
-// makes the reference backend allocation-free in steady state.
+// EvalAllInto computes forces on every particle in (xs, vs) from js into
+// the caller-owned dst (len(dst) must be ≥ len(xs)) and returns the filled
+// prefix. Self-pairs are excluded by index when selfSet is true (the
+// i-set IS the j-set in the same order). Reusing dst across calls makes
+// the reference backend allocation-free in steady state.
 func EvalAllInto(dst []Force, xs, vs []vec.V3, js JSet, eps float64, selfSet bool) []Force {
 	out := dst[:len(xs)]
 	for i := range xs {
@@ -125,14 +113,9 @@ func EvalAllInto(dst []Force, xs, vs []vec.V3, js JSet, eps float64, selfSet boo
 	return out
 }
 
-// EvalAllParallel is EvalAll fanned out over GOMAXPROCS goroutines. The
-// i-loop is embarrassingly parallel; each worker owns a contiguous range.
-func EvalAllParallel(xs, vs []vec.V3, js JSet, eps float64, selfSet bool) []Force {
-	return EvalAllParallelInto(make([]Force, len(xs)), xs, vs, js, eps, selfSet)
-}
-
-// EvalAllParallelInto is EvalAllParallel writing into the caller-owned dst
-// (len(dst) must be ≥ len(xs)); it returns the filled prefix.
+// EvalAllParallelInto is EvalAllInto fanned out over GOMAXPROCS
+// goroutines. The i-loop is embarrassingly parallel; each worker owns a
+// contiguous range.
 func EvalAllParallelInto(dst []Force, xs, vs []vec.V3, js JSet, eps float64, selfSet bool) []Force {
 	out := dst[:len(xs)]
 	ParallelFor(len(xs), 1, func(lo, hi int) {

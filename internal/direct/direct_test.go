@@ -18,7 +18,7 @@ func TestEvalSingleSource(t *testing.T) {
 	// Unit mass at distance 2 along x, no softening:
 	// a = m/r² = 1/4 toward the source; pot = -1/2.
 	js := jsetFrom([]float64{1}, []vec.V3{vec.New(2, 0, 0)}, []vec.V3{vec.Zero})
-	f := Eval(vec.Zero, vec.Zero, js, 0)
+	f := EvalSkip(vec.Zero, vec.Zero, js, 0, -1)
 	if math.Abs(f.Acc.X-0.25) > 1e-15 || f.Acc.Y != 0 || f.Acc.Z != 0 {
 		t.Errorf("acc = %v", f.Acc)
 	}
@@ -33,7 +33,7 @@ func TestEvalSingleSource(t *testing.T) {
 func TestEvalSoftening(t *testing.T) {
 	// With eps² = 3 and r² = 1: a = m / (1+3)^{3/2} = 1/8.
 	js := jsetFrom([]float64{1}, []vec.V3{vec.New(1, 0, 0)}, []vec.V3{vec.Zero})
-	f := Eval(vec.Zero, vec.Zero, js, math.Sqrt(3))
+	f := EvalSkip(vec.Zero, vec.Zero, js, math.Sqrt(3), -1)
 	if math.Abs(f.Acc.X-0.125) > 1e-15 {
 		t.Errorf("softened acc = %v", f.Acc.X)
 	}
@@ -46,7 +46,7 @@ func TestEvalJerkRadial(t *testing.T) {
 	// Source at (1,0,0) moving with v=(1,0,0) relative (receding radially):
 	// rv = (v·r)/r² = 1. jerk = m/r³ (v - 3 rv r) = (1 - 3·1·1, 0, 0) = (-2,0,0).
 	js := jsetFrom([]float64{1}, []vec.V3{vec.New(1, 0, 0)}, []vec.V3{vec.New(1, 0, 0)})
-	f := Eval(vec.Zero, vec.Zero, js, 0)
+	f := EvalSkip(vec.Zero, vec.Zero, js, 0, -1)
 	if math.Abs(f.Jerk.X+2) > 1e-14 || math.Abs(f.Jerk.Y) > 1e-14 {
 		t.Errorf("jerk = %v, want (-2,0,0)", f.Jerk)
 	}
@@ -56,7 +56,7 @@ func TestEvalJerkTangential(t *testing.T) {
 	// Source at (1,0,0) with relative velocity (0,1,0): rv = 0, so
 	// jerk = m/r³ v = (0,1,0).
 	js := jsetFrom([]float64{1}, []vec.V3{vec.New(1, 0, 0)}, []vec.V3{vec.New(0, 1, 0)})
-	f := Eval(vec.Zero, vec.Zero, js, 0)
+	f := EvalSkip(vec.Zero, vec.Zero, js, 0, -1)
 	if f.Jerk.Dist(vec.New(0, 1, 0)) > 1e-14 {
 		t.Errorf("jerk = %v, want (0,1,0)", f.Jerk)
 	}
@@ -72,7 +72,7 @@ func TestJerkIsDerivativeOfAcc(t *testing.T) {
 		[]vec.V3{vec.New(-0.1, 0.2, 0.3), vec.New(0.4, -0.5, 0.6)},
 	)
 	eps := 0.05
-	f0 := Eval(xi, vi, js, eps)
+	f0 := EvalSkip(xi, vi, js, eps, -1)
 
 	dt := 1e-6
 	// Advance everything by dt along straight lines.
@@ -81,7 +81,7 @@ func TestJerkIsDerivativeOfAcc(t *testing.T) {
 		[]vec.V3{js.Pos[0].AddScaled(dt, js.Vel[0]), js.Pos[1].AddScaled(dt, js.Vel[1])},
 		js.Vel,
 	)
-	f1 := Eval(xi.AddScaled(dt, vi), vi, js2, eps)
+	f1 := EvalSkip(xi.AddScaled(dt, vi), vi, js2, eps, -1)
 
 	num := f1.Acc.Sub(f0.Acc).Scale(1 / dt)
 	if num.Dist(f0.Jerk) > 1e-4*(1+f0.Jerk.Norm()) {
@@ -108,7 +108,7 @@ func TestEvalZeroSofteningSelfPairSkipped(t *testing.T) {
 	pos := []vec.V3{vec.Zero, vec.New(1, 0, 0)}
 	vel := []vec.V3{vec.Zero, vec.Zero}
 	js := jsetFrom([]float64{1, 1}, pos, vel)
-	f := Eval(vec.Zero, vec.Zero, js, 0)
+	f := EvalSkip(vec.Zero, vec.Zero, js, 0, -1)
 	if !f.Acc.IsFinite() || math.IsNaN(f.Pot) {
 		t.Errorf("coincident pair produced non-finite force: %+v", f)
 	}
@@ -150,11 +150,11 @@ func TestEvalAllMatchesEvalSkip(t *testing.T) {
 	rng := xrand.New(6)
 	s := model.Plummer(64, rng)
 	js := jsetFrom(s.Mass, s.Pos, s.Vel)
-	all := EvalAll(s.Pos, s.Vel, js, 0.02, true)
+	all := EvalAllInto(make([]Force, len(s.Pos)), s.Pos, s.Vel, js, 0.02, true)
 	for i := 0; i < s.N; i++ {
 		one := EvalSkip(s.Pos[i], s.Vel[i], js, 0.02, i)
 		if all[i].Acc != one.Acc || all[i].Jerk != one.Jerk || all[i].Pot != one.Pot {
-			t.Fatalf("EvalAll[%d] differs from EvalSkip", i)
+			t.Fatalf("EvalAllInto[%d] differs from EvalSkip", i)
 		}
 	}
 }
@@ -163,8 +163,8 @@ func TestEvalAllParallelMatchesSerial(t *testing.T) {
 	rng := xrand.New(7)
 	s := model.Plummer(300, rng)
 	js := jsetFrom(s.Mass, s.Pos, s.Vel)
-	serial := EvalAll(s.Pos, s.Vel, js, 0.02, true)
-	par := EvalAllParallel(s.Pos, s.Vel, js, 0.02, true)
+	serial := EvalAllInto(make([]Force, len(s.Pos)), s.Pos, s.Vel, js, 0.02, true)
+	par := EvalAllParallelInto(make([]Force, len(s.Pos)), s.Pos, s.Vel, js, 0.02, true)
 	for i := range serial {
 		if serial[i] != par[i] {
 			t.Fatalf("parallel force %d differs: %+v vs %+v", i, serial[i], par[i])
@@ -182,7 +182,7 @@ func TestEvalAllParallelSmallInputs(t *testing.T) {
 			xs[i] = vec.New(float64(i), 0, 0)
 			ms[i] = 1
 		}
-		out := EvalAllParallel(xs, vs, jsetFrom(ms, xs, vs), 0.1, true)
+		out := EvalAllParallelInto(make([]Force, len(xs)), xs, vs, jsetFrom(ms, xs, vs), 0.1, true)
 		if len(out) != n {
 			t.Fatalf("n=%d: got %d results", n, len(out))
 		}
@@ -195,7 +195,7 @@ func TestNearestNeighbour(t *testing.T) {
 		[]vec.V3{vec.New(5, 0, 0), vec.New(1, 0, 0), vec.New(3, 0, 0)},
 		make([]vec.V3, 3),
 	)
-	f := Eval(vec.Zero, vec.Zero, js, 0)
+	f := EvalSkip(vec.Zero, vec.Zero, js, 0, -1)
 	if f.NN != 1 {
 		t.Errorf("NN = %d, want 1", f.NN)
 	}
@@ -244,9 +244,10 @@ func BenchmarkEvalAllParallel4096(b *testing.B) {
 	rng := xrand.New(1)
 	s := model.Plummer(4096, rng)
 	js := jsetFrom(s.Mass, s.Pos, s.Vel)
+	dst := make([]Force, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EvalAllParallel(s.Pos[:256], s.Vel[:256], js, 0.01, false)
+		EvalAllParallelInto(dst, s.Pos[:256], s.Vel[:256], js, 0.01, false)
 	}
 }
 
@@ -263,8 +264,8 @@ func TestEvalAllParallelLargeUsesWorkers(t *testing.T) {
 	rng := xrand.New(21)
 	s := model.Plummer(700, rng)
 	js := jsetFrom(s.Mass, s.Pos, s.Vel)
-	par := EvalAllParallel(s.Pos, s.Vel, js, 0.01, true)
-	ser := EvalAll(s.Pos, s.Vel, js, 0.01, true)
+	par := EvalAllParallelInto(make([]Force, len(s.Pos)), s.Pos, s.Vel, js, 0.01, true)
+	ser := EvalAllInto(make([]Force, len(s.Pos)), s.Pos, s.Vel, js, 0.01, true)
 	for i := range par {
 		if par[i] != ser[i] {
 			t.Fatalf("parallel[%d] differs from serial", i)
@@ -279,8 +280,8 @@ func TestEvalAllParallelSingleWorkerPath(t *testing.T) {
 	rng := xrand.New(22)
 	s := model.Plummer(64, rng)
 	js := jsetFrom(s.Mass, s.Pos, s.Vel)
-	par := EvalAllParallel(s.Pos, s.Vel, js, 0.01, true)
-	ser := EvalAll(s.Pos, s.Vel, js, 0.01, true)
+	par := EvalAllParallelInto(make([]Force, len(s.Pos)), s.Pos, s.Vel, js, 0.01, true)
+	ser := EvalAllInto(make([]Force, len(s.Pos)), s.Pos, s.Vel, js, 0.01, true)
 	for i := range par {
 		if par[i] != ser[i] {
 			t.Fatalf("single-worker path differs at %d", i)

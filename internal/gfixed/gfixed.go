@@ -276,13 +276,6 @@ func (f Format) MakeAccum(exp int) Accum {
 	return Accum{Exp: exp, fmt: f, scale: math.Ldexp(1, int(f.AccumFrac)-exp)}
 }
 
-// NewAccum returns an accumulator with the given block exponent. Thin shim
-// over MakeAccum for callers that want a heap accumulator.
-func (f Format) NewAccum(exp int) *Accum {
-	a := f.MakeAccum(exp)
-	return &a
-}
-
 // Init re-initialises an accumulator in place: zero sum, cleared overflow
 // flag, new block exponent. Used by callers that reuse accumulator slabs
 // across evaluations.
@@ -311,7 +304,7 @@ func (a *Accum) Add(v float64) {
 	if v == 0 {
 		return
 	}
-	q := v * a.scale
+	q := float64(v * a.scale) // rounded: no fused multiply-add below
 	if q < two52 && q > -two52 {
 		if q >= 0 {
 			q = q + two52 - two52
@@ -374,7 +367,7 @@ func (a *Accum) Scale() float64 { return a.scale }
 func AddTame(sum int64, v, scale float64) (s int64, miss uint64) {
 	const magic = 1.5 * two52
 	const magicBits = 0x433<<52 | 1<<51
-	t := math.Float64bits(v*scale + magic)
+	t := math.Float64bits(float64(v*scale) + magic) // rounded product, as in Add
 	s = sum + int64(t-magicBits)
 	return s, (t>>52 ^ 0x433) | uint64(s+1<<61)>>62
 }

@@ -135,7 +135,7 @@ func TestPropRoundMantissaIdempotent(t *testing.T) {
 }
 
 func TestAccumBasic(t *testing.T) {
-	a := Grape6.NewAccum(4)
+	a := Grape6.MakeAccum(4)
 	a.Add(1.0)
 	a.Add(2.5)
 	a.Add(-0.5)
@@ -150,7 +150,7 @@ func TestAccumBasic(t *testing.T) {
 func TestAccumQuantization(t *testing.T) {
 	// The quantum is 2^(Exp-AccumFrac); values below half a quantum vanish.
 	f := Format{PosFrac: 44, MantBits: 24, AccumFrac: 10}
-	a := f.NewAccum(0)
+	a := f.MakeAccum(0)
 	quantum := math.Ldexp(1, -10)
 	a.Add(quantum / 4)
 	if a.Value() != 0 {
@@ -172,15 +172,15 @@ func TestAccumOrderIndependence(t *testing.T) {
 	}
 	exp := ExponentFor(100, 8)
 
-	forward := Grape6.NewAccum(exp)
+	forward := Grape6.MakeAccum(exp)
 	for _, v := range vals {
 		forward.Add(v)
 	}
-	backward := Grape6.NewAccum(exp)
+	backward := Grape6.MakeAccum(exp)
 	for i := len(vals) - 1; i >= 0; i-- {
 		backward.Add(vals[i])
 	}
-	shuffled := Grape6.NewAccum(exp)
+	shuffled := Grape6.MakeAccum(exp)
 	perm := rng.Perm(len(vals))
 	for _, i := range perm {
 		shuffled.Add(vals[i])
@@ -201,22 +201,22 @@ func TestAccumPartitionInvariance(t *testing.T) {
 	}
 	exp := ExponentFor(1, 8)
 
-	single := Grape6.NewAccum(exp)
+	single := Grape6.MakeAccum(exp)
 	for _, v := range vals {
 		single.Add(v)
 	}
 
 	for _, parts := range []int{2, 3, 8, 32, 128} {
-		chips := make([]*Accum, parts)
+		chips := make([]Accum, parts)
 		for c := range chips {
-			chips[c] = Grape6.NewAccum(exp)
+			chips[c] = Grape6.MakeAccum(exp)
 		}
 		for i, v := range vals {
 			chips[i%parts].Add(v)
 		}
-		total := Grape6.NewAccum(exp)
-		for _, c := range chips {
-			total.Merge(c)
+		total := Grape6.MakeAccum(exp)
+		for c := range chips {
+			total.Merge(&chips[c])
 		}
 		if total.Sum != single.Sum {
 			t.Errorf("%d-way partition: sum %d != single %d", parts, total.Sum, single.Sum)
@@ -230,19 +230,19 @@ func TestPropPartitionInvariance(t *testing.T) {
 		rng := xrand.New(uint64(seed))
 		n := 64
 		exp := 8
-		single := Grape6.NewAccum(exp)
-		chips := make([]*Accum, p)
+		single := Grape6.MakeAccum(exp)
+		chips := make([]Accum, p)
 		for c := range chips {
-			chips[c] = Grape6.NewAccum(exp)
+			chips[c] = Grape6.MakeAccum(exp)
 		}
 		for i := 0; i < n; i++ {
 			v := rng.Norm()
 			single.Add(v)
 			chips[rng.Intn(p)].Add(v)
 		}
-		total := Grape6.NewAccum(exp)
-		for _, c := range chips {
-			total.Merge(c)
+		total := Grape6.MakeAccum(exp)
+		for c := range chips {
+			total.Merge(&chips[c])
 		}
 		return total.Sum == single.Sum
 	}
@@ -252,7 +252,7 @@ func TestPropPartitionInvariance(t *testing.T) {
 }
 
 func TestAccumOverflowOnLargeContribution(t *testing.T) {
-	a := Grape6.NewAccum(0)
+	a := Grape6.MakeAccum(0)
 	a.Add(math.Ldexp(1, 30)) // far beyond exponent-0 block range
 	if !a.Overflow {
 		t.Error("large contribution did not set overflow")
@@ -261,7 +261,7 @@ func TestAccumOverflowOnLargeContribution(t *testing.T) {
 
 func TestAccumOverflowOnSumGrowth(t *testing.T) {
 	f := Format{PosFrac: 44, MantBits: 24, AccumFrac: 60}
-	a := f.NewAccum(0)
+	a := f.MakeAccum(0)
 	for i := 0; i < 16 && !a.Overflow; i++ {
 		a.Add(0.4)
 	}
@@ -271,7 +271,7 @@ func TestAccumOverflowOnSumGrowth(t *testing.T) {
 }
 
 func TestAccumOverflowOnNaN(t *testing.T) {
-	a := Grape6.NewAccum(0)
+	a := Grape6.MakeAccum(0)
 	a.Add(math.NaN())
 	if !a.Overflow {
 		t.Error("NaN did not set overflow")
@@ -279,10 +279,10 @@ func TestAccumOverflowOnNaN(t *testing.T) {
 }
 
 func TestMergePropagatesOverflow(t *testing.T) {
-	a := Grape6.NewAccum(0)
-	b := Grape6.NewAccum(0)
+	a := Grape6.MakeAccum(0)
+	b := Grape6.MakeAccum(0)
 	b.Overflow = true
-	a.Merge(b)
+	a.Merge(&b)
 	if !a.Overflow {
 		t.Error("merge did not propagate overflow")
 	}
@@ -294,11 +294,12 @@ func TestMergeMismatchedExponentsPanics(t *testing.T) {
 			t.Error("merge of mismatched exponents did not panic")
 		}
 	}()
-	Grape6.NewAccum(0).Merge(Grape6.NewAccum(1))
+	a, b := Grape6.MakeAccum(0), Grape6.MakeAccum(1)
+	a.Merge(&b)
 }
 
 func TestAccumReset(t *testing.T) {
-	a := Grape6.NewAccum(2)
+	a := Grape6.MakeAccum(2)
 	a.Add(1)
 	a.Overflow = true
 	a.Reset()
@@ -341,7 +342,7 @@ func TestAccumAccuracy(t *testing.T) {
 	// float64 sum to ~2^-40 relative of the block scale.
 	rng := xrand.New(12)
 	exp := ExponentFor(10, 6)
-	a := Grape6.NewAccum(exp)
+	a := Grape6.MakeAccum(exp)
 	var exact float64
 	for i := 0; i < 10000; i++ {
 		v := rng.Norm() * 0.01
@@ -355,7 +356,7 @@ func TestAccumAccuracy(t *testing.T) {
 }
 
 func BenchmarkAccumAdd(b *testing.B) {
-	a := Grape6.NewAccum(8)
+	a := Grape6.MakeAccum(8)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Add(0.123456789)

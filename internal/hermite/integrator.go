@@ -9,25 +9,23 @@ import (
 	"grape6/internal/vec"
 )
 
-// Params collects the integrator's accuracy and scheduling parameters.
+// Block-step bounds: every step is a power of two in [MinStep, MaxStep].
+const (
+	MinStep = 0x1p-23
+	MaxStep = 0x1p-3
+)
+
+// Params collects the integrator's accuracy parameters.
 type Params struct {
-	Eta     float64 // Aarseth timestep accuracy parameter
-	EtaS    float64 // startup timestep parameter
-	Eps     float64 // Plummer softening length
-	MinStep float64 // smallest allowed block step (power of two)
-	MaxStep float64 // largest allowed block step (power of two)
+	Eta  float64 // Aarseth timestep accuracy parameter
+	EtaS float64 // startup timestep parameter
+	Eps  float64 // Plummer softening length
 }
 
 // DefaultParams returns the parameters used for the paper-style benchmark
 // runs: η = 0.02 with softening eps.
 func DefaultParams(eps float64) Params {
-	return Params{
-		Eta:     0.02,
-		EtaS:    0.01,
-		Eps:     eps,
-		MinStep: math.Ldexp(1, -23),
-		MaxStep: math.Ldexp(1, -3),
-	}
+	return Params{Eta: 0.02, EtaS: 0.01, Eps: eps}
 }
 
 // Validate reports configuration errors.
@@ -38,21 +36,7 @@ func (p Params) Validate() error {
 	if !(p.Eps >= 0) || math.IsInf(p.Eps, 0) {
 		return fmt.Errorf("hermite: softening %v is not a finite non-negative length", p.Eps)
 	}
-	if p.MinStep <= 0 || p.MaxStep < p.MinStep {
-		return fmt.Errorf("hermite: invalid step bounds [%v, %v]", p.MinStep, p.MaxStep)
-	}
-	if !isPow2(p.MinStep) || !isPow2(p.MaxStep) {
-		return fmt.Errorf("hermite: step bounds must be powers of two, got [%v, %v]", p.MinStep, p.MaxStep)
-	}
 	return nil
-}
-
-func isPow2(x float64) bool {
-	if x <= 0 {
-		return false
-	}
-	f, _ := math.Frexp(x)
-	return f == 0.5
 }
 
 // BlockStat describes one block step, the record consumed by the timing
@@ -169,7 +153,7 @@ func Start(sys *nbody.System, i int, f direct.Force, t float64, p Params) {
 	sys.Pot[i] = correctedPot(f.Pot, sys.Mass[i], p.Eps)
 	sys.Snap[i], sys.Crack[i] = vec.Zero, vec.Zero
 	sys.Time[i] = t
-	sys.Step[i] = QuantizeInitial(InitialStep(f.Acc, f.Jerk, p.EtaS), p.MinStep, p.MaxStep)
+	sys.Step[i] = QuantizeInitial(InitialStep(f.Acc, f.Jerk, p.EtaS), MinStep, MaxStep)
 }
 
 // Advance completes particle i's step to time t with the force f
@@ -183,7 +167,7 @@ func Advance(sys *nbody.System, i int, f direct.Force, t float64, p Params) {
 	sys.Pot[i] = correctedPot(f.Pot, sys.Mass[i], p.Eps)
 	sys.Time[i] = t
 	desired := AarsethStep(f.Acc, f.Jerk, snap1, crackle, p.Eta)
-	sys.Step[i] = NextStep(sys.Step[i], desired, t, p.MinStep, p.MaxStep)
+	sys.Step[i] = NextStep(sys.Step[i], desired, t, MinStep, MaxStep)
 }
 
 // correctedPot removes the self-interaction term -m/ε that backends

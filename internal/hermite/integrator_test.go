@@ -19,14 +19,17 @@ func TestNewRejectsBadParams(t *testing.T) {
 	if _, err := New(sys, NewDirectBackend(), p); err == nil {
 		t.Error("accepted negative eta")
 	}
-	p = DefaultParams(0)
-	p.MinStep = 0.3 // not a power of two
-	if _, err := New(sys, NewDirectBackend(), p); err == nil {
-		t.Error("accepted non-power-of-two MinStep")
-	}
 	if _, err := New(nbody.New(0), NewDirectBackend(), DefaultParams(0)); err == nil {
 		t.Error("accepted empty system")
 	}
+}
+
+func isPow2(x float64) bool {
+	if x <= 0 {
+		return false
+	}
+	f, _ := math.Frexp(x)
+	return f == 0.5
 }
 
 // TestParamsRejectNonFinite: NaN passes every ordered comparison's

@@ -99,9 +99,6 @@ func (k *KingModel) append(x, w, m float64) {
 	k.menc = append(k.menc, m)
 }
 
-// TidalRadius returns the truncation radius in model units (r0 = 1).
-func (k *KingModel) TidalRadius() float64 { return k.rt }
-
 // Concentration returns c = log10(rt/r0).
 func (k *KingModel) Concentration() float64 { return math.Log10(k.rt) }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"grape6/internal/chip"
+	"grape6/internal/des"
 	"grape6/internal/simnet"
 )
 
@@ -117,6 +118,27 @@ func TestSyncAppearsWithMultipleHosts(t *testing.T) {
 	c4 := m4.BlockTime(10000, 100)
 	if math.Abs(c4.Sync/c.Sync-2) > 0.01 {
 		t.Errorf("sync(4)/sync(2) = %v, want 2", c4.Sync/c.Sync)
+	}
+}
+
+// TestBarrierTimeMatchesSimulation: the model's barrier term is the end
+// time of simnet's butterfly among h hosts, for every NIC the tuning
+// study compares.
+func TestBarrierTimeMatchesSimulation(t *testing.T) {
+	for _, nic := range []simnet.NIC{simnet.NS83820, simnet.Intel82540EM, simnet.Myrinet} {
+		for _, h := range []int{1, 2, 4, 8, 16, 64} {
+			eng := des.New()
+			net := simnet.New(eng, nic, h)
+			for r := 0; r < h; r++ {
+				r := r
+				eng.Spawn("host", func(p *des.Proc) { net.Butterfly(p, r, h, 0, 8, nil, nil) })
+			}
+			got := eng.RunAll()
+			want := Machine{NIC: nic}.barrierTime(h, 8)
+			if math.Abs(got-want) > 1e-12*want {
+				t.Errorf("%s, %d hosts: simulated barrier %v, model %v", nic.Name, h, got, want)
+			}
+		}
 	}
 }
 

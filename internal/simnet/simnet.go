@@ -403,17 +403,6 @@ func (net *Network) Butterfly(p *des.Proc, rank, size, tagBase, bytes int,
 	return local
 }
 
-// BarrierTime returns the analytic duration of a butterfly barrier among
-// size ranks exchanging `bytes`-sized messages: ceil(log2 size) rounds of
-// one-way message time. Used by the performance model for cross-checks.
-func (net *Network) BarrierTime(size, bytes int) float64 {
-	rounds := 0
-	for bit := 1; bit < size; bit <<= 1 {
-		rounds++
-	}
-	return float64(rounds) * net.nic.OneWay(bytes)
-}
-
 func max(a, b int) int {
 	if a > b {
 		return a

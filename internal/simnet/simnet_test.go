@@ -227,19 +227,6 @@ func TestButterflyLatencyScalesWithLog(t *testing.T) {
 	}
 }
 
-func TestBarrierTimeModel(t *testing.T) {
-	eng := des.New()
-	net := New(eng, NS83820, 16)
-	got := net.BarrierTime(16, 8)
-	want := 4 * NS83820.OneWay(8)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("BarrierTime = %v, want %v", got, want)
-	}
-	if net.BarrierTime(1, 8) != 0 {
-		t.Error("single-rank barrier should be free")
-	}
-}
-
 func TestTrafficCounters(t *testing.T) {
 	eng := des.New()
 	net := New(eng, NS83820, 2)

@@ -1,8 +1,8 @@
 // Package tree implements the Barnes & Hut (1986) octree force algorithm
-// with monopole and optional quadrupole moments. It is the comparison
-// baseline of Section 5 of the paper, which weighs GRAPE-6 against
-// treecodes on general-purpose machines (Gadget on the T3E, Warren et al.
-// on ASCI Red): the treecode trades per-interaction cost O(N log N)
+// with monopole cell expansions and leaves of up to eight particles. It is
+// the comparison baseline of Section 5 of the paper, which weighs GRAPE-6
+// against treecodes on general-purpose machines (Gadget on the T3E, Warren
+// et al. on ASCI Red): the treecode trades per-interaction cost O(N log N)
 // against lower force accuracy and — without individual timesteps — a
 // ~100× larger step count for collisional problems.
 package tree
@@ -15,18 +15,19 @@ import (
 	"grape6/internal/vec"
 )
 
+// leafCap is the most particles a leaf cell holds.
+const leafCap = 8
+
 // Config controls tree construction and force evaluation.
 type Config struct {
-	Theta      float64 // opening angle (0 = exact direct summation)
-	Eps        float64 // Plummer softening
-	LeafCap    int     // max particles per leaf cell
-	Quadrupole bool    // include quadrupole terms in cell expansions
+	Theta float64 // opening angle (0 = exact direct summation)
+	Eps   float64 // Plummer softening
 }
 
 // DefaultConfig matches the typical production setting of the codes the
 // paper cites.
 func DefaultConfig(eps float64) Config {
-	return Config{Theta: 0.6, Eps: eps, LeafCap: 8, Quadrupole: false}
+	return Config{Theta: 0.6, Eps: eps}
 }
 
 // Validate reports configuration errors.
@@ -37,9 +38,6 @@ func (c Config) Validate() error {
 	if c.Eps < 0 {
 		return fmt.Errorf("tree: negative softening %v", c.Eps)
 	}
-	if c.LeafCap < 1 {
-		return fmt.Errorf("tree: leaf capacity %d < 1", c.LeafCap)
-	}
 	return nil
 }
 
@@ -49,9 +47,8 @@ type node struct {
 	half     float64 // half-width of the cube
 	com      vec.V3  // centre of mass
 	mass     float64
-	quad     [6]float64 // traceless quadrupole: xx yy zz xy xz yz
-	first, n int        // particle index range (leaves)
-	children [8]int32   // node indices, -1 when absent
+	first, n int      // particle index range (leaves)
+	children [8]int32 // node indices, -1 when absent
 	leaf     bool
 }
 
@@ -107,7 +104,7 @@ func (t *Tree) build(center vec.V3, half float64, first, n, depth int) int32 {
 		t.nodes[idx].children[k] = -1
 	}
 
-	if n <= t.cfg.LeafCap || depth > 64 {
+	if n <= leafCap || depth > 64 {
 		t.nodes[idx].leaf = true
 	} else {
 		// Partition the range into octants in place.
@@ -152,21 +149,6 @@ func (t *Tree) build(center vec.V3, half float64, first, n, depth int) int32 {
 	}
 	nd.mass = m
 	nd.com = com
-	if t.cfg.Quadrupole {
-		var q [6]float64
-		for i := first; i < first+n; i++ {
-			d := t.pos[i].Sub(com)
-			r2 := d.Norm2()
-			w := t.mass[i]
-			q[0] += w * (3*d.X*d.X - r2)
-			q[1] += w * (3*d.Y*d.Y - r2)
-			q[2] += w * (3*d.Z*d.Z - r2)
-			q[3] += w * 3 * d.X * d.Y
-			q[4] += w * 3 * d.X * d.Z
-			q[5] += w * 3 * d.Y * d.Z
-		}
-		nd.quad = q
-	}
 	return idx
 }
 
@@ -235,7 +217,7 @@ func (t *Tree) walk(ni int32, p vec.V3, f *Force) {
 	open := nd.leaf || size*size > t.cfg.Theta*t.cfg.Theta*r2
 
 	if !open {
-		t.cellForce(nd, p, d, r2, f)
+		t.cellForce(nd, d, r2, f)
 		return
 	}
 	if nd.leaf {
@@ -261,8 +243,8 @@ func (t *Tree) walk(ni int32, p vec.V3, f *Force) {
 	}
 }
 
-// cellForce applies the multipole expansion of a well-separated cell.
-func (t *Tree) cellForce(nd *node, p, d vec.V3, r2 float64, f *Force) {
+// cellForce applies the monopole of a well-separated cell.
+func (t *Tree) cellForce(nd *node, d vec.V3, r2 float64, f *Force) {
 	e2 := t.cfg.Eps * t.cfg.Eps
 	r2 += e2
 	rinv := 1 / math.Sqrt(r2)
@@ -271,26 +253,6 @@ func (t *Tree) cellForce(nd *node, p, d vec.V3, r2 float64, f *Force) {
 	f.Acc = f.Acc.AddScaled(mr3, d)
 	f.Pot -= nd.mass * rinv
 	f.Interactions++
-
-	if t.cfg.Quadrupole {
-		// x here points from the field point to the cell: the expansion
-		// uses the vector from the cell to the point, so flip the sign.
-		x := d.Neg()
-		q := nd.quad
-		qx := vec.New(
-			q[0]*x.X+q[3]*x.Y+q[4]*x.Z,
-			q[3]*x.X+q[1]*x.Y+q[5]*x.Z,
-			q[4]*x.X+q[5]*x.Y+q[2]*x.Z,
-		)
-		xqx := x.Dot(qx)
-		r5inv := rinv2 * rinv2 * rinv
-		// φ_quad = -(x·Q·x)/(2 r^5); a_quad = -∇φ_quad
-		//        = (Qx)/r^5 - (5/2)(x·Q·x) x/r^7.
-		f.Pot -= xqx * r5inv / 2
-		aq := qx.Scale(r5inv).Sub(x.Scale(2.5 * xqx * r5inv * rinv2))
-		f.Acc = f.Acc.Add(aq)
-		f.Interactions++
-	}
 }
 
 // AccelAll evaluates forces at every position in ps, fanning out over the

@@ -14,10 +14,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{Theta: -0.1, LeafCap: 8},
-		{Theta: 2.5, LeafCap: 8},
-		{Theta: 0.5, Eps: -1, LeafCap: 8},
-		{Theta: 0.5, LeafCap: 0},
+		{Theta: -0.1},
+		{Theta: 2.5},
+		{Theta: 0.5, Eps: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -101,51 +100,6 @@ func TestForceErrorDecreasesWithTheta(t *testing.T) {
 	}
 	if fine <= 0 {
 		t.Error("θ=0.4 error should be positive")
-	}
-}
-
-func TestQuadrupoleImproves(t *testing.T) {
-	sys := model.Plummer(500, xrand.New(3))
-	cfg := DefaultConfig(0.01)
-	cfg.Theta = 0.8
-	mono, err := ForceError(sys, cfg, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Quadrupole = true
-	quad, err := ForceError(sys, cfg, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quad >= mono {
-		t.Errorf("quadrupole did not improve accuracy: %v vs %v", quad, mono)
-	}
-}
-
-func TestQuadrupoleFarField(t *testing.T) {
-	// A dumbbell seen from afar: quadrupole must capture the leading
-	// correction. Two unit masses at ±0.5 on x; field point at (10,0,0).
-	pos := []vec.V3{vec.New(0.5, 0, 0), vec.New(-0.5, 0, 0)}
-	mass := []float64{1, 1}
-	// Force a single cell: huge leaf... use LeafCap 1 and theta small so
-	// the cell is NOT opened? Instead evaluate via a one-node tree: use
-	// LeafCap 2 and theta large so the root is used as a cell.
-	cfg := Config{Theta: 1.9, Eps: 0, LeafCap: 1, Quadrupole: true}
-	tr, err := Build(pos, mass, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := vec.New(10, 0, 0)
-	f := tr.Accel(p)
-	// Exact: a = -[1/(9.5)² + 1/(10.5)²] toward +x... sources at x<p, so
-	// acceleration points in -x: a_x = -(1/90.25 + 1/110.25).
-	exact := -(1/(9.5*9.5) + 1/(10.5*10.5))
-	mono := -2.0 / 100.0
-	gotErr := math.Abs(f.Acc.X - exact)
-	monoErr := math.Abs(mono - exact)
-	if gotErr >= monoErr/3 {
-		t.Errorf("quadrupole error %v not ≪ monopole error %v (got %v, exact %v)",
-			gotErr, monoErr, f.Acc.X, exact)
 	}
 }
 

@@ -12,17 +12,17 @@
 #   laid out by hand), go vet (both modules) + race detector across the
 #   whole module
 # Tier 3 (repo-native static analysis, required for every change):
-#   grapelint — three package-scoped checks (nodeprecated/
-#   gfixedboundary/goroutinejoin), three closures over the module call
-#   graph that check their roots and everything they reach (noalloc/
-#   hotblock/deterministic), and the stale-suppression audit
-#   (DESIGN.md §7).
+#   grapelint — two package-scoped checks (gfixedboundary/
+#   goroutinejoin), three closures over the module call graph that
+#   check their roots and everything they reach (noalloc/hotblock/
+#   deterministic), and the stale-suppression audit (DESIGN.md §7).
 #   Findings fail the gauntlet. Then the inlining contract of the force
 #   kernel, which no analyzer sees because it is the compiler's decision:
 #   gfixed's tame primitives must report "can inline", and the compiled
 #   chip.forceTile (the two-lane pair loop) and chip.predictParticle must
-#   contain no CALL into gfixed, and RoundTame inlined on arm64 must not
-#   fuse a multiply into its split (DESIGN.md §6).
+#   contain no CALL into gfixed, and on arm64 neither RoundTame's split
+#   nor forceTile, forcePair or Accum.Add may fuse a multiply-add
+#   (DESIGN.md §6).
 # Tier 4 (fuzz, full gauntlet only):
 #   the differential fuzz targets, 10s each — gfixed's rounding and
 #   accumulation against their references, the chip's call-free pair loop
@@ -81,17 +81,27 @@ if [ "$tier" = 3 ] || [ "$tier" = all ]; then
 	}
 	call_free '(*Chip).forceTile' 'chip\.\(\*Chip\)\.forceTile$'
 	call_free 'predictParticle' 'chip\.predictParticle$'
-	# RoundTame's fusion barrier, on the target whose compiler fuses x*y±z
-	# (amd64's fuses only math.FMA): TestRoundTameVeltkamp rounds products
-	# through the inlined split, and a missing float64() conversion shows in
-	# its arm64 build as a fused multiply-add.
+	# The fusion barriers, on the target whose compiler fuses x*y±z
+	# (amd64's fuses only math.FMA): every product the kernels round or add
+	# goes through a float64() conversion, and a missing one shows in the
+	# arm64 build as a fused multiply-add. TestRoundTameVeltkamp rounds
+	# products through RoundTame's inlined Veltkamp split; forceTile inlines
+	# AddTame as well.
 	GOARCH=arm64 go test -c -o "$tmp/gfixed.arm64.test" ./internal/gfixed
-	go tool objdump -s 'gfixed\.TestRoundTameVeltkamp$' "$tmp/gfixed.arm64.test" >"$tmp/sym.s"
-	grep -qF 'TestRoundTameVeltkamp(SB)' "$tmp/sym.s" || { echo "no arm64 disassembly for TestRoundTameVeltkamp: renamed?"; exit 1; }
-	if grep -E 'FN?M(ADD|SUB)D' "$tmp/sym.s"; then
-		echo "gfixed.Rounder.RoundTame fuses on arm64: the Veltkamp split needs its float64() conversions"
-		exit 1
-	fi
+	GOARCH=arm64 go test -c -o "$tmp/chip.arm64.test" ./internal/chip
+	# $1: test binary, $2: the symbol as objdump prints it, $3: the same as a regexp.
+	fuse_free() {
+		go tool objdump -s "$3" "$tmp/$1" >"$tmp/sym.s"
+		grep -qF "$2(SB)" "$tmp/sym.s" || { echo "no arm64 disassembly for $2: renamed?"; exit 1; }
+		if grep -E 'FN?M(ADD|SUB)D' "$tmp/sym.s"; then
+			echo "$2 fuses a multiply-add on arm64: a product needs its float64() conversion"
+			exit 1
+		fi
+	}
+	fuse_free gfixed.arm64.test 'gfixed.TestRoundTameVeltkamp' 'gfixed\.TestRoundTameVeltkamp$'
+	fuse_free gfixed.arm64.test 'gfixed.(*Accum).Add' 'gfixed\.\(\*Accum\)\.Add$'
+	fuse_free chip.arm64.test 'chip.(*Chip).forceTile' 'chip\.\(\*Chip\)\.forceTile$'
+	fuse_free chip.arm64.test 'chip.(*Chip).forcePair' 'chip\.\(\*Chip\)\.forcePair$'
 fi
 
 if [ "$tier" = 4 ] || [ "$tier" = all ]; then
