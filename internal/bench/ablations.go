@@ -54,7 +54,7 @@ func RunAblationMantissa(o *Options) (Figure, error) {
 		cfg.Chip.Format.MantBits = mant
 		gb := gbackend.New(board.New(cfg))
 		defer gb.Close()
-		it, err := hermite.New(model.Plummer(n, xrand.New(o.Seed)), gb, hermite.DefaultParams(1.0/64))
+		it, err := hermite.New(model.Plummer(n, xrand.New(Seed)), gb, hermite.DefaultParams(1.0/64))
 		if err != nil {
 			return 0, err
 		}
@@ -84,7 +84,7 @@ func RunAblationAccumulator(o *Options) (Figure, error) {
 		Paper: "fixed-point block-float summation: error set by quantization, not by N or order",
 	}
 	n := 256
-	sys := model.Plummer(n, xrand.New(o.Seed))
+	sys := model.Plummer(n, xrand.New(Seed))
 	eps := 1.0 / 64
 	ref := direct.JSet{Mass: sys.Mass, Pos: sys.Pos, Vel: sys.Vel}
 

@@ -72,14 +72,16 @@ var Runners = []Runner{
 	{ID: "v1", Fig: RunValidation},
 }
 
+// Seed makes the stochastic parts of every experiment reproducible: the
+// paper's conference date. Figure.Seed records it in each pin.
+const Seed = 20031115
+
 // Options tunes the harness cost. It is safe for concurrent use: callers
 // may fit several softenings' workloads at once.
 type Options struct {
 	// Quick shrinks the measured workloads so the whole suite runs in
 	// seconds (used by unit tests and -bench smoke runs).
 	Quick bool
-	// Seed makes the stochastic parts reproducible.
-	Seed uint64
 
 	mu        sync.Mutex                              // guards workloads
 	workloads map[units.SofteningKind]*sched.Workload // fit cache, by softening kind
@@ -87,12 +89,12 @@ type Options struct {
 
 // DefaultOptions returns the full-fidelity configuration.
 func DefaultOptions() *Options {
-	return &Options{Seed: 20031115} // the paper's conference date
+	return &Options{}
 }
 
 // QuickOptions returns the fast configuration for tests.
 func QuickOptions() *Options {
-	return &Options{Quick: true, Seed: 20031115}
+	return &Options{Quick: true}
 }
 
 // measureNs returns the particle counts used for functional workload
@@ -126,7 +128,7 @@ func (o *Options) Fidelity() string {
 // Stamp puts a figure in its committed form: this configuration's
 // fidelity and seed recorded, every series sorted by N.
 func (o *Options) Stamp(f *Figure) {
-	f.Fidelity, f.Seed = o.Fidelity(), o.Seed
+	f.Fidelity, f.Seed = o.Fidelity(), Seed
 	for _, s := range f.Series {
 		sort.Slice(s.Points, func(i, j int) bool { return s.Points[i].N < s.Points[j].N })
 	}
@@ -158,7 +160,7 @@ func (o *Options) Workload(kind units.SofteningKind) (*sched.Workload, error) {
 	if ok {
 		return w, nil
 	}
-	w, err := fitWorkload(kind, o.measureNs(), o.measureDuration(), o.Seed)
+	w, err := fitWorkload(kind, o.measureNs(), o.measureDuration(), Seed)
 	if err != nil {
 		return nil, err
 	}

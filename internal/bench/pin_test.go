@@ -36,8 +36,8 @@ func TestAllRuns(t *testing.T) {
 		if len(fig.Series) == 0 {
 			t.Errorf("%s: no series", r.ID)
 		}
-		if fig.Fidelity != "quick" || fig.Seed != bench.SharedOpts.Seed {
-			t.Errorf("%s: stamped %q/%d, want quick/%d", r.ID, fig.Fidelity, fig.Seed, bench.SharedOpts.Seed)
+		if fig.Fidelity != "quick" || fig.Seed != bench.Seed {
+			t.Errorf("%s: stamped %q/%d, want quick/%d", r.ID, fig.Fidelity, fig.Seed, bench.Seed)
 		}
 		for _, s := range fig.Series {
 			if !sort.SliceIsSorted(s.Points, func(i, j int) bool { return s.Points[i].N < s.Points[j].N }) {

@@ -55,7 +55,7 @@ func RunApplications(o *Options) (Figure, error) {
 	m := perfmodel.MultiCluster(4, simnet.Intel82540EM, perfmodel.P4)
 	hours := Series{Label: "wall-clock", Units: "hours"}
 	tflops := Series{Label: "sustained speed", Units: "Tflops"}
-	rng := xrand.New(o.Seed + 41)
+	rng := xrand.New(Seed + 41)
 	for _, app := range []timing.Application{timing.KuiperBelt, timing.BHBinary} {
 		tr := w.Synthetic(app.N, 0.01, rng.Split())
 		rep := timing.EstimateApplicationTrace(m, app, tr)
@@ -108,7 +108,7 @@ func RunTreecode(o *Options) (Figure, error) {
 	if o.Quick {
 		nLocal = 1024
 	}
-	sys := model.Plummer(nLocal, xrand.New(o.Seed))
+	sys := model.Plummer(nLocal, xrand.New(Seed))
 	t, err := tree.Build(sys.Pos, sys.Mass, tree.DefaultConfig(units.Softening(units.SoftConstant, nLocal)))
 	if err != nil {
 		return e, err
@@ -127,7 +127,7 @@ func RunTreecode(o *Options) (Figure, error) {
 	if o.Quick {
 		ratioN = 256
 	}
-	hsys := model.Plummer(ratioN, xrand.New(o.Seed+1))
+	hsys := model.Plummer(ratioN, xrand.New(Seed+1))
 	ratio, err := measureStepRatio(hsys)
 	if err != nil {
 		return e, err

@@ -30,7 +30,7 @@ func RunValidation(o *Options) (Figure, error) {
 	eps := 1.0 / 64
 
 	run := func(b hermite.Backend) (*hermite.Integrator, error) {
-		sys := model.Plummer(n, xrand.New(o.Seed+3))
+		sys := model.Plummer(n, xrand.New(Seed+3))
 		it, err := hermite.New(sys, b, hermite.DefaultParams(eps))
 		if err != nil {
 			return nil, err
@@ -72,7 +72,7 @@ func RunValidation(o *Options) (Figure, error) {
 		}
 	}
 
-	e0 := model.Plummer(n, xrand.New(o.Seed+3)).TotalEnergy(eps)
+	e0 := model.Plummer(n, xrand.New(Seed+3)).TotalEnergy(eps)
 	drift := func(it *hermite.Integrator) float64 {
 		return math.Abs((it.Energy() - e0) / e0)
 	}
@@ -120,14 +120,14 @@ func RunAblationNeighbourScheme(o *Options) (Figure, error) {
 
 	saving := Series{Label: "pairwise-work saving factor", Units: "x"}
 	for _, n := range ns {
-		acSys := model.Plummer(n, xrand.New(o.Seed+uint64(n)))
+		acSys := model.Plummer(n, xrand.New(Seed+uint64(n)))
 		ac, err := ahmadcohen.New(acSys, hermite.DefaultParams(eps))
 		if err != nil {
 			return e, err
 		}
 		ac.Run(until)
 
-		plainSys := model.Plummer(n, xrand.New(o.Seed+uint64(n)))
+		plainSys := model.Plummer(n, xrand.New(Seed+uint64(n)))
 		plain, err := hermite.New(plainSys, hermite.NewDirectBackend(), hermite.DefaultParams(eps))
 		if err != nil {
 			return e, err

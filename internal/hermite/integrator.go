@@ -65,9 +65,6 @@ type Integrator struct {
 	Blocks       int64 // block steps
 	Interactions int64 // pairwise interactions evaluated
 
-	// Trace, when non-nil, receives one BlockStat per block step.
-	Trace func(BlockStat)
-
 	// sched buckets particles by step exponent so block selection is
 	// O(active block) instead of the O(N) MinTime scan.
 	sched *nbody.BlockSched
@@ -153,7 +150,7 @@ func Start(sys *nbody.System, i int, f direct.Force, t float64, p Params) {
 	sys.Pot[i] = correctedPot(f.Pot, sys.Mass[i], p.Eps)
 	sys.Snap[i], sys.Crack[i] = vec.Zero, vec.Zero
 	sys.Time[i] = t
-	sys.Step[i] = QuantizeInitial(InitialStep(f.Acc, f.Jerk, p.EtaS), MinStep, MaxStep)
+	sys.Step[i] = QuantizeInitial(InitialStep(f.Acc, f.Jerk, p.EtaS))
 }
 
 // Advance completes particle i's step to time t with the force f
@@ -167,7 +164,7 @@ func Advance(sys *nbody.System, i int, f direct.Force, t float64, p Params) {
 	sys.Pot[i] = correctedPot(f.Pot, sys.Mass[i], p.Eps)
 	sys.Time[i] = t
 	desired := AarsethStep(f.Acc, f.Jerk, snap1, crackle, p.Eta)
-	sys.Step[i] = NextStep(sys.Step[i], desired, t, MinStep, MaxStep)
+	sys.Step[i] = NextStep(sys.Step[i], desired, t)
 }
 
 // correctedPot removes the self-interaction term -m/ε that backends
@@ -214,8 +211,8 @@ func (it *Integrator) Step() BlockStat {
 	it.B.Update(sys, it.block)
 	it.prefetchPredict()
 	if it.yb != nil {
-		// The host phase until the next block — trace callbacks, block
-		// selection, i-particle prediction — needs no silicon: announce
+		// The host phase until the next block — the caller's bookkeeping,
+		// block selection, i-particle prediction — needs no silicon: announce
 		// it to a backend that takes the hint.
 		it.yb.Yield()
 	}
@@ -225,11 +222,7 @@ func (it *Integrator) Step() BlockStat {
 	it.Blocks++
 	it.Interactions += int64(nb) * int64(it.B.NJ())
 
-	stat := BlockStat{Time: t, Size: nb, Bins: it.sched.Bins()}
-	if it.Trace != nil {
-		it.Trace(stat)
-	}
-	return stat
+	return BlockStat{Time: t, Size: nb, Bins: it.sched.Bins()}
 }
 
 // Run advances the system until the next block time would exceed `until`.

@@ -202,8 +202,9 @@ func TestBlockStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats []BlockStat
-	it.Trace = func(b BlockStat) { stats = append(stats, b) }
-	it.Run(0.25)
+	for it.NextBlockTime() <= 0.25 {
+		stats = append(stats, it.Step())
+	}
 	if len(stats) == 0 {
 		t.Fatal("no blocks recorded")
 	}

@@ -116,41 +116,28 @@ func floorPow2(x float64) float64 {
 }
 
 // QuantizeInitial converts a desired timestep into the block-scheme form:
-// a power of two clamped to [minStep, maxStep].
-func QuantizeInitial(desired, minStep, maxStep float64) float64 {
-	dt := floorPow2(desired)
-	if dt > maxStep {
-		dt = maxStep
-	}
-	if dt < minStep {
-		dt = minStep
-	}
-	return dt
+// a power of two clamped to [MinStep, MaxStep].
+func QuantizeInitial(desired float64) float64 {
+	return min(max(floorPow2(desired), MinStep), MaxStep)
 }
 
 // NextStep implements the block-timestep update rule: the new step must be
 // a power of two; it may shrink freely (halving as often as needed) but may
 // grow only by a single doubling, and only when the doubled step remains
 // commensurate with the current time t (i.e. t is a multiple of the doubled
-// step). The result is clamped to [minStep, maxStep].
-func NextStep(current, desired, t, minStep, maxStep float64) float64 {
+// step). The result is clamped to [MinStep, MaxStep].
+func NextStep(current, desired, t float64) float64 {
 	dt := current
 	if desired < dt {
-		for dt > minStep && desired < dt {
+		for dt > MinStep && desired < dt {
 			dt /= 2
 		}
-	} else if desired >= 2*dt && dt < maxStep {
+	} else if desired >= 2*dt && dt < MaxStep {
 		if commensurate(t, 2*dt) {
 			dt *= 2
 		}
 	}
-	if dt > maxStep {
-		dt = maxStep
-	}
-	if dt < minStep {
-		dt = minStep
-	}
-	return dt
+	return min(max(dt, MinStep), MaxStep)
 }
 
 // commensurate reports whether t is an integer multiple of step. Both are

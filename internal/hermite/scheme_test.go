@@ -182,60 +182,61 @@ func TestPropFloorPow2(t *testing.T) {
 }
 
 func TestQuantizeInitial(t *testing.T) {
-	if got := QuantizeInitial(0.3, 1.0/1024, 0.125); got != 0.125 {
+	if got := QuantizeInitial(0.3); got != MaxStep {
 		t.Errorf("clamped to max: %v", got)
 	}
-	if got := QuantizeInitial(1e-9, 1.0/1024, 0.125); got != 1.0/1024 {
+	if got := QuantizeInitial(1e-9); got != MinStep {
 		t.Errorf("clamped to min: %v", got)
 	}
-	if got := QuantizeInitial(0.07, 1.0/1024, 0.125); got != 0.0625 {
+	if got := QuantizeInitial(0.07); got != 0.0625 {
 		t.Errorf("power of two floor: %v", got)
 	}
 }
 
 func TestNextStepShrinksFreely(t *testing.T) {
-	got := NextStep(0.25, 0.01, 1.0, 1.0/1024, 0.25)
-	// Halve until ≤ desired: 0.25→0.125→0.0625→...→0.0078125.
+	got := NextStep(MaxStep, 0.01, 1.0)
+	// Halve until ≤ desired: 0.125→0.0625→...→0.0078125.
 	if got != 1.0/128 {
 		t.Errorf("NextStep shrink = %v, want %v", got, 1.0/128)
 	}
 }
 
 func TestNextStepGrowsOnlyWhenCommensurate(t *testing.T) {
-	// At t = 0.375 a step of 0.125 may NOT double to 0.25 (0.375/0.25 is
-	// not integral).
-	if got := NextStep(0.125, 1.0, 0.375, 1.0/1024, 1.0); got != 0.125 {
+	// At t = 0.09375 a step of 0.03125 may NOT double to 0.0625
+	// (0.09375/0.0625 is not integral).
+	if got := NextStep(0.03125, 1.0, 0.09375); got != 0.03125 {
 		t.Errorf("grew at non-commensurate time: %v", got)
 	}
-	// At t = 0.5 it may.
-	if got := NextStep(0.125, 1.0, 0.5, 1.0/1024, 1.0); got != 0.25 {
+	// At t = 0.125 it may.
+	if got := NextStep(0.03125, 1.0, 0.125); got != 0.0625 {
 		t.Errorf("did not grow at commensurate time: %v", got)
 	}
 }
 
 func TestNextStepGrowsAtMostOnce(t *testing.T) {
 	// Even with desired far larger, only one doubling per update.
-	if got := NextStep(0.125, 100.0, 1.0, 1.0/1024, 1.0); got != 0.25 {
+	if got := NextStep(0.03125, 100.0, 1.0); got != 0.0625 {
 		t.Errorf("NextStep grew more than one doubling: %v", got)
 	}
 }
 
 func TestNextStepRespectsBounds(t *testing.T) {
-	if got := NextStep(1.0/1024, 1e-9, 1.0, 1.0/1024, 1.0); got != 1.0/1024 {
+	if got := NextStep(MinStep, 1e-9, 1.0); got != MinStep {
 		t.Errorf("NextStep below min: %v", got)
 	}
-	if got := NextStep(0.5, 10, 1.0, 1.0/1024, 0.5); got != 0.5 {
+	if got := NextStep(MaxStep, 10, 1.0); got != MaxStep {
 		t.Errorf("NextStep above max: %v", got)
 	}
 }
 
 func TestPropNextStepPowerOfTwoAndCommensurate(t *testing.T) {
 	f := func(curExp, desiredMant uint8, tSteps uint16) bool {
-		// current step 2^-(curExp%10+1); t a multiple of current step.
-		cur := math.Ldexp(1, -int(curExp%10)-1)
+		// current step 2^-(curExp%10+3), within [MinStep, MaxStep]; t a
+		// multiple of current step.
+		cur := math.Ldexp(1, -int(curExp%10)-3)
 		tt := float64(tSteps) * cur
 		desired := float64(desiredMant)/16 + 1e-6
-		got := NextStep(cur, desired, tt, math.Ldexp(1, -20), 0.5)
+		got := NextStep(cur, desired, tt)
 		if !isPow2(got) {
 			return false
 		}

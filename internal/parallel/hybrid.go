@@ -177,14 +177,12 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 
 			// Row updates for subset i from every cluster's diagonal i.
 			for kk := 0; kk < clusters; kk++ {
-				msg := net.Recv(p, rank, tag+tagRowUpd+kk)
-				st.absorb(st.row, st.rowOff, msg.Payload.([]update), nil)
+				st.absorb(st.row, st.rowOff, net.Recv(p, rank, tag+tagRowUpd+kk).([]update), nil)
 			}
 			// Column updates for subset j from every cluster's diagonal j,
 			// applied to the column copy feeding the force backend.
 			for kk := 0; kk < clusters; kk++ {
-				msg := net.Recv(p, rank, tag+tagColUpd+kk)
-				st.absorb(st.col, st.colOff, msg.Payload.([]update), st.backend)
+				st.absorb(st.col, st.colOff, net.Recv(p, rank, tag+tagColUpd+kk).([]update), st.backend)
 			}
 			continue
 		}
@@ -197,7 +195,7 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 		st.parts[j] = partial
 		for jj := 0; jj < r; jj++ {
 			if jj != j {
-				st.parts[jj] = net.Recv(p, rank, tag+tagPartial+jj).Payload.([]pforce)
+				st.parts[jj] = net.Recv(p, rank, tag+tagPartial+jj).([]pforce)
 			}
 		}
 		var err error
@@ -240,8 +238,7 @@ func hybridHost(p *des.Proc, rank, clusters, r int, w *world, st *gridState, rec
 		// targets, so exactly one message per other diagonal).
 		for kk := 0; kk < clusters; kk++ {
 			if kk != k {
-				msg := net.Recv(p, rank, tag+tagRowUpd+kk)
-				st.absorb(st.row, st.rowOff, msg.Payload.([]update), st.backend)
+				st.absorb(st.row, st.rowOff, net.Recv(p, rank, tag+tagRowUpd+kk).([]update), st.backend)
 			}
 		}
 		w.count(rank, round, len(block))

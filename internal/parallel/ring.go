@@ -133,8 +133,7 @@ func ringHost(p *des.Proc, h int, w *world, S *nbody.System, backend hermite.Bac
 				job.wait()
 			}
 			net.Send(h, next, round*tagStride+stage, len(held)*ipacketBytes, held)
-			msg := net.Recv(p, h, round*tagStride+stage)
-			held = msg.Payload.([]ipacket)
+			held = net.Recv(p, h, round*tagStride+stage).([]ipacket)
 		}
 
 		// After p hops the packets are home with complete forces — verify

@@ -132,8 +132,7 @@ func gatherUpdates(p *des.Proc, net *simnet.Network, rank, size, tagBase int, lo
 		out := make([]update, len(local))
 		copy(out, local)
 		net.Send(rank, peer, tagBase+bit, len(out)*updateBytes, out)
-		msg := net.Recv(p, rank, tagBase+bit)
-		local = append(local, msg.Payload.([]update)...)
+		local = append(local, net.Recv(p, rank, tagBase+bit).([]update)...)
 	}
 	sort.Slice(local, func(i, j int) bool { return local[i].slot < local[j].slot })
 	return local

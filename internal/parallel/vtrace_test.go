@@ -63,17 +63,6 @@ func TestBreakdownTilesVirtualTime(t *testing.T) {
 		if err := res.Trace.Check(res.VirtualTime); err != nil {
 			t.Errorf("%s/%d: %v", tc.algo, tc.hosts, err)
 		}
-		// The observer's traffic matrix must agree with the network's
-		// global counters.
-		var msgs int64
-		for from := 0; from < tc.hosts; from++ {
-			for to := 0; to < tc.hosts; to++ {
-				msgs += res.Trace.Messages(from, to)
-			}
-		}
-		if msgs != res.Messages {
-			t.Errorf("%s/%d: matrix total %d != counter %d", tc.algo, tc.hosts, msgs, res.Messages)
-		}
 	}
 }
 
@@ -245,8 +234,7 @@ func TestRingHostSurfacesCirculationError(t *testing.T) {
 	eng.Spawn("rogue1", func(p *des.Proc) {
 		allreduceMin(p, net, 1, 2, 2048, math.Inf(1), nil)
 		for stage := 0; stage < 2; stage++ {
-			msg := net.Recv(p, 1, stage)
-			held := msg.Payload.([]ipacket)
+			held := net.Recv(p, 1, stage).([]ipacket)
 			if len(held) > 0 {
 				held = held[:len(held)-1]
 			}

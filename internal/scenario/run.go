@@ -130,7 +130,7 @@ func runModelCell(s *Spec, o *bench.Options, c Cell) (bench.Series, error) {
 	for _, tr := range w.Measured {
 		fs.Points = append(fs.Points, bench.Point{N: tr.N, Value: value(timing.Simulate(c.Machine, tr))})
 	}
-	rng := xrand.New(o.Seed + seedOff)
+	rng := xrand.New(bench.Seed + seedOff)
 	for _, n := range ns {
 		tr := w.Synthetic(n, 0.01, rng.Split())
 		fs.Points = append(fs.Points, bench.Point{N: n, Value: value(timing.Simulate(c.Machine, tr))})
@@ -164,7 +164,7 @@ func runCosimCell(s *Spec, o *bench.Options, c Cell) (bench.Series, error) {
 
 	fs := bench.Series{Label: c.Label, Units: "steps/s (virtual)"}
 	for _, sw := range c.Sweep {
-		sys := model.Plummer(n, xrand.New(o.Seed))
+		sys := model.Plummer(n, xrand.New(bench.Seed))
 		cfg := parallel.Config{
 			Hosts:   sw.Hosts,
 			NIC:     c.NIC,

@@ -76,8 +76,9 @@ func Record(n int, kind units.SofteningKind, duration float64, seed uint64) (*Tr
 		return nil, err
 	}
 	tr := &Trace{N: n, Kind: kind, Eps: eps, Duration: duration}
-	it.Trace = func(b hermite.BlockStat) { tr.Blocks = append(tr.Blocks, b) }
-	it.Run(duration)
+	for it.NextBlockTime() <= duration {
+		tr.Blocks = append(tr.Blocks, it.Step())
+	}
 	return tr, nil
 }
 

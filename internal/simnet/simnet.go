@@ -68,45 +68,32 @@ func (n NIC) OneWay(bytes int) float64 {
 	return n.RTT/2 + n.TransferTime(bytes)
 }
 
-// Message is a delivered payload.
-type Message struct {
-	From    int
-	Tag     int
-	Bytes   int
-	Payload interface{}
-	SentAt  float64
-}
-
-// Observer receives network accounting events; internal/vtrace
-// implements it structurally. All times are virtual.
+// Observer is told how long each receive blocked; internal/vtrace
+// implements it structurally. RecvBlocked fires when a Recv that found an
+// empty mailbox returns: the receiving process was blocked from `from`
+// until `until`, in virtual time.
 type Observer interface {
-	// MessageSent fires once per Send: queued is the NIC serialization
-	// queueing delay (how long the transfer waited behind earlier sends
-	// from the same rank before its own serialization started).
-	MessageSent(from, to, tag, bytes int, queued float64)
-	// RecvBlocked fires when a Recv that found an empty mailbox returns:
-	// the receiving process was blocked from `from` until `until`.
 	RecvBlocked(to, tag int, from, until float64)
 }
 
 // box is one live (rank, tag) mailbox: a circular buffer of queued
-// messages plus at most one parked receiver. Boxes live in a slab and are
+// payloads plus at most one parked receiver. Boxes live in a slab and are
 // recycled through a freelist the moment they are drained, so a long run
 // with round-strided tags touches only a handful of slots — where the old
 // map-of-slices design grew one entry per (rank, tag) ever used and
 // linear-scanned growing queues.
 type box struct {
 	tag  int
-	ring []Message // circular buffer; cap kept across reuse
+	ring []interface{} // circular buffer of payloads; cap kept across reuse
 	head int
 	n    int
 	w    *des.Waiter
 }
 
-// push appends a message in FIFO order, growing the ring if full.
-func (b *box) push(m Message) {
+// push appends a payload in FIFO order, growing the ring if full.
+func (b *box) push(m interface{}) {
 	if b.n == len(b.ring) {
-		grown := make([]Message, max(4, 2*len(b.ring)))
+		grown := make([]interface{}, max(4, 2*len(b.ring)))
 		for i := 0; i < b.n; i++ {
 			grown[i] = b.ring[(b.head+i)%len(b.ring)]
 		}
@@ -117,11 +104,11 @@ func (b *box) push(m Message) {
 	b.n++
 }
 
-// pop removes the oldest message, zeroing the vacated slot so the ring
+// pop removes the oldest payload, zeroing the vacated slot so the ring
 // does not pin delivered payloads.
-func (b *box) pop() Message {
+func (b *box) pop() interface{} {
 	m := b.ring[b.head]
-	b.ring[b.head] = Message{}
+	b.ring[b.head] = nil
 	b.head = (b.head + 1) % len(b.ring)
 	b.n--
 	return m
@@ -131,9 +118,9 @@ func (b *box) pop() Message {
 // index travels as the event argument, so a Send schedules delivery
 // without allocating a closure.
 type pending struct {
-	msg Message
-	to  int
-	tag int
+	payload interface{}
+	to      int
+	tag     int
 }
 
 // rankWaiter caches the reusable parking spot of the process that
@@ -174,7 +161,7 @@ type Network struct {
 }
 
 // Observe attaches an accounting observer (nil detaches). With no
-// observer the hooks cost one nil check per event.
+// observer the hook costs one nil check per blocked receive.
 func (net *Network) Observe(o Observer) { net.obs = o }
 
 // New builds a network of n ranks on the given engine.
@@ -196,12 +183,6 @@ func New(eng *des.Engine, nic NIC, n int) *Network {
 	net.deliverH = eng.RegisterHandler(net.deliver)
 	return net
 }
-
-// NIC returns the network's profile.
-func (net *Network) NIC() NIC { return net.nic }
-
-// Size returns the number of ranks.
-func (net *Network) Size() int { return net.n }
 
 func (net *Network) checkRank(r int) {
 	if r < 0 || r >= net.n {
@@ -266,15 +247,15 @@ func (net *Network) releaseBox(to int, bi int32) {
 // destination mailbox; arg is the pending-slab index.
 func (net *Network) deliver(arg uint64) {
 	pm := &net.pend[arg]
-	msg, to, tag := pm.msg, pm.to, pm.tag
-	pm.msg = Message{} // unpin the payload from the slab
+	payload, to, tag := pm.payload, pm.to, pm.tag
+	pm.payload = nil // unpin the payload from the slab
 	net.pendFree = append(net.pendFree, int32(arg))
 	bi := net.findBox(to, tag)
 	if bi < 0 {
 		bi = net.newBox(to, tag)
 	}
 	b := &net.boxes[bi]
-	b.push(msg)
+	b.push(payload)
 	if b.w != nil {
 		w := b.w
 		b.w = nil
@@ -298,8 +279,7 @@ func (net *Network) Send(from, to, tag, bytes int, payload interface{}) {
 	if bytes < 0 {
 		panic("simnet: negative message size")
 	}
-	now := net.eng.Now()
-	start := now
+	start := net.eng.Now()
 	if net.busyUntil[from] > start {
 		start = net.busyUntil[from]
 	}
@@ -309,9 +289,6 @@ func (net *Network) Send(from, to, tag, bytes int, payload interface{}) {
 
 	net.MessagesSent++
 	net.BytesSent += int64(bytes)
-	if net.obs != nil {
-		net.obs.MessageSent(from, to, tag, bytes, start-now)
-	}
 
 	var si int32
 	if k := len(net.pendFree) - 1; k >= 0 {
@@ -321,19 +298,15 @@ func (net *Network) Send(from, to, tag, bytes int, payload interface{}) {
 		si = int32(len(net.pend))
 		net.pend = append(net.pend, pending{})
 	}
-	net.pend[si] = pending{
-		msg: Message{From: from, Tag: tag, Bytes: bytes, Payload: payload, SentAt: now},
-		to:  to,
-		tag: tag,
-	}
+	net.pend[si] = pending{payload: payload, to: to, tag: tag}
 	net.eng.AtHandler(arrive, net.deliverH, uint64(si))
 }
 
 // Recv blocks the process until a message with the given tag arrives for
-// rank `to`, and returns it. Messages with equal tags are delivered in
+// rank `to`, and returns its payload. Messages with equal tags are delivered in
 // arrival order. At most one process may wait on a (rank, tag) pair at a
 // time.
-func (net *Network) Recv(p *des.Proc, to, tag int) Message {
+func (net *Network) Recv(p *des.Proc, to, tag int) interface{} {
 	net.checkRank(to)
 	bi := net.findBox(to, tag)
 	if bi < 0 || net.boxes[bi].n == 0 {
@@ -362,18 +335,11 @@ func (net *Network) Recv(p *des.Proc, to, tag int) Message {
 		}
 	}
 	b := &net.boxes[bi]
-	msg := b.pop()
+	payload := b.pop()
 	if b.n == 0 && b.w == nil {
 		net.releaseBox(to, bi)
 	}
-	return msg
-}
-
-// SendRecv sends to `peer` and then receives from any rank with the given
-// tag — the building block of butterfly exchanges.
-func (net *Network) SendRecv(p *des.Proc, self, peer, tag, bytes int, payload interface{}) Message {
-	net.Send(self, peer, tag, bytes, payload)
-	return net.Recv(p, self, tag)
+	return payload
 }
 
 // Butterfly performs a power-of-two butterfly barrier/allreduce pattern
@@ -394,18 +360,11 @@ func (net *Network) Butterfly(p *des.Proc, rank, size, tagBase, bytes int,
 		panic(fmt.Sprintf("simnet: butterfly rank %d out of range", rank))
 	}
 	for bit := 1; bit < size; bit <<= 1 {
-		peer := rank ^ bit
-		msg := net.SendRecv(p, rank, peer, tagBase+bit, bytes, local)
+		net.Send(rank, rank^bit, tagBase+bit, bytes, local)
+		remote := net.Recv(p, rank, tagBase+bit)
 		if merge != nil {
-			local = merge(local, msg.Payload)
+			local = merge(local, remote)
 		}
 	}
 	return local
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -54,9 +54,8 @@ func TestPointToPointDelivery(t *testing.T) {
 	var recvAt float64 = -1
 	var payload interface{}
 	eng.Spawn("recv", func(p *des.Proc) {
-		m := net.Recv(p, 1, 7)
+		payload = net.Recv(p, 1, 7)
 		recvAt = p.Now()
-		payload = m.Payload
 	})
 	eng.Spawn("send", func(p *des.Proc) {
 		net.Send(0, 1, 7, 1000, "hello")
@@ -140,8 +139,7 @@ func TestFIFOOrderSameTag(t *testing.T) {
 	var got []int
 	eng.Spawn("recv", func(p *des.Proc) {
 		for i := 0; i < 3; i++ {
-			m := net.Recv(p, 1, 0)
-			got = append(got, m.Payload.(int))
+			got = append(got, net.Recv(p, 1, 0).(int))
 		}
 	})
 	eng.Spawn("send", func(p *des.Proc) {
@@ -159,7 +157,8 @@ func TestButterflyBarrierSynchronizes(t *testing.T) {
 	// 4 ranks arriving at different times: all leave the butterfly at (or
 	// after) the last arrival.
 	eng := des.New()
-	net := New(eng, NIC{RTT: 100e-6, Bandwidth: 1e9}, 4)
+	nic := NIC{RTT: 100e-6, Bandwidth: 1e9}
+	net := New(eng, nic, 4)
 	arrive := []float64{0, 3e-3, 1e-3, 2e-3}
 	exit := make([]float64, 4)
 	for r := 0; r < 4; r++ {
@@ -175,7 +174,7 @@ func TestButterflyBarrierSynchronizes(t *testing.T) {
 		if e < 3e-3 {
 			t.Errorf("rank %d left barrier at %v, before last arrival", r, e)
 		}
-		if e > 3e-3+10*net.NIC().OneWay(8) {
+		if e > 3e-3+10*nic.OneWay(8) {
 			t.Errorf("rank %d left barrier too late: %v", r, e)
 		}
 	}
@@ -307,9 +306,8 @@ func TestKernelBypassProfile(t *testing.T) {
 }
 
 // Regression: a dequeue must zero the vacated ring slot — otherwise a
-// duplicate of the popped Message, payload reference included, stays live
-// in the mailbox's backing array, pinning delivered payloads for the life
-// of the run.
+// duplicate of the popped payload reference stays live in the mailbox's
+// backing array, pinning delivered payloads for the life of the run.
 func TestRecvZeroesVacatedSlot(t *testing.T) {
 	eng := des.New()
 	net := New(eng, NIC{RTT: 10e-6, Bandwidth: 1e9}, 2)
@@ -323,8 +321,8 @@ func TestRecvZeroesVacatedSlot(t *testing.T) {
 		ring := net.boxes[bi].ring // backing array before the pop
 		slot := net.boxes[bi].head // slot the pop will vacate
 		net.Recv(p, 1, 0)
-		if ring[slot] != (Message{}) {
-			t.Errorf("vacated slot still holds %+v, want zero Message", ring[slot])
+		if ring[slot] != nil {
+			t.Errorf("vacated slot still holds %v, want nil", ring[slot])
 		}
 	})
 	eng.Spawn("send", func(p *des.Proc) {
@@ -366,28 +364,17 @@ func TestSlabReuseBoundedGrowth(t *testing.T) {
 		t.Errorf("in-flight slab grew to %d slots over %d rounds, want bounded reuse", len(net.pend), rounds)
 	}
 	for i := range net.pend {
-		if net.pend[i].msg != (Message{}) {
-			t.Errorf("recycled in-flight slot %d still pins %+v", i, net.pend[i].msg)
+		if net.pend[i].payload != nil {
+			t.Errorf("recycled in-flight slot %d still pins %v", i, net.pend[i].payload)
 		}
 	}
 }
 
 type obsLog struct {
-	sends []struct {
-		from, to, tag, bytes int
-		queued               float64
-	}
 	blocks []struct {
 		to, tag     int
 		from, until float64
 	}
-}
-
-func (o *obsLog) MessageSent(from, to, tag, bytes int, queued float64) {
-	o.sends = append(o.sends, struct {
-		from, to, tag, bytes int
-		queued               float64
-	}{from, to, tag, bytes, queued})
 }
 
 func (o *obsLog) RecvBlocked(to, tag int, from, until float64) {
@@ -395,33 +382,6 @@ func (o *obsLog) RecvBlocked(to, tag int, from, until float64) {
 		to, tag     int
 		from, until float64
 	}{to, tag, from, until})
-}
-
-func TestObserverMessageSentQueueing(t *testing.T) {
-	eng := des.New()
-	nic := NIC{RTT: 0, Bandwidth: 1e6} // 1 s per MB
-	net := New(eng, nic, 3)
-	obs := &obsLog{}
-	net.Observe(obs)
-	eng.Spawn("r1", func(p *des.Proc) { net.Recv(p, 1, 0) })
-	eng.Spawn("r2", func(p *des.Proc) { net.Recv(p, 2, 0) })
-	eng.Spawn("send", func(p *des.Proc) {
-		net.Send(0, 1, 0, 1_000_000, nil)
-		net.Send(0, 2, 0, 1_000_000, nil) // queued 1 s behind the first
-	})
-	eng.RunAll()
-	if len(obs.sends) != 2 {
-		t.Fatalf("%d send events, want 2", len(obs.sends))
-	}
-	if obs.sends[0].queued != 0 {
-		t.Errorf("first send queued %v, want 0", obs.sends[0].queued)
-	}
-	if math.Abs(obs.sends[1].queued-1.0) > 1e-9 {
-		t.Errorf("second send queued %v, want 1 s", obs.sends[1].queued)
-	}
-	if obs.sends[1].from != 0 || obs.sends[1].to != 2 || obs.sends[1].bytes != 1_000_000 {
-		t.Errorf("second send event = %+v", obs.sends[1])
-	}
 }
 
 func TestObserverRecvBlockedInterval(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package vtrace is the virtual-time accounting layer of the multi-node
-// co-simulation: per-rank phase spans and network counters recorded while
+// co-simulation: per-rank phase spans recorded while
 // the parallel drivers (internal/parallel) run on the DES kernel
 // (internal/des) over the simulated network (internal/simnet).
 //
@@ -7,8 +7,8 @@
 // this decomposition — time per block step split into host, GRAPE,
 // communication and synchronization components, re-measured after every
 // NIC change. A Recorder reproduces it at the event level: each simulated
-// rank's virtual timeline is tiled by attributed spans (Predict, Grape,
-// HostWork, CommSend, CommWait, Sync) with the gaps accounted as Idle, so
+// rank's virtual timeline is tiled by attributed spans (Grape, HostWork,
+// CommSend, CommWait, Sync) with the gaps accounted as Idle, so
 // that for every rank
 //
 //	sum over phases of span time + idle == engine end time, exactly.
@@ -39,8 +39,7 @@ type Phase uint8
 // on the host network waiting for data, Sync is time blocked in the
 // block-time agreement barrier, Idle is unattributed virtual time.
 const (
-	Predict  Phase = iota // predictor pipeline work
-	Grape                 // force pipelines busy
+	Grape    Phase = iota // force pipelines busy
 	HostWork              // frontend integration (corrector, bookkeeping)
 	CommSend              // host<->GRAPE DMA and transfer
 	CommWait              // blocked receiving host-network data
@@ -50,7 +49,7 @@ const (
 )
 
 var phaseNames = [NumPhases]string{
-	"predict", "grape", "host", "comm-send", "comm-wait", "sync", "idle",
+	"grape", "host", "comm-send", "comm-wait", "sync", "idle",
 }
 
 // String returns the phase's short name.
@@ -97,9 +96,10 @@ func (a *spanArena) alloc() *spanChunk {
 	return c
 }
 
-// Recorder accumulates one rank's phase spans. The zero value is not
-// ready for use; call NewRecorder. A nil *Recorder is a valid no-op
-// target for every method — the fast path when tracing is off.
+// Recorder accumulates one rank's phase spans; a Set builds one per rank.
+// Blocked receives are attributed to CommWait until SetWait changes the
+// phase. A nil *Recorder is a valid no-op target for every method — the
+// fast path when tracing is off.
 type Recorder struct {
 	rank   int
 	cursor float64 // virtual time up to which the timeline is tiled
@@ -124,12 +124,6 @@ type Recorder struct {
 	badCursor float64
 }
 
-// NewRecorder returns an empty recorder for the given rank. Blocked
-// receives are attributed to CommWait until SetWait changes the phase.
-func NewRecorder(rank int) *Recorder {
-	return &Recorder{rank: rank, wait: CommWait, arena: &spanArena{}}
-}
-
 // appendSpan appends to the chunk chain, taking a fresh arena chunk when
 // the tail fills.
 //
@@ -149,14 +143,6 @@ func (r *Recorder) appendSpan(s Span) {
 	t.sp[t.n] = s
 	t.n++
 	r.nspans++
-}
-
-// Rank returns the rank this recorder accounts for.
-func (r *Recorder) Rank() int {
-	if r == nil {
-		return -1
-	}
-	return r.rank
 }
 
 // Add records one attributed span [from, to]. Spans must be appended in
@@ -263,14 +249,6 @@ func (r *Recorder) sum() float64 {
 	return s
 }
 
-// Total returns the accumulated time of one phase.
-func (r *Recorder) Total(ph Phase) float64 {
-	if r == nil || ph >= NumPhases {
-		return 0
-	}
-	return r.totals[ph]
-}
-
 // Totals returns the per-phase totals.
 func (r *Recorder) Totals() PhaseTotals {
 	if r == nil {
@@ -292,14 +270,6 @@ func (r *Recorder) Spans() []Span {
 		out = append(out, c.sp[:c.n]...)
 	}
 	return out
-}
-
-// End returns the engine end time passed to Close.
-func (r *Recorder) End() float64 {
-	if r == nil {
-		return 0
-	}
-	return r.end
 }
 
 // Check verifies the tiling invariant after Close: the span chain covers
@@ -372,28 +342,19 @@ func (t PhaseTotals) Grape() float64 { return t[Grape] }
 func (t PhaseTotals) Comm() float64  { return t[CommSend] }
 func (t PhaseTotals) Sync() float64  { return t[Sync] + t[CommWait] }
 
-// Set is one co-simulation's complete accounting: a recorder per rank
-// plus the network traffic matrices. A nil *Set is a valid no-op target
-// for every method.
+// Set is one co-simulation's complete accounting: a recorder per rank.
+// A nil *Set is a valid no-op target for every method.
 type Set struct {
-	recs  []*Recorder
-	msgs  []int64   // n×n message counts, from*n+to
-	bytes []int64   // n×n byte counts, from*n+to
-	queue []float64 // per-sender NIC serialization queueing delay
-	end   float64
+	recs []*Recorder
+	end  float64
 }
 
-// NewSet builds recorders and matrices for n ranks.
+// NewSet builds recorders for n ranks.
 func NewSet(n int) *Set {
 	if n <= 0 {
 		panic(fmt.Sprintf("vtrace: non-positive rank count %d", n))
 	}
-	s := &Set{
-		recs:  make([]*Recorder, n),
-		msgs:  make([]int64, n*n),
-		bytes: make([]int64, n*n),
-		queue: make([]float64, n),
-	}
+	s := &Set{recs: make([]*Recorder, n)}
 	// One shared arena: rank recorders fill at similar rates, so shared
 	// slabs cut the allocation count another 32× across the set.
 	ar := &spanArena{}
@@ -403,14 +364,6 @@ func NewSet(n int) *Set {
 	return s
 }
 
-// Ranks returns the rank count (0 for a nil set).
-func (s *Set) Ranks() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.recs)
-}
-
 // Recorder returns rank's recorder, or nil on a nil set — callers can
 // thread the result straight into the nil-tolerant record calls.
 func (s *Set) Recorder(rank int) *Recorder {
@@ -418,21 +371,6 @@ func (s *Set) Recorder(rank int) *Recorder {
 		return nil
 	}
 	return s.recs[rank]
-}
-
-// MessageSent implements simnet.Observer: it accumulates the
-// per-(from,to) traffic matrices and the sender's NIC queueing delay
-// (time the transfer waited behind earlier serializations).
-//
-//grape:noalloc
-func (s *Set) MessageSent(from, to, tag, bytes int, queued float64) {
-	if s == nil {
-		return
-	}
-	n := len(s.recs)
-	s.msgs[from*n+to]++
-	s.bytes[from*n+to] += int64(bytes)
-	s.queue[from] += queued
 }
 
 // RecvBlocked implements simnet.Observer: blocked-receive time lands on
@@ -445,31 +383,6 @@ func (s *Set) RecvBlocked(to, tag int, from, until float64) {
 	}
 	r := s.recs[to]
 	r.Add(r.wait, from, until)
-}
-
-// Messages returns the message count from → to.
-func (s *Set) Messages(from, to int) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.msgs[from*len(s.recs)+to]
-}
-
-// Bytes returns the byte count from → to.
-func (s *Set) Bytes(from, to int) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.bytes[from*len(s.recs)+to]
-}
-
-// QueueDelay returns the total NIC serialization queueing delay of
-// rank's outgoing transfers.
-func (s *Set) QueueDelay(rank int) float64 {
-	if s == nil {
-		return 0
-	}
-	return s.queue[rank]
 }
 
 // Close closes every recorder at the engine end time.
@@ -540,11 +453,11 @@ func (b *Breakdown) Table() string {
 	if b == nil {
 		return ""
 	}
-	out := fmt.Sprintf("%-6s %12s %12s %12s %12s %12s %12s %12s %14s\n",
-		"rank", "predict", "grape", "host", "comm-send", "comm-wait", "sync", "idle", "total")
+	out := fmt.Sprintf("%-6s %12s %12s %12s %12s %12s %12s %14s\n",
+		"rank", "grape", "host", "comm-send", "comm-wait", "sync", "idle", "total")
 	row := func(label string, t PhaseTotals) string {
-		return fmt.Sprintf("%-6s %12.5g %12.5g %12.5g %12.5g %12.5g %12.5g %12.5g %14.8g\n",
-			label, t[Predict], t[Grape], t[HostWork], t[CommSend], t[CommWait], t[Sync], t[Idle], t.Sum())
+		return fmt.Sprintf("%-6s %12.5g %12.5g %12.5g %12.5g %12.5g %12.5g %14.8g\n",
+			label, t[Grape], t[HostWork], t[CommSend], t[CommWait], t[Sync], t[Idle], t.Sum())
 	}
 	for i, t := range b.Ranks {
 		out += row(fmt.Sprintf("%d", i), t)

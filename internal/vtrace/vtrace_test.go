@@ -9,7 +9,7 @@ import (
 )
 
 func TestRecorderTiling(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewSet(1).Recorder(0)
 	r.Add(Grape, 0, 1)
 	r.Add(CommSend, 1, 1.5)
 	r.Add(HostWork, 2, 3) // gap [1.5,2] becomes idle
@@ -17,7 +17,7 @@ func TestRecorderTiling(t *testing.T) {
 	if err := r.Check(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Total(Idle); got != 1.5 {
+	if got := r.Totals()[Idle]; got != 1.5 {
 		t.Errorf("idle = %v, want 1.5", got)
 	}
 	if got := r.Totals().Sum(); got != 4 {
@@ -40,11 +40,11 @@ func TestRecorderTiling(t *testing.T) {
 // time, even when the span endpoints are awkward floats whose differences
 // accumulate rounding error.
 func TestRecorderExactSumWithFloatNoise(t *testing.T) {
-	r := NewRecorder(3)
+	r := NewSet(1).Recorder(0)
 	cur := 0.0
 	for i := 0; i < 10000; i++ {
 		next := cur + 1e-7*(1+math.Mod(float64(i)*0.618, 1))
-		r.Add(Phase(i%3), cur, next) // Predict, Grape, HostWork
+		r.Add(Phase(i%3), cur, next) // Grape, HostWork, CommSend
 		cur = next
 	}
 	r.Close(cur)
@@ -69,7 +69,7 @@ func TestRecorderRejectsBadSpans(t *testing.T) {
 		{"after-close", func(r *Recorder) { r.Close(1); r.Add(Grape, 1, 2) }},
 	}
 	for _, tc := range cases {
-		r := NewRecorder(0)
+		r := NewSet(1).Recorder(0)
 		tc.feed(r)
 		r.Close(5)
 		if err := r.Check(5); err == nil {
@@ -79,13 +79,13 @@ func TestRecorderRejectsBadSpans(t *testing.T) {
 }
 
 func TestRecorderCheckCatchesWrongEnd(t *testing.T) {
-	r := NewRecorder(0)
+	r := NewSet(1).Recorder(0)
 	r.Add(Grape, 0, 1)
 	r.Close(2)
 	if err := r.Check(3); err == nil {
 		t.Error("Check accepted mismatched end time")
 	}
-	if err := NewRecorder(0).Check(1); err == nil {
+	if err := NewSet(1).Recorder(0).Check(1); err == nil {
 		t.Error("Check accepted unclosed recorder")
 	}
 }
@@ -101,18 +101,17 @@ func TestNilRecorderAndSetAreNoOps(t *testing.T) {
 	if r.SetWait(Sync) != CommWait {
 		t.Error("nil SetWait should report CommWait")
 	}
-	if r.Rank() != -1 || r.Total(Grape) != 0 || r.Spans() != nil || r.End() != 0 {
+	if r.Totals() != (PhaseTotals{}) || r.Spans() != nil {
 		t.Error("nil recorder accessors not zero")
 	}
 
 	var s *Set
-	s.MessageSent(0, 1, 0, 10, 0)
 	s.RecvBlocked(0, 0, 0, 1)
 	s.Close(1)
 	if err := s.Check(1); err != nil {
 		t.Errorf("nil set Check: %v", err)
 	}
-	if s.Ranks() != 0 || s.Recorder(0) != nil || s.Breakdown() != nil {
+	if s.Recorder(0) != nil || s.Breakdown() != nil {
 		t.Error("nil set accessors not zero")
 	}
 	var buf bytes.Buffer
@@ -140,27 +139,8 @@ func TestSetWaitAttribution(t *testing.T) {
 	if err := s.Check(3); err != nil {
 		t.Fatal(err)
 	}
-	if r.Total(CommWait) != 2 || r.Total(Sync) != 1 {
-		t.Errorf("comm-wait=%v sync=%v, want 2/1", r.Total(CommWait), r.Total(Sync))
-	}
-}
-
-func TestSetTrafficMatrices(t *testing.T) {
-	s := NewSet(3)
-	s.MessageSent(0, 1, 7, 100, 0)
-	s.MessageSent(0, 1, 7, 50, 2e-6)
-	s.MessageSent(2, 0, 9, 30, 1e-6)
-	if s.Messages(0, 1) != 2 || s.Bytes(0, 1) != 150 {
-		t.Errorf("0->1 = %d msgs %d bytes", s.Messages(0, 1), s.Bytes(0, 1))
-	}
-	if s.Messages(2, 0) != 1 || s.Bytes(2, 0) != 30 {
-		t.Errorf("2->0 = %d msgs %d bytes", s.Messages(2, 0), s.Bytes(2, 0))
-	}
-	if s.Messages(1, 0) != 0 {
-		t.Error("unused pair nonzero")
-	}
-	if got := s.QueueDelay(0); got != 2e-6 {
-		t.Errorf("queue delay = %v", got)
+	if r.Totals()[CommWait] != 2 || r.Totals()[Sync] != 1 {
+		t.Errorf("comm-wait=%v sync=%v, want 2/1", r.Totals()[CommWait], r.Totals()[Sync])
 	}
 }
 
