@@ -1,8 +1,7 @@
 // Command grape6bench regenerates the paper's tables and figures and checks
 // them against their pins. Every experiment id (DESIGN.md's index) is one
-// entry of one table, in report order: t1, every declarative spec under
-// scenarios/ by id (Figs. 13-19, g6a, cosim, a4; run by internal/scenario),
-// then the other bench.Runners (the tables, ablations and validation run).
+// spec under scenarios/, run by internal/scenario; -exp all runs every one
+// in id order.
 //
 //	grape6bench -exp f13          # Figure 13: single-node speed vs N
 //	grape6bench -exp all          # everything
@@ -31,72 +30,32 @@ import (
 	"grape6/internal/scenario"
 )
 
-// table is every experiment in report order; specs is its run of
-// scenario-spec entries, the "scenarios" target.
-type table struct {
-	all, specs []bench.Runner
-}
-
-// load builds the table from bench.Runners and the specs under dir. A
-// spec may not take a runner's id: every id has one entry.
-func load(dir string) (table, error) {
-	list, err := scenario.LoadDir(dir)
-	if err != nil {
-		return table{}, err
+// pick returns exp's specs: the one with that id, or every spec (in id
+// order) for "all"; nil for an unknown id.
+func pick(specs []*scenario.Spec, exp string) []*scenario.Spec {
+	if exp == "all" {
+		return specs
 	}
-	runners := ids(bench.Runners)
-	all := []bench.Runner{bench.Runners[0]}
-	for _, s := range list {
-		if runners[s.ID] {
-			return table{}, fmt.Errorf("spec id %q is already a runner's", s.ID)
-		}
-		all = append(all, bench.Runner{ID: s.ID, Fig: func(o *bench.Options) (bench.Figure, error) {
-			return scenario.Run(s, o)
-		}})
-	}
-	t := table{all: append(all, bench.Runners[1:]...)}
-	t.specs = t.all[1 : 1+len(list)]
-	return t, nil
-}
-
-// ids returns the set of the runners' ids.
-func ids(rs []bench.Runner) map[string]bool {
-	set := make(map[string]bool, len(rs))
-	for _, r := range rs {
-		set[r.ID] = true
-	}
-	return set
-}
-
-// idList joins the runners' ids in table order.
-func idList(rs []bench.Runner) string {
-	l := make([]string, len(rs))
-	for i, r := range rs {
-		l[i] = r.ID
-	}
-	return strings.Join(l, " ")
-}
-
-// targets resolves an id or meta target to its entries.
-func (t table) targets(id string) []bench.Runner {
-	switch id {
-	case "all":
-		return t.all
-	case "scenarios":
-		return t.specs
-	}
-	for _, r := range t.all {
-		if r.ID == id {
-			return []bench.Runner{r}
+	for _, s := range specs {
+		if s.ID == exp {
+			return []*scenario.Spec{s}
 		}
 	}
 	return nil
 }
 
+// idList joins the specs' ids.
+func idList(specs []*scenario.Spec) string {
+	l := make([]string, len(specs))
+	for i, s := range specs {
+		l[i] = s.ID
+	}
+	return strings.Join(l, " ")
+}
+
 func main() {
 	var (
-		exp = flag.String("exp", "all",
-			"experiment id (-list shows every one), \"scenarios\" for the spec matrix, or \"all\": t1, every spec by id, then the other runners")
+		exp     = flag.String("exp", "all", "experiment id (-list shows every one), or \"all\": every spec under -scenarios, in id order")
 		quick   = flag.Bool("quick", false, "reduced-fidelity fast mode")
 		scnDir  = flag.String("scenarios", "scenarios", "scenario spec directory")
 		baseDir = flag.String("baseline", "testdata/scenarios", "pin directory")
@@ -112,27 +71,25 @@ func main() {
 		opts = bench.QuickOptions()
 	}
 
-	tab, err := load(*scnDir)
+	specs, err := scenario.LoadDir(*scnDir)
 	if err != nil {
 		fatal("-scenarios %s: %v", *scnDir, err)
 	}
 
 	if *list {
-		fmt.Printf("experiments: %s\n", idList(tab.all))
-		fmt.Printf("scenario specs (%s): %s\n", *scnDir, idList(tab.specs))
-		fmt.Printf("meta: all scenarios\n")
+		fmt.Printf("experiments (%s): %s all\n", *scnDir, idList(specs))
 		return
 	}
 
-	rs := tab.targets(strings.ToLower(*exp))
+	rs := pick(specs, strings.ToLower(*exp))
 	if rs == nil {
 		fmt.Fprintf(os.Stderr, "grape6bench: unknown experiment %q\n", *exp)
-		fmt.Fprintf(os.Stderr, "known: %s all scenarios\n", idList(tab.all))
+		fmt.Fprintf(os.Stderr, "known: %s all\n", idList(specs))
 		os.Exit(2)
 	}
 	ok := true
-	for _, r := range rs {
-		ok = run(r, opts, *baseDir, *jsonOut, *doDiff, *update) && ok
+	for _, s := range rs {
+		ok = run(s, opts, *baseDir, *jsonOut, *doDiff, *update) && ok
 	}
 	if !ok {
 		os.Exit(1)
@@ -141,8 +98,8 @@ func main() {
 
 // run executes one experiment and applies the requested output and pin
 // actions. It returns false when a diff found differences.
-func run(r bench.Runner, opts *bench.Options, pinDir string, jsonOut, doDiff, update bool) bool {
-	fig, err := r.Run(opts)
+func run(s *scenario.Spec, opts *bench.Options, pinDir string, jsonOut, doDiff, update bool) bool {
+	fig, err := scenario.Run(s, opts)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -150,23 +107,23 @@ func run(r bench.Runner, opts *bench.Options, pinDir string, jsonOut, doDiff, up
 		if err := scenario.WriteBaseline(pinDir, fig); err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("%s: pin written to %s\n", r.ID, scenario.BaselinePath(pinDir, fig.ID, fig.Fidelity))
+		fmt.Printf("%s: pin written to %s\n", s.ID, scenario.BaselinePath(pinDir, fig.ID, fig.Fidelity))
 	}
 	ok := true
 	if doDiff {
-		base, err := scenario.LoadBaseline(pinDir, r.ID, fig.Fidelity)
+		base, err := scenario.LoadBaseline(pinDir, s.ID, fig.Fidelity)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "grape6bench: %v\n", err)
 			ok = false
 		} else if ps := scenario.Diff(fig, base, nil); len(ps) > 0 {
-			fmt.Fprint(os.Stderr, scenario.FormatProblems(r.ID, ps))
+			fmt.Fprint(os.Stderr, scenario.FormatProblems(s.ID, ps))
 			ok = false
 		} else {
 			points := 0
 			for _, fs := range fig.Series {
 				points += len(fs.Points)
 			}
-			fmt.Printf("%s: ok (%d series, %d points identical to the pin)\n", r.ID, len(fig.Series), points)
+			fmt.Printf("%s: ok (%d series, %d points identical to the pin)\n", s.ID, len(fig.Series), points)
 		}
 	}
 	if jsonOut || (!doDiff && !update) {

@@ -31,16 +31,12 @@ func measureStepRatio(sys *nbody.System) (float64, error) {
 	return tree.StepRatio(sys.Step), nil
 }
 
-// RunAblationMantissa demonstrates the word-length design rule of Section
+// runAblationMantissa demonstrates the word-length design rule of Section
 // 3.4 ("the word length itself is chosen as such"): below ~28 pipeline
 // mantissa bits the Aarseth timestep criterion is dominated by arithmetic
 // noise and the block count explodes.
-func RunAblationMantissa(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "a1",
-		Title: "ablation: pipeline mantissa width vs block-step count",
-		Paper: "design-rule reproduction: word lengths chosen so arithmetic error never drives the integrator",
-	}
+func runAblationMantissa(o *Options) (Figure, error) {
+	var e Figure
 	n := 48
 	until := 0.05
 	if o.Quick {
@@ -70,19 +66,14 @@ func RunAblationMantissa(o *Options) (Figure, error) {
 		s.Points = append(s.Points, Point{N: int(mant), Value: float64(nb)})
 	}
 	e.Series = append(e.Series, s)
-	e.Notes = append(e.Notes, "x = mantissa bits; blow-up at the short end is the timestep-noise cliff")
 	return e, nil
 }
 
-// RunAblationAccumulator quantifies the block-floating-point accumulator
+// runAblationAccumulator quantifies the block-floating-point accumulator
 // width against force accuracy — the other half of the Section 3.4
 // number-format design.
-func RunAblationAccumulator(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "a2",
-		Title: "ablation: accumulator fraction bits vs force error",
-		Paper: "fixed-point block-float summation: error set by quantization, not by N or order",
-	}
+func runAblationAccumulator(o *Options) (Figure, error) {
+	var e Figure
 	n := 256
 	sys := model.Plummer(n, xrand.New(Seed))
 	eps := 1.0 / 64
@@ -121,21 +112,16 @@ func RunAblationAccumulator(o *Options) (Figure, error) {
 		s.Points = append(s.Points, Point{N: int(frac), Value: maxRel})
 	}
 	e.Series = append(e.Series, s)
-	e.Notes = append(e.Notes, "x = accumulator fraction bits below the block exponent")
 	return e, nil
 }
 
-// RunAblationVMP reproduces the Section 3.4 parallelism-degree argument:
+// runAblationVMP reproduces the Section 3.4 parallelism-degree argument:
 // the efficiency of a machine whose pipelines serve B i-particles per pass
 // collapses when typical blocks are smaller than B. GRAPE-6 chose local
 // memories to keep B at 48 per chip; a GRAPE-4-style shared-memory design
 // would have pushed it to ~1000.
-func RunAblationVMP(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "a3",
-		Title: "ablation: i-parallelism degree vs single-node efficiency",
-		Paper: "Section 3.4: degree ~1000 'too large ... for star clusters with small, high-density cores'",
-	}
+func runAblationVMP(o *Options) (Figure, error) {
+	var e Figure
 	w, err := o.Workload(units.SoftConstant)
 	if err != nil {
 		return e, err
@@ -153,16 +139,12 @@ func RunAblationVMP(o *Options) (Figure, error) {
 	return e, nil
 }
 
-// RunAblationGrape4 compares the predecessor machine against GRAPE-6
+// runAblationGrape4 compares the predecessor machine against GRAPE-6
 // configurations — Section 3's design-evolution argument ("two orders of
 // magnitude faster than that of GRAPE-4" at scale, but with carefully
 // bounded i-parallelism so that small-core star clusters still run well).
-func RunAblationGrape4(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "a6",
-		Title: "ablation: GRAPE-4 (1 Tflops, batch 384) vs GRAPE-6 configurations",
-		Paper: "Section 3: ~100x chip speedup; parallelism kept ≤400 'not much different from full-size GRAPE-4'",
-	}
+func runAblationGrape4(o *Options) (Figure, error) {
+	var e Figure
 	w, err := o.Workload(units.SoftConstant)
 	if err != nil {
 		return e, err
@@ -189,16 +171,12 @@ func RunAblationGrape4(o *Options) (Figure, error) {
 	return e, nil
 }
 
-// RunAblationHostGrid compares the paper's two topology options (Section
+// runAblationHostGrid compares the paper's two topology options (Section
 // 3.2): the r²-host grid (each host needs only O(N/r) communication but
 // you need r² hosts) versus the GRAPE-side hardware network with a 1-D
 // host array. We compare predicted per-block synchronization+exchange cost.
-func RunAblationHostGrid(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "a5",
-		Title: "ablation: r^2-host grid vs GRAPE hardware network (sync cost per block)",
-		Paper: "Section 3.2: the hybrid chosen 'to make a reasonable compromise'",
-	}
+func runAblationHostGrid(o *Options) (Figure, error) {
+	var e Figure
 	w, err := o.Workload(units.SoftConstant)
 	if err != nil {
 		return e, err
@@ -222,7 +200,5 @@ func RunAblationHostGrid(o *Options) (Figure, error) {
 		hwCost.Points = append(hwCost.Points, Point{N: n, Value: hw})
 	}
 	e.Series = append(e.Series, gridCost, hwCost)
-	e.Notes = append(e.Notes,
-		"the hardware network wins per block, but offers no sub-machine partitioning — the flexibility trade the paper describes")
 	return e, nil
 }

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: the Figure every experiment
 // produces, the Options (fidelity, seed, cached workload fits) every
-// experiment reads, and Runners — the tables, application estimates,
-// ablations and validation run that have no scenario spec. Figs. 13-19 and
-// the cosim sweep are specs under scenarios/, run by internal/scenario.
+// experiment reads, and Experiments — the tables, application estimates,
+// ablations and validation run that are Go code rather than a curve over a
+// machine matrix. Every experiment id is a spec under scenarios/, run by
+// internal/scenario; a spec of kind "go" runs its Experiments entry.
 package bench
 
 import (
@@ -44,32 +45,20 @@ type Figure struct {
 	Notes    []string `json:"notes,omitempty"`
 }
 
-// Runner is one experiment id and the function that makes its figure.
-type Runner struct {
-	ID  string
-	Fig func(*Options) (Figure, error)
-}
-
-// Run executes the experiment and returns its figure stamped.
-func (r Runner) Run(o *Options) (Figure, error) {
-	f, err := r.Fig(o)
-	o.Stamp(&f)
-	return f, err
-}
-
-// Runners is every experiment without a spec, in report order: a full
-// report prints the spec figures after the first entry.
-var Runners = []Runner{
-	{ID: "t1", Fig: func(*Options) (Figure, error) { return RunT1(), nil }},
-	{ID: "t5ab", Fig: RunApplications},
-	{ID: "t5c", Fig: RunTreecode},
-	{ID: "a1", Fig: RunAblationMantissa},
-	{ID: "a2", Fig: RunAblationAccumulator},
-	{ID: "a3", Fig: RunAblationVMP},
-	{ID: "a5", Fig: RunAblationHostGrid},
-	{ID: "a6", Fig: RunAblationGrape4},
-	{ID: "a7", Fig: RunAblationNeighbourScheme},
-	{ID: "v1", Fig: RunValidation},
+// Experiments holds the figure function of every go-kind spec, by id.
+// A function returns the series and the notes it computes; the spec
+// holds the id, title, paper claim and fixed notes.
+var Experiments = map[string]func(*Options) (Figure, error){
+	"t1":   runT1,
+	"t5ab": runApplications,
+	"t5c":  runTreecode,
+	"a1":   runAblationMantissa,
+	"a2":   runAblationAccumulator,
+	"a3":   runAblationVMP,
+	"a5":   runAblationHostGrid,
+	"a6":   runAblationGrape4,
+	"a7":   runAblationNeighbourScheme,
+	"v1":   runValidation,
 }
 
 // Seed makes the stochastic parts of every experiment reproducible: the

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"bytes"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,14 +16,8 @@ import (
 	"grape6/internal/xrand"
 )
 
-// sharedOpts caches workload fits across tests in this package.
-var sharedOpts = QuickOptions()
-
-// For the external tests of pin_test.go and paper_test.go.
-var (
-	SharedOpts = sharedOpts
-	Labels     = labels
-)
+// Labels is for the external tests of paper_test.go.
+var Labels = labels
 
 func labels(e Figure) []string {
 	var out []string
@@ -80,18 +72,6 @@ func TestWorkloadConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestFormatOutput(t *testing.T) {
-	e := RunT1()
-	var buf bytes.Buffer
-	e.Format(&buf)
-	out := buf.String()
-	for _, want := range []string{"t1", "peak speed", "N=2048", "paper:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("formatted output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // settledGoroutines returns runtime.NumGoroutine once it has held still for
 // 20 ms: a closed pool's workers may still be unwinding.
 func settledGoroutines() int {
@@ -107,7 +87,7 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestEmulatorRunsReleaseWorkers holds the runners that build their own
+// TestEmulatorRunsReleaseWorkers holds the experiments that build their own
 // emulated arrays (a1 six, v1 two) and a core simulator on its own array to closing
 // them: an array spawns a GOMAXPROCS worker pool on its first force call,
 // and one left open strands those goroutines for the life of the process.
@@ -117,8 +97,8 @@ func TestEmulatorRunsReleaseWorkers(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"a1", func() error { _, err := RunAblationMantissa(sharedOpts); return err }},
-		{"v1", func() error { _, err := RunValidation(sharedOpts); return err }},
+		{"a1", func() error { _, err := runAblationMantissa(QuickOptions()); return err }},
+		{"v1", func() error { _, err := runValidation(QuickOptions()); return err }},
 		{"core", func() error {
 			hw := board.Default
 			hw.ChipsPerModule, hw.ModulesPerBoard, hw.Boards = 2, 2, 1

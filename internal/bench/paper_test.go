@@ -2,14 +2,14 @@
 // the ablations and the validation run must show whatever the pins say —
 // crossovers, the 1/N regime, the tuning gain — so that a careless
 // -update cannot re-pin a claim away. The checks read the pins
-// themselves: TestAllRuns and internal/scenario's
-// TestCommittedBaselineDiffsClean hold every run to its pin, so a claim
-// the pin keeps is a claim the run keeps, and no figure is made twice.
-// The pins are read with scenario, which imports bench, hence the
-// external test package.
+// themselves: internal/scenario's TestCommittedBaselineDiffsClean holds
+// every experiment to its pin, so a claim the pin keeps is a claim the run
+// keeps, and no figure is made twice. The pins are read with scenario,
+// which imports bench, hence the external test package.
 package bench_test
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"strings"
@@ -18,6 +18,29 @@ import (
 	"grape6/internal/bench"
 	"grape6/internal/scenario"
 )
+
+const pinDir = "../../testdata/scenarios"
+
+// TestFormatOutput: the text report of t1, made from its spec, names the
+// experiment, its series and points, and quotes the paper's claim.
+func TestFormatOutput(t *testing.T) {
+	spec, err := scenario.Load("../../scenarios/t1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := scenario.Run(spec, bench.QuickOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	e.Format(&buf)
+	out := buf.String()
+	for _, want := range []string{"== t1: hardware peak-speed inventory ==", "peak speed", "N=2048", "paper: chip 30.8 Gflops"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("formatted output missing %q:\n%s", want, out)
+		}
+	}
+}
 
 // quickFigure returns experiment id's committed quick-fidelity figure.
 func quickFigure(t *testing.T, id string) bench.Figure {

@@ -14,14 +14,10 @@ import (
 	"grape6/internal/xrand"
 )
 
-// RunT1 reproduces the hardware inventory of Sections 1-2: peak speeds of
+// runT1 reproduces the hardware inventory of Sections 1-2: peak speeds of
 // chip, board, cluster and full machine under the 57-flops convention.
-func RunT1() Figure {
-	e := Figure{
-		ID:    "t1",
-		Title: "hardware peak-speed inventory",
-		Paper: "chip 30.8 Gflops; 2048 chips; total 63.04 Tflops (Section 1)",
-	}
+func runT1(*Options) (Figure, error) {
+	var e Figure
 	c := chip.Default
 	s := Series{Label: "peak speed", Units: "Gflops"}
 	s.Points = append(s.Points,
@@ -31,23 +27,17 @@ func RunT1() Figure {
 		Point{N: 2048, Value: perfmodel.MultiCluster(4, simnet.NS83820, perfmodel.Athlon).PeakFlops() / 1e9},
 	)
 	e.Series = append(e.Series, s)
-	e.Notes = append(e.Notes,
-		"x = chip count: 1 chip, 1 board (32), 1 cluster (512), full machine (2048)",
-		fmt.Sprintf("i-parallelism per chip: %d (6 pipelines x 8-way VMP)", c.IBatch()))
-	return e
+	e.Notes = append(e.Notes, fmt.Sprintf("i-parallelism per chip: %d (6 pipelines x 8-way VMP)", c.IBatch()))
+	return e, nil
 }
 
-// RunApplications reproduces the Section 5 application accounting: the
+// runApplications reproduces the Section 5 application accounting: the
 // Kuiper-belt and black-hole-binary production runs. When a workload fit
 // is available the per-step cost is weighted over the block-size
 // distribution (EstimateApplicationTrace); otherwise the mean-block model
 // is used.
-func RunApplications(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "t5ab",
-		Title: "application runs: Kuiper belt (1.8M) and BH binary (2M)",
-		Paper: "16.30 h / 33.4 Tflops and 37.19 h / 35.3 Tflops",
-	}
+func runApplications(o *Options) (Figure, error) {
+	var e Figure
 	w, err := o.Workload(units.SoftConstant)
 	if err != nil {
 		return e, err
@@ -68,17 +58,13 @@ func RunApplications(o *Options) (Figure, error) {
 	return e, nil
 }
 
-// RunTreecode reproduces the Section 5 treecode comparison: particle steps
+// runTreecode reproduces the Section 5 treecode comparison: particle steps
 // per second of GRAPE-6 against the treecodes the paper cites, with the
 // shared-vs-individual timestep and accuracy corrections applied; plus the
 // work per particle step of this machine's own Barnes-Hut implementation,
 // counted in tree interaction terms.
-func RunTreecode(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "t5c",
-		Title: "treecode comparison: particle steps per second",
-		Paper: "GRAPE-6 ~3.3e5 steps/s; Gadget/T3E(16) ~1e4; ASCI-Red 2.55e6 (shared step)",
-	}
+func runTreecode(o *Options) (Figure, error) {
+	var e Figure
 
 	// Model-side GRAPE-6 rate at the application scale.
 	w, err := o.Workload(units.SoftConstant)
@@ -97,9 +83,6 @@ func RunTreecode(o *Options) (Figure, error) {
 		Point{N: 4, Value: 2.55e6 / 100 / 5}, // ASCI Red corrected: /100 step count, /5 accuracy
 	)
 	e.Series = append(e.Series, s)
-	e.Notes = append(e.Notes,
-		"x index: 1=GRAPE-6 (model), 2=Gadget/T3E16 (quoted), 3=ASCI-Red shared-step (quoted), 4=ASCI-Red after x100 step-count and x5 accuracy corrections (the paper's ~1/70 argument)",
-	)
 
 	// This machine's own treecode on a Plummer model: the mean length of
 	// the interaction list a particle step walks. A count, so the figure

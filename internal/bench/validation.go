@@ -12,16 +12,12 @@ import (
 	"grape6/internal/xrand"
 )
 
-// RunValidation is the cross-cutting accuracy experiment: it integrates
+// runValidation is the cross-cutting accuracy experiment: it integrates
 // the same Plummer model on the float64 reference and on the emulated
 // GRAPE-6 hardware, reporting trajectory deviation and energy drift, and
 // verifies the machine-size bit-invariance of Section 3.4 end to end.
-func RunValidation(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "v1",
-		Title: "validation: emulated hardware vs float64 reference",
-		Paper: "Section 3.4: word lengths chosen so arithmetic never affects the simulation; results machine-size independent",
-	}
+func runValidation(o *Options) (Figure, error) {
+	var e Figure
 	n := 64
 	until := 0.25
 	if o.Quick {
@@ -85,9 +81,7 @@ func RunValidation(o *Options) (Figure, error) {
 		Point{N: 4, Value: boolTo01(bitIdentical)}, // 1-board vs 4-board bit identity
 	)
 	e.Series = append(e.Series, s)
-	e.Notes = append(e.Notes,
-		"x: 1=max |Δx| HW vs float64, 2=|dE/E| reference, 3=|dE/E| hardware, 4=bit-identity across board counts (1=yes)",
-		fmt.Sprintf("N=%d, t=%g, eps=1/64", n, until))
+	e.Notes = append(e.Notes, fmt.Sprintf("N=%d, t=%g, eps=1/64", n, until))
 	if !bitIdentical {
 		e.Notes = append(e.Notes, "WARNING: machine-size bit-invariance violated")
 	}
@@ -101,16 +95,12 @@ func boolTo01(b bool) float64 {
 	return 0
 }
 
-// RunAblationNeighbourScheme measures the Ahmad-Cohen neighbour scheme's
+// runAblationNeighbourScheme measures the Ahmad-Cohen neighbour scheme's
 // pairwise-work saving over the plain Hermite integrator — the software
 // optimisation layered on the same hardware, from the paper's reference
 // [10] (Makino & Aarseth 1992).
-func RunAblationNeighbourScheme(o *Options) (Figure, error) {
-	e := Figure{
-		ID:    "a7",
-		Title: "ablation: Ahmad-Cohen neighbour scheme pairwise-work saving",
-		Paper: "reference [10]: neighbour scheme + Hermite, the NBODY-family algorithm",
-	}
+func runAblationNeighbourScheme(o *Options) (Figure, error) {
+	var e Figure
 	ns := []int{128, 256}
 	if !o.Quick {
 		ns = []int{128, 256, 512}
@@ -139,6 +129,5 @@ func RunAblationNeighbourScheme(o *Options) (Figure, error) {
 		})
 	}
 	e.Series = append(e.Series, saving)
-	e.Notes = append(e.Notes, "saving grows with N: regular (full-N) force evaluations become rarer relative to neighbour work")
 	return e, nil
 }

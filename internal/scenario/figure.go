@@ -3,7 +3,6 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,17 +15,6 @@ import (
 // the type itself cannot live here, since this package imports
 // bench.Options.
 type Figure = bench.Figure
-
-// ReadFigure decodes a figure JSON stream.
-func ReadFigure(r io.Reader) (Figure, error) {
-	var f Figure
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return Figure{}, fmt.Errorf("scenario: %w", err)
-	}
-	return f, nil
-}
 
 // BaselinePath names an experiment's pin, its committed figure at a
 // fidelity tier: <dir>/<id>.<fidelity>.json.
@@ -48,9 +36,11 @@ func LoadBaseline(dir, id, fidelity string) (Figure, error) {
 		return Figure{}, err
 	}
 	defer file.Close()
-	f, err := ReadFigure(file)
-	if err != nil {
-		return Figure{}, fmt.Errorf("%s: %w", path, err)
+	var f Figure
+	dec := json.NewDecoder(file)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
+		return Figure{}, fmt.Errorf("%s: scenario: %w", path, err)
 	}
 	return f, nil
 }

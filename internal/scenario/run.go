@@ -23,7 +23,8 @@ const (
 
 // Run executes the spec's cross-product through the existing harness
 // layers and returns the figure: one series per expanded cell, points
-// sorted by x.
+// sorted by x. A go-kind spec's figure is its bench.Experiments
+// function's series, and the spec's notes followed by the computed ones.
 func Run(s *Spec, o *bench.Options) (Figure, error) {
 	cells, err := s.Expand()
 	if err != nil {
@@ -32,6 +33,15 @@ func Run(s *Spec, o *bench.Options) (Figure, error) {
 	fig := Figure{
 		ID: s.ID, Title: s.Title, Paper: s.Paper,
 		Notes: append([]string(nil), s.Notes...),
+	}
+	if s.Kind == "go" {
+		f, err := bench.Experiments[s.ID](o)
+		if err != nil {
+			return Figure{}, fmt.Errorf("scenario %s: %w", s.ID, err)
+		}
+		fig.Series, fig.Notes = f.Series, append(fig.Notes, f.Notes...)
+		o.Stamp(&fig)
+		return fig, nil
 	}
 	if s.Kind != "cosim" {
 		if err := fitWorkloads(s, o, cells); err != nil {

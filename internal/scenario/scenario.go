@@ -1,10 +1,12 @@
-// Package scenario is the declarative experiment matrix: a Spec names
-// particle counts, softening choices and backend topologies (direct model
-// curves, GRAPE fleets, message-level co-simulation), and Run expands the
-// cross-product through the existing bench/timing/parallel/perfmodel
-// layers into a figure. Every figure is pinned under testdata/scenarios/,
-// and Diff reports each way a figure differs from its pin: a figure
-// diffs clean only when it would Write its pin's bytes.
+// Package scenario is the experiment table: every experiment id is one
+// Spec under scenarios/. A declarative spec names particle counts,
+// softening choices and backend topologies (direct model curves, GRAPE
+// fleets, message-level co-simulation), and Run expands the cross-product
+// through the existing bench/timing/parallel/perfmodel layers into a
+// figure; a spec of kind "go" runs its bench.Experiments function instead.
+// Every figure is pinned under testdata/scenarios/, and Diff reports each
+// way a figure differs from its pin: a figure diffs clean only when it
+// would Write its pin's bytes.
 //
 // The spec grammar and the add-a-row / re-pin workflows are documented in
 // DESIGN.md §4.
@@ -13,12 +15,12 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"grape6/internal/bench"
 	"grape6/internal/board"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
@@ -29,14 +31,15 @@ import (
 	"grape6/internal/xrand"
 )
 
-// Spec is one declarative experiment: a figure identity plus the axes
-// whose cross-product the runner executes.
+// Spec is one experiment: a figure identity plus the axes whose
+// cross-product Run executes, or, for kind "go", none.
 type Spec struct {
 	ID    string `json:"id"`
 	Title string `json:"title"`
-	// Kind selects the runner: "speed" (flops vs N through the timing
-	// simulator), "timeperstep" (seconds per particle step vs N), or
-	// "cosim" (message-level co-simulation step rates vs host count).
+	// Kind selects how Run makes the figure: "speed" (flops vs N through
+	// the timing simulator), "timeperstep" (seconds per particle step vs
+	// N), "cosim" (message-level co-simulation step rates vs host count),
+	// or "go" (bench.Experiments[ID], which declares no axis).
 	Kind  string `json:"kind"`
 	Paper string `json:"paper,omitempty"` // the paper's reported result
 
@@ -159,17 +162,6 @@ func LoadDir(dir string) ([]*Spec, error) {
 	return specs, nil
 }
 
-// Emit re-serialises the spec in the committed format (indented,
-// stable field order): parse → Emit → Parse is the identity.
-func (s *Spec) Emit(w io.Writer) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "%s\n", data)
-	return err
-}
-
 // Validate reports grammar errors.
 func (s *Spec) Validate() error {
 	_, err := s.Expand()
@@ -183,9 +175,18 @@ func (s *Spec) Expand() ([]Cell, error) {
 		return nil, fmt.Errorf("scenario: spec without id")
 	}
 	switch s.Kind {
+	case "go":
+		if _, ok := bench.Experiments[s.ID]; !ok {
+			return nil, fmt.Errorf("scenario %s: kind go, but bench.Experiments has no %q", s.ID, s.ID)
+		}
+		if len(s.Machines) > 0 || len(s.Softening) > 0 || s.Unit != "" ||
+			s.N != 0 || s.QuickN != 0 || s.TEnd != 0 || s.QuickTEnd != 0 {
+			return nil, fmt.Errorf("scenario %s: a go-kind spec declares no axis", s.ID)
+		}
+		return nil, nil
 	case "speed", "timeperstep", "cosim":
 	default:
-		return nil, fmt.Errorf("scenario %s: unknown kind %q (want speed, timeperstep or cosim)", s.ID, s.Kind)
+		return nil, fmt.Errorf("scenario %s: unknown kind %q (want speed, timeperstep, cosim or go)", s.ID, s.Kind)
 	}
 	if len(s.Machines) == 0 {
 		return nil, fmt.Errorf("scenario %s: no machines", s.ID)

@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -207,27 +209,24 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTrip: every committed spec parses, validates, re-emits to
-// an equivalent spec, and expands deterministically.
+// TestSpecRoundTrip: every committed spec parses, validates, marshals back
+// to an equivalent spec, and expands deterministically.
 func TestSpecRoundTrip(t *testing.T) {
 	specs, err := LoadDir(specDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) < 8 {
-		t.Fatalf("expected the figure matrix, found %d specs", len(specs))
-	}
 	for _, s := range specs {
-		var b strings.Builder
-		if err := s.Emit(&b); err != nil {
-			t.Fatalf("%s: emit: %v", s.ID, err)
+		data, err := json.MarshalIndent(s, "", "  ")
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", s.ID, err)
 		}
-		back, err := Parse([]byte(b.String()))
+		back, err := Parse(data)
 		if err != nil {
 			t.Fatalf("%s: re-parse: %v", s.ID, err)
 		}
 		if !reflect.DeepEqual(s, back) {
-			t.Errorf("%s: parse -> emit -> parse not stable", s.ID)
+			t.Errorf("%s: parse -> marshal -> parse not stable", s.ID)
 		}
 		c1, err := s.Expand()
 		if err != nil {
@@ -241,24 +240,43 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBaselinesCommittedForEverySpec: every committed spec has a quick pin
-// that loads.
+// TestBaselinesCommittedForEverySpec is the pin inventory: 20 specs, each
+// with a quick pin that loads, no pin file without a spec, and a go-kind
+// spec for every bench.Experiments entry.
 func TestBaselinesCommittedForEverySpec(t *testing.T) {
 	specs, err := LoadDir(specDir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(specs) != 20 {
+		t.Errorf("%d specs, want 20", len(specs))
+	}
+	kinds := map[string]string{}
 	for _, s := range specs {
+		kinds[s.ID] = s.Kind
 		if _, err := LoadBaseline(pinDir, s.ID, "quick"); err != nil {
 			t.Errorf("%s: %v; run grape6bench -exp %s -quick -update", s.ID, err, s.ID)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(pinDir, "*.quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if id := strings.TrimSuffix(filepath.Base(f), ".quick.json"); kinds[id] == "" {
+			t.Errorf("%s pins no spec", f)
+		}
+	}
+	for id := range bench.Experiments {
+		if kinds[id] != "go" {
+			t.Errorf("bench.Experiments[%q] has no go-kind spec", id)
 		}
 	}
 }
 
 // TestCommittedBaselineDiffsClean runs each committed spec once at quick
-// fidelity: its figure diffs clean against its pin, whose file holds the
-// bytes Write gives. The runners' figures are checked the same way in
-// internal/bench.
+// fidelity, all on one Options so each workload is fitted once: its figure
+// diffs clean against its pin, whose file holds the bytes Write gives.
 func TestCommittedBaselineDiffsClean(t *testing.T) {
 	specs, err := LoadDir(specDir)
 	if err != nil {
@@ -304,6 +322,12 @@ func TestParseRejectsUnknownFieldsAndBadSpecs(t *testing.T) {
 		"empty sweep":    `{"id":"x","kind":"cosim","n":8,"t_end":0.1,"machines":[{"algo":"ring","nic":"ns83820","host":"athlon"}]}`,
 		"hybrid needs c": `{"id":"x","kind":"cosim","n":8,"t_end":0.1,"machines":[{"algo":"hybrid","nic":"ns83820","host":"athlon","sweep":[{"hosts":4}]}]}`,
 		"no id":          `{"kind":"speed","machines":[{"nic":"ns83820","host":"athlon"}]}`,
+		// A go-kind spec needs an Experiments entry and declares no axis.
+		"go without experiment": `{"id":"f20","kind":"go"}`,
+		"go with machines":      `{"id":"a6","kind":"go","machines":[{"nic":"ns83820","host":"athlon"}]}`,
+		"go with softening":     `{"id":"a6","kind":"go","softening":["const"]}`,
+		"go with unit":          `{"id":"a6","kind":"go","unit":"Tflops"}`,
+		"go with n":             `{"id":"a6","kind":"go","n":8,"t_end":0.1}`,
 		// Keys the grammar no longer has are unknown fields.
 		"ns":         `{"id":"x","kind":"speed","ns":[1000],"machines":[{"nic":"ns83820","host":"athlon"}]}`,
 		"quick_ns":   `{"id":"x","kind":"speed","quick_ns":[1000],"machines":[{"nic":"ns83820","host":"athlon"}]}`,
