@@ -2,12 +2,16 @@ package main
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"grape6/internal/scenario"
 )
 
-const specDir = "../../scenarios"
+const (
+	specDir = "../../scenarios"
+	pinDir  = "../../testdata/scenarios"
+)
 
 // TestMissingScenariosDirIsAnError: a mistyped -scenarios is an error, not
 // an empty table.
@@ -35,6 +39,34 @@ func TestPick(t *testing.T) {
 	for _, id := range []string{"scenarios", "f20", ""} {
 		if got := pick(specs, id); got != nil {
 			t.Errorf("%q picks %s", id, idList(got))
+		}
+	}
+}
+
+// TestEveryPin: every experiment -exp all runs has a pin that -diff can
+// load, and every pin file belongs to one of them.
+func TestEveryPin(t *testing.T) {
+	specs, err := scenario.LoadDir(specDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]bool{}
+	for _, s := range pick(specs, "all") {
+		pinned[s.ID] = true
+		if _, err := scenario.LoadBaseline(pinDir, s.ID, "quick"); err != nil {
+			t.Errorf("%s: %v", s.ID, err)
+		}
+	}
+	if len(pinned) != 20 {
+		t.Errorf("%d pinned experiments, want 20", len(pinned))
+	}
+	files, err := filepath.Glob(filepath.Join(pinDir, "*.quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if id := strings.TrimSuffix(filepath.Base(f), ".quick.json"); !pinned[id] {
+			t.Errorf("%s pins no experiment -exp all runs", f)
 		}
 	}
 }

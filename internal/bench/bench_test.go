@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -69,6 +70,54 @@ func TestWorkloadConcurrentCalls(t *testing.T) {
 	n := fits.Load()
 	if w, _ := o.Workload(units.SoftOverN); w != got[1] || fits.Load() != n {
 		t.Error("a cached kind was fitted again")
+	}
+}
+
+// TestAllRuns runs each Experiments entry once at quick fidelity, all on
+// one Options: it returns series and the notes it computes but no
+// identity or stamp, which come from its spec; every series is labelled
+// once and holds finite points. The figures are diffed against their pins
+// in internal/scenario, through the specs.
+func TestAllRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full harness in -short mode")
+	}
+	want := []string{"t1", "t5ab", "t5c", "a1", "a2", "a3", "a5", "a6", "a7", "v1"}
+	if len(Experiments) != len(want) {
+		t.Errorf("%d experiments, want %d", len(Experiments), len(want))
+	}
+	o := QuickOptions()
+	for _, id := range want {
+		run, ok := Experiments[id]
+		if !ok {
+			t.Errorf("missing experiment %s", id)
+			continue
+		}
+		fig, err := run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if fig.ID != "" || fig.Title != "" || fig.Paper != "" || fig.Fidelity != "" || fig.Seed != 0 {
+			t.Errorf("%s: figure carries %q/%q/%q/%q/%d, which its spec and Stamp own", id, fig.ID, fig.Title, fig.Paper, fig.Fidelity, fig.Seed)
+		}
+		if len(fig.Series) == 0 {
+			t.Errorf("%s: no series", id)
+		}
+		labels := map[string]bool{}
+		for _, s := range fig.Series {
+			if labels[s.Label] {
+				t.Errorf("%s: series %q twice", id, s.Label)
+			}
+			labels[s.Label] = true
+			if len(s.Points) == 0 {
+				t.Errorf("%s: series %q has no points", id, s.Label)
+			}
+			for _, p := range s.Points {
+				if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+					t.Errorf("%s: series %q N=%d is %v", id, s.Label, p.N, p.Value)
+				}
+			}
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // -update cannot re-pin a claim away. The checks read the pins
 // themselves: internal/scenario's TestCommittedBaselineDiffsClean holds
 // every experiment to its pin, so a claim the pin keeps is a claim the run
-// keeps, and no figure is made twice. The pins are read with scenario,
+// keeps, and these checks make no figure of their own. The pins are read with scenario,
 // which imports bench, hence the external test package.
 package bench_test
 
