@@ -9,12 +9,9 @@ import (
 	"strings"
 )
 
-// A Finding is one analyzer diagnostic. Findings of the call-graph
-// analyzers also carry the position of the chain's root function, so
-// package-scoped runs can match either end of a cross-package chain.
+// A Finding is one analyzer diagnostic.
 type Finding struct {
 	Pos      token.Position
-	Root     token.Position // zero for findings outside the call graph
 	Analyzer string
 	Message  string
 }
@@ -32,7 +29,7 @@ type Analyzer struct {
 
 // A Pass carries one analyzer's run over the module: every package and
 // the call graph built over them. Analyzers report through Reportf;
-// suppression via //grapelint:ignore happens in the driver.
+// suppression via //grapelint:ignore happens in Run.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkgs     []*Package
@@ -41,29 +38,20 @@ type Pass struct {
 	findings *[]Finding
 }
 
-// Reportf records a finding at pos. root is the chain's root function
-// for a call-graph finding (its position is attached so package-scoped
-// runs can match either end of a cross-package chain), nil otherwise.
-func (p *Pass) Reportf(root *Node, pos token.Pos, format string, args ...any) {
-	f := Finding{
+// Reportf records a finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	*p.findings = append(*p.findings, Finding{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	}
-	if root != nil {
-		f.Root = p.Fset.Position(root.Obj.Pos())
-	}
-	*p.findings = append(*p.findings, f)
+	})
 }
 
 // All returns every analyzer in the suite, in reporting order: the
-// two package-scoped checks, then the three closures over the module
-// call graph.
+// package-scoped check, then the three closures over the module call
+// graph.
 func All() []*Analyzer {
-	return []*Analyzer{
-		GfixedBoundary, GoroutineJoin,
-		NoAllocDeep, HotBlock, PurityDeep,
-	}
+	return []*Analyzer{GfixedBoundary, NoAllocDeep, HotBlock, PurityDeep}
 }
 
 const (
@@ -75,30 +63,19 @@ const (
 // ignoreEntry is one parsed //grapelint:ignore <analyzer> <reason>.
 type ignoreEntry struct {
 	analyzer string
-	file     string
-	line     int // line the directive appears on
-	pos      token.Position
-	used     bool // suppressed at least one finding (audit)
+	pos      token.Position // where the directive appears
+	used     bool           // suppressed at least one finding (audit)
 }
 
-// lineRange is the line extent of one statement.
-type lineRange struct{ start, end int }
-
 // suppressions is the module-wide //grapelint:ignore index: parsed
-// directives, malformed-directive findings, and per-file statement
-// extents so a directive on the line above a multi-line statement
-// covers findings anywhere inside it.
+// directives and malformed-directive findings.
 type suppressions struct {
 	entries map[string][]*ignoreEntry // file → directives
-	stmts   map[string][]lineRange    // file → statement line extents
 	bad     []Finding
 }
 
 func newSuppressions(pkgs []*Package) *suppressions {
-	s := &suppressions{
-		entries: make(map[string][]*ignoreEntry),
-		stmts:   make(map[string][]lineRange),
-	}
+	s := &suppressions{entries: make(map[string][]*ignoreEntry)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
@@ -117,67 +94,19 @@ func newSuppressions(pkgs []*Package) *suppressions {
 						})
 						continue
 					}
-					s.entries[pos.Filename] = append(s.entries[pos.Filename], &ignoreEntry{
-						analyzer: fields[0],
-						file:     pos.Filename,
-						line:     pos.Line,
-						pos:      pos,
-					})
+					s.entries[pos.Filename] = append(s.entries[pos.Filename], &ignoreEntry{analyzer: fields[0], pos: pos})
 				}
 			}
-			fname := pkg.Fset.Position(f.Pos()).Filename
-			ast.Inspect(f, func(n ast.Node) bool {
-				st, ok := n.(ast.Stmt)
-				if !ok {
-					return true
-				}
-				switch st.(type) {
-				case *ast.BlockStmt:
-					return true // too broad to anchor a directive to
-				}
-				s.stmts[fname] = append(s.stmts[fname], lineRange{
-					start: pkg.Fset.Position(st.Pos()).Line,
-					end:   pkg.Fset.Position(st.End()).Line,
-				})
-				return true
-			})
 		}
 	}
 	return s
 }
 
-// stmtStart returns the starting line of the innermost non-block
-// statement spanning the given line, or 0 if none does.
-func (s *suppressions) stmtStart(file string, line int) int {
-	best := lineRange{}
-	for _, r := range s.stmts[file] {
-		if r.start > line || r.end < line {
-			continue
-		}
-		if best.start == 0 || r.start > best.start ||
-			(r.start == best.start && r.end < best.end) {
-			best = r
-		}
-	}
-	return best.start
-}
-
-// match reports whether a finding is covered by an ignore directive on
-// the same line, the line directly above it, or the line directly above
-// the innermost statement containing it (so a directive above a
-// multi-line expression suppresses findings on its continuation lines).
+// match reports whether a finding is covered by an ignore directive
+// naming its analyzer on the same line or the line directly above it.
 func (s *suppressions) match(f Finding) bool {
-	entries := s.entries[f.Pos.Filename]
-	if len(entries) == 0 {
-		return false
-	}
-	stmtStart := s.stmtStart(f.Pos.Filename, f.Pos.Line)
-	for _, e := range entries {
-		if e.analyzer != f.Analyzer && e.analyzer != "all" {
-			continue
-		}
-		if e.line == f.Pos.Line || e.line == f.Pos.Line-1 ||
-			(stmtStart > 0 && e.line == stmtStart-1) {
+	for _, e := range s.entries[f.Pos.Filename] {
+		if e.analyzer == f.Analyzer && (e.pos.Line == f.Pos.Line || e.pos.Line == f.Pos.Line-1) {
 			e.used = true
 			return true
 		}
@@ -187,21 +116,16 @@ func (s *suppressions) match(f Finding) bool {
 
 // audit turns every directive that suppressed nothing into a finding:
 // stale suppressions hide future regressions and must be deleted (or
-// re-justified) when the code they excused goes away.
+// re-justified) when the code they excused goes away. Run sorts them.
 func (s *suppressions) audit() []Finding {
-	var files []string
-	for f := range s.entries {
-		files = append(files, f)
-	}
-	sort.Strings(files)
 	var out []Finding
-	for _, f := range files {
-		for _, e := range s.entries[f] {
+	for _, entries := range s.entries {
+		for _, e := range entries {
 			if !e.used {
 				out = append(out, Finding{
 					Pos:      e.pos,
 					Analyzer: "suppression",
-					Message:  fmt.Sprintf("unused suppression: no %s finding on this line or the statement below", e.analyzer),
+					Message:  fmt.Sprintf("unused suppression: no %s finding on this line or the line below", e.analyzer),
 				})
 			}
 		}
@@ -248,8 +172,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 }
 
 // sortFindings orders findings by (file, line, column, analyzer,
-// message) — a deterministic order so CI output and -json payloads can
-// be diffed across runs.
+// message) — a deterministic order so output can be diffed across runs.
 func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -146,10 +146,6 @@ func TestGfixedInsideIsExempt(t *testing.T) {
 	checkFixture(t, "gfixedclean", "grape6/internal/gfixed")
 }
 
-func TestGoroutineJoinFixture(t *testing.T) {
-	checkFixture(t, "goroutinejoin", "grape6/internal/board")
-}
-
 func TestIgnoreDirectives(t *testing.T) {
 	checkFixture(t, "ignore", "grape6/internal/gbackend")
 }

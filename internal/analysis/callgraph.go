@@ -31,10 +31,8 @@ import (
 //     analyzers decide per contract whether to traverse them (a
 //     goroutine's blocking op does not stall its spawner).
 //
-// Function literals are attributed to their enclosing declared
-// function: their calls and effects count as the encloser's, except
-// that calls and blocking ops inside the immediate `go func(){...}()`
-// idiom carry InGo so blocking analyzers can skip them.
+// A function literal's body is its encloser's: its calls and effects
+// count as those of the declared function it sits in, wherever it runs.
 
 // EdgeKind classifies how a call edge was resolved.
 type EdgeKind uint8
@@ -75,14 +73,12 @@ type Edge struct {
 	Pos    token.Pos // call/reference site
 	Kind   EdgeKind
 	Reason string // why a conservative edge exists ("" for exact kinds)
-	InGo   bool   // site lies inside an immediate `go func(){...}()` literal
 }
 
 // DynamicSite is a call the graph could not resolve to any declaration.
 type DynamicSite struct {
 	Pos    token.Pos
 	Reason string
-	InGo   bool // inside an immediate `go func(){...}()` literal
 }
 
 // Node is one declared module function or method.
@@ -242,7 +238,6 @@ func (b *graphBuilder) node(fn *types.Func) *Node {
 // to it, and appends edges and dynamic sites.
 func (b *graphBuilder) resolveBody(n *Node) {
 	info := n.Pkg.Info
-	inGo := goLitRanges(n.Decl.Body)
 
 	// Tag the call expressions that are go/defer targets, and the idents
 	// that appear in call-function position (so the reference pass can
@@ -259,7 +254,6 @@ func (b *graphBuilder) resolveBody(n *Node) {
 	})
 
 	funIdents := map[*ast.Ident]bool{}
-	before := len(n.Edges)
 	ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 		call, ok := x.(*ast.CallExpr)
 		if !ok {
@@ -268,11 +262,7 @@ func (b *graphBuilder) resolveBody(n *Node) {
 		if id := calleeIdent(call.Fun); id != nil {
 			funIdents[id] = true
 		}
-		kind, tagged := kindOf[call]
-		if !tagged {
-			kind = EdgeStatic
-		}
-		b.resolveCall(n, call, kind)
+		b.resolveCall(n, call, kindOf[call]) // EdgeStatic unless tagged
 		return true
 	})
 
@@ -294,48 +284,6 @@ func (b *graphBuilder) resolveBody(n *Node) {
 		}
 		return true
 	})
-
-	// Tag everything that sits inside an immediate `go func(){...}()`
-	// literal: its ops run on the spawned goroutine, not the caller's.
-	for i := before; i < len(n.Edges); i++ {
-		if n.Edges[i].Kind != EdgeGo && inGo.contains(n.Edges[i].Pos) {
-			n.Edges[i].InGo = true
-		}
-	}
-	for i := range n.Dynamics {
-		if inGo.contains(n.Dynamics[i].Pos) {
-			n.Dynamics[i].InGo = true
-		}
-	}
-}
-
-// posRanges is a set of [lo, hi] position intervals.
-type posRanges [][2]token.Pos
-
-func (r posRanges) contains(p token.Pos) bool {
-	for _, iv := range r {
-		if p >= iv[0] && p <= iv[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// goLitRanges returns the extents of every function literal launched
-// directly by a go statement: `go func(){ ... }()`.
-func goLitRanges(body *ast.BlockStmt) posRanges {
-	var out posRanges
-	ast.Inspect(body, func(x ast.Node) bool {
-		g, ok := x.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-			out = append(out, [2]token.Pos{lit.Pos(), lit.End()})
-		}
-		return true
-	})
-	return out
 }
 
 // calleeIdent returns the identifier naming the callee of fun, peeling
@@ -367,9 +315,7 @@ func (b *graphBuilder) resolveCall(n *Node, call *ast.CallExpr, kind EdgeKind) {
 			if tv, ok := info.Types[f.X]; !ok || tv.Type == nil {
 				return
 			} else if _, isFunc := tv.Type.(*types.Signature); !isFunc {
-				n.Dynamics = append(n.Dynamics, DynamicSite{
-					Pos: call.Pos(), Reason: "call of an indexed func value", InGo: kind == EdgeGo,
-				})
+				n.Dynamics = append(n.Dynamics, DynamicSite{Pos: call.Pos(), Reason: "call of an indexed func value"})
 				return
 			}
 			fun = ast.Unparen(f.X)
@@ -404,9 +350,7 @@ func (b *graphBuilder) resolveCall(n *Node, call *ast.CallExpr, kind EdgeKind) {
 				return // conversion to a type expression
 			}
 		}
-		n.Dynamics = append(n.Dynamics, DynamicSite{
-			Pos: call.Pos(), Reason: "call through unresolved identifier", InGo: kind == EdgeGo,
-		})
+		n.Dynamics = append(n.Dynamics, DynamicSite{Pos: call.Pos(), Reason: "call through unresolved identifier"})
 
 	case *ast.SelectorExpr:
 		if sel := info.Selections[f]; sel != nil {
@@ -417,7 +361,6 @@ func (b *graphBuilder) resolveCall(n *Node, call *ast.CallExpr, kind EdgeKind) {
 				n.Dynamics = append(n.Dynamics, DynamicSite{
 					Pos:    call.Pos(),
 					Reason: fmt.Sprintf("call through func-valued field %s", f.Sel.Name),
-					InGo:   kind == EdgeGo,
 				})
 			case types.MethodExpr:
 				if fn, ok := info.Uses[f.Sel].(*types.Func); ok {
@@ -443,25 +386,20 @@ func (b *graphBuilder) resolveCall(n *Node, call *ast.CallExpr, kind EdgeKind) {
 			n.Dynamics = append(n.Dynamics, DynamicSite{
 				Pos:    call.Pos(),
 				Reason: fmt.Sprintf("call through package-level func value %s", f.Sel.Name),
-				InGo:   kind == EdgeGo,
 			})
 			return
 		}
 		if tv, ok := info.Types[f]; ok && tv.IsType() {
 			return // conversion to a qualified type
 		}
-		n.Dynamics = append(n.Dynamics, DynamicSite{
-			Pos: call.Pos(), Reason: "call through unresolved selector", InGo: kind == EdgeGo,
-		})
+		n.Dynamics = append(n.Dynamics, DynamicSite{Pos: call.Pos(), Reason: "call through unresolved selector"})
 
 	default:
 		// Conversion like (func())(x), or a call of a call's result.
 		if tv, ok := info.Types[fun]; ok && tv.IsType() {
 			return
 		}
-		n.Dynamics = append(n.Dynamics, DynamicSite{
-			Pos: call.Pos(), Reason: "call of a non-identifier expression", InGo: kind == EdgeGo,
-		})
+		n.Dynamics = append(n.Dynamics, DynamicSite{Pos: call.Pos(), Reason: "call of a non-identifier expression"})
 	}
 }
 
@@ -570,6 +508,5 @@ func (b *graphBuilder) resolveFuncValue(n *Node, call *ast.CallExpr, id *ast.Ide
 	n.Dynamics = append(n.Dynamics, DynamicSite{
 		Pos:    call.Pos(),
 		Reason: fmt.Sprintf("call through func value %s (%d local bindings)", id.Name, len(bound)),
-		InGo:   kind == EdgeGo,
 	})
 }

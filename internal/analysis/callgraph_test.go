@@ -157,11 +157,6 @@ func TestDeterministicCrossPackage(t *testing.T) {
 		for _, f := range purity {
 			if strings.Contains(f.Message, want) {
 				found = true
-				// Root must point at the bit-exact fixture file so
-				// package-filtered CLI runs can match the chain's root.
-				if !strings.Contains(f.Root.Filename, "chiplike.go") {
-					t.Errorf("finding root %q, want chiplike.go", f.Root.Filename)
-				}
 			}
 		}
 		if !found {

@@ -93,17 +93,17 @@ func runNoAllocDeep(p *Pass) {
 					continue
 				}
 				if n.Noalloc {
-					p.Reportf(n, eff.Pos, "%s in noalloc function %s", eff.Desc, n.Name())
+					p.Reportf(eff.Pos, "%s in noalloc function %s", eff.Desc, n.Name())
 					continue
 				}
-				p.Reportf(root, eff.Pos, "%s in %s, reachable from //grape:noalloc kernel %s via %s",
+				p.Reportf(eff.Pos, "%s in %s, reachable from //grape:noalloc kernel %s via %s",
 					eff.Desc, n.Name(), root.Name(), chainString(p.Fset, via, root, n))
 			}
 			for _, dyn := range n.Dynamics {
 				if reported.seen(dyn.Pos, dyn.Reason) {
 					continue
 				}
-				p.Reportf(root, dyn.Pos, "unresolvable call (%s) in %s, reachable from //grape:noalloc kernel %s via %s: the noalloc contract cannot be verified past this call",
+				p.Reportf(dyn.Pos, "unresolvable call (%s) in %s, reachable from //grape:noalloc kernel %s via %s: the noalloc contract cannot be verified past this call",
 					dyn.Reason, n.Name(), root.Name(), chainString(p.Fset, via, root, n))
 			}
 		}
@@ -133,10 +133,11 @@ func (s effectSet) seen(pos token.Pos, desc string) bool {
 // ~40x an uncontended atomic, and a lock or wait can stall the whole
 // pipeline, so none of them may be reachable from a //grape:noalloc
 // kernel or a //grape:hotpath root (the board pool's force-pass
-// dispatch). go-statement edges and ops inside `go func(){...}()`
-// literals are not traversed: a spawned goroutine's blocking does not
-// stall its spawner (the spawn itself is the noalloc analyzer's
-// finding).
+// dispatch). go-statement edges to declared functions are not
+// traversed: a spawned goroutine's blocking does not stall its spawner
+// (the spawn itself is the noalloc analyzer's finding). The body of a
+// `go func(){...}()` literal counts as its encloser's, as every
+// literal's does.
 var HotBlock = &Analyzer{
 	Name: "hotblock",
 	Doc:  "forbid channel/lock/wait/sleep ops reachable from noalloc kernels and hot-path roots",
@@ -146,27 +147,22 @@ var HotBlock = &Analyzer{
 func runHotBlock(p *Pass) {
 	reported := effectSet{}
 	for _, root := range p.Graph.Roots(func(n *Node) bool { return n.Noalloc || n.Hotpath }) {
-		order, via := reachFrom(root, func(e Edge) bool {
-			return e.Kind != EdgeGo && !e.InGo
-		})
+		order, via := reachFrom(root, func(e Edge) bool { return e.Kind != EdgeGo })
 		rootKind := "//grape:hotpath root"
 		if root.Noalloc {
 			rootKind = "//grape:noalloc kernel"
 		}
 		for _, n := range order {
 			for _, eff := range n.Blocking {
-				if eff.InGo {
-					continue
-				}
 				if reported.seen(eff.Pos, eff.Desc) {
 					continue
 				}
 				if n == root {
-					p.Reportf(root, eff.Pos, "%s on the hot path in %s (%s)",
+					p.Reportf(eff.Pos, "%s on the hot path in %s (%s)",
 						eff.Desc, n.Name(), rootKind)
 					continue
 				}
-				p.Reportf(root, eff.Pos, "%s in %s, reachable from %s %s via %s",
+				p.Reportf(eff.Pos, "%s in %s, reachable from %s %s via %s",
 					eff.Desc, n.Name(), rootKind, root.Name(), chainString(p.Fset, via, root, n))
 			}
 		}
@@ -199,16 +195,16 @@ func runPurityDeep(p *Pass) {
 					continue
 				}
 				if isBitExactPath(n.Pkg.Path) {
-					p.Reportf(n, eff.Pos, "%s in bit-exact package", eff.Desc)
+					p.Reportf(eff.Pos, "%s in bit-exact package", eff.Desc)
 					continue
 				}
-				p.Reportf(root, eff.Pos, "%s in %s, reachable from bit-exact package function %s via %s",
+				p.Reportf(eff.Pos, "%s in %s, reachable from bit-exact package function %s via %s",
 					eff.Desc, n.Name(), root.Name(), chainString(p.Fset, via, root, n))
 			}
 		}
 	}
 	emit := func(pos token.Pos, desc string) {
-		p.Reportf(nil, pos, "%s in bit-exact package", desc)
+		p.Reportf(pos, "%s in bit-exact package", desc)
 	}
 	for _, pkg := range p.Pkgs {
 		if !isBitExactPath(pkg.Path) {

@@ -14,23 +14,17 @@ import (
 type Effect struct {
 	Pos  token.Pos
 	Desc string
-	InGo bool // blocking ops only: inside an immediate `go func(){...}()` literal
 }
 
 // collectEffects fills a node's local effect lists. Nested function
-// literals are attributed to the declaring function; blocking ops inside
-// literals launched directly by a go statement are tagged InGo (they
-// run on the spawned goroutine and do not stall the caller). An
-// allocation or a nondeterministic op counts wherever it runs, so those
-// carry no tag.
+// literals are attributed to the declaring function, wherever they run.
 func collectEffects(n *Node) {
 	info, tpkg, fd := n.Pkg.Info, n.Pkg.Types, n.Decl
 	forEachAlloc(info, tpkg, fd, func(pos token.Pos, desc string) {
 		n.Allocs = append(n.Allocs, Effect{Pos: pos, Desc: desc})
 	})
-	inGo := goLitRanges(fd.Body)
 	forEachBlocking(info, fd, func(pos token.Pos, desc string) {
-		n.Blocking = append(n.Blocking, Effect{Pos: pos, Desc: desc, InGo: inGo.contains(pos)})
+		n.Blocking = append(n.Blocking, Effect{Pos: pos, Desc: desc})
 	})
 	forEachPurity(info, fd.Body, func(pos token.Pos, desc string) {
 		n.Purity = append(n.Purity, Effect{Pos: pos, Desc: desc})

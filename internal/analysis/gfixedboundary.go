@@ -36,12 +36,12 @@ func runGfixedBoundary(p *Pass) {
 				case *ast.SelectorExpr:
 					if isPkgIdent(pkg.Info, n.X, "math") &&
 						(n.Sel.Name == "Float64bits" || n.Sel.Name == "Float64frombits") {
-						p.Reportf(nil, n.Pos(), "math.%s outside internal/gfixed: use gfixed.FloatBits/FloatFromBits so number-format decisions stay in one place", n.Sel.Name)
+						p.Reportf(n.Pos(), "math.%s outside internal/gfixed: use gfixed.FloatBits/FloatFromBits so number-format decisions stay in one place", n.Sel.Name)
 					}
 				case *ast.BinaryExpr:
 					if n.Op == token.SHL || n.Op == token.SHR {
 						if field := formatFieldRef(n.Y); field != "" {
-							p.Reportf(nil, n.Pos(), "manual shift by %s outside internal/gfixed: use the Format/Rounder helpers (PosResolution, Round, ...)", field)
+							p.Reportf(n.Pos(), "manual shift by %s outside internal/gfixed: use the Format/Rounder helpers (PosResolution, Round, ...)", field)
 						}
 					}
 				}

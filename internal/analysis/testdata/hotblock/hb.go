@@ -1,7 +1,7 @@
 // Fixture for hotblock: a channel send two calls below a noalloc
-// kernel, a lock directly in a hotpath root, and the go-statement
-// exemptions (a spawned goroutine's blocking does not stall the
-// spawner).
+// kernel, a lock directly in a hotpath root, the go-statement exemption
+// (a spawned function's blocking does not stall the spawner) and the
+// go-literal case it does not cover.
 package hotblock
 
 import "sync"
@@ -35,12 +35,12 @@ func pump(c chan int) {
 	c <- 2
 }
 
-// Ops inside an immediate `go func(){...}()` literal are the spawned
-// goroutine's, not the spawner's. No findings here either.
+// A literal's body is its encloser's, a `go func(){...}()` literal's
+// too: its send is dispatchLit's own.
 //
 //grape:hotpath
 func dispatchLit(c chan int) {
 	go func() {
-		c <- 3
+		c <- 3 // want "channel send on the hot path in hotblock.dispatchLit (//grape:hotpath root)"
 	}()
 }

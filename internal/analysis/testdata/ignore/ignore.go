@@ -23,16 +23,6 @@ func wrongName(x float64) uint64 {
 	return math.Float64bits(x) // want "math.Float64bits"
 }
 
-// multiline shows a directive above a multi-line statement covers
-// findings on the continuation lines too (the finding below sits one
-// line past the directive's line-above window and is matched through
-// the enclosing statement's extent).
-func multiline(a, b float64) uint64 {
-	//grapelint:ignore gfixedboundary the ECC word folds both raw IEEE encodings
-	return math.Float64bits(a) ^
-		math.Float64bits(b)
-}
-
 // malformed shows a directive without analyzer and reason is itself a
 // finding, and suppresses nothing.
 func malformed(x float64) uint64 {

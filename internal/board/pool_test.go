@@ -2,7 +2,9 @@ package board
 
 import (
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"grape6/internal/chip"
 )
@@ -80,6 +82,62 @@ func TestCloseIsIdempotentAndRespawns(t *testing.T) {
 
 	// Close on an Array whose pool never started is a no-op.
 	New(smallConfig()).Close()
+}
+
+// poolGoroutines returns the ids of the goroutines in a pool worker's
+// loop, read from a dump of every goroutine's stack.
+func poolGoroutines() map[string]bool {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	ids := make(map[string]bool)
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "board.(*forceWorker).run(") {
+			ids[strings.Fields(g)[1]] = true // "goroutine <id> [state]:"
+		}
+	}
+	return ids
+}
+
+// TestCloseStopsWorkers checks that Close ends the pool's goroutines,
+// those of a respawned pool too: a worker left parked on its jobs channel
+// would outlive the Array. Goroutines of other tests' pools are told
+// apart by id.
+func TestCloseStopsWorkers(t *testing.T) {
+	forceParallel(t)
+	a := New(smallConfig())
+	_, is := loadPlummer(t, a, 512, 12)
+	for round := 1; round <= 2; round++ {
+		before := poolGoroutines()
+		forces(a, 0, is[:64], 1.0/64)
+		var ours []string
+		for id := range poolGoroutines() {
+			if !before[id] {
+				ours = append(ours, id)
+			}
+		}
+		if len(ours) != 4 {
+			t.Fatalf("round %d: %d new workers after a force pass, want 4", round, len(ours))
+		}
+		a.Close()
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			now, left := poolGoroutines(), 0
+			for _, id := range ours {
+				if now[id] {
+					left++
+				}
+			}
+			if left == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d of 4 workers still running 2 s after Close", round, left)
+			}
+		}
+	}
 }
 
 func TestForcesIntoShortSlabPanics(t *testing.T) {

@@ -12,10 +12,10 @@
 #   laid out by hand), go vet (both modules) + race detector across the
 #   whole module
 # Tier 3 (repo-native static analysis, required for every change):
-#   grapelint — two package-scoped checks (gfixedboundary/
-#   goroutinejoin), three closures over the module call graph that
+#   grapelint — four analyzers: one package-scoped check
+#   (gfixedboundary) and three closures over the module call graph that
 #   check their roots and everything they reach (noalloc/hotblock/
-#   deterministic), and the stale-suppression audit (DESIGN.md §7).
+#   deterministic), plus the stale-suppression audit (DESIGN.md §7).
 #   Findings fail the gauntlet. Then the inlining contract of the force
 #   kernel, which no analyzer sees because it is the compiler's decision:
 #   gfixed's tame primitives must report "can inline", and the compiled
@@ -56,7 +56,7 @@ fi
 
 if [ "$tier" = 3 ] || [ "$tier" = all ]; then
 	echo "== tier 3: grapelint =="
-	go run ./cmd/grapelint ./...
+	go run ./cmd/grapelint
 
 	echo "== tier 3: kernel inlining contract =="
 	inl="$(go build -gcflags=-m ./internal/gfixed 2>&1)"
