@@ -5,6 +5,17 @@
 // These kernels are the ground truth against which the GRAPE-6 chip
 // emulator is validated, and they double as the "software GRAPE" backend
 // that lets every higher layer run without the hardware emulation.
+//
+// EvalSkip, one i-particle at a time, is the specification. EvalAllInto
+// and EvalAllParallelInto give its bits, but on an amd64 CPU with AVX2
+// (chosen once, by CPUID and XGETBV) they run the chip's trick at width
+// four: each j-particle is broadcast to four i-particles, one per lane of
+// a YMM register, and every lane performs EvalSkip's operations on the
+// same operands in the same order. A lane that EvalSkip would skip (the
+// self-pair, r2 == 0) adds +0 instead, which leaves a sum that started
+// at +0 unchanged. The last quad of an i-set pads its empty lanes with
+// its first i-particle and drops their results. Elsewhere EvalAllInto is
+// EvalSkip per i-particle.
 package direct
 
 import (
@@ -100,16 +111,11 @@ func EvalSkip(xi, vi vec.V3, js JSet, eps float64, skip int) Force {
 // the caller-owned dst (len(dst) must be ≥ len(xs)) and returns the filled
 // prefix. Self-pairs are excluded by index when selfSet is true (the
 // i-set IS the j-set in the same order). Reusing dst across calls makes
-// the reference backend allocation-free in steady state.
+// the reference backend allocation-free in steady state. Each result is
+// bit-identical to EvalSkip's for that particle.
 func EvalAllInto(dst []Force, xs, vs []vec.V3, js JSet, eps float64, selfSet bool) []Force {
 	out := dst[:len(xs)]
-	for i := range xs {
-		skip := -1
-		if selfSet {
-			skip = i
-		}
-		out[i] = EvalSkip(xs[i], vs[i], js, eps, skip)
-	}
+	evalInto(out, xs, vs, js, eps, selfSet, 0)
 	return out
 }
 
@@ -119,15 +125,20 @@ func EvalAllInto(dst []Force, xs, vs []vec.V3, js JSet, eps float64, selfSet boo
 func EvalAllParallelInto(dst []Force, xs, vs []vec.V3, js JSet, eps float64, selfSet bool) []Force {
 	out := dst[:len(xs)]
 	ParallelFor(len(xs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			skip := -1
-			if selfSet {
-				skip = i
-			}
-			out[i] = EvalSkip(xs[i], vs[i], js, eps, skip)
-		}
+		evalInto(out[lo:hi], xs[lo:hi], vs[lo:hi], js, eps, selfSet, lo)
 	})
 	return out
+}
+
+// evalEach is evalInto one i-particle at a time, by EvalSkip.
+func evalEach(out []Force, xs, vs []vec.V3, js JSet, eps float64, selfSet bool, first int) {
+	for k := range xs {
+		skip := -1
+		if selfSet {
+			skip = first + k
+		}
+		out[k] = EvalSkip(xs[k], vs[k], js, eps, skip)
+	}
 }
 
 // ParallelFor splits [0, n) into at most GOMAXPROCS contiguous chunks of at

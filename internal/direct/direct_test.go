@@ -251,6 +251,20 @@ func BenchmarkEvalAllParallel4096(b *testing.B) {
 	}
 }
 
+// BenchmarkEvalAll64x2048 is the reference backend's steady state: 64
+// i-particles of a 2048-particle set against all of it, allocation-free.
+func BenchmarkEvalAll64x2048(b *testing.B) {
+	s := model.Plummer(2048, xrand.New(1))
+	js := jsetFrom(s.Mass, s.Pos, s.Vel)
+	dst := make([]Force, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EvalAllInto(dst, s.Pos[:64], s.Vel[:64], js, 0.01, true)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(64*2048), "ns/pair")
+}
+
 func TestJSetLen(t *testing.T) {
 	js := jsetFrom(make([]float64, 7), make([]vec.V3, 7), make([]vec.V3, 7))
 	if js.Len() != 7 {

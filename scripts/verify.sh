@@ -22,11 +22,13 @@
 #   chip.forceTile (the two-lane pair loop) and chip.predictParticle must
 #   contain no CALL into gfixed, and on arm64 neither RoundTame's split
 #   nor forceTile, forcePair or Accum.Add may fuse a multiply-add
-#   (DESIGN.md §6).
+#   (DESIGN.md §6). Last, the float64 kernel's AVX2 loop (direct.quadAVX2)
+#   may touch an X or Y register only with VEX-encoded instructions.
 # Tier 4 (fuzz, full gauntlet only):
 #   the differential fuzz targets, 10s each — gfixed's rounding and
 #   accumulation against their references, the chip's call-free pair loop
-#   and predictor against the exact per-stage forms — and the decoders of
+#   and predictor against the exact per-stage forms, the float64 kernel's
+#   four-lane pass against EvalSkip per i-particle — and the decoders of
 #   outside bytes (sched.ReadTrace, snapshot.Read), from their committed
 #   corpora under testdata/fuzz/.
 #
@@ -102,6 +104,24 @@ if [ "$tier" = 3 ] || [ "$tier" = all ]; then
 	fuse_free gfixed.arm64.test 'gfixed.(*Accum).Add' 'gfixed\.\(\*Accum\)\.Add$'
 	fuse_free chip.arm64.test 'chip.(*Chip).forceTile' 'chip\.\(\*Chip\)\.forceTile$'
 	fuse_free chip.arm64.test 'chip.(*Chip).forcePair' 'chip\.\(\*Chip\)\.forcePair$'
+
+	echo "== tier 3: float64 kernel is VEX-only =="
+	# One legacy SSE instruction on an X or Y register inside the AVX2 loop
+	# (a MOVQ CX, X14 once) costs an SSE/AVX transition per j: ~60 ns/pair
+	# instead of ~4, and every result stays bit-identical, so no test sees
+	# it. The assembler's listing holds the instructions as encoded (go tool
+	# objdump cannot decode VEX): every one with an X/Y operand must be a V
+	# mnemonic.
+	go tool asm -S -p grape6/internal/direct -I "$(go env GOROOT)/pkg/include" \
+		-o "$tmp/direct.o" internal/direct/direct_amd64.s >"$tmp/direct.s"
+	awk -F'\t' '/^grape6\/internal\/direct\.quadAVX2 STEXT/ { in_fn = 1; next }
+		/^[^\t]/ { in_fn = 0 }
+		in_fn { seen = 1 }
+		in_fn && $4 ~ /(^|[ ,(])[XY][0-9]+([ ,)]|$)/ && $3 !~ /^V/ { print; bad = 1 }
+		END { if (!seen) print "no listing for direct.quadAVX2: renamed?"; exit bad || !seen }' "$tmp/direct.s" || {
+		echo "direct.quadAVX2 has a non-VEX instruction on an X/Y register"
+		exit 1
+	}
 fi
 
 if [ "$tier" = 4 ] || [ "$tier" = all ]; then
@@ -111,6 +131,7 @@ if [ "$tier" = 4 ] || [ "$tier" = all ]; then
 	go test -run '^$' -fuzz '^FuzzAddTame$' -fuzztime=10s ./internal/gfixed/
 	go test -run '^$' -fuzz '^FuzzForceTile$' -fuzztime=10s ./internal/chip/
 	go test -run '^$' -fuzz '^FuzzPredictParticle$' -fuzztime=10s ./internal/chip/
+	go test -run '^$' -fuzz '^FuzzEvalAllQuad$' -fuzztime=10s ./internal/direct/
 	go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime=10s ./internal/sched/
 	# Minimizing an interesting 1.5 KB snapshot stream at the default 60 s
 	# cap would eat the whole 10 s budget; 2 s leaves time to fuzz.
