@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"grape6/internal/cpuid"
 	"grape6/internal/gfixed"
 )
 
@@ -516,8 +517,9 @@ func (ch *Chip) ForceBatchRangeInto(dst []Partial, t float64, is []IParticle, ep
 	// An empty range runs no kernel: lo may lie past the planes forceTile
 	// would slice.
 	if n := hi - lo; n > 0 {
-		lone := len(is) &^ 1 // index of the i-particle without a partner
-		for i := 0; i < lone; i += 2 {
+		i := ch.forceQuads(dst, is, lo, n, e2, r, invPos)
+		lone := i + (len(is)-i)&^1 // index of the i-particle without a partner
+		for ; i < lone; i += 2 {
 			ch.forceTile(&is[i], &dst[i], lo, &is[i+1], &dst[i+1], lo, n, e2, r, invPos)
 		}
 		if lone < len(is) {
@@ -533,6 +535,11 @@ func (ch *Chip) ForceBatchRangeInto(dst []Partial, t float64, is []IParticle, ep
 
 	return ch.cfg.BatchCycles(len(is), hi-lo)
 }
+
+// avx2 sends ForceBatchRangeInto's quads to the four-lane loop (forceQuads,
+// amd64 assembly). Tests clear it to run the Go path on an AVX2 host;
+// nothing else sets it.
+var avx2 = cpuid.AVX2
 
 // slabPanic reports an undersized partial slab. The formatting machinery
 // lives here, off the noalloc force path, so the annotated kernels carry

@@ -1,6 +1,9 @@
 package direct
 
-import "grape6/internal/vec"
+import (
+	"grape6/internal/cpuid"
+	"grape6/internal/vec"
+)
 
 // quad is the lane block of the AVX2 kernel: four i-particles in, their
 // four force sums out, each field one YMM row (offsets in direct_amd64.s).
@@ -14,17 +17,13 @@ type quad struct {
 	nn                  [4]int64
 }
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state
-// (CPUID leaves 1 and 7, XGETBV).
-func hasAVX2() bool
-
 // quadAVX2 evaluates q's four i-particles against the j-set, one broadcast
 // j at a time; len(pos) and len(vel) must be ≥ len(mass).
 //
 //go:noescape
 func quadAVX2(q *quad, mass []float64, pos, vel []vec.V3)
 
-var avx2 = hasAVX2()
+var avx2 = cpuid.AVX2
 
 // evalInto sets out[k] to the force on (xs[k], vs[k]) from js, skipping
 // source first+k when selfSet: four i-particles per quadAVX2 call on an

@@ -38,35 +38,6 @@ DATA inf<>+16(SB)/8, $0x7ff0000000000000
 DATA inf<>+24(SB)/8, $0x7ff0000000000000
 GLOBL inf<>(SB), RODATA|NOPTR, $32
 
-// func hasAVX2() bool
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVL $0, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $1, AX
-	MOVL $0, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
-	CMPL CX, $0x18000000
-	JNE  no
-	MOVL $0, CX
-	XGETBV
-	ANDL $6, AX          // XCR0: the OS saves XMM (bit 1) and YMM (bit 2) state
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	MOVL $0, CX
-	CPUID
-	TESTL $0x20, BX      // AVX2 (leaf 7 EBX bit 5)
-	JEQ  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func quadAVX2(q *quad, mass []float64, pos, vel []vec.V3)
 //
 // EvalSkip for four i-particles at once, lane l of every Y register being

@@ -365,11 +365,61 @@ func (a *Accum) Scale() float64 { return a.scale }
 //
 //grape:noalloc
 func AddTame(sum int64, v, scale float64) (s int64, miss uint64) {
-	const magic = 1.5 * two52
-	const magicBits = 0x433<<52 | 1<<51
 	t := math.Float64bits(float64(v*scale) + magic) // rounded product, as in Add
 	s = sum + int64(t-magicBits)
-	return s, (t>>52 ^ 0x433) | uint64(s+1<<61)>>62
+	return s, (t>>magicShift ^ magicBits>>magicShift) | uint64(s+sumBias)>>sumShift
+}
+
+// AddTame's constants. magic is 1.5·2^52, even, with every float64 in
+// [2^52, 2^53) one apart; t kept magic's exponent (bits magicShift and up
+// of its pattern unchanged) iff |v·scale| < 2^51; s + sumBias has a bit at
+// sumShift or above iff s is outside ±2^61.
+const (
+	magic      = 1.5 * two52
+	magicBits  = 0x433<<52 | 1<<51 // math.Float64bits(magic)
+	magicShift = 52
+	sumBias    = 1 << 61
+	sumShift   = 62
+)
+
+// Lanes are the bit-level constants of RoundTame, AddTame and Untame in the
+// form a SIMD kernel applies them, four lanes at a time, where every test is
+// a mask and the miss words of a whole pair OR into one. It is how gfixed
+// hands its format decisions to chip's AVX2 pair loop, whose assembly has
+// none of its own. Per lane, with bits(x) the IEEE pattern of x:
+//
+//   - RoundTame(x): c = x·Sigma, then c − (c − x).
+//   - AddTame(sum, v, scale): t = bits(v·scale + Magic) and
+//     s = sum + (t − bits(Magic)); the step missed iff
+//     (t XOR bits(Magic)) AND MagicMiss or (s + SumBias) AND SumMiss is
+//     nonzero. For a negated contribution, Magic − v·scale is the same t.
+//   - Untame(x) ≠ 0: with u = bits(x)·2 (the sign dropped), u ≠ 0 and
+//     (u − TameLo) AND TameMiss ≠ 0.
+//   - float64(d) for an int64 d: t = d + bits(Magic) is bits(Magic + d)
+//     when −2^51 ≤ d < 2^51, so t as a float64 minus Magic is d exactly;
+//     (t XOR bits(Magic)) AND MagicMiss is nonzero iff d is outside that
+//     range, wrapped differences included.
+type Lanes struct {
+	Sigma     float64
+	Magic     float64
+	MagicMiss uint64
+	SumBias   uint64
+	SumMiss   uint64
+	TameLo    uint64
+	TameMiss  uint64
+}
+
+// Lanes returns the constants of the rounder's width.
+func (r Rounder) Lanes() Lanes {
+	return Lanes{
+		Sigma:     r.sigma,
+		Magic:     magic,
+		MagicMiss: ^uint64(1<<magicShift - 1),
+		SumBias:   sumBias,
+		SumMiss:   ^uint64(1<<sumShift - 1),
+		TameLo:    tameLo,
+		TameMiss:  ^uint64(1<<tameShift - 1),
+	}
 }
 
 // Merge adds another accumulator's partial sum exactly. Both must share

@@ -207,3 +207,68 @@ func BenchmarkRounderRound(b *testing.B) {
 	}
 	_ = s
 }
+
+// TestLanesMatchTameForms evaluates the vector forms documented on Lanes
+// one lane at a time and holds each against the scalar form it stands for:
+// RoundTame, AddTame's sum and whether it missed, Untame's zero test, and
+// the int64 conversion with its ±2^51 guard.
+func TestLanesMatchTameForms(t *testing.T) {
+	rng := xrand.New(54)
+	vs := interestingFloats()
+	for i := 0; i < 2000; i++ {
+		vs = append(vs, rng.Norm()*math.Ldexp(1, rng.Intn(2100)-1050))
+	}
+	for _, bits := range []uint{2, 20, 32, 53} {
+		r := Format{PosFrac: 44, MantBits: bits, AccumFrac: 40}.Rounder()
+		l := r.Lanes()
+		for _, x := range vs {
+			// Where RoundTame is defined, the split is it.
+			if Untame(x) == 0 {
+				c := x * l.Sigma
+				if got, want := c-(c-x), r.RoundTame(x); !sameBits(got, want) {
+					t.Fatalf("bits=%d x=%#x: lane split %#x != RoundTame %#x", bits, math.Float64bits(x), math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+			u := math.Float64bits(x) << 1
+			if got, want := u != 0 && (u-l.TameLo)&l.TameMiss != 0, Untame(x) != 0; got != want {
+				t.Fatalf("x=%#x: lane Untame %v, Untame %v", math.Float64bits(x), got, want)
+			}
+		}
+	}
+	l := Grape6.Rounder().Lanes()
+	magicBits := math.Float64bits(l.Magic)
+	sums := []int64{0, 1, -1, 1<<61 - 1, 1 << 61, -(1 << 61), -(1 << 61) - 1, 1 << 62, -(1 << 62), math.MaxInt64, math.MinInt64}
+	for _, exp := range []int{40, 4, -30, -1500, 1500} {
+		a := Grape6.MakeAccum(exp)
+		scale := a.Scale()
+		for _, sum := range sums {
+			for _, v := range vs {
+				tb := math.Float64bits(v*scale + l.Magic)
+				s := sum + int64(tb-magicBits)
+				miss := (tb^magicBits)&l.MagicMiss|(uint64(s)+l.SumBias)&l.SumMiss != 0
+				ws, wmiss := AddTame(sum, v, scale)
+				if miss != (wmiss != 0) || !miss && s != ws {
+					t.Fatalf("sum=%d v=%#x exp=%d: lanes (%d, miss %v), AddTame (%d, %#x)", sum, math.Float64bits(v), exp, s, miss, ws, wmiss)
+				}
+				// A negated contribution as Magic minus the product.
+				if nb := math.Float64bits(l.Magic - v*scale); v == v && nb != math.Float64bits(-v*scale+l.Magic) {
+					t.Fatalf("v=%#x exp=%d: Magic - v·scale %#x != -v·scale + Magic", math.Float64bits(v), exp, nb)
+				}
+			}
+		}
+	}
+	ds := []int64{0, 1, -1, 1<<51 - 1, -(1 << 51), 1 << 51, -(1 << 51) - 1, 1 << 52, math.MaxInt64, math.MinInt64}
+	for i := 0; i < 2000; i++ {
+		ds = append(ds, int64(rng.Uint64())>>rng.Intn(64))
+	}
+	for _, d := range ds {
+		tb := uint64(d) + magicBits
+		inRange := d >= -(1<<51) && d < 1<<51
+		if miss := (tb^magicBits)&l.MagicMiss != 0; miss == inRange {
+			t.Fatalf("d=%d: conversion guard %v, in range %v", d, miss, inRange)
+		}
+		if got := math.Float64frombits(tb) - l.Magic; inRange && got != float64(d) {
+			t.Fatalf("d=%d: lane conversion %v", d, got)
+		}
+	}
+}

@@ -22,12 +22,14 @@
 #   chip.forceTile (the two-lane pair loop) and chip.predictParticle must
 #   contain no CALL into gfixed, and on arm64 neither RoundTame's split
 #   nor forceTile, forcePair or Accum.Add may fuse a multiply-add
-#   (DESIGN.md §6). Last, the float64 kernel's AVX2 loop (direct.quadAVX2)
-#   may touch an X or Y register only with VEX-encoded instructions.
+#   (DESIGN.md §6). Last, the assembly (the AVX2 loops direct.quadAVX2
+#   and chip.tileAVX2, the CPUID probe) may touch an X or Y register only
+#   with VEX-encoded instructions.
 # Tier 4 (fuzz, full gauntlet only):
 #   the differential fuzz targets, 10s each — gfixed's rounding and
 #   accumulation against their references, the chip's call-free pair loop
-#   and predictor against the exact per-stage forms, the float64 kernel's
+#   (two Go lanes, and the four-lane AVX2 loop beside the Go path) and
+#   predictor against the exact per-stage forms, the float64 kernel's
 #   four-lane pass against EvalSkip per i-particle — and the decoders of
 #   outside bytes (sched.ReadTrace, snapshot.Read), from their committed
 #   corpora under testdata/fuzz/.
@@ -105,23 +107,31 @@ if [ "$tier" = 3 ] || [ "$tier" = all ]; then
 	fuse_free chip.arm64.test 'chip.(*Chip).forceTile' 'chip\.\(\*Chip\)\.forceTile$'
 	fuse_free chip.arm64.test 'chip.(*Chip).forcePair' 'chip\.\(\*Chip\)\.forcePair$'
 
-	echo "== tier 3: float64 kernel is VEX-only =="
-	# One legacy SSE instruction on an X or Y register inside the AVX2 loop
+	echo "== tier 3: assembly is VEX-only =="
+	# One legacy SSE instruction on an X or Y register inside an AVX2 loop
 	# (a MOVQ CX, X14 once) costs an SSE/AVX transition per j: ~60 ns/pair
-	# instead of ~4, and every result stays bit-identical, so no test sees
-	# it. The assembler's listing holds the instructions as encoded (go tool
-	# objdump cannot decode VEX): every one with an X/Y operand must be a V
-	# mnemonic.
-	go tool asm -S -p grape6/internal/direct -I "$(go env GOROOT)/pkg/include" \
-		-o "$tmp/direct.o" internal/direct/direct_amd64.s >"$tmp/direct.s"
-	awk -F'\t' '/^grape6\/internal\/direct\.quadAVX2 STEXT/ { in_fn = 1; next }
-		/^[^\t]/ { in_fn = 0 }
-		in_fn { seen = 1 }
-		in_fn && $4 ~ /(^|[ ,(])[XY][0-9]+([ ,)]|$)/ && $3 !~ /^V/ { print; bad = 1 }
-		END { if (!seen) print "no listing for direct.quadAVX2: renamed?"; exit bad || !seen }' "$tmp/direct.s" || {
-		echo "direct.quadAVX2 has a non-VEX instruction on an X/Y register"
-		exit 1
-	}
+	# instead of ~4 in direct.quadAVX2, and every result stays
+	# bit-identical, so no test sees it. The assembler's listing holds the
+	# instructions as encoded (go tool objdump cannot decode VEX): in every
+	# TEXT symbol of every .s file of the module, each instruction with an
+	# X/Y operand must be a V mnemonic.
+	: >"$tmp/asm.s"
+	for f in $(git ls-files '*.s'); do
+		go tool asm -S -p "grape6/$(dirname "$f")" -I "$(go env GOROOT)/pkg/include" \
+			-o "$tmp/asm.o" "$f" >>"$tmp/asm.s"
+	done
+	want="$(git ls-files '*.s' | xargs cat | grep -c '^TEXT')"
+	awk -F'\t' -v want="$want" '
+		/^[^\t]/ { fn = ""; if ($0 ~ / STEXT/) { fn = $0; sub(/ .*/, "", fn); seen++ } next }
+		fn != "" && $4 ~ /(^|[ ,(])[XY][0-9]+([ ,)]|$)/ && $3 !~ /^V/ {
+			print fn ": " $0
+			if (!(fn in bad)) { bad[fn] = 1; nbad++ }
+		}
+		END {
+			if (seen != want) print "the listings hold " seen " TEXT symbols, the .s files " want
+			for (f in bad) print f " has a non-VEX instruction on an X/Y register"
+			exit nbad > 0 || seen != want
+		}' "$tmp/asm.s"
 fi
 
 if [ "$tier" = 4 ] || [ "$tier" = all ]; then
@@ -130,6 +140,7 @@ if [ "$tier" = 4 ] || [ "$tier" = all ]; then
 	go test -run '^$' -fuzz '^FuzzAccumAdd$' -fuzztime=10s ./internal/gfixed/
 	go test -run '^$' -fuzz '^FuzzAddTame$' -fuzztime=10s ./internal/gfixed/
 	go test -run '^$' -fuzz '^FuzzForceTile$' -fuzztime=10s ./internal/chip/
+	go test -run '^$' -fuzz '^FuzzForceTileQuad$' -fuzztime=10s ./internal/chip/
 	go test -run '^$' -fuzz '^FuzzPredictParticle$' -fuzztime=10s ./internal/chip/
 	go test -run '^$' -fuzz '^FuzzEvalAllQuad$' -fuzztime=10s ./internal/direct/
 	go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime=10s ./internal/sched/
