@@ -1,10 +1,12 @@
-package board
+package board_test
 
 import (
 	"runtime"
 	"testing"
 
+	"grape6/internal/board"
 	"grape6/internal/chip"
+	"grape6/internal/forcecheck"
 )
 
 // TestBatchCyclesForMatchesForcesInto keeps the name of the test that
@@ -17,21 +19,21 @@ import (
 // the grape6d scheduler can charge a session the array's own return value.
 func TestBatchCyclesForMatchesForcesInto(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	multi := smallConfig()
+	multi := forcecheck.SmallHW()
 	multi.Chip.MemCapacity = 24 // a 512-particle set streams in pages
 	for _, tc := range []struct {
 		name  string
-		cfg   Config
+		cfg   board.Config
 		n     int
 		pages int
 	}{
-		{"one page", smallConfig(), 2048, 1},
+		{"one page", forcecheck.SmallHW(), 2048, 1},
 		{"multi-page", multi, 512, 3},
 	} {
-		a := New(tc.cfg)
+		a := board.New(tc.cfg)
 		defer a.Close()
-		_, is := loadPlummer(t, a, tc.n, 42)
-		if got := a.pages(); got != tc.pages {
+		_, is := forcecheck.LoadPlummer(t, a, tc.n, 42)
+		if got := board.Pages(a); got != tc.pages {
 			t.Fatalf("%s: %d pages, want %d", tc.name, got, tc.pages)
 		}
 		dst := make([]chip.Partial, len(is))
@@ -48,8 +50,8 @@ func TestBatchCyclesForMatchesForcesInto(t *testing.T) {
 				t.Errorf("%s: %d i-particles cost %d cycles on one worker, %d on four", tc.name, n, one, pooled)
 			}
 			// Page p's busiest chip holds ⌈m/nc⌉ of its m particles.
-			want := a.reductionCycles()
-			nc := len(a.chips)
+			want := board.ReductionCycles(a)
+			nc := len(board.Chips(a))
 			for p := 0; p < tc.pages; p++ {
 				m := (p+1)*tc.n/tc.pages - p*tc.n/tc.pages
 				want += tc.cfg.Chip.BatchCycles(n, (m+nc-1)/nc)
@@ -65,9 +67,8 @@ func TestBatchCyclesForMatchesForcesInto(t *testing.T) {
 // scheduler drives on every tenant switch: reloading j-sets of the same
 // footprint must allocate nothing once the staging has grown.
 func TestLoadJSwapSteadyStateAllocs(t *testing.T) {
-	a := New(smallConfig())
-	defer a.Close()
-	jsA, _ := loadPlummer(t, a, 300, 1)
+	a := small(t)
+	jsA, _ := forcecheck.LoadPlummer(t, a, 300, 1)
 	jsB := make([]chip.JParticle, 300)
 	copy(jsB, jsA)
 	for i := range jsB {

@@ -1,4 +1,4 @@
-package board
+package board_test
 
 import (
 	"runtime"
@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"grape6/internal/board"
 	"grape6/internal/chip"
+	"grape6/internal/forcecheck"
 )
 
 // forceParallel raises GOMAXPROCS so the worker pool is several workers
@@ -18,26 +20,29 @@ func forceParallel(t *testing.T) {
 
 func TestWorkerPoolPersistsAcrossCalls(t *testing.T) {
 	forceParallel(t)
-	a := New(smallConfig())
-	defer a.Close()
-	js, is := loadPlummer(t, a, 512, 7)
+	a := small(t)
+	js, is := forcecheck.LoadPlummer(t, a, 512, 7)
+	eval := func(n int) []chip.Partial {
+		dst := make([]chip.Partial, n)
+		a.ForcesInto(dst, 0, is[:n], 1.0/64)
+		return dst
+	}
 
 	// The first call spawns the pool.
-	r1, _ := forces(a, 0, is[:64], 1.0/64)
-	wp := a.workers.Load()
-	if wp == nil || len(*wp) == 0 {
+	r1 := eval(64)
+	workers := board.Workers(a)
+	if len(workers) == 0 {
 		t.Fatal("no worker pool after a Forces call")
 	}
-	workers := *wp
 
 	// Further calls — larger, smaller, and tiny — reuse it. The tiny one
 	// (7 × 512 pairs at the same t, on a current cache) must agree with
 	// one chip holding the whole j-set.
-	forces(a, 0, is[:128], 1.0/64)
-	forces(a, 0, is[:16], 1.0/64)
-	tiny, _ := forces(a, 0, is[:7], 1.0/64)
-	r2, _ := forces(a, 0, is[:64], 1.0/64)
-	now := *a.workers.Load()
+	eval(128)
+	eval(16)
+	tiny := eval(7)
+	r2 := eval(64)
+	now := board.Workers(a)
 	if len(now) != len(workers) {
 		t.Errorf("pool respawned: %d workers, then %d", len(workers), len(now))
 	}
@@ -47,13 +52,18 @@ func TestWorkerPoolPersistsAcrossCalls(t *testing.T) {
 		}
 	}
 	for i := range r1 {
-		if r1[i].Acc[0].Sum != r2[i].Acc[0].Sum || r1[i].Pot.Sum != r2[i].Pot.Sum {
+		if r1[i] != r2[i] {
 			t.Fatalf("i=%d: repeated evaluation changed bits", i)
 		}
 	}
-	want := singleChipPartials(t, a.Config().Chip, js, 0, is[:7], 1.0/64)
+	ref := forcecheck.NewReference(a.Config())
+	if err := ref.LoadJ(js); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]chip.Partial, 7)
+	ref.ForcesInto(want, 0, is[:7], 1.0/64)
 	for i := range tiny {
-		if *tiny[i] != want[i] {
+		if tiny[i] != want[i] {
 			t.Errorf("i=%d: pool differs from the single-chip reference", i)
 		}
 	}
@@ -61,18 +71,20 @@ func TestWorkerPoolPersistsAcrossCalls(t *testing.T) {
 
 func TestCloseIsIdempotentAndRespawns(t *testing.T) {
 	forceParallel(t)
-	a := New(smallConfig())
-	_, is := loadPlummer(t, a, 512, 9)
+	a := board.New(forcecheck.SmallHW())
+	_, is := forcecheck.LoadPlummer(t, a, 512, 9)
 
-	before, _ := forces(a, 0, is[:64], 1.0/64)
+	before := make([]chip.Partial, 64)
+	a.ForcesInto(before, 0, is[:64], 1.0/64)
 	a.Close()
 	a.Close() // double close must not panic
-	if a.workers.Load() != nil {
+	if board.Workers(a) != nil {
 		t.Fatal("workers not cleared by Close")
 	}
 
 	// A closed Array keeps working: the pool respawns lazily.
-	after, _ := forces(a, 0, is[:64], 1.0/64)
+	after := make([]chip.Partial, 64)
+	a.ForcesInto(after, 0, is[:64], 1.0/64)
 	for i := range before {
 		if before[i].Acc[0].Sum != after[i].Acc[0].Sum {
 			t.Fatalf("i=%d: results differ after Close/respawn", i)
@@ -81,7 +93,7 @@ func TestCloseIsIdempotentAndRespawns(t *testing.T) {
 	a.Close()
 
 	// Close on an Array whose pool never started is a no-op.
-	New(smallConfig()).Close()
+	board.New(forcecheck.SmallHW()).Close()
 }
 
 // poolGoroutines returns the ids of the goroutines in a pool worker's
@@ -108,11 +120,12 @@ func poolGoroutines() map[string]bool {
 // apart by id.
 func TestCloseStopsWorkers(t *testing.T) {
 	forceParallel(t)
-	a := New(smallConfig())
-	_, is := loadPlummer(t, a, 512, 12)
+	a := board.New(forcecheck.SmallHW())
+	_, is := forcecheck.LoadPlummer(t, a, 512, 12)
+	dst := make([]chip.Partial, 64)
 	for round := 1; round <= 2; round++ {
 		before := poolGoroutines()
-		forces(a, 0, is[:64], 1.0/64)
+		a.ForcesInto(dst, 0, is[:64], 1.0/64)
 		var ours []string
 		for id := range poolGoroutines() {
 			if !before[id] {
@@ -141,9 +154,8 @@ func TestCloseStopsWorkers(t *testing.T) {
 }
 
 func TestForcesIntoShortSlabPanics(t *testing.T) {
-	a := New(smallConfig())
-	defer a.Close()
-	_, is := loadPlummer(t, a, 16, 10)
+	a := small(t)
+	_, is := forcecheck.LoadPlummer(t, a, 16, 10)
 	defer func() {
 		if recover() == nil {
 			t.Error("ForcesInto accepted a too-short slab")
@@ -156,9 +168,8 @@ func TestForcesIntoShortSlabPanics(t *testing.T) {
 // attachment through the persistent pool and reusable slab. Steady state
 // must be allocation-free.
 func BenchmarkArrayForces(b *testing.B) {
-	a := New(smallConfig())
-	defer a.Close()
-	_, is := loadPlummer(b, a, 1024, 1)
+	a := small(b)
+	_, is := forcecheck.LoadPlummer(b, a, 1024, 1)
 	dst := make([]chip.Partial, 48)
 	a.ForcesInto(dst, 0, is[:48], 1.0/64) // warm up pool and worker slabs
 	b.ReportAllocs()
@@ -179,9 +190,8 @@ func BenchmarkArrayForces(b *testing.B) {
 func BenchmarkArrayDispatch(b *testing.B) {
 	old := runtime.GOMAXPROCS(4) // a pool of four even on small hosts
 	defer runtime.GOMAXPROCS(old)
-	a := New(smallConfig())
-	defer a.Close()
-	_, is := loadPlummer(b, a, 2048, 1)
+	a := small(b)
+	_, is := forcecheck.LoadPlummer(b, a, 2048, 1)
 	dst := make([]chip.Partial, 4)
 	a.ForcesInto(dst, 0, is[:4], 1.0/64) // warm up pool and worker slabs
 	b.ReportAllocs()
@@ -196,44 +206,13 @@ func BenchmarkArrayDispatch(b *testing.B) {
 // j-particles striped over the 8 emulated chips (8192 per chip), where the
 // per-worker j-hot set exceeds the host cache.
 func BenchmarkArrayForces64k(b *testing.B) {
-	a := New(smallConfig())
-	defer a.Close()
-	_, is := loadPlummer(b, a, 65536, 1)
+	a := small(b)
+	_, is := forcecheck.LoadPlummer(b, a, 65536, 1)
 	dst := make([]chip.Partial, 48)
 	a.ForcesInto(dst, 0, is[:48], 1.0/64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.ForcesInto(dst, 0, is[:48], 1.0/64)
-	}
-}
-
-// TestForcesIntoFewParticlesAcrossProcs holds the smallest blocks — one
-// i-particle (both lanes of the chip kernel, over the halves of each
-// span), a pair, a pair and a lone one — to the single-chip reference
-// however the evaluation is striped: on a pool of one, of two, and of
-// four, which on a two-processor host leaves workers that find no span
-// left to claim.
-func TestForcesIntoFewParticlesAcrossProcs(t *testing.T) {
-	old := runtime.GOMAXPROCS(0)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	const nj = 4801 // uneven chip loads, odd spans
-	for _, tc := range []struct {
-		procs int
-		path  string
-	}{{1, "one worker"}, {2, "pool"}, {4, "pool with idle workers"}} {
-		runtime.GOMAXPROCS(tc.procs)
-		a := New(smallConfig())
-		js, is := loadPlummer(t, a, nj, 11)
-		for ni := 1; ni <= 3; ni++ {
-			got, _ := forces(a, 0x1p-6, is[100:100+ni], 1.0/64)
-			want := singleChipPartials(t, a.Config().Chip, js, 0x1p-6, is[100:100+ni], 1.0/64)
-			for q := range got {
-				if *got[q] != want[q] {
-					t.Errorf("%s (GOMAXPROCS %d), %d i-particles: partial %d differs from the single-chip reference", tc.path, tc.procs, ni, q)
-				}
-			}
-		}
-		a.Close()
 	}
 }

@@ -472,9 +472,12 @@ func (ch *Chip) ForceBatchInto(dst []Partial, t float64, is []IParticle, eps flo
 // reversed bounds are clamped to an empty range, never a panic.
 //
 // The i-particles are broadcast and the j-range streamed past them, the
-// loop order of the real chip. forceTile takes two pairs per step, so the
-// batch goes through the range two i-particles at a time. The one an odd
-// batch leaves over — every one-particle block's — is both lanes itself,
+// loop order of the real chip. On AVX2 hosts forceQuads first takes every
+// full quad of the batch through the range four i-particles at a time
+// (tileAVX2); the 0–3 left over, and the whole batch elsewhere, go
+// through forceTile, which takes two pairs per step, two i-particles at
+// a time. The one an odd remainder leaves over — every one-particle
+// block's — is both lanes itself,
 // over the two halves of the range: the second half accumulates into a
 // partial of its own on the same three exponents, an odd last slot goes
 // through forcePair, and the two merge. That is one more partition of the

@@ -1,12 +1,13 @@
-package gbackend
+package gbackend_test
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"grape6/internal/board"
 	"grape6/internal/direct"
+	"grape6/internal/forcecheck"
+	"grape6/internal/gbackend"
 	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
@@ -15,24 +16,18 @@ import (
 	"grape6/internal/xrand"
 )
 
-// tinyArray is a small hardware configuration for cheap functional tests.
-func tinyArray() *board.Array {
-	cfg := board.Default
-	cfg.ChipsPerModule = 2
-	cfg.ModulesPerBoard = 2
-	cfg.Boards = 1
-	return board.New(cfg)
-}
+// tinyArray is a 4-chip array for cheap functional tests.
+func tinyArray() *board.Array { return board.New(forcecheck.HW(2, 2, 1)) }
 
 func TestImplementsBackend(t *testing.T) {
-	var _ hermite.Backend = New(tinyArray())
+	var _ hermite.Backend = gbackend.New(tinyArray())
 }
 
 func TestForcesMatchDirectBackend(t *testing.T) {
 	sys := model.Plummer(96, xrand.New(1))
 	eps := 1.0 / 64
 
-	gb := New(tinyArray())
+	gb := gbackend.New(tinyArray())
 	gb.Load(sys)
 	db := hermite.NewDirectBackend()
 	db.Load(sys)
@@ -70,7 +65,7 @@ func TestOverflowRetryConverges(t *testing.T) {
 	sys.Pos[0] = vec.New(-0.5, 0, 0)
 	sys.Pos[1] = vec.New(0.5, 0, 0)
 
-	gb := New(tinyArray())
+	gb := gbackend.New(tinyArray())
 	gb.Load(sys)
 	fs := gb.ForcesInto(make([]direct.Force, 2), 0, []int{0, 1}, sys.Pos, sys.Vel, 0.01)
 	// a on 0 from 1: m/(r²+ε²)^{3/2} with r=1, ε=0.01.
@@ -98,7 +93,7 @@ func TestIntegrationMatchesDirect(t *testing.T) {
 	itD.Run(0.125)
 
 	sg := mk()
-	itG, err := hermite.New(sg, New(tinyArray()), p)
+	itG, err := hermite.New(sg, gbackend.New(tinyArray()), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +113,7 @@ func TestIntegrationMatchesDirect(t *testing.T) {
 func TestEnergyConservationOnHardware(t *testing.T) {
 	sys := model.Plummer(64, xrand.New(5))
 	eps := 1.0 / 64
-	it, err := hermite.New(sys, New(tinyArray()), hermite.DefaultParams(eps))
+	it, err := hermite.New(sys, gbackend.New(tinyArray()), hermite.DefaultParams(eps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,31 +125,13 @@ func TestEnergyConservationOnHardware(t *testing.T) {
 	}
 }
 
+// TestMachineSizeIndependentTrajectories: the paper's validation
+// property end to end — Hermite corrections on hardware of different
+// sizes give bit-identical forces, because block-floating-point summation
+// is exact.
 func TestMachineSizeIndependentTrajectories(t *testing.T) {
-	// The paper's validation property, end to end: integrating the same
-	// system on hardware of different sizes gives BIT-IDENTICAL
-	// trajectories, because block-floating-point summation is exact.
-	run := func(boards int) *nbody.System {
-		cfg := board.Default
-		cfg.ChipsPerModule = 2
-		cfg.ModulesPerBoard = 2
-		cfg.Boards = boards
-		sys := model.Plummer(48, xrand.New(21))
-		it, err := hermite.New(sys, New(board.New(cfg)), hermite.DefaultParams(1.0/64))
-		if err != nil {
-			t.Fatal(err)
-		}
-		it.Run(0.125)
-		return sys
-	}
-	a := run(1)
-	b := run(4)
-	for i := 0; i < a.N; i++ {
-		if a.Pos[i] != b.Pos[i] || a.Vel[i] != b.Vel[i] {
-			t.Fatalf("particle %d differs between 1-board and 4-board machines: %v vs %v",
-				i, a.Pos[i], b.Pos[i])
-		}
-	}
+	forcecheck.Run(t, forcecheck.Case{N: 48, Seed: 21, Eps: 1.0 / 64, HW: forcecheck.HW(2, 2, 4),
+		Steps: forcecheck.BlockSteps(16, 6)})
 }
 
 func TestRangeClampingSurvivesEscapers(t *testing.T) {
@@ -162,7 +139,7 @@ func TestRangeClampingSurvivesEscapers(t *testing.T) {
 	sys.Mass[0], sys.Mass[1] = 0.5, 0.5
 	sys.Pos[0] = vec.New(1e7, 0, 0) // beyond the 2^19 coordinate range
 	sys.Pos[1] = vec.New(0, 0, 0)
-	gb := New(tinyArray())
+	gb := gbackend.New(tinyArray())
 	gb.Load(sys)
 	if gb.RangeClamps == 0 {
 		t.Error("escaper was not clamped")
@@ -176,7 +153,7 @@ func TestRangeClampingSurvivesEscapers(t *testing.T) {
 
 func TestOutOfRangeSlotPanics(t *testing.T) {
 	sys := model.Plummer(8, xrand.New(2))
-	gb := New(tinyArray())
+	gb := gbackend.New(tinyArray())
 	defer gb.Close()
 	gb.Load(sys)
 	defer func() {
@@ -192,7 +169,7 @@ func TestOutOfRangeSlotPanics(t *testing.T) {
 // an empty one is no work.
 func TestNilSlotsPanics(t *testing.T) {
 	sys := model.Plummer(8, xrand.New(2))
-	gb := New(tinyArray())
+	gb := gbackend.New(tinyArray())
 	defer gb.Close()
 	gb.Load(sys)
 	if fs := gb.ForcesInto(nil, 0, nil, nil, nil, 0.01); len(fs) != 0 {
@@ -208,7 +185,7 @@ func TestNilSlotsPanics(t *testing.T) {
 
 func TestHWCyclesGrowWithWork(t *testing.T) {
 	sys := model.Plummer(128, xrand.New(3))
-	gb := New(tinyArray())
+	gb := gbackend.New(tinyArray())
 	gb.Load(sys)
 	ids := []int{0}
 	dst := make([]direct.Force, 1)
@@ -225,7 +202,7 @@ func TestSpeedAccountingPlausible(t *testing.T) {
 	// tiny 4-chip array on a saturating workload should be within a factor
 	// of a few of its nominal 4 chips × 6 pipelines = 24 pairs/cycle.
 	sys := model.Plummer(512, xrand.New(4))
-	gb := New(tinyArray())
+	gb := gbackend.New(tinyArray())
 	gb.Load(sys)
 	ids := make([]int, 48)
 	for i := range ids {
@@ -241,37 +218,12 @@ func TestSpeedAccountingPlausible(t *testing.T) {
 	_ = units.FlopsPerInteraction
 }
 
+// TestIntegrationTileInvariant: how the pool cuts and shares the
+// j-memory is invisible at every GOMAXPROCS — the width of the board's
+// pool, one worker at 1.
 func TestIntegrationTileInvariant(t *testing.T) {
-	// How the pool cuts and shares the j-memory is invisible end to end: a
-	// full Hermite integration on the emulated hardware is bit-identical,
-	// down to the last position bit, at every GOMAXPROCS — the width of
-	// the board's pool, one worker at 1.
-	old := runtime.GOMAXPROCS(0)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
-	eps := 1.0 / 64
-	run := func(procs int) *nbody.System {
-		runtime.GOMAXPROCS(procs)
-		sys := model.Plummer(256, xrand.New(9))
-		cfg := board.Default
-		cfg.ChipsPerModule = 2
-		cfg.ModulesPerBoard = 2
-		cfg.Boards = 1
-		arr := board.New(cfg)
-		defer arr.Close()
-		it, err := hermite.New(sys, New(arr), hermite.DefaultParams(eps))
-		if err != nil {
-			t.Fatal(err)
-		}
-		it.Run(0.0625)
-		return sys
-	}
-	want := run(1)
-	for _, procs := range []int{2, 3, 8} {
-		got := run(procs)
-		for i := 0; i < want.N; i++ {
-			if want.Pos[i] != got.Pos[i] || want.Vel[i] != got.Vel[i] {
-				t.Fatalf("particle %d state differs between GOMAXPROCS 1 and %d", i, procs)
-			}
-		}
+	for _, procs := range []int{1, 2, 3, 8} {
+		forcecheck.Run(t, forcecheck.Case{N: 256, Seed: 9, Eps: 1.0 / 64, HW: forcecheck.HW(2, 2, 1),
+			Procs: procs, Steps: forcecheck.BlockSteps(12, 24)})
 	}
 }

@@ -1,10 +1,12 @@
-package gbackend
+package gbackend_test
 
 import (
 	"testing"
 
 	"grape6/internal/board"
 	"grape6/internal/direct"
+	"grape6/internal/forcecheck"
+	"grape6/internal/gbackend"
 	"grape6/internal/model"
 	"grape6/internal/xrand"
 )
@@ -12,7 +14,7 @@ import (
 // closeCounter wraps an Array and counts Close calls, standing in for a
 // shared fleet whose arrays must outlive any one tenant.
 type closeCounter struct {
-	Array
+	gbackend.Array
 	closes int
 }
 
@@ -24,8 +26,8 @@ func (c *closeCounter) Close() {
 func TestOwnedCloseIsIdempotent(t *testing.T) {
 	arr := tinyArray()
 	cc := &closeCounter{Array: arr}
-	b := NewBorrowed(cc)
-	b.owned = true // owned semantics over the counting wrapper
+	b := gbackend.NewBorrowed(cc)
+	gbackend.Own(b) // owned semantics over the counting wrapper
 	if !b.Owned() {
 		t.Fatal("backend not owned")
 	}
@@ -43,7 +45,7 @@ func TestBorrowedCloseLeavesArrayRunning(t *testing.T) {
 	cc := &closeCounter{Array: arr}
 
 	sys := model.Plummer(64, xrand.New(9))
-	b := NewBorrowed(cc)
+	b := gbackend.NewBorrowed(cc)
 	if b.Owned() {
 		t.Fatal("NewBorrowed claims ownership")
 	}
@@ -55,7 +57,7 @@ func TestBorrowedCloseLeavesArrayRunning(t *testing.T) {
 	}
 
 	// The array must remain fully usable by the next tenant.
-	next := NewBorrowed(arr)
+	next := gbackend.NewBorrowed(arr)
 	next.Load(sys)
 	ids := []int{0, 1, 2, 3}
 	fs := next.ForcesInto(make([]direct.Force, len(ids)), 0, ids, nil, nil, 1.0/64)
@@ -68,35 +70,13 @@ func TestBorrowedCloseLeavesArrayRunning(t *testing.T) {
 // TestBorrowedMatchesOwned pins that the two construction paths drive the
 // hardware identically: same bits out of the same workload.
 func TestBorrowedMatchesOwned(t *testing.T) {
-	sys := model.Plummer(96, xrand.New(3))
-	eps := 1.0 / 64
-	ids := make([]int, 24)
-	for i := range ids {
-		ids[i] = i
-	}
-
-	owned := New(tinyArray())
-	defer owned.Close()
-	owned.Load(sys)
-	a := owned.ForcesInto(make([]direct.Force, len(ids)), 0, ids, nil, nil, eps)
-
-	arr := tinyArray()
-	defer arr.Close()
-	borrowed := NewBorrowed(arr)
-	defer borrowed.Close()
-	borrowed.Load(sys)
-	b := borrowed.ForcesInto(make([]direct.Force, len(ids)), 0, ids, nil, nil, eps)
-
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("force %d differs between owned and borrowed backends:\n%+v\n%+v", i, a[i], b[i])
-		}
-	}
+	forcecheck.Run(t, forcecheck.Case{N: 96, Seed: 3, Eps: 1.0 / 64, HW: forcecheck.HW(2, 2, 1),
+		Steps: []forcecheck.Step{{Block: 24}}})
 }
 
 // Interface conformance: a dedicated attachment satisfies the Array
 // contract directly, as does the test wrapper.
 var (
-	_ Array = (*board.Array)(nil)
-	_ Array = (*closeCounter)(nil)
+	_ gbackend.Array = (*board.Array)(nil)
+	_ gbackend.Array = (*closeCounter)(nil)
 )

@@ -14,8 +14,40 @@ import (
 	"grape6/internal/hermite"
 	"grape6/internal/model"
 	"grape6/internal/nbody"
+	"grape6/internal/vec"
 	"grape6/internal/xrand"
 )
+
+// smallHW is the 8-chip functional-test fleet array,
+// forcecheck.SmallHW (which imports this package, so the in-package tests
+// cannot use it).
+func smallHW() board.Config {
+	c := board.Default
+	c.ChipsPerModule = 2
+	c.ModulesPerBoard = 2
+	c.Boards = 2
+	return c
+}
+
+// plummerSet is forcecheck.Plummer: the seeded Plummer set in hardware
+// format at t = 0 and its time-0 i-particles.
+func plummerSet(t testing.TB, hw board.Config, n int, seed uint64) ([]chip.JParticle, []chip.IParticle) {
+	t.Helper()
+	f := hw.Chip.Format
+	sys := model.Plummer(n, xrand.New(seed))
+	js := make([]chip.JParticle, n)
+	is := make([]chip.IParticle, n)
+	for i := 0; i < n; i++ {
+		p, err := chip.MakeJParticle(f, i, 0, sys.Mass[i], sys.Pos[i], sys.Vel[i], vec.Zero, vec.Zero, vec.Zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js[i] = p
+		x, v := chip.PredictParticle(f, &p, 0)
+		is[i] = chip.IParticle{X: x, V: v, SelfID: i, ExpAcc: 4, ExpJerk: 6, ExpPot: 6}
+	}
+	return js, is
+}
 
 // TestCoalescingBitIdentical keeps its name from the deleted request
 // coalescer (the pipeline's test floor holds it). Four goroutines call

@@ -30,7 +30,8 @@
 #   accumulation against their references, the chip's call-free pair loop
 #   (two Go lanes, and the four-lane AVX2 loop beside the Go path) and
 #   predictor against the exact per-stage forms, the float64 kernel's
-#   four-lane pass against EvalSkip per i-particle — and the decoders of
+#   four-lane pass against EvalSkip per i-particle, forcecheck's drawn
+#   cases through every force path against one chip — and the decoders of
 #   outside bytes (sched.ReadTrace, snapshot.Read), from their committed
 #   corpora under testdata/fuzz/.
 #
@@ -143,6 +144,7 @@ if [ "$tier" = 4 ] || [ "$tier" = all ]; then
 	go test -run '^$' -fuzz '^FuzzForceTileQuad$' -fuzztime=10s ./internal/chip/
 	go test -run '^$' -fuzz '^FuzzPredictParticle$' -fuzztime=10s ./internal/chip/
 	go test -run '^$' -fuzz '^FuzzEvalAllQuad$' -fuzztime=10s ./internal/direct/
+	go test -run '^$' -fuzz '^FuzzForcePath$' -fuzztime=10s ./internal/forcecheck/
 	go test -run '^$' -fuzz '^FuzzReadTrace$' -fuzztime=10s ./internal/sched/
 	# Minimizing an interesting 1.5 KB snapshot stream at the default 60 s
 	# cap would eat the whole 10 s budget; 2 s leaves time to fuzz.
